@@ -30,12 +30,14 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.executor import (RunSpec, _finish_record, _resolved_card,
-                                   _worker_id, execute_run, regenerate_mask)
+                                   _worker_id, base_record, execute_run,
+                                   open_fresh_checkpoint_set,
+                                   regenerate_mask)
 from repro.faults.models import get_model
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
-from repro.sim.batch import (BatchedDevice, LockstepPack, PackAbort,
-                             PackDrained, PackMember)
+from repro.sim.batch import (LockstepPack, PackAbort, PackDrained,
+                             PackMember)
 from repro.sim.device import RunOptions
 
 #: Structures whose per-run state is stacked along the runs axis.
@@ -69,14 +71,8 @@ def _restore_point(spec: RunSpec,
                    mask_cycle: int) -> Optional[Tuple[int, int]]:
     """``(launch_index, cycle)`` of the golden snapshot a fast-forward
     to ``mask_cycle`` would restore, or ``None`` (from scratch)."""
-    if not (spec.checkpoint_dir and spec.checkpoint_key):
-        return None
-    from repro.sim.checkpoint import open_checkpoint_set
-
-    ckpt_set = open_checkpoint_set(spec.checkpoint_dir,
-                                   spec.checkpoint_key)
-    if (ckpt_set is None
-            or ckpt_set.golden_cycles != spec.golden_cycles):
+    ckpt_set = open_fresh_checkpoint_set(spec)
+    if ckpt_set is None:
         return None
     candidates = [entry for entry in ckpt_set.meta["checkpoints"]
                   if entry["cycle"] <= mask_cycle]
@@ -150,33 +146,15 @@ def execute_pack(specs: Sequence[RunSpec]) -> Tuple[List[dict], dict]:
         }
 
 
-def _base_record(spec: RunSpec) -> dict:
-    """The record prefix :func:`execute_run` builds before simulating
-    (replicated field-for-field so batched records serialise
-    byte-identically)."""
-    record = {
-        "benchmark": spec.benchmark,
-        "card": spec.card,
-        "kernel": spec.kernel,
-        "structure": spec.structure.value,
-        "run": spec.run_index,
-        "effect": "Masked",
-        "golden_cycles": spec.golden_cycles,
-        "synthesized": spec.synthesized,
-    }
-    if spec.fault_model != "transient":
-        record["fault_model"] = spec.fault_model
-    if spec.stratum:
-        record["stratum"] = spec.stratum
-    return record
-
-
 def _pack_timings(spec: RunSpec, started: float, pack_size: int,
-                  start_cycle: int, sim_end: int) -> dict:
+                  start_cycle: int, sim_end: int, loop_iterations: int,
+                  idle_cycles_skipped: int) -> dict:
     """Per-member ``timings`` sidecar fields for a batched run.
 
     Volatile by contract (canonicalization drops them); the share of
-    the pack's wall clock is attributed evenly.
+    the pack's wall clock is attributed evenly, while the pack GPU's
+    loop counters -- one cycle loop served every member -- go to one
+    member whole so that campaign sums count them once.
     """
     return {
         "restore_s": 0.0,
@@ -191,8 +169,8 @@ def _pack_timings(spec: RunSpec, started: float, pack_size: int,
         "skipped_prescreen": 0,
         "skipped_synthesized": 0,
         "fast_forwarded": start_cycle > 0,
-        "loop_iterations": 0,
-        "idle_cycles_skipped": 0,
+        "loop_iterations": loop_iterations,
+        "idle_cycles_skipped": idle_cycles_skipped,
         "batched": True,
         "pack_size": pack_size,
     }
@@ -204,15 +182,7 @@ def _run_pack(specs: List[RunSpec]) -> Tuple[List[dict], dict]:
     card = _resolved_card(spec0)
     masks = [regenerate_mask(spec) for spec in specs]
 
-    ckpt_set = None
-    if spec0.checkpoint_dir and spec0.checkpoint_key:
-        from repro.sim.checkpoint import open_checkpoint_set
-
-        ckpt_set = open_checkpoint_set(spec0.checkpoint_dir,
-                                       spec0.checkpoint_key)
-        if (ckpt_set is not None
-                and ckpt_set.golden_cycles != spec0.golden_cycles):
-            ckpt_set = None  # stale set: neither restore nor converge
+    ckpt_set = open_fresh_checkpoint_set(spec0)
 
     host_reads = None
     entries_all: List[dict] = []
@@ -234,20 +204,13 @@ def _run_pack(specs: List[RunSpec]) -> Tuple[List[dict], dict]:
 
     from repro.bench import make_benchmark
 
-    def factory(card_, options):
-        dev = BatchedDevice(card_, options)
-        pack.attach(dev.gpu)
-        return dev
-
     def simulate(fast_forward=None):
         pack.reset()
         options = RunOptions(scheduler_policy=spec0.scheduler_policy,
                              cycle_budget=spec0.cycle_budget,
-                             injector=pack,
-                             fast_forward=fast_forward,
-                             convergence=pack)
+                             fast_forward=fast_forward, pack=pack)
         return run_application(make_benchmark(spec0.benchmark), card,
-                               options=options, device_factory=factory)
+                               options=options)
 
     def attempt(fast_forward=None):
         try:
@@ -280,6 +243,9 @@ def _run_pack(specs: List[RunSpec]) -> Tuple[List[dict], dict]:
                 or result.cycles != spec0.golden_cycles):
             raise PackAbort("pack run did not complete the golden ride")
 
+    # read from the pack's GPU, not the result: a drained pack has none
+    loop_counters = (pack.gpu.loop_iterations,
+                     pack.gpu.idle_cycles_skipped)
     records: Dict[tuple, dict] = {}
     peeled = converged = completed = 0
     lockstep_cycles = 0
@@ -311,11 +277,13 @@ def _run_pack(specs: List[RunSpec]) -> Tuple[List[dict], dict]:
                 status="completed", passed=True, message="Test PASSED",
                 cycles=result.cycles,
                 injection_log=list(member.injector.log))
-        final = _finish_record(_base_record(spec), run_result, spec,
+        final = _finish_record(base_record(spec), run_result, spec,
                                member.mask)
         if spec.telemetry:
             final["timings"] = _pack_timings(spec, started, len(specs),
-                                             start_cycle, sim_end)
+                                             start_cycle, sim_end,
+                                             *loop_counters)
+            loop_counters = (0, 0)
             final["worker"] = _worker_id()
         records[spec.key] = final
 

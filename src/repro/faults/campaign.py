@@ -150,6 +150,7 @@ def profile_application(benchmark_name: str, card: str,
         total_cycles=sum(k.total_cycles for k in kernels.values()),
         kernels=kernels,
     )
+    golden.device.gpu.release()
     golden.device = None  # free the simulator state
     return profile, golden
 

@@ -270,6 +270,46 @@ def regenerate_mask(spec: RunSpec):
         fault_model=spec.fault_model)
 
 
+def base_record(spec: RunSpec) -> dict:
+    """The record fields known before simulating (the instant paths
+    return it as is; :func:`_finish_record` fills in the rest)."""
+    record = {
+        "benchmark": spec.benchmark,
+        "card": spec.card,
+        "kernel": spec.kernel,
+        "structure": spec.structure.value,
+        "run": spec.run_index,
+        "effect": FaultEffect.MASKED.value,
+        "golden_cycles": spec.golden_cycles,
+        "synthesized": spec.synthesized,
+    }
+    if spec.fault_model != "transient":
+        # emitted only off the default so transient records stay
+        # byte-identical to the pre-strategy schema
+        record["fault_model"] = spec.fault_model
+    if spec.stratum:
+        # emitted only for adaptive campaigns (same pattern)
+        record["stratum"] = spec.stratum
+    return record
+
+
+def open_fresh_checkpoint_set(spec: RunSpec):
+    """The spec's golden checkpoint set, or ``None`` when it names
+    none, the set is missing, or it was captured from a golden run of
+    another length (a stale set can neither restore nor witness
+    convergence)."""
+    if not (spec.checkpoint_dir and spec.checkpoint_key):
+        return None
+    from repro.sim.checkpoint import open_checkpoint_set
+
+    ckpt_set = open_checkpoint_set(spec.checkpoint_dir,
+                                   spec.checkpoint_key)
+    if (ckpt_set is not None
+            and ckpt_set.golden_cycles != spec.golden_cycles):
+        return None
+    return ckpt_set
+
+
 def _finish_record(base: dict, result, spec: RunSpec, mask) -> dict:
     """Fill one result record from a completed application run.
 
@@ -320,23 +360,7 @@ def execute_run(spec: RunSpec) -> dict:
     the golden checkpoint digests past the injection cycle.
     """
     started = time.perf_counter()
-    record = {
-        "benchmark": spec.benchmark,
-        "card": spec.card,
-        "kernel": spec.kernel,
-        "structure": spec.structure.value,
-        "run": spec.run_index,
-        "effect": FaultEffect.MASKED.value,
-        "golden_cycles": spec.golden_cycles,
-        "synthesized": spec.synthesized,
-    }
-    if spec.fault_model != "transient":
-        # emitted only off the default so transient records stay
-        # byte-identical to the pre-strategy schema
-        record["fault_model"] = spec.fault_model
-    if spec.stratum:
-        # emitted only for adaptive campaigns (same pattern)
-        record["stratum"] = spec.stratum
+    record = base_record(spec)
     if spec.synthesized:
         if spec.propagation:
             from repro.obs.propagation import synthesized_propagation
@@ -368,15 +392,7 @@ def execute_run(spec: RunSpec) -> dict:
 
     from repro.bench import make_benchmark
 
-    ckpt_set = None
-    if spec.checkpoint_dir and spec.checkpoint_key:
-        from repro.sim.checkpoint import open_checkpoint_set
-
-        ckpt_set = open_checkpoint_set(spec.checkpoint_dir,
-                                       spec.checkpoint_key)
-        if (ckpt_set is not None
-                and ckpt_set.golden_cycles != spec.golden_cycles):
-            ckpt_set = None  # stale set: neither restore nor converge
+    ckpt_set = open_fresh_checkpoint_set(spec)
 
     def monitor_factory():
         return None

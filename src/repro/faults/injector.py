@@ -27,7 +27,6 @@ ready cycles.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,26 +46,19 @@ class Injector:
     :mod:`repro.faults.hooks`); hooks encode one-shot flip semantics,
     so persistent models reject the combination.
 
-    The ``masks=`` keyword of the pre-strategy constructor still works
-    through a deprecation shim.
+    ``column`` is the column of the runs axis (see
+    :mod:`repro.sim.warp`) whose registers, local and shared memory
+    the faults corrupt: 0, the run itself, except for the members of a
+    lockstep pack.  Target selection never depends on it, so a pack
+    member's log is the log of its solo run.
     """
 
     def __init__(self, faults: Optional[Sequence[FaultMask]] = None,
-                 cache_hook_mode: bool = False, *,
-                 masks: Optional[Sequence[FaultMask]] = None):
-        if masks is not None:
-            if faults is not None:
-                raise TypeError(
-                    "pass the fault list once: either positionally "
-                    "(faults) or via the deprecated masks= keyword")
-            warnings.warn(
-                "Injector(masks=...) is deprecated; pass the fault "
-                "list positionally (Injector(faults))",
-                DeprecationWarning, stacklevel=2)
-            faults = masks
+                 cache_hook_mode: bool = False, column: int = 0):
         self.masks: List[FaultMask] = sorted(faults or (),
                                              key=lambda m: m.cycle)
         self.cache_hook_mode = cache_hook_mode
+        self.column = column
         for mask in self.masks:
             model = get_model(mask.fault_model)
             if cache_hook_mode and not model.supports_cache_hooks:
@@ -163,18 +155,18 @@ class Injector:
         else:
             live = warp.live_lanes()
             lanes = np.asarray([int(live[int(rng.integers(0, len(live)))])])
-        warp.regs[reg][lanes] = model.apply_word(warp.regs[reg][lanes],
-                                                 flip)
+        cells = warp.regs[reg, self.column]
+        cells[lanes] = model.apply_word(cells[lanes], flip)
 
-        def reassert(gpu, warp=warp, reg=reg, lanes=lanes, flip=flip,
+        def reassert(gpu, warp=warp, cells=cells, lanes=lanes, flip=flip,
                      model=model):
             if warp.done:
                 return False
-            current = warp.regs[reg][lanes]
+            current = cells[lanes]
             wanted = model.apply_word(current, flip)
             if np.array_equal(wanted, current):
                 return False
-            warp.regs[reg][lanes] = wanted
+            cells[lanes] = wanted
             return True
 
         self._stage(model, reassert)
@@ -208,18 +200,20 @@ class Injector:
             live = warp.live_lanes()
             lanes = [int(live[int(rng.integers(0, len(live)))])]
 
-        def corrupt(gpu, warp=warp, lanes=lanes, byte_masks=byte_masks,
-                    model=model):
-            if warp.done or warp.local_mem is None:
+        cells = warp.local_mem[self.column]
+
+        def corrupt(gpu, warp=warp, cells=cells, lanes=lanes,
+                    byte_masks=byte_masks, model=model):
+            if warp.done:
                 return False
             changed = False
             for byte, bits in byte_masks.items():
                 bits = np.uint8(bits)
                 for lane in lanes:
-                    current = warp.local_mem[lane, byte]
+                    current = cells[lane, byte]
                     wanted = model.apply_word(current, bits)
                     if wanted != current:
-                        warp.local_mem[lane, byte] = wanted
+                        cells[lane, byte] = wanted
                         changed = True
             return changed
 
@@ -236,7 +230,7 @@ class Injector:
                        rng: np.random.Generator,
                        model: FaultModel) -> dict:
         ctas = [cta for core in gpu.cores for cta in core.ctas
-                if not cta.done and len(cta.smem)]
+                if not cta.done and cta.smem.shape[1]]
         if not ctas:
             return {"target": "none", "reason": "no live CTA with smem"}
         count = min(mask.n_blocks, len(ctas))
@@ -244,23 +238,24 @@ class Injector:
         hit = []
         for idx in picks:
             cta = ctas[int(idx)]
-            nwords = len(cta.smem) // 4
-            word = mask.entry_index % nwords
+            cells = cta.smem[self.column]
+            word = mask.entry_index % (len(cells) // 4)
             byte_masks = {}
             for bit in mask.bit_offsets:
                 byte = word * 4 + (bit % 32) // 8
                 byte_masks[byte] = byte_masks.get(byte, 0) \
                     | (1 << ((bit % 32) % 8))
 
-            def corrupt(gpu, cta=cta, byte_masks=byte_masks, model=model):
+            def corrupt(gpu, cta=cta, cells=cells, byte_masks=byte_masks,
+                        model=model):
                 if cta.done:
                     return False
                 changed = False
                 for byte, bits in byte_masks.items():
-                    current = cta.smem[byte]
+                    current = cells[byte]
                     wanted = model.apply_word(current, np.uint8(bits))
                     if wanted != current:
-                        cta.smem[byte] = wanted
+                        cells[byte] = wanted
                         changed = True
                 return changed
 

@@ -62,8 +62,7 @@ def run_application(benchmark, card, injector=None,
                     cycle_budget: Optional[int] = None,
                     keep_device: bool = False,
                     scheduler_policy: str = "gto",
-                    options: Optional[RunOptions] = None,
-                    device_factory=None) -> RunResult:
+                    options: Optional[RunOptions] = None) -> RunResult:
     """Execute one benchmark application on a fresh device.
 
     Args:
@@ -77,10 +76,6 @@ def run_application(benchmark, card, injector=None,
         options: a :class:`~repro.sim.device.RunOptions` bundling
             the three previous arguments; mutually exclusive with
             passing them individually.
-        device_factory: optional ``(card, options) -> Device``
-            substitute for the :class:`~repro.sim.device.Device`
-            constructor (the batched executor supplies one building a
-            :class:`~repro.sim.batch.BatchedDevice`).
     """
     if options is None:
         options = RunOptions(scheduler_policy=scheduler_policy,
@@ -91,7 +86,7 @@ def run_application(benchmark, card, injector=None,
                          "injector/cycle_budget/scheduler_policy "
                          "arguments, not both")
     injector = options.injector
-    dev = (device_factory or Device)(card, options)
+    dev = Device(card, options)
 
     status, passed, error = "completed", None, ""
     cycles, terminated_at = None, None
@@ -109,6 +104,9 @@ def run_application(benchmark, card, injector=None,
         status, error = "timeout", str(exc)
     except (SimulationError, MemoryError, OverflowError) as exc:
         status, error = "crash", str(exc)
+    finally:
+        if not keep_device:
+            dev.gpu.release()
 
     if status == "completed":
         message = "Test PASSED" if passed else "Test FAILED"

@@ -12,6 +12,17 @@ available to dependents ``latency`` cycles later, enforced by the
 per-warp scoreboard.  Memory instructions walk the cache hierarchy at
 issue time; their latency reflects where the accesses hit and how many
 coalesced segments they produced.
+
+There is one issue path for every run width.  Register, predicate,
+local- and shared-memory *data* carry a runs axis (see
+:mod:`repro.sim.warp`): one decode+issue executes the instruction on
+every column at once.  Everything that exists once per warp or per
+chip -- control flow, addresses, cache and memory traffic, timing --
+follows column 0, which at width 1 is simply the run.  In a lockstep
+pack (:mod:`repro.sim.batch`) column 0 is the fault-free reference,
+and before column 0 steers shared state on behalf of all columns the
+pack's agreement check removes the members that would have steered it
+differently; that check is the core's only knowledge of packs.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from repro.sim.config import GPUConfig
 from repro.sim.cta import CTA
 from repro.sim.errors import InvalidOperation
 from repro.sim.exec_unit import execute_alu, read_pred
-from repro.sim.warp import Warp
+from repro.sim.warp import StackEntry, Warp
 
 #: Sentinel wake cycle meaning "no wake time known".
 NEVER = 1 << 62
@@ -44,7 +55,7 @@ _NO_LANES = np.zeros(32, dtype=bool)
 _NO_LANES.setflags(write=False)
 _RZ_BASE = np.zeros(32, dtype=np.int64)
 _RZ_BASE.setflags(write=False)
-_RZ_WORDS = np.zeros(32, dtype=np.uint32)
+_RZ_WORDS = np.zeros((1, 32), dtype=np.uint32)  # any width broadcasts
 _RZ_WORDS.setflags(write=False)
 
 
@@ -97,12 +108,13 @@ class SIMTCore:
 
     def retire_finished_ctas(self) -> int:
         """Drop completed CTAs; returns how many retired."""
-        before = len(self.ctas)
-        self.ctas = [cta for cta in self.ctas if not cta.done]
-        retired = before - len(self.ctas)
-        if retired:
+        finished = [cta for cta in self.ctas if cta.done]
+        if finished:
+            self.ctas = [cta for cta in self.ctas if not cta.done]
             self._sched_cache = None
-        return retired
+            for cta in finished:
+                cta.release()
+        return len(finished)
 
     def live_warp_count(self) -> int:
         """Resident warps that have not completed."""
@@ -275,22 +287,31 @@ class SIMTCore:
 
     def _issue(self, warp: Warp, inst: Instruction, now: int) -> None:
         cfg = self.config
+        gpu = self.gpu
+        klass = inst.spec.klass
         active = warp.active_mask()
         if inst.guard is not None:
             guard = read_pred(warp, inst.guard)
+            if gpu.pack is not None and (inst.is_memory or klass in (
+                    OpClass.EXIT, OpClass.BRANCH)):
+                # column 0's guard is about to decide the exit mask,
+                # the SIMT stack or the memory-latency path for all
+                # columns: members whose guard differs leave first
+                gpu.pack.check_rows(guard, active)
+            # per-column execution mask; column 0's steers control flow
             exec_mask = active & guard
+            exec0 = exec_mask[0]
         else:
             guard = None
-            exec_mask = active
-        lv = self.gpu.liveness
+            exec_mask = exec0 = active
+        lv = gpu.liveness
         if lv is not None:
             # before execution: kill-coverage needs pre-exec lane state
-            lv.on_issue(self.core_id, warp, inst, exec_mask, now)
-        prop = self.gpu.propagation
+            lv.on_issue(self.core_id, warp, inst, exec0, now)
+        prop = gpu.propagation
         if prop is not None and prop.armed:
             # corrupted-register reads/overwrites + consumer-chain taint
-            prop.on_issue(self.core_id, warp, inst, exec_mask, now)
-        klass = inst.spec.klass
+            prop.on_issue(self.core_id, warp, inst, exec0, now)
         latency = cfg.alu_latency
         top = warp.stack[-1]
 
@@ -299,7 +320,7 @@ class SIMTCore:
             warp.at_barrier = True
             warp.cta.try_release_barrier()
         elif klass is OpClass.EXIT:
-            warp.exited |= exec_mask
+            warp.exited |= exec0
             warp.live_count = warp.num_threads - int(
                 np.count_nonzero(warp.exited[:warp.num_threads]))
             top.pc += 1
@@ -307,15 +328,13 @@ class SIMTCore:
             if warp.done:
                 warp.cta.try_release_barrier()
         elif klass is OpClass.BRANCH:
-            taken = exec_mask
-            fall = (active & ~guard) if guard is not None else _NO_LANES
+            taken = exec0
+            fall = (active & ~guard[0]) if guard is not None else _NO_LANES
             if not fall.any():
                 top.pc = inst.target_pc
             elif not taken.any():
                 top.pc += 1
             else:
-                from repro.sim.warp import StackEntry
-
                 reconv = inst.reconv_pc
                 top.pc = reconv
                 warp.stack.append(StackEntry(inst.pc + 1, fall.copy(), reconv))
@@ -324,8 +343,8 @@ class SIMTCore:
             warp.normalize_stack()
         else:
             if inst.is_memory:
-                if exec_mask.any():
-                    latency = self._exec_memory(inst, warp, exec_mask)
+                if exec0.any():
+                    latency = self._exec_memory(inst, warp, exec0)
             elif klass is OpClass.SFU:
                 execute_alu(inst, warp, exec_mask)
                 latency = cfg.sfu_latency
@@ -337,9 +356,9 @@ class SIMTCore:
         warp.mark_writes(inst, now + latency)
         if lv is not None and warp.done:
             lv.on_warp_done(self.core_id, warp, now)
-        self.gpu.stats.on_issue(inst)
-        if self.gpu.tracer is not None:
-            self.gpu.tracer.on_issue(now, self, warp, inst, exec_mask)
+        gpu.stats.on_issue(inst)
+        if gpu.tracer is not None:
+            gpu.tracer.on_issue(now, self, warp, inst, exec0)
 
     # -- memory pipeline ----------------------------------------------------------
 
@@ -354,14 +373,22 @@ class SIMTCore:
             return self._exec_local(inst, warp, mask)
         return self._exec_global(inst, warp, mask)
 
-    def _addresses(self, inst: Instruction, warp: Warp) -> np.ndarray:
+    def _addresses(self, inst: Instruction, warp: Warp,
+                   mask: np.ndarray) -> np.ndarray:
+        """Per-lane addresses, from column 0's base register.
+
+        Addresses steer state that exists once (caches, banks,
+        coalescing, bounds faults), so pack members whose base differs
+        on an executing lane leave before they are used.
+        """
         mem = inst.srcs[0]
         assert isinstance(mem, MemRef)
         if mem.base.is_rz:
-            base = _RZ_BASE
-        else:
-            base = warp.regs[mem.base.index].astype(np.int64)
-        return base + mem.offset
+            return _RZ_BASE + mem.offset
+        base = warp.regs[mem.base.index]
+        if self.gpu.pack is not None:
+            self.gpu.pack.check_rows(base, mask)
+        return base[0].astype(np.int64) + mem.offset
 
     def _exec_const(self, inst: Instruction, warp: Warp,
                     mask: np.ndarray) -> int:
@@ -384,26 +411,29 @@ class SIMTCore:
         value = self.l1c.read_word(line, const.offset)
         dst = inst.dsts[0]
         if not dst.is_rz:
-            warp.regs[dst.index][mask] = np.uint32(value)
+            warp.regs[dst.index][:, mask] = np.uint32(value)
         return latency
 
     def _exec_shared(self, inst: Instruction, warp: Warp,
                      mask: np.ndarray) -> int:
-        addrs = self._addresses(inst, warp)
+        addrs = self._addresses(inst, warp, mask)
         lanes = np.nonzero(mask)[0]
         cta = warp.cta
         is_load = inst.spec.klass is OpClass.LOAD
+        # data is per column (each reads and writes its own smem row),
+        # so neither direction needs agreement between pack members
         if is_load:
-            out = warp.regs[inst.dsts[0].index]
+            dst = inst.dsts[0]
+            out = warp.regs[dst.index]
             for lane in lanes:
-                value = cta.smem_read(int(addrs[lane]))
-                if not inst.dsts[0].is_rz:
-                    out[lane] = value
+                words = cta.smem_read(int(addrs[lane]))
+                if not dst.is_rz:
+                    out[:, lane] = words
         else:
             src = warp.regs[inst.srcs[1].index] if not inst.srcs[1].is_rz \
                 else _RZ_WORDS
             for lane in lanes:
-                cta.smem_write(int(addrs[lane]), int(src[lane]))
+                cta.smem_write(int(addrs[lane]), src[:, lane])
         lv = self.gpu.liveness
         if lv is not None:
             age_base = cta.warps[0].age
@@ -425,20 +455,21 @@ class SIMTCore:
 
     def _exec_local(self, inst: Instruction, warp: Warp,
                     mask: np.ndarray) -> int:
-        addrs = self._addresses(inst, warp)
+        addrs = self._addresses(inst, warp, mask)
         lanes = np.nonzero(mask)[0]
         is_load = inst.spec.klass is OpClass.LOAD
         if is_load:
             dst = inst.dsts[0]
+            out = warp.regs[dst.index]
             for lane in lanes:
-                value = warp.local_read(int(lane), int(addrs[lane]))
+                words = warp.local_read(int(lane), int(addrs[lane]))
                 if not dst.is_rz:
-                    warp.regs[dst.index][lane] = value
+                    out[:, lane] = words
         else:
             src = warp.regs[inst.srcs[1].index] if not inst.srcs[1].is_rz \
                 else _RZ_WORDS
             for lane in lanes:
-                warp.local_write(int(lane), int(addrs[lane]), int(src[lane]))
+                warp.local_write(int(lane), int(addrs[lane]), src[:, lane])
         lv = self.gpu.liveness
         if lv is not None:
             for lane in lanes:
@@ -454,7 +485,7 @@ class SIMTCore:
                      mask: np.ndarray) -> int:
         cfg = self.config
         gpu = self.gpu
-        addrs = self._addresses(inst, warp)
+        addrs = self._addresses(inst, warp, mask)
         lanes = np.nonzero(mask)[0]
         klass = inst.spec.klass
         via_texture = inst.spec.space == "tex"
@@ -464,8 +495,17 @@ class SIMTCore:
         lane_addrs = addrs[lanes]
         gpu.memory.check_many(lane_addrs)
 
+        if klass is not OpClass.LOAD:
+            src_reg = inst.srcs[1]
+            if src_reg.is_rz:
+                src = _RZ_WORDS[0]
+            else:
+                if gpu.pack is not None:
+                    # store/atomic values enter the one global memory
+                    gpu.pack.check_rows(warp.regs[src_reg.index], mask)
+                src = warp.regs[src_reg.index, 0]
         if klass is OpClass.ATOMIC:
-            return self._exec_atomic(inst, warp, lanes, addrs)
+            return self._exec_atomic(inst, warp, lanes, addrs, src)
 
         l1: Optional[Cache]
         if via_texture:
@@ -489,15 +529,14 @@ class SIMTCore:
                     seg = bases == base
                     seg_lanes = lanes[seg]
                     offs = (lane_addrs[seg] - base) >> 2
-                    warp.regs[dst.index][seg_lanes] = words[offs]
+                    # the line exists once: every column loads its words
+                    warp.regs[dst.index][:, seg_lanes] = words[offs]
             prop = gpu.propagation
             if prop is not None and prop.armed:
                 # a watched cache line consumed this cycle makes this
                 # load the consumer (taints its destination)
                 prop.note_load(self.core_id, warp, inst, gpu.cycle)
         else:  # global store: write-evict L1, write-allocate L2
-            src = warp.regs[inst.srcs[1].index] if not inst.srcs[1].is_rz \
-                else _RZ_WORDS
             for base in unique_bases:
                 base = int(base)
                 seg = bases == base
@@ -515,22 +554,20 @@ class SIMTCore:
         return worst + (len(unique_bases) - 1) * cfg.segment_overhead
 
     def _exec_atomic(self, inst: Instruction, warp: Warp,
-                     lanes: np.ndarray, addrs: np.ndarray) -> int:
+                     lanes: np.ndarray, addrs: np.ndarray,
+                     src: np.ndarray) -> int:
         """Atomics bypass L1 and read-modify-write in the L2."""
         gpu = self.gpu
         op = inst.modifiers[0]
         returns = inst.opcode == "ATOM"
         dst = inst.dsts[0] if returns else None
-        src_reg = inst.srcs[1]
-        src = warp.regs[src_reg.index] if not src_reg.is_rz \
-            else _RZ_WORDS
         worst = 0
         for lane in lanes:
             addr = int(addrs[lane])
             old, latency = gpu.l2_rmw(addr, op, int(src[lane]))
             worst = max(worst, latency)
             if returns and dst is not None and not dst.is_rz:
-                warp.regs[dst.index][lane] = old
+                warp.regs[dst.index][:, lane] = old
             line_base = addr - addr % gpu.l2.geometry.line_bytes
             if self.l1d is not None:
                 self.l1d.invalidate(line_base)

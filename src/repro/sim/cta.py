@@ -4,6 +4,10 @@ A CTA owns its warps and its private shared-memory instance, mirroring
 how GPGPU-Sim (and real hardware) give each resident block a private
 shared-memory allocation -- which is exactly why the paper introduces
 the ``df_smem`` derating factor for shared-memory AVF.
+
+Shared memory carries the same leading runs axis as the warp state
+(see :mod:`repro.sim.warp`): ``smem`` is ``(ncols, bytes)`` uint8 and
+``smem_words`` a ``(ncols, words)`` uint32 view of the same buffer.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ class CTA:
     """One resident thread block with its warps and shared memory."""
 
     def __init__(self, cta_id: Tuple[int, int], launch: KernelLaunch,
-                 core, age_base: int, smem_ceiling: int):
+                 core, age_base: int, smem_ceiling: int, ncols: int = 1):
         self.cta_id = cta_id
         self.launch = launch
         self.core = core
@@ -29,8 +33,11 @@ class CTA:
         #: Direct reference to the assembled instruction list, saving
         #: two attribute hops per issued instruction in the cycle loop.
         self.instructions = kernel.instructions
-        self.smem = (np.zeros(kernel.smem_bytes, dtype=np.uint8)
-                     if kernel.smem_bytes else np.zeros(0, dtype=np.uint8))
+        #: Word-typed backing buffer; ``smem`` is its byte view (what
+        #: the injector flips bits in and snapshots store).
+        self.smem_words = np.zeros((ncols, (kernel.smem_bytes + 3) // 4),
+                                   dtype="<u4")
+        self.smem = self.smem_words.view(np.uint8)[:, :kernel.smem_bytes]
         #: Per-SM shared memory capacity; offsets past the CTA's own
         #: allocation but inside the SM window alias back into the CTA
         #: (silent corruption), beyond the window they fault.
@@ -44,7 +51,7 @@ class CTA:
             first = wid * WARP_SIZE
             count = min(WARP_SIZE, nthreads - first)
             warp = Warp(wid, count, kernel.num_regs, kernel.local_bytes,
-                        cta=self, age=age_base + wid)
+                        cta=self, age=age_base + wid, ncols=ncols)
             linear = first + np.arange(WARP_SIZE, dtype=np.int64)
             warp.sregs = {
                 "SR_TID_X": (linear % bx).astype(np.uint32),
@@ -69,6 +76,15 @@ class CTA:
         """Whether every warp of this CTA has drained."""
         return self.live_warp_count == 0
 
+    def release(self) -> None:
+        """Cut the links to the core and the warps of a CTA that will
+        not run again.  Warps point back at their CTA and the core's
+        scheduler state at warps, so a dropped CTA is otherwise cyclic
+        garbage, freed only by the collector's next full pass; with
+        the loops cut, its state goes with the last reference."""
+        self.core = None
+        self.warps = []
+
     def on_warp_done(self) -> None:
         """Bookkeeping callback from :meth:`Warp.normalize_stack`."""
         self.live_warp_count -= 1
@@ -88,29 +104,31 @@ class CTA:
             raise MemoryViolation("shared", addr, "misaligned access")
         if addr < 0 or addr + 4 > self.smem_ceiling:
             raise MemoryViolation("shared", addr)
-        if len(self.smem) == 0:
+        nbytes = self.smem.shape[1]
+        if nbytes == 0:
             raise MemoryViolation("shared", addr, "kernel declares no smem")
-        return addr % len(self.smem) if addr + 4 > len(self.smem) else addr
+        return addr % nbytes if addr + 4 > nbytes else addr
 
-    def smem_read(self, addr: int) -> int:
-        """Aligned 32-bit shared-memory read."""
-        addr = self._resolve_smem(addr)
-        return int(self.smem[addr:addr + 4].view("<u4")[0])
+    def smem_read(self, addr: int) -> np.ndarray:
+        """Aligned 32-bit shared-memory read, one word per column
+        (uint32[ncols])."""
+        return self.smem_words[:, self._resolve_smem(addr) >> 2]
 
-    def smem_write(self, addr: int, value: int) -> None:
-        """Aligned 32-bit shared-memory write."""
-        addr = self._resolve_smem(addr)
-        self.smem[addr:addr + 4].view("<u4")[0] = value & 0xFFFFFFFF
+    def smem_write(self, addr: int, values) -> None:
+        """Aligned 32-bit shared-memory write; ``values`` is one word
+        per column (or one word for all)."""
+        self.smem_words[:, self._resolve_smem(addr) >> 2] = values
 
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Capture this CTA's id, shared memory and per-warp state."""
+        """Capture this CTA's id, shared memory and per-warp state
+        (column 0, in the runs-axis-free shapes)."""
         return {
             "cta_id": tuple(self.cta_id),
             "age_base": self.warps[0].age,
             "live_warp_count": self.live_warp_count,
-            "smem": self.smem.copy(),
+            "smem": self.smem[0].copy(),
             "warps": [w.snapshot() for w in self.warps],
         }
 
@@ -120,12 +138,12 @@ class CTA:
 
         The constructor recomputes identity state (sregs, geometry)
         exactly as the original assignment did; the mutable state is
-        then overwritten per warp.
+        then overwritten per warp, every column from the snapshot's
+        one.
         """
         cta = cls(tuple(snap["cta_id"]), launch, core, snap["age_base"],
-                  core.config.shared_mem_per_sm)
-        if len(cta.smem):
-            cta.smem[:] = snap["smem"]
+                  core.config.shared_mem_per_sm, ncols=core.gpu.ncols)
+        cta.smem[:] = snap["smem"]
         cta.live_warp_count = snap["live_warp_count"]
         for warp, wsnap in zip(cta.warps, snap["warps"]):
             warp.restore_state(wsnap)

@@ -9,7 +9,6 @@ application cycle that fault-injection campaigns index into.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -54,6 +53,10 @@ class RunOptions:
         propagation: optional
             :class:`repro.obs.propagation.PropagationTracer`
             observing the fate of injected fault sites during the run.
+        pack: optional :class:`repro.sim.batch.LockstepPack` riding
+            the run; it widens the runs axis to its members and takes
+            the ``injector`` and ``convergence`` roles itself (leave
+            those two unset).
     """
 
     scheduler_policy: str = "gto"
@@ -64,6 +67,7 @@ class RunOptions:
     liveness: Optional[object] = None
     convergence: Optional[object] = None
     propagation: Optional[object] = None
+    pack: Optional[object] = None
 
     def __post_init__(self):
         if self.scheduler_policy not in _SCHEDULER_POLICIES:
@@ -74,26 +78,15 @@ class RunOptions:
                 "mutually exclusive")
 
 
-def _deprecated_setter(name: str) -> None:
-    warnings.warn(
-        f"Device.{name}() is deprecated; pass a RunOptions to the "
-        "Device constructor (or to run_application) instead",
-        DeprecationWarning, stacklevel=3)
-
-
 class Device:
     """One simulated GPU device with a CUDA-like host API."""
-
-    #: GPU type seam: subclasses substitute the chip model (see
-    #: :class:`repro.sim.batch.BatchedDevice`).
-    gpu_class = GPU
 
     def __init__(self, config: Union[GPUConfig, str],
                  options: Optional[RunOptions] = None):
         if isinstance(config, str):
             config = get_card(config)
         self.config = config
-        self.gpu = self.gpu_class(config)
+        self.gpu = GPU(config)
         self.options = options or RunOptions()
         self._apply_options(self.options)
 
@@ -110,6 +103,8 @@ class Device:
             self.gpu.convergence = options.convergence
         if options.propagation is not None:
             self.gpu.set_propagation(options.propagation)
+        if options.pack is not None:
+            options.pack.attach(self.gpu)
         if options.scheduler_policy != "gto":
             for core in self.gpu.cores:
                 core.scheduler_policy = options.scheduler_policy
@@ -197,21 +192,3 @@ class Device:
     def launches(self) -> List[LaunchStats]:
         """Stats of every completed launch."""
         return self.gpu.stats.launches
-
-    def set_cycle_budget(self, budget: Optional[int]) -> None:
-        """Deprecated -- pass ``RunOptions(cycle_budget=...)`` instead."""
-        _deprecated_setter("set_cycle_budget")
-        self.gpu.cycle_budget = budget
-
-    def set_injector(self, injector) -> None:
-        """Deprecated -- pass ``RunOptions(injector=...)`` instead."""
-        _deprecated_setter("set_injector")
-        self.gpu.injector = injector
-
-    def set_scheduler_policy(self, policy: str) -> None:
-        """Deprecated -- pass ``RunOptions(scheduler_policy=...)`` instead."""
-        _deprecated_setter("set_scheduler_policy")
-        if policy not in _SCHEDULER_POLICIES:
-            raise ValueError("scheduler policy must be 'gto' or 'lrr'")
-        for core in self.gpu.cores:
-            core.scheduler_policy = policy

@@ -1,7 +1,10 @@
 """Vectorised functional execution of the non-memory opcodes.
 
-Every handler operates on all 32 lanes at once with numpy and commits
-results only under the instruction's active mask.  Integer arithmetic
+Every handler operates on all 32 lanes of every column of the warp's
+runs axis (see :mod:`repro.sim.warp`) at once with numpy and commits
+results only under the instruction's active mask: register operands
+are ``(ncols, 32)``, while immediates, special registers and an
+unguarded mask are plain ``(32,)`` and broadcast.  Integer arithmetic
 is modular 32-bit (uint32 views); floating point is IEEE-754 binary32
 via numpy float32, matching CUDA single-precision behaviour closely
 enough for the benchmarks' golden comparisons.
@@ -28,7 +31,7 @@ _RZ_U32.setflags(write=False)
 
 
 def read_u32(warp: Warp, op) -> np.ndarray:
-    """Read an operand as raw/integer lanes (uint32[32]).
+    """Read an operand as raw/integer lanes (uint32).
 
     The ``-``/``|..|`` operand modifiers are applied with integer
     semantics (two's-complement negate, signed absolute value).
@@ -59,25 +62,19 @@ def read_f32(warp: Warp, op) -> np.ndarray:
 
 
 def read_pred(warp: Warp, op: PredRef) -> np.ndarray:
-    """Read a predicate operand (bool[32]), honouring negation."""
+    """Read a predicate operand (bool[ncols, 32]), honouring negation."""
     values = warp.preds[op.index]
     return ~values if op.negate else values.copy()
 
 
 def write_u32(warp: Warp, op: RegRef, values: np.ndarray,
               mask: np.ndarray) -> None:
-    """Commit uint32 lanes to a destination register under ``mask``.
-
-    Under batched lockstep execution (:mod:`repro.sim.batch`) the mask
-    carries a leading runs axis; plain ``(32,)`` values (immediates,
-    sregs, RZ) broadcast up to it.
-    """
+    """Commit uint32 lanes to a destination register under ``mask``
+    (values and mask broadcast against the register's columns)."""
     if op.is_rz:
         return
-    values = values.astype(_U32, copy=False)
-    if values.shape != mask.shape:
-        values = np.broadcast_to(values, mask.shape)
-    warp.regs[op.index][mask] = values[mask]
+    np.copyto(warp.regs[op.index], values.astype(_U32, copy=False),
+              where=mask)
 
 
 def write_f32(warp: Warp, op: RegRef, values: np.ndarray,
@@ -91,9 +88,7 @@ def write_pred(warp: Warp, op: PredRef, values: np.ndarray,
     """Commit predicate lanes under ``mask`` (writes to ``PT`` discard)."""
     if op.is_pt:
         return
-    if values.shape != mask.shape:
-        values = np.broadcast_to(values, mask.shape)
-    warp.preds[op.index][mask] = values[mask]
+    np.copyto(warp.preds[op.index], values, where=mask)
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,12 @@ from repro.sim.stats import StatsCollector
 class GPU:
     """One simulated GPU chip."""
 
-    #: Core type seam: subclasses substitute the issue path (see
-    #: :class:`repro.sim.batch.BatchedGPU`).
-    core_class = SIMTCore
-
     def __init__(self, config: GPUConfig):
         self.config = config
         self.memory = GlobalMemory(config.global_mem_bytes)
         self.const_bank = ConstantBank()
         self.l2 = Cache("L2", config.l2, config.tag_bits)
-        self.cores = [self.core_class(i, config, self)
+        self.cores = [SIMTCore(i, config, self)
                       for i in range(config.num_sms)]
         self.stats = StatsCollector()
         #: Global application cycle, cumulative across kernel launches.
@@ -62,6 +58,11 @@ class GPU:
         #: (duck-typed; see repro.obs.propagation) -- attach via
         #: :meth:`set_propagation`.  Strictly observational.
         self.propagation = None
+        #: Width of the runs axis every CTA is born with, and the
+        #: lockstep pack riding it (see :mod:`repro.sim.batch`, whose
+        #: ``attach`` sets both).  An ordinary run is the width-1 case.
+        self.ncols = 1
+        self.pack = None
         #: Per-bank busy-until cycles for L2 contention modelling.
         self._l2_bank_busy = [0] * config.l2_banks
         #: Per-channel busy-until cycles for DRAM contention modelling.
@@ -99,6 +100,27 @@ class GPU:
             for cache in (core.l1d, core.l1t, core.l1c, core.l1i):
                 if cache is not None:
                     cache.propagation = tracer
+
+    def release(self) -> None:
+        """Cut the back-references of a finished run.
+
+        Cores point at their GPU, resident CTAs at their core, warps at
+        their CTA, and the per-cycle hooks at the GPU: a dropped GPU is
+        cyclic garbage that only the collector's next full pass frees,
+        so a campaign's peak memory would be however many dead GPUs
+        fit between two passes.  With the loops cut, the last reference
+        frees the state.  Counters, stats and memory stay readable.
+        """
+        for core in self.cores:
+            core.gpu = None
+            for cta in core.ctas:
+                cta.release()
+        for recorder in (self.liveness, self.propagation):
+            if recorder is not None:
+                recorder.gpu = None
+        # the pack keeps its ``gpu`` (the batch executor reads the
+        # counters from it); the GPU lets go of the pack instead
+        self.pack = self.injector = self.convergence = None
 
     # -- CTA scheduling (GigaThread) -------------------------------------
 
@@ -143,7 +165,7 @@ class GPU:
             cta_id = queue.pop(0)
             age_base = core.next_warp_age(launch.warps_per_cta)
             cta = CTA(cta_id, launch, core, age_base,
-                      self.config.shared_mem_per_sm)
+                      self.config.shared_mem_per_sm, ncols=self.ncols)
             core.add_cta(cta)
             if self.liveness is not None:
                 self.liveness.on_cta_assigned(core.core_id, cta, visible_from)

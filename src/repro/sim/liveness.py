@@ -89,7 +89,7 @@ class LivenessTrace:
             "cta_id": tuple(cta.cta_id),
             "visible_from": visible_from,
             "done_cycle": None,
-            "has_smem": bool(len(cta.smem)),
+            "has_smem": bool(cta.smem.shape[1]),
             "warps": [],
         }
         for warp in cta.warps:

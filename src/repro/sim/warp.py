@@ -1,11 +1,27 @@
 """Warp state: registers, predicates, SIMT stack, scoreboard, local memory.
 
 One :class:`Warp` owns the architectural state of its 32 lanes.  The
-register file slice is a ``(num_regs, 32)`` uint32 array -- per-thread
-registers in the paper's terminology -- and is the primary fault
-injection target.  The SIMT reconvergence stack implements IPDOM
-reconvergence using the ``reconv_pc`` annotations computed at assembly
-time.
+per-run *data* state carries a **runs axis** of width ``ncols`` just
+before the lane axis:
+
+- ``regs``       ``(num_regs, ncols, 32)`` uint32 -- per-thread
+  registers in the paper's terminology, the primary injection target
+- ``preds``      ``(8, ncols, 32)`` bool
+- ``local_mem``  ``(ncols, 32, local_bytes)`` uint8, with
+  ``local_words`` a ``(ncols, 32, words)`` uint32 view of the same
+  buffer, so an aligned 32-bit access is one indexing operation
+
+An ordinary run has ``ncols == 1`` and column 0 *is* the run.  A
+lockstep pack (:mod:`repro.sim.batch`) is born wider: column 0 is the
+fault-free reference, columns ``1..`` the pack's members.  The runs
+axis leads the lane axis so ``(32,)`` operands (immediates, special
+registers, the shared active mask) broadcast against it.
+
+Everything else -- the SIMT reconvergence stack (IPDOM reconvergence
+from the ``reconv_pc`` annotations computed at assembly time), exit
+mask, scoreboard -- exists once per warp and follows column 0.
+Snapshots store column 0 in the runs-axis-free shapes, so the
+checkpoint format and state digests do not depend on the width.
 """
 
 from __future__ import annotations
@@ -36,21 +52,22 @@ class Warp:
 
     __slots__ = ("warp_id", "cta", "age", "num_threads", "num_regs",
                  "regs", "preds", "exited", "stack", "live_count",
-                 "local_bytes", "local_mem", "reg_ready", "pred_ready",
-                 "sb_latest", "at_barrier", "done", "wake_cycle",
-                 "ifetch_ready", "sregs")
+                 "local_bytes", "local_mem", "local_words", "reg_ready",
+                 "pred_ready", "sb_latest", "at_barrier", "done",
+                 "wake_cycle", "ifetch_ready", "sregs")
 
     def __init__(self, warp_id_in_cta: int, num_threads: int, num_regs: int,
-                 local_bytes: int, cta, age: int):
+                 local_bytes: int, cta, age: int, ncols: int = 1):
         self.warp_id = warp_id_in_cta
         self.cta = cta
         self.age = age
         self.num_threads = num_threads
         self.num_regs = num_regs
 
-        self.regs = np.zeros((max(num_regs, 1), WARP_SIZE), dtype=np.uint32)
-        self.preds = np.zeros((8, WARP_SIZE), dtype=bool)
-        self.preds[PT_INDEX, :] = True
+        self.regs = np.zeros((max(num_regs, 1), ncols, WARP_SIZE),
+                             dtype=np.uint32)
+        self.preds = np.zeros((8, ncols, WARP_SIZE), dtype=bool)
+        self.preds[PT_INDEX] = True
 
         init_mask = np.zeros(WARP_SIZE, dtype=bool)
         init_mask[:num_threads] = True
@@ -60,9 +77,15 @@ class Warp:
         self.live_count = num_threads
 
         self.local_bytes = local_bytes
-        self.local_mem: Optional[np.ndarray] = (
-            np.zeros((WARP_SIZE, local_bytes), dtype=np.uint8)
-            if local_bytes else None)
+        #: Word-typed backing buffer; ``local_mem`` is its byte view
+        #: (what the injector flips bits in and snapshots store).
+        self.local_words: Optional[np.ndarray] = None
+        self.local_mem: Optional[np.ndarray] = None
+        if local_bytes:
+            self.local_words = np.zeros(
+                (ncols, WARP_SIZE, (local_bytes + 3) // 4), dtype="<u4")
+            self.local_mem = self.local_words.view(
+                np.uint8)[..., :local_bytes]
 
         #: Scoreboard: register/predicate index -> cycle the value is ready.
         self.reg_ready: Dict[int, int] = {}
@@ -134,20 +157,21 @@ class Warp:
 
     # -- local memory -----------------------------------------------------------
 
-    def local_read(self, lane: int, addr: int) -> int:
-        """Aligned 32-bit read of this lane's private local memory."""
-        self._check_local(addr)
-        return int(self.local_mem[lane, addr:addr + 4].view("<u4")[0])
+    def local_read(self, lane: int, addr: int) -> np.ndarray:
+        """Aligned 32-bit read of this lane's private local memory,
+        one word per column (uint32[ncols])."""
+        return self.local_words[:, lane, self._local_word(addr)]
 
-    def local_write(self, lane: int, addr: int, value: int) -> None:
-        """Aligned 32-bit write of this lane's private local memory."""
-        self._check_local(addr)
-        self.local_mem[lane, addr:addr + 4].view("<u4")[0] = value & 0xFFFFFFFF
+    def local_write(self, lane: int, addr: int, values) -> None:
+        """Aligned 32-bit write of this lane's private local memory;
+        ``values`` is one word per column (or one word for all)."""
+        self.local_words[:, lane, self._local_word(addr)] = values
 
-    def _check_local(self, addr: int) -> None:
+    def _local_word(self, addr: int) -> int:
         if self.local_mem is None or addr % 4 or not (
                 0 <= addr <= self.local_bytes - 4):
             raise MemoryViolation("local", addr)
+        return addr >> 2
 
     # -- introspection (used by the fault injector) ----------------------------
 
@@ -164,16 +188,17 @@ class Warp:
 
         Identity fields (ids, geometry) and the derived ``sregs`` are
         omitted: restore reconstructs the warp through the CTA
-        constructor, which recomputes them.
+        constructor, which recomputes them.  Column 0 is stored, in
+        the shapes a warp without a runs axis would have.
         """
         return {
-            "regs": self.regs.copy(),
-            "preds": self.preds.copy(),
+            "regs": self.regs[:, 0].copy(),
+            "preds": self.preds[:, 0].copy(),
             "exited": self.exited.copy(),
             "live_count": self.live_count,
             "stack": [(e.pc, e.mask.copy(), e.reconv_pc)
                       for e in self.stack],
-            "local_mem": (self.local_mem.copy()
+            "local_mem": (self.local_mem[0].copy()
                           if self.local_mem is not None else None),
             "reg_ready": dict(self.reg_ready),
             "pred_ready": dict(self.pred_ready),
@@ -185,9 +210,10 @@ class Warp:
         }
 
     def restore_state(self, snap: dict) -> None:
-        """Overwrite mutable state from a :meth:`snapshot` dict."""
-        self.regs[:] = snap["regs"]
-        self.preds[:] = snap["preds"]
+        """Overwrite mutable state from a :meth:`snapshot` dict
+        (every column starts from the snapshot's one)."""
+        self.regs[:] = snap["regs"][:, None]
+        self.preds[:] = snap["preds"][:, None]
         self.exited[:] = snap["exited"]
         self.live_count = snap["live_count"]
         self.stack = [StackEntry(pc, mask.copy(), reconv)

@@ -2,10 +2,15 @@
 solo path across batch/jobs/early-stop, peel-off correctness, and the
 plan-time persistent-model gate."""
 
+import dataclasses
+import gc
 import json
 
+import numpy as np
 import pytest
 
+from repro.bench import REGISTRY
+from repro.bench.base import Benchmark
 from repro.dist.protocol import canonical_log_text
 from repro.faults.batch_executor import (batch_eligible, execute_pack,
                                          group_packs)
@@ -13,6 +18,7 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.executor import CampaignExecutor
 from repro.faults.targets import Structure
 from repro.obs.metrics import metrics_path_for
+from repro.sim.kernel import Kernel
 
 BATCHABLE = (Structure.REGISTER_FILE, Structure.SHARED_MEM,
              Structure.LOCAL_MEM)
@@ -24,6 +30,15 @@ def make_config(**overrides):
                   runs_per_structure=6, seed=11, early_stop="off")
     kwargs.update(overrides)
     return CampaignConfig(**kwargs)
+
+
+def assert_rode_in_packs(stats):
+    """``execute_pack`` answers *any* exception inside the wide engine
+    with an all-solo re-run, and solo records equal solo records: a
+    parity gate proves nothing unless members resolved in-pack."""
+    assert stats["packs"] >= 1, stats
+    assert stats["solo_fallback"] == 0, stats
+    assert stats["completed_in_pack"] + stats["converged"] >= 1, stats
 
 
 class TestEligibilityAndGrouping:
@@ -94,6 +109,11 @@ class TestRecordParity:
                            label=f"b{batch}", jobs_label=f"-j{jobs}")
         result = Campaign(cfg).run(jobs=jobs)
         assert canonical_log_text(result.records) == base[early]
+        doc = json.loads(metrics_path_for(cfg.log_path).read_text())
+        # "full" pre-screens all but one of this plan's simulated runs,
+        # which leaves nothing to pack (and no batch section)
+        if early == "off" or "batch" in doc:
+            assert_rode_in_packs(doc["batch"])
 
     def test_metrics_sidecar_batch_section(self, baselines):
         root, base = baselines
@@ -134,9 +154,8 @@ class TestPeelOff:
         batched_records, stats = run(8)
         assert (canonical_log_text(batched_records)
                 == canonical_log_text(solo_records))
-        assert stats["packs"] >= 1
+        assert_rode_in_packs(stats)
         assert stats["peeled"] >= 1, stats
-        assert stats["solo_fallback"] == 0, stats
         assert len(stats["peel_cycles"]) == stats["peeled"]
 
     def test_pack_falls_back_solo_on_internal_error(self, tmp_path,
@@ -159,6 +178,194 @@ class TestPeelOff:
         solo = [bx.execute_run(spec) for spec in pack]
         assert (canonical_log_text(records)
                 == canonical_log_text(solo))
+
+
+#: Every way an instruction can touch per-column state or ask for
+#: agreement, in one kernel: guarded EXIT and BRANCH, a barrier, shared
+#: and local accesses through register (not RZ) addresses, and an
+#: atomic whose returned value is stored.
+_MIXMEM = Kernel("mixmem", """
+    S2R R0, SR_TID_X
+    S2R R1, SR_CTAID_X
+    S2R R2, SR_NTID_X
+    LDC R4, c[0x0]             ; out
+    LDC R5, c[0x4]             ; counter
+    LDC R6, c[0x8]             ; order
+    LDC R21, c[0xc]            ; n
+    IMUL R18, R1, R2
+    IADD R18, R18, R0          ; gid
+    ISETP.GE.AND P2, PT, R18, R21, PT
+@P2 EXIT
+    SHL R3, R0, 2
+    IADD R7, R0, 1
+    STS [R3], R7               ; smem[tid] = tid + 1
+    AND R8, R0, 3
+    SHL R8, R8, 2
+    STL [R8], R0               ; local[tid % 4] = tid
+    BAR.SYNC
+    XOR R9, R0, 1
+    SHL R9, R9, 2
+    LDS R10, [R9]              ; (tid ^ 1) + 1
+    LDL R11, [R8]              ; tid
+    IADD R12, R10, R11
+    AND R13, R0, 1
+    ISETP.NE.AND P0, PT, R13, RZ, PT
+@P0 BRA odd
+    IADD R12, R12, 100
+    BRA join
+odd:
+    IADD R12, R12, 7
+join:
+    MOV R14, 0
+spin:
+    IADD R14, R14, 1
+    ISETP.LT.AND P1, PT, R14, 12, PT
+@P1 BRA spin
+    MOV R15, 1
+    ATOM.ADD R16, [R5], R15    ; old count: a unique arrival ticket
+    SHL R18, R18, 2
+    IADD R19, R4, R18
+    STG [R19], R12
+    IADD R20, R6, R18
+    STG [R20], R16
+    EXIT
+""", num_params=4, smem_bytes=64 * 4, local_bytes=16)
+
+
+class MixMem(Benchmark):
+    name = "mixmem"
+    abbrev = "MM"
+    N = 120  # 2 CTAs x 64 threads, the last 8 exit at the guard
+
+    def kernels(self):
+        return [_MIXMEM]
+
+    def build(self, dev):
+        return {"out": dev.malloc(4 * self.N),
+                "order": dev.malloc(4 * self.N),
+                "counter": dev.to_device(np.zeros(1, dtype=np.uint32))}
+
+    def execute(self, dev, state):
+        dev.launch(_MIXMEM, grid=2, block=64,
+                   params=[state["out"], state["counter"],
+                           state["order"], self.N])
+
+    def check(self, dev, state):
+        tid = np.arange(self.N, dtype=np.uint32) % 64
+        want = (tid ^ 1) + 1 + tid + np.where(tid & 1, 7, 100)
+        out = dev.read_array(state["out"], (self.N,), np.uint32)
+        order = dev.read_array(state["order"], (self.N,), np.uint32)
+        count = dev.read_array(state["counter"], (1,), np.uint32)
+        return (np.array_equal(out, want) and int(count[0]) == self.N
+                and np.array_equal(np.sort(order), np.arange(self.N)))
+
+
+class TestMemoryHandlerParity:
+    """pack == solo where the engine's columns do the most work: the
+    shared/local/atomic handlers, which vectoradd never reaches."""
+
+    @staticmethod
+    def _both(tmp_path, benchmark, structure, early):
+        out = []
+        for batch in (1, 4):
+            cfg = CampaignConfig(
+                benchmark=benchmark, card="RTX2060",
+                structures=(structure,), runs_per_structure=16, seed=4,
+                early_stop=early, batch=batch,
+                checkpoint_dir=tmp_path / "ckpts")
+            executor = CampaignExecutor(batch=batch)
+            out.append((executor.execute(Campaign(cfg).plan()),
+                        executor.batch_stats))
+        (solo, _), (packed, stats) = out
+        assert canonical_log_text(packed) == canonical_log_text(solo)
+        assert_rode_in_packs(stats)
+
+    @pytest.mark.parametrize("structure", BATCHABLE,
+                             ids=lambda s: s.value)
+    def test_scalarprod(self, tmp_path, structure):
+        self._both(tmp_path, "scalarprod", structure, "off")
+
+    @pytest.mark.parametrize("early", ["off", "converge"])
+    @pytest.mark.parametrize("structure", BATCHABLE,
+                             ids=lambda s: s.value)
+    def test_handwritten_kernel(self, tmp_path, monkeypatch, structure,
+                                early):
+        monkeypatch.setitem(REGISTRY, MixMem.name, MixMem)
+        self._both(tmp_path, MixMem.name, structure, early)
+
+    def test_handwritten_kernel_is_correct_solo(self):
+        from repro.faults.runner import run_application
+
+        result = run_application(MixMem(), "RTX2060")
+        assert result.status == "completed" and result.passed
+
+
+class TestPackTelemetry:
+    """One cycle loop serves a whole pack: its counters are reported
+    once (they used to be hard-coded to 0 for every batched run)."""
+
+    @staticmethod
+    def _packs(tmp_path, **overrides):
+        cfg = make_config(**{"runs_per_structure": 16,
+                             "checkpoint_dir": tmp_path / "ckpts",
+                             **overrides})
+        specs = [dataclasses.replace(spec, telemetry=True)
+                 for spec in Campaign(cfg).plan()]
+        return [payload for kind, payload in group_packs(specs, 4)
+                if kind == "pack"]
+
+    @staticmethod
+    def _check(pack):
+        records, stats = execute_pack(pack)
+        assert stats["solo_fallback"] == 0, stats
+        batched = [r["timings"] for r in records
+                   if r["timings"].get("batched")]
+        assert batched[0]["loop_iterations"] > 0
+        assert all(t["loop_iterations"] == 0 == t["idle_cycles_skipped"]
+                   for t in batched[1:])
+        return stats
+
+    def test_counters_once_per_completed_pack(self, tmp_path):
+        for pack in self._packs(tmp_path):
+            self._check(pack)
+
+    def test_counters_survive_a_drained_pack(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(REGISTRY, MixMem.name, MixMem)
+        packs = self._packs(tmp_path, benchmark=MixMem.name, seed=5,
+                            structures=(Structure.SHARED_MEM,),
+                            runs_per_structure=8, early_stop="converge")
+        drained = [stats for stats in map(self._check, packs)
+                   if stats["converged"] == stats["members"]]
+        assert drained  # every member converged: PackDrained, no result
+
+
+class TestFinishedRunsAreFreed:
+    """A finished GPU must die with its last reference.  Left as
+    cyclic garbage it waits for the collector's next full pass, and a
+    campaign's peak memory becomes however many dead GPUs fit between
+    two passes: a number that differs from one run to the next."""
+
+    def test_no_simulator_state_in_cyclic_garbage(self):
+        cfg = CampaignConfig(
+            benchmark="pathfinder", card="RTX2060",
+            structures=(Structure.REGISTER_FILE,),
+            runs_per_structure=10, seed=3, early_stop="off", batch=8)
+        gc.collect()
+        gc.disable()
+        try:
+            specs = Campaign(cfg).plan()  # the golden run
+            executor = CampaignExecutor(batch=8)
+            executor.execute(specs)  # packs, and solo runs of the peeled
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            dead = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert executor.batch_stats["peeled"] >= 1
+        assert not dead & {"GPU", "SIMTCore", "CTA", "Warp", "Cache",
+                           "CacheLine", "LockstepPack"}, dead
 
 
 class TestPlanGate:

@@ -1,7 +1,6 @@
 """Host-side Device API: memcpy semantics, typed reads, budgets."""
 
 import numpy as np
-import pytest
 
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel
@@ -62,14 +61,6 @@ class TestMemcpy:
 
 
 class TestBudgets:
-    def test_budget_cleared(self, device):
-        with pytest.warns(DeprecationWarning):
-            device.set_cycle_budget(10)
-        with pytest.warns(DeprecationWarning):
-            device.set_cycle_budget(None)
-        p_out = device.malloc(128)
-        device.launch(STORE_TID, grid=1, block=32, params=[p_out])
-
     def test_budget_via_options(self):
         dev = Device("RTX2060", RunOptions(cycle_budget=100_000))
         p_out = dev.malloc(128)
@@ -81,28 +72,6 @@ class TestBudgets:
         dev = Device("RTX2060", RunOptions(injector=Injector([])))
         p_out = dev.malloc(128)
         dev.launch(STORE_TID, grid=1, block=32, params=[p_out])
-
-
-class TestDeprecatedSetters:
-    """The ``Device.set_*`` mutators still work but warn; everything
-    else in the suite goes through :class:`RunOptions`."""
-
-    def test_set_cycle_budget_warns(self, device):
-        with pytest.warns(DeprecationWarning,
-                          match=r"set_cycle_budget\(\) is deprecated"):
-            device.set_cycle_budget(10)
-
-    def test_set_injector_warns(self, device):
-        from repro.faults.injector import Injector
-
-        with pytest.warns(DeprecationWarning,
-                          match=r"set_injector\(\) is deprecated"):
-            device.set_injector(Injector([]))
-
-    def test_set_scheduler_policy_warns(self, device):
-        with pytest.warns(DeprecationWarning,
-                          match=r"set_scheduler_policy\(\) is deprecated"):
-            device.set_scheduler_policy("lrr")
 
 
 class TestCardSelection:

@@ -12,6 +12,7 @@ Covers the redesigned injection interface:
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.sim.cards import get_card
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel
 
-GOLDEN = "tests/data/golden_transient_vectoradd.jsonl"
+GOLDEN = Path(__file__).parent / "data" / "golden_transient_vectoradd.jsonl"
 
 # R10 is rewritten on every loop iteration, so a *transient* flip in it
 # mid-loop is dead-on-arrival (liveness calls the site dead), while a
@@ -202,20 +203,6 @@ class TestMaskRoundTrip:
         assert out["future_field"] == "kept"
         assert out["vendor"] == {"x": 1}
         assert out["fault_model"] == "stuck_at_1"
-
-
-class TestDeprecatedConstructor:
-    def test_masks_kwarg_warns(self):
-        mask = FaultMask(structure=Structure.REGISTER_FILE, cycle=10,
-                         entry_index=2, bit_offsets=(1,), seed=5)
-        with pytest.warns(DeprecationWarning,
-                          match=r"Injector\(masks=\.\.\.\)"):
-            injector = Injector(masks=[mask])
-        assert injector.due_cycle() == 10
-
-    def test_both_forms_is_an_error(self):
-        with pytest.raises(TypeError):
-            Injector([], masks=[])
 
 
 class TestStuckAtPersistence:
