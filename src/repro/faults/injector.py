@@ -395,6 +395,9 @@ class Injector:
                 # the control logic reacts immediately: an emptied or
                 # reconverged top entry pops (possibly draining the warp)
                 warp.normalize_stack()
+                # what the scheduler remembered about this warp's next
+                # instruction no longer holds
+                warp.wake()
             return changed
 
         corrupt(gpu)
@@ -441,6 +444,8 @@ class Injector:
             if wanted > warp.sb_latest:
                 # keep the "every hazard cleared" fast path honest
                 warp.sb_latest = wanted
+            # a lowered entry releases a stall the scheduler remembers
+            warp.wake()
             return True
 
         before = int(warp.reg_ready.get(reg, 0))

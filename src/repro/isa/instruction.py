@@ -26,10 +26,14 @@ class Instruction:
         reconv_pc: immediate-post-dominator reconvergence point attached
             by CFG analysis (potentially-divergent branches only).
         line: 1-based source line, for diagnostics.
+        plan: cache slot owned by the simulator: the issue plan
+            :class:`repro.sim.core.IssuePlan` resolves from this
+            (immutable) instruction at its first issue.  Not part of
+            the instruction's identity.
     """
 
     __slots__ = ("opcode", "modifiers", "dsts", "srcs", "guard", "pc",
-                 "target_pc", "reconv_pc", "line", "_sb_cache")
+                 "target_pc", "reconv_pc", "line", "plan", "_sb_cache")
 
     def __init__(self, opcode: str, modifiers: Tuple[str, ...] = (),
                  dsts: Tuple[Operand, ...] = (),
@@ -45,6 +49,7 @@ class Instruction:
         self.target_pc = target_pc
         self.reconv_pc = reconv_pc
         self.line = line
+        self.plan = None
         self._sb_cache = None
 
     def __repr__(self) -> str:

@@ -13,6 +13,33 @@ per-warp scoreboard.  Memory instructions walk the cache hierarchy at
 issue time; their latency reflects where the accesses hit and how many
 coalesced segments they produced.
 
+**Scheduling without polling.**  A scheduler asks its warps in
+priority order (GTO: the warp it issued last, then by age; LRR: from
+just after that warp) and issues the first that can go.  A warp found
+stalled remembers until when (``Warp.ready_at``, see
+:mod:`repro.sim.warp`), so asking it again before then is one integer
+compare; each scheduler remembers the earliest such cycle over its
+warps, and the core the earliest over its schedulers
+(:attr:`SIMTCore.ready_at`), which is both what lets
+:meth:`repro.sim.gpu.GPU._cycle_loop` pass over a core that cannot
+issue and what the loop skips ahead to when no core can.  The memo is
+exact, not a bound: a stalled warp's wake-up cycle is a function of
+its own scoreboard, pc and fetch state, which only its own issue
+changes -- except for the writers that call :meth:`Warp.wake`
+(injector, barrier release), CTA arrival (:meth:`SIMTCore.add_cta`)
+and :meth:`SIMTCore.restore`, which reset it.  So the loop visits the
+cycles it would visit by asking every warp every cycle.  One
+exception: with the instruction cache modelled
+(``config.model_icache``) asking a warp *is* an L1I access -- LRU
+state, hit counters, armed faults -- so only the side-effect-free
+fetch-miss stall is remembered, and every visited cycle asks.
+
+**Issue plans.**  What ``_issue`` needs from an instruction is
+resolved once into an :class:`IssuePlan` cached on the (immutable)
+:class:`~repro.isa.instruction.Instruction`: kind, handler, hazard and
+destination index tuples, guard, operands (see
+:func:`repro.sim.exec_unit.bind`).
+
 There is one issue path for every run width.  Register, predicate,
 local- and shared-memory *data* carry a runs axis (see
 :mod:`repro.sim.warp`): one decode+issue executes the instruction on
@@ -27,19 +54,19 @@ differently; that check is the core's only knowledge of packs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, islice
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.isa.encoding import WORD_BYTES, DecodeError, decode_instruction
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass
-from repro.isa.operands import ConstRef, MemRef
+from repro.isa.opcodes import OPCODES, OpClass
+from repro.sim import exec_unit
 from repro.sim.cache import Cache
 from repro.sim.config import GPUConfig
 from repro.sim.cta import CTA
 from repro.sim.errors import InvalidOperation
-from repro.sim.exec_unit import execute_alu, read_pred
 from repro.sim.warp import StackEntry, Warp
 
 #: Sentinel wake cycle meaning "no wake time known".
@@ -49,14 +76,110 @@ NEVER = 1 << 62
 SMEM_BANKS = 32
 
 #: Read-only fallback lanes, hoisted out of the per-issue hot path:
-#: no-guard branch fall-through, RZ address bases, RZ store sources.
-#: Consumers only read (or ``.copy()``) them, never write in place.
+#: no-guard branch fall-through, RZ store sources.  Consumers only
+#: read (or ``.copy()``) them, never write in place.
 _NO_LANES = np.zeros(32, dtype=bool)
 _NO_LANES.setflags(write=False)
-_RZ_BASE = np.zeros(32, dtype=np.int64)
-_RZ_BASE.setflags(write=False)
 _RZ_WORDS = np.zeros((1, 32), dtype=np.uint32)  # any width broadcasts
 _RZ_WORDS.setflags(write=False)
+
+#: :attr:`IssuePlan.kind`
+_ALU, _MEMORY, _BRANCH, _BARRIER, _EXIT = range(5)
+
+
+class IssuePlan:
+    """What issuing one static instruction takes, resolved once.
+
+    Built at the instruction's first issue and cached in its ``plan``
+    slot; holds nothing of a card's configuration or a run's state, so
+    every core of every device may share it.
+
+    Attributes:
+        inst: the instruction (hooks and diagnostics take it).
+        kind: ``_ALU`` / ``_MEMORY`` / ``_BRANCH`` / ``_BARRIER`` /
+            ``_EXIT``.
+        run: ``_ALU``: the :mod:`~repro.sim.exec_unit` handler,
+            ``run(plan, warp, mask)``; ``_MEMORY``: the memory-space
+            handler, ``run(core, plan, warp, mask) -> latency``.
+        sfu: completes after the SFU latency instead of the ALU one.
+        hazard_regs, hazard_preds: every register / predicate index
+            whose pending write delays the issue (sources, guard and
+            destinations merged, ``RZ``/``PT`` excluded).
+        dst_regs, dst_preds: the indices this instruction writes.
+        guard, guard_negate: guard predicate index (``None``:
+            unguarded) and its polarity.
+        steers: a guarded instruction whose guard decides state that
+            exists once for all columns (exit mask, SIMT stack, memory
+            latency path): pack members are checked for agreement.
+        srcs, dst, dsts, modifiers, fn: ALU operands, see
+            :func:`repro.sim.exec_unit.bind`.
+        base, offset, addrs: memory operand ``[R<base>+offset]``;
+            with an ``RZ`` base ``base`` is ``None`` and ``addrs`` the
+            read-only per-lane addresses.
+        dst: destination register index of a load / ``ATOM``
+            (``None``: ``RZ`` or no destination).
+        src: source register index of a store/atomic (``None``: RZ).
+        is_load, is_atomic, via_texture, returns (``ATOM``, not
+            ``RED``): memory-op traits.
+    """
+
+    __slots__ = ("inst", "kind", "run", "sfu", "hazard_regs", "hazard_preds",
+                 "dst_regs", "dst_preds", "guard", "guard_negate", "steers",
+                 "srcs", "dst", "dsts", "modifiers", "fn",
+                 "base", "offset", "addrs", "src", "is_load", "is_atomic",
+                 "via_texture", "returns")
+
+    def __init__(self, inst: Instruction):
+        spec = OPCODES[inst.opcode]
+        klass = spec.klass
+        self.inst = inst
+        src_regs, dst_regs, src_preds, dst_preds = inst.scoreboard_sets()
+        self.hazard_regs = tuple(dict.fromkeys(src_regs + dst_regs))
+        self.hazard_preds = tuple(dict.fromkeys(src_preds + dst_preds))
+        self.dst_regs, self.dst_preds = dst_regs, dst_preds
+        guard = inst.guard
+        self.guard = guard.index if guard is not None else None
+        self.guard_negate = guard is not None and guard.negate
+        self.steers = guard is not None and (
+            spec.is_memory or klass in (OpClass.EXIT, OpClass.BRANCH))
+        self.sfu = klass is OpClass.SFU
+        self.run = None
+        if spec.is_memory:
+            self.kind = _MEMORY
+            self._bind_memory(inst, spec)
+        elif klass is OpClass.BRANCH:
+            self.kind = _BRANCH
+        elif klass is OpClass.BARRIER:
+            self.kind = _BARRIER
+        elif klass is OpClass.EXIT:
+            self.kind = _EXIT
+        else:
+            self.kind = _ALU
+            exec_unit.bind(self, inst)
+
+    def _bind_memory(self, inst: Instruction, spec) -> None:
+        self.run = _MEMORY_HANDLERS.get(spec.space, SIMTCore._exec_global)
+        self.is_load = spec.klass is OpClass.LOAD
+        self.is_atomic = spec.klass is OpClass.ATOMIC
+        self.via_texture = spec.space == "tex"
+        self.modifiers = inst.modifiers
+        self.returns = inst.opcode == "ATOM"
+        dst = inst.dsts[0] if inst.dsts else None
+        self.dst = dst.index if dst is not None and not dst.is_rz else None
+        self.src = None
+        if len(inst.srcs) > 1 and not inst.srcs[1].is_rz:
+            self.src = inst.srcs[1].index
+        self.base = self.addrs = None
+        if spec.space == "const":
+            self.offset = inst.srcs[0].offset
+            return
+        mem = inst.srcs[0]
+        self.offset = mem.offset
+        if mem.base.is_rz:
+            self.addrs = np.full(32, mem.offset, dtype=np.int64)
+            self.addrs.setflags(write=False)
+        else:
+            self.base = mem.base.index
 
 
 class SIMTCore:
@@ -83,6 +206,16 @@ class SIMTCore:
             i: None for i in range(config.num_schedulers_per_sm)}
         self._age_counter = 0
         self._sched_cache: Optional[List[List[Warp]]] = None
+        #: Earliest cycle any warp of this core can issue (``NEVER``:
+        #: none until something outside wakes one).  Exact between
+        #: polls; see the module docstring.
+        self.ready_at = 0
+        #: The same per scheduler.
+        self._sched_ready = [0] * config.num_schedulers_per_sm
+        #: Occupancy counters over the resident CTAs, kept at CTA
+        #: arrival, thread EXIT, warp drain and CTA retirement.
+        self._live_warps = 0
+        self._live_threads = 0
         #: Scratch line buffer for L1I miss fills (re-zeroed per use;
         #: :meth:`Cache.fill` copies, so reuse is safe).
         self._ifetch_scratch = np.zeros(self.l1i.geometry.line_bytes,
@@ -104,25 +237,44 @@ class SIMTCore:
     def add_cta(self, cta: CTA) -> None:
         """Make a CTA resident on this core."""
         self.ctas.append(cta)
+        self._live_warps += cta.live_warp_count
+        self._live_threads += cta.live_thread_count()
         self._sched_cache = None
+        self._forget_stalls()
 
-    def retire_finished_ctas(self) -> int:
-        """Drop completed CTAs; returns how many retired."""
-        finished = [cta for cta in self.ctas if cta.done]
-        if finished:
-            self.ctas = [cta for cta in self.ctas if not cta.done]
-            self._sched_cache = None
-            for cta in finished:
-                cta.release()
-        return len(finished)
+    def _forget_stalls(self) -> None:
+        """New warps to ask: every scheduler polls at its next cycle."""
+        self.ready_at = 0
+        self._sched_ready = [0] * len(self._sched_ready)
+
+    def on_wake(self, warp: Warp) -> None:
+        """:meth:`Warp.wake` of a resident warp: its scheduler polls
+        again at its next cycle."""
+        self.ready_at = 0
+        self._sched_ready[warp.age % len(self._sched_ready)] = 0
+
+    def on_warp_done(self, cta: CTA) -> None:
+        """A resident warp drained (its EXIT, or an injected SIMT-stack
+        fault); the CTA's last one hands it to the cycle loop, which
+        retires it at the end of the iteration."""
+        self._live_warps -= 1
+        if cta.done:
+            self.gpu.drained.append(cta)
+
+    def retire(self, cta: CTA) -> None:
+        """Drop a completed CTA."""
+        self.ctas.remove(cta)
+        self._live_threads -= cta.live_thread_count()
+        self._sched_cache = None
+        cta.release()
 
     def live_warp_count(self) -> int:
         """Resident warps that have not completed."""
-        return sum(cta.live_warp_count for cta in self.ctas)
+        return self._live_warps
 
     def live_thread_count(self) -> int:
         """Resident threads that have not exited."""
-        return sum(cta.live_thread_count() for cta in self.ctas)
+        return self._live_threads
 
     def invalidate_l1(self) -> None:
         """Kernel-boundary L1 reset (L1s are not persistent across kernels)."""
@@ -138,7 +290,8 @@ class SIMTCore:
         """Capture caches, resident CTAs and scheduler state.
 
         ``_last_issued`` warps are recorded by their (core-unique) age;
-        the per-scheduler bucket cache is derived and rebuilt lazily.
+        the per-scheduler buckets, the remembered stalls and the
+        occupancy counters are derived and rebuilt.
         """
         return {
             "scheduler_policy": self.scheduler_policy,
@@ -165,12 +318,13 @@ class SIMTCore:
         self.l1t.restore(snap["l1t"])
         self.l1c.restore(snap["l1c"])
         self.l1i.restore(snap["l1i"])
-        self.ctas = [CTA.from_snapshot(s, launch, self)
-                     for s in snap["ctas"]]
-        self._sched_cache = None
+        self.ctas = []
+        self._live_warps = self._live_threads = 0
+        for csnap in snap["ctas"]:
+            self.add_cta(CTA.from_snapshot(csnap, launch, self))
         by_age = {w.age: w for cta in self.ctas for w in cta.warps}
         # ages referencing warps of already-retired CTAs resolve to
-        # None -- equivalent, since _candidate_order treats a warp that
+        # None -- equivalent, since the scheduler treats a warp that
         # is no longer resident exactly like None
         self._last_issued = {
             sid: (by_age.get(age) if age is not None else None)
@@ -178,7 +332,8 @@ class SIMTCore:
 
     # -- scheduling --------------------------------------------------------
 
-    def _scheduler_warps(self, sched_id: int) -> List[Warp]:
+    def _scheduler_warps(self) -> List[List[Warp]]:
+        """Resident warps per scheduler, in age order."""
         if self._sched_cache is None:
             nsched = self.config.num_schedulers_per_sm
             cache: List[List[Warp]] = [[] for _ in range(nsched)]
@@ -188,58 +343,85 @@ class SIMTCore:
             for bucket in cache:
                 bucket.sort(key=lambda w: w.age)
             self._sched_cache = cache
-        return self._sched_cache[sched_id]
+        return self._sched_cache
 
-    def _candidate_order(self, sched_id: int, warps: List[Warp]) -> List[Warp]:
-        last = self._last_issued.get(sched_id)
-        if self.scheduler_policy == "gto":
-            if last is None or last not in warps:
-                return warps
-            ordered = [last]
-            ordered.extend(w for w in warps if w is not last)
-            return ordered
-        # LRR: rotate to just after the last issued warp
-        if last is None or last not in warps:
-            return warps
-        pivot = warps.index(last) + 1
-        return warps[pivot:] + warps[:pivot]
-
-    def cycle(self, now: int) -> Tuple[bool, int]:
-        """Run one cycle; returns ``(issued_anything, earliest_wake)``."""
+    def cycle(self, now: int) -> bool:
+        """Run one cycle; returns whether anything issued and leaves
+        :attr:`ready_at` at the earliest cycle anything can."""
         issued = False
-        wake = NEVER
-        for sched_id in range(self.config.num_schedulers_per_sm):
-            warps = self._scheduler_warps(sched_id)
-            if not warps:
+        sched_ready = self._sched_ready
+        always_ask = self.config.model_icache
+        for sched_id, warps in enumerate(self._scheduler_warps()):
+            if sched_ready[sched_id] > now and not always_ask:
                 continue
-            for warp in self._candidate_order(sched_id, warps):
-                if warp.done or warp.at_barrier:
-                    continue
-                if self.config.model_icache:
-                    inst = self._fetch(warp, now)
-                    if inst is None:
-                        wake = min(wake, warp.ifetch_ready)
-                        continue
-                else:
-                    if not 0 <= warp.pc < len(warp.cta.instructions):
-                        # control-unit faults can corrupt the pc right
-                        # out of the kernel; hardware would fetch
-                        # garbage and fault -- classify as a crash
-                        raise InvalidOperation(
-                            f"pc {warp.pc} outside kernel "
-                            f"{warp.cta.launch.kernel.name} "
-                            f"(0..{len(warp.cta.instructions) - 1})")
-                    inst = warp.cta.instructions[warp.pc]
-                if warp.sb_latest > now:
-                    ready = warp.operands_ready_at(inst)
-                    if ready > now:
-                        wake = min(wake, ready)
-                        continue
-                self._issue(warp, inst, now)
-                self._last_issued[sched_id] = warp
-                issued = True
-                break
-        return issued, wake
+            last = self._last_issued[sched_id]
+            if last is None or last.cta.core is not self:
+                order = warps  # nothing issued yet, or its CTA retired
+            elif self.scheduler_policy == "gto":
+                # greedy: the last issued warp, then the others by age
+                slot = warps.index(last)
+                order = chain((last,), islice(warps, slot),
+                              islice(warps, slot + 1, None))
+            else:
+                # LRR: rotate to just after the last issued warp
+                pivot = warps.index(last) + 1
+                order = chain(islice(warps, pivot, None),
+                              islice(warps, pivot))
+            wake = NEVER
+            for warp in order:
+                ready = warp.ready_at
+                if ready <= now:
+                    ready = self._ask(warp, now)
+                    if not ready:
+                        self._last_issued[sched_id] = warp
+                        issued = True
+                        wake = now + 1
+                        break
+                if ready < wake:
+                    wake = ready
+            sched_ready[sched_id] = wake
+        self.ready_at = min(sched_ready)
+        return issued
+
+    def _ask(self, warp: Warp, now: int) -> int:
+        """Issue ``warp``'s next instruction if it can go at ``now``
+        (returns 0); else return the cycle before which it cannot, and
+        remember it in ``warp.ready_at`` when asking again before then
+        would change nothing."""
+        if warp.done or warp.at_barrier:
+            # until a barrier release wakes it / for good
+            warp.ready_at = NEVER
+            return NEVER
+        if self.config.model_icache:
+            inst = self._fetch(warp, now)
+            if inst is None:
+                warp.ready_at = warp.ifetch_ready
+                return warp.ifetch_ready
+        else:
+            pc = warp.stack[-1].pc
+            instructions = warp.cta.instructions
+            if not 0 <= pc < len(instructions):
+                # control-unit faults can corrupt the pc right out of
+                # the kernel; hardware would fetch garbage and fault
+                # -- classify as a crash
+                raise InvalidOperation(
+                    f"pc {pc} outside kernel "
+                    f"{warp.cta.launch.kernel.name} "
+                    f"(0..{len(instructions) - 1})")
+            inst = instructions[pc]
+        plan = inst.plan
+        if plan is None:
+            plan = inst.plan = IssuePlan(inst)
+        if warp.sb_latest > now:
+            ready = warp.hazards_clear_at(plan.hazard_regs,
+                                          plan.hazard_preds)
+            if ready > now:
+                if not self.config.model_icache:
+                    # with the L1I modelled the next ask fetches again
+                    warp.ready_at = ready
+                return ready
+        self._issue(warp, plan, now)
+        return 0
 
     # -- instruction fetch (icache extension) ------------------------------
 
@@ -283,17 +465,19 @@ class SIMTCore:
             line.meta = decoded
         return inst
 
+
     # -- issue --------------------------------------------------------------
 
-    def _issue(self, warp: Warp, inst: Instruction, now: int) -> None:
-        cfg = self.config
+    def _issue(self, warp: Warp, plan: IssuePlan, now: int) -> None:
         gpu = self.gpu
-        klass = inst.spec.klass
-        active = warp.active_mask()
-        if inst.guard is not None:
-            guard = read_pred(warp, inst.guard)
-            if gpu.pack is not None and (inst.is_memory or klass in (
-                    OpClass.EXIT, OpClass.BRANCH)):
+        inst = plan.inst
+        top = warp.stack[-1]
+        active = top.mask & ~warp.exited
+        if plan.guard is not None:
+            guard = warp.preds[plan.guard]
+            if plan.guard_negate:
+                guard = ~guard
+            if plan.steers and gpu.pack is not None:
                 # column 0's guard is about to decide the exit mask,
                 # the SIMT stack or the memory-latency path for all
                 # columns: members whose guard differs leave first
@@ -312,22 +496,23 @@ class SIMTCore:
         if prop is not None and prop.armed:
             # corrupted-register reads/overwrites + consumer-chain taint
             prop.on_issue(self.core_id, warp, inst, exec0, now)
-        latency = cfg.alu_latency
-        top = warp.stack[-1]
+        latency = self.config.alu_latency
+        kind = plan.kind
 
-        if klass is OpClass.BARRIER:
+        if kind == _ALU or kind == _MEMORY:
+            if kind == _ALU:
+                plan.run(plan, warp, exec_mask)
+                if plan.sfu:
+                    latency = self.config.sfu_latency
+            elif exec0.any():
+                latency = plan.run(self, plan, warp, exec0)
             top.pc += 1
-            warp.at_barrier = True
-            warp.cta.try_release_barrier()
-        elif klass is OpClass.EXIT:
-            warp.exited |= exec0
-            warp.live_count = warp.num_threads - int(
-                np.count_nonzero(warp.exited[:warp.num_threads]))
-            top.pc += 1
-            warp.normalize_stack()
-            if warp.done:
-                warp.cta.try_release_barrier()
-        elif klass is OpClass.BRANCH:
+            # the active lanes are what they were (non-empty: the
+            # stack was normalized when they last changed), so only
+            # reaching the reconvergence point can pop
+            if top.pc == top.reconv_pc:
+                warp.normalize_stack()
+        elif kind == _BRANCH:
             taken = exec0
             fall = (active & ~guard[0]) if guard is not None else _NO_LANES
             if not fall.any():
@@ -341,19 +526,22 @@ class SIMTCore:
                 warp.stack.append(StackEntry(inst.target_pc, taken.copy(),
                                              reconv))
             warp.normalize_stack()
-        else:
-            if inst.is_memory:
-                if exec0.any():
-                    latency = self._exec_memory(inst, warp, exec0)
-            elif klass is OpClass.SFU:
-                execute_alu(inst, warp, exec_mask)
-                latency = cfg.sfu_latency
-            else:
-                execute_alu(inst, warp, exec_mask)
+        elif kind == _BARRIER:
+            top.pc += 1
+            warp.at_barrier = True
+            warp.cta.try_release_barrier()
+        else:  # _EXIT
+            warp.exited |= exec0
+            live = warp.num_threads - int(
+                np.count_nonzero(warp.exited[:warp.num_threads]))
+            self._live_threads -= warp.live_count - live
+            warp.live_count = live
             top.pc += 1
             warp.normalize_stack()
+            if warp.done:
+                warp.cta.try_release_barrier()
 
-        warp.mark_writes(inst, now + latency)
+        warp.mark_ready(plan.dst_regs, plan.dst_preds, now + latency)
         if lv is not None and warp.done:
             lv.on_warp_done(self.core_id, warp, now)
         gpu.stats.on_issue(inst)
@@ -362,18 +550,7 @@ class SIMTCore:
 
     # -- memory pipeline ----------------------------------------------------------
 
-    def _exec_memory(self, inst: Instruction, warp: Warp,
-                     mask: np.ndarray) -> int:
-        space = inst.spec.space
-        if space == "const":
-            return self._exec_const(inst, warp, mask)
-        if space == "shared":
-            return self._exec_shared(inst, warp, mask)
-        if space == "local":
-            return self._exec_local(inst, warp, mask)
-        return self._exec_global(inst, warp, mask)
-
-    def _addresses(self, inst: Instruction, warp: Warp,
+    def _addresses(self, plan: IssuePlan, warp: Warp,
                    mask: np.ndarray) -> np.ndarray:
         """Per-lane addresses, from column 0's base register.
 
@@ -381,23 +558,20 @@ class SIMTCore:
         coalescing, bounds faults), so pack members whose base differs
         on an executing lane leave before they are used.
         """
-        mem = inst.srcs[0]
-        assert isinstance(mem, MemRef)
-        if mem.base.is_rz:
-            return _RZ_BASE + mem.offset
-        base = warp.regs[mem.base.index]
+        if plan.base is None:
+            return plan.addrs
+        base = warp.regs[plan.base]
         if self.gpu.pack is not None:
             self.gpu.pack.check_rows(base, mask)
-        return base[0].astype(np.int64) + mem.offset
+        return base[0].astype(np.int64) + plan.offset
 
-    def _exec_const(self, inst: Instruction, warp: Warp,
+    def _exec_const(self, plan: IssuePlan, warp: Warp,
                     mask: np.ndarray) -> int:
-        const = inst.srcs[0]
-        assert isinstance(const, ConstRef)
+        offset = plan.offset
         bank = self.gpu.const_bank
-        bank.read_word(const.offset)  # bounds/alignment check
+        bank.read_word(offset)  # bounds/alignment check
         line_bytes = self.l1c.geometry.line_bytes
-        base = const.offset - const.offset % line_bytes
+        base = offset - offset % line_bytes
         line = self.l1c.lookup(base)
         if line is None:
             latency = self.config.l2_hit_latency  # constant-cache miss
@@ -408,104 +582,98 @@ class SIMTCore:
             line = self.l1c.peek(base)
         else:
             latency = self.config.const_latency
-        value = self.l1c.read_word(line, const.offset)
-        dst = inst.dsts[0]
-        if not dst.is_rz:
-            warp.regs[dst.index][:, mask] = np.uint32(value)
+        value = self.l1c.read_word(line, offset)
+        if plan.dst is not None:
+            warp.regs[plan.dst][:, mask] = np.uint32(value)
         return latency
 
-    def _exec_shared(self, inst: Instruction, warp: Warp,
+    def _exec_shared(self, plan: IssuePlan, warp: Warp,
                      mask: np.ndarray) -> int:
-        addrs = self._addresses(inst, warp, mask)
+        addrs = self._addresses(plan, warp, mask)
         lanes = np.nonzero(mask)[0]
+        lane_addrs = addrs[lanes]
         cta = warp.cta
-        is_load = inst.spec.klass is OpClass.LOAD
+        is_load = plan.is_load
+        words = cta.smem_word_indices(lane_addrs)
         # data is per column (each reads and writes its own smem row),
         # so neither direction needs agreement between pack members
         if is_load:
-            dst = inst.dsts[0]
-            out = warp.regs[dst.index]
-            for lane in lanes:
-                words = cta.smem_read(int(addrs[lane]))
-                if not dst.is_rz:
-                    out[:, lane] = words
+            if plan.dst is not None:
+                warp.regs[plan.dst][:, lanes] = cta.smem_words[:, words]
         else:
-            src = warp.regs[inst.srcs[1].index] if not inst.srcs[1].is_rz \
-                else _RZ_WORDS
-            for lane in lanes:
-                cta.smem_write(int(addrs[lane]), src[:, lane])
+            src = warp.regs[plan.src] if plan.src is not None else _RZ_WORDS
+            if len(set(words.tolist())) == len(words):
+                cta.smem_words[:, words] = src[:, lanes]
+            else:
+                # two lanes on one word (numpy leaves the winner of a
+                # repeated index open): the higher lane's value stays
+                for lane, word in zip(lanes, words):
+                    cta.smem_words[:, word] = src[:, lane]
         lv = self.gpu.liveness
         if lv is not None:
             age_base = cta.warps[0].age
-            for lane in lanes:
-                word = cta._resolve_smem(int(addrs[lane])) >> 2
+            for word in words.tolist():
                 lv.on_smem(self.core_id, age_base, word, is_load)
         prop = self.gpu.propagation
         if prop is not None and prop.armed:
             prop.on_shared_access(self.core_id, cta.warps[0].age, cta,
-                                  warp, inst, addrs, lanes, is_load,
+                                  warp, plan.inst, addrs, lanes, is_load,
                                   self.gpu.cycle)
         # bank-conflict serialisation: worst-case multiplicity over banks
         bank_counts: Dict[int, int] = {}
-        for addr in {int(addrs[lane]) for lane in lanes}:
+        for addr in set(lane_addrs.tolist()):
             bank = (addr >> 2) % SMEM_BANKS
             bank_counts[bank] = bank_counts.get(bank, 0) + 1
         conflicts = max(bank_counts.values()) if bank_counts else 1
         return self.config.smem_latency + (conflicts - 1)
 
-    def _exec_local(self, inst: Instruction, warp: Warp,
+    def _exec_local(self, plan: IssuePlan, warp: Warp,
                     mask: np.ndarray) -> int:
-        addrs = self._addresses(inst, warp, mask)
+        addrs = self._addresses(plan, warp, mask)
         lanes = np.nonzero(mask)[0]
-        is_load = inst.spec.klass is OpClass.LOAD
+        is_load = plan.is_load
+        # each lane has its own words: no two lanes share one
+        words = warp.local_word_indices(addrs[lanes])
         if is_load:
-            dst = inst.dsts[0]
-            out = warp.regs[dst.index]
-            for lane in lanes:
-                words = warp.local_read(int(lane), int(addrs[lane]))
-                if not dst.is_rz:
-                    out[:, lane] = words
+            if plan.dst is not None:
+                warp.regs[plan.dst][:, lanes] = \
+                    warp.local_words[:, lanes, words]
         else:
-            src = warp.regs[inst.srcs[1].index] if not inst.srcs[1].is_rz \
-                else _RZ_WORDS
-            for lane in lanes:
-                warp.local_write(int(lane), int(addrs[lane]), src[:, lane])
+            src = warp.regs[plan.src] if plan.src is not None else _RZ_WORDS
+            warp.local_words[:, lanes, words] = src[:, lanes]
         lv = self.gpu.liveness
         if lv is not None:
-            for lane in lanes:
-                lv.on_local(self.core_id, warp.age, int(lane),
-                            int(addrs[lane]) >> 2, is_load)
+            for lane, word in zip(lanes.tolist(), words.tolist()):
+                lv.on_local(self.core_id, warp.age, lane, word, is_load)
         prop = self.gpu.propagation
         if prop is not None and prop.armed:
-            prop.on_local_access(self.core_id, warp, inst, addrs, lanes,
+            prop.on_local_access(self.core_id, warp, plan.inst, addrs, lanes,
                                  is_load, self.gpu.cycle)
         return self.config.l1_hit_latency
 
-    def _exec_global(self, inst: Instruction, warp: Warp,
+    def _exec_global(self, plan: IssuePlan, warp: Warp,
                      mask: np.ndarray) -> int:
         cfg = self.config
         gpu = self.gpu
-        addrs = self._addresses(inst, warp, mask)
+        addrs = self._addresses(plan, warp, mask)
         lanes = np.nonzero(mask)[0]
-        klass = inst.spec.klass
-        via_texture = inst.spec.space == "tex"
+        via_texture = plan.via_texture
 
         # bounds/alignment check every lane first (address-register faults
         # surface here as crashes, before any cache state changes)
         lane_addrs = addrs[lanes]
         gpu.memory.check_many(lane_addrs)
 
-        if klass is not OpClass.LOAD:
-            src_reg = inst.srcs[1]
-            if src_reg.is_rz:
+        if not plan.is_load:
+            if plan.src is None:
                 src = _RZ_WORDS[0]
             else:
                 if gpu.pack is not None:
                     # store/atomic values enter the one global memory
-                    gpu.pack.check_rows(warp.regs[src_reg.index], mask)
-                src = warp.regs[src_reg.index, 0]
-        if klass is OpClass.ATOMIC:
-            return self._exec_atomic(inst, warp, lanes, addrs, src)
+                    gpu.pack.check_rows(warp.regs[plan.src], mask)
+                src = warp.regs[plan.src, 0]
+            if plan.is_atomic:
+                return self._exec_atomic(plan, warp, lanes, addrs, src)
 
         l1: Optional[Cache]
         if via_texture:
@@ -519,23 +687,23 @@ class SIMTCore:
         use_l2 = cfg.l2_service_all or via_texture
 
         worst = 0
-        if klass is OpClass.LOAD:
-            dst = inst.dsts[0]
+        if plan.is_load:
+            dst = plan.dst
             for base in unique_bases:
                 base = int(base)
                 latency, words = gpu.read_line_via(l1, base, use_l2=use_l2)
                 worst = max(worst, latency)
-                if not dst.is_rz:
+                if dst is not None:
                     seg = bases == base
                     seg_lanes = lanes[seg]
                     offs = (lane_addrs[seg] - base) >> 2
                     # the line exists once: every column loads its words
-                    warp.regs[dst.index][:, seg_lanes] = words[offs]
+                    warp.regs[dst][:, seg_lanes] = words[offs]
             prop = gpu.propagation
             if prop is not None and prop.armed:
                 # a watched cache line consumed this cycle makes this
                 # load the consumer (taints its destination)
-                prop.note_load(self.core_id, warp, inst, gpu.cycle)
+                prop.note_load(self.core_id, warp, plan.inst, gpu.cycle)
         else:  # global store: write-evict L1, write-allocate L2
             for base in unique_bases:
                 base = int(base)
@@ -553,26 +721,33 @@ class SIMTCore:
                 worst = max(worst, latency)
         return worst + (len(unique_bases) - 1) * cfg.segment_overhead
 
-    def _exec_atomic(self, inst: Instruction, warp: Warp,
+    def _exec_atomic(self, plan: IssuePlan, warp: Warp,
                      lanes: np.ndarray, addrs: np.ndarray,
                      src: np.ndarray) -> int:
         """Atomics bypass L1 and read-modify-write in the L2."""
         gpu = self.gpu
-        op = inst.modifiers[0]
-        returns = inst.opcode == "ATOM"
-        dst = inst.dsts[0] if returns else None
+        op = plan.modifiers[0]
+        dst = plan.dst if plan.returns else None
         worst = 0
         for lane in lanes:
             addr = int(addrs[lane])
             old, latency = gpu.l2_rmw(addr, op, int(src[lane]))
             worst = max(worst, latency)
-            if returns and dst is not None and not dst.is_rz:
-                warp.regs[dst.index][:, lane] = old
+            if dst is not None:
+                warp.regs[dst][:, lane] = old
             line_base = addr - addr % gpu.l2.geometry.line_bytes
             if self.l1d is not None:
                 self.l1d.invalidate(line_base)
             self.l1t.invalidate(line_base)
         prop = gpu.propagation
         if prop is not None and prop.armed:
-            prop.note_load(self.core_id, warp, inst, gpu.cycle)
+            prop.note_load(self.core_id, warp, plan.inst, gpu.cycle)
         return worst
+
+
+#: Memory space -> handler (``global`` and ``tex`` share one).
+_MEMORY_HANDLERS = {
+    "const": SIMTCore._exec_const,
+    "shared": SIMTCore._exec_shared,
+    "local": SIMTCore._exec_local,
+}

@@ -86,8 +86,12 @@ class CTA:
         self.warps = []
 
     def on_warp_done(self) -> None:
-        """Bookkeeping callback from :meth:`Warp.normalize_stack`."""
+        """Bookkeeping callback from :meth:`Warp.normalize_stack`; the
+        core keeps its occupancy counters and retires the CTA when
+        its last warp drains."""
         self.live_warp_count -= 1
+        if self.core is not None:
+            self.core.on_warp_done(self)
 
     def live_warps(self) -> List[Warp]:
         """Warps that have not yet completed."""
@@ -108,6 +112,21 @@ class CTA:
         if nbytes == 0:
             raise MemoryViolation("shared", addr, "kernel declares no smem")
         return addr % nbytes if addr + 4 > nbytes else addr
+
+    def smem_word_indices(self, addrs: np.ndarray) -> np.ndarray:
+        """:meth:`_resolve_smem` for one address per lane, as word
+        indices into ``smem_words``; a violation is raised for the
+        first offending address in the order given."""
+        nbytes = self.smem.shape[1]
+        top = int(addrs.max()) + 4
+        if (not nbytes or addrs.min() < 0 or top > self.smem_ceiling
+                or (addrs & 3).any()):
+            for addr in addrs:
+                self._resolve_smem(int(addr))
+        if top > nbytes:
+            # past the CTA's own allocation: aliases back into it
+            addrs = np.where(addrs + 4 > nbytes, addrs % nbytes, addrs)
+        return addrs >> 2
 
     def smem_read(self, addr: int) -> np.ndarray:
         """Aligned 32-bit shared-memory read, one word per column
@@ -157,5 +176,6 @@ class CTA:
         if live and all(w.at_barrier for w in live):
             for w in live:
                 w.at_barrier = False
+                w.wake()
             return True
         return False

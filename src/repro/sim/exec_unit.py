@@ -8,6 +8,17 @@ unguarded mask are plain ``(32,)`` and broadcast.  Integer arithmetic
 is modular 32-bit (uint32 views); floating point is IEEE-754 binary32
 via numpy float32, matching CUDA single-precision behaviour closely
 enough for the benchmarks' golden comparisons.
+
+Handlers never look at an :class:`~repro.isa.instruction.Instruction`.
+They take the instruction's issue plan (:class:`repro.sim.core
+.IssuePlan`), whose operand fields :func:`bind` resolves once per
+static instruction: sources become :class:`Source` records (an
+immediate or ``RZ`` is materialised as read-only lanes, a register is
+an index plus its ``-``/``|..|`` flags), destinations become plain
+indices (``None`` for the write-discarding ``RZ``/``PT``), and the
+modifier-selected function of ``ISETP``/``FSETP``/``MUFU`` is looked
+up.  Floating-point handlers rely on the cycle loop running under
+``np.errstate(all="ignore")`` (:meth:`repro.sim.gpu.GPU._cycle_loop`).
 """
 
 from __future__ import annotations
@@ -16,147 +27,177 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from repro.isa.instruction import Instruction
-from repro.isa.operands import Immediate, PredRef, RegRef, SpecialReg
+from repro.isa.operands import Immediate, PredRef, RegRef
 from repro.sim.warp import Warp
 
 _U32 = np.uint32
 _I32 = np.int32
 _F32 = np.float32
 
-#: Shared all-zero RZ read (read-only; every consumer copies before
-#: mutating), hoisted out of the per-issue hot path.
-_RZ_U32 = np.zeros(32, dtype=_U32)
-_RZ_U32.setflags(write=False)
+_NEGATE, _ABSOLUTE = 1, 2
 
 
-def read_u32(warp: Warp, op) -> np.ndarray:
-    """Read an operand as raw/integer lanes (uint32).
+class Source:
+    """One register-or-immediate source operand, resolved once.
 
-    The ``-``/``|..|`` operand modifiers are applied with integer
-    semantics (two's-complement negate, signed absolute value).
+    ``u32``/``f32`` hold read-only lanes when the value does not
+    depend on warp state (immediate, ``RZ``), with the operand
+    modifiers already applied under integer and under floating-point
+    semantics; otherwise both are ``None`` and ``index``/``flags``
+    name the register and its modifiers.
     """
-    if isinstance(op, Immediate):
-        return np.full(32, op.value, dtype=_U32)
-    assert isinstance(op, RegRef)
-    values = _RZ_U32 if op.is_rz else warp.regs[op.index].copy()
-    if op.absolute:
+
+    __slots__ = ("index", "flags", "u32", "f32")
+
+    def __init__(self, op):
+        self.index = -1
+        self.flags = 0
+        self.u32 = self.f32 = None
+        if isinstance(op, Immediate):
+            lanes = np.full(32, op.value, dtype=_U32)
+            self.u32, self.f32 = lanes, lanes.view(_F32)
+        else:
+            assert isinstance(op, RegRef)
+            self.flags = (_NEGATE if op.negate else 0) \
+                | (_ABSOLUTE if op.absolute else 0)
+            if op.is_rz:
+                zeros = np.zeros(32, dtype=_U32)
+                self.u32 = _modify_int(zeros, self.flags)
+                self.f32 = _modify_float(zeros.view(_F32), self.flags)
+            else:
+                self.index = op.index
+        for lanes in (self.u32, self.f32):
+            if lanes is not None:
+                lanes.setflags(write=False)
+
+
+def _modify_int(values: np.ndarray, flags: int) -> np.ndarray:
+    """``|..|`` then ``-`` with integer semantics (signed absolute
+    value, two's-complement negate)."""
+    if flags & _ABSOLUTE:
         values = np.abs(values.view(_I32)).view(_U32)
-    if op.negate:
+    if flags & _NEGATE:
         values = (-values.view(_I32)).view(_U32)
     return values
 
 
-def read_f32(warp: Warp, op) -> np.ndarray:
-    """Read an operand as fp32 lanes, applying ``-``/``|..|`` modifiers."""
-    if isinstance(op, Immediate):
-        return np.full(32, op.value, dtype=_U32).view(_F32)
-    assert isinstance(op, RegRef)
-    raw = _RZ_U32 if op.is_rz else warp.regs[op.index]
-    values = raw.view(_F32).copy()
-    if op.absolute:
+def _modify_float(values: np.ndarray, flags: int) -> np.ndarray:
+    if flags & _ABSOLUTE:
         values = np.abs(values)
-    if op.negate:
+    if flags & _NEGATE:
         values = -values
     return values
+
+
+def read_u32(warp: Warp, src: Source) -> np.ndarray:
+    """Read a source as raw/integer lanes (uint32).  The result may
+    be the register itself: callers must not write into it."""
+    if src.u32 is not None:
+        return src.u32
+    values = warp.regs[src.index]
+    return _modify_int(values, src.flags) if src.flags else values
+
+
+def read_f32(warp: Warp, src: Source) -> np.ndarray:
+    """Read a source as fp32 lanes, applying ``-``/``|..|`` modifiers."""
+    if src.f32 is not None:
+        return src.f32
+    values = warp.regs[src.index].view(_F32)
+    return _modify_float(values, src.flags) if src.flags else values
 
 
 def read_pred(warp: Warp, op: PredRef) -> np.ndarray:
     """Read a predicate operand (bool[ncols, 32]), honouring negation."""
     values = warp.preds[op.index]
-    return ~values if op.negate else values.copy()
+    return ~values if op.negate else values
 
 
-def write_u32(warp: Warp, op: RegRef, values: np.ndarray,
-              mask: np.ndarray) -> None:
-    """Commit uint32 lanes to a destination register under ``mask``
-    (values and mask broadcast against the register's columns)."""
-    if op.is_rz:
-        return
-    np.copyto(warp.regs[op.index], values.astype(_U32, copy=False),
-              where=mask)
+def write_u32(warp: Warp, dst, values: np.ndarray, mask: np.ndarray) -> None:
+    """Commit uint32 lanes to register ``dst`` under ``mask`` (values
+    and mask broadcast against the register's columns); ``None`` is
+    ``RZ`` and discards."""
+    if dst is not None:
+        np.copyto(warp.regs[dst], values.astype(_U32, copy=False),
+                  where=mask)
 
 
-def write_f32(warp: Warp, op: RegRef, values: np.ndarray,
-              mask: np.ndarray) -> None:
+def write_f32(warp: Warp, dst, values: np.ndarray, mask: np.ndarray) -> None:
     """Commit fp32 lanes (bit-pattern) to a register under ``mask``."""
-    write_u32(warp, op, values.astype(_F32, copy=False).view(_U32), mask)
+    if dst is not None:
+        np.copyto(warp.regs[dst],
+                  values.astype(_F32, copy=False).view(_U32), where=mask)
 
 
-def write_pred(warp: Warp, op: PredRef, values: np.ndarray,
-               mask: np.ndarray) -> None:
-    """Commit predicate lanes under ``mask`` (writes to ``PT`` discard)."""
-    if op.is_pt:
-        return
-    np.copyto(warp.preds[op.index], values, where=mask)
+def write_pred(warp: Warp, dst, values: np.ndarray, mask: np.ndarray) -> None:
+    """Commit predicate lanes under ``mask`` (``None`` is ``PT``)."""
+    if dst is not None:
+        np.copyto(warp.preds[dst], values, where=mask)
 
 
 # ---------------------------------------------------------------------------
-# handlers: fn(inst, warp, mask) -> None
+# handlers: fn(op, warp, mask) -> None, ``op`` being the issue plan
 # ---------------------------------------------------------------------------
 
-def _h_mov(inst, warp, mask):
-    write_u32(warp, inst.dsts[0], read_u32(warp, inst.srcs[0]), mask)
+def _h_mov(op, warp, mask):
+    write_u32(warp, op.dst, read_u32(warp, op.srcs[0]), mask)
 
 
-def _h_s2r(inst, warp, mask):
-    sreg = inst.srcs[0]
-    assert isinstance(sreg, SpecialReg)
-    write_u32(warp, inst.dsts[0], warp.sregs[sreg.name], mask)
+def _h_s2r(op, warp, mask):
+    write_u32(warp, op.dst, warp.sregs[op.srcs[0].name], mask)
 
 
-def _h_sel(inst, warp, mask):
-    pred = read_pred(warp, inst.srcs[2])
-    values = np.where(pred, read_u32(warp, inst.srcs[0]),
-                      read_u32(warp, inst.srcs[1]))
-    write_u32(warp, inst.dsts[0], values, mask)
+def _h_sel(op, warp, mask):
+    pred = read_pred(warp, op.srcs[2])
+    values = np.where(pred, read_u32(warp, op.srcs[0]),
+                      read_u32(warp, op.srcs[1]))
+    write_u32(warp, op.dst, values, mask)
 
 
 def _int_binop(fn):
-    def handler(inst, warp, mask):
-        a = read_u32(warp, inst.srcs[0])
-        b = read_u32(warp, inst.srcs[1])
-        write_u32(warp, inst.dsts[0], fn(a, b), mask)
+    def handler(op, warp, mask):
+        a = read_u32(warp, op.srcs[0])
+        b = read_u32(warp, op.srcs[1])
+        write_u32(warp, op.dst, fn(a, b), mask)
     return handler
 
 
-def _h_imad(inst, warp, mask):
-    a = read_u32(warp, inst.srcs[0])
-    b = read_u32(warp, inst.srcs[1])
-    c = read_u32(warp, inst.srcs[2])
-    write_u32(warp, inst.dsts[0], a * b + c, mask)
+def _h_imad(op, warp, mask):
+    a = read_u32(warp, op.srcs[0])
+    b = read_u32(warp, op.srcs[1])
+    c = read_u32(warp, op.srcs[2])
+    write_u32(warp, op.dst, a * b + c, mask)
 
 
-def _h_imnmx(inst, warp, mask):
-    a = read_u32(warp, inst.srcs[0]).view(_I32)
-    b = read_u32(warp, inst.srcs[1]).view(_I32)
-    values = np.minimum(a, b) if "MIN" in inst.modifiers else np.maximum(a, b)
-    write_u32(warp, inst.dsts[0], values.view(_U32), mask)
+def _h_imnmx(op, warp, mask):
+    a = read_u32(warp, op.srcs[0]).view(_I32)
+    b = read_u32(warp, op.srcs[1]).view(_I32)
+    values = np.minimum(a, b) if "MIN" in op.modifiers else np.maximum(a, b)
+    write_u32(warp, op.dst, values.view(_U32), mask)
 
 
-def _h_iabs(inst, warp, mask):
-    a = read_u32(warp, inst.srcs[0]).view(_I32)
-    write_u32(warp, inst.dsts[0], np.abs(a).view(_U32), mask)
+def _h_iabs(op, warp, mask):
+    a = read_u32(warp, op.srcs[0]).view(_I32)
+    write_u32(warp, op.dst, np.abs(a).view(_U32), mask)
 
 
-def _h_shl(inst, warp, mask):
-    a = read_u32(warp, inst.srcs[0])
-    s = read_u32(warp, inst.srcs[1]) & 31
-    write_u32(warp, inst.dsts[0], a << s, mask)
+def _h_shl(op, warp, mask):
+    a = read_u32(warp, op.srcs[0])
+    s = read_u32(warp, op.srcs[1]) & 31
+    write_u32(warp, op.dst, a << s, mask)
 
 
-def _h_shr(inst, warp, mask):
-    a = read_u32(warp, inst.srcs[0])
-    s = read_u32(warp, inst.srcs[1]) & 31
-    if "S" in inst.modifiers:
+def _h_shr(op, warp, mask):
+    a = read_u32(warp, op.srcs[0])
+    s = read_u32(warp, op.srcs[1]) & 31
+    if "S" in op.modifiers:
         values = (a.view(_I32) >> s.astype(_I32)).view(_U32)
     else:
         values = a >> s
-    write_u32(warp, inst.dsts[0], values, mask)
+    write_u32(warp, op.dst, values, mask)
 
 
-def _h_not(inst, warp, mask):
-    write_u32(warp, inst.dsts[0], ~read_u32(warp, inst.srcs[0]), mask)
+def _h_not(op, warp, mask):
+    write_u32(warp, op.dst, ~read_u32(warp, op.srcs[0]), mask)
 
 
 _CMP = {
@@ -166,50 +207,53 @@ _CMP = {
 _BOOL = {"AND": np.logical_and, "OR": np.logical_or, "XOR": np.logical_xor}
 
 
-def _setp(inst, warp, mask, a, b):
-    cmp_mod = next(m for m in inst.modifiers if m in _CMP)
-    bool_mod = next(m for m in inst.modifiers if m in _BOOL)
-    cmp = _CMP[cmp_mod](a, b)
-    combine = read_pred(warp, inst.srcs[2])
-    write_pred(warp, inst.dsts[0], _BOOL[bool_mod](cmp, combine), mask)
-    write_pred(warp, inst.dsts[1], _BOOL[bool_mod](~cmp, combine), mask)
+def _setp_fn(modifiers):
+    """``(compare, combine)`` selected by a SETP's modifiers."""
+    return (_CMP[next(m for m in modifiers if m in _CMP)],
+            _BOOL[next(m for m in modifiers if m in _BOOL)])
 
 
-def _h_isetp(inst, warp, mask):
-    a = read_u32(warp, inst.srcs[0])
-    b = read_u32(warp, inst.srcs[1])
-    if "U32" not in inst.modifiers:
+def _setp(op, warp, mask, a, b):
+    compare, combine = op.fn
+    cmp = compare(a, b)
+    other = read_pred(warp, op.srcs[2])
+    write_pred(warp, op.dsts[0], combine(cmp, other), mask)
+    write_pred(warp, op.dsts[1], combine(~cmp, other), mask)
+
+
+def _h_isetp(op, warp, mask):
+    a = read_u32(warp, op.srcs[0])
+    b = read_u32(warp, op.srcs[1])
+    if "U32" not in op.modifiers:
         a, b = a.view(_I32), b.view(_I32)
-    _setp(inst, warp, mask, a, b)
+    _setp(op, warp, mask, a, b)
 
 
-def _h_fsetp(inst, warp, mask):
-    _setp(inst, warp, mask, read_f32(warp, inst.srcs[0]),
-          read_f32(warp, inst.srcs[1]))
+def _h_fsetp(op, warp, mask):
+    _setp(op, warp, mask, read_f32(warp, op.srcs[0]),
+          read_f32(warp, op.srcs[1]))
 
 
 def _float_binop(fn):
-    def handler(inst, warp, mask):
-        a = read_f32(warp, inst.srcs[0])
-        b = read_f32(warp, inst.srcs[1])
-        with np.errstate(all="ignore"):
-            write_f32(warp, inst.dsts[0], fn(a, b), mask)
+    def handler(op, warp, mask):
+        a = read_f32(warp, op.srcs[0])
+        b = read_f32(warp, op.srcs[1])
+        write_f32(warp, op.dst, fn(a, b), mask)
     return handler
 
 
-def _h_ffma(inst, warp, mask):
-    a = read_f32(warp, inst.srcs[0])
-    b = read_f32(warp, inst.srcs[1])
-    c = read_f32(warp, inst.srcs[2])
-    with np.errstate(all="ignore"):
-        write_f32(warp, inst.dsts[0], a * b + c, mask)
+def _h_ffma(op, warp, mask):
+    a = read_f32(warp, op.srcs[0])
+    b = read_f32(warp, op.srcs[1])
+    c = read_f32(warp, op.srcs[2])
+    write_f32(warp, op.dst, a * b + c, mask)
 
 
-def _h_fmnmx(inst, warp, mask):
-    a = read_f32(warp, inst.srcs[0])
-    b = read_f32(warp, inst.srcs[1])
-    values = np.minimum(a, b) if "MIN" in inst.modifiers else np.maximum(a, b)
-    write_f32(warp, inst.dsts[0], values, mask)
+def _h_fmnmx(op, warp, mask):
+    a = read_f32(warp, op.srcs[0])
+    b = read_f32(warp, op.srcs[1])
+    values = np.minimum(a, b) if "MIN" in op.modifiers else np.maximum(a, b)
+    write_f32(warp, op.dst, values, mask)
 
 
 _MUFU_FN = {
@@ -223,37 +267,35 @@ _MUFU_FN = {
 }
 
 
-def _h_mufu(inst, warp, mask):
-    fn = _MUFU_FN[inst.modifiers[0]]
-    with np.errstate(all="ignore"):
-        write_f32(warp, inst.dsts[0], fn(read_f32(warp, inst.srcs[0])), mask)
+def _h_mufu(op, warp, mask):
+    write_f32(warp, op.dst, op.fn(read_f32(warp, op.srcs[0])), mask)
 
 
-def _h_i2f(inst, warp, mask):
-    raw = read_u32(warp, inst.srcs[0])
-    values = (raw.astype(_F32) if "U32" in inst.modifiers
+def _h_i2f(op, warp, mask):
+    raw = read_u32(warp, op.srcs[0])
+    values = (raw.astype(_F32) if "U32" in op.modifiers
               else raw.view(_I32).astype(_F32))
-    write_f32(warp, inst.dsts[0], values, mask)
+    write_f32(warp, op.dst, values, mask)
 
 
-def _h_f2i(inst, warp, mask):
-    values = read_f32(warp, inst.srcs[0]).astype(np.float64)
+def _h_f2i(op, warp, mask):
+    values = read_f32(warp, op.srcs[0]).astype(np.float64)
     values = np.nan_to_num(values, nan=0.0, posinf=2**31 - 1, neginf=-2**31)
-    if "U32" in inst.modifiers:
+    if "U32" in op.modifiers:
         clipped = np.clip(values, 0, 2**32 - 1)
-        write_u32(warp, inst.dsts[0], clipped.astype(np.uint32), mask)
+        write_u32(warp, op.dst, clipped.astype(np.uint32), mask)
     else:
         clipped = np.clip(values, -(2**31), 2**31 - 1)
-        write_u32(warp, inst.dsts[0],
+        write_u32(warp, op.dst,
                   clipped.astype(np.int64).astype(_I32).view(_U32), mask)
 
 
-def _h_nop(inst, warp, mask):
-    del inst, warp, mask
+def _h_nop(op, warp, mask):
+    del op, warp, mask
 
 
-#: Dispatch table: opcode -> handler(inst, warp, mask).
-HANDLERS: Dict[str, Callable[[Instruction, Warp, np.ndarray], None]] = {
+#: Dispatch table: opcode -> handler(op, warp, mask).
+HANDLERS: Dict[str, Callable[[object, Warp, np.ndarray], None]] = {
     "MOV": _h_mov,
     "S2R": _h_s2r,
     "SEL": _h_sel,
@@ -281,7 +323,25 @@ HANDLERS: Dict[str, Callable[[Instruction, Warp, np.ndarray], None]] = {
     "NOP": _h_nop,
 }
 
+#: Opcodes whose modifiers select the function applied: opcode ->
+#: resolver(modifiers), looked up once by :func:`bind`.
+_MODIFIER_FN = {
+    "ISETP": _setp_fn,
+    "FSETP": _setp_fn,
+    "MUFU": lambda modifiers: _MUFU_FN[modifiers[0]],
+}
 
-def execute_alu(inst: Instruction, warp: Warp, mask: np.ndarray) -> None:
-    """Execute one non-memory, non-control instruction on a warp."""
-    HANDLERS[inst.opcode](inst, warp, mask)
+
+def bind(op, inst) -> None:
+    """Resolve ``inst``'s ALU side into the issue plan ``op``:
+    ``run`` (the handler), ``srcs``, ``dst``/``dsts``, ``modifiers``
+    and ``fn``."""
+    op.run = HANDLERS[inst.opcode]
+    op.modifiers = inst.modifiers
+    op.srcs = tuple(Source(s) if isinstance(s, (RegRef, Immediate)) else s
+                    for s in inst.srcs)
+    op.dsts = tuple(None if (d.is_pt if isinstance(d, PredRef) else d.is_rz)
+                    else d.index for d in inst.dsts)
+    op.dst = op.dsts[0] if op.dsts else None
+    resolver = _MODIFIER_FN.get(inst.opcode)
+    op.fn = resolver(inst.modifiers) if resolver is not None else None

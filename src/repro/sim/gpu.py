@@ -80,6 +80,9 @@ class GPU:
         #: Code-segment bases per kernel (icache extension): each
         #: kernel's binary image gets a disjoint 1 MB code window.
         self._code_bases: dict = {}
+        #: CTAs whose last warp drained (appended by their core), for
+        #: the cycle loop to retire at the end of the iteration.
+        self.drained: List[CTA] = []
 
     def set_liveness(self, recorder) -> None:
         """Attach a liveness recorder to the GPU and every cache."""
@@ -115,6 +118,7 @@ class GPU:
             core.gpu = None
             for cta in core.ctas:
                 cta.release()
+        self.drained.clear()
         for recorder in (self.liveness, self.propagation):
             if recorder is not None:
                 recorder.gpu = None
@@ -206,54 +210,75 @@ class GPU:
 
     def _cycle_loop(self, launch: KernelLaunch, queue: List[Tuple[int, int]],
                     limit: int) -> "LaunchStats":
+        # cores holding a CTA, in core order (the order in which their
+        # memory traffic meets the shared L2/DRAM); changes only when
+        # a CTA retires
         busy = [core for core in self.cores if core.ctas]
+        # with the L1I modelled, asking a warp is a cache access:
+        # every visited cycle asks (see repro.sim.core)
+        always_ask = self.config.model_icache
+        drained = self.drained
         if self.liveness is not None:
             self.liveness.in_loop = True
         try:
-            while queue or busy:
-                self.loop_iterations += 1
-                if self.checkpointer is not None:
-                    self.checkpointer.on_cycle(self, launch, queue)
-                if self.convergence is not None:
-                    # may raise EarlyConvergence; runs before the
-                    # injector, mirroring the golden checkpointer order
-                    self.convergence.on_cycle(self, launch, queue)
-                if self.propagation is not None:
-                    # standalone divergence localization (no monitor):
-                    # digests live state at golden checkpoint cycles;
-                    # observation only, never alters control flow
-                    self.propagation.on_cycle(self, launch, queue)
-                if self.injector is not None:
-                    self.injector.apply_due(self, self.cycle)
-                issued = False
-                wake = NEVER
-                for core in busy:
-                    core_issued, core_wake = core.cycle(self.cycle)
-                    issued = issued or core_issued
-                    wake = min(wake, core_wake)
+            # the fp32 handlers divide by zero and overflow like the
+            # hardware does: silently
+            with np.errstate(all="ignore"):
+                while queue or busy:
+                    self.loop_iterations += 1
+                    if self.checkpointer is not None:
+                        self.checkpointer.on_cycle(self, launch, queue)
+                    if self.convergence is not None:
+                        # may raise EarlyConvergence; runs before the
+                        # injector, mirroring the golden checkpointer
+                        # order
+                        self.convergence.on_cycle(self, launch, queue)
+                    if self.propagation is not None:
+                        # standalone divergence localization (no
+                        # monitor): digests live state at golden
+                        # checkpoint cycles; observation only, never
+                        # alters control flow
+                        self.propagation.on_cycle(self, launch, queue)
+                    if self.injector is not None:
+                        self.injector.apply_due(self, self.cycle)
+                    now = self.cycle
+                    issued = False
+                    wake = NEVER
+                    for core in busy:
+                        if core.ready_at <= now or always_ask:
+                            if core.cycle(now):
+                                issued = True
+                        if core.ready_at < wake:
+                            wake = core.ready_at
 
-                retired = 0
-                for core in busy:
-                    retired += core.retire_finished_ctas()
-                if retired and queue:
-                    self._assign_ctas(launch, queue, limit,
-                                      visible_from=self.cycle + 1)
+                    # CTAs whose last warp drained this iteration
+                    retired = bool(drained)
+                    if retired:
+                        for cta in drained:
+                            cta.core.retire(cta)
+                        drained.clear()
+                        if queue:
+                            self._assign_ctas(launch, queue, limit,
+                                              visible_from=now + 1)
 
-                if issued or retired:
-                    delta = 1
-                else:
-                    if wake == NEVER:
-                        raise DeadlockError(self.cycle,
-                                            "no warp can make progress")
-                    delta = max(1, wake - self.cycle)
-                    delta = self._clamp_idle_skip(delta)
-                    self.idle_cycles_skipped += delta - 1
-                self.stats.sample(busy, delta)
-                self.cycle += delta
-                if (self.cycle_budget is not None
-                        and self.cycle > self.cycle_budget):
-                    raise SimTimeout(self.cycle)
-                busy = [core for core in self.cores if core.ctas]
+                    if issued or retired:
+                        delta = 1
+                    else:
+                        if wake == NEVER:
+                            raise DeadlockError(
+                                now, "no warp can make progress")
+                        delta = max(1, wake - now)
+                        delta = self._clamp_idle_skip(delta)
+                        self.idle_cycles_skipped += delta - 1
+                    # over the cores busy when the iteration began,
+                    # with the residency they have now
+                    self.stats.sample(busy, delta)
+                    self.cycle = now + delta
+                    if (self.cycle_budget is not None
+                            and self.cycle > self.cycle_budget):
+                        raise SimTimeout(self.cycle)
+                    if retired:
+                        busy = [core for core in self.cores if core.ctas]
         finally:
             if self.liveness is not None:
                 self.liveness.in_loop = False

@@ -94,18 +94,26 @@ class StatsCollector:
             self.current.instructions += 1
 
     def sample(self, cores, delta: int) -> None:
-        """Accumulate occupancy integrals for ``delta`` cycles."""
+        """Accumulate occupancy integrals for ``delta`` cycles over
+        the cores that still hold a CTA (each core keeps its own
+        counters, so this is a few additions per core)."""
         cur = self.current
         if cur is None:
             return
+        busy = warps = threads = ctas = 0
         for core in cores:
-            if not core.ctas:
+            resident = len(core.ctas)
+            if not resident:
                 continue
             cur.cores_used.add(core.core_id)
-            cur.busy_sm_cycles += delta
-            cur.warp_cycles += core.live_warp_count() * delta
-            cur.thread_cycles += core.live_thread_count() * delta
-            cur.cta_cycles += len(core.ctas) * delta
+            busy += 1
+            warps += core.live_warp_count()
+            threads += core.live_thread_count()
+            ctas += resident
+        cur.busy_sm_cycles += busy * delta
+        cur.warp_cycles += warps * delta
+        cur.thread_cycles += threads * delta
+        cur.cta_cycles += ctas * delta
 
     def total_cycles(self) -> int:
         """Sum of launch cycles across the application."""

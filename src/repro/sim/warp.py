@@ -22,6 +22,17 @@ from the ``reconv_pc`` annotations computed at assembly time), exit
 mask, scoreboard -- exists once per warp and follows column 0.
 Snapshots store column 0 in the runs-axis-free shapes, so the
 checkpoint format and state digests do not depend on the width.
+
+``ready_at`` is the scheduler's memo of the stall this warp was last
+found in: the cycle before which it cannot issue (an operand hazard
+clears then, or its instruction-fetch miss returns; "never" while it
+waits at a barrier or once it has drained).  A poll before that cycle
+is one integer compare (:meth:`repro.sim.core.SIMTCore.cycle`).  It is
+derived state: never snapshotted, 0 ("ask me") on a fresh or restored
+warp.  A warp's own issue cannot shorten its stall -- it does not issue
+while stalled -- so the only writers that can are outside the warp,
+and each calls :meth:`Warp.wake`: the fault injector after it writes
+the scoreboard or the SIMT stack, and the CTA when a barrier releases.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ class Warp:
                  "regs", "preds", "exited", "stack", "live_count",
                  "local_bytes", "local_mem", "local_words", "reg_ready",
                  "pred_ready", "sb_latest", "at_barrier", "done",
-                 "wake_cycle", "ifetch_ready", "sregs")
+                 "wake_cycle", "ifetch_ready", "ready_at", "sregs")
 
     def __init__(self, warp_id_in_cta: int, num_threads: int, num_regs: int,
                  local_bytes: int, cta, age: int, ncols: int = 1):
@@ -100,6 +111,9 @@ class Warp:
         self.wake_cycle = 0
         #: Instruction-fetch stall (icache extension): no issue before.
         self.ifetch_ready = 0
+        #: Remembered stall: no issue before this cycle (see the module
+        #: docstring; reset by :meth:`wake`, never snapshotted).
+        self.ready_at = 0
 
         # special-register lanes, filled by the CTA constructor
         self.sregs: Dict[str, np.ndarray] = {}
@@ -129,31 +143,54 @@ class Warp:
         """Current PC (top of the SIMT stack)."""
         return self.stack[-1].pc
 
+    def wake(self) -> None:
+        """Forget the remembered stall: something outside this warp's
+        own issue changed when it may issue (scoreboard or SIMT-stack
+        injection, barrier release)."""
+        self.ready_at = 0
+        core = self.cta.core
+        if core is not None:
+            core.on_wake(self)
+
     # -- scoreboard --------------------------------------------------------
 
-    def operands_ready_at(self, inst) -> int:
-        """Earliest cycle at which every operand hazard is cleared."""
-        src_regs, dst_regs, src_preds, dst_preds = inst.scoreboard_sets()
+    def hazards_clear_at(self, regs, preds) -> int:
+        """Latest ready cycle over the given register and predicate
+        indices (0 when none is in flight)."""
         ready = 0
-        for idx in src_regs:
-            ready = max(ready, self.reg_ready.get(idx, 0))
-        for idx in dst_regs:
-            ready = max(ready, self.reg_ready.get(idx, 0))
-        for idx in src_preds:
-            ready = max(ready, self.pred_ready.get(idx, 0))
-        for idx in dst_preds:
-            ready = max(ready, self.pred_ready.get(idx, 0))
+        reg_ready = self.reg_ready
+        for idx in regs:
+            cycle = reg_ready.get(idx, 0)
+            if cycle > ready:
+                ready = cycle
+        if preds:
+            pred_ready = self.pred_ready
+            for idx in preds:
+                cycle = pred_ready.get(idx, 0)
+                if cycle > ready:
+                    ready = cycle
         return ready
 
-    def mark_writes(self, inst, completion_cycle: int) -> None:
-        """Record destination availability after issuing ``inst``."""
-        _, dst_regs, _, dst_preds = inst.scoreboard_sets()
+    def operands_ready_at(self, inst) -> int:
+        """Earliest cycle at which every operand hazard is cleared
+        (RAW on the sources, WAW on the destinations)."""
+        src_regs, dst_regs, src_preds, dst_preds = inst.scoreboard_sets()
+        return self.hazards_clear_at(src_regs + dst_regs,
+                                     src_preds + dst_preds)
+
+    def mark_ready(self, dst_regs, dst_preds, completion_cycle: int) -> None:
+        """Record when the given destinations become available."""
         for idx in dst_regs:
             self.reg_ready[idx] = completion_cycle
         for idx in dst_preds:
             self.pred_ready[idx] = completion_cycle
         if (dst_regs or dst_preds) and completion_cycle > self.sb_latest:
             self.sb_latest = completion_cycle
+
+    def mark_writes(self, inst, completion_cycle: int) -> None:
+        """Record destination availability after issuing ``inst``."""
+        _, dst_regs, _, dst_preds = inst.scoreboard_sets()
+        self.mark_ready(dst_regs, dst_preds, completion_cycle)
 
     # -- local memory -----------------------------------------------------------
 
@@ -172,6 +209,16 @@ class Warp:
                 0 <= addr <= self.local_bytes - 4):
             raise MemoryViolation("local", addr)
         return addr >> 2
+
+    def local_word_indices(self, addrs: np.ndarray) -> np.ndarray:
+        """Word index of each lane's (aligned, in-bounds) address, for
+        one gather/scatter over ``local_words``; a violation is raised
+        for the first offending address in the order given."""
+        if (self.local_mem is None or addrs.min() < 0
+                or addrs.max() > self.local_bytes - 4 or (addrs & 3).any()):
+            for addr in addrs:
+                self._local_word(int(addr))
+        return addrs >> 2
 
     # -- introspection (used by the fault injector) ----------------------------
 

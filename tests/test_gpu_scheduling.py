@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.faults.injector import Injector
+from repro.faults.mask import FaultMask
+from repro.faults.targets import Structure
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel, KernelLaunch
+from repro.sim.trace import Tracer
+from tests.conftest import tiny_config
 
 COUNTER = Kernel("counter", """
     S2R R0, SR_CTAID_X
@@ -164,3 +169,225 @@ class TestKernelLaunchValidation:
         kernel = Kernel("k", "    EXIT")
         launch = KernelLaunch.create(kernel, grid=1, block=33)
         assert launch.warps_per_cta == 2
+
+
+# ---------------------------------------------------------------------------
+# The warp scheduler: issue order, stalls and wake-ups, cycle by cycle.
+#
+# The expected sequences below are derived by hand from the rules, not
+# from a run: one issue per scheduler per cycle; a destination is ready
+# ``latency`` cycles after the issue (ALU 4, L1 hit 28, first touch of
+# a line 200: DRAM); GTO asks the warp it issued last, then the others
+# by age; LRR asks from just after that warp; a cycle in which nothing
+# can issue jumps to the earliest wake-up.
+# ---------------------------------------------------------------------------
+
+ORDER = Kernel("order", """
+    MOV R1, 1                ; pc0   R1 ready +4
+    LDG R2, [0x1000]         ; pc1   warp 0 misses to DRAM, the rest hit L1
+    IADD R3, R2, R1          ; pc2   waits for the load
+    BAR.SYNC                 ; pc3
+    STG [0x1000], R3         ; pc4
+    EXIT                     ; pc5
+""")
+
+GTO_ORDER = [
+    # (cycle, warp, pc)
+    (0, 0, 0), (1, 0, 1),                # greedy warp 0 until it stalls
+    (2, 1, 0), (3, 1, 1),                # then the oldest that can go
+    (4, 2, 0), (5, 2, 1),
+    (6, 3, 0), (7, 3, 1),
+    (31, 1, 2), (32, 1, 3),              # L1 hits return: 3+28, 5+28, 7+28
+    (33, 2, 2), (34, 2, 3),
+    (35, 3, 2), (36, 3, 3),
+    (201, 0, 2), (202, 0, 3),            # DRAM returns: 1+200; last arrival
+    (203, 1, 4), (204, 1, 5),            # warp 0 is greedy but R3 lands at 205
+    (205, 0, 4), (206, 0, 5),
+    (207, 2, 4), (208, 2, 5),
+    (209, 3, 4), (210, 3, 5),
+]
+
+LRR_ORDER = [
+    (0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0),
+    (4, 0, 1), (5, 1, 1), (6, 2, 1), (7, 3, 1),
+    (33, 1, 2), (34, 2, 2), (35, 3, 2),  # 5+28, 6+28, 7+28
+    (36, 1, 3), (37, 2, 3), (38, 3, 3),
+    (204, 0, 2), (205, 0, 3),            # 4+200; last arrival releases
+    (206, 1, 4), (207, 2, 4), (208, 3, 4), (209, 0, 4),
+    (210, 1, 5), (211, 2, 5), (212, 3, 5), (213, 0, 5),
+]
+
+
+def one_scheduler(**overrides):
+    return tiny_config(num_sms=1, num_schedulers_per_sm=1, **overrides)
+
+
+def traced_launch(config, kernel, block, policy="gto", checkpointer=None):
+    dev = Device(config, RunOptions(scheduler_policy=policy,
+                                    checkpointer=checkpointer))
+    assert dev.malloc(128) == 0x1000
+    tracer = Tracer().attach(dev)
+    dev.launch(kernel, grid=1, block=block)
+    return dev, [(r.cycle, r.warp, r.pc) for r in tracer.records]
+
+
+class TestIssueOrder:
+    def test_gto_greedy_then_oldest(self):
+        dev, order = traced_launch(one_scheduler(), ORDER, block=128)
+        assert order == GTO_ORDER
+        assert dev.cycle == 211
+        # every visited cycle issued, but the first cycle of each of
+        # the two waits (8 -> 31 and 37 -> 201)
+        assert dev.gpu.loop_iterations == len(GTO_ORDER) + 2
+        assert dev.gpu.idle_cycles_skipped == 211 - dev.gpu.loop_iterations
+
+    def test_lrr_rotates(self):
+        dev, order = traced_launch(one_scheduler(), ORDER, block=128,
+                                   policy="lrr")
+        assert order == LRR_ORDER
+        assert dev.cycle == 214
+        # waits: 8 -> 33 and 39 -> 204
+        assert dev.gpu.loop_iterations == len(LRR_ORDER) + 2
+
+    @pytest.mark.parametrize("policy", ["gto", "lrr"])
+    def test_result_is_the_sum(self, policy):
+        dev, _ = traced_launch(one_scheduler(), ORDER, block=128,
+                               policy=policy)
+        assert dev.read_array(0x1000, (1,), np.uint32)[0] == 1
+
+
+EXIT_RELEASES = """
+    S2R R0, SR_WARPID                    ; pc0
+    ISETP.EQ.AND P0, PT, R0, {exiter}, PT  ; pc1
+@P0 BRA leave                            ; pc2
+    BAR.SYNC                             ; pc3   the other warp waits here
+    MOV R5, 1                            ; pc4
+    EXIT                                 ; pc5
+leave:
+    LDG R2, [0x1000]                     ; pc6   issued at 9, back at 209
+    IADD R3, R2, 1                       ; pc7
+    EXIT                                 ; pc8   at 210: releases the barrier
+"""
+
+
+class TestBarrierReleasedByExit:
+    """Two warps on two schedulers; scheduler 0 is asked first."""
+
+    def run(self, exiter):
+        kernel = Kernel("release", EXIT_RELEASES.format(exiter=exiter))
+        _, order = traced_launch(tiny_config(num_sms=1), kernel, block=64)
+        return order
+
+    def test_released_in_the_same_cycle_when_asked_later(self):
+        order = self.run(exiter=0)
+        assert order[-4:] == [(209, 0, 7), (210, 0, 8),
+                              (210, 1, 4), (211, 1, 5)]
+
+    def test_released_for_the_next_cycle_when_asked_earlier(self):
+        order = self.run(exiter=1)
+        assert order[-4:] == [(209, 1, 7), (210, 1, 8),
+                              (211, 0, 4), (212, 0, 5)]
+
+    def test_waiting_warp_costs_no_iterations(self):
+        order = self.run(exiter=0)
+        assert (9, 1, 3) in order  # BAR
+        assert not [rec for rec in order if 9 < rec[0] < 209]
+
+
+class TestFetchMissWakeUp:
+    def test_miss_wakes_at_ifetch_ready(self):
+        config = one_scheduler(model_icache=True, ifetch_miss_latency=50)
+        kernel = Kernel("two", "    MOV R1, 1\n    EXIT")
+        dev, order = traced_launch(config, kernel, block=32)
+        # cycle 0 misses; both words share the line that arrives at 50
+        assert order == [(50, 0, 0), (51, 0, 1)]
+        assert dev.gpu.loop_iterations == 3
+        assert dev.gpu.idle_cycles_skipped == 49
+
+
+class _SnapshotAt:
+    """Checkpointer stand-in: one snapshot at the first visited cycle
+    at or after ``cycle``."""
+
+    def __init__(self, cycle):
+        self.cycle = cycle
+        self.snap = None
+
+    def on_cycle(self, gpu, launch, queue):
+        if self.snap is None and gpu.cycle >= self.cycle:
+            self.snap = gpu.snapshot(launch, queue)
+
+
+class TestRestoreMidStall:
+    @pytest.mark.parametrize("policy,order,at", [
+        ("gto", GTO_ORDER, 31),    # warps 0, 2, 3 stalled on their loads
+        ("gto", GTO_ORDER, 203),   # after the barrier release
+        ("lrr", LRR_ORDER, 36),    # warp 0 stalled, the others before BAR
+    ])
+    def test_resumes_to_the_same_cycles(self, policy, order, at):
+        capture = _SnapshotAt(at)
+        dev, full = traced_launch(one_scheduler(), ORDER, block=128,
+                                  policy=policy, checkpointer=capture)
+        assert full == order
+        assert capture.snap["cycle"] == at
+
+        resumed = Device(one_scheduler(),
+                         RunOptions(scheduler_policy=policy))
+        resumed.malloc(128)
+        tracer = Tracer().attach(resumed)
+        request = KernelLaunch.create(ORDER, grid=1, block=128)
+        queue = resumed.gpu.restore(capture.snap, request)
+        resumed.gpu.resume_launch(request, queue)
+        assert [(r.cycle, r.warp, r.pc) for r in tracer.records] == \
+            [rec for rec in order if rec[0] >= at]
+        assert resumed.cycle == dev.cycle
+
+    def test_remembered_stall_is_not_snapshotted(self):
+        capture = _SnapshotAt(31)
+        traced_launch(one_scheduler(), ORDER, block=128,
+                      checkpointer=capture)
+        warp = capture.snap["cores"][0]["ctas"][0]["warps"][0]
+        assert sorted(warp) == sorted([
+            "regs", "preds", "exited", "live_count", "stack", "local_mem",
+            "reg_ready", "pred_ready", "sb_latest", "at_barrier", "done",
+            "wake_cycle", "ifetch_ready"])
+
+
+class TestInjectedControlStateWakesTheWarp:
+    """One warp, stalled on its load from cycle 2 until 201; a fault
+    at cycle 100 changes when it may issue from outside the warp."""
+
+    def run(self, mask):
+        injector = Injector([mask])
+        dev = Device(one_scheduler(), RunOptions(injector=injector))
+        dev.malloc(128)
+        tracer = Tracer().attach(dev)
+        dev.launch(ORDER, grid=1, block=32)
+        assert injector.log[0]["applied"]
+        return dev, [(r.cycle, r.pc) for r in tracer.records]
+
+    def test_lowered_scoreboard_entry_releases_the_stall(self):
+        # R2 is ready at 201 = 0b11001001; clearing bit 7 makes it 73
+        dev, order = self.run(FaultMask(
+            structure=Structure.SCOREBOARD, cycle=100, entry_index=2,
+            bit_offsets=(7,)))
+        # IADD at the injection cycle (reading R2 before the load
+        # lands), BAR, then STG once R3 is ready at 100+4
+        assert order == [(0, 0), (1, 1), (100, 2), (101, 3), (104, 4),
+                         (105, 5)]
+        assert dev.cycle == 106
+
+    def test_raised_scoreboard_entry_extends_the_stall(self):
+        # bit 8: 201 -> 457
+        _, order = self.run(FaultMask(
+            structure=Structure.SCOREBOARD, cycle=100, entry_index=2,
+            bit_offsets=(8,)))
+        assert order[2] == (457, 2)
+
+    def test_corrupted_stack_pc_is_fetched_at_once(self):
+        # entry bits 32-47 hold the pc: 2 -> 3 skips the stalled IADD;
+        # BAR has no operands and issues in the injection cycle
+        _, order = self.run(FaultMask(
+            structure=Structure.SIMT_STACK, cycle=100, entry_index=0,
+            bit_offsets=(32,)))
+        assert order == [(0, 0), (1, 1), (100, 3), (101, 4), (102, 5)]

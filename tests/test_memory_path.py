@@ -256,3 +256,109 @@ class TestLocalMemory:
 """, [p_out], local=16)
         assert np.array_equal(dev.read_array(p_out, (32,), np.uint32),
                               np.arange(32, dtype=np.uint32))
+
+
+class TestOneGatherScatterPerInstruction:
+    """Shared and local accesses are one gather/scatter over the word
+    buffer; what a per-lane loop in lane order would do still holds."""
+
+    def test_lanes_on_one_shared_word_last_lane_wins(self):
+        dev = Device("RTX2060")
+        p_out = dev.malloc(128)
+        launch(dev, PROLOGUE + """
+    STS [0x10], R0           ; every lane stores its tid to one word
+    LDS R12, [0x10]
+    STG [R9], R12
+    EXIT
+""", [p_out], smem=256)
+        assert (dev.read_array(p_out, (32,), np.uint32) == 31).all()
+
+    def test_lanes_aliasing_one_shared_word_last_lane_wins(self):
+        # lane t < 16 stores to word t; lane t >= 16 to word t-16
+        # through the alias window one allocation (64 bytes) above
+        dev = Device("RTX2060")
+        p_out = dev.malloc(128)
+        launch(dev, PROLOGUE + """
+    STS [R3], R0
+    AND R4, R3, 0x3c         ; (tid % 16) * 4
+    LDS R12, [R4]
+    STG [R9], R12
+    EXIT
+""", [p_out], smem=64)
+        tid = np.arange(32, dtype=np.uint32)
+        assert np.array_equal(dev.read_array(p_out, (32,), np.uint32),
+                              tid % 16 + 16)
+
+    def test_partial_warp_shared_roundtrip_with_bank_conflicts(self):
+        dev = Device("RTX2060")
+        p_out = dev.malloc(128)
+        launch(dev, PROLOGUE + """
+    ISETP.GE.AND P0, PT, R0, 8, PT
+    SHL R4, R0, 7            ; stride 128 bytes: all lanes on bank 0
+@P0 STS [R4], R0
+    MOV R12, 0xff
+@P0 LDS R12, [R4]
+    STG [R9], R12
+    EXIT
+""", [p_out], smem=4096)
+        tid = np.arange(32, dtype=np.uint32)
+        assert np.array_equal(dev.read_array(p_out, (32,), np.uint32),
+                              np.where(tid >= 8, tid, 0xff))
+
+    @pytest.mark.parametrize("opcode", ["LDS R12, [R4]", "STS [R4], R0"])
+    def test_shared_violation_names_first_offending_lane(self, opcode):
+        # lane 5 is misaligned, lane 9 beyond the SM window: a lane
+        # loop stops at lane 5
+        dev = Device("RTX2060")
+        p_out = dev.malloc(128)
+        with pytest.raises(MemoryViolation) as err:
+            launch(dev, PROLOGUE + f"""
+    MOV R4, R3
+    ISETP.EQ.AND P0, PT, R0, 5, PT
+@P0 IADD R4, R4, 2
+    ISETP.EQ.AND P1, PT, R0, 9, PT
+@P1 MOV R4, 0x100000
+    {opcode}
+    EXIT
+""", [p_out], smem=256)
+        assert str(err.value) == ("shared memory violation at 0x16: "
+                                  "misaligned access")
+
+    def test_shared_without_allocation_faults(self):
+        dev = Device("RTX2060")
+        p_out = dev.malloc(128)
+        with pytest.raises(MemoryViolation, match="declares no smem"):
+            launch(dev, PROLOGUE + """
+    LDS R12, [R3]
+    EXIT
+""", [p_out])
+
+    @pytest.mark.parametrize("opcode", ["LDL R12, [R4]", "STL [R4], R0"])
+    def test_local_violation_names_first_offending_lane(self, opcode):
+        dev = Device("RTX2060")
+        p_out = dev.malloc(128)
+        with pytest.raises(MemoryViolation) as err:
+            launch(dev, PROLOGUE + f"""
+    MOV R4, 4
+    ISETP.EQ.AND P0, PT, R0, 7, PT
+@P0 MOV R4, 0x40
+    ISETP.EQ.AND P1, PT, R0, 3, PT
+@P1 MOV R4, 6
+    {opcode}
+    EXIT
+""", [p_out], local=16)
+        assert str(err.value) == "local memory violation at 0x6: " \
+                                 "out of bounds"
+
+    def test_local_store_is_per_lane_at_divergent_addresses(self):
+        dev = Device("RTX2060")
+        p_out = dev.malloc(128)
+        launch(dev, PROLOGUE + """
+    AND R4, R3, 0xc          ; (tid % 4) * 4
+    STL [R4], R0
+    LDL R12, [R4]
+    STG [R9], R12
+    EXIT
+""", [p_out], local=16)
+        assert np.array_equal(dev.read_array(p_out, (32,), np.uint32),
+                              np.arange(32, dtype=np.uint32))
