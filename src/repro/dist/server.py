@@ -75,6 +75,11 @@ DEFAULT_SHARD_SIZE = 8
 #: this, so two consecutive lost heartbeats still keep a lease alive.
 DEFAULT_LEASE_TIMEOUT = 60.0
 
+#: Largest request body accepted.  A record batch is a few kilobytes
+#: per record (a few hundred with a propagation trace) times the
+#: worker's batch size; anything near this bound is not a client.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 class _Lease:
     __slots__ = ("lease_id", "shard_index", "worker", "deadline",
@@ -789,6 +794,15 @@ class Dispatcher:
 # -- HTTP layer --------------------------------------------------------------
 
 
+class _Rejected(Exception):
+    """A request refused before its body was read."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+        self.message = message
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "gpufi-dispatch/1"
     protocol_version = "HTTP/1.1"
@@ -821,7 +835,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply({"error": message}, status=status)
 
     def _payload(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request's JSON body.  The declared length is checked
+        before anything is read: a negative one would block this
+        thread on ``read(-1)`` until the peer closes, a huge one would
+        allocate it."""
+        declared = (self.headers.get("Content-Length") or "").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Rejected(400, "Content-Length must be a non-negative "
+                                 f"integer, got {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _Rejected(413, f"request body of {length} bytes exceeds "
+                                 f"the {MAX_BODY_BYTES}-byte limit")
         if not length:
             return {}
         return json.loads(self.rfile.read(length).decode("utf-8"))
@@ -887,6 +912,11 @@ class _Handler(BaseHTTPRequestHandler):
                     events=payload.get("events"),
                     trace=payload.get("trace")))
             return self._error(f"no such endpoint: {self.path}", 404)
+        except _Rejected as exc:
+            # the body (if any) is still in the socket: it must not be
+            # parsed as the next request of this connection
+            self.close_connection = True
+            return self._error(exc.message, exc.status)
         except KeyError as exc:
             return self._error(f"missing/unknown: {exc.args[0]}", 400)
         except ValueError as exc:

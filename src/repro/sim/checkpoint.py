@@ -109,47 +109,127 @@ def _load_file(path: Path):
     return _load_blob(str(path), st.st_size, st.st_mtime_ns)
 
 
-def _mix(h, obj) -> None:
-    """Feed one object into a digest, canonically.
+# -- canonical state digest ---------------------------------------------
+#
+# Pickle output is not stable (memoisation depends on object identity),
+# so convergence hashing walks the snapshot structure itself.  Every
+# value is type-tagged so e.g. ``0``, ``0.0``, ``False`` and ``b""``
+# cannot collide across types, and closed by ``;``.  The byte stream is
+# part of the checkpoint format: stored ``state_hash`` values must keep
+# matching, so it never changes without a SNAPSHOT_FORMAT bump.
+#
+# A mixer appends its value's bytes to ``parts``; the hash is fed one
+# joined buffer per run of small values (a GPU snapshot is ~9 000
+# values) and large arrays directly, without a copy.
 
-    Pickle output is not stable (memoisation depends on object
-    identity), so convergence hashing walks the snapshot structure
-    itself.  Every branch is type-tagged so e.g. ``0``, ``0.0``,
-    ``False`` and ``b""`` cannot collide across types.
-    """
-    if obj is None:
-        h.update(b"N")
-    elif isinstance(obj, (bool, np.bool_)):  # before int: bool is int
-        h.update(b"B1" if obj else b"B0")
-    elif isinstance(obj, (int, np.integer)):
-        h.update(b"I" + str(int(obj)).encode())
-    elif isinstance(obj, (float, np.floating)):
-        h.update(b"F" + repr(float(obj)).encode())
-    elif isinstance(obj, str):
-        h.update(b"S" + obj.encode("utf-8", "surrogatepass"))
-    elif isinstance(obj, bytes):
-        h.update(b"Y" + obj)
-    elif isinstance(obj, np.ndarray):
-        h.update(b"A" + str(obj.dtype).encode() + repr(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, (list, tuple)):
-        h.update(b"L" + str(len(obj)).encode())
-        for item in obj:
-            _mix(h, item)
-    elif isinstance(obj, dict):
-        h.update(b"D" + str(len(obj)).encode())
-        for key in sorted(obj, key=repr):
-            _mix(h, key)
-            _mix(h, obj[key])
-    elif isinstance(obj, (set, frozenset)):
-        h.update(b"E" + str(len(obj)).encode())
-        for item in sorted(obj, key=repr):
-            _mix(h, item)
+#: Arrays at least this large bypass the ``parts`` buffer.
+_DIRECT_BYTES = 1 << 16
+
+_DTYPE_TAGS: Dict[np.dtype, bytes] = {}
+
+
+def _mix_none(h, parts, obj) -> None:
+    parts.append(b"N;")
+
+
+def _mix_bool(h, parts, obj) -> None:
+    parts.append(b"B1;" if obj else b"B0;")
+
+
+def _mix_int(h, parts, obj) -> None:
+    parts.append(b"I%d;" % int(obj))
+
+
+def _mix_float(h, parts, obj) -> None:
+    parts.append(b"F" + repr(float(obj)).encode() + b";")
+
+
+def _mix_str(h, parts, obj) -> None:
+    parts.append(b"S" + obj.encode("utf-8", "surrogatepass") + b";")
+
+
+def _mix_bytes(h, parts, obj) -> None:
+    parts.append(b"Y" + obj + b";")
+
+
+def _mix_array(h, parts, obj) -> None:
+    tag = _DTYPE_TAGS.get(obj.dtype)
+    if tag is None:
+        tag = _DTYPE_TAGS[obj.dtype] = b"A" + str(obj.dtype).encode()
+    parts.append(tag + repr(obj.shape).encode())
+    data = np.ascontiguousarray(obj)
+    if data.nbytes >= _DIRECT_BYTES:
+        h.update(b"".join(parts))
+        parts.clear()
+        h.update(data)
     else:
-        # plain state-holder objects (e.g. LaunchStats): type + fields
-        h.update(b"O" + type(obj).__name__.encode())
-        _mix(h, vars(obj))
-    h.update(b";")
+        parts.append(data.tobytes())
+    parts.append(b";")
+
+
+def _mix_each(h, parts, items) -> None:
+    for item in items:
+        (_MIXERS.get(type(item)) or _mixer_for(type(item)))(h, parts, item)
+    parts.append(b";")
+
+
+def _mix_sequence(h, parts, obj) -> None:
+    parts.append(b"L%d" % len(obj))
+    _mix_each(h, parts, obj)
+
+
+def _mix_dict(h, parts, obj) -> None:
+    parts.append(b"D%d" % len(obj))
+    _mix_each(h, parts, (item for key in sorted(obj, key=repr)
+                         for item in (key, obj[key])))
+
+
+def _mix_set(h, parts, obj) -> None:
+    parts.append(b"E%d" % len(obj))
+    _mix_each(h, parts, sorted(obj, key=repr))
+
+
+def _mix_object(h, parts, obj) -> None:
+    # plain state-holder objects (e.g. LaunchStats): type + fields
+    parts.append(b"O" + type(obj).__name__.encode())
+    _mix_dict(h, parts, vars(obj))
+    parts.append(b";")
+
+
+#: Exact type -> mixer; types first seen go through :func:`_mixer_for`.
+_MIXERS = {
+    type(None): _mix_none, bool: _mix_bool, int: _mix_int,
+    float: _mix_float, str: _mix_str, bytes: _mix_bytes,
+    np.ndarray: _mix_array, list: _mix_sequence, tuple: _mix_sequence,
+    dict: _mix_dict, set: _mix_set, frozenset: _mix_set,
+}
+
+
+def _mixer_for(cls):
+    """Classify a type not in the table (numpy scalars, subclasses),
+    once: bool before int, since bool is an int."""
+    for bases, mixer in (((bool, np.bool_), _mix_bool),
+                         ((int, np.integer), _mix_int),
+                         ((float, np.floating), _mix_float),
+                         ((str,), _mix_str), ((bytes,), _mix_bytes),
+                         ((np.ndarray,), _mix_array),
+                         ((list, tuple), _mix_sequence),
+                         ((dict,), _mix_dict),
+                         ((set, frozenset), _mix_set)):
+        if issubclass(cls, bases):
+            break
+    else:
+        mixer = _mix_object
+    _MIXERS[cls] = mixer
+    return mixer
+
+
+def _mix(h, obj) -> None:
+    """Feed one object into a digest, canonically."""
+    parts: List[bytes] = []
+    _mix_each(h, parts, (obj,))
+    parts.pop()  # _mix_each closes a container; one value has none
+    h.update(b"".join(parts))
 
 
 def state_digest(snap: dict) -> str:

@@ -597,3 +597,75 @@ class TestRemoteBackend:
         specs = campaign.plan()
         with pytest.raises(ValueError, match="backend_url"):
             campaign.execute(specs)
+
+
+class TestRequestBodyLength:
+    """``Content-Length`` is checked before the body is read."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        server = DispatcherServer(Dispatcher(log_dir=tmp_path),
+                                  port=0).start()
+        yield server
+        server.shutdown()
+
+    @staticmethod
+    def post(server, headers, body=b""):
+        """One raw POST /api/lease; returns ``(status, json body)``.
+        A handler stuck in ``read()`` shows as a socket timeout."""
+        import socket
+
+        request = ("POST /api/lease HTTP/1.1\r\nHost: test\r\n"
+                   + "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+                   + "\r\n").encode("ascii") + body
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(request)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(65536)
+                assert chunk, "connection closed before a reply"
+                reply += chunk
+            head, _, rest = reply.partition(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            while len(rest) < length:
+                rest += sock.recv(65536)
+        return int(head.split()[1]), json.loads(rest)
+
+    @pytest.mark.parametrize("declared", ["-1", "abc", "1.5", "", "+3"])
+    def test_bad_length_is_400(self, server, declared):
+        status, body = self.post(server, {"Content-Length": declared})
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_missing_length_is_400(self, server):
+        status, body = self.post(server, {})
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_length_is_413_without_reading(self, server):
+        from repro.dist.server import MAX_BODY_BYTES
+
+        # nothing is sent after the headers: a server that tried to
+        # read (or allocate) the declared body would never answer
+        status, body = self.post(
+            server, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_bound_is_far_above_a_record_batch(self, small_records):
+        from repro.dist.server import MAX_BODY_BYTES
+        from repro.dist.worker import DEFAULT_BATCH_SIZE
+
+        largest = max(len(json.dumps(r)) for r in small_records)
+        assert MAX_BODY_BYTES > 1000 * DEFAULT_BATCH_SIZE * largest
+
+    def test_good_requests_still_served(self, server):
+        body = json.dumps({"worker": "w0"}).encode()
+        assert self.post(server, {"Content-Length": len(body)},
+                         body)[0] == 200
+        # and after a rejected one, on a new connection
+        assert self.post(server, {"Content-Length": "-1"})[0] == 400
+        assert self.post(server, {"Content-Length": len(body)},
+                         body)[0] == 200
+        assert DispatcherClient(server.url).ping()

@@ -174,6 +174,65 @@ class TestStateDigest:
         assert state_digest({"x": 1}) != state_digest({"x": 1.0})
         assert state_digest({"x": "1"}) != state_digest({"x": b"1"})
 
+    def test_byte_stream_is_the_documented_one(self):
+        """Stored ``state_hash`` values depend on the exact bytes fed
+        to the hash: tag, value, ``;`` per value, in walk order."""
+        import hashlib
+
+        from repro.sim.stats import LaunchStats
+
+        def reference(h, obj):
+            if obj is None:
+                h.update(b"N")
+            elif isinstance(obj, (bool, np.bool_)):
+                h.update(b"B1" if obj else b"B0")
+            elif isinstance(obj, (int, np.integer)):
+                h.update(b"I" + str(int(obj)).encode())
+            elif isinstance(obj, (float, np.floating)):
+                h.update(b"F" + repr(float(obj)).encode())
+            elif isinstance(obj, str):
+                h.update(b"S" + obj.encode("utf-8", "surrogatepass"))
+            elif isinstance(obj, bytes):
+                h.update(b"Y" + obj)
+            elif isinstance(obj, np.ndarray):
+                h.update(b"A" + str(obj.dtype).encode()
+                         + repr(obj.shape).encode())
+                h.update(np.ascontiguousarray(obj).tobytes())
+            elif isinstance(obj, (list, tuple)):
+                h.update(b"L" + str(len(obj)).encode())
+                for item in obj:
+                    reference(h, item)
+            elif isinstance(obj, dict):
+                h.update(b"D" + str(len(obj)).encode())
+                for key in sorted(obj, key=repr):
+                    reference(h, key)
+                    reference(h, obj[key])
+            elif isinstance(obj, (set, frozenset)):
+                h.update(b"E" + str(len(obj)).encode())
+                for item in sorted(obj, key=repr):
+                    reference(h, item)
+            else:
+                h.update(b"O" + type(obj).__name__.encode())
+                reference(h, vars(obj))
+            h.update(b";")
+
+        big = np.arange(1 << 15, dtype=np.uint32).reshape(64, -1)
+        snap = {
+            "scalars": [None, True, False, 0, -7, 1 << 70, 0.0, -0.0, 1.5,
+                        float("inf"), "", "caf\u00e9", b"", b"\x00;"],
+            "numpy": (np.bool_(True), np.uint32(7), np.int64(-3),
+                      np.float32(0.1), np.float64(2.5)),
+            "arrays": [big, big[:, ::3], big.T, np.zeros((0, 4)),
+                       np.array(5, dtype=np.int16),
+                       np.ones(3, dtype=bool), np.arange(4, dtype="<u4")],
+            "sets": {frozenset({3, 1, 2}), frozenset()},
+            7: {"a": [], "b": (), "c": {}},
+            "stats": LaunchStats("k", 0, 10, 32, cores_used={4, 2}),
+        }
+        expected = hashlib.blake2b(digest_size=16)
+        reference(expected, snap)
+        assert state_digest(snap) == expected.hexdigest()
+
     def test_checkpoints_carry_state_hash(self, tmp_path):
         from repro.sim.checkpoint import CheckpointRecorder
 
