@@ -224,14 +224,6 @@ def _mixer_for(cls):
     return mixer
 
 
-def _mix(h, obj) -> None:
-    """Feed one object into a digest, canonically."""
-    parts: List[bytes] = []
-    _mix_each(h, parts, (obj,))
-    parts.pop()  # _mix_each closes a container; one value has none
-    h.update(b"".join(parts))
-
-
 def state_digest(snap: dict) -> str:
     """Canonical digest of one :meth:`GPU.snapshot` dict.
 
@@ -241,7 +233,9 @@ def state_digest(snap: dict) -> str:
     (:class:`repro.faults.early_stop.ConvergenceMonitor`).
     """
     h = hashlib.blake2b(digest_size=16)
-    _mix(h, snap)
+    parts: List[bytes] = []
+    _mix_dict(h, parts, snap)
+    h.update(b"".join(parts))
     return h.hexdigest()
 
 

@@ -113,21 +113,20 @@ class IssuePlan:
             latency path): pack members are checked for agreement.
         srcs, dst, dsts, modifiers, fn: ALU operands, see
             :func:`repro.sim.exec_unit.bind`.
-        base, offset, addrs: memory operand ``[R<base>+offset]``;
-            with an ``RZ`` base ``base`` is ``None`` and ``addrs`` the
-            read-only per-lane addresses.
-        dst: destination register index of a load / ``ATOM``
-            (``None``: ``RZ`` or no destination).
-        src: source register index of a store/atomic (``None``: RZ).
-        is_load, is_atomic, via_texture, returns (``ATOM``, not
-            ``RED``): memory-op traits.
+        base, offset, addrs: memory operand ``[R<base>+offset]``
+            (``c[offset]`` for ``LDC``); with an ``RZ`` base ``base``
+            is ``None`` and ``addrs`` the read-only per-lane addresses.
+        dst, src: memory ops: register index loaded into (``LDG``..,
+            ``ATOM``) / stored from; ``None`` for ``RZ`` or absent.
+        is_load, is_atomic, via_texture: memory-op traits;
+            ``modifiers[0]`` is an atomic's operation.
     """
 
     __slots__ = ("inst", "kind", "run", "sfu", "hazard_regs", "hazard_preds",
                  "dst_regs", "dst_preds", "guard", "guard_negate", "steers",
                  "srcs", "dst", "dsts", "modifiers", "fn",
                  "base", "offset", "addrs", "src", "is_load", "is_atomic",
-                 "via_texture", "returns")
+                 "via_texture")
 
     def __init__(self, inst: Instruction):
         spec = OPCODES[inst.opcode]
@@ -163,7 +162,6 @@ class IssuePlan:
         self.is_atomic = spec.klass is OpClass.ATOMIC
         self.via_texture = spec.space == "tex"
         self.modifiers = inst.modifiers
-        self.returns = inst.opcode == "ATOM"
         dst = inst.dsts[0] if inst.dsts else None
         self.dst = dst.index if dst is not None and not dst.is_rz else None
         self.src = None
@@ -240,10 +238,7 @@ class SIMTCore:
         self._live_warps += cta.live_warp_count
         self._live_threads += cta.live_thread_count()
         self._sched_cache = None
-        self._forget_stalls()
-
-    def _forget_stalls(self) -> None:
-        """New warps to ask: every scheduler polls at its next cycle."""
+        # new warps to ask: every scheduler polls at its next cycle
         self.ready_at = 0
         self._sched_ready = [0] * len(self._sched_ready)
 
@@ -727,7 +722,7 @@ class SIMTCore:
         """Atomics bypass L1 and read-modify-write in the L2."""
         gpu = self.gpu
         op = plan.modifiers[0]
-        dst = plan.dst if plan.returns else None
+        dst = plan.dst  # ATOM's; RED has none
         worst = 0
         for lane in lanes:
             addr = int(addrs[lane])

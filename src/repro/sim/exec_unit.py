@@ -57,7 +57,6 @@ class Source:
             lanes = np.full(32, op.value, dtype=_U32)
             self.u32, self.f32 = lanes, lanes.view(_F32)
         else:
-            assert isinstance(op, RegRef)
             self.flags = (_NEGATE if op.negate else 0) \
                 | (_ABSOLUTE if op.absolute else 0)
             if op.is_rz:

@@ -8,6 +8,18 @@ wake) raises :class:`~repro.sim.errors.DeadlockError`, and exceeding
 the externally set cycle budget raises
 :class:`~repro.sim.errors.SimTimeout`; the fault classifier maps both
 to the paper's *Timeout* outcome.
+
+The loop asks nothing it already knows.  Each core exposes
+``ready_at``, the earliest cycle any of its warps can issue (see
+:mod:`repro.sim.core` for why that memo is exact): a core whose
+``ready_at`` lies ahead is passed over, and the skip target is the
+minimum over the busy cores.  A CTA whose last warp drains puts itself
+on :attr:`GPU.drained` for the loop to retire at the end of the
+iteration; the busy-core list changes only then; the occupancy
+integrals read per-core counters.  The visited cycles -- and with them
+``loop_iterations``, ``idle_cycles_skipped``, the checkpoint cycles
+and every state digest -- are those of a loop that asks every warp at
+every visited cycle.
 """
 
 from __future__ import annotations

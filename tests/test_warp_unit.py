@@ -157,3 +157,57 @@ class TestCTAUnit:
         cta.warps[0].at_barrier = True
         assert not cta.try_release_barrier()
         assert cta.warps[0].at_barrier
+
+
+class TestVectorisedAddressResolution:
+    """``smem_word_indices``/``local_word_indices`` against the scalar
+    resolvers they vectorise: same words, or the same violation for
+    the first offending address in the order given."""
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except MemoryViolation as exc:
+            return (exc.space, exc.address, exc.reason)
+
+    def check(self, vector, scalar, addrs):
+        addrs = np.asarray(addrs, dtype=np.int64)
+        expected = self.outcome(lambda: [scalar(int(a)) for a in addrs])
+        got = self.outcome(lambda: vector(addrs).tolist())
+        assert got == expected
+
+    @pytest.mark.parametrize("smem", [0, 6, 64, 256])
+    def test_shared_matches_scalar_resolver(self, smem):
+        cta = TestCTAUnit().make_cta(smem=smem)
+        cta.smem_ceiling = 1024
+        rng = np.random.default_rng(smem)
+
+        def scalar(addr):
+            return cta._resolve_smem(addr) >> 2
+
+        self.check(cta.smem_word_indices, scalar,
+                   np.arange(0, max(smem, 4), 4))
+        for _ in range(200):
+            n = int(rng.integers(1, 33))
+            addrs = rng.integers(0, 1024 // 4, n) * 4
+            kind = rng.integers(0, 4)
+            if kind == 1:  # misaligned somewhere
+                addrs[rng.integers(0, n)] += int(rng.integers(1, 4))
+            elif kind == 2:  # out of the window somewhere
+                addrs[rng.integers(0, n)] = int(
+                    rng.choice([-4, 1021, 1024, 4096]))
+            elif kind == 3:  # several offenders: the first one counts
+                addrs[rng.integers(0, n, 3)] = [1024, 6, -8]
+            self.check(cta.smem_word_indices, scalar, addrs)
+
+    @pytest.mark.parametrize("local_bytes", [0, 16, 30])
+    def test_local_matches_scalar_resolver(self, local_bytes):
+        warp = make_warp(local_bytes=local_bytes)
+        rng = np.random.default_rng(local_bytes)
+        for _ in range(200):
+            n = int(rng.integers(1, 33))
+            addrs = rng.integers(-1, 12, n) * 4
+            if rng.integers(0, 3) == 0:
+                addrs[rng.integers(0, n)] += int(rng.integers(1, 4))
+            self.check(warp.local_word_indices, warp._local_word, addrs)
