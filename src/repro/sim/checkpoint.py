@@ -196,19 +196,15 @@ def _mix_object(h, parts, obj) -> None:
     parts.append(b";")
 
 
-#: Exact type -> mixer; types first seen go through :func:`_mixer_for`.
-_MIXERS = {
-    type(None): _mix_none, bool: _mix_bool, int: _mix_int,
-    float: _mix_float, str: _mix_str, bytes: _mix_bytes,
-    np.ndarray: _mix_array, list: _mix_sequence, tuple: _mix_sequence,
-    dict: _mix_dict, set: _mix_set, frozenset: _mix_set,
-}
+#: Exact type -> mixer, filled by :func:`_mixer_for` as types are seen.
+_MIXERS: Dict[type, object] = {}
 
 
 def _mixer_for(cls):
-    """Classify a type not in the table (numpy scalars, subclasses),
-    once: bool before int, since bool is an int."""
-    for bases, mixer in (((bool, np.bool_), _mix_bool),
+    """Classify a type (numpy scalars and subclasses included), once:
+    bool before int, since bool is an int."""
+    for bases, mixer in (((type(None),), _mix_none),
+                         ((bool, np.bool_), _mix_bool),
                          ((int, np.integer), _mix_int),
                          ((float, np.floating), _mix_float),
                          ((str,), _mix_str), ((bytes,), _mix_bytes),

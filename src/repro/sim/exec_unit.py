@@ -106,7 +106,9 @@ def read_f32(warp: Warp, src: Source) -> np.ndarray:
 
 
 def read_pred(warp: Warp, op: PredRef) -> np.ndarray:
-    """Read a predicate operand (bool[ncols, 32]), honouring negation."""
+    """Read a predicate operand (bool[ncols, 32]), honouring negation.
+    Not negated, the result is the predicate itself: finish reading
+    it before writing any predicate."""
     values = warp.preds[op.index]
     return ~values if op.negate else values
 
@@ -216,8 +218,11 @@ def _setp(op, warp, mask, a, b):
     compare, combine = op.fn
     cmp = compare(a, b)
     other = read_pred(warp, op.srcs[2])
-    write_pred(warp, op.dsts[0], combine(cmp, other), mask)
-    write_pred(warp, op.dsts[1], combine(~cmp, other), mask)
+    # both results before either write: ``other`` may be the very
+    # predicate dsts[0] names (``ISETP.LT.AND P0, P1, R2, 8, P0``)
+    first, second = combine(cmp, other), combine(~cmp, other)
+    write_pred(warp, op.dsts[0], first, mask)
+    write_pred(warp, op.dsts[1], second, mask)
 
 
 def _h_isetp(op, warp, mask):
@@ -293,7 +298,10 @@ def _h_nop(op, warp, mask):
     del op, warp, mask
 
 
-#: Dispatch table: opcode -> handler(op, warp, mask).
+#: Dispatch table: opcode -> handler(op, warp, mask).  Precondition for
+#: any caller outside the cycle loop: run the fp32 handlers under
+#: ``np.errstate(all="ignore")``; they divide by zero and overflow
+#: silently, like the hardware.
 HANDLERS: Dict[str, Callable[[object, Warp, np.ndarray], None]] = {
     "MOV": _h_mov,
     "S2R": _h_s2r,

@@ -374,6 +374,8 @@ class GPU:
         self.const_bank.restore(snap["const_bank"])
         self.l2.restore(snap["l2"])
         self.stats.restore(snap["stats"])
+        # a snapshot is taken between iterations: nothing awaits retirement
+        self.drained.clear()
         for core, csnap in zip(self.cores, snap["cores"]):
             core.restore(csnap, launch)
         return [tuple(c) for c in snap["queue"]]

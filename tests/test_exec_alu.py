@@ -285,6 +285,23 @@ class TestPredicates:
         expect = np.where(a.view(_I32) < b.view(_I32), b, a)
         assert np.array_equal(out, expect)
 
+    @pytest.mark.parametrize("bool_mod,fn", [
+        ("AND", np.logical_and), ("OR", np.logical_or),
+        ("XOR", np.logical_xor)])
+    def test_first_dst_may_be_the_combine_predicate(self, bool_mod, fn):
+        """``ISETP P0, P1, .., P0``: P1 combines with P0's value from
+        before the instruction, not the one it has just written."""
+        a = np.arange(32, dtype=_U32)
+        body = ("    ISETP.LT.AND P0, PT, R4, 16, PT\n"
+                f"    ISETP.GE.{bool_mod} P0, P1, R4, 8, P0\n"
+                "    MOV R10, RZ\n"
+                "@P0 IADD R10, R10, 1\n"
+                "@P1 IADD R10, R10, 2")
+        out = run_op(body, a)
+        old = a < 16
+        expect = fn(a >= 8, old) * 1 + fn(a < 8, old) * 2
+        assert np.array_equal(out, expect.astype(_U32))
+
     def test_fsetp(self):
         a, b = rnd_f32(74), rnd_f32(75)
         body = ("    FSETP.LT.AND P0, PT, R4, R5, PT\n"
