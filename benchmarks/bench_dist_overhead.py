@@ -13,8 +13,9 @@ runs the same campaign both ways and asserts two things:
   both sides) is at most ``GPUFI_DIST_MAX_OVERHEAD`` (default 50%)
   slower than local, best-of-``N`` rounds.  The ceiling is deliberately
   loose: at bench scale each run simulates for milliseconds, so the
-  fixed HTTP/lease cost is proportionally large; real campaigns
-  amortize it to noise.
+  fixed HTTP/lease cost is proportionally large.  What a record costs
+  the dispatcher is measured by the repo benchmark's ``fleet_instant``
+  workload (``benchmarks/perf``, ``docs/performance.md``).
 
 Workers run as subprocesses (``python -m repro.dist.worker``), so the
 comparison against the multiprocessing pool is honest -- both sides

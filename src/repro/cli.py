@@ -211,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--max-idle", type=float,
                         help="exit after this many idle seconds "
                              "(default: work forever)")
-    worker.add_argument("--batch-size", type=int, default=None,
-                        help="records per streaming POST (default 4)")
 
     submit = sub.add_parser(
         "submit",
@@ -699,13 +697,12 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.dist.worker import DEFAULT_BATCH_SIZE, FleetWorker
+    from repro.dist.client import DispatchError
+    from repro.dist.worker import FleetWorker
 
     worker = FleetWorker(
         args.connect, name=args.name, poll=args.poll,
         max_idle=args.max_idle,
-        batch_size=(args.batch_size if args.batch_size is not None
-                    else DEFAULT_BATCH_SIZE),
         progress=lambda msg: print(f"  .. {msg}", flush=True))
     print(f"worker {worker.name} connecting to {args.connect}",
           flush=True)
@@ -713,6 +710,8 @@ def _cmd_worker(args) -> int:
         worker.run()
     except KeyboardInterrupt:
         pass
+    except DispatchError as exc:
+        raise SystemExit(f"error: {exc}")
     print(f"worker {worker.name}: {worker.runs_done} runs in "
           f"{worker.shards_done} shards", flush=True)
     return 0

@@ -17,9 +17,11 @@ that exploits that:
   records into the same artifacts a local run produces;
 - :mod:`repro.dist.worker` -- the ``gpufi worker`` process: leases
   shards, executes them with :func:`repro.faults.executor.execute_run`
-  and streams records back;
+  and sends the records back, one request per shard when runs are
+  quick;
 - :mod:`repro.dist.client` -- ``gpufi submit`` / ``gpufi status``
-  client helpers (stdlib ``urllib``, no extra dependencies);
+  client helpers (stdlib ``http.client`` on one kept connection per
+  thread, no extra dependencies);
 - :mod:`repro.dist.backend` -- the :class:`~repro.dist.backend.Backend`
   interface: ``LocalPoolBackend`` (today's in-process pool, the
   default) and ``RemoteFleetBackend`` (submit to a dispatcher), both

@@ -120,26 +120,29 @@ class RemoteFleetBackend(Backend):
                 "CLI or -gpufi_backend_url in a config file")
         fingerprint = plan_fingerprint(specs)
         client = DispatcherClient(config.backend_url)
-        # the dispatcher owns its artifacts; ship a local-shaped config
-        submitted = dataclasses.replace(config, backend="local",
-                                        backend_url=None, log_path=None)
-        reply = client.submit(submitted)
-        campaign_id = reply["campaign"]
-        campaign._progress(
-            f"campaign {campaign_id} "
-            + ("joined (already submitted)" if reply.get("reused")
-               else "submitted")
-            + f" to {config.backend_url} ({reply['total']} runs)")
-        client.wait(campaign_id, timeout=None,
-                    progress=campaign._progress)
-        status = client.status(campaign_id)
-        if status["fingerprint"] != fingerprint:
-            raise ValueError(
-                f"dispatcher campaign {campaign_id} has fingerprint "
-                f"{status['fingerprint'][:12]}..., local plan is "
-                f"{fingerprint[:12]}... -- client and server disagree "
-                "about the plan (version/config drift?)")
-        records = client.records(campaign_id)
+        try:
+            # the dispatcher owns its artifacts; ship a local-shaped config
+            submitted = dataclasses.replace(config, backend="local",
+                                            backend_url=None, log_path=None)
+            reply = client.submit(submitted)
+            campaign_id = reply["campaign"]
+            campaign._progress(
+                f"campaign {campaign_id} "
+                + ("joined (already submitted)" if reply.get("reused")
+                   else "submitted")
+                + f" to {config.backend_url} ({reply['total']} runs)")
+            client.wait(campaign_id, timeout=None,
+                        progress=campaign._progress)
+            status = client.status(campaign_id)
+            if status["fingerprint"] != fingerprint:
+                raise ValueError(
+                    f"dispatcher campaign {campaign_id} has fingerprint "
+                    f"{status['fingerprint'][:12]}..., local plan is "
+                    f"{fingerprint[:12]}... -- client and server disagree "
+                    "about the plan (version/config drift?)")
+            records = client.records(campaign_id)
+        finally:
+            client.close()
         by_key = {(r["kernel"], r["structure"], r["run"]): r
                   for r in records}
         missing = [spec.key for spec in specs if spec.key not in by_key]

@@ -1,76 +1,30 @@
 """Client side of the dispatch protocol: ``gpufi submit`` / ``status``.
 
-Stdlib ``urllib`` only -- the fabric stays pip-light by design.  The
-:class:`DispatcherClient` is also what :class:`~repro.dist.backend
+Stdlib ``http.client`` only -- the fabric stays pip-light by design.
+The :class:`DispatcherClient` is also what :class:`~repro.dist.backend
 .RemoteFleetBackend` and the worker loop build on.
+
+A client keeps one HTTP/1.1 connection per calling thread and sends
+every request of that thread on it, so a request costs one exchange on
+an open socket instead of a TCP handshake and a new server thread.  A
+kept connection can be gone by the time it is used again (the
+dispatcher restarted, or closed it after refusing a request): a
+request that finds it so is sent once more on a new connection, and
+only that one's failure is reported.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Callable, Iterator, List, Optional, Union
 
 
 class DispatchError(RuntimeError):
     """A dispatcher request failed (unreachable, rejected, or 5xx)."""
-
-
-def http_json(base_url: str, path: str, payload: Optional[dict] = None,
-              timeout: float = 30.0) -> dict:
-    """One JSON request: GET without payload, POST with.
-
-    Raises :class:`DispatchError` with the server's ``error`` message
-    on HTTP errors, and a "cannot reach" message when the dispatcher
-    is down -- callers never see raw urllib exceptions.
-    """
-    url = base_url.rstrip("/") + path
-    data = None
-    headers = {"Accept": "application/json"}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(url, data=data, headers=headers)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read().decode("utf-8")
-    except urllib.error.HTTPError as exc:
-        detail = exc.read().decode("utf-8", "replace")
-        try:
-            detail = json.loads(detail).get("error", detail)
-        except (json.JSONDecodeError, AttributeError):
-            pass
-        raise DispatchError(
-            f"{path}: HTTP {exc.code}: {detail}") from exc
-    except urllib.error.URLError as exc:
-        raise DispatchError(
-            f"cannot reach dispatcher at {base_url}: "
-            f"{exc.reason}") from exc
-    try:
-        return json.loads(body or "{}")
-    except json.JSONDecodeError as exc:
-        raise DispatchError(
-            f"{path}: dispatcher returned non-JSON: {body[:80]!r}"
-        ) from exc
-
-
-def http_text(base_url: str, path: str, timeout: float = 30.0) -> str:
-    """One plain-text GET (the ``/metrics`` exposition)."""
-    url = base_url.rstrip("/") + path
-    request = urllib.request.Request(url,
-                                     headers={"Accept": "text/plain"})
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.read().decode("utf-8")
-    except urllib.error.HTTPError as exc:
-        raise DispatchError(f"{path}: HTTP {exc.code}") from exc
-    except urllib.error.URLError as exc:
-        raise DispatchError(
-            f"cannot reach dispatcher at {base_url}: "
-            f"{exc.reason}") from exc
 
 
 class DispatcherClient:
@@ -79,10 +33,80 @@ class DispatcherClient:
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        scheme, _, rest = self.base_url.rpartition("://")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._connection_type = (http.client.HTTPSConnection
+                                 if scheme == "https"
+                                 else http.client.HTTPConnection)
+        self._local = threading.local()
+
+    def _exchange(self, path: str, payload: Optional[dict],
+                  accept: str) -> str:
+        """One request on the calling thread's connection: GET without
+        payload, POST with; returns the body of a 2xx reply.
+
+        Raises :class:`DispatchError` with the server's ``error``
+        message on HTTP errors, and a "cannot reach" message when the
+        dispatcher is down -- callers never see raw socket or
+        ``http.client`` exceptions.
+        """
+        data = None
+        headers = {"Accept": accept}
+        if payload is not None:
+            data = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        try:
+            connection = getattr(self._local, "connection", None)
+            if connection is None:
+                connection = self._local.connection = \
+                    self._connection_type(self._netloc,
+                                          timeout=self.timeout)
+            # a connection that is already open may have been dropped
+            # while idle, which only shows when it is used
+            for may_be_stale in (connection.sock is not None, False):
+                try:
+                    connection.request("GET" if data is None else "POST",
+                                       self._prefix + path, body=data,
+                                       headers=headers)
+                    response = connection.getresponse()
+                    status = response.status
+                    body = response.read().decode("utf-8", "replace")
+                    break
+                except ConnectionError:
+                    connection.close()
+                    if not may_be_stale:
+                        raise
+        except (http.client.HTTPException, OSError) as exc:
+            self.close()
+            raise DispatchError(
+                f"cannot reach dispatcher at {self.base_url}: "
+                f"{exc}") from exc
+        if status >= 400:
+            detail = body
+            try:
+                detail = json.loads(body).get("error", body)
+            except (json.JSONDecodeError, AttributeError):
+                pass
+            raise DispatchError(f"{path}: HTTP {status}: {detail}")
+        return body
+
+    def close(self) -> None:
+        """Close the calling thread's connection; its next request
+        opens a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     def call(self, path: str, payload: Optional[dict] = None) -> dict:
-        return http_json(self.base_url, path, payload,
-                         timeout=self.timeout)
+        """One JSON request: GET without payload, POST with."""
+        body = self._exchange(path, payload, "application/json")
+        try:
+            return json.loads(body or "{}")
+        except json.JSONDecodeError as exc:
+            raise DispatchError(
+                f"{path}: dispatcher returned non-JSON: {body[:80]!r}"
+            ) from exc
 
     def ping(self) -> dict:
         return self.call("/api/ping")
@@ -115,7 +139,7 @@ class DispatcherClient:
 
     def metrics_text(self) -> str:
         """The dispatcher's ``/metrics`` Prometheus exposition."""
-        return http_text(self.base_url, "/metrics", timeout=self.timeout)
+        return self._exchange("/metrics", None, "text/plain")
 
     def wait(self, campaign_id: str, timeout: Optional[float] = None,
              poll: float = 0.5, max_poll: float = 5.0,

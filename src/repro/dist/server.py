@@ -7,19 +7,23 @@ coordination point of a fault-injection fleet:
   ``-gpufi_*`` option text as config files); the dispatcher profiles
   the golden run once, enumerates the plan and splits it into shards.
 - **lease** (work stealing): workers ask for work whenever they are
-  free; the dispatcher hands out the next pending shard, round-robin
+  free -- in the send that completes their shard (``lease_next``,
+  answered by ``next``), or at ``/api/lease`` when they have none;
+  the dispatcher hands out the next pending shard, round-robin
   across concurrently submitted campaigns so no campaign starves.
 - **heartbeat / expiry**: every lease carries a deadline; a worker
   that stops heartbeating (crashed host, network partition) loses the
   lease and the shard is silently re-queued for someone else.  Records
   are pure functions of their specs, so re-execution is always safe,
   and duplicates are deduplicated by ``(kernel, structure, run)``.
-- **collect**: workers stream records back per shard; the dispatcher
+- **collect**: workers send records back per shard; the dispatcher
   verifies the campaign fingerprint on every batch (a worker can never
   pollute a campaign with records of another plan), appends them to
   the campaign's JSONL log -- the same artifact a local run produces,
   header line included -- and, when telemetry is on, writes the
-  ``.metrics.json`` sidecar at completion.
+  ``.metrics.json`` sidecar at completion.  Its cost per record does
+  not depend on the size of the plan, and log and journal are each
+  written and flushed once per request, before the reply.
 - **restart resume**: campaign configs are persisted next to the logs;
   on restart the dispatcher re-plans each unfinished campaign, reloads
   the records already logged (the standard JSONL resume machinery) and
@@ -37,16 +41,25 @@ The merged log of an N-worker fleet is byte-identical (after canonical
 sort, minus timing/worker keys; see
 :func:`repro.dist.protocol.canonical_log_text`) to a ``--jobs N``
 local run of the same plan.
+
+The HTTP layer serves HTTP/1.1 connections for as long as the client
+keeps them, one daemon thread each, and sends every reply in one
+write (see ``_Handler``); :meth:`DispatcherServer.shutdown` ends the
+connections still open.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import re
+import socket
+import sys
 import threading
 import time
 from collections import deque
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -76,8 +89,8 @@ DEFAULT_SHARD_SIZE = 8
 DEFAULT_LEASE_TIMEOUT = 60.0
 
 #: Largest request body accepted.  A record batch is a few kilobytes
-#: per record (a few hundred with a propagation trace) times the
-#: worker's batch size; anything near this bound is not a client.
+#: per record (a few hundred with a propagation trace) times at most
+#: the shard size; anything near this bound is not a client.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
@@ -99,20 +112,33 @@ class _Lease:
 class CampaignJob:
     """Dispatcher-side state of one submitted campaign."""
 
-    def __init__(self, campaign_id: str, config_text: str,
-                 specs: Sequence[RunSpec], shard_size: int,
-                 log_path: Path):
+    def __init__(self, campaign_id: str, config_text: str, config,
+                 specs: Sequence[RunSpec], fingerprint: str,
+                 shard_size: int, log_path: Path):
         self.campaign_id = campaign_id
         self.config_text = config_text
-        self.config = parse_config_text(config_text)
+        #: ``config_text`` parsed and ``specs`` fingerprinted, once, by
+        #: the submit that planned them.
+        self.config = config
         self.specs = list(specs)
-        self.fingerprint = plan_fingerprint(specs)
+        self.fingerprint = fingerprint
         self.shards = plan_shards(specs, shard_size)
+        #: Every run key of the plan: what a record must be one of.
+        self.keys = frozenset(spec.key for spec in self.specs)
         self.pending = deque(range(len(self.shards)))
         self.leases: Dict[str, _Lease] = {}
         self.completed_shards: set = set()
         self.records: Dict[tuple, dict] = {}
+        #: Records per effect, kept in step with ``records`` by
+        #: :meth:`add_record`, so a status poll or a ``/metrics``
+        #: scrape never walks the records.
+        self.effect_counts: Dict[str, int] = {}
+        #: Wire form of each leased, not yet completed shard.
+        self.shard_wires: Dict[int, List[dict]] = {}
         self.log_path = log_path
+        #: Append handle on the merged log, opened by the first fresh
+        #: record and closed when the campaign completes.
+        self.log_handle = None
         self.submitted_at = time.time()
         #: Root of the campaign's trace-ID chain, stamped at submit.
         self.trace = campaign_trace(campaign_id, self.fingerprint)
@@ -120,6 +146,9 @@ class CampaignJob:
         #: (mirrors the on-disk ``<log>.events.jsonl``).
         self.events: List[dict] = []
         self.event_log: Optional[EventLog] = None
+        #: How many of ``events`` are in the journal file; the rest is
+        #: what the endpoint call in progress has journaled so far.
+        self.events_written = 0
         #: Run keys that already have a journaled ``run`` event --
         #: re-delivered batches from recovered leases journal nothing.
         self.event_run_keys: set = set()
@@ -136,15 +165,22 @@ class CampaignJob:
     def complete(self) -> bool:
         return len(self.records) >= self.total
 
-    def shard_keys(self, shard_index: int) -> set:
-        return {spec.key for spec in self.shards[shard_index]}
+    def add_record(self, key: tuple, record: dict) -> None:
+        self.records[key] = record
+        effect = record.get("effect", "?")
+        self.effect_counts[effect] = self.effect_counts.get(effect, 0) + 1
+
+    def shard_wire(self, shard_index: int) -> List[dict]:
+        """The shard's specs in wire form, built on its first lease
+        and reused if it has to be leased again."""
+        wire = self.shard_wires.get(shard_index)
+        if wire is None:
+            wire = self.shard_wires[shard_index] = [
+                spec_to_wire(spec) for spec in self.shards[shard_index]]
+        return wire
 
     def effects(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records.values():
-            effect = record.get("effect", "?")
-            counts[effect] = counts.get(effect, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(self.effect_counts.items()))
 
     def status(self) -> dict:
         return {
@@ -210,6 +246,8 @@ class Dispatcher:
         #: Wall-clock stamps of freshly collected records; the
         #: trailing-window throughput gauge in ``/metrics``.
         self._rate: deque = deque()
+        #: Jobs with events journaled in memory and not yet on file.
+        self._unwritten: List[CampaignJob] = []
         self.telemetry = Telemetry()
         self._restore_persisted()
 
@@ -224,22 +262,25 @@ class Dispatcher:
         is also how a client resumes after a dispatcher restart: same
         config, same fingerprint, same campaign.
         """
-        config = parse_config_text(config_text)  # validate early
+        config = parse_config_text(config_text)
         if config.backend != "local":
             # the dispatcher *is* the remote side; forwarding again
             # would recurse
             raise ValueError(
                 "submitted campaigns must use the local backend "
                 f"(got {config.backend!r})")
-        specs = self._plan(config_text)
+        # planning runs the golden profile; deliberately outside the
+        # lock so a slow submit never stalls the lease path
+        specs = Campaign(config).plan()
         fingerprint = plan_fingerprint(specs)
-        with self._lock:
+        with self._endpoint():
             for job in self._jobs.values():
                 if job.fingerprint == fingerprint:
                     return {"campaign": job.campaign_id, "reused": True,
                             "total": job.total}
             cid = campaign_id or self._next_id()
-            job = CampaignJob(cid, config_text, specs, self.shard_size,
+            job = CampaignJob(cid, config_text, config, specs,
+                              fingerprint, self.shard_size,
                               self.log_dir / f"{cid}.jsonl")
             self._restore_log(job)
             self._persist(job)
@@ -252,12 +293,6 @@ class Dispatcher:
             if job.complete:
                 self._finalize(job)
             return {"campaign": cid, "reused": False, "total": job.total}
-
-    def _plan(self, config_text: str) -> List[RunSpec]:
-        # planning runs the golden profile; deliberately outside the
-        # lock so a slow submit never stalls the lease path
-        config = parse_config_text(config_text)
-        return Campaign(config).plan()
 
     def _next_id(self) -> str:
         self._id_seq += 1
@@ -277,6 +312,7 @@ class Dispatcher:
         resumed = path.exists()
         if resumed:
             job.events = read_events(path)
+            job.events_written = len(job.events)
             for event in job.events:
                 kind = event.get("event")
                 if kind == "run":
@@ -307,11 +343,31 @@ class Dispatcher:
         return self._append_event(job, record)
 
     def _append_event(self, job: CampaignJob, record: dict) -> dict:
-        """Journal one event to the in-memory list and the file."""
-        if job.event_log is not None:
-            record = job.event_log.append(record)
+        """Journal one event: in memory now, on file when the endpoint
+        call that caused it ends (:meth:`_endpoint`)."""
+        record = job.event_log.stamp(record)
+        if job.events_written == len(job.events):
+            self._unwritten.append(job)
         job.events.append(record)
         return record
+
+    @contextlib.contextmanager
+    def _endpoint(self):
+        """The lock every endpoint call runs under.
+
+        Whatever the call journaled, on whichever campaigns, is
+        written and flushed once per campaign before the lock is
+        released -- so before the call returns and its reply is sent,
+        also when it raises.
+        """
+        with self._lock:
+            try:
+                yield
+            finally:
+                for job in self._unwritten:
+                    job.event_log.extend(job.events[job.events_written:])
+                    job.events_written = len(job.events)
+                self._unwritten.clear()
 
     def events(self, campaign_id: str, cursor: int = 0,
                limit: int = 500) -> dict:
@@ -321,7 +377,7 @@ class Dispatcher:
         resume tailing by passing back the reply's ``next``.  A page
         is never torn: events are journaled whole under the lock.
         """
-        with self._lock:
+        with self._endpoint():
             self._reap_expired()
             job = self._jobs.get(campaign_id)
             if job is None:
@@ -350,52 +406,54 @@ class Dispatcher:
         one, so concurrently submitted campaigns progress together
         instead of strictly first-come-first-served.
         """
-        with self._lock:
+        with self._endpoint():
             self._reap_expired()
-            self._touch_worker(worker)
-            if not self._order:
-                return {"idle": True}
-            for offset in range(len(self._order)):
-                index = (self._rr_next + offset) % len(self._order)
-                job = self._jobs[self._order[index]]
-                if not job.pending:
-                    continue
-                self._rr_next = (index + 1) % len(self._order)
-                shard_index = job.pending.popleft()
-                self._lease_seq += 1
-                lease_id = (f"{job.campaign_id}-s{shard_index}"
-                            f"-{self._lease_seq}")
-                generation = job.generations.get(shard_index, 0) + 1
-                job.generations[shard_index] = generation
-                trace = shard_trace(job.trace, shard_index, generation)
-                job.leases[lease_id] = _Lease(
-                    lease_id, shard_index, worker,
-                    self._clock() + self.lease_timeout,
-                    generation=generation, trace=trace)
-                self._workers[worker]["leases"] += 1
-                self.telemetry.count("leases_granted")
-                self._journal(job, "shard_leased", shard=shard_index,
-                              worker=worker, generation=generation,
-                              runs=len(job.shards[shard_index]),
-                              trace=trace)
-                log.info("lease %s -> %s (%d specs)", lease_id, worker,
-                         len(job.shards[shard_index]))
-                return {
-                    "campaign": job.campaign_id,
-                    "lease": lease_id,
-                    "shard": shard_index,
-                    "fingerprint": job.fingerprint,
-                    "trace": trace,
-                    "campaign_trace": job.trace,
-                    "heartbeat_s": self.lease_timeout / 3.0,
-                    "specs": [spec_to_wire(spec)
-                              for spec in job.shards[shard_index]],
-                }
-            return {"idle": True}
+            return self._grant(worker)
+
+    def _grant(self, worker: str) -> dict:
+        """The reply of :meth:`lease`, and the ``next`` of a
+        :meth:`collect` that asked for one."""
+        self._touch_worker(worker)
+        for offset in range(len(self._order)):
+            index = (self._rr_next + offset) % len(self._order)
+            job = self._jobs[self._order[index]]
+            if not job.pending:
+                continue
+            self._rr_next = (index + 1) % len(self._order)
+            shard_index = job.pending.popleft()
+            self._lease_seq += 1
+            lease_id = (f"{job.campaign_id}-s{shard_index}"
+                        f"-{self._lease_seq}")
+            generation = job.generations.get(shard_index, 0) + 1
+            job.generations[shard_index] = generation
+            trace = shard_trace(job.trace, shard_index, generation)
+            job.leases[lease_id] = _Lease(
+                lease_id, shard_index, worker,
+                self._clock() + self.lease_timeout,
+                generation=generation, trace=trace)
+            self._workers[worker]["leases"] += 1
+            self.telemetry.count("leases_granted")
+            self._journal(job, "shard_leased", shard=shard_index,
+                          worker=worker, generation=generation,
+                          runs=len(job.shards[shard_index]),
+                          trace=trace)
+            log.info("lease %s -> %s (%d specs)", lease_id, worker,
+                     len(job.shards[shard_index]))
+            return {
+                "campaign": job.campaign_id,
+                "lease": lease_id,
+                "shard": shard_index,
+                "fingerprint": job.fingerprint,
+                "trace": trace,
+                "campaign_trace": job.trace,
+                "heartbeat_s": self.lease_timeout / 3.0,
+                "specs": job.shard_wire(shard_index),
+            }
+        return {"idle": True}
 
     def heartbeat(self, lease_id: str) -> dict:
         """Extend a live lease; tell the worker if it expired."""
-        with self._lock:
+        with self._endpoint():
             self._reap_expired()
             for job in self._jobs.values():
                 lease = job.leases.get(lease_id)
@@ -444,7 +502,8 @@ class Dispatcher:
                 fingerprint: str, records: Sequence[dict],
                 done: bool = False, worker: Optional[str] = None,
                 events: Optional[Sequence[dict]] = None,
-                trace: Optional[str] = None) -> dict:
+                trace: Optional[str] = None,
+                lease_next: bool = False) -> dict:
         """Accept a batch of records (and their events) from a worker.
 
         The batch must carry the campaign's fingerprint -- shard
@@ -462,8 +521,12 @@ class Dispatcher:
         from an expired-then-recovered lease streams nothing twice.
         A batch from an older worker that sends no events still
         journals one synthesized ``run`` event per fresh record.
+
+        A ``done`` batch with ``lease_next`` is also the worker's next
+        lease request: the reply's ``next`` is what :meth:`lease`
+        would have returned to it, a shard or ``{"idle": True}``.
         """
-        with self._lock:
+        with self._endpoint():
             self._reap_expired()
             job = self._jobs.get(campaign_id)
             if job is None:
@@ -492,6 +555,7 @@ class Dispatcher:
             expired = lease is None
             if lease is not None and done:
                 job.completed_shards.add(lease.shard_index)
+                job.shard_wires.pop(lease.shard_index, None)
                 del job.leases[lease_id]
                 self._journal(job, "shard_complete",
                               shard=lease.shard_index,
@@ -500,29 +564,33 @@ class Dispatcher:
                               trace=lease.trace)
             if job.complete:
                 self._finalize(job)
-            return {"ok": True, "accepted": accepted, "expired": expired,
-                    "campaign_complete": job.complete}
+            reply = {"ok": True, "accepted": accepted, "expired": expired,
+                     "campaign_complete": job.complete}
+            if done and lease_next:
+                reply["next"] = self._grant(worker or "?")
+            return reply
 
     def _absorb(self, job: CampaignJob,
                 records: Sequence[dict]) -> List[dict]:
         """Dedup-merge records into the job and its log; return the
         fresh (first-delivery) ones."""
         fresh: List[dict] = []
-        plan_keys = {spec.key for spec in job.specs}
         for record in records:
             key = record_key(record)
-            if key not in plan_keys:
+            if key not in job.keys:
                 raise ValueError(
                     f"record {key} is not part of campaign "
                     f"{job.campaign_id}'s plan")
             if key in job.records:
                 continue  # duplicate from a re-queued shard
-            job.records[key] = record
+            job.add_record(key, record)
             fresh.append(record)
         if fresh:
-            with open(job.log_path, "a", encoding="utf-8") as handle:
-                for record in fresh:
-                    handle.write(json.dumps(record) + "\n")
+            if job.log_handle is None:
+                job.log_handle = open(job.log_path, "a", encoding="utf-8")
+            job.log_handle.write("".join(json.dumps(record) + "\n"
+                                         for record in fresh))
+            job.log_handle.flush()
         return fresh
 
     def _journal_runs(self, job: CampaignJob, fresh: Sequence[dict],
@@ -567,7 +635,11 @@ class Dispatcher:
     def _finalize(self, job: CampaignJob) -> None:
         job.pending.clear()
         job.leases.clear()
+        job.shard_wires.clear()
         job.completed_shards = set(range(len(job.shards)))
+        if job.log_handle is not None:
+            job.log_handle.close()
+            job.log_handle = None
         if not job.finalized:
             # journal before the sidecar is written, so its `dist`
             # section counts the same events a live tail saw
@@ -614,7 +686,7 @@ class Dispatcher:
     # -- introspection -------------------------------------------------------
 
     def status(self, campaign_id: Optional[str] = None) -> dict:
-        with self._lock:
+        with self._endpoint():
             self._reap_expired()
             if campaign_id is not None:
                 job = self._jobs.get(campaign_id)
@@ -648,7 +720,7 @@ class Dispatcher:
         gauge, worker liveness and the lease lifecycle counters --
         with :func:`repro.obs.live.render_prometheus` (stdlib only).
         """
-        with self._lock:
+        with self._endpoint():
             self._reap_expired()
             now = time.time()
             jobs = [self._jobs[cid] for cid in self._order]
@@ -739,8 +811,9 @@ class Dispatcher:
 
     def _ensure_log(self, job: CampaignJob) -> None:
         if not job.log_path.exists():
-            job.log_path.write_text(format_log_header(job.specs),
-                                    encoding="utf-8")
+            job.log_path.write_text(
+                format_log_header(job.specs, job.fingerprint),
+                encoding="utf-8")
 
     def _restore_log(self, job: CampaignJob) -> None:
         """Reload records logged before a dispatcher restart and
@@ -759,16 +832,15 @@ class Dispatcher:
                 f"{job.log_path} belongs to a different campaign "
                 f"(fingerprint {str(header['fingerprint'])[:12]}..., "
                 f"expected {job.fingerprint[:12]}...)")
-        plan_keys = {spec.key for spec in job.specs}
         for key, record in scan_completed_records(job.log_path).items():
-            if key in plan_keys:
-                job.records[key] = record
+            if key in job.keys:
+                job.add_record(key, record)
+        job.completed_shards = {
+            index for index, shard in enumerate(job.shards)
+            if all(spec.key in job.records for spec in shard)}
         job.pending = deque(
             index for index in range(len(job.shards))
-            if not job.shard_keys(index) <= set(job.records))
-        job.completed_shards = {
-            index for index in range(len(job.shards))
-            if job.shard_keys(index) <= set(job.records)}
+            if index not in job.completed_shards)
         if job.records:
             log.info("campaign %s: restored %d of %d records from %s",
                      job.campaign_id, len(job.records), job.total,
@@ -806,6 +878,18 @@ class _Rejected(Exception):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "gpufi-dispatch/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY.  Workers keep their connection, and on a kept
+    #: connection Nagle's algorithm holds a segment back until the
+    #: peer's delayed ACK of the one before it: ~40 ms per request.
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.server.connections.add(self.connection)
+
+    def finish(self):
+        self.server.connections.discard(self.connection)
+        super().finish()
 
     @property
     def dispatcher(self) -> Dispatcher:
@@ -815,21 +899,24 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s - %s", self.address_string(), fmt % args)
 
     def _reply(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply_text(json.dumps(payload), "application/json", status)
 
     def _reply_text(self, text: str, content_type: str,
                     status: int = 200) -> None:
+        """Send a whole response, head and body, in one write: a body
+        sent after its head would be the segment Nagle holds back (see
+        ``disable_nagle_algorithm``), and is a second system call."""
         body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = (f"{self.protocol_version} {status} "
+                f"{HTTPStatus(status).phrase}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n")
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.log_request(status, len(body))
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _error(self, message: str, status: int) -> None:
         self._reply({"error": message}, status=status)
@@ -910,7 +997,8 @@ class _Handler(BaseHTTPRequestHandler):
                     done=bool(payload.get("done")),
                     worker=payload.get("worker"),
                     events=payload.get("events"),
-                    trace=payload.get("trace")))
+                    trace=payload.get("trace"),
+                    lease_next=bool(payload.get("lease_next"))))
             return self._error(f"no such endpoint: {self.path}", 404)
         except _Rejected as exc:
             # the body (if any) is still in the socket: it must not be
@@ -926,6 +1014,28 @@ class _Handler(BaseHTTPRequestHandler):
             return self._error(f"{type(exc).__name__}: {exc}", 500)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """One daemon thread per connection, for as long as the peer
+    keeps it; the open connections are known so that
+    :meth:`DispatcherServer.shutdown` can end them."""
+
+    daemon_threads = True
+
+    def __init__(self, address, dispatcher: Dispatcher):
+        super().__init__(address, _Handler)
+        self.dispatcher = dispatcher
+        self.connections: set = set()
+
+    def handle_error(self, request, client_address):
+        # a peer that went away mid-request is its own business, not a
+        # traceback on the dispatcher's stderr
+        if isinstance(sys.exc_info()[1], OSError):
+            log.debug("connection from %s lost", client_address,
+                      exc_info=True)
+        else:
+            super().handle_error(request, client_address)
+
+
 class DispatcherServer:
     """The HTTP face of a :class:`Dispatcher`.
 
@@ -936,9 +1046,7 @@ class DispatcherServer:
     def __init__(self, dispatcher: Dispatcher,
                  host: str = "127.0.0.1", port: int = 8937):
         self.dispatcher = dispatcher
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.dispatcher = dispatcher  # type: ignore[attr-defined]
+        self._httpd = _HTTPServer((host, port), dispatcher)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -964,7 +1072,15 @@ class DispatcherServer:
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
+        """Stop accepting, then end the connections clients kept
+        open: their handler threads wake from the read they idle in
+        and exit, and a client's next request finds nobody."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        for connection in list(self._httpd.connections):
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it first
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -6,6 +6,17 @@ scheduling intelligence (fairness, expiry, dedup, merging) lives in
 the dispatcher, so workers can appear, disappear and crash freely --
 the work-stealing shape of DAVOS-style grid dispatchers.
 
+In the steady state a shard costs one request on the worker's kept
+connection: its records go back in a single ``done`` send that also
+asks for the next lease (``lease_next``), and the reply's ``next``
+carries it.  Only a shard that runs longer than
+:data:`FLUSH_AFTER_S` streams records before it is done, and only a
+worker with nothing to do (or talking to a dispatcher that predates
+``next``) polls ``/api/lease``.  The dispatcher going away is
+idleness, not an error: the shard in hand is abandoned (what was
+delivered is kept, the lease expires, the shard is re-queued) and the
+worker polls until it is back.
+
 While executing a shard the worker heartbeats on a background thread
 at the cadence the lease prescribes; if the dispatcher reports the
 lease expired (the worker was presumed dead and the shard re-queued),
@@ -22,6 +33,7 @@ from __future__ import annotations
 
 import os
 import socket
+import sys
 import threading
 import time
 from typing import Callable, Optional
@@ -30,8 +42,12 @@ from repro.dist.client import DispatcherClient, DispatchError
 from repro.dist.protocol import spec_from_wire
 from repro.obs.events import campaign_trace, run_trace
 
-#: Records buffered before a streaming POST back to the dispatcher.
-DEFAULT_BATCH_SIZE = 4
+#: Finished runs are sent back once the previous send (or the lease)
+#: is this many seconds old, and with the last run of the shard.  The
+#: bound on what a crashing worker loses; nothing watches a campaign
+#: more often (``DispatcherClient.wait``/``follow`` poll every 0.5 s,
+#: ``gpufi top`` refreshes every second).
+FLUSH_AFTER_S = 0.5
 
 
 class FleetWorker:
@@ -45,26 +61,25 @@ class FleetWorker:
         max_idle: give up after this many seconds of continuous
             idleness (``None`` works forever); lets benches and CI
             fleets wind down by themselves.
-        batch_size: records buffered per streaming POST.
         run_fn: per-spec work function (tests substitute stubs);
             defaults to :func:`repro.faults.executor.execute_run`.
         stop: external stop signal checked between runs.
         progress: optional callback receiving one line per shard.
+        clock: monotonic clock the age of a send is read from (tests
+            inject fakes).
     """
 
     def __init__(self, url: str, name: Optional[str] = None,
                  poll: float = 1.0, max_idle: Optional[float] = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
                  run_fn: Optional[Callable] = None,
                  stop: Optional[threading.Event] = None,
-                 progress: Optional[Callable[[str], None]] = None):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+                 progress: Optional[Callable[[str], None]] = None,
+                 clock: Callable[[], float] = time.monotonic):
         self.client = DispatcherClient(url)
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.poll = poll
         self.max_idle = max_idle
-        self.batch_size = batch_size
+        self._clock = clock
         self.stop = stop if stop is not None else threading.Event()
         self._progress = progress or (lambda msg: None)
         self.shards_done = 0
@@ -76,15 +91,36 @@ class FleetWorker:
         self._run_fn = run_fn
 
     def run(self) -> None:
-        """Steal work until stopped (or idle past ``max_idle``)."""
+        """Steal work until stopped (or idle past ``max_idle``).
+
+        Raises :class:`DispatchError` only if the dispatcher cannot be
+        reached at all (a mistyped URL); once it has answered, an
+        outage is waited out like any other idleness.
+        """
+        try:
+            self._run()
+        finally:
+            self.client.close()
+
+    def _run(self) -> None:
+        reached = False
         idle_since: Optional[float] = None
+        lease: Optional[dict] = None  # handed over by the last reply
         while not self.stop.is_set():
-            lease = self.client.call("/api/lease",
-                                      {"worker": self.name})
+            if lease is None:
+                try:
+                    lease = self.client.call("/api/lease",
+                                             {"worker": self.name})
+                    reached = True
+                except DispatchError:
+                    if not reached:
+                        raise
+                    lease = {"idle": True}  # an outage is idleness
             if lease.get("lease"):
                 idle_since = None
-                self._execute_lease(lease)
+                lease = self._execute_lease(lease)
                 continue
+            lease = None
             if idle_since is None:
                 idle_since = time.monotonic()
             if (self.max_idle is not None
@@ -94,7 +130,9 @@ class FleetWorker:
 
     # -- one shard -----------------------------------------------------------
 
-    def _execute_lease(self, lease: dict) -> None:
+    def _execute_lease(self, lease: dict) -> Optional[dict]:
+        """Run one leased shard; returns the dispatcher's answer to
+        the ``lease_next`` of its last send, if it gave one."""
         specs = [spec_from_wire(wire) for wire in lease["specs"]]
         expired = threading.Event()
         hb_stop = threading.Event()
@@ -103,27 +141,34 @@ class FleetWorker:
             args=(lease, hb_stop, expired),
             daemon=True, name=f"heartbeat-{lease['lease']}")
         heartbeater.start()
-        executed = 0
         try:
             batch, events = [], []
-            for spec in specs:
+            sent_at = self._clock()
+            for executed, spec in enumerate(specs, 1):
                 if self.stop.is_set() or expired.is_set():
-                    return
+                    return None
                 started = time.time()
                 record = self._run_fn(spec)
                 batch.append(record)
                 events.append(self._run_event(lease, record, started))
-                executed += 1
-                if len(batch) >= self.batch_size:
-                    if self._flush(lease, batch, events, done=False):
-                        return  # lease lost: abandon the shard
-                    batch, events = [], []
-            if not self._flush(lease, batch, events, done=True):
-                self.shards_done += 1
-                self.runs_done += executed
-                self._progress(
-                    f"{self.name}: shard {lease['shard']} of "
-                    f"{lease['campaign']} done ({executed} runs)")
+                done = executed == len(specs)
+                if not done and self._clock() - sent_at < FLUSH_AFTER_S:
+                    continue
+                try:
+                    reply = self._send(lease, batch, events, done)
+                except DispatchError:
+                    return None  # abandon the shard: see module docstring
+                if done:
+                    self.shards_done += 1
+                    self.runs_done += executed
+                    self._progress(
+                        f"{self.name}: shard {lease['shard']} of "
+                        f"{lease['campaign']} done ({executed} runs)")
+                    return reply.get("next")
+                if reply.get("expired"):
+                    return None  # lease lost: abandon the shard
+                batch, events = [], []
+                sent_at = self._clock()
         finally:
             hb_stop.set()
             heartbeater.join(timeout=2.0)
@@ -165,11 +210,13 @@ class FleetWorker:
                 or campaign_trace(lease.get("campaign", "?"),
                                   lease.get("fingerprint", "")))
 
-    def _flush(self, lease: dict, batch: list, events: list,
-               done: bool) -> bool:
-        """Stream a batch (and its events) back; ``True`` means the
-        lease expired."""
-        reply = self.client.call("/api/records", {
+    def _send(self, lease: dict, batch: list, events: list,
+              done: bool) -> dict:
+        """Send finished runs (and their events) back.  The shard's
+        last send says ``done`` and asks for the next lease in the
+        same request; a dispatcher that predates ``lease_next``
+        ignores it."""
+        payload = {
             "campaign": lease["campaign"],
             "lease": lease["lease"],
             "fingerprint": lease["fingerprint"],
@@ -178,24 +225,29 @@ class FleetWorker:
             "records": batch,
             "events": events,
             "done": done,
-        })
-        return bool(reply.get("expired")) and not done
+        }
+        if done:
+            payload["lease_next"] = True
+        return self.client.call("/api/records", payload)
 
     def _heartbeat_loop(self, lease: dict, hb_stop: threading.Event,
                         expired: threading.Event) -> None:
         interval = float(lease.get("heartbeat_s") or 5.0)
-        while not hb_stop.wait(interval):
-            try:
-                reply = self.client.call("/api/heartbeat", {
-                    "lease": lease["lease"],
-                    "worker": self.name,
-                    "trace": self._lease_trace(lease),
-                })
-            except DispatchError:
-                continue  # transient network blip: the lease survives
-            if reply.get("expired"):
-                expired.set()
-                return
+        try:
+            while not hb_stop.wait(interval):
+                try:
+                    reply = self.client.call("/api/heartbeat", {
+                        "lease": lease["lease"],
+                        "worker": self.name,
+                        "trace": self._lease_trace(lease),
+                    })
+                except DispatchError:
+                    continue  # transient network blip: the lease survives
+                if reply.get("expired"):
+                    expired.set()
+                    return
+        finally:
+            self.client.close()  # this thread's connection, if it made one
 
 
 def main(argv=None) -> int:
@@ -214,13 +266,9 @@ def main(argv=None) -> int:
     parser.add_argument("--max-idle", type=float,
                         help="exit after this many idle seconds "
                              "(default: work forever)")
-    parser.add_argument("--batch-size", type=int,
-                        default=DEFAULT_BATCH_SIZE,
-                        help="records per streaming POST")
     args = parser.parse_args(argv)
     worker = FleetWorker(args.connect, name=args.name, poll=args.poll,
                          max_idle=args.max_idle,
-                         batch_size=args.batch_size,
                          progress=lambda msg: print(f"  .. {msg}",
                                                     flush=True))
     print(f"worker {worker.name} connecting to {args.connect}",
@@ -229,6 +277,9 @@ def main(argv=None) -> int:
         worker.run()
     except KeyboardInterrupt:
         pass
+    except DispatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"worker {worker.name}: {worker.runs_done} runs in "
           f"{worker.shards_done} shards", flush=True)
     return 0

@@ -88,10 +88,15 @@ def plan_fingerprint(specs: Sequence["RunSpec"]) -> str:
     return digest.hexdigest()
 
 
-def log_header(specs: Sequence["RunSpec"]) -> dict:
-    """The header record stamped as the first line of a campaign log."""
+def log_header(specs: Sequence["RunSpec"],
+               fingerprint: Optional[str] = None) -> dict:
+    """The header record stamped as the first line of a campaign log.
+
+    ``fingerprint`` is ``plan_fingerprint(specs)`` where the caller
+    has already computed it.
+    """
     header = {LOG_HEADER_KEY: LOG_HEADER_SCHEMA,
-              "fingerprint": plan_fingerprint(specs),
+              "fingerprint": fingerprint or plan_fingerprint(specs),
               "runs": len(specs)}
     if specs:
         header["benchmark"] = specs[0].benchmark
@@ -99,10 +104,11 @@ def log_header(specs: Sequence["RunSpec"]) -> dict:
     return header
 
 
-def format_log_header(specs: Sequence["RunSpec"]) -> str:
+def format_log_header(specs: Sequence["RunSpec"],
+                      fingerprint: Optional[str] = None) -> str:
     """The header's exact log line (shared by every log writer, so
     locally written and fleet-merged logs stay byte-identical)."""
-    return json.dumps(log_header(specs)) + "\n"
+    return json.dumps(log_header(specs, fingerprint)) + "\n"
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 #: Event-stream schema version (stamped on ``campaign_start`` /
 #: ``campaign_resume``).  v2 added trace IDs and the fleet event
@@ -161,8 +161,21 @@ class EventLog:
         record.update(fields)
         return self.append(record)
 
+    def stamp(self, record: dict) -> dict:
+        """``record`` with a leading ``ts``, unless it carries one."""
+        if "ts" in record:
+            return record
+        return {"ts": round(self._clock(), 6), **record}
+
     def append(self, record: dict) -> dict:
         """Append a pre-built event record (stamping ``ts`` if absent)."""
+        record = self.stamp(record)
+        self.extend([record])
+        return record
+
+    def extend(self, records: Sequence[dict]) -> None:
+        """Append stamped event records as they are, with one write
+        and one flush for all of them."""
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if self._append:
@@ -170,11 +183,9 @@ class EventLog:
             self._handle = open(self.path,
                                 "a" if self._append else "w",
                                 encoding="utf-8")
-        if "ts" not in record:
-            record = {"ts": round(self._clock(), 6), **record}
-        self._handle.write(json.dumps(record) + "\n")
+        self._handle.write("".join(json.dumps(record) + "\n"
+                                   for record in records))
         self._handle.flush()
-        return record
 
     def close(self) -> None:
         if self._handle is not None:

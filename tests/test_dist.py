@@ -654,11 +654,11 @@ class TestRequestBodyLength:
         assert str(MAX_BODY_BYTES) in body["error"]
 
     def test_bound_is_far_above_a_record_batch(self, small_records):
-        from repro.dist.server import MAX_BODY_BYTES
-        from repro.dist.worker import DEFAULT_BATCH_SIZE
+        from repro.dist.server import DEFAULT_SHARD_SIZE, MAX_BODY_BYTES
 
+        # a send carries at most the records of one shard
         largest = max(len(json.dumps(r)) for r in small_records)
-        assert MAX_BODY_BYTES > 1000 * DEFAULT_BATCH_SIZE * largest
+        assert MAX_BODY_BYTES > 1000 * DEFAULT_SHARD_SIZE * largest
 
     def test_good_requests_still_served(self, server):
         body = json.dumps({"worker": "w0"}).encode()
@@ -669,3 +669,557 @@ class TestRequestBodyLength:
         assert self.post(server, {"Content-Length": len(body)},
                          body)[0] == 200
         assert DispatcherClient(server.url).ping()
+
+
+# -- the one-request steady state --------------------------------------------
+
+
+def scrape(dispatcher, name):
+    """One unlabelled sample of the dispatcher's ``/metrics`` text."""
+    match = re.search(rf"^{name} (\S+)$", dispatcher.metrics_text(),
+                      re.MULTILINE)
+    assert match, f"{name} not exposed"
+    return float(match.group(1))
+
+
+def effect_counters(dispatcher):
+    return {effect: int(float(count)) for effect, count in re.findall(
+        r'^gpufi_run_effects_total\{effect="(\w+)"\} (\S+)$',
+        dispatcher.metrics_text(), re.MULTILINE)}
+
+
+class WorkerThread:
+    """A :class:`FleetWorker` running on a thread, joined on exit; an
+    exception that ended its loop is re-raised in the test."""
+
+    def __init__(self, url, **kwargs):
+        self.stop = threading.Event()
+        kwargs.setdefault("poll", 0.02)
+        self.worker = FleetWorker(url, name="w", stop=self.stop, **kwargs)
+        self.error = None
+        self.thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self):
+        try:
+            self.worker.run()
+        except BaseException as exc:  # noqa: B036 (reported on exit)
+            self.error = exc
+
+    def __enter__(self):
+        self.thread.start()
+        return self.worker
+
+    def __exit__(self, *exc_info):
+        self.stop.set()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive(), "worker did not stop"
+        if self.error is not None:
+            raise self.error
+
+
+@pytest.fixture
+def fleet(tmp_path):
+    """Build dispatchers with a live HTTP server; all are shut down."""
+    servers = []
+
+    def build(cls=Dispatcher, port=0, **kwargs):
+        kwargs.setdefault("shard_size", 2)
+        dispatcher = cls(log_dir=tmp_path / "server", **kwargs)
+        server = DispatcherServer(dispatcher, port=port).start()
+        servers.append(server)
+        return dispatcher, server
+
+    yield build
+    for server in servers:
+        server.shutdown()
+
+
+class TestPiggybackedLease:
+    """``lease_next`` on a ``done`` send, ``next`` in its reply."""
+
+    make = TestDispatcherCore.make
+
+    def test_next_is_what_lease_returns(self, tmp_path):
+        dispatcher, _ = self.make(tmp_path, shard_size=1)
+        a = dispatcher.submit(small_config_text(seed=1))["campaign"]
+        b = dispatcher.submit(small_config_text(seed=2))["campaign"]
+        lease = dispatcher.lease("w")
+        reference = dict(lease)
+        served = [lease["campaign"]]
+        for _ in range(3):
+            specs = [spec_from_wire(w) for w in lease["specs"]]
+            reply = dispatcher.collect(
+                lease["campaign"], lease["lease"], lease["fingerprint"],
+                [fake_record(s) for s in specs], done=True, worker="w",
+                lease_next=True)
+            lease = reply["next"]
+            assert set(lease) == set(reference)
+            served.append(lease["campaign"])
+        # the same fairness scan, count and journal event as lease()
+        assert served == [a, b, a, b]
+        assert scrape(dispatcher, "gpufi_leases_granted_total") == 4
+        leased = [e for e in dispatcher.events(a)["events"]
+                  if e["event"] == "shard_leased"]
+        assert [e["shard"] for e in leased] == [0, 1]
+
+    def test_next_is_idle_when_nothing_is_pending(self, tmp_path):
+        dispatcher, _ = self.make(tmp_path, shard_size=4)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        lease = dispatcher.lease("w")
+        specs = [spec_from_wire(w) for w in lease["specs"]]
+        records = [fake_record(s) for s in specs]
+        args = (cid, lease["lease"], lease["fingerprint"])
+        # only a done send is a lease request
+        early = dispatcher.collect(*args, records[:2], worker="w",
+                                   lease_next=True)
+        assert "next" not in early
+        last = dispatcher.collect(*args, records[2:], done=True,
+                                  worker="w", lease_next=True)
+        assert last["next"] == {"idle": True}
+        assert last["campaign_complete"]
+        kinds = [e["event"] for e in dispatcher.events(cid)["events"]]
+        assert kinds[-2:] == ["shard_complete", "campaign_end"]
+
+    def test_reply_follows_the_flushed_log_and_journal(self, tmp_path):
+        from repro.faults.parser import load_records
+        from repro.obs.events import events_path_for, read_events
+
+        dispatcher, _ = self.make(tmp_path, shard_size=2)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        lease = dispatcher.lease("w")
+        specs = [spec_from_wire(w) for w in lease["specs"]]
+        records = [fake_record(s) for s in specs]
+        dispatcher.collect(cid, lease["lease"], lease["fingerprint"],
+                           records, done=True, worker="w")
+        # nothing closed, nothing more called: what was acknowledged
+        # is in the files as another process would read them
+        log_path = tmp_path / "logs" / f"{cid}.jsonl"
+        assert load_records(log_path) == records
+        on_file = read_events(events_path_for(log_path))
+        assert on_file == dispatcher.events(cid)["events"]
+        assert [record_key(e) for e in on_file
+                if e["event"] == "run"] == [s.key for s in specs]
+
+    def test_rejected_batch_still_journals_the_reaped_lease(self, tmp_path):
+        from repro.obs.events import events_path_for, read_events
+
+        dispatcher, clock = self.make(tmp_path, lease_timeout=10.0)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        lease = dispatcher.lease("w")
+        clock.advance(11.0)
+        with pytest.raises(ValueError, match="refusing to mix"):
+            dispatcher.collect(cid, lease["lease"], "0" * 64, [])
+        on_file = read_events(
+            events_path_for(tmp_path / "logs" / f"{cid}.jsonl"))
+        assert on_file[-1]["event"] == "lease_expired"
+
+
+class TestWireCodec:
+    def test_flat_read_equals_asdict_for_a_real_plan(self):
+        import dataclasses
+
+        def reference(spec):
+            wire = dataclasses.asdict(spec)
+            wire["structure"] = spec.structure.value
+            wire["multibit_mode"] = spec.multibit_mode.value
+            wire["windows"] = [list(window) for window in spec.windows]
+            return wire
+
+        plan = [spec for benchmark in ("vectoradd", "pathfinder")
+                for spec in Campaign(CampaignConfig(
+                    benchmark=benchmark, card="RTX2060",
+                    structures=(Structure.REGISTER_FILE,
+                                Structure.SHARED_MEM),
+                    runs_per_structure=8, seed=3,
+                    propagation=True)).plan()]
+        assert any(spec.synthesized for spec in plan)
+        assert any(spec.prescreened and spec.prescreen_site
+                   for spec in plan)
+        assert any(not spec.synthesized and not spec.prescreened
+                   for spec in plan)
+        for spec in plan:
+            assert spec_to_wire(spec) == reference(spec)
+            assert json.dumps(spec_to_wire(spec)) == \
+                   json.dumps(reference(spec))
+            assert spec_from_wire(json.loads(
+                json.dumps(spec_to_wire(spec)))) == spec
+
+    def test_shard_wire_form_is_reused_on_re_lease(self, tmp_path):
+        clock = FakeClock()
+        dispatcher = Dispatcher(log_dir=tmp_path, clock=clock,
+                                lease_timeout=10.0)
+        dispatcher.submit(small_config_text())
+        first = dispatcher.lease("w-dead")
+        clock.advance(11.0)
+        again = dispatcher.lease("w-live")
+        assert again["shard"] == first["shard"]
+        assert again["specs"] is first["specs"]
+
+
+def aggregate_effects(records):
+    counts = {}
+    for record in records:
+        counts[record["effect"]] = counts.get(record["effect"], 0) + 1
+    return dict(sorted(counts.items()))
+
+
+class TestEffectCounts:
+    """``effects`` is kept per record, never recounted per poll."""
+
+    @staticmethod
+    def varied(spec):
+        effect = ("Masked", "SDC", "Crash")[spec.run_index % 3]
+        return {**fake_record(spec), "effect": effect}
+
+    def check(self, dispatcher, cid):
+        recount = aggregate_effects(dispatcher.records(cid)["records"])
+        assert dispatcher.status(cid)["effects"] == recount
+        assert effect_counters(dispatcher) == recount
+        return recount
+
+    def test_counts_survive_duplicates_expiry_and_restart(self, tmp_path):
+        clock = FakeClock()
+        root = tmp_path / "logs"
+        dispatcher = Dispatcher(log_dir=root, shard_size=2, clock=clock,
+                                lease_timeout=10.0)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        assert self.check(dispatcher, cid) == {}
+        stale = dispatcher.lease("w-dead")
+        specs = [spec_from_wire(w) for w in stale["specs"]]
+        records = [self.varied(s) for s in specs]
+        args = (cid, stale["lease"], stale["fingerprint"])
+        dispatcher.collect(*args, records[:1], worker="w-dead")
+        dispatcher.collect(*args, records[:1], worker="w-dead")  # again
+        assert sum(self.check(dispatcher, cid).values()) == 1
+        clock.advance(11.0)
+        fresh = dispatcher.lease("w-live")  # the re-queued shard
+        assert fresh["shard"] == stale["shard"]
+        dispatcher.collect(cid, fresh["lease"], fresh["fingerprint"],
+                           records, done=True, worker="w-live")
+        assert sum(self.check(dispatcher, cid).values()) == 2
+
+        revived = Dispatcher(log_dir=root, shard_size=2)
+        assert sum(self.check(revived, cid).values()) == 2
+        lease = revived.lease("w")
+        specs = [spec_from_wire(w) for w in lease["specs"]]
+        revived.collect(cid, lease["lease"], lease["fingerprint"],
+                        [self.varied(s) for s in specs], done=True)
+        counts = self.check(revived, cid)
+        assert sum(counts.values()) == SMALL["runs_per_structure"]
+        assert len(counts) == 3
+
+
+class TestKeptConnection:
+    def test_fifty_requests_on_one_connection_do_not_stall(self, fleet):
+        import time
+
+        _, server = fleet()
+        client = DispatcherClient(server.url)
+        client.ping()
+        connection = client._local.connection.sock
+        started = time.perf_counter()
+        for _ in range(25):
+            assert client.ping()["ok"]
+            assert client.call("/api/lease", {"worker": "w"})["idle"]
+        elapsed = time.perf_counter() - started
+        # a reply sent as head then body stalls ~40 ms on a kept
+        # connection (Nagle against the peer's delayed ACK): 2 s
+        assert elapsed < 1.0, f"50 requests took {elapsed:.2f}s"
+        assert client._local.connection.sock is connection
+        client.close()
+
+    def test_rejection_is_followed_by_a_served_request(self, fleet,
+                                                       monkeypatch):
+        from repro.dist import server as server_module
+
+        _, server = fleet()
+        client = DispatcherClient(server.url)
+        assert client.ping()["ok"]
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+        with pytest.raises(DispatchError, match="HTTP 413"):
+            client.call("/api/lease", {"worker": "w" * 100})
+        # the dispatcher closed that connection (the body it refused
+        # to read is still in it); the client is not stuck on it
+        assert client.call("/api/lease", {"worker": "w"})["idle"]
+        assert client.ping()["ok"]
+        client.close()
+
+    def test_dropped_idle_connection_is_retried_once(self, fleet):
+        _, server = fleet()
+        client = DispatcherClient(server.url)
+        assert client.ping()["ok"]
+        server.shutdown()
+        _, server = fleet(port=server.port)
+        # the kept connection died with the first server: found on
+        # use, the request goes out again on a new one
+        assert client.ping()["ok"]
+        client.close()
+
+    def test_shutdown_ends_idle_connections_quietly(self, fleet, capfd):
+        import time
+
+        _, server = fleet()
+        clients = [DispatcherClient(server.url, timeout=5.0)
+                   for _ in range(3)]
+        for client in clients:
+            assert client.ping()["ok"]
+        started = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - started < 1.0
+        with pytest.raises(DispatchError, match="cannot reach"):
+            clients[1].ping()
+        assert capfd.readouterr().err == ""
+
+    def test_threads_of_one_client_do_not_share_a_connection(self, fleet):
+        _, server = fleet()
+        client = DispatcherClient(server.url)
+        client.ping()
+        seen = []
+
+        def other():
+            client.ping()
+            seen.append(client._local.connection)
+            client.close()
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=10)
+        assert seen and seen[0] is not client._local.connection
+        assert client._local.connection.sock is not None
+        client.close()
+
+
+class TestWorkerProtocol:
+    """The worker's side, over real HTTP, with stubbed runs."""
+
+    def complete(self, dispatcher, server, cid, **worker_kwargs):
+        worker_kwargs.setdefault("run_fn", fake_record)
+        with WorkerThread(server.url, **worker_kwargs) as worker:
+            DispatcherClient(server.url).wait(cid, timeout=60, poll=0.01)
+        assert dispatcher.status(cid)["state"] == "complete"
+        return worker
+
+    def test_instant_runs_cost_one_send_per_shard(self, fleet):
+        dispatcher, server = fleet()
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        worker = self.complete(dispatcher, server, cid, clock=FakeClock())
+        shards = dispatcher.status(cid)["shards"]["total"]
+        assert shards == 2 and worker.shards_done == shards
+        assert scrape(dispatcher, "gpufi_record_batches_total") == shards
+        assert scrape(dispatcher, "gpufi_leases_granted_total") == shards
+        assert scrape(dispatcher, "gpufi_lease_expired_total") == 0
+
+    def test_slow_runs_are_streamed_as_they_finish(self, fleet):
+        from repro.dist.worker import FLUSH_AFTER_S
+
+        clock = FakeClock()
+
+        def slow(spec):
+            clock.advance(FLUSH_AFTER_S + 0.1)
+            return fake_record(spec)
+
+        dispatcher, server = fleet()
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        self.complete(dispatcher, server, cid, clock=clock, run_fn=slow)
+        # every run its own send; the shard's last one carries `done`
+        assert scrape(dispatcher, "gpufi_record_batches_total") == \
+            SMALL["runs_per_structure"]
+        kinds = [e["event"] for e in dispatcher.events(cid)["events"]]
+        assert kinds[1:6] == ["shard_leased", "run", "run",
+                              "shard_complete", "shard_leased"]
+
+    def test_runs_just_under_the_age_are_buffered(self, fleet):
+        from repro.dist.worker import FLUSH_AFTER_S
+
+        clock = FakeClock()
+
+        def run(spec):
+            clock.advance(FLUSH_AFTER_S * 0.4)
+            return fake_record(spec)
+
+        dispatcher, server = fleet(shard_size=4)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        self.complete(dispatcher, server, cid, clock=clock, run_fn=run)
+        # ages 0.2, 0.4, 0.6 (sent, 3 records), then the last (done)
+        assert scrape(dispatcher, "gpufi_record_batches_total") == 2
+
+    def test_lease_reported_expired_mid_shard_is_abandoned(self, fleet):
+        from repro.dist.worker import FLUSH_AFTER_S
+
+        worker_clock, server_clock = FakeClock(), FakeClock()
+        executed = []
+
+        def run(spec):
+            if not executed:
+                server_clock.advance(11.0)  # the lease times out
+            executed.append(spec.key)
+            worker_clock.advance(FLUSH_AFTER_S + 0.1)
+            return fake_record(spec)
+
+        dispatcher, server = fleet(clock=server_clock, lease_timeout=10.0)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        self.complete(dispatcher, server, cid, clock=worker_clock,
+                      run_fn=run)
+        # the first send came back `expired`: the rest of the shard
+        # was left to its new lease, which this worker then took
+        plan = Campaign(CampaignConfig(**SMALL)).plan()
+        assert executed == [plan[0].key] + [spec.key for spec in plan]
+        assert dispatcher.status(cid)["shards"]["lease_expired"] == 1
+        leased = [e for e in dispatcher.events(cid)["events"]
+                  if e["event"] == "shard_leased"]
+        assert [(e["shard"], e["generation"]) for e in leased] == \
+            [(0, 1), (0, 2), (1, 1)]
+
+    def test_old_worker_loop_against_the_new_dispatcher(self, fleet,
+                                                        small_plan,
+                                                        small_records):
+        by_key = {record_key(r): r for r in small_records}
+        dispatcher, server = fleet()
+        client = DispatcherClient(server.url)
+        cid = client.submit(CampaignConfig(**SMALL))["campaign"]
+        while True:  # lease -> records x 2 -> an empty `done`
+            lease = client.call("/api/lease", {"worker": "w-old"})
+            if lease.get("idle"):
+                break
+            base = {"campaign": cid, "lease": lease["lease"],
+                    "fingerprint": lease["fingerprint"],
+                    "worker": "w-old"}
+            records = [by_key[spec_from_wire(w).key]
+                       for w in lease["specs"]]
+            for part in (records[:1], records[1:]):
+                reply = client.call("/api/records",
+                                    {**base, "records": part})
+                assert "next" not in reply
+            reply = client.call("/api/records",
+                                {**base, "records": [], "done": True})
+            assert "next" not in reply
+        assert client.status(cid)["state"] == "complete"
+        assert canonical_log_text(client.records(cid)) == \
+            canonical_log_text(small_records)
+        client.close()
+
+    def test_new_worker_against_replies_without_next(self, fleet,
+                                                     small_records):
+        class OldDispatcher(Dispatcher):
+            """Ignores ``lease_next``, as one that predates it does."""
+
+            def collect(self, *args, lease_next=False, **kwargs):
+                return super().collect(*args, **kwargs)
+
+        dispatcher, server = fleet(cls=OldDispatcher)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        worker = self.complete(dispatcher, server, cid,
+                               run_fn=execute_run)
+        assert worker.runs_done == len(small_records)
+        assert canonical_log_text(dispatcher.records(cid)["records"]) == \
+            canonical_log_text(small_records)
+        assert scrape(dispatcher, "gpufi_leases_granted_total") == 2
+
+    def test_main_and_heartbeat_thread_share_a_client(self, fleet,
+                                                      small_records):
+        import sys
+        import time
+
+        class FastBeat(Dispatcher):
+            """Every lease asks for a heartbeat each 10 ms."""
+
+            def lease(self, worker):
+                reply = super().lease(worker)
+                return ({**reply, "heartbeat_s": 0.01}
+                        if "lease" in reply else reply)
+
+            def collect(self, *args, **kwargs):
+                reply = super().collect(*args, **kwargs)
+                if "lease" in reply.get("next", ()):
+                    reply["next"] = {**reply["next"], "heartbeat_s": 0.01}
+                return reply
+
+        def run(spec):
+            time.sleep(0.05)
+            return execute_run(spec)
+
+        dispatcher, server = fleet(cls=FastBeat)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        exchanges = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerThread(server.url, run_fn=run) as worker:
+                call = worker.client.call
+
+                def recorded(path, payload=None):
+                    reply = call(path, payload)
+                    exchanges.append((path, reply))
+                    return reply
+
+                worker.client.call = recorded
+                DispatcherClient(server.url).wait(cid, timeout=60,
+                                                  poll=0.01)
+        finally:
+            sys.setswitchinterval(interval)
+        # every request got the reply of its own endpoint
+        expected = {"/api/lease": {"lease", "idle"},
+                    "/api/heartbeat": {"ok"}, "/api/records": {"accepted"}}
+        assert all(expected[path] & set(reply)
+                   for path, reply in exchanges)
+        beats = [reply for path, reply in exchanges
+                 if path == "/api/heartbeat"]
+        assert len(beats) >= len(small_records)
+        journaled = [e for e in dispatcher.events(cid)["events"]
+                     if e["event"] == "worker_heartbeat"]
+        assert len(journaled) == sum(reply["ok"] for reply in beats)
+        assert dispatcher.status(cid)["shards"]["lease_expired"] == 0
+        assert canonical_log_text(dispatcher.records(cid)["records"]) == \
+            canonical_log_text(small_records)
+
+
+class TestWorkerOutlivesTheDispatcher:
+    def test_restart_mid_campaign(self, fleet, small_records):
+        import time
+
+        second_run, resume = threading.Event(), threading.Event()
+        executed = []
+
+        def run(spec):
+            executed.append(spec.key)
+            if len(executed) == 2:
+                second_run.set()  # shard 0 is in; shard 1 is in hand
+                assert resume.wait(timeout=30)
+            return execute_run(spec)
+
+        dispatcher, server = fleet(shard_size=1)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        with WorkerThread(server.url, run_fn=run, poll=0.02,
+                          max_idle=30.0) as worker:
+            assert second_run.wait(timeout=60)
+            server.shutdown()
+            resume.set()
+            # the send of shard 1 fails, then lease after lease does
+            time.sleep(0.3)
+            assert worker.shards_done == 1
+            revived, server = fleet(shard_size=1, port=server.port)
+            status = DispatcherClient(server.url).wait(cid, timeout=60,
+                                                       poll=0.01)
+        assert status["done"] == len(small_records)
+        # shard 1 was abandoned with the old dispatcher and run again
+        assert len(executed) == len(small_records) + 1
+        assert worker.shards_done == len(small_records)
+        from repro.faults.parser import load_records
+        merged = load_records(revived.log_dir / f"{cid}.jsonl")
+        assert canonical_log_text(merged) == \
+            canonical_log_text(small_records)
+        kinds = [e["event"] for e in revived.events(cid)["events"]]
+        assert kinds.count("campaign_resume") == 1
+
+    def test_unreachable_dispatcher_ends_the_worker(self, capsys):
+        from repro.cli import main as cli_main
+        from repro.dist.worker import main as worker_main
+
+        url = "http://127.0.0.1:9"
+        with pytest.raises(DispatchError, match="cannot reach"):
+            FleetWorker(url, max_idle=0.0).run()
+        assert worker_main(["--connect", url]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "cannot reach" in lines[0]
+        with pytest.raises(SystemExit, match="cannot reach"):
+            cli_main(["worker", "--connect", url])
