@@ -301,17 +301,20 @@ def base_record(spec: RunSpec) -> dict:
 
 def open_fresh_checkpoint_set(spec: RunSpec):
     """The spec's golden checkpoint set, or ``None`` when it names
-    none, the set is missing, or it was captured from a golden run of
-    another length (a stale set can neither restore nor witness
-    convergence)."""
+    none, the set is missing, its golden manifest is unreadable, or it
+    was captured from a golden run of another length (a stale set can
+    neither restore nor witness convergence)."""
     if not (spec.checkpoint_dir and spec.checkpoint_key):
         return None
-    from repro.sim.checkpoint import open_checkpoint_set
+    from repro.sim.checkpoint import CheckpointError, open_checkpoint_set
 
     ckpt_set = open_checkpoint_set(spec.checkpoint_dir,
                                    spec.checkpoint_key)
-    if (ckpt_set is not None
-            and ckpt_set.golden_cycles != spec.golden_cycles):
+    if ckpt_set is None or ckpt_set.golden_cycles != spec.golden_cycles:
+        return None
+    try:
+        ckpt_set.golden()  # cached; every user of the set reads it
+    except CheckpointError:
         return None
     return ckpt_set
 

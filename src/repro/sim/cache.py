@@ -17,7 +17,7 @@ to the first bank with zero identification and so on".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -455,7 +455,10 @@ class Cache:
                     entries.append({"valid": False,
                                     "last_use": line.last_use})
             sets[set_idx] = entries
-        return {"tick": self._tick, "stats": asdict(self.stats),
+        stats = self.stats
+        return {"tick": self._tick,
+                "stats": (stats.accesses, stats.hits, stats.misses,
+                          stats.evictions, stats.writebacks),
                 "sets": sets}
 
     def restore(self, snap: Dict[str, object]) -> None:
@@ -465,7 +468,7 @@ class Cache:
         across repeated restores.
         """
         self._tick = snap["tick"]
-        self.stats = CacheStats(**snap["stats"])
+        self.stats = CacheStats(*snap["stats"])
         self._sets = {}
         for set_idx, entries in snap["sets"].items():
             ways = []

@@ -11,12 +11,13 @@ Three guarantees make the fast-forwarded run bit-identical to a
 from-scratch run:
 
 1. **Complete state capture.**  A snapshot holds every piece of
-   mutable simulator state: DRAM + allocator, constant bank, all cache
-   arrays with tag/dirty/LRU state, register files, predicates, SIMT
-   stacks, scoreboards, shared/local memories, warp-scheduler history,
-   the pending CTA queue, contention busy-until timestamps, and the
-   statistics integrals.  Derived state (decoded-instruction caches,
-   scheduler buckets, sregs) is recomputed deterministically.
+   mutable simulator state: the DRAM page table + allocator, constant
+   bank, all cache arrays with tag/dirty/LRU state, register files,
+   predicates, SIMT stacks, scoreboards, shared/local memories,
+   warp-scheduler history, the pending CTA queue, contention
+   busy-until timestamps, and the statistics integrals.  Derived state
+   (decoded-instruction caches, scheduler buckets, sregs) is
+   recomputed deterministically.
 2. **Host-read replay.**  Host code may read device memory between
    launches and branch on it (e.g. the BFS frontier flag).  The golden
    run records every DtoH copy; a fast-forwarded run serves the
@@ -31,11 +32,26 @@ from-scratch run:
    (:data:`SNAPSHOT_FORMAT`).  Any change to code or configuration
    yields a different key, so stale checkpoints are never restored.
 
-Snapshots are pickled and zlib-compressed on disk::
+On disk (snapshots and the golden manifest pickled + zlib-compressed)::
 
     <checkpoint-dir>/<key>/meta.json       # manifest, written last
     <checkpoint-dir>/<key>/golden.bin      # launch stats + host reads
     <checkpoint-dir>/<key>/ckpt_<L>_<C>.bin  # snapshot at launch L, cycle C
+    <checkpoint-dir>/<key>/pages.bin       # the page pool, raw 4 KiB pages
+
+**DRAM is content-addressed, not copied** (format 3).  Global memory
+keeps a hash per non-zero 4 KiB page, rehashing only pages written
+since (:mod:`repro.sim.memory`).  A snapshot stores that page table;
+the recorder appends a page's bytes to ``pages.bin`` the first time
+its hash is seen (``meta.json`` lists the pool's hashes in file
+order), the state digest mixes the table instead of the image, and a
+restore writes only the pages whose hash differs from the live
+memory's.  Capture, digest and restore so cost what the application
+changed, not the 8 MB that exist.  Why a pool rather than a chain of
+deltas: every ``ckpt_*.bin`` stays self-contained given the pool, so
+a restore reads one snapshot -- no chain to walk, no periodic full
+base to tune, one code path.  Stale sets (older formats, edited
+kernels) are unreachable by key and safe to delete.
 """
 
 from __future__ import annotations
@@ -54,16 +70,21 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.sim.memory import SNAP_PAGE, page_digest
+
 #: Bump whenever the snapshot layout or any simulated semantics
 #: change: it participates in the checkpoint key, so old on-disk sets
 #: become unreachable instead of silently wrong.
 #:
-#: format 2: checkpoint entries carry a ``state_hash`` digest used by
-#: convergence early-exit (see :func:`state_digest`).
-SNAPSHOT_FORMAT = 2
+#: format 3: page-granular, content-addressed DRAM (module docstring);
+#: checkpoint entries carry the ``state_hash`` of :func:`state_digest`.
+SNAPSHOT_FORMAT = 3
 
 #: Smallest auto-mode capture stride (cycles).
 _MIN_AUTO_STRIDE = 64
+
+#: The content-addressed page pool of one set: raw pages, back to back.
+POOL_FILE = "pages.bin"
 
 
 class CheckpointError(Exception):
@@ -105,8 +126,11 @@ def _load_blob(path_str: str, size: int, mtime_ns: int):
 
 
 def _load_file(path: Path):
-    st = os.stat(path)
-    return _load_blob(str(path), st.st_size, st.st_mtime_ns)
+    try:
+        st = os.stat(path)
+        return _load_blob(str(path), st.st_size, st.st_mtime_ns)
+    except (OSError, zlib.error, pickle.UnpicklingError, EOFError) as exc:
+        raise CheckpointError(f"unreadable {path.name}: {exc}") from exc
 
 
 # -- canonical state digest ---------------------------------------------
@@ -118,81 +142,72 @@ def _load_file(path: Path):
 # part of the checkpoint format: stored ``state_hash`` values must keep
 # matching, so it never changes without a SNAPSHOT_FORMAT bump.
 #
-# A mixer appends its value's bytes to ``parts``; the hash is fed one
-# joined buffer per run of small values (a GPU snapshot is ~9 000
-# values) and large arrays directly, without a copy.
-
-#: Arrays at least this large bypass the ``parts`` buffer.
-_DIRECT_BYTES = 1 << 16
+# A mixer appends its value's bytes to ``parts``; the hash is fed the
+# joined buffer once (a GPU snapshot is ~9 000 small values; DRAM
+# contributes its page table, never the image).
 
 _DTYPE_TAGS: Dict[np.dtype, bytes] = {}
 
 
-def _mix_none(h, parts, obj) -> None:
+def _mix_none(parts, obj) -> None:
     parts.append(b"N;")
 
 
-def _mix_bool(h, parts, obj) -> None:
+def _mix_bool(parts, obj) -> None:
     parts.append(b"B1;" if obj else b"B0;")
 
 
-def _mix_int(h, parts, obj) -> None:
+def _mix_int(parts, obj) -> None:
     parts.append(b"I%d;" % int(obj))
 
 
-def _mix_float(h, parts, obj) -> None:
+def _mix_float(parts, obj) -> None:
     parts.append(b"F" + repr(float(obj)).encode() + b";")
 
 
-def _mix_str(h, parts, obj) -> None:
+def _mix_str(parts, obj) -> None:
     parts.append(b"S" + obj.encode("utf-8", "surrogatepass") + b";")
 
 
-def _mix_bytes(h, parts, obj) -> None:
+def _mix_bytes(parts, obj) -> None:
     parts.append(b"Y" + obj + b";")
 
 
-def _mix_array(h, parts, obj) -> None:
+def _mix_array(parts, obj) -> None:
     tag = _DTYPE_TAGS.get(obj.dtype)
     if tag is None:
         tag = _DTYPE_TAGS[obj.dtype] = b"A" + str(obj.dtype).encode()
     parts.append(tag + repr(obj.shape).encode())
-    data = np.ascontiguousarray(obj)
-    if data.nbytes >= _DIRECT_BYTES:
-        h.update(b"".join(parts))
-        parts.clear()
-        h.update(data)
-    else:
-        parts.append(data.tobytes())
+    parts.append(obj.tobytes())
     parts.append(b";")
 
 
-def _mix_each(h, parts, items) -> None:
+def _mix_each(parts, items) -> None:
     for item in items:
-        (_MIXERS.get(type(item)) or _mixer_for(type(item)))(h, parts, item)
+        (_MIXERS.get(type(item)) or _mixer_for(type(item)))(parts, item)
     parts.append(b";")
 
 
-def _mix_sequence(h, parts, obj) -> None:
+def _mix_sequence(parts, obj) -> None:
     parts.append(b"L%d" % len(obj))
-    _mix_each(h, parts, obj)
+    _mix_each(parts, obj)
 
 
-def _mix_dict(h, parts, obj) -> None:
+def _mix_dict(parts, obj) -> None:
     parts.append(b"D%d" % len(obj))
-    _mix_each(h, parts, (item for key in sorted(obj, key=repr)
+    _mix_each(parts, (item for key in sorted(obj, key=repr)
                          for item in (key, obj[key])))
 
 
-def _mix_set(h, parts, obj) -> None:
+def _mix_set(parts, obj) -> None:
     parts.append(b"E%d" % len(obj))
-    _mix_each(h, parts, sorted(obj, key=repr))
+    _mix_each(parts, sorted(obj, key=repr))
 
 
-def _mix_object(h, parts, obj) -> None:
+def _mix_object(parts, obj) -> None:
     # plain state-holder objects (e.g. LaunchStats): type + fields
     parts.append(b"O" + type(obj).__name__.encode())
-    _mix_dict(h, parts, vars(obj))
+    _mix_dict(parts, vars(obj))
     parts.append(b";")
 
 
@@ -228,11 +243,9 @@ def state_digest(snap: dict) -> str:
     are identical -- the basis of convergence early-exit
     (:class:`repro.faults.early_stop.ConvergenceMonitor`).
     """
-    h = hashlib.blake2b(digest_size=16)
     parts: List[bytes] = []
-    _mix_dict(h, parts, snap)
-    h.update(b"".join(parts))
-    return h.hexdigest()
+    _mix_dict(parts, snap)
+    return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
 
 
 def campaign_fingerprint(benchmark, card, scheduler_policy: str) -> str:
@@ -277,6 +290,9 @@ class CheckpointRecorder:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.interval = interval
         self.checkpoints: List[Dict[str, int]] = []
+        #: Hashes of the pages in ``pages.bin``, in file order (a dict
+        #: for its ordered keys).
+        self._pooled: Dict[bytes, None] = {}
         self._host_reads: List[dict] = []
         self._seen_launches: set = set()
         self._next_capture = 0
@@ -291,6 +307,7 @@ class CheckpointRecorder:
         self._seen_launches.add(launch_index)
         name = f"ckpt_{launch_index:03d}_{gpu.cycle:012d}.bin"
         snap = gpu.snapshot(launch, queue)
+        self._pool_pages(gpu.memory, snap["memory"]["pages"])
         (self.directory / name).write_bytes(_dumps(snap))
         self.checkpoints.append({"cycle": gpu.cycle,
                                  "launch_index": launch_index,
@@ -301,6 +318,16 @@ class CheckpointRecorder:
         else:
             self._next_capture = gpu.cycle + max(_MIN_AUTO_STRIDE,
                                                  gpu.cycle // 2)
+
+    def _pool_pages(self, memory, pages: Dict[int, bytes]) -> None:
+        """Append every page whose content the pool has not seen."""
+        fresh = {digest: index for index, digest in pages.items()
+                 if digest not in self._pooled}
+        if fresh:
+            with open(self.directory / POOL_FILE, "ab") as pool:
+                for index in fresh.values():
+                    pool.write(memory.page(index))
+            self._pooled.update(dict.fromkeys(fresh))
 
     def record_host_read(self, tag: int, addr: int, nbytes: int,
                          data) -> None:
@@ -318,6 +345,7 @@ class CheckpointRecorder:
                 "interval": self.interval,
                 "golden_cycles": golden_cycles,
                 "checkpoints": self.checkpoints,
+                "pages": [digest.hex() for digest in self._pooled],
                 "complete": True}
         # meta.json is written last: its presence marks a complete set
         (self.directory / "meta.json").write_text(
@@ -331,6 +359,8 @@ class CheckpointSet:
     def __init__(self, directory: Path, meta: dict):
         self.directory = Path(directory)
         self.meta = meta
+        self._slots = {bytes.fromhex(digest): slot
+                       for slot, digest in enumerate(meta["pages"])}
 
     @property
     def interval(self) -> Optional[int]:
@@ -346,6 +376,22 @@ class CheckpointSet:
 
     def load_snapshot(self, name: str) -> dict:
         return _load_file(self.directory / name)
+
+    def page(self, digest: bytes) -> bytes:
+        """The pooled page with this content hash (verified)."""
+        slot = self._slots.get(digest)
+        if slot is None:
+            raise CheckpointError(f"page {digest.hex()} is not in the pool")
+        try:
+            with open(self.directory / POOL_FILE, "rb") as pool:
+                pool.seek(slot * SNAP_PAGE)
+                page = pool.read(SNAP_PAGE)
+        except OSError as exc:
+            raise CheckpointError(f"unreadable page pool: {exc}") from exc
+        if page_digest(page) != digest:
+            raise CheckpointError(
+                f"pool slot {slot} does not hold page {digest.hex()}")
+        return page
 
     def fast_forward(self, target_cycle: int) -> "FastForward":
         """Build a replayer restoring the nearest snapshot at or
@@ -430,7 +476,7 @@ class FastForward:
             raise CheckpointMismatch(
                 f"{len(self._reads) - self._pos} recorded host read(s) "
                 "were never consumed before the restore point")
-        queue = gpu.restore(snap, request)
+        queue = gpu.restore(snap, request, self._set.page)
         self.done = True
         self.restore_seconds = time.perf_counter() - restore_started
         return gpu.resume_launch(request, queue)

@@ -284,15 +284,19 @@ class SIMTCore:
     def snapshot(self) -> dict:
         """Capture caches, resident CTAs and scheduler state.
 
-        ``_last_issued`` warps are recorded by their (core-unique) age;
-        the per-scheduler buckets, the remembered stalls and the
-        occupancy counters are derived and rebuilt.
+        ``_last_issued`` warps are recorded by their (core-unique) age
+        while resident, ``None`` once their CTA retired -- what restore
+        resolves such an age to and how the scheduler treats it, so a
+        restored run digests like the run it was captured from.  The
+        per-scheduler buckets, the remembered stalls and the occupancy
+        counters are derived and rebuilt.
         """
         return {
             "scheduler_policy": self.scheduler_policy,
             "age_counter": self._age_counter,
-            "last_issued": {sid: (w.age if w is not None else None)
-                            for sid, w in self._last_issued.items()},
+            "last_issued": {
+                sid: (w.age if w is not None and w.cta.core is self else None)
+                for sid, w in self._last_issued.items()},
             "l1d": self.l1d.snapshot() if self.l1d is not None else None,
             "l1t": self.l1t.snapshot(),
             "l1c": self.l1c.snapshot(),

@@ -128,16 +128,6 @@ class CTA:
             addrs = np.where(addrs + 4 > nbytes, addrs % nbytes, addrs)
         return addrs >> 2
 
-    def smem_read(self, addr: int) -> np.ndarray:
-        """Aligned 32-bit shared-memory read, one word per column
-        (uint32[ncols])."""
-        return self.smem_words[:, self._resolve_smem(addr) >> 2]
-
-    def smem_write(self, addr: int, values) -> None:
-        """Aligned 32-bit shared-memory write; ``values`` is one word
-        per column (or one word for all)."""
-        self.smem_words[:, self._resolve_smem(addr) >> 2] = values
-
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -358,19 +358,24 @@ class GPU:
             "cores": [core.snapshot() for core in self.cores],
         }
 
-    def restore(self, snap: dict,
-                launch: KernelLaunch) -> List[Tuple[int, int]]:
+    def restore(self, snap: dict, launch: KernelLaunch,
+                fetch_page: Callable[[bytes], bytes]
+                ) -> List[Tuple[int, int]]:
         """Rebuild the GPU from a :meth:`snapshot` dict.
 
         ``launch`` must be the replayed KernelLaunch matching the
-        snapshot's launch descriptor (the caller validates).  Returns
-        the restored CTA queue to pass to :meth:`resume_launch`.
+        snapshot's launch descriptor (the caller validates);
+        ``fetch_page`` supplies the bytes of the DRAM pages that differ
+        (see :meth:`GlobalMemory.restore`; the snapshot holds only
+        their hashes).  Returns the restored CTA queue to pass to
+        :meth:`resume_launch`.
         """
+        # first: the one step that can fail (an unreadable page)
+        self.memory.restore(snap["memory"], fetch_page)
         self.cycle = snap["cycle"]
         self._l2_bank_busy = list(snap["l2_bank_busy"])
         self._dram_busy = list(snap["dram_busy"])
         self._code_bases = dict(snap["code_bases"])
-        self.memory.restore(snap["memory"])
         self.const_bank.restore(snap["const_bank"])
         self.l2.restore(snap["l2"])
         self.stats.restore(snap["stats"])
@@ -459,9 +464,11 @@ class GPU:
     def dram_write_words(self, base: int, offsets: np.ndarray,
                          values: np.ndarray) -> int:
         """Direct DRAM word writes (L2 bypass mode for non-texture)."""
-        line = self.memory.data[base:base + self.l2.geometry.line_bytes]
-        if len(line) == self.l2.geometry.line_bytes:
+        line_bytes = self.l2.geometry.line_bytes
+        if base + line_bytes <= self.memory.size:
+            line = self.memory.read_line(base, line_bytes)
             line.view("<u4")[offsets] = values
+            self.memory.write_line(base, line)
         stale = self.l2.peek(base)
         if stale is not None:
             stale.data.view("<u4")[offsets] = values
@@ -539,7 +546,7 @@ class GPU:
 
     def host_write(self, addr: int, data: np.ndarray) -> None:
         """Host write to device memory, updating resident L2 lines."""
-        self.memory.data[addr:addr + len(data)] = data
+        self.memory.write_bytes(addr, data)
         line_bytes = self.l2.geometry.line_bytes
         first = addr - addr % line_bytes
         for base in range(first, addr + len(data), line_bytes):

@@ -8,11 +8,20 @@ alignment.  Word accesses are bounds-checked against live allocations
 paper's *Crash* outcomes when a fault corrupts an address register).
 Cache-line fills deliberately bypass the bounds check, as real DRAM
 bursts do.
+
+Snapshots, digests and restores cost what changed, not what exists:
+the image is tracked in :data:`SNAP_PAGE`-byte pages.  Every writer
+marks the pages it touches dirty; :meth:`GlobalMemory.page_table`
+rehashes only those and keeps ``page -> blake2b`` for the non-zero
+pages.  ``data`` is a read-only view, so a write that bypasses the
+tracking raises instead of leaving a stale table behind -- a stale
+digest would be a false "Masked" by convergence.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import hashlib
+from typing import Callable, Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -33,17 +42,45 @@ ALLOC_ALIGN = 256
 #: paper's Fig. 1.
 PAGE_SIZE = 2 * 1024 * 1024
 
+#: Granule of dirty tracking, page hashes and snapshot storage (not
+#: the MMU's :data:`PAGE_SIZE`); part of the snapshot format.
+SNAP_PAGE = 4096
+_SNAP_SHIFT = 12
+
+
+def page_digest(page) -> bytes:
+    """The content address of one :data:`SNAP_PAGE`-byte page."""
+    return hashlib.blake2b(page, digest_size=16).digest()
+
+
+_ZERO_DIGEST = page_digest(bytes(SNAP_PAGE))
+
+
+def _span(index: int) -> slice:
+    """The byte range of page ``index``."""
+    return slice(index << _SNAP_SHIFT, (index + 1) << _SNAP_SHIFT)
+
 
 class GlobalMemory:
     """The simulated off-chip GDDR DRAM with a bump allocator."""
 
     def __init__(self, size_bytes: int):
+        if size_bytes % SNAP_PAGE:
+            raise ValueError(
+                f"DRAM size must be a multiple of {SNAP_PAGE} bytes")
         self.size = size_bytes
-        self.data = np.zeros(size_bytes, dtype=np.uint8)
+        self._data = np.zeros(size_bytes, dtype=np.uint8)
+        #: The image, read-only: write through the methods below.
+        self.data = self._data.view()
+        self.data.flags.writeable = False
         self._next = BASE_ADDRESS
         self._allocations: List[Tuple[int, int]] = []
-        self._starts = np.zeros(0, dtype=np.int64)
-        self._ends = np.zeros(0, dtype=np.int64)
+        #: Pages written since their hash was last taken.
+        self._dirty: Set[int] = set()
+        #: Hash of every clean non-zero page (zero pages are absent).
+        self._pages: Dict[int, bytes] = {}
+        #: Pages hashed so far (observability; never snapshotted).
+        self.pages_hashed = 0
 
     def malloc(self, nbytes: int) -> int:
         """Allocate ``nbytes`` of device memory; returns the device pointer."""
@@ -56,20 +93,16 @@ class GlobalMemory:
                 f"device out of memory: {nbytes} bytes requested, "
                 f"{self.size - self._next} free")
         self._allocations.append((start, end))
-        self._starts = np.array([a for a, _ in self._allocations],
-                                dtype=np.int64)
-        self._ends = np.array([e for _, e in self._allocations],
-                              dtype=np.int64)
         self._next = (end + ALLOC_ALIGN - 1) // ALLOC_ALIGN * ALLOC_ALIGN
         return start
 
     def reset(self) -> None:
         """Free every allocation and zero the memory (new application)."""
-        self.data[:] = 0
+        self._data[:] = 0
+        self._dirty.clear()
+        self._pages.clear()
         self._next = BASE_ADDRESS
         self._allocations.clear()
-        self._starts = np.zeros(0, dtype=np.int64)
-        self._ends = np.zeros(0, dtype=np.int64)
 
     def mapped_end(self) -> int:
         """One past the last mapped heap address (page granular)."""
@@ -104,12 +137,13 @@ class GlobalMemory:
     def read_word(self, addr: int) -> int:
         """Bounds-checked aligned 32-bit read (raw DRAM, no caches)."""
         self.check_access(addr)
-        return int(self.data[addr:addr + 4].view("<u4")[0])
+        return int(self._data[addr:addr + 4].view("<u4")[0])
 
     def write_word(self, addr: int, value: int) -> None:
         """Bounds-checked aligned 32-bit write (raw DRAM, no caches)."""
         self.check_access(addr)
-        self.data[addr:addr + 4].view("<u4")[0] = value & 0xFFFFFFFF
+        self._data[addr:addr + 4].view("<u4")[0] = value & 0xFFFFFFFF
+        self._dirty.add(addr >> _SNAP_SHIFT)
 
     def read_line(self, addr: int, nbytes: int) -> np.ndarray:
         """Unchecked line-granularity read for cache fills.
@@ -121,7 +155,7 @@ class GlobalMemory:
         if addr >= self.size or addr < 0:
             return out
         end = min(addr + nbytes, self.size)
-        out[: end - addr] = self.data[addr:end]
+        out[: end - addr] = self._data[addr:end]
         return out
 
     def write_line(self, addr: int, data: np.ndarray) -> None:
@@ -133,25 +167,63 @@ class GlobalMemory:
         """
         if addr < 0 or addr >= self.size:
             return
-        end = min(addr + len(data), self.size)
-        self.data[addr:end] = data[: end - addr]
+        self.write_bytes(addr, data[: min(len(data), self.size - addr)])
+
+    def write_bytes(self, addr: int, data: np.ndarray) -> None:
+        """Unchecked write of ``len(data)`` bytes, all inside the DRAM
+        (host copies; the tracked form of ``data[addr:...] = data``)."""
+        end = addr + len(data)
+        self._data[addr:end] = data
+        self._dirty.update(range(addr >> _SNAP_SHIFT,
+                                 (end + SNAP_PAGE - 1) >> _SNAP_SHIFT))
 
     # -- checkpointing -----------------------------------------------------
 
+    def page(self, index: int) -> np.ndarray:
+        """Read-only view of one :data:`SNAP_PAGE`-byte page."""
+        return self.data[_span(index)]
+
+    def page_table(self) -> Dict[int, bytes]:
+        """``page index -> content hash`` of every non-zero page; only
+        pages written since the last call are rehashed.  The live
+        table: copy before keeping."""
+        pages = self._pages
+        for index in self._dirty:
+            digest = page_digest(self.page(index))
+            if digest == _ZERO_DIGEST:
+                pages.pop(index, None)
+            else:
+                pages[index] = digest
+        self.pages_hashed += len(self._dirty)
+        self._dirty.clear()
+        return pages
+
     def snapshot(self) -> dict:
-        """Capture DRAM contents and allocator state."""
-        return {"data": self.data.copy(), "next": self._next,
+        """Capture the page table (no page bytes) and allocator state."""
+        return {"pages": dict(self.page_table()), "next": self._next,
                 "allocations": [tuple(a) for a in self._allocations]}
 
-    def restore(self, snap: dict) -> None:
-        """Rebuild DRAM and allocator from a :meth:`snapshot` dict."""
-        self.data[:] = snap["data"]
+    def restore(self, snap: dict,
+                fetch_page: Callable[[bytes], bytes]) -> None:
+        """Rebuild DRAM and allocator from a :meth:`snapshot` dict.
+
+        Only pages whose hash differs from the live table are written;
+        ``fetch_page(digest)`` supplies their bytes (all fetched before
+        the first write, so a failing fetch leaves the memory as it
+        was).
+        """
+        live = self.page_table()
+        wanted = snap["pages"]
+        fetched = {index: fetch_page(digest)
+                   for index, digest in wanted.items()
+                   if live.get(index) != digest}
+        for index in live.keys() - wanted.keys():
+            self._data[_span(index)] = 0
+        for index, page in fetched.items():
+            self._data[_span(index)] = np.frombuffer(page, dtype=np.uint8)
+        self._pages = dict(wanted)
         self._next = snap["next"]
         self._allocations = [tuple(a) for a in snap["allocations"]]
-        self._starts = np.array([a for a, _ in self._allocations],
-                                dtype=np.int64)
-        self._ends = np.array([e for _, e in self._allocations],
-                              dtype=np.int64)
 
 
 class ConstantBank:

@@ -65,7 +65,7 @@ class Warp:
                  "regs", "preds", "exited", "stack", "live_count",
                  "local_bytes", "local_mem", "local_words", "reg_ready",
                  "pred_ready", "sb_latest", "at_barrier", "done",
-                 "wake_cycle", "ifetch_ready", "ready_at", "sregs")
+                 "ifetch_ready", "ready_at", "sregs")
 
     def __init__(self, warp_id_in_cta: int, num_threads: int, num_regs: int,
                  local_bytes: int, cta, age: int, ncols: int = 1):
@@ -107,8 +107,6 @@ class Warp:
 
         self.at_barrier = False
         self.done = False
-        #: Earliest cycle this warp may issue again (hazard stall hint).
-        self.wake_cycle = 0
         #: Instruction-fetch stall (icache extension): no issue before.
         self.ifetch_ready = 0
         #: Remembered stall: no issue before this cycle (see the module
@@ -171,13 +169,6 @@ class Warp:
                     ready = cycle
         return ready
 
-    def operands_ready_at(self, inst) -> int:
-        """Earliest cycle at which every operand hazard is cleared
-        (RAW on the sources, WAW on the destinations)."""
-        src_regs, dst_regs, src_preds, dst_preds = inst.scoreboard_sets()
-        return self.hazards_clear_at(src_regs + dst_regs,
-                                     src_preds + dst_preds)
-
     def mark_ready(self, dst_regs, dst_preds, completion_cycle: int) -> None:
         """Record when the given destinations become available."""
         for idx in dst_regs:
@@ -186,11 +177,6 @@ class Warp:
             self.pred_ready[idx] = completion_cycle
         if (dst_regs or dst_preds) and completion_cycle > self.sb_latest:
             self.sb_latest = completion_cycle
-
-    def mark_writes(self, inst, completion_cycle: int) -> None:
-        """Record destination availability after issuing ``inst``."""
-        _, dst_regs, _, dst_preds = inst.scoreboard_sets()
-        self.mark_ready(dst_regs, dst_preds, completion_cycle)
 
     # -- local memory -----------------------------------------------------------
 
@@ -252,7 +238,6 @@ class Warp:
             "sb_latest": self.sb_latest,
             "at_barrier": self.at_barrier,
             "done": self.done,
-            "wake_cycle": self.wake_cycle,
             "ifetch_ready": self.ifetch_ready,
         }
 
@@ -272,5 +257,4 @@ class Warp:
         self.sb_latest = snap["sb_latest"]
         self.at_barrier = snap["at_barrier"]
         self.done = snap["done"]
-        self.wake_cycle = snap["wake_cycle"]
         self.ifetch_ready = snap["ifetch_ready"]

@@ -44,6 +44,15 @@ def tiny_config(**overrides) -> GPUConfig:
     return GPUConfig(**defaults)
 
 
+def page_source(memory):
+    """A ``fetch_page`` for ``GPU.restore`` / ``GlobalMemory.restore``
+    serving the pages ``memory`` holds right now (what a checkpoint
+    set's page pool does from disk)."""
+    pages = {digest: bytes(memory.page(index))
+             for index, digest in memory.page_table().items()}
+    return pages.__getitem__
+
+
 def run_lanes(source: str, num_threads: int = 32, params=(),
               device: Device = None, smem_bytes: int = 0,
               local_bytes: int = 0, block=None, grid: int = 1):

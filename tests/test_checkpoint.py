@@ -15,10 +15,13 @@ import pytest
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.targets import Structure
 from repro.sim.cards import rtx_2060
-from repro.sim.checkpoint import (CheckpointRecorder, CheckpointStore,
-                                  campaign_fingerprint, _dumps, _loads)
+from repro.sim.checkpoint import (POOL_FILE, CheckpointRecorder,
+                                  CheckpointStore, campaign_fingerprint,
+                                  _dumps, _loads)
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel, KernelLaunch
+from repro.sim.memory import SNAP_PAGE, page_digest
+from tests.conftest import page_source
 
 
 def run_campaign(tmp_path, benchmark, runs, checkpoint_dir=None,
@@ -73,6 +76,20 @@ class TestCampaignParity:
         assert len(result.records) == 4
 
 
+    def test_verify_restore_with_convergence(self, tmp_path):
+        """A restored run must digest like the run it was captured
+        from, or it misses the convergence its from-scratch twin finds
+        (here: restore at a launch boundary, where the scheduler's
+        last-issued warps belong to retired CTAs)."""
+        config = CampaignConfig(
+            benchmark="kmeans", card="RTX2060",
+            structures=(Structure.REGISTER_FILE,), runs_per_structure=4,
+            seed=23, checkpoint_dir=tmp_path / "ckpt",
+            verify_restore=True, early_stop="converge")
+        records = Campaign(config).run().records
+        assert any("terminated_at" in r for r in records)
+
+
 class TestCheckpointStore:
     def test_set_reused_across_plans(self, tmp_path):
         root = tmp_path / "ckpt"
@@ -122,6 +139,18 @@ class TestCheckpointStore:
         assert base != campaign_fingerprint(
             make_benchmark("pathfinder"), rtx_2060(), "gto")
 
+    def test_older_format_sets_are_unreachable(self, monkeypatch):
+        """The format is part of the key: a set another format wrote
+        lives under a directory this one never opens (or deletes)."""
+        from repro.bench import make_benchmark
+        from repro.sim import checkpoint
+
+        assert checkpoint.SNAPSHOT_FORMAT == 3
+        bench = make_benchmark("vectoradd")
+        key = campaign_fingerprint(bench, rtx_2060(), "gto")
+        monkeypatch.setattr(checkpoint, "SNAPSHOT_FORMAT", 2)
+        assert campaign_fingerprint(bench, rtx_2060(), "gto") != key
+
 
 class TestSnapshotRoundtrip:
     KERNEL = Kernel("snap_probe", """
@@ -149,15 +178,20 @@ class TestSnapshotRoundtrip:
         gpu = dev.gpu
         request = KernelLaunch.create(self.KERNEL, grid=1, block=32,
                                       params=[out])
+        dev.to_device(np.arange(1, 33, dtype=np.uint32))  # non-zero DRAM
         snap = _loads(_dumps(gpu.snapshot(request, [])))
+        pages = page_source(gpu.memory)
         cycle = gpu.cycle
-        mem = gpu.memory.snapshot()["data"].copy()
-        gpu.memory.restore({"data": np.zeros_like(mem),
-                            "next": 0, "allocations": []})
+        mem = gpu.memory.data.copy()
+        assert mem.any()
+        gpu.memory.restore({"pages": {}, "next": 0, "allocations": []},
+                           pages)
+        assert not gpu.memory.data.any()
         gpu.cycle = 0
-        gpu.restore(snap, request)
+        gpu.restore(snap, request, pages)
         assert gpu.cycle == cycle
-        assert np.array_equal(gpu.memory.snapshot()["data"], mem)
+        assert np.array_equal(gpu.memory.data, mem)
+        assert gpu.memory.snapshot() == snap["memory"]
         assert (dev.read_array(out, (32,), np.uint32) == 0x55).all()
 
     def test_recorder_writes_complete_set(self, tmp_path):
@@ -176,3 +210,196 @@ class TestSnapshotRoundtrip:
         rec = CheckpointRecorder("/tmp/unused")
         with pytest.raises(ValueError):
             RunOptions(checkpointer=rec, fast_forward=object())
+
+
+def capture_golden(directory, name="pathfinder"):
+    """One golden run with auto-stride capture; returns the open set."""
+    from repro.faults.campaign import profile_application
+
+    profile_application(
+        name, "RTX2060", checkpointer=CheckpointRecorder(directory / "set"))
+    return CheckpointStore(directory).open("set")
+
+
+class TestSnapshotsCostWhatChanged:
+    def test_each_distinct_page_is_stored_once(self, tmp_path):
+        ckpt_set = capture_golden(tmp_path)
+        tables = [ckpt_set.load_snapshot(entry["file"])["memory"]["pages"]
+                  for entry in ckpt_set.meta["checkpoints"]]
+        distinct = {digest for table in tables for digest in table.values()}
+        references = sum(len(table) for table in tables)
+        assert len(tables) >= 3 and references > len(distinct) >= 1
+        pooled = [bytes.fromhex(h) for h in ckpt_set.meta["pages"]]
+        assert sorted(pooled) == sorted(distinct)
+        pool = (ckpt_set.directory / POOL_FILE).read_bytes()
+        assert len(pool) == len(pooled) * SNAP_PAGE
+        for slot, digest in enumerate(pooled):
+            page = pool[slot * SNAP_PAGE:(slot + 1) * SNAP_PAGE]
+            assert page_digest(page) == digest == page_digest(
+                ckpt_set.page(digest))
+        # and a snapshot file no longer carries an image
+        largest = max(p.stat().st_size
+                      for p in ckpt_set.directory.glob("ckpt_*.bin"))
+        assert largest < 64 * 1024
+
+    @pytest.mark.parametrize("scribbles", [0, 1, 3])
+    def test_convergence_check_hashes_only_dirtied_pages(self, tmp_path,
+                                                         scribbles):
+        """A restored run's digest check rehashes the pages written
+        since the restore -- none on an untouched run -- and the
+        restore fetches only the pages that differ."""
+        from repro.bench import make_benchmark
+        from repro.faults.early_stop import ConvergenceMonitor
+        from repro.faults.runner import run_application
+
+        ckpt_set = capture_golden(tmp_path)
+        entries = ckpt_set.meta["checkpoints"]
+        restore_at, check_at = entries[2], entries[3]
+        assert restore_at["launch_index"] == check_at["launch_index"]
+        seen = {}
+
+        class Monitor(ConvergenceMonitor):
+            def on_cycle(self, gpu, launch, queue):
+                before = gpu.memory.pages_hashed
+                try:
+                    super().on_cycle(gpu, launch, queue)
+                finally:
+                    if gpu.cycle == check_at["cycle"]:
+                        seen["hashed"] = gpu.memory.pages_hashed - before
+
+        class Scribbler:
+            """Injector stand-in: DRAM word writes after the restore."""
+            log = ()
+            cycle = restore_at["cycle"] + 1
+
+            def due_cycle(self):
+                return self.cycle
+
+            def apply_due(self, gpu, now):
+                if self.cycle is not None and now >= self.cycle:
+                    self.cycle = None
+                    for page in range(scribbles):
+                        gpu.memory.write_word(
+                            0x1000 + page * SNAP_PAGE + 4 * page, 0xBAD)
+                        gpu.memory.write_word(
+                            0x1000 + page * SNAP_PAGE + 64, 0xBAD)
+
+        fetched = []
+        ckpt_set.page = lambda digest, fetch=ckpt_set.page: (
+            fetched.append(digest) or fetch(digest))
+        result = run_application(
+            make_benchmark("pathfinder"), "RTX2060", options=RunOptions(
+                injector=Scribbler(),
+                fast_forward=ckpt_set.fast_forward(restore_at["cycle"]),
+                convergence=Monitor([check_at], ckpt_set.golden()["host_reads"],
+                                    ckpt_set.golden_cycles)))
+        assert result.restored_at == restore_at["cycle"]
+        assert seen["hashed"] == scribbles
+        assert (result.terminated_at == check_at["cycle"]) == (scribbles == 0)
+        # the host re-uploaded the inputs before the restore: nothing,
+        # or only what the skipped prefix wrote back, needs fetching
+        snap = ckpt_set.load_snapshot(restore_at["file"])
+        assert len(fetched) < len(snap["memory"]["pages"])
+
+
+def damage_truncated_snapshots(directory):
+    for path in directory.glob("ckpt_*.bin"):
+        path.write_bytes(path.read_bytes()[:-7])
+
+
+def damage_deleted_snapshots(directory):
+    for path in directory.glob("ckpt_*.bin"):
+        path.unlink()
+
+
+def damage_truncated_pool(directory):
+    (directory / POOL_FILE).write_bytes(b"")
+
+
+def damage_truncated_manifest(directory):
+    path = directory / "golden.bin"
+    path.write_bytes(path.read_bytes()[:40])
+
+
+class TestDamagedSetFallsBack:
+    """``execute_run``'s contract: any checkpoint problem falls back
+    to a from-scratch run -- the campaign neither aborts nor changes a
+    record.  The card's L2 is small enough to write back mid-run, so
+    restores do fetch pages (on the paper's cards the 12 benchmarks'
+    stores stay in the L2 and a restore finds every page in place)."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_l2_card(self):
+        import dataclasses
+
+        from repro.sim.cards import CARDS
+        from repro.sim.config import CacheGeometry
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(CARDS, "SmallL2", dataclasses.replace(
+                rtx_2060(), name="SmallL2",
+                l2=CacheGeometry(8 * 1024, assoc=4), l2_banks=4))
+            yield
+
+    @staticmethod
+    def run(checkpoint_dir, batch=1, damage=None):
+        """Canonical log text and each record's ``fast_forwarded``."""
+        import dataclasses
+
+        from repro.dist.protocol import canonical_log_text
+
+        campaign = Campaign(CampaignConfig(
+            benchmark="bfs", card="SmallL2",
+            structures=(Structure.REGISTER_FILE,), runs_per_structure=5,
+            seed=3, checkpoint_dir=checkpoint_dir, checkpoint_interval=2000,
+            early_stop="off", batch=batch))
+        specs = campaign.plan()
+        if damage is not None:
+            (directory,) = checkpoint_dir.iterdir()
+            damage(directory)
+        # telemetry: the volatile ``timings`` say how each run was made
+        records = campaign.execute(
+            [dataclasses.replace(spec, telemetry=True) for spec in specs])
+        return canonical_log_text(records), [
+            r["timings"]["fast_forwarded"] for r in records]
+
+    @pytest.fixture(scope="class")
+    def expected(self, small_l2_card):
+        return self.run(None)[0]
+
+    def test_intact_set_is_restored_from(self, tmp_path, expected):
+        text, forwarded = self.run(tmp_path / "ckpt")
+        assert text == expected and all(forwarded)
+
+    @pytest.mark.parametrize("batch", [1, 4], ids=["solo", "packs"])
+    @pytest.mark.parametrize("damage", [
+        damage_truncated_snapshots, damage_deleted_snapshots,
+        damage_truncated_pool, damage_truncated_manifest])
+    def test_records_equal_the_no_checkpoint_run(self, tmp_path, expected,
+                                                 damage, batch):
+        text, forwarded = self.run(tmp_path / "ckpt", batch, damage)
+        assert text == expected
+        if damage is damage_truncated_pool:
+            # launch 0 restores find every page in place and never
+            # open the pool; the later ones fell back
+            assert 0 < sum(forwarded) < len(forwarded)
+        else:
+            assert not any(forwarded)
+
+    def test_pool_errors_are_checkpoint_errors(self, tmp_path):
+        from repro.sim.checkpoint import CheckpointError
+
+        ckpt_set = capture_golden(tmp_path, "vectoradd")
+        digest = bytes.fromhex(ckpt_set.meta["pages"][-1])
+        assert page_digest(ckpt_set.page(digest)) == digest
+        with pytest.raises(CheckpointError, match="not in the pool"):
+            ckpt_set.page(bytes(16))
+        pool = ckpt_set.directory / POOL_FILE
+        pool.write_bytes(pool.read_bytes()[:-1])
+        with pytest.raises(CheckpointError, match="does not hold"):
+            ckpt_set.page(digest)
+        pool.unlink()
+        with pytest.raises(CheckpointError, match="unreadable page pool"):
+            ckpt_set.page(digest)
+        with pytest.raises(CheckpointError, match="unreadable ckpt_"):
+            ckpt_set.load_snapshot("ckpt_missing.bin")

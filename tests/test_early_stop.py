@@ -176,9 +176,13 @@ class TestStateDigest:
 
     def test_byte_stream_is_the_documented_one(self):
         """Stored ``state_hash`` values depend on the exact bytes fed
-        to the hash: tag, value, ``;`` per value, in walk order."""
+        to the hash: tag, value, ``;`` per value, in walk order.
+        Format 3: global memory contributes its page table -- page
+        index -> blake2b-128 of the 4 KiB page, non-zero pages only --
+        never the image."""
         import hashlib
 
+        from repro.sim.memory import SNAP_PAGE, GlobalMemory
         from repro.sim.stats import LaunchStats
 
         def reference(h, obj):
@@ -216,8 +220,20 @@ class TestStateDigest:
                 reference(h, vars(obj))
             h.update(b";")
 
+        mem = GlobalMemory(16 * SNAP_PAGE)
+        ptr = mem.malloc(3 * SNAP_PAGE)
+        mem.write_bytes(ptr + 5, np.arange(SNAP_PAGE, dtype=np.uint8))
+        mem.write_word(ptr + 2 * SNAP_PAGE, 0)  # written, still zero
+        image = mem.data.tobytes()
+        assert mem.snapshot() == {
+            "pages": {index: hashlib.blake2b(
+                image[index * SNAP_PAGE:(index + 1) * SNAP_PAGE],
+                digest_size=16).digest() for index in (1, 2)},
+            "next": mem._next, "allocations": [(ptr, ptr + 3 * SNAP_PAGE)]}
+
         big = np.arange(1 << 15, dtype=np.uint32).reshape(64, -1)
         snap = {
+            "memory": mem.snapshot(),
             "scalars": [None, True, False, 0, -7, 1 << 70, 0.0, -0.0, 1.5,
                         float("inf"), "", "caf\u00e9", b"", b"\x00;"],
             "numpy": (np.bool_(True), np.uint32(7), np.int64(-3),

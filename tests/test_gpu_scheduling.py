@@ -9,7 +9,7 @@ from repro.faults.targets import Structure
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel, KernelLaunch
 from repro.sim.trace import Tracer
-from tests.conftest import tiny_config
+from tests.conftest import page_source, tiny_config
 
 COUNTER = Kernel("counter", """
     S2R R0, SR_CTAID_X
@@ -316,6 +316,7 @@ class _SnapshotAt:
     def on_cycle(self, gpu, launch, queue):
         if self.snap is None and gpu.cycle >= self.cycle:
             self.snap = gpu.snapshot(launch, queue)
+            self.pages = page_source(gpu.memory)
 
 
 class TestRestoreMidStall:
@@ -336,7 +337,7 @@ class TestRestoreMidStall:
         resumed.malloc(128)
         tracer = Tracer().attach(resumed)
         request = KernelLaunch.create(ORDER, grid=1, block=128)
-        queue = resumed.gpu.restore(capture.snap, request)
+        queue = resumed.gpu.restore(capture.snap, request, capture.pages)
         resumed.gpu.resume_launch(request, queue)
         assert [(r.cycle, r.warp, r.pc) for r in tracer.records] == \
             [rec for rec in order if rec[0] >= at]
@@ -350,7 +351,7 @@ class TestRestoreMidStall:
         assert sorted(warp) == sorted([
             "regs", "preds", "exited", "live_count", "stack", "local_mem",
             "reg_ready", "pred_ready", "sb_latest", "at_barrier", "done",
-            "wake_cycle", "ifetch_ready"])
+            "ifetch_ready"])
 
 
 class TestInjectedControlStateWakesTheWarp:

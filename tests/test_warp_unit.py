@@ -56,36 +56,32 @@ class TestWarpState:
 
 
 class TestScoreboard:
-    def make_inst(self, srcs=(), dsts=()):
-        class FakeInst:
-            def __init__(self, s, d):
-                self._s, self._d = s, d
-
-            def scoreboard_sets(self):
-                return (tuple(self._s), tuple(self._d), (), ())
-
-        return FakeInst(srcs, dsts)
+    """``hazards_clear_at`` over an instruction's sources (RAW) and
+    destinations (WAW), as the core's issue plans ask it."""
 
     def test_ready_when_untracked(self):
         warp = make_warp()
-        assert warp.operands_ready_at(self.make_inst(srcs=(1, 2))) == 0
+        assert warp.hazards_clear_at((1, 2), (0,)) == 0
 
     def test_raw_hazard(self):
         warp = make_warp()
-        warp.mark_writes(self.make_inst(dsts=(3,)), completion_cycle=50)
-        assert warp.operands_ready_at(self.make_inst(srcs=(3,))) == 50
+        warp.mark_ready((3,), (), 50)
+        assert warp.hazards_clear_at((1, 3), ()) == 50
 
     def test_waw_hazard(self):
         warp = make_warp()
-        warp.mark_writes(self.make_inst(dsts=(3,)), completion_cycle=40)
-        assert warp.operands_ready_at(self.make_inst(dsts=(3,))) == 40
+        warp.mark_ready((3,), (2,), 40)
+        assert warp.hazards_clear_at((3,), ()) == 40
+        assert warp.hazards_clear_at((), (2,)) == 40
 
     def test_sb_latest_fast_path(self):
         warp = make_warp()
-        warp.mark_writes(self.make_inst(dsts=(3,)), completion_cycle=99)
+        warp.mark_ready((3,), (), 99)
         assert warp.sb_latest == 99
-        warp.mark_writes(self.make_inst(dsts=(4,)), completion_cycle=50)
+        warp.mark_ready((4,), (), 50)
         assert warp.sb_latest == 99  # keeps the max
+        warp.mark_ready((), (), 500)
+        assert warp.sb_latest == 99  # nothing written, nothing in flight
 
 
 class TestWarpLocalMemory:
@@ -125,25 +121,30 @@ class TestCTAUnit:
         assert warp.sregs["SR_TID_X"][9] == 1   # linear 9 -> (1, 1)
         assert warp.sregs["SR_TID_Y"][9] == 1
 
+    @staticmethod
+    def words(cta, *addrs):
+        return cta.smem_word_indices(np.array(addrs, dtype=np.int64))
+
     def test_smem_roundtrip(self):
         cta = self.make_cta()
-        cta.smem_write(12, 77)
-        assert cta.smem_read(12) == 77
+        cta.smem_words[:, self.words(cta, 12, 16)] = (77, 78)
+        assert cta.smem_words[0, self.words(cta, 16, 12)].tolist() == [78, 77]
+        assert cta.smem[0, 12] == 77  # the byte view is the same buffer
 
     def test_smem_misaligned(self):
         cta = self.make_cta()
         with pytest.raises(MemoryViolation, match="misaligned"):
-            cta.smem_read(6)
+            self.words(cta, 4, 6)
 
     def test_smem_alias_within_window(self):
         cta = self.make_cta(smem=256)
-        cta.smem_write(0, 42)
-        assert cta.smem_read(256) == 42  # wraps into own allocation
+        # past the CTA's allocation: wraps into it
+        assert self.words(cta, 0, 256, 260).tolist() == [0, 0, 1]
 
     def test_smem_beyond_window_faults(self):
         cta = self.make_cta()
         with pytest.raises(MemoryViolation):
-            cta.smem_read(64 * 1024)
+            self.words(cta, 0, 64 * 1024)
 
     def test_barrier_release_all_live(self):
         cta = self.make_cta(block=(64, 1))
