@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Union
 
 from repro.analysis.report import render_table
-from repro.obs import metrics_path_for
+from repro.obs import format_plan_timing, metrics_path_for
 
 
 def find_metrics_path(path: Union[str, Path]) -> Path:
@@ -64,6 +64,8 @@ def render_metrics(metrics: dict) -> str:
     lines.append(
         f"wall-clock {_fmt_seconds(campaign.get('wall_s', 0.0))}, "
         f"{campaign.get('runs_per_s', 0.0):.2f} runs/s")
+    if "plan_s" in campaign:
+        lines.append(format_plan_timing(campaign))
 
     effects = metrics.get("effects", {})
     if effects:

@@ -81,7 +81,8 @@ class LocalPoolBackend(Backend):
             propagation=config.propagation,
             run_timeout=config.run_timeout,
             batch=getattr(config, "batch", 1),
-            profile=getattr(config, "profile", False))
+            profile=getattr(config, "profile", False),
+            plan_timing=campaign.plan_timing)
         try:
             return executor.execute(specs)
         finally:

@@ -271,7 +271,8 @@ class Dispatcher:
                 f"(got {config.backend!r})")
         # planning runs the golden profile; deliberately outside the
         # lock so a slow submit never stalls the lease path
-        specs = Campaign(config).plan()
+        campaign = Campaign(config)
+        specs = campaign.plan()
         fingerprint = plan_fingerprint(specs)
         with self._endpoint():
             for job in self._jobs.values():
@@ -285,7 +286,7 @@ class Dispatcher:
             self._restore_log(job)
             self._persist(job)
             self._ensure_log(job)
-            self._init_events(job)
+            self._init_events(job, campaign.plan_timing)
             self._jobs[cid] = job
             self._order.append(cid)
             log.info("campaign %s submitted: %d runs in %d shards",
@@ -300,7 +301,7 @@ class Dispatcher:
 
     # -- event journal -------------------------------------------------------
 
-    def _init_events(self, job: CampaignJob) -> None:
+    def _init_events(self, job: CampaignJob, plan_timing: dict) -> None:
         """Open the campaign's event journal, resuming any prior one.
 
         A dispatcher restart re-reads the journal (torn-tail-safe),
@@ -335,7 +336,7 @@ class Dispatcher:
             schema=EVENT_SCHEMA, campaign=job.campaign_id,
             total=job.total, pending=job.total - len(job.records),
             resumed=len(job.records), shards=len(job.shards),
-            trace=job.trace, fingerprint=job.fingerprint)
+            trace=job.trace, fingerprint=job.fingerprint, **plan_timing)
 
     def _journal(self, job: CampaignJob, event: str, **fields) -> dict:
         record = {"event": event}

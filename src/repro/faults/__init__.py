@@ -18,6 +18,7 @@ from repro.faults.campaign import (
     Campaign,
     CampaignConfig,
     CampaignResult,
+    GoldenRun,
     KernelProfile,
     profile_application,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "derive_run_seed",
     "rng_for_run",
     "scan_completed_records",
+    "GoldenRun",
     "KernelProfile",
     "profile_application",
     "FaultEffect",

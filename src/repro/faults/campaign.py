@@ -15,8 +15,9 @@ complete application execution on a fresh device.
 from __future__ import annotations
 
 import dataclasses
+import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +29,12 @@ from repro.faults.models import get_model
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure, supported_structures
 from repro.sim.cards import get_card
+from repro.sim.checkpoint import (CheckpointError, CheckpointSet,
+                                  CheckpointStore, RestoreParityError,
+                                  campaign_fingerprint)
 from repro.sim.device import RunOptions
+from repro.sim.liveness import LivenessTrace
+from repro.sim.stats import LaunchStats
 
 
 @dataclass
@@ -77,6 +83,22 @@ class AppProfile:
         return self.kernels[name].total_cycles / self.total_cycles
 
 
+@dataclass
+class GoldenRun:
+    """What the fault-free run of one configuration produced --
+    everything a campaign plans from.  Obtain it through
+    :meth:`Campaign.golden_run`."""
+
+    profile: AppProfile
+    cycles: int
+    #: The run's liveness trace; ``None`` when it was not traced.
+    liveness: Optional[LivenessTrace] = None
+    #: How it was obtained, "simulated" or "loaded" (from a checkpoint
+    #: set), and what that took -- not part of its value.
+    source: str = field(default="simulated", compare=False)
+    seconds: float = field(default=0.0, compare=False)
+
+
 def _make_benchmark(name: str):
     from repro.bench import make_benchmark
 
@@ -96,10 +118,9 @@ def profile_application(benchmark_name: str, card: str,
     With a ``liveness`` trace
     (:class:`repro.sim.liveness.LivenessTrace`), it additionally
     records per-structure liveness intervals for dead-site
-    pre-screening.
+    pre-screening (and the set keeps the trace).
     """
     bench = _make_benchmark(benchmark_name)
-    kernel_meta = {k.name: k for k in bench.kernels()}
     golden = run_application(
         bench, card, keep_device=True,
         options=RunOptions(scheduler_policy=scheduler_policy,
@@ -110,11 +131,23 @@ def profile_application(benchmark_name: str, card: str,
             f"fault-free run of {benchmark_name} on {card} did not pass: "
             f"{golden.status} / {golden.message} {golden.error}")
     if checkpointer is not None:
-        checkpointer.finalize(golden.device.gpu.stats.launches,
-                              golden.cycles)
+        checkpointer.finalize(golden.device.launches, golden.cycles,
+                              liveness)
+    profile = profile_from_launches(benchmark_name, card,
+                                    golden.device.launches)
+    golden.device.gpu.release()
+    golden.device = None  # free the simulator state
+    return profile, golden
 
+
+def profile_from_launches(benchmark_name: str, card,
+                          launch_stats: Sequence[LaunchStats]) -> AppProfile:
+    """The profile of a golden run, from the statistics of its
+    launches and the benchmark's kernel metadata."""
+    kernel_meta = {k.name: k
+                   for k in _make_benchmark(benchmark_name).kernels()}
     per_kernel: Dict[str, List] = defaultdict(list)
-    for launch in golden.device.launches:
+    for launch in launch_stats:
         per_kernel[launch.kernel_name].append(launch)
 
     kernels: Dict[str, KernelProfile] = {}
@@ -144,15 +177,32 @@ def profile_application(benchmark_name: str, card: str,
             cores_used=sorted(cores),
             instructions=sum(ls.instructions for ls in launches),
         )
-    profile = AppProfile(
+    return AppProfile(
         benchmark=benchmark_name,
         card=get_card(card).name if isinstance(card, str) else card.name,
         total_cycles=sum(k.total_cycles for k in kernels.values()),
         kernels=kernels,
     )
-    golden.device.gpu.release()
-    golden.device = None  # free the simulator state
-    return profile, golden
+
+
+def _stored_golden_run(ckpt_set: CheckpointSet, benchmark_name: str, card,
+                       traced: bool) -> Optional[GoldenRun]:
+    """The golden run a checkpoint set holds, with its trace when
+    ``traced`` asks for it and the set has a readable one; ``None``
+    when the set's manifest is unreadable."""
+    try:
+        golden = ckpt_set.golden()
+    except CheckpointError:
+        return None
+    liveness = None
+    if traced:
+        try:
+            liveness = ckpt_set.liveness()
+        except CheckpointError:
+            pass
+    return GoldenRun(
+        profile_from_launches(benchmark_name, card, golden["launch_stats"]),
+        golden["golden_cycles"], liveness, source="loaded")
 
 
 @dataclass
@@ -363,7 +413,9 @@ class Campaign:
 
     The campaign is a three-phase pipeline, each phase public:
 
-    1. :meth:`plan` profiles the fault-free application once and
+    1. :meth:`plan` takes the fault-free application's profile from
+       :meth:`golden_run` (simulated once per configuration, not once
+       per campaign) and
        enumerates every injection run as an addressable
        :class:`~repro.faults.executor.RunSpec` whose seed is derived
        from ``(campaign seed, kernel, structure, run_index)``;
@@ -379,14 +431,17 @@ class Campaign:
     """
 
     def __init__(self, config: CampaignConfig,
-                 progress: Optional[Callable[[str], None]] = None):
+                 progress: Optional[Callable[[str], None]] = None,
+                 golden: Optional[GoldenRun] = None):
         self.config = config
         self._progress = progress or (lambda msg: None)
-        self.profile: Optional[AppProfile] = None
-        self.golden_cycles: Optional[int] = None
-        #: Golden-run liveness trace (captured when ``early_stop`` is
-        #: "full"); feeds the plan-time dead-site pre-screener.
-        self._liveness = None
+        #: Memo of :meth:`golden_run`; pass ``golden`` to share the
+        #: one of another campaign on the same configuration.
+        self._golden = golden
+        #: Where the last :meth:`plan` call's time went: ``plan_s``,
+        #: ``golden`` ("simulated" / "loaded") and ``golden_s``
+        #: (observability; travels in the ``campaign_start`` event).
+        self.plan_timing: Dict[str, object] = {}
         #: Metrics sidecar document of the last :meth:`execute` call
         #: (``None`` unless ``config.metrics`` is on).
         self.last_metrics: Optional[dict] = None
@@ -395,14 +450,103 @@ class Campaign:
         #: :class:`repro.plan.driver.PlanReport`.
         self.last_plan = None
 
-    def plan(self) -> List[RunSpec]:
-        """Profile the golden run and enumerate every injection run.
+    @property
+    def profile(self) -> Optional[AppProfile]:
+        """The golden profile, once :meth:`golden_run` has one."""
+        return self._golden.profile if self._golden is not None else None
 
-        With ``checkpoint_dir`` set, the golden profiling run also
-        captures a checkpoint set (unless a complete, compatible set
-        for the same fingerprint already exists on disk) and every
-        planned spec references it for fast-forward execution.
+    @property
+    def golden_cycles(self) -> Optional[int]:
+        """The golden run's length, once :meth:`golden_run` has one."""
+        return self._golden.cycles if self._golden is not None else None
+
+    def _checkpoint_key(self) -> Optional[str]:
+        cfg = self.config
+        if cfg.checkpoint_dir is None:
+            return None
+        return campaign_fingerprint(_make_benchmark(cfg.benchmark),
+                                    cfg.resolved_card(),
+                                    cfg.scheduler_policy)
+
+    def golden_run(self, traced: bool = False) -> GoldenRun:
+        """The golden run of this configuration (with its liveness
+        trace when ``traced``), from the cheapest source that has it:
+        this campaign's memo, the checkpoint set on disk, a simulation.
+
+        With ``checkpoint_dir`` set, a simulation also captures the
+        checkpoint set -- unless a complete set of the wanted interval
+        exists already, which then only gains the trace it lacked.
+        ``verify_restore`` simulates even when the set has everything
+        and raises :class:`RestoreParityError` unless the two agree.
         """
+        cfg = self.config
+
+        def has_what_is_asked(golden: Optional[GoldenRun]) -> bool:
+            return golden is not None and (golden.liveness is not None
+                                           or not traced)
+
+        ckpt_set = store = None
+        if cfg.checkpoint_dir is not None:
+            store = CheckpointStore(cfg.checkpoint_dir)
+            key = self._checkpoint_key()
+            ckpt_set = store.open(key)
+            if ckpt_set is not None and cfg.checkpoint_interval not in (
+                    None, ckpt_set.interval):
+                ckpt_set = None
+        if has_what_is_asked(self._golden) and (store is None
+                                                or ckpt_set is not None):
+            return self._golden
+        started = time.perf_counter()
+        card = cfg.resolved_card()
+        stored = None
+        if ckpt_set is not None:
+            stored = _stored_golden_run(ckpt_set, cfg.benchmark, card,
+                                        traced)
+        if stored is not None and stored.cycles != ckpt_set.golden_cycles:
+            if cfg.verify_restore:
+                raise RestoreParityError(
+                    f"checkpoint set {ckpt_set.directory} contradicts "
+                    f"itself: its manifest records a golden run of "
+                    f"{stored.cycles} cycles, its meta.json one of "
+                    f"{ckpt_set.golden_cycles}")
+            stored = None
+        if has_what_is_asked(stored) and not cfg.verify_restore:
+            golden = stored
+        else:
+            # a set that cannot be planned from is captured afresh
+            recorder = (store.recorder(key, cfg.checkpoint_interval)
+                        if store is not None and stored is None else None)
+            liveness = LivenessTrace() if traced else None
+            profile, result = profile_application(
+                cfg.benchmark, card, cfg.scheduler_policy,
+                checkpointer=recorder, liveness=liveness)
+            golden = GoldenRun(profile, result.cycles, liveness)
+            if stored is not None:
+                same = (stored.profile == golden.profile
+                        and stored.cycles == golden.cycles)
+                if stored.liveness is not None:
+                    same = same and stored.liveness == liveness
+                elif traced and same:
+                    ckpt_set.add_liveness(liveness)
+                if cfg.verify_restore and not same:
+                    raise RestoreParityError(
+                        f"the golden run stored in {ckpt_set.directory} "
+                        f"({stored.cycles} cycles) differs from its "
+                        f"re-simulation ({golden.cycles} cycles) in "
+                        "profile, length or liveness trace")
+        golden.seconds = time.perf_counter() - started
+        self._golden = golden
+        return golden
+
+    def plan(self) -> List[RunSpec]:
+        """Enumerate every injection run of the campaign.
+
+        With ``checkpoint_dir`` set, every planned spec references the
+        golden run's checkpoint set for fast-forward execution (see
+        :meth:`golden_run` for when that set is captured and when a
+        plan simulates nothing).
+        """
+        started = time.perf_counter()
         cfg = self.config
         if cfg.early_stop not in EARLY_STOP_MODES:
             raise ValueError(
@@ -421,55 +565,24 @@ class Campaign:
             raise ValueError(
                 f"fault model {model.name!r} is persistent and cannot "
                 "be batched; use batch=1")
-        want_liveness = cfg.early_stop == "full"
-        resolved = cfg.resolved_card()
-        checkpointer = None
-        checkpoint_key = None
-        if cfg.checkpoint_dir is not None:
-            from repro.sim.checkpoint import (CheckpointStore,
-                                              campaign_fingerprint)
-
-            checkpoint_key = campaign_fingerprint(
-                _make_benchmark(cfg.benchmark), cfg.resolved_card(),
-                cfg.scheduler_policy)
-            store = CheckpointStore(cfg.checkpoint_dir)
-            existing = store.open(checkpoint_key)
-            reusable = existing is not None and (
-                cfg.checkpoint_interval is None
-                or existing.interval == cfg.checkpoint_interval)
-            if not reusable:
-                checkpointer = store.recorder(checkpoint_key,
-                                              cfg.checkpoint_interval)
-                self.profile = None  # re-profile with capture enabled
-        if self.profile is None or (want_liveness
-                                    and self._liveness is None):
-            liveness = None
-            if want_liveness:
-                from repro.sim.liveness import LivenessTrace
-
-                liveness = LivenessTrace()
-            profile, golden = profile_application(
-                cfg.benchmark, resolved, cfg.scheduler_policy,
-                checkpointer=checkpointer, liveness=liveness)
-            self.profile = profile
-            self.golden_cycles = golden.cycles
-            self._liveness = liveness
-        budget = TIMEOUT_FACTOR * self.golden_cycles
+        traced = cfg.early_stop == "full"
+        golden = self.golden_run(traced)
+        checkpoint_key = self._checkpoint_key()
+        budget = TIMEOUT_FACTOR * golden.cycles
         prescreener = None
-        if want_liveness and self._liveness is not None \
-                and model.prescreen_safe:
+        if traced and model.prescreen_safe:
             # persistent models never pre-screen: golden-trace deadness
             # ("overwritten before read") does not survive re-assertion
-            prescreener = Prescreener(self._liveness, resolved,
+            prescreener = Prescreener(golden.liveness, cfg.resolved_card(),
                                       cache_hook_mode=cfg.cache_hook_mode)
 
         target_kernels = (list(cfg.kernels) if cfg.kernels
-                          else sorted(self.profile.kernels))
+                          else sorted(golden.profile.kernels))
         structures = cfg.resolved_structures()
 
         specs: List[RunSpec] = []
         for kernel_name in target_kernels:
-            kp = self.profile.kernels[kernel_name]
+            kp = golden.profile.kernels[kernel_name]
             windows = kp.windows
             if cfg.invocation is not None:
                 if not 0 <= cfg.invocation < len(windows):
@@ -502,7 +615,7 @@ class Campaign:
                         regs_per_thread=kp.regs_per_thread,
                         smem_bytes=kp.smem_bytes,
                         local_bytes=kp.local_bytes,
-                        golden_cycles=self.golden_cycles,
+                        golden_cycles=golden.cycles,
                         cycle_budget=budget,
                         bits_per_fault=cfg.bits_per_fault,
                         multibit_mode=cfg.multibit_mode,
@@ -551,6 +664,10 @@ class Campaign:
                                 prescreen_reason=prescreen_reason,
                                 prescreen_site=prescreen_site)
                     specs.append(spec)
+        self.plan_timing = {
+            "plan_s": round(time.perf_counter() - started, 6),
+            "golden": golden.source,
+            "golden_s": round(golden.seconds, 6)}
         return specs
 
     def execute(self, specs: Sequence[RunSpec], jobs: int = 1,
@@ -570,12 +687,13 @@ class Campaign:
 
     def aggregate(self, records: Sequence[dict]) -> CampaignResult:
         """Fold run records into the campaign result."""
-        if self.profile is None:
-            # aggregate() on records loaded from disk: profile the
-            # application to recover kernel weights and golden cycles
-            self.plan()
-        return CampaignResult(config=self.config, profile=self.profile,
-                              golden_cycles=self.golden_cycles,
+        # kernel weights and golden cycles: a planned campaign has
+        # them; one handed records loaded from disk finds them where
+        # it can (no spec is enumerated or pre-screened either way)
+        golden = (self._golden if self._golden is not None
+                  else self.golden_run())
+        return CampaignResult(config=self.config, profile=golden.profile,
+                              golden_cycles=golden.cycles,
                               records=list(records),
                               counts=aggregate_counts(records))
 

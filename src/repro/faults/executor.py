@@ -726,6 +726,10 @@ class CampaignExecutor:
         profile: wrap every worker's work loop in a cProfile and dump
             a ``<log>.profile.<worker>.pstats`` sidecar (requires
             ``log_path``); inspect with ``gpufi report-profile``.
+        plan_timing: where planning the specs spent its time
+            (:attr:`repro.faults.campaign.Campaign.plan_timing`);
+            reported in the ``campaign_start`` event and the sidecar's
+            ``campaign`` section.
     """
 
     def __init__(self, jobs: int = 1,
@@ -739,7 +743,8 @@ class CampaignExecutor:
                  heartbeat_interval: float = 5.0,
                  run_fn: Optional[Callable[[RunSpec], dict]] = None,
                  batch: int = 1,
-                 profile: bool = False):
+                 profile: bool = False,
+                 plan_timing: Optional[Dict[str, object]] = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if batch < 1:
@@ -761,6 +766,7 @@ class CampaignExecutor:
         self._run_fn = run_fn if run_fn is not None else execute_run
         self.batch = batch
         self.profile = profile
+        self.plan_timing = plan_timing or {}
         #: Metrics document of the last :meth:`execute` call when
         #: telemetry was on (also written to ``<log>.metrics.json``).
         self.last_metrics: Optional[dict] = None
@@ -821,7 +827,7 @@ class CampaignExecutor:
                     schema=EVENT_SCHEMA, campaign="local",
                     total=len(specs), pending=len(pending),
                     resumed=len(done), jobs=self.jobs, trace=trace,
-                    fingerprint=fingerprint)
+                    fingerprint=fingerprint, **self.plan_timing)
         self.batch_stats = {
             "packs": 0, "members": 0, "converged": 0,
             "completed_in_pack": 0, "peeled": 0, "solo_fallback": 0,
@@ -864,6 +870,7 @@ class CampaignExecutor:
                            if spec.key in done]
                 self.last_metrics = metrics.finalize(
                     ordered, complete=complete, total=len(specs))
+                self.last_metrics["campaign"].update(self.plan_timing)
                 if self.log_path is not None:
                     metrics.write(self.last_metrics, self.log_path)
             events.emit("campaign_end", complete=complete,

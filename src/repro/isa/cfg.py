@@ -7,15 +7,14 @@ instruction through which every diverged path must pass again.
 
 The assembler calls :func:`attach_reconvergence` after resolving branch
 targets; it builds the CFG over basic blocks, computes immediate
-post-dominators (dominators of the reversed graph, via :mod:`networkx`)
-and writes ``reconv_pc`` into each potentially-divergent branch.
+post-dominators (dominators of the reversed graph, by the iterative
+algorithm of Cooper, Harvey and Kennedy -- kernels have a few dozen
+blocks) and writes ``reconv_pc`` into each potentially-divergent branch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import networkx as nx
+from typing import Dict, List, Sequence, Tuple
 
 from repro.isa.instruction import Instruction
 
@@ -40,48 +39,93 @@ def basic_block_starts(instructions: Sequence[Instruction]) -> List[int]:
     return sorted(starts)
 
 
-def build_cfg(instructions: Sequence[Instruction]) -> "nx.DiGraph":
+def build_cfg(instructions: Sequence[Instruction]
+              ) -> Tuple[Dict[int, int], Dict[int, List[int]]]:
     """Build the basic-block CFG of a kernel.
 
-    Nodes are block-start PCs plus the virtual :data:`EXIT_NODE`; each
-    node stores its ``end`` PC (inclusive).  Edges follow fallthrough
-    and branch-target flow; an unguarded EXIT (or falling off the end)
-    flows to :data:`EXIT_NODE`.
+    Returns ``(ends, successors)``, both keyed by block-start PC:
+    ``ends`` gives each block's last PC (inclusive), ``successors`` the
+    blocks control can flow to.  Edges follow fallthrough and
+    branch-target flow; an unguarded EXIT (or falling off the end)
+    flows to the virtual :data:`EXIT_NODE`, which is a key of
+    ``successors`` (with none of its own) but not of ``ends``.
     """
     starts = basic_block_starts(instructions)
-    graph = nx.DiGraph()
-    graph.add_node(EXIT_NODE, end=EXIT_NODE)
     n = len(instructions)
+    ends: Dict[int, int] = {}
+    successors: Dict[int, List[int]] = {EXIT_NODE: []}
     for i, start in enumerate(starts):
         end = (starts[i + 1] - 1) if i + 1 < len(starts) else n - 1
-        graph.add_node(start, end=end)
-    for i, start in enumerate(starts):
-        end = graph.nodes[start]["end"]
+        ends[start] = end
         last = instructions[end]
         fall = starts[i + 1] if i + 1 < len(starts) else EXIT_NODE
         if last.is_branch:
-            graph.add_edge(start, last.target_pc)
+            flow = [last.target_pc]
             if last.may_diverge:
-                graph.add_edge(start, fall)
+                flow.append(fall)
         elif last.is_exit:
-            graph.add_edge(start, EXIT_NODE)
+            flow = [EXIT_NODE]
             if last.guard is not None and fall != EXIT_NODE:
-                graph.add_edge(start, fall)
+                flow.append(fall)
         else:
-            graph.add_edge(start, fall)
-    return graph
+            flow = [fall]
+        successors[start] = list(dict.fromkeys(flow))
+    return ends, successors
 
 
-def immediate_post_dominators(graph: "nx.DiGraph") -> Dict[int, int]:
+def immediate_post_dominators(successors: Dict[int, List[int]]
+                              ) -> Dict[int, int]:
     """Map each block-start PC to the start PC of its immediate post-dominator.
 
     Computed as immediate dominators of the reversed CFG rooted at the
     virtual exit node.  Blocks that cannot reach the exit (e.g. a
     deliberate infinite loop) are absent from the result.
     """
-    reversed_graph = graph.reverse(copy=False)
-    idom = nx.immediate_dominators(reversed_graph, EXIT_NODE)
-    return {node: dom for node, dom in idom.items() if node != EXIT_NODE}
+    predecessors: Dict[int, List[int]] = {node: [] for node in successors}
+    for node, targets in successors.items():
+        for target in targets:
+            predecessors[target].append(node)
+    # postorder of the reversed graph from the exit: the blocks that
+    # can reach it, the exit last
+    postorder: List[int] = []
+    seen = {EXIT_NODE}
+    stack = [(EXIT_NODE, iter(predecessors[EXIT_NODE]))]
+    while stack:
+        node, pending = stack[-1]
+        for nxt in pending:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, iter(predecessors[nxt])))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    number = {node: index for index, node in enumerate(postorder)}
+    idom = {EXIT_NODE: EXIT_NODE}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while number[a] < number[b]:
+                a = idom[a]
+            while number[b] < number[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(postorder[:-1]):
+            # a block's predecessors in the reversed graph are its
+            # successors; those that cannot reach the exit never enter
+            new = None
+            for succ in successors[node]:
+                if succ in idom:
+                    new = succ if new is None else intersect(succ, new)
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    del idom[EXIT_NODE]
+    return idom
 
 
 def attach_reconvergence(instructions: Sequence[Instruction]) -> None:
@@ -94,14 +138,12 @@ def attach_reconvergence(instructions: Sequence[Instruction]) -> None:
     """
     if not instructions:
         return
-    graph = build_cfg(instructions)
-    ipdom = immediate_post_dominators(graph)
+    ends, successors = build_cfg(instructions)
+    ipdom = immediate_post_dominators(successors)
     sentinel = len(instructions)
     block_of_pc = {}
-    for start in graph.nodes:
-        if start == EXIT_NODE:
-            continue
-        for pc in range(start, graph.nodes[start]["end"] + 1):
+    for start, end in ends.items():
+        for pc in range(start, end + 1):
             block_of_pc[pc] = start
     for inst in instructions:
         if not inst.is_branch or not inst.may_diverge:

@@ -39,9 +39,9 @@ from repro.obs.events import (EVENT_SCHEMA, EventLog, NullEventLog,
                               read_events, run_trace, shard_trace,
                               trim_torn_tail)
 from repro.obs.live import (DashboardState, EventFileTailer,
-                            format_event, lint_prometheus,
-                            render_prometheus, render_top,
-                            summarize_dist_events)
+                            format_event, format_plan_timing,
+                            lint_prometheus, render_prometheus,
+                            render_top, summarize_dist_events)
 from repro.obs.metrics import (MetricsCollector, derived_cycle_fields,
                                metrics_path_for)
 from repro.obs.propagation import (PropagationTracer, explain_record,
@@ -68,6 +68,7 @@ __all__ = [
     "DashboardState",
     "EventFileTailer",
     "format_event",
+    "format_plan_timing",
     "lint_prometheus",
     "render_prometheus",
     "render_top",

@@ -18,7 +18,9 @@ lease generation that produced it.
 Event types emitted by the local executor:
 
 - ``campaign_start`` -- total/pending/resumed run counts, jobs,
-  ``schema``, ``trace`` and the campaign ``fingerprint``.
+  ``schema``, ``trace``, the campaign ``fingerprint`` and where the
+  plan's time went: ``plan_s``, ``golden`` ("simulated", or "loaded"
+  from a checkpoint set) and ``golden_s``.
 - ``campaign_resume`` -- same fields, emitted instead of
   ``campaign_start`` when a ``--resume`` session appends to an
   existing stream.

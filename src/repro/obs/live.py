@@ -252,6 +252,9 @@ class DashboardState:
     def __init__(self, rate_window: float = RATE_WINDOW_S):
         self.campaign: Optional[str] = None
         self.trace: Optional[str] = None
+        #: ``plan_s`` / ``golden`` / ``golden_s`` of the latest
+        #: ``campaign_start``/``campaign_resume`` that carried them.
+        self.plan: Optional[dict] = None
         self.state = "running"
         self.total = 0
         self.resumed = 0
@@ -284,6 +287,8 @@ class DashboardState:
             self.total = event.get("total", self.total)
             self.resumed = event.get("resumed", 0)
             self.done = self.resumed
+            if "plan_s" in event:
+                self.plan = event
         elif kind == "run":
             self.done += 1
             effect = event.get("effect", "?")
@@ -395,6 +400,8 @@ def render_top(state: DashboardState, status: Optional[dict] = None,
         f"state {state.state}   runs {state.done}/{state.total}{pct}"
         f"   rate {state.runs_per_second():.2f}/s"
         f"   eta {_fmt_duration(state.eta_seconds())}")
+    if state.plan is not None:
+        lines.append(format_plan_timing(state.plan))
     if shards:
         lines.append(
             f"shards {shards.get('complete', 0)}/{shards.get('total', 0)}"
@@ -431,6 +438,14 @@ def render_top(state: DashboardState, status: Optional[dict] = None,
     return "\n".join(lines)
 
 
+def format_plan_timing(event: dict) -> str:
+    """Where a campaign's plan spent its time: the ``plan_s`` /
+    ``golden`` / ``golden_s`` of a ``campaign_start`` event or of the
+    sidecar's ``campaign`` section."""
+    return (f"plan {event['plan_s']:.3f}s, golden run "
+            f"{event.get('golden', '?')} in {event.get('golden_s', 0):.3f}s")
+
+
 def format_event(event: dict) -> str:
     """One line per event, for ``gpufi status --follow``."""
     ts = event.get("ts")
@@ -450,6 +465,8 @@ def format_event(event: dict) -> str:
         return (f"{stamp} {kind} total={event.get('total')} "
                 f"pending={event.get('pending')} "
                 f"resumed={event.get('resumed')}"
+                + (f" {format_plan_timing(event)}" if "plan_s" in event
+                   else "")
                 + (f" trace={event['trace']}" if event.get("trace")
                    else ""))
     if kind == "shard_leased":

@@ -184,13 +184,14 @@ class PlanReport:
 
 
 def _make_prescreener(campaign):
-    if campaign._liveness is None:
+    liveness = campaign.golden_run().liveness
+    if liveness is None:
         return None
     if not campaign.config.resolved_model().prescreen_safe:
         return None
     from repro.faults.early_stop import Prescreener
 
-    return Prescreener(campaign._liveness,
+    return Prescreener(liveness,
                        campaign.config.resolved_card(),
                        cache_hook_mode=campaign.config.cache_hook_mode)
 
@@ -220,8 +221,8 @@ def _extend_pool(campaign, card, prescreener, group: _Group,
     """Enumerate ``chunk`` more candidates for one group.
 
     Re-plans with a higher run count through the campaign's own
-    :meth:`~repro.faults.campaign.Campaign.plan` (sharing its profile
-    and liveness trace, so nothing re-simulates); the new specs'
+    :meth:`~repro.faults.campaign.Campaign.plan` (sharing its golden
+    run, so nothing re-simulates or re-loads); the new specs'
     seeds are pure functions of their run_index, unchanged by when
     they are enumerated.  Returns False at the enumeration cap.
     """
@@ -235,10 +236,7 @@ def _extend_pool(campaign, card, prescreener, group: _Group,
         campaign.config, adaptive="off",
         runs_per_structure=end,
         kernels=(group.kernel,),
-        structures=(group.structure,)))
-    sub.profile = campaign.profile
-    sub.golden_cycles = campaign.golden_cycles
-    sub._liveness = campaign._liveness
+        structures=(group.structure,)), golden=campaign.golden_run())
     fresh = [spec for spec in sub.plan()
              if spec.run_index >= group.enumerated]
     _classify(campaign, card, prescreener,

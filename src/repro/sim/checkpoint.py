@@ -28,16 +28,29 @@ from-scratch run:
 3. **Content-addressed invalidation.**  Checkpoint sets are keyed by a
    fingerprint over the benchmark's kernels (name + assembly source +
    geometry), its constructor state, the full card configuration, the
-   scheduler policy and the snapshot format version
-   (:data:`SNAPSHOT_FORMAT`).  Any change to code or configuration
-   yields a different key, so stale checkpoints are never restored.
+   scheduler policy, the snapshot format version
+   (:data:`SNAPSHOT_FORMAT`) and the source text of everything a
+   golden run executes: :mod:`repro.sim`, :mod:`repro.isa` and the
+   benchmark's own modules, host driver included.  Any change to code
+   or configuration yields a different key, so stale checkpoints are
+   never restored -- and a set found under its key is trusted: a
+   campaign plans from its ``golden.bin`` and ``liveness.bin`` without
+   simulating the golden run again (``verify_restore`` re-simulates
+   and compares).
 
-On disk (snapshots and the golden manifest pickled + zlib-compressed)::
+On disk (snapshots, the golden manifest and the liveness trace pickled
++ zlib-compressed)::
 
     <checkpoint-dir>/<key>/meta.json       # manifest, written last
     <checkpoint-dir>/<key>/golden.bin      # launch stats + host reads
+    <checkpoint-dir>/<key>/liveness.bin    # liveness trace (traced runs)
     <checkpoint-dir>/<key>/ckpt_<L>_<C>.bin  # snapshot at launch L, cycle C
     <checkpoint-dir>/<key>/pages.bin       # the page pool, raw 4 KiB pages
+
+A capture fills a private ``<key>.<random>`` sibling and renames it to
+``<key>`` when complete, so concurrent captures of one key cannot
+interleave and a reader sees a whole set or none; what a crashed
+capture leaves behind is never opened and safe to delete.
 
 **DRAM is content-addressed, not copied** (format 3).  Global memory
 keeps a hash per non-zero 4 KiB page, rehashing only pages written
@@ -59,17 +72,20 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import importlib
 import json
 import os
 import pickle
 import shutil
 import time
+import uuid
 import zlib
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.sim.liveness import LivenessTrace
 from repro.sim.memory import SNAP_PAGE, page_digest
 
 #: Bump whenever the snapshot layout or any simulated semantics
@@ -85,6 +101,18 @@ _MIN_AUTO_STRIDE = 64
 
 #: The content-addressed page pool of one set: raw pages, back to back.
 POOL_FILE = "pages.bin"
+
+#: The golden manifest of one set: launch stats + recorded host reads.
+GOLDEN_FILE = "golden.bin"
+
+#: The golden liveness trace of one set (present when a traced golden
+#: run captured the set, or was run on it since).
+LIVENESS_FILE = "liveness.bin"
+
+#: The code every benchmark's golden run executes; with the
+#: benchmark's own module, the source part of the checkpoint key.
+_GOLDEN_RUN_CODE = ("repro.sim", "repro.isa", "repro.bench.base",
+                    "repro.bench.common")
 
 
 class CheckpointError(Exception):
@@ -125,8 +153,13 @@ def _load_blob(path_str: str, size: int, mtime_ns: int):
     return _loads(Path(path_str).read_bytes())
 
 
-def _load_file(path: Path):
+def _load_file(path: Path, cached: bool = True):
+    """One pickled file of a set; ``cached=False`` reads it past the
+    snapshot cache (what is read once per campaign neither stays
+    resident nor evicts snapshots)."""
     try:
+        if not cached:
+            return _loads(path.read_bytes())
         st = os.stat(path)
         return _load_blob(str(path), st.st_size, st.st_mtime_ns)
     except (OSError, zlib.error, pickle.UnpicklingError, EOFError) as exc:
@@ -248,16 +281,39 @@ def state_digest(snap: dict) -> str:
     return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
 
 
+def _read_source(path: Path) -> bytes:
+    """One source file (a seam: tests edit sources through it)."""
+    return path.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest(name: str) -> bytes:
+    """Hash of a module's source, or of every module directly inside
+    a package; read once per process."""
+    origin = Path(importlib.import_module(name).__file__)
+    files = (sorted(origin.parent.glob("*.py"))
+             if origin.name == "__init__.py" else [origin])
+    h = hashlib.sha256()
+    for path in files:
+        h.update(f"{path.name}:".encode())
+        h.update(_read_source(path))
+    return h.digest()
+
+
 def campaign_fingerprint(benchmark, card, scheduler_policy: str) -> str:
     """Content hash identifying one checkpointable configuration.
 
     ``benchmark`` is a constructed Benchmark instance; its kernels'
-    assembly sources are the "code hash" part of the key, its
-    constructor state covers input sizes/seeds, and ``repr(card)``
-    covers every timing/geometry knob of the frozen config dataclass.
+    assembly sources and the source of the simulator and of the
+    benchmark's module (its host driver) are the "code hash" part of
+    the key, its constructor state covers input sizes/seeds, and
+    ``repr(card)`` covers every timing/geometry knob of the frozen
+    config dataclass.
     """
     h = hashlib.sha256()
     h.update(f"format={SNAPSHOT_FORMAT};".encode())
+    for name in _GOLDEN_RUN_CODE + (type(benchmark).__module__,):
+        h.update(source_digest(name))
     h.update(f"card={card!r};".encode())
     h.update(f"sched={scheduler_policy};".encode())
     h.update(f"bench={benchmark.name};".encode())
@@ -281,13 +337,17 @@ class CheckpointRecorder:
     ``interval`` cycles (or with geometrically growing spacing when
     ``interval`` is None, bounding the checkpoint count to
     O(launches + log(total cycles))).
+
+    Files go to a private sibling of ``directory``;
+    :meth:`finalize` renames it to ``directory``, replacing what was
+    there.
     """
 
     def __init__(self, directory: Path, interval: Optional[int] = None):
         if interval is not None and interval <= 0:
             raise ValueError("checkpoint interval must be positive")
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self._staging_dir: Optional[Path] = None
         self.interval = interval
         self.checkpoints: List[Dict[str, int]] = []
         #: Hashes of the pages in ``pages.bin``, in file order (a dict
@@ -296,7 +356,14 @@ class CheckpointRecorder:
         self._host_reads: List[dict] = []
         self._seen_launches: set = set()
         self._next_capture = 0
-        self._finalized = False
+
+    def _staging(self) -> Path:
+        """The private capture directory, made on first use."""
+        if self._staging_dir is None:
+            self._staging_dir = self.directory.with_name(
+                f"{self.directory.name}.{uuid.uuid4().hex}")
+            self._staging_dir.mkdir(parents=True)
+        return self._staging_dir
 
     def on_cycle(self, gpu, launch, queue) -> None:
         """Capture a snapshot when a boundary is due at this cycle."""
@@ -308,7 +375,7 @@ class CheckpointRecorder:
         name = f"ckpt_{launch_index:03d}_{gpu.cycle:012d}.bin"
         snap = gpu.snapshot(launch, queue)
         self._pool_pages(gpu.memory, snap["memory"]["pages"])
-        (self.directory / name).write_bytes(_dumps(snap))
+        (self._staging() / name).write_bytes(_dumps(snap))
         self.checkpoints.append({"cycle": gpu.cycle,
                                  "launch_index": launch_index,
                                  "file": name,
@@ -324,7 +391,7 @@ class CheckpointRecorder:
         fresh = {digest: index for index, digest in pages.items()
                  if digest not in self._pooled}
         if fresh:
-            with open(self.directory / POOL_FILE, "ab") as pool:
+            with open(self._staging() / POOL_FILE, "ab") as pool:
                 for index in fresh.values():
                     pool.write(memory.page(index))
             self._pooled.update(dict.fromkeys(fresh))
@@ -335,12 +402,17 @@ class CheckpointRecorder:
         self._host_reads.append({"tag": tag, "addr": addr,
                                  "nbytes": nbytes, "data": data.copy()})
 
-    def finalize(self, launch_stats, golden_cycles: int) -> None:
-        """Persist the golden manifest; marks the set complete."""
+    def finalize(self, launch_stats, golden_cycles: int,
+                 liveness: Optional[LivenessTrace] = None) -> None:
+        """Persist the golden manifest (and the run's liveness trace,
+        when it recorded one) and publish the complete set."""
+        staging = self._staging()
         golden = {"launch_stats": copy.deepcopy(list(launch_stats)),
                   "host_reads": self._host_reads,
                   "golden_cycles": golden_cycles}
-        (self.directory / "golden.bin").write_bytes(_dumps(golden))
+        (staging / GOLDEN_FILE).write_bytes(_dumps(golden))
+        if liveness is not None:
+            (staging / LIVENESS_FILE).write_bytes(_dumps(liveness))
         meta = {"format": SNAPSHOT_FORMAT,
                 "interval": self.interval,
                 "golden_cycles": golden_cycles,
@@ -348,9 +420,15 @@ class CheckpointRecorder:
                 "pages": [digest.hex() for digest in self._pooled],
                 "complete": True}
         # meta.json is written last: its presence marks a complete set
-        (self.directory / "meta.json").write_text(
+        (staging / "meta.json").write_text(
             json.dumps(meta, indent=1), encoding="utf-8")
-        self._finalized = True
+        shutil.rmtree(self.directory, ignore_errors=True)  # a stale set
+        try:
+            os.rename(staging, self.directory)
+        except OSError:
+            # a concurrent capture of the same key published between
+            # the two calls: its set is as complete as this one
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 class CheckpointSet:
@@ -372,7 +450,30 @@ class CheckpointSet:
 
     def golden(self) -> dict:
         """The golden manifest (launch stats + recorded host reads)."""
-        return _load_file(self.directory / "golden.bin")
+        golden = _load_file(self.directory / GOLDEN_FILE)
+        if not (isinstance(golden, dict) and golden.keys() >= {
+                "launch_stats", "host_reads", "golden_cycles"}):
+            raise CheckpointError(f"{GOLDEN_FILE} holds no golden manifest")
+        return golden
+
+    def liveness(self) -> Optional[LivenessTrace]:
+        """The golden liveness trace; ``None`` when the set has none
+        (captured by an untraced golden run)."""
+        path = self.directory / LIVENESS_FILE
+        if not path.exists():
+            return None
+        trace = _load_file(path, cached=False)
+        if not isinstance(trace, LivenessTrace):
+            raise CheckpointError(f"{LIVENESS_FILE} holds no liveness trace")
+        return trace
+
+    def add_liveness(self, trace: LivenessTrace) -> None:
+        """Keep the trace of a later traced golden run with the set
+        (write-then-rename: a reader sees a whole file or none)."""
+        path = self.directory / LIVENESS_FILE
+        scratch = path.with_name(f"{path.name}.{uuid.uuid4().hex}")
+        scratch.write_bytes(_dumps(trace))
+        os.replace(scratch, path)
 
     def load_snapshot(self, name: str) -> dict:
         return _load_file(self.directory / name)
@@ -521,11 +622,9 @@ class CheckpointStore:
 
     def recorder(self, key: str,
                  interval: Optional[int] = None) -> CheckpointRecorder:
-        """Start a fresh capture for ``key``, dropping any stale set."""
-        directory = self.path(key)
-        if directory.exists():
-            shutil.rmtree(directory)
-        return CheckpointRecorder(directory, interval)
+        """Start a fresh capture for ``key``; finalizing it replaces
+        any stale set."""
+        return CheckpointRecorder(self.path(key), interval)
 
 
 @functools.lru_cache(maxsize=16)

@@ -105,6 +105,7 @@ class IssuePlan:
         hazard_regs, hazard_preds: every register / predicate index
             whose pending write delays the issue (sources, guard and
             destinations merged, ``RZ``/``PT`` excluded).
+        src_regs: the register indices this instruction reads.
         dst_regs, dst_preds: the indices this instruction writes.
         guard, guard_negate: guard predicate index (``None``:
             unguarded) and its polarity.
@@ -123,7 +124,8 @@ class IssuePlan:
     """
 
     __slots__ = ("inst", "kind", "run", "sfu", "hazard_regs", "hazard_preds",
-                 "dst_regs", "dst_preds", "guard", "guard_negate", "steers",
+                 "src_regs", "dst_regs", "dst_preds", "guard", "guard_negate",
+                 "steers",
                  "srcs", "dst", "dsts", "modifiers", "fn",
                  "base", "offset", "addrs", "src", "is_load", "is_atomic",
                  "via_texture")
@@ -135,6 +137,7 @@ class IssuePlan:
         src_regs, dst_regs, src_preds, dst_preds = inst.scoreboard_sets()
         self.hazard_regs = tuple(dict.fromkeys(src_regs + dst_regs))
         self.hazard_preds = tuple(dict.fromkeys(src_preds + dst_preds))
+        self.src_regs = src_regs
         self.dst_regs, self.dst_preds = dst_regs, dst_preds
         guard = inst.guard
         self.guard = guard.index if guard is not None else None
@@ -490,7 +493,7 @@ class SIMTCore:
         lv = gpu.liveness
         if lv is not None:
             # before execution: kill-coverage needs pre-exec lane state
-            lv.on_issue(self.core_id, warp, inst, exec0, now)
+            lv.on_issue(self.core_id, warp, plan, exec0, now)
         prop = gpu.propagation
         if prop is not None and prop.armed:
             # corrupted-register reads/overwrites + consumer-chain taint
@@ -530,6 +533,8 @@ class SIMTCore:
             warp.at_barrier = True
             warp.cta.try_release_barrier()
         else:  # _EXIT
+            if lv is not None:
+                lv.on_exit(self.core_id, warp, exec0, now)
             warp.exited |= exec0
             live = warp.num_threads - int(
                 np.count_nonzero(warp.exited[:warp.num_threads]))
@@ -610,9 +615,8 @@ class SIMTCore:
                     cta.smem_words[:, word] = src[:, lane]
         lv = self.gpu.liveness
         if lv is not None:
-            age_base = cta.warps[0].age
-            for word in words.tolist():
-                lv.on_smem(self.core_id, age_base, word, is_load)
+            lv.on_smem(self.core_id, cta.warps[0].age, words.tolist(),
+                       is_load)
         prop = self.gpu.propagation
         if prop is not None and prop.armed:
             prop.on_shared_access(self.core_id, cta.warps[0].age, cta,

@@ -51,7 +51,17 @@ class LivenessTrace:
     the GPU and every cache.  Recording costs nothing on fault runs
     (the hooks are behind ``is not None`` checks and the trace is only
     attached to the golden profiling run).
+
+    A finished trace is plain data (:data:`CONTENT`): it pickles
+    without the simulator it was recorded on -- a checkpoint set keeps
+    it as ``liveness.bin`` -- and two traces are equal when their
+    content is.
     """
+
+    #: The attributes a finished trace consists of; everything else is
+    #: recording state.
+    CONTENT = ("cores", "reg_events", "local_events", "smem_events",
+               "cache_events")
 
     def __init__(self):
         #: Set by :meth:`repro.sim.device.Device._apply_options`.
@@ -68,7 +78,20 @@ class LivenessTrace:
         self.smem_events: Dict[Tuple[int, int], Dict[int, List]] = {}
         #: cache name -> {flat line index: [(cycle, phase, kind)]}.
         self.cache_events: Dict[str, Dict[int, List]] = {}
-        self._warp_recs: Dict[Tuple[int, int], dict] = {}
+        #: (core_id, warp age) -> (warp record, its CTA's record).
+        self._warp_recs: Dict[Tuple[int, int], Tuple[dict, dict]] = {}
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.CONTENT}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self.__dict__.update(state)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LivenessTrace):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
 
     # -- recording (called from the simulator) ---------------------------
 
@@ -98,47 +121,54 @@ class LivenessTrace:
                 "num_threads": warp.num_threads,
                 "done_cycle": None,
                 "exits": [],  # [(cycle, (lane, ...))]
-                "cta": rec,
             }
             rec["warps"].append(wrec)
-            self._warp_recs[(core_id, warp.age)] = wrec
+            self._warp_recs[(core_id, warp.age)] = (wrec, rec)
         self.cores.setdefault(core_id, []).append(rec)
 
-    def on_issue(self, core_id: int, warp, inst, exec_mask, now: int) -> None:
-        """Record register reads/kills and lane exits of one issue."""
-        src_regs, dst_regs, _sp, _dp = inst.scoreboard_sets()
+    def on_issue(self, core_id: int, warp, plan, exec_mask, now: int) -> None:
+        """Record the register reads/kills of one issue.
+
+        ``plan`` is the instruction's :class:`~repro.sim.core.IssuePlan`;
+        ``exec_mask`` the lanes executing, all of them live.
+        """
+        src_regs, dst_regs = plan.src_regs, plan.dst_regs
         if src_regs or dst_regs:
             events = self.reg_events.setdefault((core_id, warp.age), {})
             for reg in src_regs:
                 events.setdefault(reg, []).append((now, "r"))
             if dst_regs:
-                live = warp.live_lanes()
                 # a write covering every live lane kills the old value;
                 # a partial (divergent) write leaves other lanes' bits
                 # reachable -- conservatively a read
-                kind = "k" if len(live) and exec_mask[live].all() else "r"
+                live = warp.live_count
+                kind = ("k" if live and np.count_nonzero(exec_mask) == live
+                        else "r")
                 for reg in dst_regs:
                     events.setdefault(reg, []).append((now, kind))
-        if inst.is_exit:
-            lanes = np.nonzero(exec_mask)[0]
-            if len(lanes):
-                wrec = self._warp_recs[(core_id, warp.age)]
-                wrec["exits"].append((now, tuple(int(l) for l in lanes)))
+
+    def on_exit(self, core_id: int, warp, exec_mask, now: int) -> None:
+        """The lanes of ``exec_mask`` exit during cycle ``now``."""
+        lanes = np.nonzero(exec_mask)[0].tolist()
+        if lanes:
+            wrec, _ = self._warp_recs[(core_id, warp.age)]
+            wrec["exits"].append((now, tuple(lanes)))
 
     def on_warp_done(self, core_id: int, warp, now: int) -> None:
         """A warp drained during cycle ``now``."""
-        wrec = self._warp_recs[(core_id, warp.age)]
+        wrec, cta = self._warp_recs[(core_id, warp.age)]
         wrec["done_cycle"] = now
-        cta = wrec["cta"]
         if all(w["done_cycle"] is not None for w in cta["warps"]):
             cta["done_cycle"] = now
 
-    def on_smem(self, core_id: int, age_base: int, word: int,
+    def on_smem(self, core_id: int, age_base: int, words: List[int],
                 is_read: bool) -> None:
-        """One resolved shared-memory word access."""
+        """The resolved shared-memory words of one instruction, one
+        per executing lane, in lane order."""
         events = self.smem_events.setdefault((core_id, age_base), {})
-        events.setdefault(word, []).append(
-            (self._now(), "r" if is_read else "k"))
+        event = (self._now(), "r" if is_read else "k")
+        for word in words:
+            events.setdefault(word, []).append(event)
 
     def on_local(self, core_id: int, warp_age: int, lane: int, word: int,
                  is_read: bool) -> None:

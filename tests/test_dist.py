@@ -316,6 +316,9 @@ class TestDispatcherTelemetry:
         events = page["events"]
         assert events[0]["event"] == "campaign_start"
         assert events[0]["schema"] >= 2
+        # where the submit's plan spent its time
+        assert events[0]["golden"] == "simulated"
+        assert 0 < events[0]["golden_s"] <= events[0]["plan_s"]
         assert events[-1]["event"] == "campaign_end"
         assert events[-1]["complete"]
         runs = [e for e in events if e["event"] == "run"]

@@ -380,7 +380,8 @@ class TestPrescreenSoundness:
         screened = [s for s in specs if s.prescreened]
         assert screened, "matrix entry produced no pre-screened run"
 
-        prescreener = Prescreener(campaign._liveness, cfg.resolved_card(),
+        prescreener = Prescreener(campaign.golden_run().liveness,
+                                  cfg.resolved_card(),
                                   cache_hook_mode=cfg.cache_hook_mode)
         for spec in screened:
             live_spec = dataclasses.replace(
