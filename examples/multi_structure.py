@@ -23,6 +23,7 @@ from repro.faults.mask import MaskGenerator
 from repro.faults.runner import run_application
 from repro.faults.targets import Structure
 from repro.sim.cards import get_card
+from repro.sim.device import RunOptions
 
 BENCH = "scalarprod"  # uses registers, shared and local memory
 CARD = "RTX2060"
@@ -43,8 +44,9 @@ def main() -> None:
         masks = generator.generate_simultaneous(COMBO)
         assert len({m.cycle for m in masks}) == 1  # truly simultaneous
         result = run_application(
-            make_benchmark(BENCH), CARD, injector=Injector(list(masks)),
-            cycle_budget=TIMEOUT_FACTOR * golden.cycles)
+            make_benchmark(BENCH), CARD,
+            options=RunOptions(injector=Injector(list(masks)),
+                               cycle_budget=TIMEOUT_FACTOR * golden.cycles))
         outcomes[classify_run(result, golden.cycles).value] += 1
         print(f"run {i:3d} @cycle {masks[0].cycle:6d}: "
               f"{result.message}")

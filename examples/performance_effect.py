@@ -24,6 +24,7 @@ from repro.faults.mask import MaskGenerator
 from repro.faults.runner import run_application
 from repro.faults.targets import Structure
 from repro.sim.cards import get_card
+from repro.sim.device import RunOptions
 
 BENCH = "kmeans"
 CARD = "RTX2060"
@@ -45,9 +46,10 @@ def main() -> None:
         structure = (Structure.REGISTER_FILE, Structure.L1T_CACHE,
                      Structure.L2_CACHE)[attempt % 3]
         mask = generator.generate(structure)
-        result = run_application(make_benchmark(BENCH), CARD,
-                                 injector=Injector([mask]),
-                                 cycle_budget=budget)
+        result = run_application(
+            make_benchmark(BENCH), CARD,
+            options=RunOptions(injector=Injector([mask]),
+                               cycle_budget=budget))
         effect = classify_run(result, golden.cycles)
         tally[effect] += 1
         if effect is FaultEffect.PERFORMANCE and caught is None:

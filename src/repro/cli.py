@@ -21,6 +21,7 @@ and to run a distributed campaign fleet (see docs/distributed.md)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -30,80 +31,32 @@ from repro.analysis import fit as fit_mod
 from repro.analysis.report import render_table
 from repro.analysis.statistics import per_structure_margins
 from repro.bench import benchmark_names
+from repro.dist.worker import add_worker_arguments, run_worker
 from repro.faults.campaign import (Campaign, CampaignConfig,
                                    profile_application)
 from repro.faults.classify import FaultEffect
 from repro.faults.config_file import load_config
-from repro.faults.mask import MultiBitMode
+from repro.faults.options import add_option_flags, options_from_args
 from repro.faults.parser import (aggregate_by_model, count_unapplied,
                                  load_records)
-from repro.faults.targets import Structure
 from repro.sim.cards import CARDS
 
+#: The card of every command that is not told one.
+DEFAULT_CARD = "RTX2060"
 
-def _add_plan_flags(p: argparse.ArgumentParser) -> None:
-    """Flags that define *what* a campaign runs (shared by
-    ``campaign`` and ``submit``)."""
-    p.add_argument("--config", help="gpgpusim.config-style file")
-    p.add_argument("--benchmark")
-    p.add_argument("--card", default="RTX2060")
-    p.add_argument("--structures",
-                   help="comma list, e.g. register_file,l2_cache")
-    p.add_argument("--fault-model", default="transient",
-                   dest="fault_model", metavar="MODEL",
-                   help="named fault model: transient (default, "
-                        "the paper's bit flip), stuck_at_0 / "
-                        "stuck_at_1 (persistent), control "
-                        "(targets the SIMT control units), or "
-                        "any registered custom model")
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--bits", type=int, default=1)
-    p.add_argument("--multibit-mode", default="same_entry",
-                   choices=[m.value for m in MultiBitMode])
-    p.add_argument("--warp-level", action="store_true")
-    p.add_argument("--kernels",
-                   help="comma list of target static kernels")
-    p.add_argument("--invocation", type=int,
-                   help="restrict to one dynamic invocation")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheduler", default="gto",
-                   choices=["gto", "lrr"])
-    p.add_argument("--cache-hook-mode", action="store_true")
-    p.add_argument("--model-icache", action="store_true",
-                   help="model + inject the L1 instruction cache")
-    p.add_argument("--early-stop", default="full",
-                   choices=["off", "converge", "full"],
-                   help="masked-fault early termination: 'converge' "
-                        "ends runs whose state re-joins a golden "
-                        "checkpoint, 'full' also pre-screens "
-                        "provably-dead fault targets "
-                        "(classifications identical in all modes)")
-    p.add_argument("--metrics", action="store_true",
-                   help="campaign observability: per-run timings, "
-                        "a <log>.events.jsonl stream and a "
-                        "<log>.metrics.json sidecar (results "
-                        "are identical either way)")
-    p.add_argument("--propagation", action="store_true",
-                   help="fault-propagation tracing: attach a "
-                        "per-run record of site fates, consumer "
-                        "chain and divergence window; explore "
-                        "with 'gpufi explain-run' (results are "
-                        "identical either way)")
-    p.add_argument("--run-timeout", type=float,
-                   help="abort when no run completes for this "
-                        "many seconds (default: wait forever)")
-    p.add_argument("--adaptive", nargs="?", const="on", default="off",
-                   choices=["on", "off"],
-                   help="adaptive campaign planning: stratified "
-                        "sampling with per-stratum stopping at "
-                        "--error-target; --runs becomes the "
-                        "per-structure run budget (default: off, "
-                        "the fixed uniform plan)")
-    p.add_argument("--error-target", type=float, default=0.02,
-                   dest="error_target", metavar="E",
-                   help="per-stratum margin-of-error target of "
-                        "--adaptive campaigns (half-width of the "
-                        "99%% Wilson interval; default 0.02)")
+
+def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the injection runs "
+                        "(results are identical for any count)")
+
+
+def _add_resume_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--resume", action="store_true",
+                   help="skip runs already recorded in --log "
+                        "(resume an interrupted campaign)")
+    p.add_argument("--markdown",
+                   help="write a full Markdown report here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,19 +66,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fault injection")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list benchmarks and cards")
+    def command(name, handler, help):
+        """A subcommand whose parsed arguments go to ``handler``."""
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler)
+        return subparser
 
-    profile = sub.add_parser("profile",
-                             help="fault-free profile of an application")
+    command("list", _cmd_list, "list benchmarks and cards")
+
+    profile = command("profile", _cmd_profile,
+                      "fault-free profile of an application")
     profile.add_argument("--benchmark", required=True)
-    profile.add_argument("--card", default="RTX2060")
+    profile.add_argument("--card", default=DEFAULT_CARD)
 
-    run = sub.add_parser(
-        "run",
-        help="one fault-free application run (quick check / profiling "
-             "anchor; campaigns use 'campaign')")
+    run = command(
+        "run", _cmd_run,
+        "one fault-free application run (quick check / profiling "
+        "anchor; campaigns use 'campaign')")
     run.add_argument("--benchmark", required=True)
-    run.add_argument("--card", default="RTX2060")
+    run.add_argument("--card", default=DEFAULT_CARD)
     run.add_argument("--scheduler", default="gto",
                      choices=["gto", "lrr"])
     run.add_argument("--log",
@@ -136,52 +95,19 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(<log>.profile.0.pstats); inspect with "
                           "'gpufi report-profile'")
 
-    campaign = sub.add_parser("campaign", help="run an injection campaign")
-    _add_plan_flags(campaign)
-    campaign.add_argument("--log", help="JSONL output path")
-    campaign.add_argument("--checkpoint-dir",
-                          help="directory for golden-run checkpoints; "
-                               "fault runs fast-forward to their "
-                               "injection cycle (results identical)")
-    campaign.add_argument("--checkpoint-interval", type=int,
-                          help="capture stride in cycles (default: "
-                               "geometric auto-spacing)")
-    campaign.add_argument("--verify-restore", action="store_true",
-                          help="cross-check every fast-forwarded run "
-                               "against a from-scratch run")
-    campaign.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the injection runs "
-                               "(results are identical for any count)")
-    campaign.add_argument("--batch-size", type=int, default=None,
-                          dest="batch_size", metavar="N",
-                          help="lockstep batch size: simulate up to N "
-                               "eligible injected runs per process in "
-                               "one cycle loop (records are "
-                               "byte-identical for any size; default 1)")
-    campaign.add_argument("--profile", action="store_true",
-                          help="dump per-worker cProfile sidecars "
-                               "(<log>.profile.<worker>.pstats); "
-                               "inspect with 'gpufi report-profile'")
-    campaign.add_argument("--resume", action="store_true",
-                          help="skip runs already recorded in --log "
-                               "(resume an interrupted campaign)")
-    campaign.add_argument("--markdown",
-                          help="write a full Markdown report here")
-    campaign.add_argument("--backend", choices=["local", "remote"],
-                          help="execution backend: 'local' (default, "
-                               "in-process worker pool) or 'remote' "
-                               "(submit to a gpufi serve dispatcher; "
-                               "records are canonically byte-identical "
-                               "either way)")
-    campaign.add_argument("--connect", metavar="URL",
-                          help="dispatcher URL for --backend remote "
-                               "(implies it), e.g. http://host:8937")
+    campaign = command("campaign", _cmd_campaign,
+                       "run an injection campaign")
+    campaign.add_argument("--config", help="gpgpusim.config-style file")
+    # every campaign option, and this command's three arguments that
+    # are not options of the campaign where --help has always had them
+    add_option_flags(campaign, after={"verify_restore": _add_jobs_flag,
+                                      "profile": _add_resume_flags})
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the campaign dispatcher (distributed execution): "
-             "accepts submitted campaigns, shards their plans and "
-             "hands shards to gpufi workers over HTTP")
+    serve = command(
+        "serve", _cmd_serve,
+        "run the campaign dispatcher (distributed execution): "
+        "accepts submitted campaigns, shards their plans and "
+        "hands shards to gpufi workers over HTTP")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1; use "
                             "0.0.0.0 for a LAN fleet)")
@@ -198,35 +124,24 @@ def _build_parser() -> argparse.ArgumentParser:
                             "lease and the shard is re-queued "
                             "(default 60)")
 
-    worker = sub.add_parser(
-        "worker",
-        help="run a fleet worker: lease campaign shards from a "
-             "dispatcher, execute them and stream records back")
-    worker.add_argument("--connect", required=True, metavar="URL",
-                        help="dispatcher URL, e.g. http://host:8937")
-    worker.add_argument("--name",
-                        help="worker name (default: host-pid)")
-    worker.add_argument("--poll", type=float, default=1.0,
-                        help="seconds between lease attempts when idle")
-    worker.add_argument("--max-idle", type=float,
-                        help="exit after this many idle seconds "
-                             "(default: work forever)")
+    add_worker_arguments(command(
+        "worker", run_worker,
+        "run a fleet worker: lease campaign shards from a "
+        "dispatcher, execute them and stream records back"))
 
-    submit = sub.add_parser(
-        "submit",
-        help="submit a campaign to a dispatcher and print its id "
-             "(does not wait; see 'gpufi status --wait')")
+    submit = command(
+        "submit", _cmd_submit,
+        "submit a campaign to a dispatcher and print its id "
+        "(does not wait; see 'gpufi status --wait')")
     submit.add_argument("--connect", required=True, metavar="URL",
                         help="dispatcher URL, e.g. http://host:8937")
-    _add_plan_flags(submit)
-    # execution-side flags 'submit' has no business setting; the
-    # dispatcher owns logs and checkpoints
-    submit.set_defaults(log=None, checkpoint_dir=None,
-                        checkpoint_interval=None, verify_restore=False)
+    submit.add_argument("--config", help="gpgpusim.config-style file")
+    # not the execution group: the dispatcher owns logs, checkpoints
+    # and workers
+    add_option_flags(submit, execution=False)
 
-    status = sub.add_parser(
-        "status",
-        help="show dispatcher / campaign progress")
+    status = command("status", _cmd_status,
+                     "show dispatcher / campaign progress")
     status.add_argument("--connect", required=True, metavar="URL",
                         help="dispatcher URL, e.g. http://host:8937")
     status.add_argument("campaign", nargs="?",
@@ -240,12 +155,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="give up --wait/--follow after this many "
                              "seconds")
 
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard of a running campaign -- "
-             "throughput, ETA, per-structure effects, worker table -- "
-             "from a dispatcher (--connect) or a local run's "
-             "<log>.events.jsonl (--log)")
+    top = command(
+        "top", _cmd_top,
+        "live terminal dashboard of a running campaign -- "
+        "throughput, ETA, per-structure effects, worker table -- "
+        "from a dispatcher (--connect) or a local run's "
+        "<log>.events.jsonl (--log)")
     top.add_argument("--connect", metavar="URL",
                      help="dispatcher URL, e.g. http://host:8937")
     top.add_argument("campaign", nargs="?",
@@ -261,19 +176,18 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--timeout", type=float,
                      help="give up after this many seconds")
 
-    canonicalize = sub.add_parser(
-        "canonicalize",
-        help="print a campaign log in its canonical byte form (one "
-             "record per run key, volatile keys stripped, sorted) -- "
-             "two logs cover the same plan iff their canonical forms "
-             "are byte-identical")
+    canonicalize = command(
+        "canonicalize", _cmd_canonicalize,
+        "print a campaign log in its canonical byte form (one "
+        "record per run key, volatile keys stripped, sorted) -- "
+        "two logs cover the same plan iff their canonical forms "
+        "are byte-identical")
     canonicalize.add_argument("log", help="campaign JSONL log")
     canonicalize.add_argument("-o", "--output",
                               help="write here instead of stdout")
 
-    report = sub.add_parser("report",
-                            help="aggregate campaign JSONL logs (batches "
-                                 "are merged)")
+    report = command("report", _cmd_report,
+                     "aggregate campaign JSONL logs (batches are merged)")
     report.add_argument("log", nargs="+",
                         help="JSONL file(s) written by 'campaign'")
     report.add_argument("--force", action="store_true",
@@ -281,19 +195,19 @@ def _build_parser() -> argparse.ArgumentParser:
                              "fingerprints disagree (default: refuse "
                              "to mix campaigns)")
 
-    report_metrics = sub.add_parser(
-        "report-metrics",
-        help="summarize <log>.metrics.json sidecars (wall-clock, "
-             "throughput, checkpoint hit rate, early-stop savings) "
-             "without re-running any simulation")
+    report_metrics = command(
+        "report-metrics", _cmd_report_metrics,
+        "summarize <log>.metrics.json sidecars (wall-clock, "
+        "throughput, checkpoint hit rate, early-stop savings) "
+        "without re-running any simulation")
     report_metrics.add_argument(
         "log", nargs="+",
         help="campaign log (or sidecar) path(s) from a --metrics run")
 
-    report_profile = sub.add_parser(
-        "report-profile",
-        help="print the top cumulative hot spots from --profile "
-             "pstats sidecars (per worker, merged)")
+    report_profile = command(
+        "report-profile", _cmd_report_profile,
+        "print the top cumulative hot spots from --profile "
+        "pstats sidecars (per worker, merged)")
     report_profile.add_argument(
         "path", nargs="+",
         help="a .pstats sidecar, or the campaign log whose "
@@ -302,11 +216,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=20,
         help="entries to print (default 20)")
 
-    explain = sub.add_parser(
-        "explain-run",
-        help="narrate one run's fault propagation (site fates, "
-             "consumer chain, divergence window) from a --propagation "
-             "campaign log, without re-running any simulation")
+    explain = command(
+        "explain-run", _cmd_explain_run,
+        "narrate one run's fault propagation (site fates, "
+        "consumer chain, divergence window) from a --propagation "
+        "campaign log, without re-running any simulation")
     explain.add_argument("log", help="campaign JSONL log")
     explain.add_argument(
         "run_key", metavar="run-key",
@@ -315,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     print("benchmarks:", ", ".join(benchmark_names()))
     print("cards:     ", ", ".join(sorted(CARDS)))
     return 0
@@ -338,94 +252,28 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _campaign_config(args) -> CampaignConfig:
-    config = _plan_config(args)
-    import dataclasses
-
-    batch = getattr(args, "batch_size", None)
-    profile = getattr(args, "profile", False)
-    if batch is not None or profile:
-        config = dataclasses.replace(
-            config,
-            batch=batch if batch is not None else config.batch,
-            profile=profile or config.profile)
-    backend = getattr(args, "backend", None)
-    connect = getattr(args, "connect", None)
-    if connect and not backend:
-        backend = "remote"
-    if backend or connect:
-        config = dataclasses.replace(
-            config, backend=backend or config.backend,
-            backend_url=connect or config.backend_url)
-    return config
-
-
-def _plan_config(args) -> CampaignConfig:
-    if args.config:
-        import dataclasses
-
-        config = load_config(args.config)
-        # observability/robustness flags compose with config files
-        if args.metrics or args.propagation or args.run_timeout is not None:
-            config = dataclasses.replace(
-                config, metrics=args.metrics or config.metrics,
-                propagation=args.propagation or config.propagation,
-                run_timeout=(args.run_timeout
-                             if args.run_timeout is not None
-                             else config.run_timeout))
-        if args.fault_model != "transient":
-            config = dataclasses.replace(config,
-                                         fault_model=args.fault_model)
-        if args.adaptive != "off":
-            config = dataclasses.replace(
-                config, adaptive=args.adaptive,
-                error_target=args.error_target)
-        return config
-    if not args.benchmark:
-        raise SystemExit("either --config or --benchmark is required")
-    structures = None
-    if args.structures:
-        structures = tuple(Structure(s.strip())
-                           for s in args.structures.split(","))
-    from pathlib import Path
-
-    return CampaignConfig(
-        benchmark=args.benchmark,
-        card=args.card,
-        structures=structures,
-        runs_per_structure=args.runs,
-        bits_per_fault=args.bits,
-        multibit_mode=MultiBitMode(args.multibit_mode),
-        warp_level=args.warp_level,
-        kernels=(tuple(k.strip() for k in args.kernels.split(","))
-                 if args.kernels else None),
-        invocation=args.invocation,
-        seed=args.seed,
-        fault_model=args.fault_model,
-        scheduler_policy=args.scheduler,
-        cache_hook_mode=args.cache_hook_mode,
-        model_icache=args.model_icache,
-        log_path=Path(args.log) if args.log else None,
-        checkpoint_dir=(Path(args.checkpoint_dir)
-                        if args.checkpoint_dir else None),
-        checkpoint_interval=args.checkpoint_interval,
-        verify_restore=args.verify_restore,
-        early_stop=args.early_stop,
-        metrics=args.metrics,
-        propagation=args.propagation,
-        run_timeout=args.run_timeout,
-        adaptive=args.adaptive,
-        error_target=args.error_target,
-    )
-
-
-def _cmd_campaign(args) -> int:
+def _config_from_args(args, execution: bool = True) -> CampaignConfig:
+    """The config a ``campaign`` / ``submit`` command line describes:
+    the ``--config`` file's values, overridden by every option flag
+    the user typed."""
     try:
-        config = _campaign_config(args)
+        typed = options_from_args(args, execution)
+        if "backend_url" in typed:
+            typed.setdefault("backend", "remote")  # --connect implies it
+        if args.config:
+            return dataclasses.replace(load_config(args.config), **typed)
+        if "benchmark" not in typed:
+            raise SystemExit("either --config or --benchmark is required")
+        typed.setdefault("card", DEFAULT_CARD)
+        return CampaignConfig(**typed)
     except ValueError as exc:
         # e.g. an unknown --fault-model / -gpufi_fault_model: surface
         # the registry listing instead of a traceback
         raise SystemExit(f"error: {exc}")
+
+
+def _cmd_campaign(args) -> int:
+    config = _config_from_args(args)
     if args.resume and config.log_path is None:
         raise SystemExit("--resume needs --log (the file to resume from)")
     if args.jobs < 1:
@@ -459,7 +307,7 @@ def _cmd_campaign(args) -> int:
             from repro.obs import metrics_path_for
 
             print(f"metrics written to {metrics_path_for(config.log_path)}")
-    if getattr(args, "markdown", None):
+    if args.markdown:
         from pathlib import Path
 
         from repro.analysis.markdown import render_markdown
@@ -696,34 +544,10 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from repro.dist.client import DispatchError
-    from repro.dist.worker import FleetWorker
-
-    worker = FleetWorker(
-        args.connect, name=args.name, poll=args.poll,
-        max_idle=args.max_idle,
-        progress=lambda msg: print(f"  .. {msg}", flush=True))
-    print(f"worker {worker.name} connecting to {args.connect}",
-          flush=True)
-    try:
-        worker.run()
-    except KeyboardInterrupt:
-        pass
-    except DispatchError as exc:
-        raise SystemExit(f"error: {exc}")
-    print(f"worker {worker.name}: {worker.runs_done} runs in "
-          f"{worker.shards_done} shards", flush=True)
-    return 0
-
-
 def _cmd_submit(args) -> int:
     from repro.dist.client import DispatchError, DispatcherClient
 
-    try:
-        config = _plan_config(args)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    config = _config_from_args(args, execution=False)
     if config.adaptive != "off":
         raise SystemExit(
             "error: --adaptive drives execution in rounds and is not "
@@ -900,7 +724,8 @@ def _cmd_canonicalize(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except BrokenPipeError:
         # stdout went away mid-write (`gpufi status --follow | head`):
         # a normal way to stop a stream, not an error.  Detach stdout
@@ -908,38 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-
-
-def _dispatch(args) -> int:
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "report-metrics":
-        return _cmd_report_metrics(args)
-    if args.command == "report-profile":
-        return _cmd_report_profile(args)
-    if args.command == "explain-run":
-        return _cmd_explain_run(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "canonicalize":
-        return _cmd_canonicalize(args)
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from typing import List, Sequence
 
 from repro.faults.executor import (CampaignExecutor, RunSpec,
                                    format_log_header, plan_fingerprint)
+from repro.faults.options import executor_arguments
 
 #: Registered backend names (``CampaignConfig.backend`` values).
 BACKENDS = ("local", "remote")
@@ -73,16 +74,10 @@ class LocalPoolBackend(Backend):
 
     def execute(self, campaign, specs: Sequence[RunSpec],
                 jobs: int = 1, resume: bool = False) -> List[dict]:
-        config = campaign.config
         executor = CampaignExecutor(
-            jobs=jobs, progress=campaign._progress,
-            log_path=config.log_path, resume=resume,
-            telemetry=config.metrics,
-            propagation=config.propagation,
-            run_timeout=config.run_timeout,
-            batch=getattr(config, "batch", 1),
-            profile=getattr(config, "profile", False),
-            plan_timing=campaign.plan_timing)
+            jobs=jobs, progress=campaign._progress, resume=resume,
+            plan_timing=campaign.plan_timing,
+            **executor_arguments(campaign.config))
         try:
             return executor.execute(specs)
         finally:
@@ -109,8 +104,6 @@ class RemoteFleetBackend(Backend):
 
     def execute(self, campaign, specs: Sequence[RunSpec],
                 jobs: int = 1, resume: bool = False) -> List[dict]:
-        import dataclasses
-
         from repro.dist.client import DispatcherClient
 
         config = campaign.config
@@ -122,10 +115,7 @@ class RemoteFleetBackend(Backend):
         fingerprint = plan_fingerprint(specs)
         client = DispatcherClient(config.backend_url)
         try:
-            # the dispatcher owns its artifacts; ship a local-shaped config
-            submitted = dataclasses.replace(config, backend="local",
-                                            backend_url=None, log_path=None)
-            reply = client.submit(submitted)
+            reply = client.submit(config)
             campaign_id = reply["campaign"]
             campaign._progress(
                 f"campaign {campaign_id} "

@@ -114,11 +114,15 @@ class DispatcherClient:
     def submit(self, config: Union[str, "object"]) -> dict:
         """Submit a campaign (a :class:`CampaignConfig` or its
         ``-gpufi_*`` option text); returns the submit reply
-        (``campaign`` id, ``reused``, ``total``)."""
+        (``campaign`` id, ``reused``, ``total``).
+
+        A config is sent without its execution-group options (log,
+        backend, batch, ...): the dispatcher owns those for its fleet.
+        """
         if not isinstance(config, str):
             from repro.faults.config_file import dump_config
 
-            config = dump_config(config)
+            config = dump_config(config, execution=False)
         return self.call("/api/submit", {"config": config})
 
     def status(self, campaign_id: Optional[str] = None) -> dict:

@@ -58,7 +58,7 @@ import socket
 import sys
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -72,10 +72,9 @@ from repro.faults.config_file import parse_config_text
 from repro.faults.executor import RunSpec, format_log_header
 from repro.obs.events import (EVENT_SCHEMA, EventLog, campaign_trace,
                               events_path_for, read_events, run_trace,
-                              shard_trace)
+                              shard_trace, trim_torn_tail)
 from repro.obs.live import (PROMETHEUS_CONTENT_TYPE, render_prometheus,
                             summarize_dist_events)
-from repro.obs.telemetry import Telemetry
 
 log = logging.getLogger("gpufi.dist")
 
@@ -248,7 +247,8 @@ class Dispatcher:
         self._rate: deque = deque()
         #: Jobs with events journaled in memory and not yet on file.
         self._unwritten: List[CampaignJob] = []
-        self.telemetry = Telemetry()
+        #: Lease and batch totals since start-up (``/metrics``).
+        self.counters: Counter = Counter()
         self._restore_persisted()
 
     # -- submission ----------------------------------------------------------
@@ -433,7 +433,7 @@ class Dispatcher:
                 self._clock() + self.lease_timeout,
                 generation=generation, trace=trace)
             self._workers[worker]["leases"] += 1
-            self.telemetry.count("leases_granted")
+            self.counters["leases_granted"] += 1
             self._journal(job, "shard_leased", shard=shard_index,
                           worker=worker, generation=generation,
                           runs=len(job.shards[shard_index]),
@@ -476,7 +476,7 @@ class Dispatcher:
             for lease in expired:
                 del job.leases[lease.lease_id]
                 job.lease_expired_total += 1
-                self.telemetry.count("leases_expired")
+                self.counters["leases_expired"] += 1
                 self._journal(job, "lease_expired",
                               shard=lease.shard_index,
                               worker=lease.worker,
@@ -486,7 +486,7 @@ class Dispatcher:
                     # front of the queue: a lost shard should not wait
                     # behind the whole backlog a second time
                     job.pending.appendleft(lease.shard_index)
-                    self.telemetry.count("leases_requeued")
+                    self.counters["leases_requeued"] += 1
                     log.warning(
                         "lease %s (worker %s) expired; shard %d of %s "
                         "re-queued", lease.lease_id, lease.worker,
@@ -542,9 +542,8 @@ class Dispatcher:
                 self._touch_worker(worker)
             fresh = self._absorb(job, records)
             accepted = len(fresh)
-            self.telemetry.count("record_batches")
+            self.counters["record_batches"] += 1
             if accepted:
-                self.telemetry.count("records_accepted", accepted)
                 if worker is not None:
                     self._workers[worker]["records"] += accepted
                 now = time.time()
@@ -742,7 +741,7 @@ class Dispatcher:
                     effects[effect] = effects.get(effect, 0) + count
             window = [ts for ts in self._rate if ts > now - 30.0]
             rate = len(window) / 30.0
-            counters = self.telemetry.counters
+            counters = self.counters
             families = [
                 ("gpufi_uptime_seconds", "gauge",
                  "Seconds since this dispatcher started.",
@@ -770,16 +769,16 @@ class Dispatcher:
                  [({}, events_total)]),
                 ("gpufi_leases_granted_total", "counter",
                  "Shard leases handed to workers.",
-                 [({}, counters.get("leases_granted", 0))]),
+                 [({}, counters["leases_granted"])]),
                 ("gpufi_lease_expired_total", "counter",
                  "Leases lost to missed heartbeats.",
-                 [({}, counters.get("leases_expired", 0))]),
+                 [({}, counters["leases_expired"])]),
                 ("gpufi_lease_requeued_total", "counter",
                  "Shards re-queued after their lease expired.",
-                 [({}, counters.get("leases_requeued", 0))]),
+                 [({}, counters["leases_requeued"])]),
                 ("gpufi_record_batches_total", "counter",
                  "Record batches accepted from workers.",
-                 [({}, counters.get("record_batches", 0))]),
+                 [({}, counters["record_batches"])]),
                 ("gpufi_workers", "gauge",
                  "Workers that ever contacted this dispatcher.",
                  [({}, len(self._workers))]),
@@ -821,11 +820,10 @@ class Dispatcher:
         re-queue only the shards with missing runs."""
         if not job.log_path.exists():
             return
-        from repro.faults.executor import _trim_partial_tail
         from repro.faults.parser import (read_log_header,
                                          scan_completed_records)
 
-        _trim_partial_tail(job.log_path)
+        trim_torn_tail(job.log_path)
         header = read_log_header(job.log_path)
         if header and header.get("fingerprint") not in (None,
                                                         job.fingerprint):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import socket
-import sys
 import threading
 import time
 from typing import Callable, Optional
@@ -250,23 +249,23 @@ class FleetWorker:
             self.client.close()  # this thread's connection, if it made one
 
 
-def main(argv=None) -> int:
-    """``python -m repro.dist.worker`` entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="gpufi-worker",
-        description="gpuFI-4 fleet worker: lease campaign shards from "
-                    "a gpufi dispatcher and execute them")
-    parser.add_argument("--connect", required=True,
+def add_worker_arguments(parser) -> None:
+    """The worker's command line, shared by ``gpufi worker`` and
+    ``python -m repro.dist.worker``."""
+    parser.add_argument("--connect", required=True, metavar="URL",
                         help="dispatcher URL, e.g. http://host:8937")
-    parser.add_argument("--name", help="worker name (default host-pid)")
+    parser.add_argument("--name",
+                        help="worker name (default: host-pid)")
     parser.add_argument("--poll", type=float, default=1.0,
                         help="seconds between lease attempts when idle")
     parser.add_argument("--max-idle", type=float,
                         help="exit after this many idle seconds "
                              "(default: work forever)")
-    args = parser.parse_args(argv)
+
+
+def run_worker(args) -> int:
+    """Work for the dispatcher ``args`` (parsed
+    :func:`add_worker_arguments`) names until stopped or idle."""
     worker = FleetWorker(args.connect, name=args.name, poll=args.poll,
                          max_idle=args.max_idle,
                          progress=lambda msg: print(f"  .. {msg}",
@@ -278,11 +277,22 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         pass
     except DispatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {exc}")
     print(f"worker {worker.name}: {worker.runs_done} runs in "
           f"{worker.shards_done} shards", flush=True)
     return 0
+
+
+def main(argv=None) -> int:
+    """``python -m repro.dist.worker`` entry point."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="gpufi-worker",
+        description="gpuFI-4 fleet worker: lease campaign shards from "
+                    "a gpufi dispatcher and execute them")
+    add_worker_arguments(parser)
+    return run_worker(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

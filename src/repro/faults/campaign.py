@@ -18,16 +18,15 @@ import dataclasses
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.classify import TIMEOUT_FACTOR, FaultEffect
 from repro.faults.early_stop import EARLY_STOP_MODES, Prescreener
 from repro.faults.executor import RunSpec, regenerate_mask
-from repro.faults.mask import MultiBitMode, derive_run_seed
-from repro.faults.models import get_model
+from repro.faults.mask import derive_run_seed
+from repro.faults.options import CampaignConfig, spec_constants
 from repro.faults.runner import RunResult, run_application
-from repro.faults.targets import Structure, supported_structures
+from repro.faults.targets import Structure
 from repro.sim.cards import get_card
 from repro.sim.checkpoint import (CheckpointError, CheckpointSet,
                                   CheckpointStore, RestoreParityError,
@@ -203,154 +202,6 @@ def _stored_golden_run(ckpt_set: CheckpointSet, benchmark_name: str, card,
     return GoldenRun(
         profile_from_launches(benchmark_name, card, golden["launch_stats"]),
         golden["golden_cycles"], liveness, source="loaded")
-
-
-@dataclass
-class CampaignConfig:
-    """Parameters of one injection campaign.
-
-    Mirrors the paper's parameter groups: *per GPGPU card* (``card``),
-    *per kernel/application* (``benchmark``, ``kernels``) and *per
-    injection campaign* (everything else).
-    """
-
-    benchmark: str
-    card: str
-    structures: Optional[Tuple[Structure, ...]] = None
-    #: Named :class:`~repro.faults.models.FaultModel` applied by every
-    #: run of the campaign: ``transient`` (default, the paper's bit
-    #: flip), ``stuck_at_0``/``stuck_at_1`` (persistent) or ``control``
-    #: (transient flips defaulting to the control-unit structures).
-    fault_model: str = "transient"
-    runs_per_structure: int = 100
-    bits_per_fault: int = 1
-    multibit_mode: MultiBitMode = MultiBitMode.SAME_ENTRY
-    warp_level: bool = False
-    n_blocks: int = 1
-    n_cores: int = 1
-    kernels: Optional[Tuple[str, ...]] = None
-    #: Restrict faults to one dynamic invocation of the target kernel
-    #: (0-based); ``None`` covers all invocations together, the
-    #: paper's default methodology (section VI.A).
-    invocation: Optional[int] = None
-    seed: int = 0
-    scheduler_policy: str = "gto"
-    #: Use the paper's deferred hook mechanism for cache injections
-    #: instead of direct in-line bit flips.
-    cache_hook_mode: bool = False
-    #: Model the L1 instruction cache (extension): enables
-    #: ``Structure.L1I_CACHE`` injection and adds fetch timing.
-    model_icache: bool = False
-    log_path: Optional[Path] = None
-    #: Root directory for golden-run checkpoint sets (see
-    #: :mod:`repro.sim.checkpoint`).  ``None`` disables checkpointing;
-    #: results are byte-identical either way.
-    checkpoint_dir: Optional[Path] = None
-    #: Fixed capture stride in cycles; ``None`` uses geometric
-    #: auto-spacing (and reuses any complete existing set).
-    checkpoint_interval: Optional[int] = None
-    #: Cross-check mode: re-run every fast-forwarded run from scratch
-    #: and fail loudly on any record difference.
-    verify_restore: bool = False
-    #: Masked-fault early termination: "off" simulates every injected
-    #: run to completion, "converge" terminates runs once their state
-    #: digest matches a golden checkpoint (needs ``checkpoint_dir``),
-    #: "full" additionally pre-screens provably-dead fault targets at
-    #: plan time from the golden liveness trace.  Classifications are
-    #: identical in every mode; only wall-clock time changes.
-    early_stop: str = "full"
-    #: Campaign observability: annotate records with ``timings`` and
-    #: ``worker`` fields, stream ``<log>.events.jsonl`` and write the
-    #: ``<log>.metrics.json`` sidecar.  Strictly observational --
-    #: classification counts are identical either way.
-    metrics: bool = False
-    #: Fault-propagation tracing: attach a per-run ``propagation``
-    #: record (site fates, consumer chain, divergence window) to every
-    #: logged run; composes with ``metrics`` (the sidecar gains a
-    #: ``propagation`` section).  Strictly observational --
-    #: classification counts are identical either way.
-    propagation: bool = False
-    #: Abort (instead of hanging) when no run completes for this many
-    #: seconds; ``None`` waits forever.
-    run_timeout: Optional[float] = None
-    #: Lockstep batch size: eligible runs are simulated in packs of at
-    #: most this many per process, sharing one cycle loop (see
-    #: :mod:`repro.faults.batch_executor`).  ``1`` disables batching.
-    #: Records are byte-identical (canonical form) for any value.
-    batch: int = 1
-    #: Dump a per-worker cProfile sidecar
-    #: (``<log>.profile.<worker>.pstats``) next to the campaign log;
-    #: inspect with ``gpufi report-profile``.
-    profile: bool = False
-    #: Execution backend: ``"local"`` (default -- the in-process
-    #: :class:`~repro.faults.executor.CampaignExecutor` pool, zero
-    #: behavior change) or ``"remote"`` (submit to a ``gpufi serve``
-    #: dispatcher at ``backend_url`` and let a worker fleet execute).
-    #: Records are canonically byte-identical either way.
-    backend: str = "local"
-    #: Dispatcher URL for ``backend="remote"``
-    #: (e.g. ``http://host:8937``).
-    backend_url: Optional[str] = None
-    #: Adaptive campaign planning (see :mod:`repro.plan`): ``"off"``
-    #: (default -- the fixed uniform plan, byte-identical to historic
-    #: logs) or ``"on"`` (round-based stratified sampling with
-    #: per-stratum stopping at ``error_target``;
-    #: ``runs_per_structure`` becomes the per-structure run *budget*).
-    adaptive: str = "off"
-    #: Per-stratum margin-of-error target of adaptive campaigns
-    #: (half-width of the 99% Wilson interval at which a stratum
-    #: stops sampling).
-    error_target: float = 0.02
-
-    def __post_init__(self):
-        # validate eagerly so every surface (CLI flag, config file,
-        # direct construction) rejects unknown models identically
-        get_model(self.fault_model)
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.backend not in ("local", "remote"):
-            raise ValueError(
-                f"backend must be 'local' or 'remote', "
-                f"got {self.backend!r}")
-        if self.adaptive not in ("off", "on"):
-            raise ValueError(
-                f"adaptive must be 'off' or 'on', got {self.adaptive!r}")
-        if not 0 < self.error_target < 1:
-            raise ValueError(f"error_target must be in (0, 1), "
-                             f"got {self.error_target}")
-        if self.adaptive == "on" and self.backend == "remote":
-            raise ValueError(
-                "adaptive campaigns drive execution in rounds and "
-                "need the local backend; use backend='local'")
-
-    def resolved_model(self):
-        """The registered :class:`FaultModel` this campaign applies."""
-        return get_model(self.fault_model)
-
-    def resolved_card(self):
-        """The card model with campaign-level extensions applied."""
-        import dataclasses
-
-        card = get_card(self.card)
-        if self.model_icache:
-            card = dataclasses.replace(card, model_icache=True)
-        return card
-
-    def resolved_structures(self) -> Tuple[Structure, ...]:
-        """The structures to inject.
-
-        Explicit ``structures`` win; otherwise the fault model may
-        name its own default target set (the ``control`` model targets
-        the control units), falling back to every structure the card
-        supports.
-        """
-        if self.structures is not None:
-            return tuple(self.structures)
-        model_default = self.resolved_model().default_structures(
-            get_card(self.card))
-        if model_default is not None:
-            return tuple(model_default)
-        return supported_structures(get_card(self.card))
 
 
 @dataclass
@@ -580,6 +431,9 @@ class Campaign:
                           else sorted(golden.profile.kernels))
         structures = cfg.resolved_structures()
 
+        # the same for every run; the loops fill in the rest
+        constants = dict(spec_constants(cfg), golden_cycles=golden.cycles,
+                         cycle_budget=budget, checkpoint_key=checkpoint_key)
         specs: List[RunSpec] = []
         for kernel_name in target_kernels:
             kp = golden.profile.kernels[kernel_name]
@@ -591,6 +445,11 @@ class Campaign:
                         f"invocation(s); index {cfg.invocation} "
                         "out of range")
                 windows = [windows[cfg.invocation]]
+            of_kernel = dict(
+                constants, kernel=kernel_name,
+                windows=tuple((s, e) for s, e in windows),
+                regs_per_thread=kp.regs_per_thread,
+                smem_bytes=kp.smem_bytes, local_bytes=kp.local_bytes)
             for structure in structures:
                 # a kernel that allocates none of the target structure:
                 # the fault lands in unallocated space and is masked by
@@ -601,39 +460,12 @@ class Campaign:
                     or (structure is Structure.LOCAL_MEM
                         and kp.local_bytes == 0))
                 for run_index in range(cfg.runs_per_structure):
-                    seed = derive_run_seed(cfg.seed, kernel_name,
-                                           structure, run_index,
-                                           fault_model=cfg.fault_model)
                     spec = RunSpec(
-                        benchmark=cfg.benchmark,
-                        card=cfg.card,
-                        kernel=kernel_name,
-                        structure=structure,
-                        run_index=run_index,
-                        seed=seed,
-                        windows=tuple((s, e) for s, e in windows),
-                        regs_per_thread=kp.regs_per_thread,
-                        smem_bytes=kp.smem_bytes,
-                        local_bytes=kp.local_bytes,
-                        golden_cycles=golden.cycles,
-                        cycle_budget=budget,
-                        bits_per_fault=cfg.bits_per_fault,
-                        multibit_mode=cfg.multibit_mode,
-                        warp_level=cfg.warp_level,
-                        n_blocks=cfg.n_blocks,
-                        n_cores=cfg.n_cores,
-                        scheduler_policy=cfg.scheduler_policy,
-                        cache_hook_mode=cfg.cache_hook_mode,
-                        model_icache=cfg.model_icache,
-                        synthesized=no_target,
-                        checkpoint_dir=(str(cfg.checkpoint_dir)
-                                        if cfg.checkpoint_dir is not None
-                                        else None),
-                        checkpoint_key=checkpoint_key,
-                        verify_restore=cfg.verify_restore,
-                        early_stop=cfg.early_stop,
-                        fault_model=cfg.fault_model,
-                    )
+                        structure=structure, run_index=run_index,
+                        seed=derive_run_seed(cfg.seed, kernel_name,
+                                             structure, run_index,
+                                             fault_model=cfg.fault_model),
+                        synthesized=no_target, **of_kernel)
                     if prescreener is not None and not no_target:
                         # the exact mask execute_run will draw (same
                         # generator construction, same derived seed)

@@ -16,6 +16,10 @@ Python::
 Unknown ``-gpufi_*`` options raise; non-gpufi options (the rest of a
 real gpgpusim.config) are ignored, so a full simulator config file can
 be passed directly.
+
+Which keys exist, what their values mean and in what order a dump
+writes them is read from the option table
+(:mod:`repro.faults.options`); this module knows the line syntax.
 """
 
 from __future__ import annotations
@@ -24,20 +28,13 @@ import re
 from pathlib import Path
 from typing import Union
 
-from repro.faults.campaign import CampaignConfig
-from repro.faults.mask import MultiBitMode
-from repro.faults.targets import Structure
-
-_BOOL_TRUE = ("1", "true", "yes", "on")
-
-
-def _parse_structures(value: str):
-    return tuple(Structure(part.strip().lower())
-                 for part in value.split(",") if part.strip())
+from repro.faults.options import (KEY_PREFIX, CampaignConfig,
+                                  config_from_keys, config_to_keys)
 
 
 def parse_config_text(text: str) -> CampaignConfig:
-    """Parse option text into a :class:`CampaignConfig`."""
+    """Parse option text into a :class:`CampaignConfig` (the last of a
+    repeated key wins)."""
     options = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # a "//" comment must stand alone (start of line or after
@@ -51,64 +48,12 @@ def parse_config_text(text: str) -> CampaignConfig:
             continue
         parts = line.split(None, 1)
         key = parts[0]
-        if not key.startswith("-gpufi_"):
+        if not key.startswith(KEY_PREFIX):
             continue  # a regular gpgpusim.config option
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: option {key} needs a value")
-        options[key[len("-gpufi_"):]] = parts[1].strip()
-
-    if "benchmark" not in options or "card" not in options:
-        raise ValueError(
-            "-gpufi_benchmark and -gpufi_card are required options")
-
-    known = {
-        "benchmark", "card", "components", "fault_model", "runs",
-        "bits_per_fault", "multibit_mode", "warp_level", "blocks",
-        "cores", "kernels", "invocation", "seed", "scheduler",
-        "cache_hook_mode", "model_icache", "log", "early_stop",
-        "metrics", "propagation", "run_timeout", "backend",
-        "backend_url", "batch", "adaptive", "error_target",
-    }
-    unknown = set(options) - known
-    if unknown:
-        raise ValueError(f"unknown gpufi options: {sorted(unknown)}")
-
-    return CampaignConfig(
-        benchmark=options["benchmark"],
-        card=options["card"],
-        structures=(_parse_structures(options["components"])
-                    if "components" in options else None),
-        fault_model=options.get("fault_model", "transient"),
-        runs_per_structure=int(options.get("runs", 100)),
-        bits_per_fault=int(options.get("bits_per_fault", 1)),
-        multibit_mode=MultiBitMode(options.get("multibit_mode",
-                                               "same_entry")),
-        warp_level=options.get("warp_level", "0").lower() in _BOOL_TRUE,
-        n_blocks=int(options.get("blocks", 1)),
-        n_cores=int(options.get("cores", 1)),
-        kernels=(tuple(k.strip() for k in options["kernels"].split(","))
-                 if "kernels" in options else None),
-        invocation=(int(options["invocation"])
-                    if "invocation" in options else None),
-        seed=int(options.get("seed", 0)),
-        scheduler_policy=options.get("scheduler", "gto"),
-        cache_hook_mode=options.get("cache_hook_mode",
-                                    "0").lower() in _BOOL_TRUE,
-        model_icache=options.get("model_icache",
-                                 "0").lower() in _BOOL_TRUE,
-        log_path=Path(options["log"]) if "log" in options else None,
-        early_stop=options.get("early_stop", "full"),
-        metrics=options.get("metrics", "0").lower() in _BOOL_TRUE,
-        propagation=options.get("propagation", "0").lower() in _BOOL_TRUE,
-        run_timeout=(float(options["run_timeout"])
-                     if "run_timeout" in options else None),
-        backend=options.get("backend", "local"),
-        backend_url=options.get("backend_url"),
-        batch=int(options.get("batch", 1)),
-        adaptive=("on" if options.get("adaptive", "off").lower()
-                  in _BOOL_TRUE else "off"),
-        error_target=float(options.get("error_target", 0.02)),
-    )
+        options[key[len(KEY_PREFIX):]] = parts[1].strip()
+    return config_from_keys(options)
 
 
 def load_config(path: Union[str, Path]) -> CampaignConfig:
@@ -116,44 +61,11 @@ def load_config(path: Union[str, Path]) -> CampaignConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def dump_config(config: CampaignConfig) -> str:
-    """Serialise a :class:`CampaignConfig` back to option text."""
-    lines = [
-        f"-gpufi_benchmark {config.benchmark}",
-        f"-gpufi_card {config.card}",
-        f"-gpufi_fault_model {config.fault_model}",
-        f"-gpufi_runs {config.runs_per_structure}",
-        f"-gpufi_bits_per_fault {config.bits_per_fault}",
-        f"-gpufi_multibit_mode {config.multibit_mode.value}",
-        f"-gpufi_warp_level {int(config.warp_level)}",
-        f"-gpufi_blocks {config.n_blocks}",
-        f"-gpufi_cores {config.n_cores}",
-        f"-gpufi_seed {config.seed}",
-        f"-gpufi_scheduler {config.scheduler_policy}",
-        f"-gpufi_cache_hook_mode {int(config.cache_hook_mode)}",
-        f"-gpufi_model_icache {int(config.model_icache)}",
-        f"-gpufi_early_stop {config.early_stop}",
-        f"-gpufi_metrics {int(config.metrics)}",
-        f"-gpufi_propagation {int(config.propagation)}",
-    ]
-    if config.structures is not None:
-        joined = ",".join(s.value for s in config.structures)
-        lines.insert(2, f"-gpufi_components {joined}")
-    if config.kernels is not None:
-        lines.append(f"-gpufi_kernels {','.join(config.kernels)}")
-    if config.invocation is not None:
-        lines.append(f"-gpufi_invocation {config.invocation}")
-    if config.log_path is not None:
-        lines.append(f"-gpufi_log {config.log_path}")
-    if config.run_timeout is not None:
-        lines.append(f"-gpufi_run_timeout {config.run_timeout:g}")
-    if config.backend != "local":
-        lines.append(f"-gpufi_backend {config.backend}")
-    if config.backend_url is not None:
-        lines.append(f"-gpufi_backend_url {config.backend_url}")
-    if config.batch != 1:
-        lines.append(f"-gpufi_batch {config.batch}")
-    if config.adaptive != "off":
-        lines.append("-gpufi_adaptive 1")
-        lines.append(f"-gpufi_error_target {config.error_target:g}")
-    return "\n".join(lines) + "\n"
+def dump_config(config: CampaignConfig, execution: bool = True) -> str:
+    """Serialise a :class:`CampaignConfig` back to option text.
+
+    Without ``execution`` the options of that group are left out: the
+    text ``gpufi submit`` and the remote backend send a dispatcher.
+    """
+    return "".join(f"{KEY_PREFIX}{key} {value}\n"
+                   for key, value in config_to_keys(config, execution))

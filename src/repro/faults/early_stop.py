@@ -374,10 +374,6 @@ class Prescreener:
                 return fate
         return "never_touched"
 
-    def _cache_line_dead(self, name: str, line: int, bits: List[int],
-                         cycle: int) -> bool:
-        return self._cache_line_fate(name, line, bits, cycle) is not None
-
     def _cache_line_fate(self, name: str, line: int, bits: List[int],
                          cycle: int) -> Optional[str]:
         """Dead fate of the line, or ``None`` when it may be observed."""

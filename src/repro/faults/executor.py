@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,11 +40,12 @@ import numpy as np
 from repro.faults.classify import FaultEffect, classify_run
 from repro.faults.injector import Injector
 from repro.faults.mask import MaskGenerator, MultiBitMode
+from repro.faults.options import DEFAULTS, identity_fields
 from repro.faults.runner import run_application
 from repro.faults.targets import Structure
 from repro.obs import (EVENT_SCHEMA, EventLog, MetricsCollector,
                        NullEventLog, campaign_trace, events_path_for,
-                       run_trace)
+                       run_trace, trim_torn_tail)
 from repro.sim.cards import get_card
 from repro.sim.device import RunOptions
 
@@ -60,16 +62,21 @@ LOG_HEADER_KEY = "gpufi_log"
 LOG_HEADER_SCHEMA = 1
 
 
+_IDENTITY_ROW, _IDENTITY_LATE = identity_fields()
+_identity_row = operator.attrgetter(*_IDENTITY_ROW)
+
+
 def plan_fingerprint(specs: Sequence["RunSpec"]) -> str:
     """Campaign identity hash of a plan: seed + plan, order-independent.
 
     Hashes the *identity* of every planned run -- coordinates, derived
     seed (itself a pure function of the campaign seed and the
-    coordinates) and the fault configuration -- sorted so the result
-    is independent of plan enumeration order and of how the plan is
-    later sharded.  Execution-strategy fields (checkpointing, early
-    termination, telemetry) deliberately stay out: they never change
-    what a campaign *is*, only how fast it runs.
+    coordinates) and the options the table marks as identity
+    (:func:`repro.faults.options.identity_fields`) -- sorted so the
+    result is independent of plan enumeration order and of how the
+    plan is later sharded.  Execution-strategy fields (checkpointing,
+    early termination, telemetry) deliberately stay out: they never
+    change what a campaign *is*, only how fast it runs.
 
     Two logs share a fingerprint exactly when they were produced by
     the same campaign, which is what :func:`repro.faults.parser
@@ -77,12 +84,9 @@ def plan_fingerprint(specs: Sequence["RunSpec"]) -> str:
     distributed dispatcher checks when collecting shard results.
     """
     rows = sorted(
-        json.dumps([spec.benchmark, spec.card, spec.kernel,
-                    spec.structure.value, spec.run_index, spec.seed,
-                    spec.fault_model, spec.bits_per_fault,
-                    spec.multibit_mode.value, spec.warp_level,
-                    spec.n_blocks, spec.n_cores, spec.scheduler_policy,
-                    spec.cache_hook_mode, spec.model_icache])
+        json.dumps(_identity_row(spec) + tuple(
+            [name, getattr(spec, name)] for name in _IDENTITY_LATE
+            if getattr(spec, name) is not None))
         for spec in specs)
     digest = hashlib.sha256("\n".join(rows).encode("utf-8"))
     return digest.hexdigest()
@@ -136,14 +140,16 @@ class RunSpec:
     local_bytes: int
     golden_cycles: int
     cycle_budget: int
-    bits_per_fault: int = 1
-    multibit_mode: MultiBitMode = MultiBitMode.SAME_ENTRY
-    warp_level: bool = False
-    n_blocks: int = 1
-    n_cores: int = 1
-    scheduler_policy: str = "gto"
-    cache_hook_mode: bool = False
-    model_icache: bool = False
+    # the options every run of a campaign carries default to what the
+    # option table says (Campaign.plan fills them from the config)
+    bits_per_fault: int = DEFAULTS["bits_per_fault"]
+    multibit_mode: MultiBitMode = DEFAULTS["multibit_mode"]
+    warp_level: bool = DEFAULTS["warp_level"]
+    n_blocks: int = DEFAULTS["n_blocks"]
+    n_cores: int = DEFAULTS["n_cores"]
+    scheduler_policy: str = DEFAULTS["scheduler_policy"]
+    cache_hook_mode: bool = DEFAULTS["cache_hook_mode"]
+    model_icache: bool = DEFAULTS["model_icache"]
     #: The kernel allocates none of the target structure: the fault
     #: lands in unallocated space and is masked by construction, no
     #: simulation needed.
@@ -151,17 +157,17 @@ class RunSpec:
     #: Golden-run checkpoint set to fast-forward from (directory root
     #: + fingerprint key; see :mod:`repro.sim.checkpoint`).  ``None``
     #: simulates from scratch.  Records are byte-identical either way.
-    checkpoint_dir: Optional[str] = None
+    checkpoint_dir: Optional[str] = DEFAULTS["checkpoint_dir"]
     checkpoint_key: Optional[str] = None
     #: Cross-check mode: every fast-forwarded run is re-executed from
     #: scratch and the records compared; a difference raises
     #: :class:`repro.sim.checkpoint.RestoreParityError`.
-    verify_restore: bool = False
+    verify_restore: bool = DEFAULTS["verify_restore"]
     #: Early-termination mode: "off" simulates every run to completion,
     #: "converge" terminates runs whose state digest re-joins a golden
     #: checkpoint, "full" additionally accepts plan-time pre-screened
     #: verdicts.  Classifications are identical in all three modes.
-    early_stop: str = "full"
+    early_stop: str = DEFAULTS["early_stop"]
     #: Plan-time verdict: the golden liveness trace proved this mask's
     #: target dead, so the run is Masked without simulation.
     prescreened: bool = False
@@ -180,16 +186,20 @@ class RunSpec:
     #: :class:`~repro.obs.propagation.PropagationTracer` along the run
     #: and attach its record under the ``propagation`` key.  Strictly
     #: observational -- classification fields are identical either way.
-    propagation: bool = False
+    propagation: bool = DEFAULTS["propagation"]
     #: Named :class:`~repro.faults.models.FaultModel` this run applies
     #: (see :mod:`repro.faults.models`).  ``"transient"`` reproduces
     #: the pre-strategy records byte-for-byte.
-    fault_model: str = "transient"
+    fault_model: str = DEFAULTS["fault_model"]
     #: Adaptive-planner stratum key (see :mod:`repro.plan.strata`);
     #: empty for non-adaptive campaigns, and then absent from the
     #: record so default-path logs stay byte-identical.  Deterministic
     #: (a pure function of the mask), so it is canonical-safe.
     stratum: str = ""
+    #: The one dynamic invocation of the kernel ``windows`` was
+    #: restricted to (``None``: all of them).  The windows alone do not
+    #: enter the plan fingerprint; this does, when set.
+    invocation: Optional[int] = DEFAULTS["invocation"]
 
     @property
     def key(self) -> RunKey:
@@ -596,21 +606,6 @@ class ProgressReporter:
                 + (f" ({', '.join(extras)})" if extras else ""))
 
 
-def _trim_partial_tail(path: Path) -> None:
-    """Drop a record cut mid-write from the end of a campaign log.
-
-    An interrupted campaign can leave a final line without its
-    newline; appending resumed records directly after it would fuse
-    two records.  Truncate back to the last complete line.
-    """
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if not data or data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1
-        handle.truncate(cut)
-
-
 def _pool_context():
     """Fork where available (cheap workers), spawn otherwise."""
     methods = multiprocessing.get_all_start_methods()
@@ -705,11 +700,6 @@ class CampaignExecutor:
             ``<log>.events.jsonl`` and write a ``<log>.metrics.json``
             sidecar at the end (also kept on :attr:`last_metrics`).
             Classification fields are identical either way.
-        propagation: attach a fault-propagation record (site fates,
-            consumer chain, divergence window) to every run under the
-            ``propagation`` key.  Composes with ``telemetry`` -- the
-            metrics sidecar then gains a ``propagation`` section.
-            Classification fields are identical either way.
         run_timeout: abort with :class:`WorkerPoolError` when no run
             completes for this many seconds (``None`` waits forever).
             Applies per dispatch unit: a pack of N runs counts as one
@@ -738,7 +728,6 @@ class CampaignExecutor:
                  log_path: Optional[Union[str, Path]] = None,
                  resume: bool = False,
                  telemetry: bool = False,
-                 propagation: bool = False,
                  run_timeout: Optional[float] = None,
                  heartbeat_interval: float = 5.0,
                  run_fn: Optional[Callable[[RunSpec], dict]] = None,
@@ -760,7 +749,6 @@ class CampaignExecutor:
         self.log_path = Path(log_path) if log_path is not None else None
         self.resume = resume
         self.telemetry = telemetry
-        self.propagation = propagation
         self.run_timeout = run_timeout
         self.heartbeat_interval = heartbeat_interval
         self._run_fn = run_fn if run_fn is not None else execute_run
@@ -777,12 +765,9 @@ class CampaignExecutor:
 
     def execute(self, specs: Sequence[RunSpec]) -> List[dict]:
         """Run every spec; returns records in plan (spec) order."""
-        if self.telemetry or self.propagation:
-            specs = [dataclasses.replace(
-                spec,
-                telemetry=self.telemetry or spec.telemetry,
-                propagation=self.propagation or spec.propagation)
-                for spec in specs]
+        if self.telemetry:
+            specs = [dataclasses.replace(spec, telemetry=True)
+                     for spec in specs]
         done: Dict[RunKey, dict] = self._load_completed(specs)
         pending = [spec for spec in specs if spec.key not in done]
         reporter = ProgressReporter(
@@ -806,7 +791,7 @@ class CampaignExecutor:
             # because none of them matched would destroy that history.
             append = self.resume and self.log_path.exists()
             if append:
-                _trim_partial_tail(self.log_path)
+                trim_torn_tail(self.log_path)
             log_file = open(self.log_path, "a" if append else "w",
                             encoding="utf-8")
             if not append:

@@ -43,7 +43,7 @@ class Injector:
     :class:`~repro.faults.models.FaultModel` (``mask.fault_model``).
     ``cache_hook_mode`` switches cache injections from direct bit
     flips to the paper's deferred hook mechanism (see
-    :mod:`repro.faults.hooks`); hooks encode one-shot flip semantics,
+    :meth:`repro.sim.cache.Cache.arm_hook`); hooks encode one-shot flip semantics,
     so persistent models reject the combination.
 
     ``column`` is the column of the runs axis (see

@@ -27,7 +27,6 @@ class RunResult:
     cycles: int  #: total simulated cycles (all launches)
     error: str = ""  #: exception text for crash/timeout
     injection_log: List[dict] = field(default_factory=list)
-    launch_cycles: List[int] = field(default_factory=list)
     device: Optional[Device] = None  #: kept only when ``keep_device``
     #: Cycle at which a convergence monitor proved the run re-joined
     #: the golden execution (None when the run was simulated in full).
@@ -44,47 +43,22 @@ class RunResult:
     #: divergence window) when a tracer rode along, else None.
     propagation: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable form for campaign logs."""
-        return {
-            "status": self.status,
-            "passed": self.passed,
-            "message": self.message,
-            "cycles": self.cycles,
-            "error": self.error,
-            "injections": self.injection_log,
-            "launch_cycles": self.launch_cycles,
-            "terminated_at": self.terminated_at,
-        }
 
-
-def run_application(benchmark, card, injector=None,
-                    cycle_budget: Optional[int] = None,
-                    keep_device: bool = False,
-                    scheduler_policy: str = "gto",
+def run_application(benchmark, card, keep_device: bool = False,
                     options: Optional[RunOptions] = None) -> RunResult:
     """Execute one benchmark application on a fresh device.
 
     Args:
         benchmark: a :class:`repro.bench.base.Benchmark` instance.
         card: card name or :class:`~repro.sim.config.GPUConfig`.
-        injector: optional :class:`~repro.faults.injector.Injector`.
-        cycle_budget: watchdog budget; exceeding it yields "timeout".
         keep_device: retain the device on the result (profiling runs
             need its per-launch statistics).
-        scheduler_policy: warp scheduler ("gto" or "lrr").
-        options: a :class:`~repro.sim.device.RunOptions` bundling
-            the three previous arguments; mutually exclusive with
-            passing them individually.
+        options: the run's :class:`~repro.sim.device.RunOptions`
+            (injector, watchdog budget, scheduler, ...); defaults to a
+            fault-free GTO run without a budget.
     """
     if options is None:
-        options = RunOptions(scheduler_policy=scheduler_policy,
-                             cycle_budget=cycle_budget, injector=injector)
-    elif (injector is not None or cycle_budget is not None
-          or scheduler_policy != "gto"):
-        raise ValueError("pass either options= or the individual "
-                         "injector/cycle_budget/scheduler_policy "
-                         "arguments, not both")
+        options = RunOptions()
     injector = options.injector
     dev = Device(card, options)
 
@@ -121,7 +95,6 @@ def run_application(benchmark, card, injector=None,
         cycles=dev.cycle if cycles is None else cycles,
         error=error,
         injection_log=list(injector.log) if injector is not None else [],
-        launch_cycles=[ls.cycles for ls in dev.launches],
         device=dev if keep_device else None,
         terminated_at=terminated_at,
         restored_at=(ff.restore_cycle

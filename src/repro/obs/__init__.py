@@ -1,4 +1,4 @@
-"""Campaign observability: counters/timers, event streams, metrics.
+"""Campaign observability: event streams, metrics, propagation.
 
 The paper's methodology is thousands of complete application
 executions per campaign, and after the executor (PR 1), checkpoint
@@ -9,14 +9,10 @@ SASSIFI's per-site instrumentation logs and NVBitFI's injection-site
 reports: structured, per-run, and produced as a first-class campaign
 output instead of a debugging afterthought.
 
-Three cooperating pieces, all strictly observational (classification
+Cooperating pieces, all strictly observational (classification
 counts and aggregated campaign results are bit-identical with
 telemetry enabled or disabled):
 
-- :mod:`repro.obs.telemetry` -- near-zero-overhead counters and wall
-  clock timers; the disabled variant (:data:`~repro.obs.telemetry.NULL`)
-  is a no-op on every call so instrumented code paths cost nothing
-  when observability is off.
 - :mod:`repro.obs.events` -- an append-only JSONL event stream
   (campaign lifecycle, per-run completions, worker heartbeats) written
   next to the campaign log.
@@ -49,13 +45,8 @@ from repro.obs.propagation import (PropagationTracer, explain_record,
                                    sites_from_prescreen,
                                    summarize_propagation,
                                    synthesized_propagation)
-from repro.obs.telemetry import NULL, NullTelemetry, Telemetry, telemetry_for
 
 __all__ = [
-    "Telemetry",
-    "NullTelemetry",
-    "NULL",
-    "telemetry_for",
     "EVENT_SCHEMA",
     "EventLog",
     "NullEventLog",

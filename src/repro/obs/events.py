@@ -93,20 +93,20 @@ def run_trace(parent: str, kernel: str, structure: str,
 
 
 def trim_torn_tail(path: Union[str, Path]) -> None:
-    """Drop an incomplete final line before appending to a stream.
+    """Drop an incomplete final line before appending to a log or an
+    event stream.
 
     A writer killed mid-record leaves a line without its newline;
-    appending after it would fuse two events into one corrupt line.
+    appending after it would fuse two records into one corrupt line.
+    Truncates in place, back to the last complete line.
     """
     path = Path(path)
     if not path.exists():
         return
-    data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
-    cut = data.rfind(b"\n")
-    with open(path, "wb") as handle:
-        handle.write(data[:cut + 1] if cut >= 0 else b"")
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        if data and not data.endswith(b"\n"):
+            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def read_events(path: Union[str, Path],

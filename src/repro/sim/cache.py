@@ -29,7 +29,7 @@ class CacheLine:
     """One cache line: valid/dirty state, tag and a private data copy.
 
     ``armed`` optionally carries deferred fault-injection bit offsets
-    (the paper's "hook" mechanism, see :mod:`repro.faults.hooks`):
+    (the paper's "hook" mechanism, see :meth:`Cache.arm_hook`):
     they are applied on the next read hit and dropped on write hits,
     refills and invalidations.
     """
@@ -362,12 +362,16 @@ class Cache:
         return out
 
     def arm_hook(self, line_index: int, bit_offsets) -> Dict[str, object]:
-        """Arm a deferred injection on a line (paper hook semantics).
+        """Arm a deferred injection on a line (paper hook semantics,
+        section IV.B.4; ``benchmarks/bench_ablation_hooks.py`` checks
+        that it agrees statistically with direct flips).
 
         Valid lines get the flips applied at their next *read* hit;
         the hook is dropped on write hits, refills and invalidations.
         Invalid lines take no hook at all (the paper deactivates the
-        hook when "the cache line is going to be replaced").
+        hook when "the cache line is going to be replaced"): their log
+        record says ``valid: False``, an architecturally masked
+        injection.
         """
         line = self.line_by_index(line_index)
         record = {

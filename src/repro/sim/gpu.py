@@ -492,13 +492,6 @@ class GPU:
         line.data[:] = data
         line.dirty = True
 
-    def l2_write_word(self, addr: int, value: int) -> int:
-        """Write one word into the L2 (write-back, write-allocate)."""
-        base = self.l2.line_base(addr)
-        line, latency = self._l2_line(base, for_write=True)
-        self.l2.write_word(line, addr, value)
-        return latency
-
     def l2_rmw(self, addr: int, op: str, value: int) -> Tuple[int, int]:
         """Atomic read-modify-write in the L2; returns (old value, latency)."""
         base = self.l2.line_base(addr)

@@ -8,7 +8,6 @@ the propagation tracer's view of each transition.
 
 import numpy as np
 
-from repro.faults.hooks import arm_cache_hook
 from repro.obs.propagation import PropagationTracer
 from repro.sim.cache import Cache
 from repro.sim.config import CacheGeometry
@@ -44,7 +43,7 @@ class TestArmDropEdges:
         # resurrect it
         cache = make_cache()
         cache.fill(0, line_data(0))
-        record = arm_cache_hook(cache, 0, [57])
+        record = cache.arm_hook(0, [57])
         assert record["valid"] is True
         cache.lookup(0, for_write=True)
         line = cache.lookup(0)  # read hit AFTER the drop
@@ -54,7 +53,7 @@ class TestArmDropEdges:
     def test_invalidation_while_armed_drops(self):
         cache = make_cache()
         cache.fill(0, line_data(0))
-        arm_cache_hook(cache, 0, [57])
+        cache.arm_hook(0, [57])
         cache.invalidate(0)
         # refill and read: the hook must be gone
         cache.fill(0, line_data(0))
@@ -65,7 +64,7 @@ class TestArmDropEdges:
     def test_invalidate_all_while_armed_drops(self):
         cache = make_cache()
         cache.fill(0, line_data(0))
-        arm_cache_hook(cache, 0, [57])
+        cache.arm_hook(0, [57])
         cache.invalidate_all()
         cache.fill(0, line_data(0))
         assert cache.read_word(cache.lookup(0), 0) == 0
@@ -73,16 +72,16 @@ class TestArmDropEdges:
     def test_rearm_after_drop_fires_again(self):
         cache = make_cache()
         cache.fill(0, line_data(0))
-        arm_cache_hook(cache, 0, [57])
+        cache.arm_hook(0, [57])
         cache.lookup(0, for_write=True)  # drop
-        arm_cache_hook(cache, 0, [57])  # second injection, same line
+        cache.arm_hook(0, [57])  # second injection, same line
         line = cache.lookup(0)
         assert cache.read_word(line, 0) == 1
 
     def test_read_hit_applies_only_once(self):
         cache = make_cache()
         cache.fill(0, line_data(0))
-        arm_cache_hook(cache, 0, [57])
+        cache.arm_hook(0, [57])
         assert cache.read_word(cache.lookup(0), 0) == 1
         assert cache.read_word(cache.lookup(0), 0) == 1  # no double flip
 
@@ -91,7 +90,7 @@ class TestTracerSeesTransitions:
     def test_read_hit_consumes(self):
         cache = make_cache()
         cache.fill(0, line_data(0))
-        record = arm_cache_hook(cache, 0, [57])
+        record = cache.arm_hook(0, [57])
         tracer = make_tracer(cache, record)
         cache.lookup(0)
         site = tracer.sites[0]
@@ -101,7 +100,7 @@ class TestTracerSeesTransitions:
     def test_write_hit_overwrites(self):
         cache = make_cache()
         cache.fill(0, line_data(0))
-        record = arm_cache_hook(cache, 0, [57])
+        record = cache.arm_hook(0, [57])
         tracer = make_tracer(cache, record)
         cache.lookup(0, for_write=True)
         assert tracer.sites[0]["fate"] == "overwritten"
@@ -112,7 +111,7 @@ class TestTracerSeesTransitions:
     def test_invalidation_evicts(self):
         cache = make_cache()
         cache.fill(0, line_data(0))
-        record = arm_cache_hook(cache, 0, [57])
+        record = cache.arm_hook(0, [57])
         tracer = make_tracer(cache, record)
         cache.invalidate(0)
         assert tracer.sites[0]["fate"] == "evicted"
@@ -121,14 +120,14 @@ class TestTracerSeesTransitions:
         cache = make_cache(assoc=1)
         set_stride = cache.geometry.num_sets * 128
         cache.fill(0, line_data(0))
-        record = arm_cache_hook(cache, 0, [57])
+        record = cache.arm_hook(0, [57])
         tracer = make_tracer(cache, record)
         cache.fill(set_stride, line_data(9))
         assert tracer.sites[0]["fate"] == "evicted"
 
     def test_invalid_line_site_is_never_touched(self):
         cache = make_cache()
-        record = arm_cache_hook(cache, 3, [57])  # invalid line: no hook
+        record = cache.arm_hook(3, [57])  # invalid line: no hook
         tracer = make_tracer(cache, record)
         site = tracer.sites[0]
         assert site["fate"] == "never_touched"

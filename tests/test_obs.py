@@ -1,4 +1,4 @@
-"""Campaign observability: telemetry probes, metrics sidecar, event
+"""Campaign observability: metrics sidecar, event
 stream, and the executor robustness fixes that ride along (resume
 append, progress consistency, dead-worker/stall guard, torn tails)."""
 
@@ -18,9 +18,9 @@ from repro.faults.executor import (CampaignExecutor, ProgressReporter,
                                    RunSpec, WorkerPoolError, execute_run)
 from repro.faults.parser import load_records, merge_logs
 from repro.faults.targets import Structure
-from repro.obs import (NULL, EventLog, MetricsCollector, NullEventLog,
-                       Telemetry, derived_cycle_fields, events_path_for,
-                       metrics_path_for, telemetry_for)
+from repro.obs import (EventLog, MetricsCollector, NullEventLog,
+                       derived_cycle_fields, events_path_for,
+                       metrics_path_for)
 
 
 def make_config(**overrides):
@@ -72,29 +72,6 @@ class FakeClock:
 
     def __call__(self):
         return self.now
-
-
-class TestTelemetry:
-    def test_counts_and_timers(self):
-        clock = FakeClock()
-        telem = Telemetry(clock=clock)
-        telem.count("restores")
-        telem.count("restores", 2)
-        with telem.timer("simulate"):
-            clock.now += 1.5
-        assert telem.counters == {"restores": 3}
-        assert telem.seconds == {"simulate": 1.5}
-        assert telem.as_dict() == {"restores": 3, "simulate": 1.5}
-
-    def test_null_is_free_and_shared(self):
-        null = telemetry_for(False)
-        assert null is NULL and not null.enabled
-        null.count("x")
-        null.add_time("y", 1.0)
-        with null.timer("z"):
-            pass
-        assert null.as_dict() == {}
-        assert telemetry_for(True).enabled
 
 
 class TestDerivedCycleFields:
