@@ -63,8 +63,11 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, campaign, specs: Sequence[RunSpec],
-                jobs: int = 1, resume: bool = False) -> List[dict]:
-        """Execute ``specs`` for ``campaign``; records in plan order."""
+                jobs: int = 1, resume: bool = False,
+                completed: Sequence[dict] = ()) -> List[dict]:
+        """Execute ``specs`` for ``campaign``; records in plan order.
+        ``completed``: records of ``specs`` the caller already holds,
+        which need no execution."""
 
 
 class LocalPoolBackend(Backend):
@@ -73,13 +76,14 @@ class LocalPoolBackend(Backend):
     name = "local"
 
     def execute(self, campaign, specs: Sequence[RunSpec],
-                jobs: int = 1, resume: bool = False) -> List[dict]:
+                jobs: int = 1, resume: bool = False,
+                completed: Sequence[dict] = ()) -> List[dict]:
         executor = CampaignExecutor(
             jobs=jobs, progress=campaign._progress, resume=resume,
             plan_timing=campaign.plan_timing,
             **executor_arguments(campaign.config))
         try:
-            return executor.execute(specs)
+            return executor.execute(specs, completed)
         finally:
             campaign.last_metrics = executor.last_metrics
 
@@ -95,7 +99,8 @@ class RemoteFleetBackend(Backend):
 
     ``jobs`` is a per-worker setting and is ignored here; ``resume``
     is inherent (re-submitting the same campaign joins the existing
-    one instead of re-running it).  With ``config.log_path`` set, the
+    one instead of re-running it) and the dispatcher holds what is
+    ``completed``.  With ``config.log_path`` set, the
     merged records are also written to a local log (header line
     included) so downstream tooling works identically.
     """
@@ -103,7 +108,8 @@ class RemoteFleetBackend(Backend):
     name = "remote"
 
     def execute(self, campaign, specs: Sequence[RunSpec],
-                jobs: int = 1, resume: bool = False) -> List[dict]:
+                jobs: int = 1, resume: bool = False,
+                completed: Sequence[dict] = ()) -> List[dict]:
         from repro.dist.client import DispatcherClient
 
         config = campaign.config

@@ -71,7 +71,7 @@ from repro.faults.campaign import Campaign
 from repro.faults.config_file import parse_config_text
 from repro.faults.executor import RunSpec, format_log_header
 from repro.obs.events import (EVENT_SCHEMA, EventLog, campaign_trace,
-                              events_path_for, read_events, run_trace,
+                              events_path_for, read_events, run_event,
                               shard_trace, trim_torn_tail)
 from repro.obs.live import (PROMETHEUS_CONTENT_TYPE, render_prometheus,
                             summarize_dist_events)
@@ -171,11 +171,15 @@ class CampaignJob:
 
     def shard_wire(self, shard_index: int) -> List[dict]:
         """The shard's specs in wire form, built on its first lease
-        and reused if it has to be leased again."""
+        and reused if it has to be leased again.  A campaign with
+        ``metrics`` asks whoever executes them for telemetry, as the
+        local executor asks its pool."""
         wire = self.shard_wires.get(shard_index)
         if wire is None:
             wire = self.shard_wires[shard_index] = [
                 spec_to_wire(spec) for spec in self.shards[shard_index]]
+            for spec_wire in wire:
+                spec_wire["telemetry"] = self.config.metrics
         return wire
 
     def effects(self) -> Dict[str, int]:
@@ -620,16 +624,8 @@ class Dispatcher:
             if key in job.event_run_keys:
                 continue
             job.event_run_keys.add(key)
-            event = provided.get(key)
-            if event is None:
-                timings = record.get("timings") or {}
-                event = {"event": "run", "kernel": key[0],
-                         "structure": key[1], "run": key[2],
-                         "effect": record.get("effect"),
-                         "worker": worker, "shard": shard,
-                         "total_s": timings.get("total_s"),
-                         "trace": run_trace(base, key[0], key[1],
-                                            key[2])}
+            event = provided.get(key) or run_event(record, base, worker,
+                                                   shard)
             self._append_event(job, event)
 
     def _finalize(self, job: CampaignJob) -> None:

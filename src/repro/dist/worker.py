@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 from repro.dist.client import DispatcherClient, DispatchError
 from repro.dist.protocol import spec_from_wire
-from repro.obs.events import campaign_trace, run_trace
+from repro.obs.events import campaign_trace, run_event
 
 #: Finished runs are sent back once the previous send (or the lease)
 #: is this many seconds old, and with the last run of the shard.  The
@@ -148,8 +148,15 @@ class FleetWorker:
                     return None
                 started = time.time()
                 record = self._run_fn(spec)
+                if "worker" in record:
+                    # a telemetry record names who executed it: on a
+                    # fleet this worker, not its process's pool id
+                    record["worker"] = self.name
                 batch.append(record)
-                events.append(self._run_event(lease, record, started))
+                events.append({"ts": round(time.time(), 6), **run_event(
+                    record, self._lease_trace(lease), self.name,
+                    lease.get("shard"),
+                    total_s=round(time.time() - started, 6))})
                 done = executed == len(specs)
                 if not done and self._clock() - sent_at < FLUSH_AFTER_S:
                     continue
@@ -171,35 +178,6 @@ class FleetWorker:
         finally:
             hb_stop.set()
             heartbeater.join(timeout=2.0)
-
-    def _run_event(self, lease: dict, record: dict,
-                   started: float) -> dict:
-        """The ``run`` event streamed alongside one record.
-
-        Events ride the batch, never the record: the record stays a
-        pure function of its spec (the byte-identity contract), while
-        the event carries this execution's worker, shard, wall clock
-        and trace.
-        """
-        timings = record.get("timings") or {}
-        total_s = timings.get("total_s")
-        if total_s is None:
-            total_s = round(time.time() - started, 6)
-        return {
-            "ts": round(time.time(), 6),
-            "event": "run",
-            "kernel": record.get("kernel"),
-            "structure": record.get("structure"),
-            "run": record.get("run"),
-            "effect": record.get("effect"),
-            "worker": self.name,
-            "shard": lease.get("shard"),
-            "total_s": total_s,
-            "trace": run_trace(self._lease_trace(lease),
-                               record.get("kernel"),
-                               record.get("structure"),
-                               record.get("run")),
-        }
 
     @staticmethod
     def _lease_trace(lease: dict) -> str:

@@ -10,15 +10,15 @@ architectural state.
 Correctness never depends on the batching:
 
 - a member whose fault is about to influence shared state peels off
-  and is simply re-run through :func:`~repro.faults.executor
-  .execute_run` -- records are pure functions of their specs, so the
-  solo record is the record;
+  and is simulated again alone, by the stages
+  :func:`~repro.faults.executor.execute_run` is made of -- records
+  are pure functions of their specs, so the solo record is the record;
 - any unexpected condition inside a pack (a non-golden host read, a
   checkpoint problem, an abnormal pack result) aborts the whole pack
-  and every unresolved member falls back to the solo path;
+  and every member falls back to the solo path;
 - ineligible specs (cache/control structures, persistent fault
   models, pre-screened or synthesized runs, verify/propagation
-  modes) are never packed at all.
+  modes) are never packed at all: they dispatch solo.
 
 Hence records are byte-identical (canonical form) between
 ``batch=1`` and any batch size, at any jobs count.
@@ -26,19 +26,15 @@ Hence records are byte-identical (canonical form) between
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.faults.executor import (RunSpec, _finish_record, _resolved_card,
-                                   _worker_id, base_record, execute_run,
-                                   open_fresh_checkpoint_set,
-                                   regenerate_mask)
-from repro.faults.models import get_model
-from repro.faults.runner import RunResult, run_application
+from repro.faults.executor import (ResolvedRun, RunSpec, Stopwatch,
+                                   annotate, classify, finish_solo,
+                                   may_converge, simulate,
+                                   zero_pack_stats)
+from repro.faults.runner import RunResult
 from repro.faults.targets import Structure
-from repro.sim.batch import (LockstepPack, PackAbort, PackDrained,
-                             PackMember)
-from repro.sim.device import RunOptions
+from repro.sim.batch import LockstepPack, PackAbort, PackMember
 
 #: Structures whose per-run state is stacked along the runs axis.
 #: Cache and control-unit targets live in *shared* state and stay on
@@ -50,11 +46,11 @@ BATCHABLE_STRUCTURES = frozenset({
 def batch_eligible(spec: RunSpec) -> bool:
     """Whether a spec may ride in a lockstep pack.
 
-    Mirrors the gates the :class:`~repro.faults.early_stop.Prescreener`
-    applies: persistent models re-assert every cycle (columns diverge
-    immediately and convergence can never pin the future), and the
-    observational modes (propagation tracing, restore verification)
-    are defined against solo execution.
+    Not what needs no simulation, not the observational modes
+    (propagation tracing, restore verification), which are defined
+    against solo execution, and not a run whose column could never
+    agree with the golden one for long
+    (:func:`~repro.faults.executor.may_converge`).
     """
     if spec.structure not in BATCHABLE_STRUCTURES:
         return False
@@ -62,24 +58,7 @@ def batch_eligible(spec: RunSpec) -> bool:
         return False
     if spec.verify_restore or spec.propagation or spec.cache_hook_mode:
         return False
-    if get_model(spec.fault_model).persistent:
-        return False
-    return True
-
-
-def _restore_point(spec: RunSpec,
-                   mask_cycle: int) -> Optional[Tuple[int, int]]:
-    """``(launch_index, cycle)`` of the golden snapshot a fast-forward
-    to ``mask_cycle`` would restore, or ``None`` (from scratch)."""
-    ckpt_set = open_fresh_checkpoint_set(spec)
-    if ckpt_set is None:
-        return None
-    candidates = [entry for entry in ckpt_set.meta["checkpoints"]
-                  if entry["cycle"] <= mask_cycle]
-    if not candidates:
-        return None
-    entry = max(candidates, key=lambda e: e["cycle"])
-    return (entry["launch_index"], entry["cycle"])
+    return may_converge(spec)
 
 
 def group_packs(pending: Sequence[RunSpec], batch: int) -> List[tuple]:
@@ -92,31 +71,29 @@ def group_packs(pending: Sequence[RunSpec], batch: int) -> List[tuple]:
     serves the whole pack -- and are chunked to at most ``batch``
     members.  Groups of one dispatch solo (a pack needs company).
     """
-    units: List[tuple] = []
+    units: list = []  # solo units, and each group where it first appears
     groups: Dict[tuple, List[RunSpec]] = {}
-    order: List[tuple] = []
     for spec in pending:
         if not batch_eligible(spec):
             units.append(("solo", spec))
             continue
-        mask = regenerate_mask(spec)
+        run = ResolvedRun(spec)
+        snapshot = (run.checkpoints.restore_entry(run.mask.cycle)
+                    if run.checkpoints is not None else None)
         key = (spec.kernel, spec.structure,
-               _restore_point(spec, mask.cycle))
+               snapshot and (snapshot["launch_index"], snapshot["cycle"]))
         if key not in groups:
             groups[key] = []
-            order.append(key)
-            units.append(None)  # placeholder at first appearance
+            units.append(groups[key])
         groups[key].append(spec)
 
     expanded: List[tuple] = []
     for unit in units:
-        if unit is not None:
+        if isinstance(unit, tuple):
             expanded.append(unit)
             continue
-        key = order.pop(0)
-        members = groups[key]
-        for start in range(0, len(members), batch):
-            chunk = members[start:start + batch]
+        for start in range(0, len(unit), batch):
+            chunk = unit[start:start + batch]
             if len(chunk) == 1:
                 expanded.append(("solo", chunk[0]))
             else:
@@ -124,178 +101,88 @@ def group_packs(pending: Sequence[RunSpec], batch: int) -> List[tuple]:
     return expanded
 
 
-def execute_pack(specs: Sequence[RunSpec]) -> Tuple[List[dict], dict]:
-    """Execute one pack; returns ``(records in spec order, stats)``.
+def _ride(runs: List[ResolvedRun], watch: Stopwatch):
+    """The restore -> simulate stages of a pack: its runs as the
+    columns of one simulation, restored once at the snapshot that
+    serves the earliest injection.  Returns the pack (its members
+    resolved, or left to inherit the result) and the result."""
+    first = runs[0]
+    host_reads = (first.checkpoints.golden()["host_reads"]
+                  if first.checkpoints is not None else None)
+    pack = LockstepPack(
+        [PackMember(run.mask, col, run.witnesses)
+         for col, run in enumerate(runs, start=1)],
+        first.spec.golden_cycles, golden_host_reads=host_reads)
 
-    Any exception inside the batched run -- :class:`PackAbort`, a
-    checkpoint problem, a simulator error the solo path would have
-    classified -- drops every unresolved member to
-    :func:`~repro.faults.executor.execute_run`; records are pure, so
-    the result is identical either way.
-    """
-    specs = list(specs)
-    try:
-        return _run_pack(specs)
-    except Exception:
-        records = [execute_run(spec) for spec in specs]
-        return records, {
-            "packs": 1, "members": len(specs), "converged": 0,
-            "completed_in_pack": 0, "peeled": 0,
-            "solo_fallback": len(specs), "peel_cycles": [],
-            "lockstep_cycles": 0, "member_cycles": 0,
-        }
+    def riders():
+        pack.reset()  # fresh per attempt, like a solo run's riders
+        return {"pack": pack}
 
-
-def _pack_timings(spec: RunSpec, started: float, pack_size: int,
-                  start_cycle: int, sim_end: int, loop_iterations: int,
-                  idle_cycles_skipped: int) -> dict:
-    """Per-member ``timings`` sidecar fields for a batched run.
-
-    Volatile by contract (canonicalization drops them); the share of
-    the pack's wall clock is attributed evenly, while the pack GPU's
-    loop counters -- one cycle loop served every member -- go to one
-    member whole so that campaign sums count them once.
-    """
-    return {
-        "restore_s": 0.0,
-        "simulate_s": round((time.perf_counter() - started)
-                            / max(pack_size, 1), 6),
-        "classify_s": 0.0,
-        "total_s": round((time.perf_counter() - started)
-                         / max(pack_size, 1), 6),
-        "cycles_simulated": max(sim_end - start_cycle, 0),
-        "skipped_fast_forward": start_cycle,
-        "skipped_convergence": max(spec.golden_cycles - sim_end, 0),
-        "skipped_prescreen": 0,
-        "skipped_synthesized": 0,
-        "fast_forwarded": start_cycle > 0,
-        "loop_iterations": loop_iterations,
-        "idle_cycles_skipped": idle_cycles_skipped,
-        "batched": True,
-        "pack_size": pack_size,
-    }
-
-
-def _run_pack(specs: List[RunSpec]) -> Tuple[List[dict], dict]:
-    started = time.perf_counter()
-    spec0 = specs[0]
-    card = _resolved_card(spec0)
-    masks = [regenerate_mask(spec) for spec in specs]
-
-    ckpt_set = open_fresh_checkpoint_set(spec0)
-
-    host_reads = None
-    entries_all: List[dict] = []
-    if ckpt_set is not None:
-        host_reads = ckpt_set.golden()["host_reads"]
-        entries_all = [entry for entry in ckpt_set.meta["checkpoints"]
-                       if entry.get("state_hash")]
-
-    members = []
-    for col, (spec, mask) in enumerate(zip(specs, masks), start=1):
-        entries = []
-        if spec.early_stop in ("converge", "full"):
-            # checkpoints AT the injection cycle carry pre-injection
-            # state: only strictly later digests witness convergence
-            entries = [entry for entry in entries_all
-                       if entry["cycle"] > mask.cycle]
-        members.append(PackMember(spec, mask, col, entries))
-    pack = LockstepPack(members, golden_host_reads=host_reads)
-
-    from repro.bench import make_benchmark
-
-    def simulate(fast_forward=None):
-        pack.reset()
-        options = RunOptions(scheduler_policy=spec0.scheduler_policy,
-                             cycle_budget=spec0.cycle_budget,
-                             fast_forward=fast_forward, pack=pack)
-        return run_application(make_benchmark(spec0.benchmark), card,
-                               options=options)
-
-    def attempt(fast_forward=None):
-        try:
-            return simulate(fast_forward), False
-        except PackDrained:
-            # every member resolved before the application finished
-            return None, True
-
-    result, drained = None, False
-    start_cycle = 0
-    if ckpt_set is not None:
-        from repro.sim.checkpoint import CheckpointError
-
-        fast_forward = ckpt_set.fast_forward(min(m.cycle for m in masks))
-        if fast_forward.active:
-            try:
-                result, drained = attempt(fast_forward)
-                start_cycle = fast_forward.restore_cycle or 0
-            except CheckpointError:
-                result, drained, start_cycle = None, False, 0
-    if result is None and not drained:
-        result, drained = attempt()
-
-    unresolved = [m for m in members if m.resolution is None]
-    if unresolved:
+    result = simulate(first, riders, min(run.mask.cycle for run in runs),
+                      watch)
+    if (any(member.resolution is None for member in pack.members)
+            and not (result.status == "completed" and result.passed
+                     and result.cycles == first.spec.golden_cycles)):
         # members completing inside the pack require a clean golden
         # ride; anything else is outside the invariants -> solo path
-        if (result is None or result.status != "completed"
-                or not result.passed
-                or result.cycles != spec0.golden_cycles):
-            raise PackAbort("pack run did not complete the golden ride")
+        raise PackAbort("pack run did not complete the golden ride")
+    return pack, result
 
-    # read from the pack's GPU, not the result: a drained pack has none
-    loop_counters = (pack.gpu.loop_iterations,
-                     pack.gpu.idle_cycles_skipped)
-    records: Dict[tuple, dict] = {}
-    peeled = converged = completed = 0
-    lockstep_cycles = 0
-    member_cycles = 0
-    for member in members:
-        spec = member.spec
-        span = max(spec.golden_cycles - start_cycle, 0)
-        member_cycles += span
-        resolution = member.resolution
-        if resolution is not None and resolution[0] == "peeled":
-            peeled += 1
-            lockstep_cycles += max(resolution[1] - start_cycle, 0)
-            records[spec.key] = execute_run(spec)
+
+def execute_pack(specs: Sequence[RunSpec]) -> Tuple[List[dict], dict]:
+    """Execute one pack; returns ``(records in spec order, stats)``:
+    resolve -> restore -> simulate -> classify -> annotate over N
+    columns.  A member that peeled goes on from its resolved run
+    through :func:`~repro.faults.executor.finish_solo`, and so does
+    every member when anything goes wrong inside the batched run
+    (:class:`PackAbort`, a simulator error the solo path would have
+    classified).
+
+    Under telemetry each member's ``timings`` hold an equal share of
+    what the pack spent on all of them (resolving, the one restore,
+    the lockstep simulation) plus what was spent on it alone; the pack
+    GPU's loop counters -- one cycle loop served every member -- go to
+    the first member resolved in the pack, whole, so that campaign
+    sums count them once.
+    """
+    watch = Stopwatch()
+    runs = [ResolvedRun(spec) for spec in specs]
+    stats = zero_pack_stats()
+    stats["packs"], stats["members"] = 1, len(runs)
+    try:
+        pack, result = _ride(runs, watch)
+    except Exception:
+        pack = None
+    else:
+        stats["peel_cycles"] = [cycle for _, cycle, _ in pack.peels]
+        start_cycle = result.restored_at or 0
+        counters = {"loop_iterations": result.loop_iterations,
+                    "idle_cycles_skipped": result.idle_cycles_skipped}
+    shared_s = watch.total_s()
+    records = []
+    for index, run in enumerate(runs):
+        spec = run.spec
+        own = Stopwatch(shared_s / len(runs), watch.restore_s / len(runs),
+                        watch.simulate_s / len(runs))
+        if pack is None:
+            stats["solo_fallback"] += 1
+            records.append(finish_solo(run, own))
             continue
-        if resolution is not None and resolution[0] == "converged":
-            converged += 1
-            sim_end = resolution[1]
-            lockstep_cycles += max(sim_end - start_cycle, 0)
-            run_result = RunResult(
-                status="completed", passed=True, message="Test PASSED",
-                cycles=spec.golden_cycles,
-                injection_log=list(member.injector.log),
-                terminated_at=sim_end)
-        else:
-            completed += 1
-            sim_end = result.cycles
-            lockstep_cycles += span
-            run_result = RunResult(
-                status="completed", passed=True, message="Test PASSED",
-                cycles=result.cycles,
-                injection_log=list(member.injector.log))
-        final = _finish_record(base_record(spec), run_result, spec,
-                               member.mask)
-        if spec.telemetry:
-            final["timings"] = _pack_timings(spec, started, len(specs),
-                                             start_cycle, sim_end,
-                                             *loop_counters)
-            loop_counters = (0, 0)
-            final["worker"] = _worker_id()
-        records[spec.key] = final
-
-    stats = {
-        "packs": 1,
-        "members": len(specs),
-        "converged": converged,
-        "completed_in_pack": completed,
-        "peeled": peeled,
-        "solo_fallback": 0,
-        "peel_cycles": [cycle for _, cycle, _ in pack.peels],
-        "lockstep_cycles": lockstep_cycles,
-        "member_cycles": member_cycles,
-    }
-    return [records[spec.key] for spec in specs], stats
+        member = pack.members[index]
+        # "converged" or "peeled" at a cycle; else it rode to the end
+        kind, cycle = member.resolution or ("completed_in_pack", None)
+        stats[kind] += 1
+        stats["member_cycles"] += max(spec.golden_cycles - start_cycle, 0)
+        stats["lockstep_cycles"] += max(
+            (spec.golden_cycles if cycle is None else cycle) - start_cycle, 0)
+        if kind == "peeled":
+            records.append(finish_solo(run, own))
+            continue
+        inherited = RunResult.golden_suffix(
+            spec.golden_cycles, cycle,
+            injection_log=list(member.injector.log),
+            restored_at=result.restored_at, **counters)
+        counters = {}
+        records.append(annotate(classify(run, inherited, own), spec, own,
+                                inherited, pack_size=len(runs)))
+    return records, stats

@@ -409,13 +409,6 @@ class Campaign:
                 f"fault model {model.name!r} does not support "
                 "cache_hook_mode (hooks encode one-shot flip "
                 "semantics)")
-        if cfg.batch > 1 and model.persistent:
-            # same gate as the prescreener: a persistent fault
-            # re-asserts every cycle, so a pack member could never
-            # converge back onto the golden column
-            raise ValueError(
-                f"fault model {model.name!r} is persistent and cannot "
-                "be batched; use batch=1")
         traced = cfg.early_stop == "full"
         golden = self.golden_run(traced)
         checkpoint_key = self._checkpoint_key()
@@ -503,19 +496,23 @@ class Campaign:
         return specs
 
     def execute(self, specs: Sequence[RunSpec], jobs: int = 1,
-                resume: bool = False) -> List[dict]:
+                resume: bool = False,
+                completed: Sequence[dict] = ()) -> List[dict]:
         """Execute planned specs; returns records in plan order.
 
         Dispatches through the configured
         :class:`~repro.dist.backend.Backend` (``config.backend``):
         the default local pool, or a remote ``gpufi serve`` fleet.
+        ``completed`` are records of ``specs`` the caller already
+        holds (an earlier call's, when the plan grows call by call):
+        they are not executed again.
         """
         # lazy import: repro.dist.backend imports config_file which
         # imports this module
         from repro.dist.backend import make_backend
 
         return make_backend(self.config).execute(
-            self, specs, jobs=jobs, resume=resume)
+            self, specs, jobs=jobs, resume=resume, completed=completed)
 
     def aggregate(self, records: Sequence[dict]) -> CampaignResult:
         """Fold run records into the campaign result."""

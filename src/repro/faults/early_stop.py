@@ -55,7 +55,7 @@ import numpy as np
 from repro.faults.mask import FaultMask
 from repro.faults.models import get_model
 from repro.faults.targets import Structure
-from repro.sim.checkpoint import state_digest
+from repro.sim.checkpoint import host_read_matches, state_digest
 
 EARLY_STOP_MODES = ("off", "converge", "full")
 
@@ -77,35 +77,41 @@ class EarlyConvergence(Exception):
 
 
 class ConvergenceMonitor:
-    """Compares an injected run's state against golden checkpoint
-    digests; raises :class:`EarlyConvergence` on the first match.
+    """The golden witness of one injected run: compares its state
+    against the golden checkpoint digests and its DtoH copies against
+    the golden recording.
 
     Args:
-        entries: golden checkpoint manifest entries (each with
-            ``cycle``, ``launch_index`` and ``state_hash``), already
-            filtered to cycles strictly after the injection cycle.
+        entries: the golden checkpoint manifest entries that may
+            witness this run (each with ``cycle``, ``launch_index``
+            and ``state_hash``; see
+            :meth:`repro.sim.checkpoint.CheckpointSet.digests_after`).
         host_reads: the golden run's recorded DtoH copies (in order).
         golden_cycles: total golden-run cycle count to inherit.
+        terminate: raise :class:`EarlyConvergence` on the first match
+            (early stop applies to the run).  A witness that only
+            observes stops comparing there instead: a full-state match
+            means the rest of the run is golden.
+        observer: optional propagation observer (duck-typed, see
+            :class:`repro.obs.propagation.PropagationTracer`), told
+            about every digest comparison and about host-read
+            divergence -- the same under every ``early_stop`` mode.
     """
 
     def __init__(self, entries: Sequence[dict], host_reads: Sequence[dict],
-                 golden_cycles: int):
+                 golden_cycles: int, terminate: bool = True,
+                 observer=None):
         self._entries: List[dict] = sorted(entries,
                                            key=lambda e: e["cycle"])
         self._pos = 0
         self._reads = list(host_reads)
         self._read_pos = 0
         self.golden_cycles = golden_cycles
+        self.terminate = terminate
+        self.observer = observer
         #: Host-side state diverged from golden: no convergence claim
         #: is sound any more, the monitor goes inert.
         self.diverged = False
-        #: Digest comparisons performed (introspection/tests).
-        self.checks = 0
-        #: Optional propagation observer (duck-typed, see
-        #: :class:`repro.obs.propagation.PropagationTracer`): told
-        #: about every digest-check result and host-read divergence,
-        #: so divergence localization reuses the monitor's digests.
-        self.observer = None
 
     def next_cycle(self) -> Optional[int]:
         """Earliest remaining check cycle (for the idle-skip clamp)."""
@@ -126,11 +132,9 @@ class ConvergenceMonitor:
         entries = self._entries
         while self._pos < len(entries) \
                 and entries[self._pos]["cycle"] < gpu.cycle:
-            if self.observer is not None:
-                # a checkpoint cycle this run never landed on is
-                # timing divergence -- report it as a mismatch
-                self.observer.on_digest_check(
-                    entries[self._pos]["cycle"], False)
+            # a checkpoint cycle this run never landed on is timing
+            # divergence -- a mismatch
+            self._report(entries[self._pos]["cycle"], False)
             self._pos += 1
         if self._pos >= len(entries):
             return
@@ -139,16 +143,19 @@ class ConvergenceMonitor:
             return
         self._pos += 1
         if entry["launch_index"] != gpu.stats.current.launch_index:
-            if self.observer is not None:
-                self.observer.on_digest_check(entry["cycle"], False)
+            self._report(entry["cycle"], False)
             return
-        self.checks += 1
         matched = (state_digest(gpu.snapshot(launch, queue))
                    == entry["state_hash"])
-        if self.observer is not None:
-            self.observer.on_digest_check(entry["cycle"], matched)
+        self._report(entry["cycle"], matched)
         if matched:
-            raise EarlyConvergence(gpu.cycle, self.golden_cycles)
+            if self.terminate:
+                raise EarlyConvergence(gpu.cycle, self.golden_cycles)
+            self._pos = len(entries)
+
+    def _report(self, cycle: int, matched: bool) -> None:
+        if self.observer is not None:
+            self.observer.on_digest_check(cycle, matched)
 
     def on_host_read(self, tag: int, addr: int, nbytes: int, data) -> None:
         """Verify one DtoH copy against the golden recording.
@@ -160,20 +167,12 @@ class ConvergenceMonitor:
         """
         if self.diverged:
             return
-        if self._read_pos >= len(self._reads):
-            self._mark_diverged()
-            return
-        rec = self._reads[self._read_pos]
+        if not host_read_matches(self._reads, self._read_pos, tag, addr,
+                                 nbytes, data):
+            self.diverged = True
+            if self.observer is not None:
+                self.observer.on_host_divergence()
         self._read_pos += 1
-        if (rec["tag"] != tag or rec["addr"] != addr
-                or rec["nbytes"] != nbytes
-                or not np.array_equal(rec["data"], data)):
-            self._mark_diverged()
-
-    def _mark_diverged(self) -> None:
-        self.diverged = True
-        if self.observer is not None:
-            self.observer.on_host_divergence()
 
 
 class Prescreener:

@@ -12,7 +12,11 @@ provides that substrate:
   derived from them (see :func:`repro.faults.mask.derive_run_seed`).
   Specs are plain picklable data, safe to ship to worker processes.
 - :func:`execute_run` -- a pure function from spec to result record;
-  the unit of work dispatched to the pool.
+  the unit of work dispatched to the pool and to fleet workers.  A run
+  is an instant verdict, or resolve -> restore -> simulate -> classify
+  -> annotate, each stage written once here;
+  :func:`repro.faults.batch_executor.execute_pack` drives the same
+  stages over N columns (``docs/architecture.md``, *Life of a run*).
 - :class:`CampaignExecutor` -- runs a list of specs on ``jobs`` worker
   processes, streams records to a JSONL log, skips runs already
   recorded there (``resume``), and reports throughput (runs/sec, ETA,
@@ -26,6 +30,7 @@ a straight-through run and a resumed one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -38,15 +43,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.faults.classify import FaultEffect, classify_run
+from repro.faults.early_stop import ConvergenceMonitor
 from repro.faults.injector import Injector
 from repro.faults.mask import MaskGenerator, MultiBitMode
+from repro.faults.models import get_model
 from repro.faults.options import DEFAULTS, identity_fields
-from repro.faults.runner import run_application
+from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
 from repro.obs import (EVENT_SCHEMA, EventLog, MetricsCollector,
-                       NullEventLog, campaign_trace, events_path_for,
-                       run_trace, trim_torn_tail)
+                       NullEventLog, PropagationTracer, campaign_trace,
+                       events_path_for, prescreen_propagation,
+                       synthesized_propagation, trim_torn_tail)
+from repro.obs.events import run_event
 from repro.sim.cards import get_card
+from repro.sim.checkpoint import (CheckpointError, RestoreParityError,
+                                  open_checkpoint_set)
 from repro.sim.device import RunOptions
 
 #: ``(kernel, structure value, run index)`` -- the coordinates that
@@ -220,52 +231,6 @@ def _worker_id() -> int:
     return int(identity[0]) if identity else 0
 
 
-def _instant_timings(spec: RunSpec, started: float,
-                     reason: str) -> dict:
-    """Timings of a run that completed without simulating."""
-    timings = {"restore_s": 0.0, "simulate_s": 0.0, "classify_s": 0.0,
-               "total_s": round(time.perf_counter() - started, 6),
-               "cycles_simulated": 0, "skipped_fast_forward": 0,
-               "skipped_convergence": 0, "skipped_prescreen": 0,
-               "skipped_synthesized": 0, "fast_forwarded": False,
-               "loop_iterations": 0, "idle_cycles_skipped": 0}
-    timings[f"skipped_{reason}"] = spec.golden_cycles
-    return timings
-
-
-def _run_timings(spec: RunSpec, result, started: float,
-                 fast_forwarded: bool, restore_s: float,
-                 simulate_s: float, classify_s: float) -> dict:
-    """Timings breakdown of one simulated run.
-
-    The ``cycles_*``/``skipped_*``/``fast_forwarded`` fields are pure
-    functions of the spec (deterministic for any jobs count); only the
-    ``*_s`` wall-clock fields vary between executions.
-    """
-    restored_at = result.restored_at or 0
-    # where simulation actually stopped: the convergence cycle when
-    # early-stopped (result.cycles then reports the inherited golden
-    # total), the final device cycle otherwise
-    sim_end = (result.terminated_at if result.terminated_at is not None
-               else result.cycles)
-    return {
-        "restore_s": round(restore_s, 6),
-        "simulate_s": round(max(simulate_s - restore_s, 0.0), 6),
-        "classify_s": round(classify_s, 6),
-        "total_s": round(time.perf_counter() - started, 6),
-        "cycles_simulated": max(sim_end - restored_at, 0),
-        "skipped_fast_forward": restored_at,
-        "skipped_convergence": (
-            max(spec.golden_cycles - result.terminated_at, 0)
-            if result.terminated_at is not None else 0),
-        "skipped_prescreen": 0,
-        "skipped_synthesized": 0,
-        "fast_forwarded": fast_forwarded,
-        "loop_iterations": result.loop_iterations,
-        "idle_cycles_skipped": result.idle_cycles_skipped,
-    }
-
-
 def regenerate_mask(spec: RunSpec):
     """Re-derive the spec's fault mask from its seed.
 
@@ -286,9 +251,103 @@ def regenerate_mask(spec: RunSpec):
         fault_model=spec.fault_model)
 
 
+def may_converge(spec: RunSpec) -> bool:
+    """Whether matching golden state pins the rest of the run, so that
+    its simulation may end at a matching digest and it may ride a
+    lockstep pack (:func:`repro.faults.batch_executor.batch_eligible`).
+    Not under a persistent fault model: the fault keeps mutating state
+    after any match, and re-asserts into its pack column every cycle.
+    """
+    return not get_model(spec.fault_model).persistent
+
+
+class ResolvedRun:
+    """The resolve stage: what a spec's run needs, each part derived
+    when first asked for -- so an instant verdict builds no more than
+    it reports, and a pack member that peels goes on with what the
+    pack already derived."""
+
+    def __init__(self, spec: RunSpec):
+        self.spec = spec
+
+    @functools.cached_property
+    def mask(self):
+        return regenerate_mask(self.spec)
+
+    @functools.cached_property
+    def checkpoints(self):
+        """The golden checkpoint set to restore from and compare with,
+        or ``None`` when the spec names none, the set is missing, its
+        golden manifest is unreadable, or it was captured from a
+        golden run of another length (a stale set can neither restore
+        nor witness convergence)."""
+        spec = self.spec
+        if not (spec.checkpoint_dir and spec.checkpoint_key):
+            return None
+        ckpt_set = open_checkpoint_set(spec.checkpoint_dir,
+                                       spec.checkpoint_key)
+        if ckpt_set is None or ckpt_set.golden_cycles != spec.golden_cycles:
+            return None
+        try:
+            ckpt_set.golden()  # cached; every user of the set reads it
+        except CheckpointError:
+            return None
+        return ckpt_set
+
+    @property
+    def stops_early(self) -> bool:
+        """Whether the run ends where it is seen to match golden."""
+        return (self.spec.early_stop in ("converge", "full")
+                and may_converge(self.spec))
+
+    @functools.cached_property
+    def witnesses(self) -> List[dict]:
+        """The golden digests the run's state is compared with: those
+        past its injection cycle, when there is someone to tell -- the
+        run itself (it stops early) or its propagation tracer."""
+        if self.checkpoints is None or not (self.stops_early
+                                            or self.spec.propagation):
+            return []
+        return self.checkpoints.digests_after(self.mask.cycle)
+
+    def riders(self) -> dict:
+        """What rides one width-1 simulation of the run, as
+        :class:`~repro.sim.device.RunOptions` fields; fresh per attempt
+        (logs, positions and armed state are consumed by a run)."""
+        spec = self.spec
+        tracer = (PropagationTracer(self.mask.cycle) if spec.propagation
+                  else None)
+        monitor = None
+        if self.witnesses:
+            monitor = ConvergenceMonitor(
+                self.witnesses, self.checkpoints.golden()["host_reads"],
+                spec.golden_cycles, terminate=self.stops_early,
+                observer=tracer)
+        return {"injector": Injector([self.mask],
+                                     cache_hook_mode=spec.cache_hook_mode),
+                "convergence": monitor, "propagation": tracer}
+
+
+class Stopwatch:
+    """Where the wall-clock of one run went, by stage.  Its driver
+    starts it before anything else, the stages add what they measure,
+    :func:`annotate` reads it.  A pack member's starts with its equal
+    share of what the pack spent on all of them: that long ago."""
+
+    def __init__(self, spent_s: float = 0.0, restore_s: float = 0.0,
+                 simulate_s: float = 0.0):
+        self.started = time.perf_counter() - spent_s
+        self.restore_s = restore_s
+        self.simulate_s = simulate_s
+        self.classify_s = 0.0
+
+    def total_s(self) -> float:
+        return time.perf_counter() - self.started
+
+
 def base_record(spec: RunSpec) -> dict:
-    """The record fields known before simulating (the instant paths
-    return it as is; :func:`_finish_record` fills in the rest)."""
+    """The record fields known before simulating (the instant verdicts
+    add little to it; :func:`classify` fills in the rest)."""
     record = {
         "benchmark": spec.benchmark,
         "card": spec.card,
@@ -309,39 +368,62 @@ def base_record(spec: RunSpec) -> dict:
     return record
 
 
-def open_fresh_checkpoint_set(spec: RunSpec):
-    """The spec's golden checkpoint set, or ``None`` when it names
-    none, the set is missing, its golden manifest is unreadable, or it
-    was captured from a golden run of another length (a stale set can
-    neither restore nor witness convergence)."""
-    if not (spec.checkpoint_dir and spec.checkpoint_key):
-        return None
-    from repro.sim.checkpoint import CheckpointError, open_checkpoint_set
+def attempt(run: ResolvedRun, riders: Callable[[], dict],
+            fast_forward=None):
+    """One simulation of the run's application, from the restored
+    snapshot or from cycle 0, under what ``riders()`` makes ride it."""
+    from repro.bench import make_benchmark
 
-    ckpt_set = open_checkpoint_set(spec.checkpoint_dir,
-                                   spec.checkpoint_key)
-    if ckpt_set is None or ckpt_set.golden_cycles != spec.golden_cycles:
-        return None
-    try:
-        ckpt_set.golden()  # cached; every user of the set reads it
-    except CheckpointError:
-        return None
-    return ckpt_set
+    spec = run.spec
+    return run_application(
+        make_benchmark(spec.benchmark), _resolved_card(spec),
+        options=RunOptions(scheduler_policy=spec.scheduler_policy,
+                           cycle_budget=spec.cycle_budget,
+                           fast_forward=fast_forward, **riders()))
 
 
-def _finish_record(base: dict, result, spec: RunSpec, mask) -> dict:
-    """Fill one result record from a completed application run.
+def simulate(run: ResolvedRun, riders: Callable[[], dict],
+             target_cycle: int, watch: Stopwatch):
+    """The restore -> simulate stages: fast-forward to the golden
+    snapshot nearest ``target_cycle`` and simulate the suffix; any
+    checkpoint problem (no set, no snapshot that early, a replay that
+    diverged) falls back to a run from scratch, so the result is the
+    same either way.  ``riders`` is :meth:`ResolvedRun.riders`, or a
+    lockstep pack's."""
+    started = time.perf_counter()
+    result = None
+    restore_s = 0.0
+    fast_forward = (run.checkpoints.fast_forward(target_cycle)
+                    if run.checkpoints is not None else None)
+    if fast_forward is not None:
+        try:
+            result = attempt(run, riders, fast_forward)
+            restore_s = fast_forward.restore_seconds
+        except CheckpointError:
+            pass  # replay diverged -> run from scratch
+    if result is None:
+        result = attempt(run, riders)
+    watch.restore_s += restore_s
+    watch.simulate_s += time.perf_counter() - started - restore_s
+    return result
+
+
+def classify(run: ResolvedRun, result, watch: Stopwatch) -> dict:
+    """The classify stage: one result record from a completed
+    application run.
 
     Deliberately carries no trace of *how* the run was simulated
-    (fast-forwarded or from scratch): records must stay byte-identical
-    for any checkpointing configuration.  Early termination is the one
-    deliberate exception -- a convergence-terminated run carries its
-    ``terminated_at`` cycle as provenance (the *classification* fields
-    still match a full simulation exactly).
+    (fast-forwarded or from scratch, alone or in a pack): records must
+    stay byte-identical for any such configuration.  Early termination
+    is the one deliberate exception -- a convergence-terminated run
+    carries its ``terminated_at`` cycle as provenance (the
+    *classification* fields still match a full simulation exactly).
     """
-    record = dict(base)
+    started = time.perf_counter()
+    spec = run.spec
+    record = base_record(spec)
     record["effect"] = classify_run(result, spec.golden_cycles).value
-    record["mask"] = mask.to_dict()
+    record["mask"] = run.mask.to_dict()
     record.update({
         "status": result.status,
         "passed": result.passed,
@@ -356,162 +438,109 @@ def _finish_record(base: dict, result, spec: RunSpec, mask) -> dict:
         # deterministic (pure observation of a deterministic run), so
         # it participates in the verify-restore parity comparison
         record["propagation"] = result.propagation
+    watch.classify_s += time.perf_counter() - started
     return record
 
 
-def execute_run(spec: RunSpec) -> dict:
-    """Execute one injection run and return its result record.
+#: What an instant verdict simulated: nothing.
+_NOT_SIMULATED = RunResult(status="completed", passed=True, message="",
+                           cycles=0)
 
-    Pure: the record depends only on ``spec``, never on process state,
-    execution order or sibling runs -- the property that makes pool
-    dispatch and resumption sound.
 
-    When the spec references a checkpoint set, the run restores the
-    nearest golden snapshot at or before its injection cycle and
-    simulates only the suffix; any checkpoint problem (missing set,
-    replay divergence) falls back to a from-scratch run, so the
-    record is the same either way.
+def annotate(record: dict, spec: RunSpec, watch: Stopwatch,
+             result: RunResult = _NOT_SIMULATED, skipped: str = "",
+             pack_size: int = 0) -> dict:
+    """The annotate stage: under telemetry, the record gains its
+    volatile ``timings`` and ``worker`` keys (canonicalization drops
+    them; every other field is identical either way).
 
-    Early termination composes with the fast-forward: ``prescreened``
-    specs return their Masked record without simulating at all, and
-    in "converge"/"full" mode each simulation attempt gets a fresh
-    :class:`~repro.faults.early_stop.ConvergenceMonitor` built from
-    the golden checkpoint digests past the injection cycle.
+    ``result`` is what was simulated for it (nothing for an instant
+    verdict, which ``skipped`` the whole golden run as "prescreen" or
+    "synthesized"); ``pack_size`` is set on a run resolved inside a
+    lockstep pack.  The ``*_s`` fields are wall-clock and vary between
+    executions; the others are pure functions of the spec.
     """
-    started = time.perf_counter()
-    record = base_record(spec)
-    if spec.synthesized:
-        if spec.propagation:
-            from repro.obs.propagation import synthesized_propagation
-
-            record["propagation"] = synthesized_propagation()
-        if spec.telemetry:
-            record["timings"] = _instant_timings(spec, started,
-                                                 "synthesized")
-            record["worker"] = _worker_id()
+    if not spec.telemetry:
         return record
+    restored_at, terminated_at = result.restored_at, result.terminated_at
+    # where simulation actually stopped: the convergence cycle when
+    # early-stopped (result.cycles then reports the inherited golden
+    # total), the final device cycle otherwise
+    sim_end = terminated_at if terminated_at is not None else result.cycles
+    timings = {
+        "restore_s": round(watch.restore_s, 6),
+        "simulate_s": round(watch.simulate_s, 6),
+        "classify_s": round(watch.classify_s, 6),
+        "total_s": round(watch.total_s(), 6),
+        "cycles_simulated": max(sim_end - (restored_at or 0), 0),
+        "skipped_fast_forward": restored_at or 0,
+        "skipped_convergence": (
+            max(spec.golden_cycles - terminated_at, 0)
+            if terminated_at is not None else 0),
+        "skipped_prescreen": 0,
+        "skipped_synthesized": 0,
+        "fast_forwarded": restored_at is not None,
+        "loop_iterations": result.loop_iterations,
+        "idle_cycles_skipped": result.idle_cycles_skipped,
+    }
+    if skipped:
+        timings[f"skipped_{skipped}"] = spec.golden_cycles
+    if pack_size:
+        timings["batched"] = True
+        timings["pack_size"] = pack_size
+    record["timings"] = timings
+    record["worker"] = _worker_id()
+    return record
 
-    card = _resolved_card(spec)
-    mask = regenerate_mask(spec)
 
-    if spec.prescreened:
-        record["mask"] = mask.to_dict()
-        record["prescreened"] = True
-        record["prescreen_reason"] = spec.prescreen_reason
-        if spec.propagation:
-            from repro.obs.propagation import prescreen_propagation
-
-            record["propagation"] = prescreen_propagation(
-                spec.prescreen_site)
-        if spec.telemetry:
-            record["timings"] = _instant_timings(spec, started,
-                                                 "prescreen")
-            record["worker"] = _worker_id()
-        return record
-
-    from repro.bench import make_benchmark
-
-    ckpt_set = open_fresh_checkpoint_set(spec)
-
-    def monitor_factory():
-        return None
-
-    # checkpoints AT the injection cycle are captured before the
-    # injector fires and carry pre-injection state: only strictly
-    # later digests witness convergence (or localize divergence)
-    digest_entries = []
-    if ckpt_set is not None:
-        digest_entries = [entry for entry in ckpt_set.meta["checkpoints"]
-                          if entry.get("state_hash")
-                          and entry["cycle"] > mask.cycle]
-
-    from repro.faults.models import get_model
-
-    persistent = get_model(spec.fault_model).persistent
-    if (digest_entries and not persistent
-            and spec.early_stop in ("converge", "full")):
-        # a persistent fault keeps mutating state after any digest
-        # match, so convergence can never pin the run's future --
-        # the monitor stays off and the run simulates to completion
-        from repro.faults.early_stop import ConvergenceMonitor
-
-        host_reads = ckpt_set.golden()["host_reads"]
-        golden_cycles = spec.golden_cycles
-
-        def monitor_factory():
-            # fresh per attempt: position/divergence state is
-            # consumed by the run
-            return ConvergenceMonitor(digest_entries, host_reads,
-                                      golden_cycles)
-
-    def simulate(fast_forward=None):
-        # a fresh injector per attempt: its log and armed state are
-        # consumed by the run
-        injector = Injector([mask], cache_hook_mode=spec.cache_hook_mode)
-        monitor = monitor_factory()
-        tracer = None
-        if spec.propagation:
-            from repro.obs.propagation import PropagationTracer
-
-            tracer = PropagationTracer(mask.cycle)
-            if monitor is not None:
-                # divergence localization piggybacks on the monitor's
-                # digest comparisons -- zero extra digest work
-                monitor.observer = tracer
-            else:
-                # no monitor (early-stop off): the tracer walks the
-                # golden digest stream itself; still no extra golden
-                # simulation, only digests of the injected run
-                tracer.set_checkpoints(digest_entries)
-        return run_application(
-            make_benchmark(spec.benchmark), card,
-            options=RunOptions(scheduler_policy=spec.scheduler_policy,
-                               cycle_budget=spec.cycle_budget,
-                               injector=injector,
-                               fast_forward=fast_forward,
-                               convergence=monitor,
-                               propagation=tracer))
-
-    result = None
-    restore_s = 0.0
-    sim_started = time.perf_counter()
-    if ckpt_set is not None:
-        from repro.sim.checkpoint import CheckpointError
-
-        fast_forward = ckpt_set.fast_forward(mask.cycle)
-        if fast_forward.active:
-            try:
-                result = simulate(fast_forward)
-                restore_s = fast_forward.restore_seconds
-            except CheckpointError:
-                result = None  # replay diverged -> run from scratch
-
-    fast_forwarded = result is not None
-    if result is None:
-        result = simulate()
-    simulate_s = time.perf_counter() - sim_started
-    classify_started = time.perf_counter()
-    final = _finish_record(record, result, spec, mask)
-    classify_s = time.perf_counter() - classify_started
-
-    if fast_forwarded and spec.verify_restore:
-        from repro.sim.checkpoint import RestoreParityError
-
-        baseline = _finish_record(record, simulate(), spec, mask)
-        if (json.dumps(final, sort_keys=True)
+def finish_solo(run: ResolvedRun, watch: Stopwatch) -> dict:
+    """Simulate -> classify -> annotate one resolved run at width 1:
+    the rest of :func:`execute_run`, and of a pack member that left
+    its pack."""
+    spec = run.spec
+    result = simulate(run, run.riders, run.mask.cycle, watch)
+    record = classify(run, result, watch)
+    if result.restored_at is not None and spec.verify_restore:
+        baseline = classify(run, attempt(run, run.riders), watch)
+        if (json.dumps(record, sort_keys=True)
                 != json.dumps(baseline, sort_keys=True)):
             raise RestoreParityError(
                 f"run {spec.key} diverged after checkpoint restore:\n"
-                f"  fast-forwarded: {json.dumps(final, sort_keys=True)}\n"
+                f"  fast-forwarded: {json.dumps(record, sort_keys=True)}\n"
                 f"  from scratch:   {json.dumps(baseline, sort_keys=True)}")
-    # attached only after the verify comparison: timings are wall-clock
-    # noise the parity check must not see
-    if spec.telemetry:
-        final["timings"] = _run_timings(spec, result, started,
-                                        fast_forwarded, restore_s,
-                                        simulate_s, classify_s)
-        final["worker"] = _worker_id()
-    return final
+    # annotated only after the verify comparison: timings are
+    # wall-clock noise the parity check must not see
+    return annotate(record, spec, watch, result)
+
+
+def execute_run(spec: RunSpec) -> dict:
+    """Execute one injection run and return its result record: an
+    instant verdict, or resolve -> restore -> simulate -> classify ->
+    annotate.
+
+    Pure: the record depends only on ``spec``, never on process state,
+    execution order or sibling runs -- the property that makes pool
+    dispatch and resumption sound.  How little of the run is simulated
+    (nothing of a ``synthesized`` or ``prescreened`` spec, the suffix
+    after a restored snapshot, up to a golden digest that matches)
+    changes no classification field.
+    """
+    watch = Stopwatch()
+    record = base_record(spec)
+    if spec.synthesized:
+        if spec.propagation:
+            record["propagation"] = synthesized_propagation()
+        return annotate(record, spec, watch, skipped="synthesized")
+    run = ResolvedRun(spec)
+    if spec.prescreened:
+        record["mask"] = run.mask.to_dict()
+        record["prescreened"] = True
+        record["prescreen_reason"] = spec.prescreen_reason
+        if spec.propagation:
+            record["propagation"] = prescreen_propagation(
+                spec.prescreen_site)
+        return annotate(record, spec, watch, skipped="prescreen")
+    return finish_solo(run, watch)
 
 
 class ProgressReporter:
@@ -672,6 +701,15 @@ class _ProfiledRunner:
                 profile_path_for(self.log_path, _worker_id()))
 
 
+def zero_pack_stats() -> Dict[str, object]:
+    """The counters of lockstep-pack execution at zero: what one pack
+    reports (:func:`repro.faults.batch_executor.execute_pack`) and a
+    campaign sums (:attr:`CampaignExecutor.batch_stats`)."""
+    return {"packs": 0, "members": 0, "converged": 0,
+            "completed_in_pack": 0, "peeled": 0, "solo_fallback": 0,
+            "peel_cycles": [], "lockstep_cycles": 0, "member_cycles": 0}
+
+
 class WorkerPoolError(RuntimeError):
     """The worker pool can no longer make progress.
 
@@ -763,12 +801,19 @@ class CampaignExecutor:
         #: the metrics sidecar's ``batch`` section under telemetry).
         self.batch_stats: Dict[str, object] = {}
 
-    def execute(self, specs: Sequence[RunSpec]) -> List[dict]:
-        """Run every spec; returns records in plan (spec) order."""
+    def execute(self, specs: Sequence[RunSpec],
+                completed: Sequence[dict] = ()) -> List[dict]:
+        """Run every spec; returns records in plan (spec) order.
+
+        ``completed`` is for a caller that executes a growing plan
+        call by call (the adaptive planner's rounds): records it holds
+        count as done, like those of a resumed log, and are neither
+        executed nor logged again.
+        """
         if self.telemetry:
             specs = [dataclasses.replace(spec, telemetry=True)
                      for spec in specs]
-        done: Dict[RunKey, dict] = self._load_completed(specs)
+        done: Dict[RunKey, dict] = self._load_completed(specs, completed)
         pending = [spec for spec in specs if spec.key not in done]
         reporter = ProgressReporter(
             total=len(specs), skipped=len(done),
@@ -813,16 +858,14 @@ class CampaignExecutor:
                     total=len(specs), pending=len(pending),
                     resumed=len(done), jobs=self.jobs, trace=trace,
                     fingerprint=fingerprint, **self.plan_timing)
-        self.batch_stats = {
-            "packs": 0, "members": 0, "converged": 0,
-            "completed_in_pack": 0, "peeled": 0, "solo_fallback": 0,
-            "peel_cycles": [], "lockstep_cycles": 0, "member_cycles": 0}
+        self.batch_stats = zero_pack_stats()
         units = self._build_units(pending)
         complete = False
         try:
             for records, pack_stats in self._completions(units, events):
-                if pack_stats is not None:
-                    self._account_batch(pack_stats, metrics)
+                for key, value in (pack_stats or {}).items():
+                    # counters add up, the peel_cycles samples append
+                    self.batch_stats[key] += value
                 for record in records:
                     done[(record["kernel"], record["structure"],
                           record["run"])] = record
@@ -832,17 +875,8 @@ class CampaignExecutor:
                     reporter.record(record)
                     if metrics is not None:
                         metrics.record(record)
-                    timings = record.get("timings") or {}
-                    events.emit("run", kernel=record["kernel"],
-                                structure=record["structure"],
-                                run=record["run"],
-                                effect=record["effect"],
-                                worker=record.get("worker", 0),
-                                total_s=timings.get("total_s"),
-                                trace=run_trace(trace,
-                                                record["kernel"],
-                                                record["structure"],
-                                                record["run"]))
+                        events.append(run_event(
+                            record, trace, record.get("worker", 0)))
                     if (reporter.live_done % self.progress_every == 0
                             or reporter.done == reporter.total):
                         self._progress(reporter.render())
@@ -854,7 +888,8 @@ class CampaignExecutor:
                 ordered = [done[spec.key] for spec in specs
                            if spec.key in done]
                 self.last_metrics = metrics.finalize(
-                    ordered, complete=complete, total=len(specs))
+                    ordered, complete=complete, total=len(specs),
+                    pack_stats=self.batch_stats)
                 self.last_metrics["campaign"].update(self.plan_timing)
                 if self.log_path is not None:
                     metrics.write(self.last_metrics, self.log_path)
@@ -879,21 +914,9 @@ class CampaignExecutor:
 
         return group_packs(pending, self.batch)
 
-    def _account_batch(self, stats: dict, metrics) -> None:
-        """Fold one pack's counters into the campaign aggregates."""
-        for key, value in stats.items():
-            if isinstance(value, list):
-                self.batch_stats.setdefault(key, []).extend(value)
-            else:
-                self.batch_stats[key] = (
-                    self.batch_stats.get(key, 0) + value)
-        if metrics is not None:
-            metrics.record_batch(stats)
-
-    def _completions(self, units: Sequence[tuple], events=None):
+    def _completions(self, units: Sequence[tuple], events):
         """Yield ``(records, batch_stats)`` as units complete (any
         order); solo units carry ``None`` stats."""
-        events = events if events is not None else NullEventLog()
         if not units:
             return
         runner = _UnitRunner(self._run_fn)
@@ -976,18 +999,23 @@ class CampaignExecutor:
                 f"(run_timeout={self.run_timeout:g}s); "
                 f"{len(remaining)} run(s) incomplete, first: {sample}.")
 
-    def _load_completed(self,
-                        specs: Sequence[RunSpec]) -> Dict[RunKey, dict]:
-        """Records of already-executed runs from a partial log."""
+    def _load_completed(self, specs: Sequence[RunSpec],
+                        completed: Sequence[dict]) -> Dict[RunKey, dict]:
+        """Records of already-executed runs: those the caller holds
+        and, on resume, those of a partial log."""
+        wanted = {spec.key for spec in specs}
+        done: Dict[RunKey, dict] = {}
+        for record in completed:
+            key = (record["kernel"], record["structure"], record["run"])
+            if key in wanted:
+                done[key] = record
         if not (self.resume and self.log_path is not None
                 and self.log_path.exists()):
-            return {}
+            return done
         from repro.faults.parser import scan_completed_records
 
-        wanted = {spec.key for spec in specs}
         expected = ((specs[0].benchmark, specs[0].card) if specs
                     else None)
-        done: Dict[RunKey, dict] = {}
         for key, record in scan_completed_records(self.log_path).items():
             found = (record.get("benchmark"), record.get("card"))
             if expected is not None and found != expected:

@@ -43,6 +43,19 @@ class RunResult:
     #: divergence window) when a tracer rode along, else None.
     propagation: Optional[dict] = None
 
+    @classmethod
+    def golden_suffix(cls, golden_cycles: int,
+                      terminated_at: Optional[int] = None,
+                      **observed) -> "RunResult":
+        """The result of a run proven to have re-joined the golden
+        execution at cycle ``terminated_at`` (``None``: it was
+        simulated to the end): what is left of it *is* the golden run,
+        so it passes after ``golden_cycles`` cycles.  ``observed`` is
+        what was seen of it (injection log, provenance counters)."""
+        return cls(status="completed", passed=True, message="Test PASSED",
+                   cycles=golden_cycles, terminated_at=terminated_at,
+                   **observed)
+
 
 def run_application(benchmark, card, keep_device: bool = False,
                     options: Optional[RunOptions] = None) -> RunResult:
@@ -63,17 +76,15 @@ def run_application(benchmark, card, keep_device: bool = False,
     dev = Device(card, options)
 
     status, passed, error = "completed", None, ""
-    cycles, terminated_at = None, None
+    converged = None
     try:
         state = benchmark.build(dev)
         benchmark.execute(dev, state)
         passed = bool(benchmark.check(dev, state))
     except EarlyConvergence as exc:
-        # success path, not an abort: the state digest matched a golden
-        # checkpoint, so the rest of the run *is* the golden run
-        passed = True
-        cycles = exc.golden_cycles
-        terminated_at = exc.cycle
+        # success path, not an abort: every rider of the simulation
+        # matched golden state
+        converged = exc
     except SimTimeout as exc:  # includes DeadlockError
         status, error = "timeout", str(exc)
     except (SimulationError, MemoryError, OverflowError) as exc:
@@ -82,25 +93,22 @@ def run_application(benchmark, card, keep_device: bool = False,
         if not keep_device:
             dev.gpu.release()
 
-    if status == "completed":
-        message = "Test PASSED" if passed else "Test FAILED"
-    else:
-        message = f"Test ABORTED ({status})"
-
     ff = options.fast_forward
-    return RunResult(
-        status=status,
-        passed=passed,
-        message=message,
-        cycles=dev.cycle if cycles is None else cycles,
-        error=error,
+    observed = dict(
         injection_log=list(injector.log) if injector is not None else [],
         device=dev if keep_device else None,
-        terminated_at=terminated_at,
-        restored_at=(ff.restore_cycle
+        restored_at=(ff.entry["cycle"]
                      if ff is not None and ff.done else None),
         loop_iterations=dev.gpu.loop_iterations,
         idle_cycles_skipped=dev.gpu.idle_cycles_skipped,
         propagation=(options.propagation.finalize()
-                     if options.propagation is not None else None),
-    )
+                     if options.propagation is not None else None))
+    if converged is not None:
+        return RunResult.golden_suffix(converged.golden_cycles,
+                                       converged.cycle, **observed)
+    if status == "completed":
+        message = "Test PASSED" if passed else "Test FAILED"
+    else:
+        message = f"Test ABORTED ({status})"
+    return RunResult(status=status, passed=passed, message=message,
+                     cycles=dev.cycle, error=error, **observed)

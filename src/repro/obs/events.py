@@ -24,8 +24,10 @@ Event types emitted by the local executor:
 - ``campaign_resume`` -- same fields, emitted instead of
   ``campaign_start`` when a ``--resume`` session appends to an
   existing stream.
-- ``run`` -- one completed run: its key, effect, worker id, trace
-  and wall-clock timings summary.
+- ``run`` -- one completed run (:func:`run_event`): its key, effect,
+  worker, trace, wall-clock ``total_s`` and, from a record with
+  ``timings``, the ``restore_s`` / ``simulate_s`` / ``classify_s`` of
+  its stages.
 - ``heartbeat`` -- emitted while the executor is *waiting* on the
   worker pool with nothing completing: how long the pool has been
   silent and the worker process states.  A campaign whose heartbeats
@@ -87,6 +89,33 @@ def run_trace(parent: str, kernel: str, structure: str,
               run_index: int) -> str:
     """One run within its parent (campaign or shard) trace."""
     return f"{parent}/{kernel}:{structure}:{run_index}"
+
+
+def run_event(record: dict, parent_trace: str, worker, shard=None,
+              total_s: Optional[float] = None) -> dict:
+    """The ``run`` event of one finished record, whoever reports it:
+    the local executor, a fleet worker, or the dispatcher for a record
+    that arrived without one.  Events ride next to the record, never
+    in it: the record stays a pure function of its spec, the event
+    says where this execution went (``worker``, ``shard`` on a fleet,
+    ``trace`` under the campaign's or the shard lease's) and how fast:
+    the stage seconds of the record's ``timings`` when it has them,
+    else only the ``total_s`` the reporter measured itself.
+    """
+    kernel, structure = record.get("kernel"), record.get("structure")
+    timings = record.get("timings") or {}
+    event = {"event": "run", "kernel": kernel, "structure": structure,
+             "run": record.get("run"), "effect": record.get("effect"),
+             "worker": worker}
+    if shard is not None:
+        event["shard"] = shard
+    event["total_s"] = timings.get("total_s", total_s)
+    for stage in ("restore_s", "simulate_s", "classify_s"):
+        if stage in timings:
+            event[stage] = timings[stage]
+    event["trace"] = run_trace(parent_trace, kernel, structure,
+                               record.get("run"))
+    return event
 
 
 # -- reading ------------------------------------------------------------------

@@ -100,15 +100,16 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def _histogram(samples: Sequence[float]) -> Dict[str, int]:
+def _histogram(samples: Sequence[float], edges: Sequence[float],
+               unit: str = "") -> Dict[str, int]:
     buckets = {}
-    lo = 0.0
-    for hi in LATENCY_BUCKETS:
-        buckets[f"<={hi:g}s"] = sum(1 for s in samples if lo < s <= hi
-                                    or (lo == 0.0 and s == 0.0))
+    lo = 0
+    for hi in edges:
+        buckets[f"<={hi:g}{unit}"] = sum(1 for s in samples if lo < s <= hi
+                                         or (lo == 0 and s == 0))
         lo = hi
-    buckets[f">{LATENCY_BUCKETS[-1]:g}s"] = sum(
-        1 for s in samples if s > LATENCY_BUCKETS[-1])
+    buckets[f">{edges[-1]:g}{unit}"] = sum(1 for s in samples
+                                           if s > edges[-1])
     return buckets
 
 
@@ -130,16 +131,12 @@ class MetricsCollector:
         self.jobs = jobs
         self._clock = clock
         self._start = clock()
-        #: worker id -> {"runs", "busy_s", "first_seen_s", "last_heartbeat_s"}
-        self._workers: Dict[int, Dict[str, float]] = {}
+        #: worker (a pool worker's id, a fleet worker's name) ->
+        #: {"runs", "busy_s", "first_seen_s", "last_heartbeat_s"}
+        self._workers: Dict[object, Dict[str, float]] = {}
         #: effect -> wall-clock total_s samples of this session's runs
         self._latency: Dict[str, List[float]] = {}
         self._executed = 0
-        #: accumulated lockstep-pack stats (see :meth:`record_batch`)
-        self._batch: Dict[str, object] = {
-            "packs": 0, "members": 0, "converged": 0,
-            "completed_in_pack": 0, "peeled": 0, "solo_fallback": 0,
-            "peel_cycles": [], "lockstep_cycles": 0, "member_cycles": 0}
 
     # -- live side (one call per freshly completed run) -------------------
 
@@ -149,7 +146,7 @@ class MetricsCollector:
         self._executed += 1
         timings = record.get("timings") or {}
         total_s = float(timings.get("total_s", 0.0))
-        worker = int(record.get("worker", 0))
+        worker = record.get("worker", 0)
         stats = self._workers.setdefault(
             worker, {"runs": 0, "busy_s": 0.0,
                      "first_seen_s": now, "last_heartbeat_s": now})
@@ -158,29 +155,19 @@ class MetricsCollector:
         stats["last_heartbeat_s"] = now
         self._latency.setdefault(record["effect"], []).append(total_s)
 
-    def record_batch(self, stats: dict) -> None:
-        """Account one lockstep pack's execution stats.
-
-        ``stats`` is the per-pack dict produced by
-        :func:`repro.faults.batch_executor.execute_pack`; scalars
-        accumulate, ``peel_cycles`` samples append.
-        """
-        for key, value in stats.items():
-            if isinstance(value, list):
-                self._batch.setdefault(key, []).extend(value)
-            else:
-                self._batch[key] = self._batch.get(key, 0) + value
-
     # -- finalization ------------------------------------------------------
 
     def finalize(self, records: Sequence[dict],
                  complete: bool = True,
-                 total: Optional[int] = None) -> dict:
+                 total: Optional[int] = None,
+                 pack_stats: Optional[dict] = None) -> dict:
         """Build the sidecar document.
 
         ``records`` is every record of the campaign in plan order
         (resumed ones included) -- the deterministic sections cover
         the whole campaign, the wall-clock sections only this session.
+        ``pack_stats`` is what this session's lockstep packs summed to
+        (``CampaignExecutor.batch_stats``), when it ran any.
         """
         wall_s = max(self._clock() - self._start, 0.0)
         records = list(records)
@@ -247,11 +234,12 @@ class MetricsCollector:
                 "p50_s": round(_percentile(samples, 0.50), 6),
                 "p95_s": round(_percentile(samples, 0.95), 6),
                 "max_s": round(samples[-1], 6),
-                "histogram": _histogram(samples),
+                "histogram": _histogram(samples, LATENCY_BUCKETS, "s"),
             }
 
         workers = {}
-        for worker in sorted(self._workers):
+        for worker in sorted(self._workers,
+                             key=lambda w: (isinstance(w, str), w)):
             stats = self._workers[worker]
             workers[str(worker)] = {
                 "runs": stats["runs"],
@@ -265,32 +253,16 @@ class MetricsCollector:
         # batch section: lockstep-pack execution stats of this session
         # (wall-clock side), present only when at least one pack ran
         batch = None
-        if self._batch.get("packs"):
-            peel_cycles = sorted(self._batch.get("peel_cycles") or [])
-            histogram = {}
-            lo = 0
-            for hi in PEEL_BUCKETS:
-                histogram[f"<={hi}"] = sum(
-                    1 for c in peel_cycles
-                    if lo < c <= hi or (lo == 0 and c == 0))
-                lo = hi
-            histogram[f">{PEEL_BUCKETS[-1]}"] = sum(
-                1 for c in peel_cycles if c > PEEL_BUCKETS[-1])
-            member_cycles = int(self._batch.get("member_cycles", 0))
-            lockstep = int(self._batch.get("lockstep_cycles", 0))
-            batch = {
-                "packs": int(self._batch.get("packs", 0)),
-                "members": int(self._batch.get("members", 0)),
-                "completed_in_pack": int(
-                    self._batch.get("completed_in_pack", 0)),
-                "converged": int(self._batch.get("converged", 0)),
-                "peeled": int(self._batch.get("peeled", 0)),
-                "solo_fallback": int(
-                    self._batch.get("solo_fallback", 0)),
-                "lockstep_fraction": (round(lockstep / member_cycles, 6)
-                                      if member_cycles else None),
-                "peel_cycle_histogram": histogram,
-            }
+        if pack_stats and pack_stats["packs"]:
+            member_cycles = pack_stats["member_cycles"]
+            batch = {key: pack_stats[key] for key in (
+                "packs", "members", "completed_in_pack", "converged",
+                "peeled", "solo_fallback")}
+            batch["lockstep_fraction"] = (
+                round(pack_stats["lockstep_cycles"] / member_cycles, 6)
+                if member_cycles else None)
+            batch["peel_cycle_histogram"] = _histogram(
+                pack_stats["peel_cycles"], PEEL_BUCKETS)
 
         # propagation sidecar section: pure function of the records
         # (order-independent), present only when at least one record

@@ -77,8 +77,6 @@ class PropagationTracer:
         self._first_mismatch: Optional[int] = None
         self._converged_at: Optional[int] = None
         self.host_read_diverged = False
-        self._entries: List[dict] = []
-        self._pos = 0
 
     # -- site registration (called by the injector) ----------------------
 
@@ -327,48 +325,8 @@ class PropagationTracer:
             self.on_cache(cache.name, index, "peek")
 
     # -- divergence localization -----------------------------------------
-
-    def set_checkpoints(self, entries: List[dict]) -> None:
-        """Standalone mode (no :class:`ConvergenceMonitor` running):
-        the tracer digests live state at the golden checkpoint cycles
-        itself.  With a monitor present, wire ``monitor.observer``
-        instead -- it performs the digests anyway."""
-        self._entries = sorted(entries, key=lambda e: e["cycle"])
-        self._pos = 0
-
-    def next_cycle(self) -> Optional[int]:
-        """Next cycle a standalone digest check is due (idle-skip clamp)."""
-        if self._pos < len(self._entries):
-            return self._entries[self._pos]["cycle"]
-        return None
-
-    def on_cycle(self, gpu, launch, queue) -> None:
-        """Standalone digest check at golden checkpoint cycles."""
-        entries = self._entries
-        if self._pos >= len(entries):
-            return
-        while self._pos < len(entries) \
-                and entries[self._pos]["cycle"] < gpu.cycle:
-            self.on_digest_check(entries[self._pos]["cycle"], False)
-            self._pos += 1
-        if self._pos >= len(entries):
-            return
-        entry = entries[self._pos]
-        if entry["cycle"] != gpu.cycle:
-            return
-        self._pos += 1
-        if entry["launch_index"] != gpu.stats.current.launch_index:
-            self.on_digest_check(entry["cycle"], False)
-            return
-        from repro.sim.checkpoint import state_digest
-
-        matched = state_digest(gpu.snapshot(launch, queue)) \
-            == entry["state_hash"]
-        self.on_digest_check(entry["cycle"], matched)
-        if matched:
-            # full-state match means the rest of the run is golden;
-            # stop digesting
-            self._pos = len(entries)
+    # Told by the run's golden witness, whose ``observer`` the tracer
+    # is (:class:`repro.faults.early_stop.ConvergenceMonitor`).
 
     def on_digest_check(self, cycle: int, matched: bool) -> None:
         """One golden-digest comparison result (observer callback)."""
@@ -471,13 +429,13 @@ class PropagationTracer:
 
 # -- records for runs that never simulate --------------------------------
 
-def synthesized_propagation() -> dict:
-    """Propagation record for a synthesized (no-target) run."""
+def _unsimulated(source: str, injection_cycle: Optional[int] = None,
+                 sites: Optional[List[dict]] = None) -> dict:
     return {
         "schema": PROPAGATION_SCHEMA,
-        "source": "synthesized",
-        "injection_cycle": None,
-        "sites": [],
+        "source": source,
+        "injection_cycle": injection_cycle,
+        "sites": sites or [],
         "consumers": [],
         "consumers_dropped": 0,
         "diverged_window": None,
@@ -485,6 +443,11 @@ def synthesized_propagation() -> dict:
         "digest_checks": 0,
         "host_read_diverged": False,
     }
+
+
+def synthesized_propagation() -> dict:
+    """Propagation record for a synthesized (no-target) run."""
+    return _unsimulated("synthesized")
 
 
 def prescreen_propagation(site_json: str) -> dict:
@@ -495,18 +458,8 @@ def prescreen_propagation(site_json: str) -> dict:
     the fate the golden :class:`LivenessTrace` proves for it).
     """
     payload = json.loads(site_json) if site_json else {}
-    return {
-        "schema": PROPAGATION_SCHEMA,
-        "source": "prescreen",
-        "injection_cycle": payload.get("cycle"),
-        "sites": payload.get("sites", []),
-        "consumers": [],
-        "consumers_dropped": 0,
-        "diverged_window": None,
-        "converged_at": None,
-        "digest_checks": 0,
-        "host_read_diverged": False,
-    }
+    return _unsimulated("prescreen", payload.get("cycle"),
+                        payload.get("sites"))
 
 
 def sites_from_prescreen(structure: str, target: Optional[dict],

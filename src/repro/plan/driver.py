@@ -23,9 +23,11 @@ Replaces the fixed uniform plan when ``CampaignConfig.adaptive`` is
    or the per-group run budget (``runs_per_structure``) is spent.
 
 Execution reuses the campaign's own executor/backend seam round by
-round: each round re-submits the *cumulative* selection with resume
-semantics, so the log grows append-only and every record is the same
-pure function of its spec as in non-adaptive campaigns.
+round: each round submits the *cumulative* selection together with
+the records of the earlier rounds, with resume semantics -- so a round
+executes its own allocation only, the log grows append-only, the
+metrics sidecar covers the whole selection, and every record is the
+same pure function of its spec as in non-adaptive campaigns.
 """
 
 from __future__ import annotations
@@ -404,12 +406,6 @@ def run_adaptive(campaign, jobs: int = 1,
 
     spec_strata = {}
     spec_rows = {}
-    for group in groups.values():
-        for stratum, specs in group.candidates.items():
-            for i, spec in enumerate(specs):
-                spec_strata[spec.key] = stratum
-                spec_rows[spec.key] = group.rows[stratum][i]
-
     selected: List[RunSpec] = []
     selected_keys = set()
     records: List[dict] = []
@@ -420,7 +416,7 @@ def run_adaptive(campaign, jobs: int = 1,
             allocation.extend(
                 _allocate(campaign, card, prescreener, groups[key],
                           cfg.error_target))
-        # extension may have introduced new spec coordinates
+        # the pool's spec coordinates, and those extension introduced
         for group in groups.values():
             for stratum, specs in group.candidates.items():
                 for i, spec in enumerate(specs):
@@ -437,7 +433,8 @@ def run_adaptive(campaign, jobs: int = 1,
         progress(f"adaptive round {rounds}: +{len(allocation)} runs "
                  f"({len(selected)} total)")
         records = campaign.execute(selected, jobs=jobs,
-                                   resume=resume or round_no > 0)
+                                   resume=resume or round_no > 0,
+                                   completed=records)
         _update_stats(groups, records, spec_strata)
         _score_strata(groups,
                       _fit_model(card, groups, records, spec_rows))

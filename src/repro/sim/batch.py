@@ -39,7 +39,9 @@ it.  This module is what is specific to running more than one column:
   together with the shared golden state, exactly the state whose
   digest the solo monitor would have matched -- it resolves as
   converged and inherits the golden suffix.  When every member is
-  resolved the pack raises :class:`PackDrained` to stop simulating.
+  resolved, what is left is column 0, the golden run: the pack ends
+  the simulation as a width-1 witness does, with
+  :class:`~repro.faults.early_stop.EarlyConvergence`.
 - **The host-read guard**: every DtoH copy is compared with the golden
   recording, as a safety net under the peel invariant.
 """
@@ -50,12 +52,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-
-class PackDrained(Exception):
-    """Every pack member resolved (converged or peeled): stop
-    simulating.  Deliberately *not* a SimulationError -- it must
-    propagate out of :func:`~repro.faults.runner.run_application`
-    to the batch executor, never classify as a crash."""
+from repro.sim.checkpoint import host_read_matches
 
 
 class PackAbort(Exception):
@@ -67,15 +64,13 @@ class PackAbort(Exception):
 class PackMember:
     """One injected run riding in a pack (column ``col``)."""
 
-    __slots__ = ("spec", "mask", "col", "entries", "pos", "injector",
-                 "resolution")
+    __slots__ = ("mask", "col", "entries", "pos", "injector", "resolution")
 
-    def __init__(self, spec, mask, col: int, entries: Sequence[dict]):
-        self.spec = spec
+    def __init__(self, mask, col: int, entries: Sequence[dict]):
         self.mask = mask
         self.col = col
-        #: Golden checkpoint entries strictly after the injection
-        #: cycle (the solo ConvergenceMonitor's filter), sorted.
+        #: The golden checkpoint entries that may witness the member's
+        #: convergence (what the solo ConvergenceMonitor gets), sorted.
         self.entries = sorted(entries, key=lambda e: e["cycle"])
         self.pos = 0
         self.injector = None  # built by LockstepPack.reset()
@@ -91,21 +86,22 @@ class LockstepPack:
     injected run: the ``injector`` slot (:meth:`apply_due`/
     :meth:`due_cycle` fan out to the per-member real injectors) and
     the ``convergence`` slot (:meth:`on_cycle` checks member
-    convergence against column 0 and raises :class:`PackDrained` once
-    nobody is left; :meth:`on_host_read` guards the shared
-    golden-memory invariant).
+    convergence against column 0 and ends the simulation once nobody
+    is left; :meth:`on_host_read` guards the shared golden-memory
+    invariant).  ``golden_cycles`` is what a run ended that way
+    inherits.
     """
 
-    def __init__(self, members: Sequence[PackMember],
+    def __init__(self, members: Sequence[PackMember], golden_cycles: int,
                  golden_host_reads: Optional[Sequence[dict]] = None):
         self.members = list(members)
         self.ncols = len(self.members) + 1
+        self.golden_cycles = golden_cycles
         self.gpu = None
         self._by_col: Dict[int, PackMember] = {
             m.col: m for m in self.members}
         self._unresolved: List[int] = []
-        self._reads = list(golden_host_reads or ())
-        self._check_reads = golden_host_reads is not None
+        self._reads = golden_host_reads  # None: nothing to compare with
         self._read_pos = 0
         #: Peel events as ``(col, cycle, reason)`` (for batch metrics).
         self.peels: List[tuple] = []
@@ -181,7 +177,9 @@ class LockstepPack:
                     member.resolution = ("converged", gpu.cycle)
                     self._unresolved.remove(col)
         if not self._unresolved:
-            raise PackDrained()
+            from repro.faults.early_stop import EarlyConvergence
+
+            raise EarlyConvergence(gpu.cycle, self.golden_cycles)
 
     def next_cycle(self) -> Optional[int]:
         """Earliest remaining member convergence-check cycle (the
@@ -222,18 +220,13 @@ class LockstepPack:
         """Shared global memory must stay golden (stores that could
         diverge peel first); verify each DtoH copy against the golden
         recording as a safety net."""
-        if not self._check_reads:
+        if self._reads is None:
             return
-        if self._read_pos >= len(self._reads):
-            raise PackAbort("host read past the end of the golden "
-                            "recording")
-        rec = self._reads[self._read_pos]
-        self._read_pos += 1
-        if (rec["tag"] != tag or rec["addr"] != addr
-                or rec["nbytes"] != nbytes
-                or not np.array_equal(rec["data"], data)):
+        if not host_read_matches(self._reads, self._read_pos, tag, addr,
+                                 nbytes, data):
             raise PackAbort(f"host read 0x{addr:x}+{nbytes} diverged "
                             "from the golden recording")
+        self._read_pos += 1
 
     # -- the injector-slot protocol ---------------------------------------
 

@@ -494,10 +494,28 @@ class CheckpointSet:
                 f"pool slot {slot} does not hold page {digest.hex()}")
         return page
 
-    def fast_forward(self, target_cycle: int) -> "FastForward":
-        """Build a replayer restoring the nearest snapshot at or
-        before ``target_cycle`` (the run's injection cycle)."""
-        return FastForward(self, target_cycle)
+    def restore_entry(self, target_cycle: int) -> Optional[dict]:
+        """The snapshot a run injecting at ``target_cycle`` restores:
+        the latest at or before it (a snapshot AT the cycle was taken
+        before the injector fires); ``None`` when there is none."""
+        return max((entry for entry in self.meta["checkpoints"]
+                    if entry["cycle"] <= target_cycle),
+                   key=lambda e: e["cycle"], default=None)
+
+    def digests_after(self, cycle: int) -> List[dict]:
+        """The snapshots whose state digest may witness that a fault
+        injected at ``cycle`` is gone (or localize where it is not):
+        only strictly later ones -- a snapshot AT the injection cycle
+        carries pre-injection state."""
+        return [entry for entry in self.meta["checkpoints"]
+                if entry.get("state_hash") and entry["cycle"] > cycle]
+
+    def fast_forward(self, target_cycle: int) -> Optional["FastForward"]:
+        """Build a replayer restoring :meth:`restore_entry` of
+        ``target_cycle`` (the run's injection cycle); ``None`` when
+        there is no snapshot to restore."""
+        entry = self.restore_entry(target_cycle)
+        return FastForward(self, entry) if entry is not None else None
 
 
 class FastForward:
@@ -510,34 +528,21 @@ class FastForward:
     :class:`CheckpointMismatch`.
     """
 
-    def __init__(self, ckpt_set: CheckpointSet, target_cycle: int):
-        candidates = [e for e in ckpt_set.meta["checkpoints"]
-                      if e["cycle"] <= target_cycle]
+    def __init__(self, ckpt_set: CheckpointSet, entry: dict):
         self._set = ckpt_set
-        self.entry = (max(candidates, key=lambda e: e["cycle"])
-                      if candidates else None)
+        #: The manifest entry of the snapshot to restore
+        #: (:meth:`CheckpointSet.restore_entry`).
+        self.entry = entry
         self.done = False
         #: Wall-clock seconds spent loading + applying the snapshot
         #: (observability: the "restore" share of a run's timings).
         self.restore_seconds = 0.0
-        if self.entry is None:
-            return
-        self.launch_index = self.entry["launch_index"]
+        self.launch_index = entry["launch_index"]
         golden = ckpt_set.golden()
         self._launches = golden["launch_stats"]
         self._reads = [r for r in golden["host_reads"]
                        if r["tag"] <= self.launch_index]
         self._pos = 0
-
-    @property
-    def active(self) -> bool:
-        """Whether a usable snapshot exists for the target cycle."""
-        return self.entry is not None
-
-    @property
-    def restore_cycle(self) -> int:
-        """Cycle the restored snapshot was captured at."""
-        return self.entry["cycle"] if self.entry is not None else 0
 
     def on_launch(self, gpu, request):
         """Skip, or restore-and-resume, one replayed kernel launch."""
@@ -597,6 +602,20 @@ class FastForward:
                 f"+{rec['nbytes']} (after {rec['tag']})")
         self._pos += 1
         return rec["data"].copy()
+
+
+def host_read_matches(reads, pos: int, tag: int, addr: int, nbytes: int,
+                      data) -> bool:
+    """Whether DtoH copy number ``pos`` of the golden recording
+    ``reads`` is this one: made after as many launches, of the same
+    range, returning the same bytes.  A copy past the end of the
+    recording matches nothing."""
+    if pos >= len(reads):
+        return False
+    rec = reads[pos]
+    return (rec["tag"] == tag and rec["addr"] == addr
+            and rec["nbytes"] == nbytes
+            and np.array_equal(rec["data"], data))
 
 
 class CheckpointStore:

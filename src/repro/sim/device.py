@@ -140,19 +140,17 @@ class Device:
         """
         tag = len(self.gpu.stats.launches)
         ff = self._fast_forward
-        monitor = self.gpu.convergence
         if ff is not None and not ff.done:
             raw = ff.on_host_read(ptr, nbytes, tag)
-            if monitor is not None:
-                # served bytes ARE the recorded bytes; fed to the
-                # monitor so its sequential position stays aligned
-                monitor.on_host_read(tag, ptr, nbytes, raw)
-            return raw.view(dtype)
-        raw = self.gpu.host_read(ptr, nbytes)
-        if self.gpu.checkpointer is not None:
-            self.gpu.checkpointer.record_host_read(tag, ptr, nbytes, raw)
-        if monitor is not None:
-            monitor.on_host_read(tag, ptr, nbytes, raw)
+        else:
+            raw = self.gpu.host_read(ptr, nbytes)
+            if self.gpu.checkpointer is not None:
+                self.gpu.checkpointer.record_host_read(tag, ptr, nbytes,
+                                                       raw)
+        if self.gpu.convergence is not None:
+            # also the served bytes, which ARE the recorded ones: the
+            # monitor's sequential position stays aligned
+            self.gpu.convergence.on_host_read(tag, ptr, nbytes, raw)
         return raw.view(dtype)
 
     def read_array(self, ptr: int, shape, dtype) -> np.ndarray:

@@ -62,9 +62,10 @@ class GPU:
         #: Optional liveness recorder for the golden run (duck-typed;
         #: see repro.sim.liveness) -- attach via :meth:`set_liveness`.
         self.liveness = None
-        #: Optional convergence monitor for injected runs (duck-typed;
-        #: see repro.faults.early_stop): checked after the checkpointer,
-        #: before the injector, at matching checkpoint cycles.
+        #: Optional golden witness of an injected run (duck-typed; see
+        #: repro.faults.early_stop): checked after the checkpointer,
+        #: before the injector, at matching checkpoint cycles.  The
+        #: propagation tracer hears of divergence through it.
         self.convergence = None
         #: Optional fault-propagation tracer for injected runs
         #: (duck-typed; see repro.obs.propagation) -- attach via
@@ -134,8 +135,7 @@ class GPU:
         for recorder in (self.liveness, self.propagation):
             if recorder is not None:
                 recorder.gpu = None
-        # the pack keeps its ``gpu`` (the batch executor reads the
-        # counters from it); the GPU lets go of the pack instead
+        # the pack keeps its ``gpu``; the GPU lets go of the pack
         self.pack = self.injector = self.convergence = None
 
     # -- CTA scheduling (GigaThread) -------------------------------------
@@ -245,12 +245,6 @@ class GPU:
                         # injector, mirroring the golden checkpointer
                         # order
                         self.convergence.on_cycle(self, launch, queue)
-                    if self.propagation is not None:
-                        # standalone divergence localization (no
-                        # monitor): digests live state at golden
-                        # checkpoint cycles; observation only, never
-                        # alters control flow
-                        self.propagation.on_cycle(self, launch, queue)
                     if self.injector is not None:
                         self.injector.apply_due(self, self.cycle)
                     now = self.cycle
@@ -307,10 +301,6 @@ class GPU:
                 delta = due - self.cycle
         if self.convergence is not None:
             due = self.convergence.next_cycle()
-            if due is not None and self.cycle < due < self.cycle + delta:
-                delta = due - self.cycle
-        if self.propagation is not None:
-            due = self.propagation.next_cycle()
             if due is not None and self.cycle < due < self.cycle + delta:
                 delta = due - self.cycle
         return delta

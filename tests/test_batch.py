@@ -1,6 +1,6 @@
 """Batched lockstep execution: pack grouping, record parity with the
 solo path across batch/jobs/early-stop, peel-off correctness, and the
-plan-time persistent-model gate."""
+persistent-model gate."""
 
 import dataclasses
 import gc
@@ -15,7 +15,7 @@ from repro.dist.protocol import canonical_log_text
 from repro.faults.batch_executor import (batch_eligible, execute_pack,
                                          group_packs)
 from repro.faults.campaign import Campaign, CampaignConfig
-from repro.faults.executor import CampaignExecutor
+from repro.faults.executor import CampaignExecutor, execute_run
 from repro.faults.targets import Structure
 from repro.obs.metrics import metrics_path_for
 from repro.sim.kernel import Kernel
@@ -168,14 +168,14 @@ class TestPeelOff:
 
         import repro.faults.batch_executor as bx
 
-        def boom(specs):
+        def boom(runs, watch):
             raise RuntimeError("injected pack failure")
 
-        monkeypatch.setattr(bx, "_run_pack", boom)
+        monkeypatch.setattr(bx, "_ride", boom)
         records, stats = execute_pack(pack)
         assert len(records) == len(pack)
         assert stats["solo_fallback"] == len(pack)
-        solo = [bx.execute_run(spec) for spec in pack]
+        solo = [execute_run(spec) for spec in pack]
         assert (canonical_log_text(records)
                 == canonical_log_text(solo))
 
@@ -336,7 +336,40 @@ class TestPackTelemetry:
                             runs_per_structure=8, early_stop="converge")
         drained = [stats for stats in map(self._check, packs)
                    if stats["converged"] == stats["members"]]
-        assert drained  # every member converged: PackDrained, no result
+        assert drained  # every member converged before the run ended
+
+
+    def test_member_timings_add_up_to_the_pack(self, tmp_path):
+        """A member's ``timings`` are its equal share of what the pack
+        spent on all of them plus what was spent on it alone.  Fails
+        at the parent, where a member's share was read off a clock
+        that had already run through its peeled siblings' solo
+        re-runs (the members' seconds summed to more than the call
+        took) and restore and classify read 0."""
+        import time
+
+        cfg = make_config(benchmark="pathfinder", runs_per_structure=16,
+                          seed=3, checkpoint_dir=tmp_path / "ckpts")
+        specs = [dataclasses.replace(spec, telemetry=True)
+                 for spec in Campaign(cfg).plan()]
+        peeled = 0
+        for kind, pack in group_packs(specs, 8):
+            if kind != "pack":
+                continue
+            started = time.perf_counter()
+            records, stats = execute_pack(pack)
+            wall_s = time.perf_counter() - started
+            assert stats["solo_fallback"] == 0, stats
+            peeled += stats["peeled"]
+            timings = [record["timings"] for record in records]
+            lockstep = [t for t in timings if t.get("batched")]
+            assert len(lockstep) == len(pack) - stats["peeled"]
+            assert len({t["simulate_s"] for t in lockstep}) <= 1
+            assert all(t["fast_forwarded"] and t["restore_s"] > 0
+                       and t["classify_s"] > 0 for t in lockstep)
+            # each total_s is rounded to the microsecond
+            assert sum(t["total_s"] for t in timings) <= wall_s + 1e-5
+        assert peeled  # the common case, not a corner: it must be covered
 
 
 class TestFinishedRunsAreFreed:
@@ -369,10 +402,18 @@ class TestFinishedRunsAreFreed:
 
 
 class TestPlanGate:
-    def test_plan_rejects_batched_persistent_model(self):
-        cfg = make_config(fault_model="stuck_at_0", batch=2)
-        with pytest.raises(ValueError, match="persistent"):
-            Campaign(cfg).plan()
+    def test_batched_persistent_model_dispatches_solo(self):
+        """``batch > 1`` is no error under a persistent model: its
+        runs are ineligible, like cache targets, and go solo."""
+        def run(batch):
+            cfg = make_config(fault_model="stuck_at_1", batch=batch)
+            executor = CampaignExecutor(batch=batch)
+            return executor.execute(Campaign(cfg).plan()), executor
+
+        solo, _ = run(1)
+        batched, executor = run(8)
+        assert canonical_log_text(batched) == canonical_log_text(solo)
+        assert executor.batch_stats["packs"] == 0
 
     def test_batch_must_be_positive(self):
         with pytest.raises(ValueError, match="batch"):

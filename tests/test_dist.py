@@ -505,6 +505,45 @@ class TestFleetEndToEnd:
         # work stealing actually spread the load
         assert sum(w.runs_done for w in workers) == len(small_records)
 
+    def test_submitted_campaign_with_metrics_gets_telemetry(self,
+                                                            tmp_path):
+        """``metrics`` on a submitted campaign reaches whoever executes
+        its shards.  Fails at the parent, where only the local pool
+        stamped ``telemetry`` on specs: no fleet record had
+        ``timings``, and the sidecar read ``untracked 6``, ``mean_s
+        0.0`` and one worker, ``"0"``."""
+        config = CampaignConfig(**{**SMALL, "runs_per_structure": 6,
+                                   "early_stop": "off", "metrics": True})
+        dispatcher, cid, status, workers = self.run_fleet(
+            tmp_path, config)
+        assert status["state"] == "complete"
+        records = dispatcher.records(cid)["records"]
+        names = {worker.name for worker in workers}
+        assert all(len(r["timings"]) == 12 for r in records)
+        assert {r["worker"] for r in records} <= names
+        doc = json.loads((tmp_path / "server"
+                          / f"{cid}.jsonl.metrics.json").read_text())
+        assert doc["checkpoint"] == {"hits": 0, "misses": 6,
+                                     "untracked": 0, "hit_rate": 0.0}
+        assert doc["latency"] and all(
+            entry["mean_s"] > 0 for entry in doc["latency"].values())
+        fleet_runs = {name: entry["runs"]
+                      for name, entry in doc["dist"]["workers"].items()
+                      if entry["runs"]}
+        assert {name: entry["runs"]
+                for name, entry in doc["workers"].items()} == fleet_runs
+        assert set(fleet_runs) <= names and sum(fleet_runs.values()) == 6
+        # run events carry the stage seconds of the records' timings
+        runs = [event for event in dispatcher.events(cid)["events"]
+                if event["event"] == "run"]
+        assert len(runs) == 6 and all(
+            event["simulate_s"] > 0 and event["worker"] in names
+            for event in runs)
+        # the telemetry keys are volatile: same canonical log as local
+        local = [execute_run(spec) for spec in Campaign(config).plan()]
+        assert all("timings" not in record for record in local)
+        assert canonical_log_text(records) == canonical_log_text(local)
+
     def test_http_error_mapping(self, tmp_path):
         dispatcher = Dispatcher(log_dir=tmp_path / "server")
         server = DispatcherServer(dispatcher, port=0).start()
@@ -1174,6 +1213,65 @@ class TestWorkerProtocol:
         assert dispatcher.status(cid)["shards"]["lease_expired"] == 0
         assert canonical_log_text(dispatcher.records(cid)["records"]) == \
             canonical_log_text(small_records)
+
+
+class TestOneRunEvent:
+    def test_same_event_whoever_reports_the_record(self, fleet, tmp_path):
+        """A record's ``run`` event is built by one function for the
+        pool, a fleet worker and the dispatcher (for a record that
+        arrives without one): same keys, same values, apart from when
+        and where.  At the parent the three were written out
+        separately and none carried the stage seconds."""
+        from repro.faults.executor import CampaignExecutor
+        from repro.obs.events import events_path_for, read_events
+
+        config = CampaignConfig(**{**SMALL, "metrics": True,
+                                   "early_stop": "off"})
+        text = dump_config(config)
+
+        def runs(events):
+            return {record_key(event): event for event in events
+                    if event["event"] == "run"}
+
+        # a fleet worker, executing
+        dispatcher, server = fleet()
+        cid = dispatcher.submit(text)["campaign"]
+        with WorkerThread(server.url):
+            DispatcherClient(server.url).wait(cid, timeout=120, poll=0.01)
+        records = dispatcher.records(cid)["records"]
+        by_worker = runs(dispatcher.events(cid)["events"])
+        # the dispatcher, handed the same records without events
+        other = Dispatcher(log_dir=tmp_path / "other", shard_size=2)
+        assert other.submit(text)["campaign"] == cid
+        for _ in range(2):
+            lease = other.lease("w")
+            keys = {spec_from_wire(w).key for w in lease["specs"]}
+            other.collect(cid, lease["lease"], lease["fingerprint"],
+                          [r for r in records if record_key(r) in keys],
+                          done=True, worker="w")
+        by_dispatcher = runs(other.events(cid)["events"])
+        # the pool, "executing" the same records
+        log = tmp_path / "pool.jsonl"
+        by_key = {record_key(record): record for record in records}
+        CampaignExecutor(telemetry=True, log_path=log,
+                         run_fn=lambda spec: by_key[spec.key]).execute(
+            Campaign(config).plan())
+        by_pool = runs(read_events(events_path_for(log)))
+
+        assert set(by_pool) == set(by_worker) == set(by_dispatcher) \
+            == set(by_key)
+        for key, record in by_key.items():
+            reported = [dict(events[key]) for events
+                        in (by_pool, by_worker, by_dispatcher)]
+            for event in reported:
+                for volatile in ("ts", "worker", "shard"):
+                    event.pop(volatile, None)
+                # ...under the campaign's trace or the shard lease's
+                event["trace"] = event["trace"].rsplit("/", 1)[-1]
+            assert reported[0] == reported[1] == reported[2]
+            for stage in ("total_s", "restore_s", "simulate_s",
+                          "classify_s"):
+                assert reported[0][stage] == record["timings"][stage]
 
 
 class TestWorkerOutlivesTheDispatcher:

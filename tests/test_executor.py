@@ -1,6 +1,7 @@
 """Parallel campaign executor: order-independent seeding, worker-pool
 parity, resumable runs, and the plan/execute/aggregate API."""
 
+import dataclasses
 import json
 import pickle
 import random
@@ -79,6 +80,49 @@ class TestPlanApi:
         result = Campaign(make_config(log_path=log)).run()
         replay = Campaign(make_config()).aggregate(load_records(log))
         assert replay.counts == result.counts
+
+
+class TestStageLaziness:
+    """A run derives what it reports and no more -- checked by
+    substitution, not by timing: the instant verdicts are most of a
+    paper-shaped campaign's records."""
+
+    @staticmethod
+    def _specs(tmp_path):
+        config = make_config(
+            structures=(Structure.SHARED_MEM, Structure.L1T_CACHE),
+            runs_per_structure=3, checkpoint_dir=tmp_path / "ckpts",
+            propagation=True, metrics=True)
+        specs = Campaign(config).plan()
+        # vectoradd allocates no shared memory and never reads a texture
+        assert all(spec.synthesized or spec.prescreened for spec in specs)
+        return [dataclasses.replace(spec, telemetry=True)
+                for spec in specs]
+
+    def test_instant_verdicts_resolve_only_what_they_report(
+            self, tmp_path, monkeypatch):
+        import repro.faults.executor as executor
+
+        specs = self._specs(tmp_path)
+        regenerated = []
+        real = executor.regenerate_mask
+
+        def counting(spec):
+            regenerated.append(spec.key)
+            return real(spec)
+
+        def never(*args):
+            raise AssertionError("an instant verdict opened a "
+                                 "checkpoint set")
+
+        monkeypatch.setattr(executor, "regenerate_mask", counting)
+        monkeypatch.setattr(executor, "open_checkpoint_set", never)
+        records = [execute_run(spec) for spec in specs]
+        assert regenerated == [spec.key for spec in specs
+                               if not spec.synthesized]
+        assert all(record["effect"] == "Masked"
+                   and record["timings"]["cycles_simulated"] == 0
+                   for record in records)
 
 
 class TestWorkerPoolParity:

@@ -460,17 +460,39 @@ def test_the_fleet_traces_propagation_when_the_campaign_says_so(tmp_path):
 # -- the worker's entry point -------------------------------------------------
 
 
-def test_worker_module_imports_neither_the_cli_nor_the_benchmarks():
+def test_worker_module_imports_neither_the_cli_nor_the_benchmarks(tmp_path):
     # the fleet starts workers with `python -m repro.dist.worker`; a
-    # worker of an all-instant campaign never needs a kernel assembled
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro.dist.worker\n"
-         "print([m for m in ('repro.cli', 'repro.bench') "
-         "if m in sys.modules])"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
-    assert loaded.strip() == "[]"
+    # worker of an all-instant campaign never needs a kernel assembled,
+    # not to import the module and not to execute its shards
+    from repro.dist.server import DispatcherServer
+
+    config = CampaignConfig("vectoradd", "RTX2060", runs_per_structure=3,
+                            structures=(Structure.SHARED_MEM,
+                                        Structure.L1T_CACHE), metrics=True)
+    dispatcher = Dispatcher(tmp_path)
+    cid = dispatcher.submit(dump_config(config, execution=False))["campaign"]
+    server = DispatcherServer(dispatcher, port=0).start()
+    try:
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import runpy, sys\n"
+             f"sys.argv[1:] = ['--connect', {server.url!r}, '--name', 'w',"
+             " '--poll', '0.02', '--max-idle', '0.2']\n"
+             "try:\n"
+             "    runpy.run_module('repro.dist.worker', run_name='__main__')\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "print([m for m in ('repro.cli', 'repro.bench') "
+             "if m in sys.modules])"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
+    finally:
+        server.shutdown()
+    records = dispatcher.records(cid)
+    assert records["complete"] and len(records["records"]) == 6
+    assert all((r["synthesized"] or r["prescreened"]) and r["worker"] == "w"
+               for r in records["records"])
+    assert loaded.splitlines()[-1] == "[]"
 
 
 def test_documented_keys_exist():

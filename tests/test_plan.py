@@ -321,6 +321,35 @@ class TestAdaptiveDriver:
         assert campaign.last_metrics["adaptive"]["adaptive"] == "on"
         assert campaign.last_metrics["adaptive"]["groups"]
 
+    @pytest.mark.parametrize("logged", [False, True])
+    def test_a_round_executes_its_allocation_only(self, tmp_path,
+                                                  monkeypatch, logged):
+        """Each round is handed the records of the earlier ones: no
+        run executes twice, with a log to resume from or without.
+        Fails at the parent without a log: 265 calls for 56 records,
+        the log file being the only memory between rounds."""
+        import repro.faults.executor as executor
+
+        calls = []
+        real = executor.execute_run
+
+        def counting(spec):
+            calls.append(spec.key)
+            return real(spec)
+
+        monkeypatch.setattr(executor, "execute_run", counting)
+        campaign, result, _ = self._run(
+            tmp_path, runs_per_structure=60, seed=5, error_target=0.05,
+            metrics=True, **({} if logged else {"log_path": None}))
+        assert len(calls) == len(set(calls)) == len(result.records)
+        # what the parent's planner did on this configuration
+        report = campaign.last_plan
+        assert (report.rounds, report.executed()) == (7, 56)
+        assert len(result.records) == 56 and report.all_met()
+        # the sidecar of the last round covers the whole selection
+        assert campaign.last_metrics["campaign"]["total_runs"] == 56
+        assert sum(campaign.last_metrics["effects"].values()) == 56
+
     def test_estimate_tracks_dead_mass(self, tmp_path):
         campaign, _, log = self._run(tmp_path)
         doc = json.loads(plan_path_for(log).read_text())

@@ -305,6 +305,37 @@ class TestCampaignParity:
         assert side1["propagation"]["runs"] == 5
 
 
+class TestOneGoldenWitness:
+    """Divergence localization hears from the run's golden witness
+    under every ``early_stop`` mode, so what a traced run reports does
+    not depend on the mode -- apart from the runs the mode ended."""
+
+    @pytest.mark.parametrize("app, runs", [("vectoradd", 40),
+                                           ("pathfinder", 12)])
+    def test_payload_is_the_same_off_and_converge(self, tmp_path, app,
+                                                  runs):
+        def records(early_stop):
+            config = make_config(
+                benchmark=app, runs_per_structure=runs,
+                structures=(Structure.REGISTER_FILE,), propagation=True,
+                checkpoint_dir=tmp_path / "ckpt", checkpoint_interval=50,
+                early_stop=early_stop)
+            return Campaign(config).run().records
+
+        full, stopped = records("off"), records("converge")
+        compared = 0
+        for ran, ended in zip(full, stopped):
+            assert "terminated_at" not in ran
+            if "terminated_at" not in ended:
+                # fails at the parent on every SDC: only a monitor
+                # heard of host reads, so ``host_read_diverged`` was
+                # false under "off" and true under "converge"
+                assert ran["propagation"] == ended["propagation"]
+                compared += 1
+        assert 0 < compared < len(full)
+        assert any(r["propagation"]["host_read_diverged"] for r in full)
+
+
 class TestSummarize:
     def test_no_propagation_records(self):
         assert summarize_propagation([{"effect": "Masked"}]) is None
