@@ -86,6 +86,11 @@ class Cache:
     def __init__(self, name: str, geometry: CacheGeometry, tag_bits: int = 57):
         self.name = name
         self.geometry = geometry
+        #: Geometry constants every probe needs, resolved once
+        #: (``num_sets`` is a computed property of the geometry).
+        self.line_bytes = geometry.line_bytes
+        self.num_sets = geometry.num_sets
+        self.assoc = geometry.assoc
         self.tag_bits = tag_bits
         self.stats = CacheStats()
         #: Optional golden-run liveness recorder (see
@@ -106,25 +111,31 @@ class Cache:
               create: bool = False) -> Optional[List[CacheLine]]:
         ways = self._sets.get(set_idx)
         if ways is None and create:
-            ways = [CacheLine(self.geometry.line_bytes)
-                    for _ in range(self.geometry.assoc)]
+            ways = [CacheLine(self.line_bytes) for _ in range(self.assoc)]
             self._sets[set_idx] = ways
         return ways
+
+    def _notify(self, flat: int, *kinds: str) -> None:
+        """Tell each attached observer the events of line ``flat``."""
+        for observer in (self.liveness, self.propagation):
+            if observer is not None:
+                for kind in kinds:
+                    observer.on_cache(self.name, flat, kind)
 
     # -- addressing -----------------------------------------------------
 
     def line_base(self, addr: int) -> int:
         """Base address of the line containing ``addr``."""
-        return addr - addr % self.geometry.line_bytes
+        return addr - addr % self.line_bytes
 
     def _locate(self, addr: int) -> Tuple[int, int]:
         """Return (set index, tag) for an address."""
-        block = addr // self.geometry.line_bytes
-        return block % self.geometry.num_sets, block // self.geometry.num_sets
+        block = addr // self.line_bytes
+        return block % self.num_sets, block // self.num_sets
 
     def _line_addr(self, set_idx: int, tag: int) -> int:
         """Inverse of :meth:`_locate`: reconstruct the line base address."""
-        return (tag * self.geometry.num_sets + set_idx) * self.geometry.line_bytes
+        return (tag * self.num_sets + set_idx) * self.line_bytes
 
     # -- core operations ---------------------------------------------------
 
@@ -149,16 +160,10 @@ class Cache:
                         if not for_write:
                             self._apply_bits(line, line.armed)
                         line.armed = None
-                    if self.liveness is not None:
-                        self.liveness.on_cache(
-                            self.name,
-                            set_idx * self.geometry.assoc + way,
-                            "wh" if for_write else "rh")
-                    if self.propagation is not None:
-                        self.propagation.on_cache(
-                            self.name,
-                            set_idx * self.geometry.assoc + way,
-                            "wh" if for_write else "rh")
+                    if (self.liveness is not None
+                            or self.propagation is not None):
+                        self._notify(set_idx * self.assoc + way,
+                                     "wh" if for_write else "rh")
                     return line
         self.stats.misses += 1
         return None
@@ -182,7 +187,7 @@ class Cache:
             return None
         for way, line in enumerate(ways):
             if line.valid and line.tag == tag:
-                return set_idx * self.geometry.assoc + way
+                return set_idx * self.assoc + way
         return None
 
     def fill(self, addr: int, data: np.ndarray
@@ -208,13 +213,8 @@ class Cache:
                 writeback = (self._line_addr(set_idx, victim.tag),
                              victim.data.copy())
         if self.liveness is not None or self.propagation is not None:
-            flat = set_idx * self.geometry.assoc + ways.index(victim)
-            for observer in (self.liveness, self.propagation):
-                if observer is None:
-                    continue
-                if writeback is not None:
-                    observer.on_cache(self.name, flat, "wb")
-                observer.on_cache(self.name, flat, "fill")
+            self._notify(set_idx * self.assoc + ways.index(victim),
+                         *(("fill",) if writeback is None else ("wb", "fill")))
         victim.valid = True
         victim.dirty = False
         victim.armed = None
@@ -233,21 +233,14 @@ class Cache:
         line = self.peek(addr)
         if line is None:
             return None
+        set_idx, _ = self._locate(addr)
         writeback = None
         if line.dirty:
-            set_idx, _ = self._locate(addr)
             self.stats.writebacks += 1
             writeback = (self._line_addr(set_idx, line.tag), line.data.copy())
         if self.liveness is not None or self.propagation is not None:
-            set_idx, _ = self._locate(addr)
-            flat = (set_idx * self.geometry.assoc
-                    + self._sets[set_idx].index(line))
-            for observer in (self.liveness, self.propagation):
-                if observer is None:
-                    continue
-                if writeback is not None:
-                    observer.on_cache(self.name, flat, "wb")
-                observer.on_cache(self.name, flat, "inv")
+            self._notify(set_idx * self.assoc + self._sets[set_idx].index(line),
+                         *(("inv",) if writeback is None else ("wb", "inv")))
         line.invalidate()
         return writeback
 
@@ -261,14 +254,7 @@ class Cache:
                                 line.data.copy()))
                     line.dirty = False
                     self.stats.writebacks += 1
-                    if self.liveness is not None:
-                        self.liveness.on_cache(
-                            self.name,
-                            set_idx * self.geometry.assoc + way, "wb")
-                    if self.propagation is not None:
-                        self.propagation.on_cache(
-                            self.name,
-                            set_idx * self.geometry.assoc + way, "wb")
+                    self._notify(set_idx * self.assoc + way, "wb")
         return out
 
     def invalidate_all(self) -> None:
@@ -276,27 +262,20 @@ class Cache:
         for set_idx, ways in self._sets.items():
             for way, line in enumerate(ways):
                 if line.valid:
-                    if self.liveness is not None:
-                        self.liveness.on_cache(
-                            self.name,
-                            set_idx * self.geometry.assoc + way, "inv")
-                    if self.propagation is not None:
-                        self.propagation.on_cache(
-                            self.name,
-                            set_idx * self.geometry.assoc + way, "inv")
+                    self._notify(set_idx * self.assoc + way, "inv")
                 line.invalidate()
 
     # -- word helpers ------------------------------------------------------
 
     def read_word(self, line: CacheLine, addr: int) -> int:
         """Read the aligned 32-bit word at ``addr`` from a resident line."""
-        off = addr % self.geometry.line_bytes
+        off = addr % self.line_bytes
         return int(line.data[off:off + 4].view("<u4")[0])
 
     def write_word(self, line: CacheLine, addr: int, value: int,
                    dirty: bool = True) -> None:
         """Write the aligned 32-bit word at ``addr`` into a resident line."""
-        off = addr % self.geometry.line_bytes
+        off = addr % self.line_bytes
         line.data[off:off + 4].view("<u4")[0] = value & 0xFFFFFFFF
         line.meta = None
         if dirty:
@@ -307,7 +286,7 @@ class Cache:
     @property
     def bits_per_line(self) -> int:
         """Injectable bits per line: abstract tag field + data bits."""
-        return self.tag_bits + self.geometry.line_bytes * 8
+        return self.tag_bits + self.line_bytes * 8
 
     @property
     def injectable_bits(self) -> int:
@@ -316,7 +295,7 @@ class Cache:
 
     def line_by_index(self, line_index: int) -> CacheLine:
         """Line in flat set-major numbering (set*assoc + way)."""
-        set_idx, way = divmod(line_index, self.geometry.assoc)
+        set_idx, way = divmod(line_index, self.assoc)
         return self._ways(set_idx, create=True)[way]
 
     def _apply_bits(self, line: CacheLine, bit_offsets,
@@ -477,7 +456,7 @@ class Cache:
         for set_idx, entries in snap["sets"].items():
             ways = []
             for entry in entries:
-                line = CacheLine(self.geometry.line_bytes)
+                line = CacheLine(self.line_bytes)
                 line.last_use = entry["last_use"]
                 if entry["valid"]:
                     line.valid = True

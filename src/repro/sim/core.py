@@ -38,7 +38,10 @@ fetch-miss stall is remembered, and every visited cycle asks.
 resolved once into an :class:`IssuePlan` cached on the (immutable)
 :class:`~repro.isa.instruction.Instruction`: kind, handler, hazard and
 destination index tuples, guard, operands (see
-:func:`repro.sim.exec_unit.bind`).
+:func:`repro.sim.exec_unit.bind`).  What changes between issues, but
+rarely, is remembered as well: a stack entry's active lanes
+(:mod:`repro.sim.warp`), a shared-memory access pattern's resolution
+(:mod:`repro.sim.cta`), the occupancy sums (:mod:`repro.sim.stats`).
 
 There is one issue path for every run width.  Register, predicate,
 local- and shared-memory *data* carry a runs axis (see
@@ -54,8 +57,7 @@ differently; that check is the core's only knowledge of packs.
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -72,14 +74,8 @@ from repro.sim.warp import StackEntry, Warp
 #: Sentinel wake cycle meaning "no wake time known".
 NEVER = 1 << 62
 
-#: Number of shared-memory banks (4-byte interleaved).
-SMEM_BANKS = 32
-
-#: Read-only fallback lanes, hoisted out of the per-issue hot path:
-#: no-guard branch fall-through, RZ store sources.  Consumers only
-#: read (or ``.copy()``) them, never write in place.
-_NO_LANES = np.zeros(32, dtype=bool)
-_NO_LANES.setflags(write=False)
+#: Read-only lanes of ``RZ`` as a store source or an address base,
+#: hoisted out of the per-issue hot path.
 _RZ_WORDS = np.zeros((1, 32), dtype=np.uint32)  # any width broadcasts
 _RZ_WORDS.setflags(write=False)
 
@@ -203,8 +199,9 @@ class SIMTCore:
         self.l1i = Cache(f"L1I.{core_id}", config.l1i, config.tag_bits)
         self.ctas: List[CTA] = []
         self.scheduler_policy = "gto"
-        self._last_issued: Dict[int, Optional[Warp]] = {
-            i: None for i in range(config.num_schedulers_per_sm)}
+        #: Per scheduler, the warp it issued last.
+        self._last_issued: List[Optional[Warp]] = \
+            [None] * config.num_schedulers_per_sm
         self._age_counter = 0
         self._sched_cache: Optional[List[List[Warp]]] = None
         #: Earliest cycle any warp of this core can issue (``NEVER``:
@@ -214,7 +211,8 @@ class SIMTCore:
         #: The same per scheduler.
         self._sched_ready = [0] * config.num_schedulers_per_sm
         #: Occupancy counters over the resident CTAs, kept at CTA
-        #: arrival, thread EXIT, warp drain and CTA retirement.
+        #: arrival, thread EXIT, warp drain and CTA retirement (each
+        #: of which drops ``gpu.stats.occupancy``, the sums over them).
         self._live_warps = 0
         self._live_threads = 0
         #: Scratch line buffer for L1I miss fills (re-zeroed per use;
@@ -223,11 +221,6 @@ class SIMTCore:
                                         dtype=np.uint8)
 
     # -- CTA residency ---------------------------------------------------
-
-    @property
-    def busy(self) -> bool:
-        """Whether any CTA is resident."""
-        return bool(self.ctas)
 
     def next_warp_age(self, nwarps: int) -> int:
         """Reserve ``nwarps`` consecutive age slots for a new CTA."""
@@ -240,6 +233,7 @@ class SIMTCore:
         self.ctas.append(cta)
         self._live_warps += cta.live_warp_count
         self._live_threads += cta.live_thread_count()
+        self.gpu.stats.occupancy = None
         self._sched_cache = None
         # new warps to ask: every scheduler polls at its next cycle
         self.ready_at = 0
@@ -256,6 +250,7 @@ class SIMTCore:
         fault); the CTA's last one hands it to the cycle loop, which
         retires it at the end of the iteration."""
         self._live_warps -= 1
+        self.gpu.stats.occupancy = None
         if cta.done:
             self.gpu.drained.append(cta)
 
@@ -263,6 +258,7 @@ class SIMTCore:
         """Drop a completed CTA."""
         self.ctas.remove(cta)
         self._live_threads -= cta.live_thread_count()
+        self.gpu.stats.occupancy = None
         self._sched_cache = None
         cta.release()
 
@@ -299,7 +295,7 @@ class SIMTCore:
             "age_counter": self._age_counter,
             "last_issued": {
                 sid: (w.age if w is not None and w.cta.core is self else None)
-                for sid, w in self._last_issued.items()},
+                for sid, w in enumerate(self._last_issued)},
             "l1d": self.l1d.snapshot() if self.l1d is not None else None,
             "l1t": self.l1t.snapshot(),
             "l1c": self.l1c.snapshot(),
@@ -328,9 +324,9 @@ class SIMTCore:
         # ages referencing warps of already-retired CTAs resolve to
         # None -- equivalent, since the scheduler treats a warp that
         # is no longer resident exactly like None
-        self._last_issued = {
-            sid: (by_age.get(age) if age is not None else None)
-            for sid, age in snap["last_issued"].items()}
+        last = snap["last_issued"]
+        self._last_issued = [by_age.get(last[sid])
+                             for sid in range(len(last))]
 
     # -- scheduling --------------------------------------------------------
 
@@ -352,30 +348,42 @@ class SIMTCore:
         :attr:`ready_at` at the earliest cycle anything can."""
         issued = False
         sched_ready = self._sched_ready
+        last_issued = self._last_issued
         always_ask = self.config.model_icache
+        greedy = self.scheduler_policy == "gto"
+        ask = self._ask
         for sched_id, warps in enumerate(self._scheduler_warps()):
             if sched_ready[sched_id] > now and not always_ask:
                 continue
-            last = self._last_issued[sched_id]
+            first = last = last_issued[sched_id]
+            order = warps
             if last is None or last.cta.core is not self:
-                order = warps  # nothing issued yet, or its CTA retired
-            elif self.scheduler_policy == "gto":
-                # greedy: the last issued warp, then the others by age
-                slot = warps.index(last)
-                order = chain((last,), islice(warps, slot),
-                              islice(warps, slot + 1, None))
-            else:
+                first = None  # nothing issued yet, or its CTA retired
+            elif not greedy:
                 # LRR: rotate to just after the last issued warp
                 pivot = warps.index(last) + 1
-                order = chain(islice(warps, pivot, None),
-                              islice(warps, pivot))
+                order = warps[pivot:] + warps[:pivot]
+                first = None
             wake = NEVER
+            if first is not None:
+                # GTO asks the last issued warp before any other: it
+                # is the one that issues in most visits
+                wake = first.ready_at
+                if wake <= now:
+                    wake = ask(first, now)
+                    if not wake:
+                        issued = True
+                        sched_ready[sched_id] = now + 1
+                        continue
+            # ... then the others by age
             for warp in order:
+                if warp is first:
+                    continue
                 ready = warp.ready_at
                 if ready <= now:
-                    ready = self._ask(warp, now)
+                    ready = ask(warp, now)
                     if not ready:
-                        self._last_issued[sched_id] = warp
+                        last_issued[sched_id] = warp
                         issued = True
                         wake = now + 1
                         break
@@ -474,7 +482,11 @@ class SIMTCore:
         gpu = self.gpu
         inst = plan.inst
         top = warp.stack[-1]
-        active = top.mask & ~warp.exited
+        # memoised on the entry; see repro.sim.warp
+        active = top.active
+        if active is None:
+            active = warp.active_lanes(top)
+        guard = None
         if plan.guard is not None:
             guard = warp.preds[plan.guard]
             if plan.guard_negate:
@@ -488,8 +500,8 @@ class SIMTCore:
             exec_mask = active & guard
             exec0 = exec_mask[0]
         else:
-            guard = None
-            exec_mask = exec0 = active
+            exec0 = active
+            exec_mask = top.where
         lv = gpu.liveness
         if lv is not None:
             # before execution: kill-coverage needs pre-exec lane state
@@ -506,7 +518,8 @@ class SIMTCore:
                 plan.run(plan, warp, exec_mask)
                 if plan.sfu:
                     latency = self.config.sfu_latency
-            elif exec0.any():
+            elif guard is None or exec0.any():
+                # (only a guard can have emptied the lanes)
                 latency = plan.run(self, plan, warp, exec0)
             top.pc += 1
             # the active lanes are what they were (non-empty: the
@@ -515,19 +528,23 @@ class SIMTCore:
             if top.pc == top.reconv_pc:
                 warp.normalize_stack()
         elif kind == _BRANCH:
-            taken = exec0
-            fall = (active & ~guard[0]) if guard is not None else _NO_LANES
-            if not fall.any():
+            if guard is None:
                 top.pc = inst.target_pc
-            elif not taken.any():
-                top.pc += 1
             else:
-                reconv = inst.reconv_pc
-                top.pc = reconv
-                warp.stack.append(StackEntry(inst.pc + 1, fall.copy(), reconv))
-                warp.stack.append(StackEntry(inst.target_pc, taken.copy(),
-                                             reconv))
-            warp.normalize_stack()
+                fall = active & ~guard[0]
+                if not fall.any():
+                    top.pc = inst.target_pc
+                elif not exec0.any():
+                    top.pc += 1
+                else:
+                    reconv = inst.reconv_pc
+                    top.pc = reconv
+                    warp.stack.append(StackEntry(inst.pc + 1, fall, reconv))
+                    top = StackEntry(inst.target_pc, exec0.copy(), reconv)
+                    warp.stack.append(top)
+            # as above, for the entry now on top
+            if top.pc == top.reconv_pc:
+                warp.normalize_stack()
         elif kind == _BARRIER:
             top.pc += 1
             warp.at_barrier = True
@@ -540,15 +557,24 @@ class SIMTCore:
                 np.count_nonzero(warp.exited[:warp.num_threads]))
             self._live_threads -= warp.live_count - live
             warp.live_count = live
+            gpu.stats.occupancy = None
             top.pc += 1
             warp.normalize_stack()
             if warp.done:
                 warp.cta.try_release_barrier()
 
-        warp.mark_ready(plan.dst_regs, plan.dst_preds, now + latency)
+        # the scoreboard: when the destinations become available
+        if plan.dst_regs or plan.dst_preds:
+            done_at = now + latency
+            for idx in plan.dst_regs:
+                warp.reg_ready[idx] = done_at
+            for idx in plan.dst_preds:
+                warp.pred_ready[idx] = done_at
+            if done_at > warp.sb_latest:
+                warp.sb_latest = done_at
         if lv is not None and warp.done:
             lv.on_warp_done(self.core_id, warp, now)
-        gpu.stats.on_issue(inst)
+        gpu.stats.current.instructions += 1
         if gpu.tracer is not None:
             gpu.tracer.on_issue(now, self, warp, inst, exec0)
 
@@ -574,31 +600,37 @@ class SIMTCore:
         offset = plan.offset
         bank = self.gpu.const_bank
         bank.read_word(offset)  # bounds/alignment check
-        line_bytes = self.l1c.geometry.line_bytes
-        base = offset - offset % line_bytes
-        line = self.l1c.lookup(base)
+        l1c = self.l1c
+        base = offset - offset % l1c.line_bytes
+        line = l1c.lookup(base)
         if line is None:
             latency = self.config.l2_hit_latency  # constant-cache miss
-            end = min(base + line_bytes, bank.SIZE)
-            data = np.zeros(line_bytes, dtype=np.uint8)
+            end = min(base + l1c.line_bytes, bank.SIZE)
+            data = np.zeros(l1c.line_bytes, dtype=np.uint8)
             data[:end - base] = bank.data[base:end]
-            self.l1c.fill(base, data)
-            line = self.l1c.peek(base)
+            l1c.fill(base, data)
+            line = l1c.peek(base)
         else:
             latency = self.config.const_latency
-        value = self.l1c.read_word(line, offset)
         if plan.dst is not None:
-            warp.regs[plan.dst][:, mask] = np.uint32(value)
+            at = offset - base
+            np.copyto(warp.regs[plan.dst], line.data[at:at + 4].view("<u4"),
+                      where=mask)
         return latency
 
     def _exec_shared(self, plan: IssuePlan, warp: Warp,
                      mask: np.ndarray) -> int:
-        addrs = self._addresses(plan, warp, mask)
-        lanes = np.nonzero(mask)[0]
-        lane_addrs = addrs[lanes]
         cta = warp.cta
+        if plan.base is None:
+            base = _RZ_WORDS
+        else:
+            base = warp.regs[plan.base]
+            if self.gpu.pack is not None:
+                # as in _addresses: column 0's addresses serve all
+                self.gpu.pack.check_rows(base, mask)
+        lanes, words, word_list, distinct, conflicts, addrs = \
+            cta.smem_pattern(base[0], plan.offset, mask)
         is_load = plan.is_load
-        words = cta.smem_word_indices(lane_addrs)
         # data is per column (each reads and writes its own smem row),
         # so neither direction needs agreement between pack members
         if is_load:
@@ -606,7 +638,7 @@ class SIMTCore:
                 warp.regs[plan.dst][:, lanes] = cta.smem_words[:, words]
         else:
             src = warp.regs[plan.src] if plan.src is not None else _RZ_WORDS
-            if len(set(words.tolist())) == len(words):
+            if distinct:
                 cta.smem_words[:, words] = src[:, lanes]
             else:
                 # two lanes on one word (numpy leaves the winner of a
@@ -615,19 +647,13 @@ class SIMTCore:
                     cta.smem_words[:, word] = src[:, lane]
         lv = self.gpu.liveness
         if lv is not None:
-            lv.on_smem(self.core_id, cta.warps[0].age, words.tolist(),
-                       is_load)
+            lv.on_smem(self.core_id, cta.warps[0].age, word_list, is_load)
         prop = self.gpu.propagation
         if prop is not None and prop.armed:
             prop.on_shared_access(self.core_id, cta.warps[0].age, cta,
                                   warp, plan.inst, addrs, lanes, is_load,
                                   self.gpu.cycle)
         # bank-conflict serialisation: worst-case multiplicity over banks
-        bank_counts: Dict[int, int] = {}
-        for addr in set(lane_addrs.tolist()):
-            bank = (addr >> 2) % SMEM_BANKS
-            bank_counts[bank] = bank_counts.get(bank, 0) + 1
-        conflicts = max(bank_counts.values()) if bank_counts else 1
         return self.config.smem_latency + (conflicts - 1)
 
     def _exec_local(self, plan: IssuePlan, warp: Warp,
@@ -665,7 +691,7 @@ class SIMTCore:
         # bounds/alignment check every lane first (address-register faults
         # surface here as crashes, before any cache state changes)
         lane_addrs = addrs[lanes]
-        gpu.memory.check_many(lane_addrs)
+        low, high = gpu.memory.check_many(lane_addrs)
 
         if not plan.is_load:
             if plan.src is None:
@@ -678,28 +704,29 @@ class SIMTCore:
             if plan.is_atomic:
                 return self._exec_atomic(plan, warp, lanes, addrs, src)
 
-        l1: Optional[Cache]
-        if via_texture:
-            l1 = self.l1t
+        # coalescing: one segment per line touched, as (line base,
+        # its lanes, their word offsets in the line), by address
+        line_bytes = gpu.l2.line_bytes
+        first = low - low % line_bytes
+        if high - first < line_bytes:
+            segments = [(first, lanes, (lane_addrs - first) >> 2)]
         else:
-            l1 = self.l1d
+            bases = lane_addrs - lane_addrs % line_bytes
+            segments = []
+            for base in np.unique(bases).tolist():
+                seg = bases == base
+                segments.append((base, lanes[seg],
+                                 (lane_addrs[seg] - base) >> 2))
 
-        line_bytes = gpu.l2.geometry.line_bytes
-        bases = lane_addrs - lane_addrs % line_bytes
-        unique_bases = np.unique(bases)
+        l1 = self.l1t if via_texture else self.l1d
         use_l2 = cfg.l2_service_all or via_texture
-
         worst = 0
         if plan.is_load:
             dst = plan.dst
-            for base in unique_bases:
-                base = int(base)
+            for base, seg_lanes, offs in segments:
                 latency, words = gpu.read_line_via(l1, base, use_l2=use_l2)
                 worst = max(worst, latency)
                 if dst is not None:
-                    seg = bases == base
-                    seg_lanes = lanes[seg]
-                    offs = (lane_addrs[seg] - base) >> 2
                     # the line exists once: every column loads its words
                     warp.regs[dst][:, seg_lanes] = words[offs]
             prop = gpu.propagation
@@ -708,21 +735,13 @@ class SIMTCore:
                 # load the consumer (taints its destination)
                 prop.note_load(self.core_id, warp, plan.inst, gpu.cycle)
         else:  # global store: write-evict L1, write-allocate L2
-            for base in unique_bases:
-                base = int(base)
-                seg = bases == base
-                offs = (lane_addrs[seg] - base) >> 2
-                if use_l2:
-                    latency = gpu.l2_write_words(base, offs,
-                                                 src[lanes[seg]])
-                else:
-                    latency = gpu.dram_write_words(base, offs,
-                                                   src[lanes[seg]])
+            write = gpu.l2_write_words if use_l2 else gpu.dram_write_words
+            for base, seg_lanes, offs in segments:
+                worst = max(worst, write(base, offs, src[seg_lanes]))
                 if l1 is not None:
                     l1.invalidate(base)
                 self.l1t.invalidate(base)
-                worst = max(worst, latency)
-        return worst + (len(unique_bases) - 1) * cfg.segment_overhead
+        return worst + (len(segments) - 1) * cfg.segment_overhead
 
     def _exec_atomic(self, plan: IssuePlan, warp: Warp,
                      lanes: np.ndarray, addrs: np.ndarray,
@@ -738,7 +757,7 @@ class SIMTCore:
             worst = max(worst, latency)
             if dst is not None:
                 warp.regs[dst][:, lane] = old
-            line_base = addr - addr % gpu.l2.geometry.line_bytes
+            line_base = addr - addr % gpu.l2.line_bytes
             if self.l1d is not None:
                 self.l1d.invalidate(line_base)
             self.l1t.invalidate(line_base)

@@ -4,7 +4,15 @@ Every handler operates on all 32 lanes of every column of the warp's
 runs axis (see :mod:`repro.sim.warp`) at once with numpy and commits
 results only under the instruction's active mask: register operands
 are ``(ncols, 32)``, while immediates, special registers and an
-unguarded mask are plain ``(32,)`` and broadcast.  Integer arithmetic
+unguarded mask are plain ``(32,)`` and broadcast.  The commit is one
+call writing the destination register in place -- a ufunc with
+``out=``/``where=mask``, or ``np.copyto(where=mask)`` of a result that
+has to exist first -- through the view of the register file typed for
+the result (``warp.regs``/``iregs``/``fregs``).  ``mask`` is handed on
+as ``where=`` and nothing else, so it may be ``True`` when all 32 lanes
+execute: numpy then runs its unmasked loops.  A source may be the
+destination register itself; element-wise in-place is safe, but a
+handler with two writes computes both results first.  Integer arithmetic
 is modular 32-bit (uint32 views); floating point is IEEE-754 binary32
 via numpy float32, matching CUDA single-precision behaviour closely
 enough for the benchmarks' golden comparisons.
@@ -23,6 +31,7 @@ up.  Floating-point handlers rely on the cycle loop running under
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict
 
 import numpy as np
@@ -40,47 +49,38 @@ _NEGATE, _ABSOLUTE = 1, 2
 class Source:
     """One register-or-immediate source operand, resolved once.
 
-    ``u32``/``f32`` hold read-only lanes when the value does not
-    depend on warp state (immediate, ``RZ``), with the operand
+    ``u32``/``i32``/``f32`` hold read-only lanes when the value does
+    not depend on warp state (immediate, ``RZ``), with the operand
     modifiers already applied under integer and under floating-point
-    semantics; otherwise both are ``None`` and ``index``/``flags``
-    name the register and its modifiers.
+    semantics; otherwise all are ``None`` and ``index``/``flags`` name
+    the register and its modifiers.
     """
 
-    __slots__ = ("index", "flags", "u32", "f32")
+    __slots__ = ("index", "flags", "u32", "i32", "f32")
 
     def __init__(self, op):
         self.index = -1
         self.flags = 0
-        self.u32 = self.f32 = None
+        self.u32 = self.i32 = self.f32 = None
         if isinstance(op, Immediate):
-            lanes = np.full(32, op.value, dtype=_U32)
-            self.u32, self.f32 = lanes, lanes.view(_F32)
+            self.i32 = np.full(32, op.value, dtype=_U32).view(_I32)
+            self.f32 = self.i32.view(_F32)
         else:
             self.flags = (_NEGATE if op.negate else 0) \
                 | (_ABSOLUTE if op.absolute else 0)
-            if op.is_rz:
-                zeros = np.zeros(32, dtype=_U32)
-                self.u32 = _modify_int(zeros, self.flags)
-                self.f32 = _modify_float(zeros.view(_F32), self.flags)
-            else:
+            if not op.is_rz:
                 self.index = op.index
-        for lanes in (self.u32, self.f32):
-            if lanes is not None:
-                lanes.setflags(write=False)
+                return
+            self.i32 = _modify(np.zeros(32, dtype=_I32), self.flags)
+            self.f32 = _modify(np.zeros(32, dtype=_F32), self.flags)
+        self.u32 = self.i32.view(_U32)
+        for lanes in (self.u32, self.i32, self.f32):
+            lanes.setflags(write=False)
 
 
-def _modify_int(values: np.ndarray, flags: int) -> np.ndarray:
-    """``|..|`` then ``-`` with integer semantics (signed absolute
-    value, two's-complement negate)."""
-    if flags & _ABSOLUTE:
-        values = np.abs(values.view(_I32)).view(_U32)
-    if flags & _NEGATE:
-        values = (-values.view(_I32)).view(_U32)
-    return values
-
-
-def _modify_float(values: np.ndarray, flags: int) -> np.ndarray:
+def _modify(values: np.ndarray, flags: int) -> np.ndarray:
+    """``|..|`` then ``-`` on int32 lanes (signed absolute value,
+    two's-complement negate) or on fp32 lanes."""
     if flags & _ABSOLUTE:
         values = np.abs(values)
     if flags & _NEGATE:
@@ -93,16 +93,25 @@ def read_u32(warp: Warp, src: Source) -> np.ndarray:
     be the register itself: callers must not write into it."""
     if src.u32 is not None:
         return src.u32
-    values = warp.regs[src.index]
-    return _modify_int(values, src.flags) if src.flags else values
+    if src.flags:
+        return _modify(warp.iregs[src.index], src.flags).view(_U32)
+    return warp.regs[src.index]
+
+
+def read_i32(warp: Warp, src: Source) -> np.ndarray:
+    """:func:`read_u32` as signed lanes (int32)."""
+    if src.i32 is not None:
+        return src.i32
+    values = warp.iregs[src.index]
+    return _modify(values, src.flags) if src.flags else values
 
 
 def read_f32(warp: Warp, src: Source) -> np.ndarray:
     """Read a source as fp32 lanes, applying ``-``/``|..|`` modifiers."""
     if src.f32 is not None:
         return src.f32
-    values = warp.regs[src.index].view(_F32)
-    return _modify_float(values, src.flags) if src.flags else values
+    values = warp.fregs[src.index]
+    return _modify(values, src.flags) if src.flags else values
 
 
 def read_pred(warp: Warp, op: PredRef) -> np.ndarray:
@@ -113,92 +122,66 @@ def read_pred(warp: Warp, op: PredRef) -> np.ndarray:
     return ~values if op.negate else values
 
 
-def write_u32(warp: Warp, dst, values: np.ndarray, mask: np.ndarray) -> None:
-    """Commit uint32 lanes to register ``dst`` under ``mask`` (values
-    and mask broadcast against the register's columns); ``None`` is
-    ``RZ`` and discards."""
-    if dst is not None:
-        np.copyto(warp.regs[dst], values.astype(_U32, copy=False),
-                  where=mask)
-
-
-def write_f32(warp: Warp, dst, values: np.ndarray, mask: np.ndarray) -> None:
-    """Commit fp32 lanes (bit-pattern) to a register under ``mask``."""
-    if dst is not None:
-        np.copyto(warp.regs[dst],
-                  values.astype(_F32, copy=False).view(_U32), where=mask)
-
-
-def write_pred(warp: Warp, dst, values: np.ndarray, mask: np.ndarray) -> None:
-    """Commit predicate lanes under ``mask`` (``None`` is ``PT``)."""
-    if dst is not None:
-        np.copyto(warp.preds[dst], values, where=mask)
-
-
 # ---------------------------------------------------------------------------
 # handlers: fn(op, warp, mask) -> None, ``op`` being the issue plan
 # ---------------------------------------------------------------------------
 
 def _h_mov(op, warp, mask):
-    write_u32(warp, op.dst, read_u32(warp, op.srcs[0]), mask)
+    np.copyto(warp.regs[op.dst], read_u32(warp, op.srcs[0]), where=mask)
 
 
 def _h_s2r(op, warp, mask):
-    write_u32(warp, op.dst, warp.sregs[op.srcs[0].name], mask)
+    np.copyto(warp.regs[op.dst], warp.sregs[op.srcs[0].name], where=mask)
 
 
 def _h_sel(op, warp, mask):
-    pred = read_pred(warp, op.srcs[2])
-    values = np.where(pred, read_u32(warp, op.srcs[0]),
-                      read_u32(warp, op.srcs[1]))
-    write_u32(warp, op.dst, values, mask)
+    picked = np.where(read_pred(warp, op.srcs[2]),
+                      read_u32(warp, op.srcs[0]), read_u32(warp, op.srcs[1]))
+    np.copyto(warp.regs[op.dst], picked, where=mask)
 
 
-def _int_binop(fn):
+def _int_binop(ufunc):
     def handler(op, warp, mask):
-        a = read_u32(warp, op.srcs[0])
-        b = read_u32(warp, op.srcs[1])
-        write_u32(warp, op.dst, fn(a, b), mask)
+        ufunc(read_u32(warp, op.srcs[0]), read_u32(warp, op.srcs[1]),
+              out=warp.regs[op.dst], where=mask)
     return handler
 
 
 def _h_imad(op, warp, mask):
     a = read_u32(warp, op.srcs[0])
     b = read_u32(warp, op.srcs[1])
-    c = read_u32(warp, op.srcs[2])
-    write_u32(warp, op.dst, a * b + c, mask)
+    np.add(a * b, read_u32(warp, op.srcs[2]), out=warp.regs[op.dst],
+           where=mask)
 
 
 def _h_imnmx(op, warp, mask):
-    a = read_u32(warp, op.srcs[0]).view(_I32)
-    b = read_u32(warp, op.srcs[1]).view(_I32)
-    values = np.minimum(a, b) if "MIN" in op.modifiers else np.maximum(a, b)
-    write_u32(warp, op.dst, values.view(_U32), mask)
+    op.fn(read_i32(warp, op.srcs[0]), read_i32(warp, op.srcs[1]),
+          out=warp.iregs[op.dst], where=mask)
 
 
 def _h_iabs(op, warp, mask):
-    a = read_u32(warp, op.srcs[0]).view(_I32)
-    write_u32(warp, op.dst, np.abs(a).view(_U32), mask)
+    np.abs(read_i32(warp, op.srcs[0]), out=warp.iregs[op.dst], where=mask)
 
 
 def _h_shl(op, warp, mask):
-    a = read_u32(warp, op.srcs[0])
-    s = read_u32(warp, op.srcs[1]) & 31
-    write_u32(warp, op.dst, a << s, mask)
+    np.left_shift(read_u32(warp, op.srcs[0]),
+                  read_u32(warp, op.srcs[1]) & 31,
+                  out=warp.regs[op.dst], where=mask)
 
 
 def _h_shr(op, warp, mask):
-    a = read_u32(warp, op.srcs[0])
-    s = read_u32(warp, op.srcs[1]) & 31
-    if "S" in op.modifiers:
-        values = (a.view(_I32) >> s.astype(_I32)).view(_U32)
+    if op.fn:  # .S: arithmetic
+        np.right_shift(read_i32(warp, op.srcs[0]),
+                       read_i32(warp, op.srcs[1]) & 31,
+                       out=warp.iregs[op.dst], where=mask)
     else:
-        values = a >> s
-    write_u32(warp, op.dst, values, mask)
+        np.right_shift(read_u32(warp, op.srcs[0]),
+                       read_u32(warp, op.srcs[1]) & 31,
+                       out=warp.regs[op.dst], where=mask)
 
 
 def _h_not(op, warp, mask):
-    write_u32(warp, op.dst, ~read_u32(warp, op.srcs[0]), mask)
+    np.invert(read_u32(warp, op.srcs[0]), out=warp.regs[op.dst], where=mask)
 
 
 _CMP = {
@@ -209,28 +192,30 @@ _BOOL = {"AND": np.logical_and, "OR": np.logical_or, "XOR": np.logical_xor}
 
 
 def _setp_fn(modifiers):
-    """``(compare, combine)`` selected by a SETP's modifiers."""
+    """``(compare, combine, unsigned)`` selected by a SETP's modifiers."""
     return (_CMP[next(m for m in modifiers if m in _CMP)],
-            _BOOL[next(m for m in modifiers if m in _BOOL)])
+            _BOOL[next(m for m in modifiers if m in _BOOL)],
+            "U32" in modifiers)
 
 
 def _setp(op, warp, mask, a, b):
-    compare, combine = op.fn
+    compare, combine, _ = op.fn
     cmp = compare(a, b)
     other = read_pred(warp, op.srcs[2])
-    # both results before either write: ``other`` may be the very
-    # predicate dsts[0] names (``ISETP.LT.AND P0, P1, R2, 8, P0``)
-    first, second = combine(cmp, other), combine(~cmp, other)
-    write_pred(warp, op.dsts[0], first, mask)
-    write_pred(warp, op.dsts[1], second, mask)
+    first, second = op.dsts
+    if second is not None:
+        # both results before either write: ``other`` may be the very
+        # predicate dsts[0] names (``ISETP.LT.AND P0, P1, R2, 8, P0``)
+        complement = combine(~cmp, other)
+    if first is not None:
+        combine(cmp, other, out=warp.preds[first], where=mask)
+    if second is not None:
+        np.copyto(warp.preds[second], complement, where=mask)
 
 
 def _h_isetp(op, warp, mask):
-    a = read_u32(warp, op.srcs[0])
-    b = read_u32(warp, op.srcs[1])
-    if "U32" not in op.modifiers:
-        a, b = a.view(_I32), b.view(_I32)
-    _setp(op, warp, mask, a, b)
+    read = read_u32 if op.fn[2] else read_i32
+    _setp(op, warp, mask, read(warp, op.srcs[0]), read(warp, op.srcs[1]))
 
 
 def _h_fsetp(op, warp, mask):
@@ -240,24 +225,25 @@ def _h_fsetp(op, warp, mask):
 
 def _float_binop(fn):
     def handler(op, warp, mask):
-        a = read_f32(warp, op.srcs[0])
-        b = read_f32(warp, op.srcs[1])
-        write_f32(warp, op.dst, fn(a, b), mask)
+        # computed on every lane, then committed: numpy's masked loops
+        # return the *other* operand's payload when both are NaN
+        np.copyto(warp.fregs[op.dst],
+                  fn(read_f32(warp, op.srcs[0]), read_f32(warp, op.srcs[1])),
+                  where=mask)
     return handler
 
 
 def _h_ffma(op, warp, mask):
     a = read_f32(warp, op.srcs[0])
     b = read_f32(warp, op.srcs[1])
-    c = read_f32(warp, op.srcs[2])
-    write_f32(warp, op.dst, a * b + c, mask)
+    # two roundings, and unmasked like FADD/FMUL
+    np.copyto(warp.fregs[op.dst], a * b + read_f32(warp, op.srcs[2]),
+              where=mask)
 
 
 def _h_fmnmx(op, warp, mask):
-    a = read_f32(warp, op.srcs[0])
-    b = read_f32(warp, op.srcs[1])
-    values = np.minimum(a, b) if "MIN" in op.modifiers else np.maximum(a, b)
-    write_f32(warp, op.dst, values, mask)
+    op.fn(read_f32(warp, op.srcs[0]), read_f32(warp, op.srcs[1]),
+          out=warp.fregs[op.dst], where=mask)
 
 
 _MUFU_FN = {
@@ -272,26 +258,27 @@ _MUFU_FN = {
 
 
 def _h_mufu(op, warp, mask):
-    write_f32(warp, op.dst, op.fn(read_f32(warp, op.srcs[0])), mask)
+    # the transcendentals keep the call shape their results were
+    # recorded with: which libm/SIMD loop a masked or in-place call
+    # runs, and so its last bit, is numpy's choice
+    np.copyto(warp.fregs[op.dst], op.fn(read_f32(warp, op.srcs[0])),
+              where=mask)
 
 
 def _h_i2f(op, warp, mask):
-    raw = read_u32(warp, op.srcs[0])
-    values = (raw.astype(_F32) if "U32" in op.modifiers
-              else raw.view(_I32).astype(_F32))
-    write_f32(warp, op.dst, values, mask)
+    read = read_u32 if op.fn else read_i32
+    np.copyto(warp.fregs[op.dst], read(warp, op.srcs[0]), where=mask)
 
 
 def _h_f2i(op, warp, mask):
     values = read_f32(warp, op.srcs[0]).astype(np.float64)
     values = np.nan_to_num(values, nan=0.0, posinf=2**31 - 1, neginf=-2**31)
-    if "U32" in op.modifiers:
-        clipped = np.clip(values, 0, 2**32 - 1)
-        write_u32(warp, op.dst, clipped.astype(np.uint32), mask)
+    if op.fn:  # .U32
+        np.copyto(warp.regs[op.dst], np.clip(values, 0, 2**32 - 1),
+                  where=mask, casting="unsafe")
     else:
-        clipped = np.clip(values, -(2**31), 2**31 - 1)
-        write_u32(warp, op.dst,
-                  clipped.astype(np.int64).astype(_I32).view(_U32), mask)
+        np.copyto(warp.iregs[op.dst], np.clip(values, -(2**31), 2**31 - 1),
+                  where=mask, casting="unsafe")
 
 
 def _h_nop(op, warp, mask):
@@ -306,22 +293,22 @@ HANDLERS: Dict[str, Callable[[object, Warp, np.ndarray], None]] = {
     "MOV": _h_mov,
     "S2R": _h_s2r,
     "SEL": _h_sel,
-    "IADD": _int_binop(lambda a, b: a + b),
-    "ISUB": _int_binop(lambda a, b: a - b),
-    "IMUL": _int_binop(lambda a, b: a * b),
+    "IADD": _int_binop(np.add),
+    "ISUB": _int_binop(np.subtract),
+    "IMUL": _int_binop(np.multiply),
     "IMAD": _h_imad,
     "IMNMX": _h_imnmx,
     "IABS": _h_iabs,
     "SHL": _h_shl,
     "SHR": _h_shr,
-    "AND": _int_binop(lambda a, b: a & b),
-    "OR": _int_binop(lambda a, b: a | b),
-    "XOR": _int_binop(lambda a, b: a ^ b),
+    "AND": _int_binop(np.bitwise_and),
+    "OR": _int_binop(np.bitwise_or),
+    "XOR": _int_binop(np.bitwise_xor),
     "NOT": _h_not,
     "ISETP": _h_isetp,
     "FSETP": _h_fsetp,
-    "FADD": _float_binop(lambda a, b: a + b),
-    "FMUL": _float_binop(lambda a, b: a * b),
+    "FADD": _float_binop(operator.add),
+    "FMUL": _float_binop(operator.mul),
     "FFMA": _h_ffma,
     "FMNMX": _h_fmnmx,
     "MUFU": _h_mufu,
@@ -330,12 +317,22 @@ HANDLERS: Dict[str, Callable[[object, Warp, np.ndarray], None]] = {
     "NOP": _h_nop,
 }
 
-#: Opcodes whose modifiers select the function applied: opcode ->
-#: resolver(modifiers), looked up once by :func:`bind`.
+
+def _minmax_fn(modifiers):
+    return np.minimum if "MIN" in modifiers else np.maximum
+
+
+#: Opcodes whose modifiers select the function applied (or a variant
+#: flag): opcode -> resolver(modifiers), looked up once by :func:`bind`.
 _MODIFIER_FN = {
     "ISETP": _setp_fn,
     "FSETP": _setp_fn,
     "MUFU": lambda modifiers: _MUFU_FN[modifiers[0]],
+    "IMNMX": _minmax_fn,
+    "FMNMX": _minmax_fn,
+    "SHR": lambda modifiers: "S" in modifiers,
+    "I2F": lambda modifiers: "U32" in modifiers,
+    "F2I": lambda modifiers: "U32" in modifiers,
 }
 
 
@@ -343,12 +340,14 @@ def bind(op, inst) -> None:
     """Resolve ``inst``'s ALU side into the issue plan ``op``:
     ``run`` (the handler), ``srcs``, ``dst``/``dsts``, ``modifiers``
     and ``fn``."""
-    op.run = HANDLERS[inst.opcode]
     op.modifiers = inst.modifiers
     op.srcs = tuple(Source(s) if isinstance(s, (RegRef, Immediate)) else s
                     for s in inst.srcs)
     op.dsts = tuple(None if (d.is_pt if isinstance(d, PredRef) else d.is_rz)
                     else d.index for d in inst.dsts)
     op.dst = op.dsts[0] if op.dsts else None
+    # ``RZ``/``PT`` discard: with nothing to write there is nothing to do
+    discards = all(dst is None for dst in op.dsts)
+    op.run = _h_nop if discards else HANDLERS[inst.opcode]
     resolver = _MODIFIER_FN.get(inst.opcode)
     op.fn = resolver(inst.modifiers) if resolver is not None else None

@@ -384,7 +384,7 @@ class GPU:
         IV.B.5); back-to-back accesses to the same bank serialise at
         the bank service rate.
         """
-        bank = (base // self.l2.geometry.line_bytes) % self.config.l2_banks
+        bank = (base // self.l2.line_bytes) % self.config.l2_banks
         busy = self._l2_bank_busy[bank]
         delay = max(0, busy - self.cycle)
         self._l2_bank_busy[bank] = (self.cycle + delay
@@ -393,7 +393,7 @@ class GPU:
 
     def _dram_contention(self, base: int) -> int:
         """Channel-conflict delay for one DRAM access at the current cycle."""
-        channel = ((base // self.l2.geometry.line_bytes)
+        channel = ((base // self.l2.line_bytes)
                    % self.config.dram_channels)
         busy = self._dram_busy[channel]
         delay = max(0, busy - self.cycle)
@@ -409,7 +409,7 @@ class GPU:
         if line is not None:
             return line, self.config.l2_hit_latency + contention
         contention += self._dram_contention(base)
-        data = self.memory.read_line(base, self.l2.geometry.line_bytes)
+        data = self.memory.read_line(base, self.l2.line_bytes)
         writeback = self.l2.fill(base, data)
         if writeback is not None:
             self.memory.write_line(*writeback)
@@ -426,46 +426,34 @@ class GPU:
         L2 services texture traffic only (the request goes straight to
         DRAM past the L2).
         """
-        if l1 is None:
-            if not use_l2:
-                data = self.memory.read_line(base,
-                                             self.l2.geometry.line_bytes)
-                return (self.config.dram_latency
-                        + self._dram_contention(base)), data.view("<u4")
-            line, latency = self._l2_line(base)
-            return latency, line.data.view("<u4")
-        line = l1.lookup(base)
-        if line is not None:
-            return self.config.l1_hit_latency, line.data.view("<u4")
-        if not use_l2:
-            data = self.memory.read_line(base, self.l2.geometry.line_bytes)
-            latency = self.config.dram_latency + self._dram_contention(base)
-            writeback = l1.fill(base, data)
-            if writeback is not None:
-                self.memory.write_line(*writeback)
-        else:
+        if l1 is not None:
+            line = l1.lookup(base)
+            if line is not None:
+                return self.config.l1_hit_latency, line.data.view("<u4")
+        if use_l2:
             l2_line, latency = self._l2_line(base)
-            writeback = l1.fill(base, l2_line.data)
-            if writeback is not None:
-                self._l2_merge_line(*writeback)
-        line = l1.peek(base)
-        return latency, line.data.view("<u4")
+            data, absorb = l2_line.data, self._l2_merge_line
+        else:
+            data = self.memory.read_line(base, self.l2.line_bytes)
+            latency = self.config.dram_latency + self._dram_contention(base)
+            absorb = self.memory.write_line
+        if l1 is None:
+            return latency, data.view("<u4")
+        writeback = l1.fill(base, data)
+        if writeback is not None:
+            absorb(*writeback)
+        return latency, l1.peek(base).data.view("<u4")
 
     def dram_write_words(self, base: int, offsets: np.ndarray,
                          values: np.ndarray) -> int:
         """Direct DRAM word writes (L2 bypass mode for non-texture)."""
-        line_bytes = self.l2.geometry.line_bytes
+        line_bytes = self.l2.line_bytes
         if base + line_bytes <= self.memory.size:
             line = self.memory.read_line(base, line_bytes)
             line.view("<u4")[offsets] = values
             self.memory.write_line(base, line)
-        stale = self.l2.peek(base)
-        if stale is not None:
+        for stale, *_ in self._peek_l2(base, 1):
             stale.data.view("<u4")[offsets] = values
-            if self.liveness is not None:
-                self.liveness.note_peek(self.l2, base)
-            if self.propagation is not None:
-                self.propagation.note_peek(self.l2, base)
         return self.config.dram_latency + self._dram_contention(base)
 
     def l2_write_words(self, base: int, offsets: np.ndarray,
@@ -505,6 +493,21 @@ class GPU:
 
     # -- host-side access (cudaMemcpy) -------------------------------------------
 
+    def _peek_l2(self, addr: int, nbytes: int):
+        """The resident L2 lines overlapping ``[addr, addr + nbytes)``,
+        seen past LRU and counters (the observers are told), each as
+        ``(line, base, lo, hi)``: its base address and the overlap."""
+        line_bytes = self.l2.line_bytes
+        for base in range(addr - addr % line_bytes, addr + nbytes,
+                          line_bytes):
+            line = self.l2.peek(base)
+            if line is not None:
+                for observer in (self.liveness, self.propagation):
+                    if observer is not None:
+                        observer.note_peek(self.l2, base)
+                yield (line, base, max(base, addr),
+                       min(base + line_bytes, addr + nbytes))
+
     def host_read(self, addr: int, nbytes: int) -> np.ndarray:
         """Host read of device memory, observing resident L2 lines.
 
@@ -512,34 +515,12 @@ class GPU:
         way, as they would be through the real L2 on a DtoH copy.
         """
         out = self.memory.data[addr:addr + nbytes].copy()
-        line_bytes = self.l2.geometry.line_bytes
-        first = addr - addr % line_bytes
-        for base in range(first, addr + nbytes, line_bytes):
-            line = self.l2.peek(base)
-            if line is None:
-                continue
-            if self.liveness is not None:
-                self.liveness.note_peek(self.l2, base)
-            if self.propagation is not None:
-                self.propagation.note_peek(self.l2, base)
-            lo = max(base, addr)
-            hi = min(base + line_bytes, addr + nbytes)
+        for line, base, lo, hi in self._peek_l2(addr, nbytes):
             out[lo - addr:hi - addr] = line.data[lo - base:hi - base]
         return out
 
     def host_write(self, addr: int, data: np.ndarray) -> None:
         """Host write to device memory, updating resident L2 lines."""
         self.memory.write_bytes(addr, data)
-        line_bytes = self.l2.geometry.line_bytes
-        first = addr - addr % line_bytes
-        for base in range(first, addr + len(data), line_bytes):
-            line = self.l2.peek(base)
-            if line is None:
-                continue
-            if self.liveness is not None:
-                self.liveness.note_peek(self.l2, base)
-            if self.propagation is not None:
-                self.propagation.note_peek(self.l2, base)
-            lo = max(base, addr)
-            hi = min(base + line_bytes, addr + len(data))
+        for line, base, lo, hi in self._peek_l2(addr, len(data)):
             line.data[lo - base:hi - base] = data[lo - addr:hi - addr]

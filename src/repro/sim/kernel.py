@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.isa.assembler import assemble, max_register_index
 from repro.isa.instruction import Instruction
@@ -19,6 +22,15 @@ def _as_dim(value: Union[int, Sequence[int]]) -> Tuple[int, int]:
     if len(dims) == 2:
         return dims  # type: ignore[return-value]
     raise ValueError("only 1D/2D grids and blocks are supported")
+
+
+def sreg_lanes(values) -> np.ndarray:
+    """One special register: 32 read-only uint32 lanes (handlers only
+    read them, so warps, CTAs and restores may share the array)."""
+    lanes = np.empty(32, dtype=np.uint32)
+    lanes[:] = values
+    lanes.setflags(write=False)
+    return lanes
 
 
 class Kernel:
@@ -128,3 +140,27 @@ class KernelLaunch:
     def warps_per_cta(self) -> int:
         """Warps per CTA (threads rounded up to the warp size of 32)."""
         return (self.threads_per_cta + 31) // 32
+
+    @functools.cached_property
+    def warp_sregs(self) -> List[Dict[str, np.ndarray]]:
+        """Per warp index, the special-register lanes that are the
+        same in every CTA of this launch (all but ``SR_CTAID_X/Y``).
+        Built once, read-only, shared by every warp at that index."""
+        bx, by = self.block
+        lanes = sreg_lanes
+        launch_wide = {
+            "SR_TID_Z": lanes(0), "SR_CTAID_Z": lanes(0),
+            "SR_NTID_X": lanes(bx), "SR_NTID_Y": lanes(by),
+            "SR_NTID_Z": lanes(1),
+            "SR_NCTAID_X": lanes(self.grid[0]),
+            "SR_NCTAID_Y": lanes(self.grid[1]), "SR_NCTAID_Z": lanes(1),
+            "SR_LANEID": lanes(np.arange(32)),
+        }
+        per_warp = []
+        for wid in range(self.warps_per_cta):
+            linear = wid * 32 + np.arange(32, dtype=np.int64)
+            per_warp.append(dict(launch_wide,
+                                 SR_TID_X=lanes(linear % bx),
+                                 SR_TID_Y=lanes(linear // bx),
+                                 SR_WARPID=lanes(wid)))
+        return per_warp

@@ -124,15 +124,22 @@ class GlobalMemory:
         if addr < BASE_ADDRESS or addr + size > self.mapped_end():
             raise MemoryViolation("global", addr)
 
-    def check_many(self, addrs: np.ndarray, size: int = 4) -> None:
-        """Vectorised :meth:`check_access` over a warp's lane addresses."""
+    def check_many(self, addrs: np.ndarray, size: int = 4) -> Tuple[int, int]:
+        """Vectorised :meth:`check_access` over a warp's (one or more)
+        lane addresses, ``size`` a power of two; returns the lowest
+        and the highest of them.  Three reductions decide "aligned and
+        mapped"; the per-lane arrays are built only to name the first
+        offender."""
+        low, high = int(addrs.min()), int(addrs.max())
+        if (low >= BASE_ADDRESS and high + size <= self.mapped_end()
+                and not int(np.bitwise_or.reduce(addrs)) & (size - 1)):
+            return low, high
         misaligned = addrs % size != 0
         if misaligned.any():
             bad = int(addrs[np.argmax(misaligned)])
             raise MemoryViolation("global", bad, "misaligned access")
         bad_mask = (addrs < BASE_ADDRESS) | (addrs + size > self.mapped_end())
-        if bad_mask.any():
-            raise MemoryViolation("global", int(addrs[np.argmax(bad_mask)]))
+        raise MemoryViolation("global", int(addrs[np.argmax(bad_mask)]))
 
     def read_word(self, addr: int) -> int:
         """Bounds-checked aligned 32-bit read (raw DRAM, no caches)."""

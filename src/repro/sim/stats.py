@@ -68,6 +68,10 @@ class StatsCollector:
     def __init__(self):
         self.launches: List[LaunchStats] = []
         self.current: LaunchStats = None  # type: ignore[assignment]
+        #: What :meth:`sample` last summed over which cores; whoever
+        #: changes a core's residency or live counts sets it to
+        #: ``None`` (derived state: never snapshotted).
+        self.occupancy = None
 
     def begin_launch(self, kernel_name: str, start_cycle: int,
                      max_warps_per_sm: int) -> LaunchStats:
@@ -78,14 +82,15 @@ class StatsCollector:
             start_cycle=start_cycle,
             max_warps_per_sm=max_warps_per_sm,
         )
+        self.occupancy = None
         return self.current
 
     def end_launch(self, end_cycle: int) -> LaunchStats:
         """Close the current record and archive it."""
-        self.current.end_cycle = end_cycle
-        self.launches.append(self.current)
         done = self.current
-        self.current = None  # type: ignore[assignment]
+        done.end_cycle = end_cycle
+        self.launches.append(done)
+        self.current = self.occupancy = None  # type: ignore[assignment]
         return done
 
     def on_issue(self, inst) -> None:
@@ -95,25 +100,29 @@ class StatsCollector:
 
     def sample(self, cores, delta: int) -> None:
         """Accumulate occupancy integrals for ``delta`` cycles over
-        the cores that still hold a CTA (each core keeps its own
-        counters, so this is a few additions per core)."""
+        the cores that still hold a CTA.  The sums are taken again
+        only after :attr:`occupancy` was dropped or for another list
+        of cores; in between an iteration costs four multiplications."""
         cur = self.current
         if cur is None:
             return
-        busy = warps = threads = ctas = 0
-        for core in cores:
-            resident = len(core.ctas)
-            if not resident:
-                continue
-            cur.cores_used.add(core.core_id)
-            busy += 1
-            warps += core.live_warp_count()
-            threads += core.live_thread_count()
-            ctas += resident
-        cur.busy_sm_cycles += busy * delta
-        cur.warp_cycles += warps * delta
-        cur.thread_cycles += threads * delta
-        cur.cta_cycles += ctas * delta
+        sums = self.occupancy
+        if sums is None or sums[0] is not cores:
+            busy = warps = threads = ctas = 0
+            for core in cores:
+                resident = len(core.ctas)
+                if not resident:
+                    continue
+                cur.cores_used.add(core.core_id)
+                busy += 1
+                warps += core.live_warp_count()
+                threads += core.live_thread_count()
+                ctas += resident
+            sums = self.occupancy = (cores, busy, warps, threads, ctas)
+        cur.busy_sm_cycles += sums[1] * delta
+        cur.warp_cycles += sums[2] * delta
+        cur.thread_cycles += sums[3] * delta
+        cur.cta_cycles += sums[4] * delta
 
     def total_cycles(self) -> int:
         """Sum of launch cycles across the application."""
@@ -131,3 +140,4 @@ class StatsCollector:
         pristine across repeated restores)."""
         self.launches = copy.deepcopy(snap["launches"])
         self.current = copy.deepcopy(snap["current"])
+        self.occupancy = None

@@ -33,6 +33,17 @@ warp.  A warp's own issue cannot shorten its stall -- it does not issue
 while stalled -- so the only writers that can are outside the warp,
 and each calls :meth:`Warp.wake`: the fault injector after it writes
 the scoreboard or the SIMT stack, and the CTA when a barrier releases.
+
+``StackEntry.active`` is the same kind of memo for the lanes an issue
+executes on, ``mask & ~exited``: two ufunc calls per issue for a value
+that changes once per hundreds of issues.  Whatever changes it -- an
+EXIT, a divergent branch's pushes, a pop -- goes through
+:meth:`Warp.normalize_stack`, which computes the new top entry's lanes
+anyway and leaves them on it; a writer from outside (the injector
+flipping a mask bit of any entry, :meth:`Warp.restore_state`) leaves
+entries without one, through :meth:`Warp.wake` or by building them
+afresh, and the next issue computes it.  The arrays are shared with
+every reader of an issue's lanes: replaced, never written in place.
 """
 
 from __future__ import annotations
@@ -48,21 +59,26 @@ WARP_SIZE = 32
 
 
 class StackEntry:
-    """One SIMT reconvergence stack entry."""
+    """One SIMT reconvergence stack entry.  ``active`` memoises ``mask
+    & ~warp.exited`` (``None``: not known; see the module docstring);
+    ``where`` is what an unguarded ALU commit hands numpy: the same
+    lanes, or ``True`` when all 32 execute (its unmasked loops)."""
 
-    __slots__ = ("pc", "mask", "reconv_pc")
+    __slots__ = ("pc", "mask", "reconv_pc", "active", "where")
 
     def __init__(self, pc: int, mask: np.ndarray, reconv_pc: int):
         self.pc = pc
         self.mask = mask
         self.reconv_pc = reconv_pc
+        self.active = self.where = None
 
 
 class Warp:
     """The architectural and micro-architectural state of one warp."""
 
     __slots__ = ("warp_id", "cta", "age", "num_threads", "num_regs",
-                 "regs", "preds", "exited", "stack", "live_count",
+                 "regs", "iregs", "fregs", "preds", "exited", "stack",
+                 "live_count",
                  "local_bytes", "local_mem", "local_words", "reg_ready",
                  "pred_ready", "sb_latest", "at_barrier", "done",
                  "ifetch_ready", "ready_at", "sregs")
@@ -77,6 +93,10 @@ class Warp:
 
         self.regs = np.zeros((max(num_regs, 1), ncols, WARP_SIZE),
                              dtype=np.uint32)
+        #: The same registers as int32 and as fp32 lanes (``regs`` is
+        #: only ever written in place), for the execution unit.
+        self.iregs = self.regs.view(np.int32)
+        self.fregs = self.regs.view(np.float32)
         self.preds = np.zeros((8, ncols, WARP_SIZE), dtype=bool)
         self.preds[PT_INDEX] = True
 
@@ -122,17 +142,24 @@ class Warp:
         """Live lanes of the top stack entry (bool[32])."""
         return self.stack[-1].mask & ~self.exited
 
+    def active_lanes(self, top: StackEntry) -> np.ndarray:
+        """Compute and memoise the lanes the top entry executes on."""
+        active = top.active = top.mask & ~self.exited
+        top.where = True if active.all() else active
+        return active
+
     def normalize_stack(self) -> None:
-        """Pop empty/reconverged entries; sets ``done`` when drained."""
-        while self.stack:
-            top = self.stack[-1]
-            if not (top.mask & ~self.exited).any():
-                self.stack.pop()
-            elif top.pc == top.reconv_pc:
-                self.stack.pop()
+        """Pop empty/reconverged entries, leaving the new top entry's
+        active lanes (never empty) memoised on it; sets ``done`` when
+        drained."""
+        stack = self.stack
+        while stack:
+            top = stack[-1]
+            if top.pc == top.reconv_pc or not self.active_lanes(top).any():
+                stack.pop()
             else:
-                break
-        if not self.stack and not self.done:
+                return
+        if not self.done:
             self.done = True
             self.cta.on_warp_done()
 
@@ -142,10 +169,13 @@ class Warp:
         return self.stack[-1].pc
 
     def wake(self) -> None:
-        """Forget the remembered stall: something outside this warp's
-        own issue changed when it may issue (scoreboard or SIMT-stack
-        injection, barrier release)."""
+        """Forget the remembered stall and active lanes: something
+        outside this warp's own issue changed when or on which lanes
+        it may issue (scoreboard or SIMT-stack injection, barrier
+        release)."""
         self.ready_at = 0
+        for entry in self.stack:
+            entry.active = None
         core = self.cta.core
         if core is not None:
             core.on_wake(self)

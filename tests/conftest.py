@@ -4,11 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sim.cards import rtx_2060
 from repro.sim.config import CacheGeometry, GPUConfig
 from repro.sim.device import Device
 from repro.sim.kernel import Kernel
+
+
+#: The large budget of the generated tests that take theirs from
+#: :func:`generated`: ``pytest --hypothesis-profile nightly`` (CI's
+#: scheduled / on-demand ``fuzz`` job).  Random, and the failing
+#: example is printed as the ``@example`` to check in.
+settings.register_profile("nightly", max_examples=20_000, deadline=None,
+                          print_blob=True)
+
+
+def generated(tier1_examples: int) -> settings:
+    """Settings of a generated test with two budgets: small and
+    deterministic in tier-1, the ``nightly`` profile's when that is
+    the one selected."""
+    nightly = settings.get_profile("nightly")
+    if settings.default is nightly:
+        return nightly
+    return settings(max_examples=tier1_examples, derandomize=True,
+                    deadline=None)
 
 
 @pytest.fixture
