@@ -31,7 +31,6 @@ from repro.analysis import fit as fit_mod
 from repro.analysis.report import render_table
 from repro.analysis.statistics import per_structure_margins
 from repro.bench import benchmark_names
-from repro.dist.worker import add_worker_arguments, run_worker
 from repro.faults.campaign import (Campaign, CampaignConfig,
                                    profile_application)
 from repro.faults.classify import FaultEffect
@@ -59,7 +58,10 @@ def _add_resume_flags(p: argparse.ArgumentParser) -> None:
                    help="write a full Markdown report here")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(invoked: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command line.  The fleet worker declares its own arguments
+    (:mod:`repro.dist.worker`, which pulls in the HTTP fabric): they
+    are asked for only when it is the subcommand ``invoked``."""
     parser = argparse.ArgumentParser(
         prog="gpufi",
         description="gpuFI-4 reproduction: microarchitecture-level GPU "
@@ -124,10 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "lease and the shard is re-queued "
                             "(default 60)")
 
-    add_worker_arguments(command(
-        "worker", run_worker,
+    worker = command(
+        "worker", _cmd_worker,
         "run a fleet worker: lease campaign shards from a "
-        "dispatcher, execute them and stream records back"))
+        "dispatcher, execute them and stream records back")
+    if invoked == "worker":
+        from repro.dist.worker import add_worker_arguments
+
+        add_worker_arguments(worker)
 
     submit = command(
         "submit", _cmd_submit,
@@ -303,7 +309,7 @@ def _cmd_campaign(args) -> int:
     print(f"wAVF = {wavf:.5f}   FIT = {fit_mod.chip_fit(result):.1f}")
     if config.log_path:
         print(f"log written to {config.log_path}")
-        if config.metrics:
+        if campaign.last_metrics is not None:  # its ledger wrote one
             from repro.obs import metrics_path_for
 
             print(f"metrics written to {metrics_path_for(config.log_path)}")
@@ -544,6 +550,12 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _cmd_worker(args) -> int:
+    from repro.dist.worker import run_worker
+
+    return run_worker(args)
+
+
 def _cmd_submit(args) -> int:
     from repro.dist.client import DispatchError, DispatcherClient
 
@@ -724,7 +736,8 @@ def _cmd_canonicalize(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return args.handler(args)
     except BrokenPipeError:
         # stdout went away mid-write (`gpufi status --follow | head`):

@@ -31,8 +31,7 @@ See ``docs/distributed.md`` for the protocol and guarantees.
 """
 
 from repro.dist.backend import (Backend, LocalPoolBackend,
-                                RemoteFleetBackend, backend_names,
-                                make_backend)
+                                RemoteFleetBackend, make_backend)
 from repro.dist.client import DispatcherClient, DispatchError
 from repro.dist.protocol import (canonical_log_text, canonical_records,
                                  plan_shards, spec_from_wire,
@@ -49,7 +48,6 @@ __all__ = [
     "FleetWorker",
     "LocalPoolBackend",
     "RemoteFleetBackend",
-    "backend_names",
     "canonical_log_text",
     "canonical_records",
     "make_backend",

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.faults.executor import RunSpec, plan_fingerprint
+from repro.faults.executor import RunSpec
+# a plan's and a record's identity are part of the wire protocol too
+from repro.faults.ledger import RunKey, plan_fingerprint, record_key
 from repro.faults.mask import MultiBitMode
 from repro.faults.targets import Structure
 # trace IDs are part of the wire protocol (lease/heartbeat/records
@@ -105,11 +107,6 @@ def plan_shards(specs: Sequence[RunSpec],
             for start in range(0, len(specs), shard_size)]
 
 
-def record_key(record: dict) -> Tuple[str, str, int]:
-    """The ``(kernel, structure, run)`` address of one record."""
-    return (record["kernel"], record["structure"], int(record["run"]))
-
-
 def strip_volatile(record: dict) -> dict:
     """A record without its execution-dependent keys."""
     return {key: value for key, value in record.items()
@@ -118,7 +115,7 @@ def strip_volatile(record: dict) -> dict:
 
 def canonical_records(records: Sequence[dict]) -> List[dict]:
     """Deduplicate, strip and sort records into the canonical form."""
-    unique: Dict[Tuple[str, str, int], dict] = {}
+    unique: Dict[RunKey, dict] = {}
     for record in records:
         unique.setdefault(record_key(record), strip_volatile(record))
     return [unique[key] for key in sorted(unique)]

@@ -18,22 +18,22 @@ coordination point of a fault-injection fleet:
   and duplicates are deduplicated by ``(kernel, structure, run)``.
 - **collect**: workers send records back per shard; the dispatcher
   verifies the campaign fingerprint on every batch (a worker can never
-  pollute a campaign with records of another plan), appends them to
-  the campaign's JSONL log -- the same artifact a local run produces,
-  header line included -- and, when telemetry is on, writes the
-  ``.metrics.json`` sidecar at completion.  Its cost per record does
-  not depend on the size of the plan, and log and journal are each
-  written and flushed once per request, before the reply.
+  pollute a campaign with records of another plan) and hands them to
+  the campaign's :class:`~repro.faults.ledger.CampaignLedger` -- the
+  keeper of the same log, journal and (when telemetry is on) sidecar a
+  local run leaves.  Its cost per record does not depend on the size
+  of the plan, and log and journal are each written and flushed once
+  per request, before the reply.
 - **restart resume**: campaign configs are persisted next to the logs;
-  on restart the dispatcher re-plans each unfinished campaign, reloads
-  the records already logged (the standard JSONL resume machinery) and
-  re-queues only the shards with missing runs.
+  on restart the dispatcher re-plans each unfinished campaign, its
+  ledger reloads the records already logged (the standard JSONL resume
+  machinery) and only the shards with missing runs are re-queued.
 - **live telemetry**: every campaign event (lifecycle, shard leases
   and expiries, per-run completions with trace IDs, worker
-  heartbeats) is journaled to ``<log>.events.jsonl`` and served
-  cursor-paged at ``GET /api/events/<id>`` -- resumable, append-only,
-  run events deduplicated with the same first-wins rule as
-  :func:`repro.dist.protocol.canonical_records`.  ``GET /metrics``
+  heartbeats) is journaled by the ledger to ``<log>.events.jsonl`` and
+  served cursor-paged at ``GET /api/events/<id>`` -- resumable,
+  append-only, run events deduplicated with the same first-wins rule
+  as :func:`repro.dist.protocol.canonical_records`.  ``GET /metrics``
   exposes fleet health in the Prometheus text format (rendered by
   :mod:`repro.obs.live`, no third-party deps).
 
@@ -65,14 +65,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.dist.protocol import (plan_fingerprint, plan_shards,
-                                 record_key, spec_to_wire)
+from repro.dist.protocol import plan_fingerprint, plan_shards, spec_to_wire
 from repro.faults.campaign import Campaign
 from repro.faults.config_file import parse_config_text
-from repro.faults.executor import RunSpec, format_log_header
-from repro.obs.events import (EVENT_SCHEMA, EventLog, campaign_trace,
-                              events_path_for, read_events, run_event,
-                              shard_trace, trim_torn_tail)
+from repro.faults.executor import RunSpec
+from repro.faults.ledger import CampaignLedger
+from repro.obs.events import shard_trace
 from repro.obs.live import (PROMETHEUS_CONTENT_TYPE, render_prometheus,
                             summarize_dist_events)
 
@@ -109,65 +107,58 @@ class _Lease:
 
 
 class CampaignJob:
-    """Dispatcher-side state of one submitted campaign."""
+    """Dispatcher-side state of one submitted campaign: its ledger
+    and its shard queue."""
 
     def __init__(self, campaign_id: str, config_text: str, config,
                  specs: Sequence[RunSpec], fingerprint: str,
-                 shard_size: int, log_path: Path):
+                 shard_size: int, log_path: Path, plan_timing: dict):
         self.campaign_id = campaign_id
         self.config_text = config_text
         #: ``config_text`` parsed and ``specs`` fingerprinted, once, by
         #: the submit that planned them.
         self.config = config
-        self.specs = list(specs)
         self.fingerprint = fingerprint
         self.shards = plan_shards(specs, shard_size)
-        #: Every run key of the plan: what a record must be one of.
-        self.keys = frozenset(spec.key for spec in self.specs)
-        self.pending = deque(range(len(self.shards)))
+        #: Log, records, journal and sidecar.  Opened for a campaign
+        #: new to this directory, or resumed by one that a restart
+        #: finds there: records and journal are as they were left.
+        self.ledger = CampaignLedger(
+            specs, log_path, resume=True, journal=True,
+            sidecar=config.metrics, campaign=campaign_id,
+            fingerprint=fingerprint, strict=True,
+            shards=len(self.shards), **plan_timing)
+        #: Root of the campaign's trace-ID chain.
+        self.trace = self.ledger.trace
+        self.completed_shards = {
+            index for index, shard in enumerate(self.shards)
+            if all(spec.key in self.ledger.records for spec in shard)}
+        self.pending = deque(index for index in range(len(self.shards))
+                             if index not in self.completed_shards)
         self.leases: Dict[str, _Lease] = {}
-        self.completed_shards: set = set()
-        self.records: Dict[tuple, dict] = {}
-        #: Records per effect, kept in step with ``records`` by
-        #: :meth:`add_record`, so a status poll or a ``/metrics``
-        #: scrape never walks the records.
-        self.effect_counts: Dict[str, int] = {}
         #: Wire form of each leased, not yet completed shard.
         self.shard_wires: Dict[int, List[dict]] = {}
-        self.log_path = log_path
-        #: Append handle on the merged log, opened by the first fresh
-        #: record and closed when the campaign completes.
-        self.log_handle = None
-        self.submitted_at = time.time()
-        #: Root of the campaign's trace-ID chain, stamped at submit.
-        self.trace = campaign_trace(campaign_id, self.fingerprint)
-        #: In-memory event journal, cursor-addressable by list index
-        #: (mirrors the on-disk ``<log>.events.jsonl``).
-        self.events: List[dict] = []
-        self.event_log: Optional[EventLog] = None
-        #: How many of ``events`` are in the journal file; the rest is
-        #: what the endpoint call in progress has journaled so far.
-        self.events_written = 0
-        #: Run keys that already have a journaled ``run`` event --
-        #: re-delivered batches from recovered leases journal nothing.
-        self.event_run_keys: set = set()
-        #: Lease generation per shard index (bumped on every lease).
+        #: Lease generation per shard index (bumped on every lease)
+        #: and leases lost, as the journal of earlier sessions has it.
         self.generations: Dict[int, int] = {}
         self.lease_expired_total = 0
-        self.finalized = False
+        for event in self.ledger.journal:
+            kind = event.get("event")
+            shard = event.get("shard")
+            if kind == "shard_leased" and isinstance(shard, int):
+                self.generations[shard] = max(
+                    self.generations.get(shard, 0),
+                    int(event.get("generation") or 0))
+            elif kind == "lease_expired":
+                self.lease_expired_total += 1
 
     @property
     def total(self) -> int:
-        return len(self.specs)
+        return len(self.ledger.keys)
 
     @property
     def complete(self) -> bool:
-        return len(self.records) >= self.total
-
-    def add_record(self, key: tuple, record: dict) -> None:
-        self.records[key] = record
-        effect = record.get("effect", "?")
-        self.effect_counts[effect] = self.effect_counts.get(effect, 0) + 1
+        return self.ledger.complete
 
     def shard_wire(self, shard_index: int) -> List[dict]:
         """The shard's specs in wire form, built on its first lease
@@ -182,9 +173,6 @@ class CampaignJob:
                 spec_wire["telemetry"] = self.config.metrics
         return wire
 
-    def effects(self) -> Dict[str, int]:
-        return dict(sorted(self.effect_counts.items()))
-
     def status(self) -> dict:
         return {
             "id": self.campaign_id,
@@ -194,8 +182,8 @@ class CampaignJob:
             "fingerprint": self.fingerprint,
             "trace": self.trace,
             "total": self.total,
-            "done": len(self.records),
-            "effects": self.effects(),
+            "done": len(self.ledger.records),
+            "effects": dict(sorted(self.ledger.effects.items())),
             "shards": {
                 "total": len(self.shards),
                 "pending": len(self.pending),
@@ -203,8 +191,8 @@ class CampaignJob:
                 "complete": len(self.completed_shards),
                 "lease_expired": self.lease_expired_total,
             },
-            "events": len(self.events),
-            "log": str(self.log_path),
+            "events": len(self.ledger.journal),
+            "log": str(self.ledger.log_path),
         }
 
 
@@ -249,8 +237,8 @@ class Dispatcher:
         #: Wall-clock stamps of freshly collected records; the
         #: trailing-window throughput gauge in ``/metrics``.
         self._rate: deque = deque()
-        #: Jobs with events journaled in memory and not yet on file.
-        self._unwritten: List[CampaignJob] = []
+        #: Jobs whose ledger the endpoint call in progress wrote to.
+        self._touched: List[CampaignJob] = []
         #: Lease and batch totals since start-up (``/metrics``).
         self.counters: Counter = Counter()
         self._restore_persisted()
@@ -286,15 +274,15 @@ class Dispatcher:
             cid = campaign_id or self._next_id()
             job = CampaignJob(cid, config_text, config, specs,
                               fingerprint, self.shard_size,
-                              self.log_dir / f"{cid}.jsonl")
-            self._restore_log(job)
+                              self.log_dir / f"{cid}.jsonl",
+                              campaign.plan_timing)
             self._persist(job)
-            self._ensure_log(job)
-            self._init_events(job, campaign.plan_timing)
             self._jobs[cid] = job
             self._order.append(cid)
-            log.info("campaign %s submitted: %d runs in %d shards",
-                     cid, job.total, len(job.shards))
+            log.info("campaign %s submitted: %d runs in %d shards, %d "
+                     "already recorded in %s", cid, job.total,
+                     len(job.shards), len(job.ledger.records),
+                     job.ledger.log_path)
             if job.complete:
                 self._finalize(job)
             return {"campaign": cid, "reused": False, "total": job.total}
@@ -303,58 +291,19 @@ class Dispatcher:
         self._id_seq += 1
         return f"c{self._id_seq}"
 
+    def _job(self, campaign_id: str) -> CampaignJob:
+        job = self._jobs.get(campaign_id)
+        if job is None:
+            raise KeyError(f"unknown campaign {campaign_id!r}")
+        return job
+
     # -- event journal -------------------------------------------------------
 
-    def _init_events(self, job: CampaignJob, plan_timing: dict) -> None:
-        """Open the campaign's event journal, resuming any prior one.
-
-        A dispatcher restart re-reads the journal (torn-tail-safe),
-        rebuilds the run-event dedup set and the per-shard lease
-        generations, then *appends* -- history survives, and the seam
-        is marked by a ``campaign_resume`` event.
-        """
-        path = events_path_for(job.log_path)
-        resumed = path.exists()
-        if resumed:
-            job.events = read_events(path)
-            job.events_written = len(job.events)
-            for event in job.events:
-                kind = event.get("event")
-                if kind == "run":
-                    try:
-                        job.event_run_keys.add(record_key(event))
-                    except (KeyError, TypeError, ValueError):
-                        pass
-                elif kind == "shard_leased":
-                    shard = event.get("shard")
-                    generation = event.get("generation", 0)
-                    if isinstance(shard, int):
-                        job.generations[shard] = max(
-                            job.generations.get(shard, 0),
-                            int(generation or 0))
-                elif kind == "lease_expired":
-                    job.lease_expired_total += 1
-        job.event_log = EventLog(path, append=resumed)
-        self._journal(
-            job, "campaign_resume" if resumed else "campaign_start",
-            schema=EVENT_SCHEMA, campaign=job.campaign_id,
-            total=job.total, pending=job.total - len(job.records),
-            resumed=len(job.records), shards=len(job.shards),
-            trace=job.trace, fingerprint=job.fingerprint, **plan_timing)
-
-    def _journal(self, job: CampaignJob, event: str, **fields) -> dict:
-        record = {"event": event}
-        record.update(fields)
-        return self._append_event(job, record)
-
-    def _append_event(self, job: CampaignJob, record: dict) -> dict:
+    def _journal(self, job: CampaignJob, event: str, **fields) -> None:
         """Journal one event: in memory now, on file when the endpoint
         call that caused it ends (:meth:`_endpoint`)."""
-        record = job.event_log.stamp(record)
-        if job.events_written == len(job.events):
-            self._unwritten.append(job)
-        job.events.append(record)
-        return record
+        job.ledger.event(event, **fields)
+        self._touched.append(job)
 
     @contextlib.contextmanager
     def _endpoint(self):
@@ -369,10 +318,9 @@ class Dispatcher:
             try:
                 yield
             finally:
-                for job in self._unwritten:
-                    job.event_log.extend(job.events[job.events_written:])
-                    job.events_written = len(job.events)
-                self._unwritten.clear()
+                for job in self._touched:
+                    job.ledger.flush()
+                self._touched.clear()
 
     def events(self, campaign_id: str, cursor: int = 0,
                limit: int = 500) -> dict:
@@ -384,12 +332,10 @@ class Dispatcher:
         """
         with self._endpoint():
             self._reap_expired()
-            job = self._jobs.get(campaign_id)
-            if job is None:
-                raise KeyError(f"unknown campaign {campaign_id!r}")
+            job = self._job(campaign_id)
             cursor = max(int(cursor), 0)
             limit = max(int(limit), 1)
-            page = job.events[cursor:cursor + limit]
+            page = job.ledger.journal[cursor:cursor + limit]
             return {
                 "campaign": campaign_id,
                 "trace": job.trace,
@@ -397,7 +343,7 @@ class Dispatcher:
                 "complete": job.complete,
                 "cursor": cursor,
                 "next": cursor + len(page),
-                "total": len(job.events),
+                "total": len(job.ledger.journal),
                 "events": page,
             }
 
@@ -520,12 +466,9 @@ class Dispatcher:
         the reply's ``expired`` flag tells the worker to abandon the
         rest of the shard.
 
-        Worker-attached ``run`` events ride the same dedup: exactly
-        one ``run`` event is journaled per fresh record (matching
-        ``canonical_records`` first-wins), so a re-delivered batch
-        from an expired-then-recovered lease streams nothing twice.
-        A batch from an older worker that sends no events still
-        journals one synthesized ``run`` event per fresh record.
+        Worker-attached ``run`` events ride the same dedup, in the
+        campaign's ledger (:meth:`CampaignLedger.absorb`): one per
+        fresh record, the worker's own or one synthesized there.
 
         A ``done`` batch with ``lease_next`` is also the worker's next
         lease request: the reply's ``next`` is what :meth:`lease`
@@ -533,9 +476,7 @@ class Dispatcher:
         """
         with self._endpoint():
             self._reap_expired()
-            job = self._jobs.get(campaign_id)
-            if job is None:
-                raise KeyError(f"unknown campaign {campaign_id!r}")
+            job = self._job(campaign_id)
             if fingerprint != job.fingerprint:
                 raise ValueError(
                     f"fingerprint mismatch for campaign {campaign_id}: "
@@ -544,8 +485,13 @@ class Dispatcher:
                     "mix campaigns")
             if worker is not None:
                 self._touch_worker(worker)
-            fresh = self._absorb(job, records)
-            accepted = len(fresh)
+            lease = job.leases.get(lease_id)
+            accepted = len(job.ledger.absorb(
+                records, events=events, worker=worker,
+                shard=lease.shard_index if lease is not None else None,
+                trace=trace or (lease.trace if lease is not None
+                                else None)))
+            self._touched.append(job)
             self.counters["record_batches"] += 1
             if accepted:
                 if worker is not None:
@@ -554,8 +500,6 @@ class Dispatcher:
                 self._rate.extend([now] * accepted)
                 while self._rate and self._rate[0] < now - 120.0:
                     self._rate.popleft()
-            lease = job.leases.get(lease_id)
-            self._journal_runs(job, fresh, events, lease, worker, trace)
             expired = lease is None
             if lease is not None and done:
                 job.completed_shards.add(lease.shard_index)
@@ -574,100 +518,22 @@ class Dispatcher:
                 reply["next"] = self._grant(worker or "?")
             return reply
 
-    def _absorb(self, job: CampaignJob,
-                records: Sequence[dict]) -> List[dict]:
-        """Dedup-merge records into the job and its log; return the
-        fresh (first-delivery) ones."""
-        fresh: List[dict] = []
-        for record in records:
-            key = record_key(record)
-            if key not in job.keys:
-                raise ValueError(
-                    f"record {key} is not part of campaign "
-                    f"{job.campaign_id}'s plan")
-            if key in job.records:
-                continue  # duplicate from a re-queued shard
-            job.add_record(key, record)
-            fresh.append(record)
-        if fresh:
-            if job.log_handle is None:
-                job.log_handle = open(job.log_path, "a", encoding="utf-8")
-            job.log_handle.write("".join(json.dumps(record) + "\n"
-                                         for record in fresh))
-            job.log_handle.flush()
-        return fresh
-
-    def _journal_runs(self, job: CampaignJob, fresh: Sequence[dict],
-                      events: Optional[Sequence[dict]],
-                      lease: Optional[_Lease], worker: Optional[str],
-                      trace: Optional[str]) -> None:
-        """Journal one ``run`` event per fresh record, in batch order.
-
-        Worker-stamped events are preferred (they carry the worker's
-        wall clock and trace); fresh records without one -- an older
-        worker, or an event lost to a partial batch -- get a
-        synthesized event so ``/api/events`` still streams at least
-        one event per run.
-        """
-        provided: Dict[tuple, dict] = {}
-        for event in events or []:
-            if event.get("event") != "run":
-                continue
-            try:
-                provided.setdefault(record_key(event), event)
-            except (KeyError, TypeError, ValueError):
-                continue
-        base = trace or (lease.trace if lease is not None else job.trace)
-        shard = lease.shard_index if lease is not None else None
-        for record in fresh:
-            key = record_key(record)
-            if key in job.event_run_keys:
-                continue
-            job.event_run_keys.add(key)
-            event = provided.get(key) or run_event(record, base, worker,
-                                                   shard)
-            self._append_event(job, event)
-
     def _finalize(self, job: CampaignJob) -> None:
         job.pending.clear()
         job.leases.clear()
         job.shard_wires.clear()
         job.completed_shards = set(range(len(job.shards)))
-        if job.log_handle is not None:
-            job.log_handle.close()
-            job.log_handle = None
-        if not job.finalized:
-            # journal before the sidecar is written, so its `dist`
-            # section counts the same events a live tail saw
-            job.finalized = True
-            self._journal(job, "campaign_end", complete=True,
-                          executed=len(job.records), trace=job.trace)
+        # the `dist` section counts the same events a live tail saw,
+        # the campaign_end the ledger journals included
+        job.ledger.close(True, dist=lambda: self._dist_section(job))
         self._persist(job)
-        self._write_metrics(job)
         log.info("campaign %s complete: %d records", job.campaign_id,
-                 len(job.records))
-
-    def _write_metrics(self, job: CampaignJob) -> None:
-        """Metrics sidecar of a telemetry campaign, from the merged
-        records -- same artifact the local executor writes, plus the
-        fleet-only ``dist`` section from the dispatcher journal."""
-        if not job.config.metrics:
-            return
-        from repro.obs import MetricsCollector
-
-        collector = MetricsCollector(jobs=0)
-        ordered = [job.records[spec.key] for spec in job.specs
-                   if spec.key in job.records]
-        for record in ordered:
-            collector.record(record)
-        doc = collector.finalize(ordered, complete=True, total=job.total)
-        doc["dist"] = self._dist_section(job)
-        collector.write(doc, job.log_path)
+                 len(job.ledger.records))
 
     def _dist_section(self, job: CampaignJob) -> dict:
         """The fleet summary embedded in the metrics sidecar --
         sourced from the same journal ``gpufi top`` consumed live."""
-        section = summarize_dist_events(job.events)
+        section = summarize_dist_events(job.ledger.journal)
         section.update({
             "campaign": job.campaign_id,
             "trace": job.trace,
@@ -685,10 +551,7 @@ class Dispatcher:
         with self._endpoint():
             self._reap_expired()
             if campaign_id is not None:
-                job = self._jobs.get(campaign_id)
-                if job is None:
-                    raise KeyError(f"unknown campaign {campaign_id!r}")
-                return job.status()
+                return self._job(campaign_id).status()
             return {
                 "campaigns": [self._jobs[cid].status()
                               for cid in self._order],
@@ -699,14 +562,10 @@ class Dispatcher:
     def records(self, campaign_id: str) -> dict:
         """Collected records of one campaign, in plan order."""
         with self._lock:
-            job = self._jobs.get(campaign_id)
-            if job is None:
-                raise KeyError(f"unknown campaign {campaign_id!r}")
-            ordered = [job.records[spec.key] for spec in job.specs
-                       if spec.key in job.records]
+            job = self._job(campaign_id)
             return {"campaign": campaign_id, "complete": job.complete,
                     "fingerprint": job.fingerprint, "total": job.total,
-                    "records": ordered}
+                    "records": job.ledger.ordered()}
 
     def metrics_text(self) -> str:
         """The ``GET /metrics`` Prometheus text exposition.
@@ -728,12 +587,12 @@ class Dispatcher:
             for job in jobs:
                 state = "complete" if job.complete else "running"
                 by_state[state] = by_state.get(state, 0) + 1
-                runs_total += len(job.records)
-                events_total += len(job.events)
+                runs_total += len(job.ledger.records)
+                events_total += len(job.ledger.journal)
                 shard_states["pending"] += len(job.pending)
                 shard_states["leased"] += len(job.leases)
                 shard_states["complete"] += len(job.completed_shards)
-                for effect, count in job.effects().items():
+                for effect, count in job.ledger.effects.items():
                     effects[effect] = effects.get(effect, 0) + count
             window = [ts for ts in self._rate if ts > now - 30.0]
             rate = len(window) / 30.0
@@ -804,42 +663,6 @@ class Dispatcher:
             "fingerprint": job.fingerprint,
             "state": "complete" if job.complete else "running",
         }, indent=1) + "\n", encoding="utf-8")
-
-    def _ensure_log(self, job: CampaignJob) -> None:
-        if not job.log_path.exists():
-            job.log_path.write_text(
-                format_log_header(job.specs, job.fingerprint),
-                encoding="utf-8")
-
-    def _restore_log(self, job: CampaignJob) -> None:
-        """Reload records logged before a dispatcher restart and
-        re-queue only the shards with missing runs."""
-        if not job.log_path.exists():
-            return
-        from repro.faults.parser import (read_log_header,
-                                         scan_completed_records)
-
-        trim_torn_tail(job.log_path)
-        header = read_log_header(job.log_path)
-        if header and header.get("fingerprint") not in (None,
-                                                        job.fingerprint):
-            raise ValueError(
-                f"{job.log_path} belongs to a different campaign "
-                f"(fingerprint {str(header['fingerprint'])[:12]}..., "
-                f"expected {job.fingerprint[:12]}...)")
-        for key, record in scan_completed_records(job.log_path).items():
-            if key in job.keys:
-                job.add_record(key, record)
-        job.completed_shards = {
-            index for index, shard in enumerate(job.shards)
-            if all(spec.key in job.records for spec in shard)}
-        job.pending = deque(
-            index for index in range(len(job.shards))
-            if index not in job.completed_shards)
-        if job.records:
-            log.info("campaign %s: restored %d of %d records from %s",
-                     job.campaign_id, len(job.records), job.total,
-                     job.log_path)
 
     def _restore_persisted(self) -> None:
         """Re-plan every persisted campaign on startup (restart resume)."""

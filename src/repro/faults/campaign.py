@@ -14,6 +14,7 @@ complete application execution on a fresh device.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from collections import defaultdict
@@ -270,8 +271,9 @@ class Campaign:
        enumerates every injection run as an addressable
        :class:`~repro.faults.executor.RunSpec` whose seed is derived
        from ``(campaign seed, kernel, structure, run_index)``;
-    2. :meth:`execute` dispatches the specs -- serially or on a worker
-       pool -- via :class:`~repro.faults.executor.CampaignExecutor`;
+    2. :meth:`execute` dispatches the specs -- serially, on a worker
+       pool or to a fleet -- into the campaign's ledger
+       (:meth:`session`);
     3. :meth:`aggregate` folds the result records into a
        :class:`CampaignResult`.
 
@@ -293,7 +295,7 @@ class Campaign:
         #: ``golden`` ("simulated" / "loaded") and ``golden_s``
         #: (observability; travels in the ``campaign_start`` event).
         self.plan_timing: Dict[str, object] = {}
-        #: Metrics sidecar document of the last :meth:`execute` call
+        #: Metrics sidecar document of the last :meth:`session`
         #: (``None`` unless ``config.metrics`` is on).
         self.last_metrics: Optional[dict] = None
         #: Adaptive-planner report of the last :meth:`run` call
@@ -495,24 +497,33 @@ class Campaign:
             "golden_s": round(golden.seconds, 6)}
         return specs
 
-    def execute(self, specs: Sequence[RunSpec], jobs: int = 1,
-                resume: bool = False,
-                completed: Sequence[dict] = ()) -> List[dict]:
-        """Execute planned specs; returns records in plan order.
-
-        Dispatches through the configured
-        :class:`~repro.dist.backend.Backend` (``config.backend``):
-        the default local pool, or a remote ``gpufi serve`` fleet.
-        ``completed`` are records of ``specs`` the caller already
-        holds (an earlier call's, when the plan grows call by call):
-        they are not executed again.
-        """
-        # lazy import: repro.dist.backend imports config_file which
-        # imports this module
+    @contextlib.contextmanager
+    def session(self, plan: Sequence[RunSpec], jobs: int = 1,
+                resume: bool = False, adaptive: bool = False):
+        """One campaign, from its ledger's opening (by the configured
+        :class:`~repro.dist.backend.Backend`; the header names
+        ``plan``) to its close: yields ``(ledger, execute)``.
+        ``execute(specs)`` is called once for a uniform campaign and
+        once per round for an ``adaptive`` one, whose plan every call
+        widens; leaving the context ends the campaign
+        (``campaign_end``, the sidecar on :attr:`last_metrics`)."""
+        # lazy import: the repro.dist package imports this module
         from repro.dist.backend import make_backend
 
-        return make_backend(self.config).execute(
-            self, specs, jobs=jobs, resume=resume, completed=completed)
+        ledger, execute = make_backend(self.config).open(
+            self, plan, jobs, resume, adaptive)
+        try:
+            with ledger:
+                yield ledger, execute
+        finally:
+            self.last_metrics = ledger.metrics
+
+    def execute(self, specs: Sequence[RunSpec], jobs: int = 1,
+                resume: bool = False) -> List[dict]:
+        """Execute planned specs as one campaign (:meth:`session`);
+        returns records in plan order."""
+        with self.session(specs, jobs=jobs, resume=resume) as (_, execute):
+            return execute(specs)
 
     def aggregate(self, records: Sequence[dict]) -> CampaignResult:
         """Fold run records into the campaign result."""

@@ -18,9 +18,10 @@ provides that substrate:
   :func:`repro.faults.batch_executor.execute_pack` drives the same
   stages over N columns (``docs/architecture.md``, *Life of a run*).
 - :class:`CampaignExecutor` -- runs a list of specs on ``jobs`` worker
-  processes, streams records to a JSONL log, skips runs already
-  recorded there (``resume``), and reports throughput (runs/sec, ETA,
-  per-effect running counts).
+  processes and hands the records to the campaign's
+  :class:`~repro.faults.ledger.CampaignLedger` (the JSONL log, the
+  runs a ``resume`` finds recorded there, journal and sidecar),
+  reporting throughput (runs/sec, ETA, per-effect running counts).
 
 Because every record is a pure function of its spec, the aggregated
 result is byte-identical between ``jobs=1`` and ``jobs=N`` and between
@@ -31,10 +32,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import multiprocessing
-import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,85 +44,21 @@ import numpy as np
 from repro.faults.classify import FaultEffect, classify_run
 from repro.faults.early_stop import ConvergenceMonitor
 from repro.faults.injector import Injector
+# a plan's identity is the ledger's; its importers find it here too
+from repro.faults.ledger import (CampaignLedger, RunKey, format_log_header,
+                                 log_header, plan_fingerprint)
 from repro.faults.mask import MaskGenerator, MultiBitMode
 from repro.faults.models import get_model
-from repro.faults.options import DEFAULTS, identity_fields
+from repro.faults.options import DEFAULTS
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
-from repro.obs import (EVENT_SCHEMA, EventLog, MetricsCollector,
-                       NullEventLog, PropagationTracer, campaign_trace,
-                       events_path_for, prescreen_propagation,
-                       synthesized_propagation, trim_torn_tail)
-from repro.obs.events import run_event
+from repro.obs import (PropagationTracer, prescreen_propagation,
+                       synthesized_propagation)
+from repro.obs.metrics import batch_section
 from repro.sim.cards import get_card
 from repro.sim.checkpoint import (CheckpointError, RestoreParityError,
                                   open_checkpoint_set)
 from repro.sim.device import RunOptions
-
-#: ``(kernel, structure value, run index)`` -- the coordinates that
-#: uniquely address one injection run within a campaign.
-RunKey = Tuple[str, str, int]
-
-#: Key identifying a campaign-log header line (the first line of logs
-#: written since fingerprints exist).  Headers are metadata, not run
-#: records: every log reader skips them.
-LOG_HEADER_KEY = "gpufi_log"
-
-#: Header schema version; bump on breaking layout changes.
-LOG_HEADER_SCHEMA = 1
-
-
-_IDENTITY_ROW, _IDENTITY_LATE = identity_fields()
-_identity_row = operator.attrgetter(*_IDENTITY_ROW)
-
-
-def plan_fingerprint(specs: Sequence["RunSpec"]) -> str:
-    """Campaign identity hash of a plan: seed + plan, order-independent.
-
-    Hashes the *identity* of every planned run -- coordinates, derived
-    seed (itself a pure function of the campaign seed and the
-    coordinates) and the options the table marks as identity
-    (:func:`repro.faults.options.identity_fields`) -- sorted so the
-    result is independent of plan enumeration order and of how the
-    plan is later sharded.  Execution-strategy fields (checkpointing,
-    early termination, telemetry) deliberately stay out: they never
-    change what a campaign *is*, only how fast it runs.
-
-    Two logs share a fingerprint exactly when they were produced by
-    the same campaign, which is what :func:`repro.faults.parser
-    .merge_logs` checks before aggregating them together and what the
-    distributed dispatcher checks when collecting shard results.
-    """
-    rows = sorted(
-        json.dumps(_identity_row(spec) + tuple(
-            [name, getattr(spec, name)] for name in _IDENTITY_LATE
-            if getattr(spec, name) is not None))
-        for spec in specs)
-    digest = hashlib.sha256("\n".join(rows).encode("utf-8"))
-    return digest.hexdigest()
-
-
-def log_header(specs: Sequence["RunSpec"],
-               fingerprint: Optional[str] = None) -> dict:
-    """The header record stamped as the first line of a campaign log.
-
-    ``fingerprint`` is ``plan_fingerprint(specs)`` where the caller
-    has already computed it.
-    """
-    header = {LOG_HEADER_KEY: LOG_HEADER_SCHEMA,
-              "fingerprint": fingerprint or plan_fingerprint(specs),
-              "runs": len(specs)}
-    if specs:
-        header["benchmark"] = specs[0].benchmark
-        header["card"] = specs[0].card
-    return header
-
-
-def format_log_header(specs: Sequence["RunSpec"],
-                      fingerprint: Optional[str] = None) -> str:
-    """The header's exact log line (shared by every log writer, so
-    locally written and fleet-merged logs stay byte-identical)."""
-    return json.dumps(log_header(specs, fingerprint)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -734,9 +669,9 @@ class CampaignExecutor:
             interrupted campaign) instead of re-running them; fresh
             records are appended to the log.
         telemetry: annotate every record with its ``timings``/``worker``
-            observability fields, stream structured events to
-            ``<log>.events.jsonl`` and write a ``<log>.metrics.json``
-            sidecar at the end (also kept on :attr:`last_metrics`).
+            observability fields, and have the campaign's ledger keep
+            the ``<log>.events.jsonl`` journal and write the
+            ``<log>.metrics.json`` sidecar at the end.
             Classification fields are identical either way.
         run_timeout: abort with :class:`WorkerPoolError` when no run
             completes for this many seconds (``None`` waits forever).
@@ -793,111 +728,62 @@ class CampaignExecutor:
         self.batch = batch
         self.profile = profile
         self.plan_timing = plan_timing or {}
-        #: Metrics document of the last :meth:`execute` call when
-        #: telemetry was on (also written to ``<log>.metrics.json``).
-        self.last_metrics: Optional[dict] = None
         #: Aggregated lockstep-batching counters of the last
         #: :meth:`execute` call (always maintained; also surfaced in
         #: the metrics sidecar's ``batch`` section under telemetry).
         self.batch_stats: Dict[str, object] = {}
 
-    def execute(self, specs: Sequence[RunSpec],
-                completed: Sequence[dict] = ()) -> List[dict]:
-        """Run every spec; returns records in plan (spec) order.
+    def execute(self, specs: Sequence[RunSpec]) -> List[dict]:
+        """Run every spec as one campaign, from its ledger's opening
+        to its close; returns records in plan (spec) order."""
+        with self.open(specs) as ledger:
+            return self.run(ledger, specs)
 
-        ``completed`` is for a caller that executes a growing plan
-        call by call (the adaptive planner's rounds): records it holds
-        count as done, like those of a resumed log, and are neither
-        executed nor logged again.
-        """
+    def open(self, plan: Sequence[RunSpec],
+             adaptive: bool = False) -> CampaignLedger:
+        """The ledger of a campaign this executor runs -- log, resume,
+        journal and sidecar as the constructor was told -- whose header
+        names ``plan``: the specs to :meth:`run`, or an ``adaptive``
+        campaign's candidate plan, whose rounds are run one by one."""
+        self.batch_stats = zero_pack_stats()
+        return CampaignLedger(
+            plan, self.log_path, resume=self.resume,
+            journal=self.telemetry, sidecar=self.telemetry,
+            adaptive=adaptive, jobs=self.jobs, **self.plan_timing)
+
+    def run(self, ledger: CampaignLedger,
+            specs: Sequence[RunSpec]) -> List[dict]:
+        """Execute those of ``specs`` the ledger holds no record of
+        and hand it theirs; returns the ledger's records, in the order
+        of its plan (which ``specs`` join, if they are new to it)."""
+        ledger.admit(specs)
+        ledger.flush()
+        pending = [spec for spec in specs if spec.key not in ledger.records]
+        if len(pending) < len(specs):
+            self._progress(f"resuming: {len(specs) - len(pending)} of "
+                           f"{len(specs)} runs already recorded")
         if self.telemetry:
-            specs = [dataclasses.replace(spec, telemetry=True)
-                     for spec in specs]
-        done: Dict[RunKey, dict] = self._load_completed(specs, completed)
-        pending = [spec for spec in specs if spec.key not in done]
+            pending = [dataclasses.replace(spec, telemetry=True)
+                       for spec in pending]
         reporter = ProgressReporter(
-            total=len(specs), skipped=len(done),
+            total=len(ledger.keys), skipped=len(ledger.records),
             instant_total=sum(1 for spec in pending
                               if spec.synthesized or spec.prescreened))
-        if done:
-            self._progress(f"resuming: {len(done)} of {len(specs)} runs "
-                           "already recorded")
-
-        metrics = MetricsCollector(jobs=self.jobs) if self.telemetry else None
-        events = NullEventLog()
-        trace = ""
-        log_file = None
-        append = False
-        if self.log_path is not None:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            # Never truncate an existing log on resume.  The log may
-            # hold records the *current* plan does not cover (a changed
-            # plan, a different slice of the campaign); opening it "w"
-            # because none of them matched would destroy that history.
-            append = self.resume and self.log_path.exists()
-            if append:
-                trim_torn_tail(self.log_path)
-            log_file = open(self.log_path, "a" if append else "w",
-                            encoding="utf-8")
-            if not append:
-                # stamp the campaign identity first, so merge_logs and
-                # the distributed dispatcher can refuse to mix records
-                # of unrelated campaigns
-                log_file.write(format_log_header(specs))
-                log_file.flush()
-            if self.telemetry:
-                # the event stream honors the same resume contract as
-                # the log: append, never truncate recorded history
-                events = EventLog(events_path_for(self.log_path),
-                                  append=append)
-        fingerprint = plan_fingerprint(specs) if self.telemetry else ""
-        if self.telemetry:
-            trace = campaign_trace("local", fingerprint)
-        events.emit("campaign_resume" if append else "campaign_start",
-                    schema=EVENT_SCHEMA, campaign="local",
-                    total=len(specs), pending=len(pending),
-                    resumed=len(done), jobs=self.jobs, trace=trace,
-                    fingerprint=fingerprint, **self.plan_timing)
-        self.batch_stats = zero_pack_stats()
-        units = self._build_units(pending)
-        complete = False
         try:
-            for records, pack_stats in self._completions(units, events):
+            for records, pack_stats in self._completions(
+                    self._build_units(pending), ledger):
                 for key, value in (pack_stats or {}).items():
                     # counters add up, the peel_cycles samples append
                     self.batch_stats[key] += value
-                for record in records:
-                    done[(record["kernel"], record["structure"],
-                          record["run"])] = record
-                    if log_file is not None:
-                        log_file.write(json.dumps(record) + "\n")
-                        log_file.flush()
+                for record in ledger.absorb(records):
                     reporter.record(record)
-                    if metrics is not None:
-                        metrics.record(record)
-                        events.append(run_event(
-                            record, trace, record.get("worker", 0)))
                     if (reporter.live_done % self.progress_every == 0
                             or reporter.done == reporter.total):
                         self._progress(reporter.render())
-            complete = True
+                ledger.flush()
         finally:
-            if log_file is not None:
-                log_file.close()
-            if metrics is not None:
-                ordered = [done[spec.key] for spec in specs
-                           if spec.key in done]
-                self.last_metrics = metrics.finalize(
-                    ordered, complete=complete, total=len(specs),
-                    pack_stats=self.batch_stats)
-                self.last_metrics["campaign"].update(self.plan_timing)
-                if self.log_path is not None:
-                    metrics.write(self.last_metrics, self.log_path)
-            events.emit("campaign_end", complete=complete,
-                        executed=reporter.live_done)
-            events.close()
-
-        return [done[spec.key] for spec in specs]
+            ledger.sections["batch"] = batch_section(self.batch_stats)
+        return ledger.ordered()
 
     # -- internals -----------------------------------------------------------
 
@@ -914,7 +800,7 @@ class CampaignExecutor:
 
         return group_packs(pending, self.batch)
 
-    def _completions(self, units: Sequence[tuple], events):
+    def _completions(self, units: Sequence[tuple], ledger):
         """Yield ``(records, batch_stats)`` as units complete (any
         order); solo units carry ``None`` stats."""
         if not units:
@@ -929,10 +815,10 @@ class CampaignExecutor:
         ctx = _pool_context()
         with ctx.Pool(processes=self.jobs) as pool:
             yield from self._pool_completions(pool, units, runner,
-                                              events)
+                                              ledger)
 
     def _pool_completions(self, pool, units: Sequence[tuple], runner,
-                          events):
+                          ledger):
         """Drain the pool, guarding against lost workers and stalls.
 
         A hard-killed worker's in-flight task is simply gone: the pool
@@ -949,42 +835,36 @@ class CampaignExecutor:
             poll = max(min(poll, self.run_timeout / 2), 0.05)
         completions = pool.imap_unordered(runner, units, chunksize=1)
         initial_pids = {worker.pid for worker in pool._pool}
-        remaining = set()
-        for kind, payload in units:
-            if kind == "pack":
-                remaining.update(spec.key for spec in payload)
-            else:
-                remaining.add(payload.key)
         silent_since = time.monotonic()
-        while remaining:
+        while True:
             try:
                 result = completions.next(timeout=poll)
             except StopIteration:
                 return
             except multiprocessing.TimeoutError:
                 self._check_pool_health(
-                    pool, initial_pids, remaining,
-                    time.monotonic() - silent_since, events)
+                    pool, initial_pids,
+                    time.monotonic() - silent_since, ledger)
                 continue
             silent_since = time.monotonic()
             yield result
-            for record in result[0]:
-                remaining.discard((record["kernel"],
-                                   record["structure"],
-                                   record["run"]))
 
-    def _check_pool_health(self, pool, initial_pids, remaining,
-                           waited: float, events) -> None:
+    def _check_pool_health(self, pool, initial_pids, waited: float,
+                           ledger) -> None:
         """Raise :class:`WorkerPoolError` if the pool cannot progress."""
+        # whatever completed is in the ledger by the time the pool is
+        # asked again
+        remaining = [key for key in ledger.keys if key not in ledger.records]
         workers = list(pool._pool)
         current_pids = {worker.pid for worker in workers}
         lost = sorted(initial_pids - current_pids)
         crashed = sorted(worker.pid for worker in workers
                          if worker.exitcode not in (None, 0))
-        events.emit("heartbeat", waited_s=round(waited, 3),
-                    pending=len(remaining),
-                    workers_alive=sum(1 for w in workers if w.is_alive()),
-                    workers_lost=len(lost) + len(crashed))
+        ledger.event("heartbeat", waited_s=round(waited, 3),
+                     pending=len(remaining),
+                     workers_alive=sum(1 for w in workers if w.is_alive()),
+                     workers_lost=len(lost) + len(crashed))
+        ledger.flush()
         sample = ", ".join(
             "/".join(map(str, key)) for key in sorted(remaining)[:5])
         if lost or crashed:
@@ -998,31 +878,3 @@ class CampaignExecutor:
                 f"no run completed for {waited:.1f}s "
                 f"(run_timeout={self.run_timeout:g}s); "
                 f"{len(remaining)} run(s) incomplete, first: {sample}.")
-
-    def _load_completed(self, specs: Sequence[RunSpec],
-                        completed: Sequence[dict]) -> Dict[RunKey, dict]:
-        """Records of already-executed runs: those the caller holds
-        and, on resume, those of a partial log."""
-        wanted = {spec.key for spec in specs}
-        done: Dict[RunKey, dict] = {}
-        for record in completed:
-            key = (record["kernel"], record["structure"], record["run"])
-            if key in wanted:
-                done[key] = record
-        if not (self.resume and self.log_path is not None
-                and self.log_path.exists()):
-            return done
-        from repro.faults.parser import scan_completed_records
-
-        expected = ((specs[0].benchmark, specs[0].card) if specs
-                    else None)
-        for key, record in scan_completed_records(self.log_path).items():
-            found = (record.get("benchmark"), record.get("card"))
-            if expected is not None and found != expected:
-                raise ValueError(
-                    f"{self.log_path}: cannot resume -- log records "
-                    f"{found[0]}/{found[1]}, campaign targets "
-                    f"{expected[0]}/{expected[1]}")
-            if key in wanted:
-                done[key] = record
-        return done

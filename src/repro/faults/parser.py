@@ -10,15 +10,22 @@ injections".
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
 import json
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.faults.campaign import aggregate_counts
 from repro.faults.classify import FaultEffect
-from repro.faults.executor import LOG_HEADER_KEY
+from repro.faults.ledger import LOG_HEADER_KEY, RunKey, record_key
 from repro.faults.targets import Structure
+from repro.obs.events import parse_jsonl
+
+
+def _log_lines(path: Union[str, Path], tolerate_torn_tail: bool):
+    """``(line index, record)`` of a campaign log's run records."""
+    return parse_jsonl(Path(path).read_text(encoding="utf-8"), path,
+                       tolerate_tail=tolerate_torn_tail,
+                       header_key=LOG_HEADER_KEY)
 
 
 def load_records(path: Union[str, Path],
@@ -37,23 +44,7 @@ def load_records(path: Union[str, Path],
     the resume path accepts can also be analysed; corruption anywhere
     before the final line still raises.
     """
-    records = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    last = len(lines)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if tolerate_torn_tail and lineno == last:
-                break  # partial trailing write from an interrupted run
-            raise ValueError(f"{path}:{lineno}: bad JSON record") from exc
-        if isinstance(record, dict) and LOG_HEADER_KEY in record:
-            continue  # campaign-identity header, not a run record
-        records.append(record)
-    return records
+    return [record for _, record in _log_lines(path, tolerate_torn_tail)]
 
 
 def read_log_header(path: Union[str, Path]) -> Optional[dict]:
@@ -65,22 +56,17 @@ def read_log_header(path: Union[str, Path]) -> Optional[dict]:
     treats those as merge-compatible with anything.
     """
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                first = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            if isinstance(first, dict) and LOG_HEADER_KEY in first:
-                return first
-            return None
+        first = next((line for line in handle if line.strip()), "null")
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError:
+        return None
+    if isinstance(header, dict) and LOG_HEADER_KEY in header:
+        return header
     return None
 
 
-def scan_completed_records(path: Union[str, Path]
-                           ) -> Dict[Tuple[str, str, int], dict]:
+def scan_completed_records(path: Union[str, Path]) -> Dict[RunKey, dict]:
     """Index a (possibly truncated) campaign log by run coordinates.
 
     Used for resuming interrupted campaigns: returns
@@ -90,27 +76,13 @@ def scan_completed_records(path: Union[str, Path]
     campaign was killed); corruption anywhere else still raises.
     Duplicate coordinates keep the first occurrence.
     """
-    completed: Dict[Tuple[str, str, int], dict] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    last = len(lines)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    completed: Dict[RunKey, dict] = {}
+    for index, record in _log_lines(path, tolerate_torn_tail=True):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == last:
-                break  # partial trailing write from an interrupted run
-            raise ValueError(f"{path}:{lineno}: bad JSON record") from exc
-        if isinstance(record, dict) and LOG_HEADER_KEY in record:
-            continue  # campaign-identity header, not a run record
-        try:
-            key = (record["kernel"], record["structure"],
-                   int(record["run"]))
+            key = record_key(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
-                f"{path}:{lineno}: record missing run coordinates"
+                f"{path}:{index + 1}: record missing run coordinates"
             ) from exc
         completed.setdefault(key, record)
     return completed
@@ -185,8 +157,7 @@ def combine_records(paths: Iterable[Union[str, Path]],
                 f"merge anyway)")
         keys = seen_keys.setdefault(fingerprint, set())
         for record in loaded:
-            key = (record.get("kernel"), record.get("structure"),
-                   record.get("run"))
+            key = record_key(record)
             if key in keys:
                 continue  # duplicate shard record (e.g. re-queued lease)
             keys.add(key)

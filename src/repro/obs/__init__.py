@@ -30,8 +30,7 @@ See ``docs/observability.md`` for the schemas and the
 ``gpufi report-metrics`` / ``gpufi explain-run`` front-ends.
 """
 
-from repro.obs.events import (EVENT_SCHEMA, EventLog, NullEventLog,
-                              campaign_trace, events_path_for,
+from repro.obs.events import (EVENT_SCHEMA, campaign_trace, events_path_for,
                               read_events, run_trace, shard_trace,
                               trim_torn_tail)
 from repro.obs.live import (DashboardState, EventFileTailer,
@@ -48,8 +47,6 @@ from repro.obs.propagation import (PropagationTracer, explain_record,
 
 __all__ = [
     "EVENT_SCHEMA",
-    "EventLog",
-    "NullEventLog",
     "events_path_for",
     "read_events",
     "trim_torn_tail",

@@ -2,52 +2,55 @@
 
 One JSON object per line, written next to the campaign log
 (``<log>.events.jsonl``).  Events carry a wall-clock ``ts`` (unix
-seconds), an ``event`` type and free-form fields; the stream is
-append-and-flush so a killed campaign leaves a readable prefix --
-the same torn-tail contract as the run log itself.  Resuming a
-campaign *appends* to the existing stream (a ``campaign_resume``
-event marks the seam) -- history is never truncated.
+seconds), an ``event`` type and free-form fields; a killed campaign
+leaves a readable prefix -- the same torn-tail contract as the run log
+itself.  Resuming a campaign *appends* to the existing stream (a
+``campaign_resume`` event marks the seam) -- history is never
+truncated.  The stream is the journal of the campaign's
+:class:`~repro.faults.ledger.CampaignLedger`, whoever produces the
+records; this module holds its format: paths, trace IDs, the ``run``
+event, the reader.
 
 Event schema v2 (:data:`EVENT_SCHEMA`) adds the trace-ID chain
 ``campaign -> shard -> run`` (:func:`campaign_trace` /
-:func:`shard_trace` / :func:`run_trace`): every lifecycle event
-carries the campaign trace, every ``run`` event the full run trace,
-so any logged record can be traced back to the worker, shard and
-lease generation that produced it.
+:func:`shard_trace` / :func:`run_trace`): the opening event carries
+the campaign trace, every ``run`` event the full run trace, so any
+logged record can be traced back to the worker, shard and lease
+generation that produced it.
 
-Event types emitted by the local executor:
+Event types of every campaign, journaled by its ledger:
 
-- ``campaign_start`` -- total/pending/resumed run counts, jobs,
-  ``schema``, ``trace``, the campaign ``fingerprint`` and where the
-  plan's time went: ``plan_s``, ``golden`` ("simulated", or "loaded"
-  from a checkpoint set) and ``golden_s``.
+- ``campaign_start`` -- total/pending/resumed run counts, ``schema``,
+  ``trace``, the campaign ``fingerprint``, ``jobs`` (a local pool) or
+  ``shards`` (a dispatcher) and where the plan's time went:
+  ``plan_s``, ``golden`` ("simulated", or "loaded" from a checkpoint
+  set) and ``golden_s``.
 - ``campaign_resume`` -- same fields, emitted instead of
-  ``campaign_start`` when a ``--resume`` session appends to an
-  existing stream.
+  ``campaign_start`` by a session that appends to an existing log (a
+  ``--resume`` run, a restarted dispatcher).
 - ``run`` -- one completed run (:func:`run_event`): its key, effect,
   worker, trace, wall-clock ``total_s`` and, from a record with
   ``timings``, the ``restore_s`` / ``simulate_s`` / ``classify_s`` of
-  its stages.
-- ``heartbeat`` -- emitted while the executor is *waiting* on the
-  worker pool with nothing completing: how long the pool has been
-  silent and the worker process states.  A campaign whose heartbeats
-  show a dead/replaced worker is about to be aborted by the
-  dead-worker guard rather than hanging forever.
-- ``campaign_end`` -- completion marker with the final wall-clock.
+  its stages.  Exactly one per record.
+- ``round`` -- an adaptive campaign admitted a planner round to its
+  plan: ``round``, its ``runs``, the plan's new ``total``.
+- ``campaign_end`` -- the closing marker, once per session:
+  ``complete`` and the number of runs the session ``executed``.
 
-The distributed dispatcher journals the same ``run`` events (streamed
-by workers, deduplicated by run key) plus fleet lifecycle events --
-``shard_leased``, ``shard_complete``, ``lease_expired``,
-``worker_heartbeat`` -- into the same file format, served live at
-``GET /api/events/<id>`` (see :mod:`repro.obs.live`).
+Their drivers add ``heartbeat`` (the local executor, while it *waits*
+on a silent worker pool: how long, and the worker process states -- a
+dead or replaced worker there means the dead-worker guard is about to
+abort the campaign rather than hang) and the dispatcher's fleet
+lifecycle -- ``shard_leased``, ``shard_complete``, ``lease_expired``,
+``worker_heartbeat`` -- served live at ``GET /api/events/<id>`` (see
+:mod:`repro.obs.live`).
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 #: Event-stream schema version (stamped on ``campaign_start`` /
 #: ``campaign_resume``).  v2 added trace IDs and the fleet event
@@ -121,6 +124,12 @@ def run_event(record: dict, parent_trace: str, worker, shard=None,
 # -- reading ------------------------------------------------------------------
 
 
+def complete_lines(data: bytes) -> bytes:
+    """``data`` up to its last newline: a final line still being
+    written (or cut mid-write) is not read until it is whole."""
+    return data[:data.rfind(b"\n") + 1]
+
+
 def trim_torn_tail(path: Union[str, Path]) -> None:
     """Drop an incomplete final line before appending to a log or an
     event stream.
@@ -134,8 +143,38 @@ def trim_torn_tail(path: Union[str, Path]) -> None:
         return
     with open(path, "rb+") as handle:
         data = handle.read()
-        if data and not data.endswith(b"\n"):
-            handle.truncate(data.rfind(b"\n") + 1)
+        if not data.endswith(b"\n"):
+            handle.truncate(len(complete_lines(data)))
+
+
+def parse_jsonl(text: str, source, skip_corrupt: bool = False,
+                tolerate_tail: bool = False,
+                header_key: Optional[str] = None
+                ) -> Iterator[Tuple[int, object]]:
+    """The one reader of our JSONL files (run logs and event streams):
+    yields ``(line index, value)`` of every non-blank line of ``text``.
+
+    A line that is not JSON raises ``ValueError`` naming ``source`` and
+    the line -- unless ``skip_corrupt`` (every such line is skipped)
+    or, with ``tolerate_tail``, it is the final one: the tail a writer
+    killed mid-record leaves.  ``header_key`` names the key that marks
+    a metadata line to pass over (a run log's header).
+    """
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if skip_corrupt or (tolerate_tail and index == len(lines) - 1):
+                continue
+            raise ValueError(
+                f"{source}:{index + 1}: bad JSON record") from exc
+        if (header_key is not None and isinstance(value, dict)
+                and header_key in value):
+            continue
+        yield index, value
 
 
 def read_events(path: Union[str, Path],
@@ -143,110 +182,15 @@ def read_events(path: Union[str, Path],
     """Read events from a stream file, torn-tail-safe.
 
     Returns the parsed events starting at line index ``cursor``.  A
-    final line cut mid-write (no trailing newline, or unparseable) is
-    silently dropped -- the same contract as resuming a run log -- so
-    a journal being written concurrently is always readable.  A
-    missing file reads as an empty stream.
+    final line cut mid-write (no trailing newline) is silently dropped
+    -- the same contract as resuming a run log -- and a corrupt line is
+    skipped, not fatal, so a journal being written concurrently is
+    always readable.  A missing file reads as an empty stream.
     """
     path = Path(path)
     if not path.exists():
         return []
-    data = path.read_bytes()
-    if not data.endswith(b"\n"):
-        # torn tail: keep only the complete lines
-        cut = data.rfind(b"\n")
-        data = data[:cut + 1] if cut >= 0 else b""
-    events: List[dict] = []
-    for index, line in enumerate(data.decode("utf-8").splitlines()):
-        if index < cursor or not line.strip():
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # a corrupt line is skipped, not fatal
-    return events
-
-
-class EventLog:
-    """Append-and-flush JSONL event writer (opened lazily).
-
-    Args:
-        path: the stream file (``events_path_for(log)``).
-        clock: wall-clock used for the ``ts`` field.
-        append: open in append mode, preserving the existing stream
-            (the resume contract); the default truncates, which is
-            only correct for a brand-new campaign.
-    """
-
-    def __init__(self, path: Union[str, Path],
-                 clock: Callable[[], float] = time.time,
-                 append: bool = False):
-        self.path = Path(path)
-        self._clock = clock
-        self._append = append
-        self._handle = None
-
-    def emit(self, event: str, **fields) -> dict:
-        """Append one event record and flush it; returns the record."""
-        record = {"ts": round(self._clock(), 6), "event": event}
-        record.update(fields)
-        return self.append(record)
-
-    def stamp(self, record: dict) -> dict:
-        """``record`` with a leading ``ts``, unless it carries one."""
-        if "ts" in record:
-            return record
-        return {"ts": round(self._clock(), 6), **record}
-
-    def append(self, record: dict) -> dict:
-        """Append a pre-built event record (stamping ``ts`` if absent)."""
-        record = self.stamp(record)
-        self.extend([record])
-        return record
-
-    def extend(self, records: Sequence[dict]) -> None:
-        """Append stamped event records as they are, with one write
-        and one flush for all of them."""
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._append:
-                trim_torn_tail(self.path)
-            self._handle = open(self.path,
-                                "a" if self._append else "w",
-                                encoding="utf-8")
-        self._handle.write("".join(json.dumps(record) + "\n"
-                                   for record in records))
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-
-class NullEventLog:
-    """Disabled event stream: :meth:`emit` is a no-op."""
-
-    path: Optional[Path] = None
-
-    def emit(self, event: str, **fields) -> dict:
-        return {}
-
-    def append(self, record: dict) -> dict:
-        return record
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullEventLog":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
+    text = complete_lines(path.read_bytes()).decode("utf-8")
+    return [event for index, event
+            in parse_jsonl(text, path, skip_corrupt=True)
+            if index >= cursor]

@@ -24,12 +24,13 @@ function of event streams and status documents, shared by
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from collections import deque
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+from repro.obs.events import complete_lines, parse_jsonl
 
 __all__ = [
     "DashboardState",
@@ -218,21 +219,10 @@ class EventFileTailer:
             return []
         with open(self.path, "rb") as handle:
             handle.seek(self.offset)
-            data = handle.read()
-        cut = data.rfind(b"\n")
-        if cut < 0:
-            return []
-        data = data[:cut + 1]
+            data = complete_lines(handle.read())
         self.offset += len(data)
-        events: List[dict] = []
-        for line in data.decode("utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-        return events
+        return [event for _, event in parse_jsonl(
+            data.decode("utf-8"), self.path, skip_corrupt=True)]
 
 
 # -- dashboard state ----------------------------------------------------------
@@ -269,6 +259,7 @@ class DashboardState:
         self.last_ts: Optional[float] = None
         self.complete = False
         self.events_seen = 0
+        self.by_type: Dict[str, int] = {}
         self._rate_window = float(rate_window)
         self._run_ts: deque = deque()
 
@@ -281,6 +272,7 @@ class DashboardState:
                 self.started_ts = ts
             self.last_ts = ts
         self.events_seen += 1
+        self.by_type[kind or "?"] = self.by_type.get(kind or "?", 0) + 1
         if kind in ("campaign_start", "campaign_resume"):
             self.campaign = event.get("campaign", self.campaign)
             self.trace = event.get("trace", self.trace)
@@ -289,6 +281,8 @@ class DashboardState:
             self.done = self.resumed
             if "plan_s" in event:
                 self.plan = event
+        elif kind == "round":  # an adaptive campaign's plan grew
+            self.total = event.get("total", self.total)
         elif kind == "run":
             self.done += 1
             effect = event.get("effect", "?")
@@ -329,8 +323,8 @@ class DashboardState:
 
     def _worker(self, name: str) -> dict:
         return self.workers.setdefault(
-            name, {"runs": 0, "heartbeats": 0, "last_ts": None,
-                   "last_event": None})
+            name, {"runs": 0, "shards": 0, "heartbeats": 0,
+                   "last_ts": None, "last_event": None})
 
     def _note_worker(self, event: dict, kind: str) -> None:
         worker = event.get("worker")
@@ -339,6 +333,8 @@ class DashboardState:
         entry = self._worker(worker)
         if kind == "heartbeat":
             entry["heartbeats"] += 1
+        elif kind == "shard_complete":
+            entry["shards"] += 1
         entry["last_ts"] = event.get("ts", entry["last_ts"])
         entry["last_event"] = kind
 
@@ -496,34 +492,19 @@ def format_event(event: dict) -> str:
 def summarize_dist_events(events: Sequence[dict]) -> dict:
     """Fold a dispatcher event journal into the ``dist`` summary.
 
-    A pure function of the journal, so ``gpufi report-metrics``
+    The fold is :class:`DashboardState`'s, so ``gpufi report-metrics``
     (reading the sidecar) and ``gpufi top`` (consuming the live
     stream) agree by construction.  Returns per-type event counts,
     per-worker run/shard/heartbeat counts and the lease-expiry total;
     the dispatcher adds its own shard totals before embedding this in
     the metrics sidecar.
     """
-    by_type: Dict[str, int] = {}
-    workers: Dict[str, dict] = {}
-    expired = 0
-    for event in events:
-        kind = event.get("event", "?")
-        by_type[kind] = by_type.get(kind, 0) + 1
-        worker = event.get("worker")
-        if isinstance(worker, str):
-            entry = workers.setdefault(
-                worker, {"runs": 0, "shards": 0, "heartbeats": 0})
-            if kind == "run":
-                entry["runs"] += 1
-            elif kind == "shard_complete":
-                entry["shards"] += 1
-            elif kind in ("worker_heartbeat", "heartbeat"):
-                entry["heartbeats"] += 1
-        if kind == "lease_expired":
-            expired += 1
+    state = DashboardState().apply_all(events)
     return {
-        "events": {"total": len(events),
-                   "by_type": dict(sorted(by_type.items()))},
-        "workers": {name: workers[name] for name in sorted(workers)},
-        "lease_expired": expired,
+        "events": {"total": state.events_seen,
+                   "by_type": dict(sorted(state.by_type.items()))},
+        "workers": {name: {key: entry[key]
+                           for key in ("runs", "shards", "heartbeats")}
+                    for name, entry in sorted(state.workers.items())},
+        "lease_expired": state.leases_expired,
     }

@@ -1,25 +1,25 @@
 """Campaign metrics: the ``<log>.metrics.json`` sidecar.
 
-The :class:`MetricsCollector` rides along the executor: it is fed
-every freshly completed run record as it arrives (wall-clock side) and
-the full plan-ordered record list at the end (deterministic side), and
-produces one JSON document answering "where did the time go and which
-optimisation paid for it" without re-running any simulation.
+The sidecar answers "where did the time go and which optimisation paid
+for it" without re-running any simulation.  It is a fold
+(:meth:`MetricsCollector.finalize`) of two things a campaign's
+:class:`~repro.faults.ledger.CampaignLedger` holds when it closes:
 
-The sidecar deliberately separates two kinds of fields:
+- the campaign's **records**, in plan order, give the
+  order-independent sections (``effects``, ``checkpoint``,
+  ``savings``, ``propagation``): pure functions of the records, so
+  byte-identical across ``--jobs 1`` and ``--jobs N``, across backends
+  and across straight-through vs. resumed campaigns;
+- **this session's journal** -- the events since the last
+  ``campaign_start`` / ``campaign_resume`` (:mod:`repro.obs.events`)
+  -- gives the wall-clock sections (``campaign``, ``latency``,
+  ``workers``) from the ``ts`` / ``worker`` / ``total_s`` / ``effect``
+  of its ``run`` events, and the session's driver adds what only it
+  knows (``batch``, ``dist``, ``adaptive``).
 
-- **Order-independent** sections (``effects``, ``checkpoint``,
-  ``savings``) are pure functions of the run records, so they are
-  byte-identical across ``--jobs 1`` and ``--jobs N`` and across
-  straight-through vs. resumed campaigns with the same history.
-- **Wall-clock** sections (``campaign``, ``latency``, ``workers``,
-  ``batch``) measure this execution: throughput, per-effect latency
-  histograms, per-worker utilization/heartbeats, and lockstep-pack
-  stats of a batched campaign.
-
-This module works on plain record dicts and imports nothing from
-:mod:`repro.faults`, so it stays importable from anywhere in the
-stack (the executor imports *it*, not the other way around).
+This module works on plain record and event dicts and imports nothing
+from :mod:`repro.faults`, so it stays importable from anywhere in the
+stack.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import math
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
+
+from repro.obs.events import run_event
 
 #: Sidecar schema version; bump on breaking layout changes.
 METRICS_SCHEMA = 1
@@ -118,60 +120,84 @@ def _effect_order(effects) -> List[str]:
     return known + sorted(e for e in effects if e not in _EFFECT_ORDER)
 
 
+def batch_section(pack_stats: Optional[dict]) -> Optional[dict]:
+    """The sidecar's ``batch`` section: what a session's lockstep
+    packs summed to (``CampaignExecutor.batch_stats``), or ``None``
+    when it ran none."""
+    if not pack_stats or not pack_stats["packs"]:
+        return None
+    member_cycles = pack_stats["member_cycles"]
+    batch = {key: pack_stats[key] for key in (
+        "packs", "members", "completed_in_pack", "converged",
+        "peeled", "solo_fallback")}
+    batch["lockstep_fraction"] = (
+        round(pack_stats["lockstep_cycles"] / member_cycles, 6)
+        if member_cycles else None)
+    batch["peel_cycle_histogram"] = _histogram(
+        pack_stats["peel_cycles"], PEEL_BUCKETS)
+    return batch
+
+
 class MetricsCollector:
-    """Accumulates campaign metrics and renders the sidecar document.
+    """Folds a campaign's records and one session's journal into the
+    sidecar document.
 
     Args:
         jobs: worker count of the executing campaign.
-        clock: monotonic float-second clock (tests inject fakes).
+        clock: wall clock that stamps the events of :meth:`record`.
+        journal: the session's events, its opening ``campaign_start``
+            / ``campaign_resume`` first (a ledger's); by default a
+            session that starts now and is told its runs by
+            :meth:`record`.
     """
 
     def __init__(self, jobs: int = 1,
-                 clock: Callable[[], float] = time.monotonic):
+                 clock: Callable[[], float] = time.time,
+                 journal: Optional[List[dict]] = None):
         self.jobs = jobs
         self._clock = clock
-        self._start = clock()
-        #: worker (a pool worker's id, a fleet worker's name) ->
-        #: {"runs", "busy_s", "first_seen_s", "last_heartbeat_s"}
-        self._workers: Dict[object, Dict[str, float]] = {}
-        #: effect -> wall-clock total_s samples of this session's runs
-        self._latency: Dict[str, List[float]] = {}
-        self._executed = 0
-
-    # -- live side (one call per freshly completed run) -------------------
+        self.journal = journal if journal is not None else [{"ts": clock()}]
 
     def record(self, record: dict) -> None:
-        """Account one freshly completed (non-resumed) run."""
-        now = round(self._clock() - self._start, 6)
-        self._executed += 1
-        timings = record.get("timings") or {}
-        total_s = float(timings.get("total_s", 0.0))
-        worker = record.get("worker", 0)
-        stats = self._workers.setdefault(
-            worker, {"runs": 0, "busy_s": 0.0,
-                     "first_seen_s": now, "last_heartbeat_s": now})
-        stats["runs"] += 1
-        stats["busy_s"] += total_s
-        stats["last_heartbeat_s"] = now
-        self._latency.setdefault(record["effect"], []).append(total_s)
-
-    # -- finalization ------------------------------------------------------
+        """Journal one freshly completed run: its ``run`` event,
+        stamped now."""
+        self.journal.append({"ts": round(self._clock(), 6), **run_event(
+            record, "", record.get("worker", 0))})
 
     def finalize(self, records: Sequence[dict],
                  complete: bool = True,
-                 total: Optional[int] = None,
-                 pack_stats: Optional[dict] = None) -> dict:
+                 total: Optional[int] = None, **sections) -> dict:
         """Build the sidecar document.
 
         ``records`` is every record of the campaign in plan order
         (resumed ones included) -- the deterministic sections cover
-        the whole campaign, the wall-clock sections only this session.
-        ``pack_stats`` is what this session's lockstep packs summed to
-        (``CampaignExecutor.batch_stats``), when it ran any.
+        the whole campaign, the wall-clock sections only this session,
+        from its journal (up to its last event).  ``sections`` are
+        appended as given (``None`` ones dropped).
         """
-        wall_s = max(self._clock() - self._start, 0.0)
+        opened = self.journal[0]
+        wall_s = round(max(self.journal[-1]["ts"] - opened["ts"], 0.0), 6)
         records = list(records)
         total = len(records) if total is None else total
+
+        # wall-clock side: this session's run events
+        executed = 0
+        samples: Dict[str, List[float]] = {}
+        seen: Dict[object, Dict[str, float]] = {}
+        for event in self.journal:
+            if event.get("event") != "run":
+                continue
+            executed += 1
+            total_s = float(event.get("total_s") or 0.0)
+            # a fleet worker stamps its events on its own clock
+            at = round(min(max(event["ts"] - opened["ts"], 0.0), wall_s), 6)
+            stats = seen.setdefault(
+                event.get("worker", 0),
+                {"runs": 0, "busy_s": 0.0, "first_seen_s": at})
+            stats["runs"] += 1
+            stats["busy_s"] += total_s
+            stats["last_heartbeat_s"] = at
+            samples.setdefault(event.get("effect", "?"), []).append(total_s)
 
         effects: Dict[str, int] = {}
         synthesized = prescreened = converged = simulated = 0
@@ -226,21 +252,22 @@ class MetricsCollector:
         }
 
         latency = {}
-        for effect in _effect_order(self._latency):
-            samples = sorted(self._latency[effect])
+        for effect in _effect_order(samples):
+            ordered = sorted(samples[effect])
             latency[effect] = {
-                "count": len(samples),
-                "mean_s": round(sum(samples) / len(samples), 6),
-                "p50_s": round(_percentile(samples, 0.50), 6),
-                "p95_s": round(_percentile(samples, 0.95), 6),
-                "max_s": round(samples[-1], 6),
-                "histogram": _histogram(samples, LATENCY_BUCKETS, "s"),
+                "count": len(ordered),
+                "mean_s": round(sum(ordered) / len(ordered), 6),
+                "p50_s": round(_percentile(ordered, 0.50), 6),
+                "p95_s": round(_percentile(ordered, 0.95), 6),
+                "max_s": round(ordered[-1], 6),
+                "histogram": _histogram(ordered, LATENCY_BUCKETS, "s"),
             }
 
+        # a pool worker's id sorts before a fleet worker's name
         workers = {}
-        for worker in sorted(self._workers,
-                             key=lambda w: (isinstance(w, str), w)):
-            stats = self._workers[worker]
+        for worker in sorted(seen, key=lambda w: (
+                (0, w, "") if isinstance(w, int) else (1, 0, str(w)))):
+            stats = seen[worker]
             workers[str(worker)] = {
                 "runs": stats["runs"],
                 "busy_s": round(stats["busy_s"], 6),
@@ -250,20 +277,6 @@ class MetricsCollector:
                 "last_heartbeat_s": stats["last_heartbeat_s"],
             }
 
-        # batch section: lockstep-pack execution stats of this session
-        # (wall-clock side), present only when at least one pack ran
-        batch = None
-        if pack_stats and pack_stats["packs"]:
-            member_cycles = pack_stats["member_cycles"]
-            batch = {key: pack_stats[key] for key in (
-                "packs", "members", "completed_in_pack", "converged",
-                "peeled", "solo_fallback")}
-            batch["lockstep_fraction"] = (
-                round(pack_stats["lockstep_cycles"] / member_cycles, 6)
-                if member_cycles else None)
-            batch["peel_cycle_histogram"] = _histogram(
-                pack_stats["peel_cycles"], PEEL_BUCKETS)
-
         # propagation sidecar section: pure function of the records
         # (order-independent), present only when at least one record
         # carries a propagation payload
@@ -271,28 +284,33 @@ class MetricsCollector:
 
         propagation = summarize_propagation(records)
 
+        campaign = {
+            "complete": bool(complete),
+            "total_runs": total,
+            "resumed": max(total - executed, 0),
+            "executed": executed,
+            "jobs": self.jobs,
+            "wall_s": wall_s,
+            "runs_per_s": (round(executed / wall_s, 6)
+                           if wall_s > 0 else 0.0),
+        }
+        # where the plan's time went, as the opening event reports it
+        campaign.update({key: opened[key]
+                         for key in ("plan_s", "golden", "golden_s")
+                         if key in opened})
         doc = {
             "schema": METRICS_SCHEMA,
-            "campaign": {
-                "complete": bool(complete),
-                "total_runs": total,
-                "resumed": max(total - self._executed, 0),
-                "executed": self._executed,
-                "jobs": self.jobs,
-                "wall_s": round(wall_s, 6),
-                "runs_per_s": (round(self._executed / wall_s, 6)
-                               if wall_s > 0 else 0.0),
-            },
+            "campaign": campaign,
             "effects": {e: effects[e] for e in _effect_order(effects)},
             "checkpoint": checkpoint,
             "savings": savings,
             "latency": latency,
             "workers": workers,
         }
-        if batch is not None:
-            doc["batch"] = batch
         if propagation is not None:
             doc["propagation"] = propagation
+        doc.update({name: section for name, section in sections.items()
+                    if section is not None})
         return doc
 
     def write(self, metrics: dict, log_path: Union[str, Path]) -> Path:

@@ -22,12 +22,14 @@ Replaces the fixed uniform plan when ``CampaignConfig.adaptive`` is
    proven-dead stratum meets it through classification draws alone),
    or the per-group run budget (``runs_per_structure``) is spent.
 
-Execution reuses the campaign's own executor/backend seam round by
-round: each round submits the *cumulative* selection together with
-the records of the earlier rounds, with resume semantics -- so a round
-executes its own allocation only, the log grows append-only, the
-metrics sidecar covers the whole selection, and every record is the
-same pure function of its spec as in non-adaptive campaigns.
+Execution is one campaign (:meth:`repro.faults.campaign.Campaign
+.session`): the ledger is opened once -- one log header, naming the
+candidate plan; one ``campaign_start`` ... ``campaign_end`` bracket;
+one sidecar -- and each round admits its allocation to the ledger's
+plan (a ``round`` event) and executes what the ledger lacks of it.  So
+a round executes its own allocation only, a resumed campaign only what
+its log does not hold, and every record is the same pure function of
+its spec as in non-adaptive campaigns.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.analysis.statistics import required_injections
 from repro.faults.campaign import CampaignResult
 from repro.faults.classify import FaultEffect
 from repro.faults.executor import RunSpec, regenerate_mask
+from repro.faults.ledger import record_key
 from repro.faults.mask import mask_population
 from repro.plan.estimator import StratifiedEstimate
 from repro.plan.model import LogisticModel, features
@@ -80,6 +83,8 @@ class _Group:
     candidates: Dict[str, List[RunSpec]] = field(default_factory=dict)
     #: stratum -> feature rows aligned with ``candidates``
     rows: Dict[str, List[List[float]]] = field(default_factory=dict)
+    #: run key -> the candidate's feature row
+    row_of: Dict[tuple, List[float]] = field(default_factory=dict)
     #: highest run_index enumerated so far (exclusive)
     enumerated: int = 0
     budget: int = 0
@@ -208,8 +213,8 @@ def _classify(campaign, card, prescreener, groups: Dict, specs,
         stratum = stratum_of(card, spec, mask, prescreener)
         tagged = dataclasses.replace(spec, stratum=stratum)
         group.candidates.setdefault(stratum, []).append(tagged)
-        group.rows.setdefault(stratum, []).append(
-            features(card, spec, mask, stratum))
+        row = group.row_of[spec.key] = features(card, spec, mask, stratum)
+        group.rows.setdefault(stratum, []).append(row)
         stats = group.estimate.stratum(stratum)
         if initial:
             stats.candidates += 1
@@ -248,34 +253,27 @@ def _extend_pool(campaign, card, prescreener, group: _Group,
     return True
 
 
-def _update_stats(groups: Dict, records, spec_strata: Dict) -> None:
-    """Recount per-stratum executed/failure tallies from records."""
+def _update_stats(groups: Dict, records) -> None:
+    """Recount per-stratum executed/failure tallies from records
+    (which carry the ``stratum`` their spec was tagged with)."""
     for group in groups.values():
         for stats in group.estimate.strata.values():
             stats.executed = 0
             stats.failures = 0
     for record in records:
-        key = (record["kernel"], record["structure"], record["run"])
-        if key not in spec_strata:
-            continue  # a resumed record outside the current selection
-        stratum = spec_strata[key]
         group = groups[(record["kernel"], record["structure"])]
-        stats = group.estimate.stratum(stratum)
+        stats = group.estimate.stratum(record["stratum"])
         stats.executed += 1
         if FaultEffect(record["effect"]).is_failure:
             stats.failures += 1
 
 
-def _fit_model(card, groups: Dict, records,
-               spec_rows: Dict) -> Optional[LogisticModel]:
+def _fit_model(groups: Dict, records) -> Optional[LogisticModel]:
     """Fit the steering model on every completed run's features."""
     rows, labels = [], []
     for record in records:
-        key = (record["kernel"], record["structure"], record["run"])
-        row = spec_rows.get(key)
-        if row is None:
-            continue
-        rows.append(row)
+        group = groups[(record["kernel"], record["structure"])]
+        rows.append(group.row_of[record_key(record)])
         labels.append(0 if record["effect"] == "Masked" else 1)
     return LogisticModel.fit(rows, labels)
 
@@ -404,61 +402,49 @@ def run_adaptive(campaign, jobs: int = 1,
                  f"(dead={dead.candidates if dead else 0}, "
                  f"live={live})")
 
-    spec_strata = {}
-    spec_rows = {}
-    selected: List[RunSpec] = []
-    selected_keys = set()
     records: List[dict] = []
     rounds = 0
-    for round_no in range(MAX_ROUNDS):
-        allocation: List[RunSpec] = []
-        for key in sorted(groups):
-            allocation.extend(
-                _allocate(campaign, card, prescreener, groups[key],
-                          cfg.error_target))
-        # the pool's spec coordinates, and those extension introduced
+    with campaign.session(base_specs, jobs=jobs, resume=resume,
+                          adaptive=True) as (ledger, execute):
+        for _ in range(MAX_ROUNDS):
+            allocation: List[RunSpec] = []
+            for key in sorted(groups):
+                allocation.extend(
+                    _allocate(campaign, card, prescreener, groups[key],
+                              cfg.error_target))
+            allocation = [spec for spec in allocation
+                          if spec.key not in ledger.keys]
+            if not allocation:
+                break
+            rounds += 1
+            progress(f"adaptive round {rounds}: +{len(allocation)} runs "
+                     f"({len(ledger.keys) + len(allocation)} total)")
+            records = execute(allocation)
+            _update_stats(groups, records)
+            _score_strata(groups, _fit_model(groups, records))
+
         for group in groups.values():
-            for stratum, specs in group.candidates.items():
-                for i, spec in enumerate(specs):
-                    if spec.key not in spec_strata:
-                        spec_strata[spec.key] = stratum
-                        spec_rows[spec.key] = group.rows[stratum][i]
-        allocation = [spec for spec in allocation
-                      if spec.key not in selected_keys]
-        if not allocation:
-            break
-        rounds += 1
-        selected.extend(allocation)
-        selected_keys.update(spec.key for spec in allocation)
-        progress(f"adaptive round {rounds}: +{len(allocation)} runs "
-                 f"({len(selected)} total)")
-        records = campaign.execute(selected, jobs=jobs,
-                                   resume=resume or round_no > 0,
-                                   completed=records)
-        _update_stats(groups, records, spec_strata)
-        _score_strata(groups,
-                      _fit_model(card, groups, records, spec_rows))
+            # _allocate flags exhaustion before a round's results land;
+            # a final round that meets every target clears it
+            if not group.estimate.unmet(cfg.error_target):
+                group.budget_exhausted = False
 
-    for group in groups.values():
-        # _allocate flags exhaustion before a round's results land;
-        # a final round that meets every target clears it
-        if not group.estimate.unmet(cfg.error_target):
-            group.budget_exhausted = False
-
-    report = PlanReport(
-        error_target=cfg.error_target,
-        confidence=0.99,
-        rounds=rounds,
-        budget_per_group=cfg.runs_per_structure,
-        groups={key: group.estimate for key, group in groups.items()},
-        uniform_runs={
-            key: required_injections(group.estimate.population,
-                                     error=cfg.error_target)
-            for key, group in groups.items()},
-        exhausted=sorted(key for key, group in groups.items()
-                         if group.budget_exhausted),
-    )
-    campaign.last_plan = report
+        report = PlanReport(
+            error_target=cfg.error_target,
+            confidence=0.99,
+            rounds=rounds,
+            budget_per_group=cfg.runs_per_structure,
+            groups={key: group.estimate for key, group in groups.items()},
+            uniform_runs={
+                key: required_injections(group.estimate.population,
+                                         error=cfg.error_target)
+                for key, group in groups.items()},
+            exhausted=sorted(key for key, group in groups.items()
+                             if group.budget_exhausted),
+        )
+        campaign.last_plan = report
+        # surface the importance weights in the metrics sidecar too
+        ledger.sections["adaptive"] = report.to_dict()
     progress(f"adaptive: {report.executed()} runs executed, "
              f"{report.runs_saved()} saved vs uniform sizing")
 
@@ -467,14 +453,5 @@ def run_adaptive(campaign, jobs: int = 1,
         path.write_text(json.dumps(report.to_dict(), indent=1) + "\n",
                         encoding="utf-8")
         progress(f"plan sidecar written to {path}")
-    if campaign.last_metrics is not None:
-        # surface the importance weights in the metrics sidecar too
-        campaign.last_metrics["adaptive"] = report.to_dict()
-        if cfg.log_path is not None:
-            from repro.obs.metrics import metrics_path_for
-
-            metrics_path_for(cfg.log_path).write_text(
-                json.dumps(campaign.last_metrics, indent=1) + "\n",
-                encoding="utf-8")
 
     return campaign.aggregate(records)

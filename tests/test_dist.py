@@ -398,7 +398,8 @@ class TestDispatcherTelemetry:
     def test_restart_appends_campaign_resume_to_journal(self, tmp_path):
         root = tmp_path / "logs"
         dispatcher = Dispatcher(log_dir=root, shard_size=2)
-        cid = dispatcher.submit(small_config_text())["campaign"]
+        cid = dispatcher.submit(
+            small_config_text(metrics=True))["campaign"]
         lease = dispatcher.lease("w")
         specs = [spec_from_wire(w) for w in lease["specs"]]
         dispatcher.collect(cid, lease["lease"], lease["fingerprint"],
@@ -420,6 +421,21 @@ class TestDispatcherTelemetry:
         # pre-restart runs were not re-journaled after the resume
         assert len(keys) == len(set(keys)) == SMALL["runs_per_structure"]
         assert final[-1]["event"] == "campaign_end"
+        # the sidecar follows the local --resume rule: its wall-clock
+        # sections cover the session since campaign_resume, those
+        # derived from the records the whole campaign
+        doc = json.loads((root / f"{cid}.jsonl.metrics.json").read_text())
+        resumed = final[len(before)]
+        assert doc["campaign"]["resumed"] == resumed["resumed"] == 2
+        assert doc["campaign"]["executed"] == final[-1]["executed"] == 2
+        assert doc["campaign"]["wall_s"] == pytest.approx(
+            final[-1]["ts"] - resumed["ts"], abs=2e-6)
+        assert doc["workers"] == {"w2": {
+            **doc["workers"]["w2"], "runs": 2}}
+        assert sum(entry["count"]
+                   for entry in doc["latency"].values()) == 2
+        assert sum(doc["effects"].values()) == 4
+        assert doc["savings"]["runs"]["simulated"] == 4
 
     def test_metrics_exposition_lints_clean(self, tmp_path):
         from repro.obs.live import (lint_prometheus,
@@ -533,6 +549,23 @@ class TestFleetEndToEnd:
         assert {name: entry["runs"]
                 for name, entry in doc["workers"].items()} == fleet_runs
         assert set(fleet_runs) <= names and sum(fleet_runs.values()) == 6
+        # the wall-clock sections tell the fleet's time: that of the
+        # journal's bracket, on the clocks that stamped the events.
+        # At the parent they replayed the records against a clock born
+        # at completion: wall_s 5.7e-05, utilization 2135.2.
+        journal = dispatcher.events(cid)["events"]
+        assert journal[0]["event"] == "campaign_start"
+        assert journal[-1]["event"] == "campaign_end"
+        campaign = doc["campaign"]
+        assert campaign["executed"] == journal[-1]["executed"] == 6
+        assert 0.01 < campaign["wall_s"] == pytest.approx(
+            journal[-1]["ts"] - journal[0]["ts"], abs=2e-6)
+        assert campaign["runs_per_s"] == pytest.approx(
+            campaign["executed"] / campaign["wall_s"], rel=1e-4)
+        for entry in doc["workers"].values():
+            assert 0 < entry["utilization"] <= 1
+            assert (0 <= entry["first_seen_s"]
+                    <= entry["last_heartbeat_s"] <= campaign["wall_s"])
         # run events carry the stage seconds of the records' timings
         runs = [event for event in dispatcher.events(cid)["events"]
                 if event["event"] == "run"]

@@ -6,8 +6,7 @@ import json
 import pytest
 
 from repro.dist.backend import (Backend, LocalPoolBackend,
-                                RemoteFleetBackend, backend_names,
-                                make_backend)
+                                RemoteFleetBackend, make_backend)
 from repro.dist.protocol import canonical_log_text
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.config_file import dump_config, parse_config_text
@@ -24,7 +23,15 @@ SMALL = dict(benchmark="vectoradd", card="RTX2060",
 
 class TestBackendSelection:
     def test_registry(self):
-        assert backend_names() == ["local", "remote"]
+        # the option table declares the names; nothing repeats them
+        from types import SimpleNamespace
+
+        from repro.faults.options import OPTIONS
+
+        choices = OPTIONS["backend"].metadata["argparse"]["choices"]
+        assert choices == ("local", "remote")
+        with pytest.raises(ValueError, match="offers: local, remote"):
+            make_backend(SimpleNamespace(backend="cloud"))
         local = make_backend(CampaignConfig(**SMALL))
         assert isinstance(local, LocalPoolBackend)
         remote = make_backend(dataclasses.replace(
@@ -150,3 +157,87 @@ class TestLogHeader:
         assert main(["canonicalize", str(log)]) == 0
         out = capsys.readouterr().out
         assert out == canonical_log_text(records)
+
+
+class TestRemoteArtefacts:
+    def test_remote_log_leaves_what_a_local_run_leaves(self, tmp_path):
+        """``--backend remote --metrics --log``: log, journal and
+        sidecar on the client's side.  At the parent only the log:
+        journal and sidecar stayed on the dispatcher's disk, and
+        ``campaign.last_metrics`` was ``None``."""
+        import threading
+
+        from repro.cli import main
+        from repro.dist.server import Dispatcher, DispatcherServer
+        from repro.dist.worker import FleetWorker
+        from repro.faults.executor import format_log_header
+        from repro.obs import events_path_for, metrics_path_for, read_events
+
+        dispatcher = Dispatcher(log_dir=tmp_path / "server", shard_size=2)
+        server = DispatcherServer(dispatcher, port=0).start()
+        stop = threading.Event()
+        worker = FleetWorker(server.url, name="fleet-w", poll=0.05,
+                             stop=stop)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        log = tmp_path / "client" / "remote.jsonl"
+        try:
+            campaign = Campaign(CampaignConfig(
+                **SMALL, early_stop="off", metrics=True, backend="remote",
+                backend_url=server.url, log_path=log))
+            specs = campaign.plan()
+            records = campaign.execute(specs)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            server.shutdown()
+        # the log: header + plan-ordered records, as before
+        assert log.read_text() == format_log_header(specs) + "".join(
+            json.dumps(record) + "\n" for record in records)
+        assert [record["run"] for record in records] == [0, 1, 2]
+        # the journal: the client's bracket around the fleet's runs
+        events = read_events(events_path_for(log))
+        assert [event["event"] for event in events] == [
+            "campaign_start", "run", "run", "run", "campaign_end"]
+        assert all(event["worker"] == "fleet-w" and event["simulate_s"] > 0
+                   for event in events[1:-1])
+        (cid,) = [status["id"] for status
+                  in dispatcher.status()["campaigns"]]
+        fleet = [event for event in dispatcher.events(cid)["events"]
+                 if event["event"] == "run"]
+        assert events[1:-1] == fleet  # as the worker stamped them
+        assert events[-1]["executed"] == 3 and events[-1]["complete"]
+        # the sidecar: the dispatcher's, on the client's clock
+        doc = json.loads(metrics_path_for(log).read_text())
+        assert doc == campaign.last_metrics
+        theirs = json.loads(metrics_path_for(
+            tmp_path / "server" / f"{cid}.jsonl").read_text())
+        for section in ("effects", "checkpoint", "savings"):
+            assert doc[section] == theirs[section]
+        assert list(doc["workers"]) == ["fleet-w"]
+        assert doc["workers"]["fleet-w"]["runs"] == 3
+        assert doc["campaign"]["executed"] == 3
+        assert main(["report-metrics", str(log)]) == 0
+
+    def test_remote_errors_keep_their_messages(self, tmp_path, monkeypatch):
+        from repro.dist import client
+
+        campaign = Campaign(CampaignConfig(
+            **SMALL, backend="remote", backend_url="http://127.0.0.1:9"))
+        specs = campaign.plan()
+        fingerprint = plan_fingerprint(specs)
+        answers = {"fingerprint": fingerprint, "records": []}
+        for name, reply in (
+                ("submit", lambda self, config: {"campaign": "c1",
+                                                 "total": len(specs)}),
+                ("wait", lambda self, cid, **kwargs: {
+                    "fingerprint": answers["fingerprint"]}),
+                ("records", lambda self, cid: answers["records"])):
+            monkeypatch.setattr(client.DispatcherClient, name, reply)
+        with pytest.raises(RuntimeError, match="returned 0 records but "
+                                               "3 run"):
+            campaign.execute(specs)
+        answers["fingerprint"] = "0" * 64
+        with pytest.raises(ValueError, match="client and server disagree "
+                                             "about the plan"):
+            campaign.execute(specs)

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.dist.client import DispatcherClient
-from repro.obs.events import (EventLog, events_path_for, read_events,
-                              trim_torn_tail)
+from repro.faults.ledger import CampaignLedger
+from repro.obs.events import events_path_for, read_events, trim_torn_tail
 from repro.obs.live import (DashboardState, EventFileTailer,
                             format_event, lint_prometheus,
                             render_prometheus, render_top,
@@ -133,17 +133,19 @@ class TestEventStreamFiles:
         log = tmp_path / "campaign.jsonl"
         path = events_path_for(log)
         clock = FakeClock(10.0)
-        with EventLog(path, clock=clock) as first:
-            first.emit("campaign_start", total=4)
-            first.emit("run", run=0)
+        with CampaignLedger([], log, journal=True, clock=clock) as first:
+            first.event("heartbeat", pending=4)
         # simulate a crash that tore the last line
         with open(path, "ab") as handle:
             handle.write(b'{"event": "run", "ru')
-        with EventLog(path, clock=clock, append=True) as second:
-            second.emit("campaign_resume", total=4, resumed=1)
+        with CampaignLedger([], log, journal=True, clock=clock,
+                            resume=True):
+            pass
         events = read_events(path)
         assert [e["event"] for e in events] == \
-               ["campaign_start", "run", "campaign_resume"]
+               ["campaign_start", "heartbeat", "campaign_end",
+                "campaign_resume", "campaign_end"]
+        assert path.read_bytes().endswith(b"}\n")
 
     def test_trim_torn_tail_noop_on_clean_file(self, tmp_path):
         path = tmp_path / "events.jsonl"

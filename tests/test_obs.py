@@ -18,9 +18,9 @@ from repro.faults.executor import (CampaignExecutor, ProgressReporter,
                                    RunSpec, WorkerPoolError, execute_run)
 from repro.faults.parser import load_records, merge_logs
 from repro.faults.targets import Structure
-from repro.obs import (EventLog, MetricsCollector, NullEventLog,
-                       derived_cycle_fields, events_path_for,
-                       metrics_path_for)
+from repro.faults.ledger import CampaignLedger
+from repro.obs import (MetricsCollector, derived_cycle_fields,
+                       events_path_for, metrics_path_for)
 
 
 def make_config(**overrides):
@@ -224,14 +224,25 @@ class TestEventStream:
         assert not metrics_path_for(log).exists()
 
     def test_event_log_lazy_and_null(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        with EventLog(path, clock=FakeClock(5.0)) as log:
-            assert not path.exists()
-            log.emit("campaign_start", total=1)
-        assert json.loads(path.read_text()) == {
-            "ts": 5.0, "event": "campaign_start", "total": 1}
-        with NullEventLog() as null:
-            null.emit("run")  # no-op, nowhere to write
+        # the journal is on file as soon as its ledger opens...
+        log = tmp_path / "e.jsonl"
+        ledger = CampaignLedger([], log, journal=True,
+                                clock=FakeClock(5.0))
+        start = json.loads(events_path_for(log).read_text())
+        assert (start["ts"], start["event"], start["total"]) == (
+            5.0, "campaign_start", 0)
+        ledger.close(True)
+        # ...in memory only without a log to be next to, and not kept
+        # at all unless asked for
+        with CampaignLedger([], journal=True) as null:
+            null.event("heartbeat")
+        assert [e["event"] for e in null.journal] == [
+            "campaign_start", "heartbeat", "campaign_end"]
+        with CampaignLedger([], log) as off:
+            off.event("heartbeat")
+        assert off.journal == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "e.jsonl", "e.jsonl.events.jsonl"]
 
     def test_run_events_carry_the_trace_chain(self, tmp_path):
         log = tmp_path / "c.jsonl"

@@ -495,6 +495,29 @@ def test_worker_module_imports_neither_the_cli_nor_the_benchmarks(tmp_path):
     assert loaded.splitlines()[-1] == "[]"
 
 
+def test_the_cli_imports_the_fleet_only_for_fleet_commands():
+    # `gpufi list` (and every local command) starts without the HTTP
+    # fabric: repro.cli used to import repro.dist.worker, and with it
+    # the whole repro.dist package, at start-up
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from repro.cli import main\n"
+         "assert main(['list']) == 0\n"
+         "print([m for m in ('repro.dist', 'repro.dist.server', "
+         "'repro.dist.worker', 'http.server', 'http.client') "
+         "if m in sys.modules])"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
+    assert loaded.splitlines()[-1] == "[]"
+    # ...and the worker command still knows its arguments
+    from repro.cli import _build_parser
+
+    args = _build_parser("worker").parse_args(
+        ["worker", "--connect", "http://127.0.0.1:9", "--name", "w"])
+    assert (args.connect, args.name) == ("http://127.0.0.1:9", "w")
+
+
 def test_documented_keys_exist():
     # every -gpufi_ key the docs mention is one the table declares
     for doc in ("docs/campaigns.md", "docs/distributed.md", "README.md"):

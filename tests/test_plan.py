@@ -350,6 +350,105 @@ class TestAdaptiveDriver:
         assert campaign.last_metrics["campaign"]["total_runs"] == 56
         assert sum(campaign.last_metrics["effects"].values()) == 56
 
+    QUOTED = dict(runs_per_structure=60, seed=5, error_target=0.05,
+                  metrics=True)
+
+    def test_an_adaptive_campaign_is_one_campaign(self, tmp_path):
+        """One header naming the campaign, one bracket, one sidecar
+        over all of it.  At the parent every round was a campaign of
+        its own: the header said ``runs 11`` with the fingerprint of
+        round 1's specs, the journal held seven ``campaign_end`` and
+        six ``campaign_resume``, the sidecar's wall-clock sections
+        described the last round (``executed 6``)."""
+        from repro.faults.executor import plan_fingerprint
+        from repro.obs import events_path_for, read_events
+
+        campaign, result, log = self._run(tmp_path, **self.QUOTED)
+        report = campaign.last_plan
+        assert (report.rounds, report.executed()) == (7, 56)
+        lines = log.read_text().splitlines()
+        headers = [json.loads(line) for line in lines
+                   if "gpufi_log" in line]
+        candidate = Campaign(campaign.config).plan()
+        assert headers == [{
+            "gpufi_log": 1, "fingerprint": plan_fingerprint(candidate),
+            "runs": len(candidate), "benchmark": "vectoradd",
+            "card": "RTX2060", "adaptive": True}]
+        assert lines.index(json.dumps(headers[0])) == 0
+
+        events = read_events(events_path_for(log))
+        kinds = [event["event"] for event in events]
+        assert kinds.count("campaign_start") == 1 == kinds.index(
+            "campaign_start") + 1
+        assert kinds.count("campaign_resume") == 0
+        assert kinds.count("campaign_end") == 1
+        assert events[-1]["event"] == "campaign_end"
+        assert events[-1]["executed"] == 56 and events[-1]["complete"]
+        rounds = [event for event in events if event["event"] == "round"]
+        assert [event["round"] for event in rounds] == list(range(1, 8))
+        assert sum(event["runs"] for event in rounds) == 56
+        assert rounds[-1]["total"] == 56
+        assert kinds.count("run") == 56
+
+        sidecar = json.loads(
+            Path(str(log) + ".metrics.json").read_text())
+        assert sidecar == campaign.last_metrics
+        assert sidecar["campaign"]["executed"] == 56
+        assert sidecar["campaign"]["resumed"] == 0
+        assert sidecar["adaptive"] == report.to_dict()
+        assert (sum(entry["count"] for entry in sidecar["latency"].values())
+                == sum(entry["runs"] for entry in sidecar["workers"].values())
+                == sum(sidecar["effects"].values())
+                == sidecar["adaptive"]["executed"] == 56)
+        # the ledger is the one writer of the sidecar
+        driver = Path(__file__).parent.parent / "src/repro/plan/driver.py"
+        assert "metrics_path_for" not in driver.read_text()
+        assert ".metrics.json" not in driver.read_text()
+
+    def test_a_cut_adaptive_campaign_resumes_where_it_stopped(
+            self, tmp_path, monkeypatch):
+        import repro.faults.executor as executor
+        from repro.obs import events_path_for, read_events
+
+        straight, result, log = self._run(tmp_path, "straight",
+                                          **self.QUOTED)
+        # killed in round 4: log and journal end in half a line
+        events = read_events(events_path_for(log))
+        fourth = [index for index, event in enumerate(events)
+                  if event["event"] == "round"][3]
+        kept = 1 + events[fourth]["total"] - events[fourth]["runs"]
+        cut = tmp_path / "cut.jsonl"
+        for path, keep in ((log, kept), (events_path_for(log), fourth + 1)):
+            lines = path.read_text().splitlines(keepends=True)
+            Path(str(path).replace("straight", "cut")).write_text(
+                "".join(lines[:keep]) + lines[keep][:40])
+
+        calls = []
+        real = executor.execute_run
+        monkeypatch.setattr(executor, "execute_run",
+                            lambda spec: calls.append(spec.key) or real(spec))
+        resumed = Campaign(make_config(
+            adaptive="on", log_path=cut, **self.QUOTED))
+        again = resumed.run(resume=True)
+        assert resumed.last_plan.to_dict() == straight.last_plan.to_dict()
+        assert canonical_log_text(again.records) \
+            == canonical_log_text(result.records) \
+            == canonical_log_text(load_records(cut))
+        missing = [(r["kernel"], r["structure"], r["run"])
+                   for r in load_records(log)[kept - 1:]]
+        assert sorted(calls) == sorted(missing) and len(calls) == 56 - 38
+        kinds = [event["event"] for event
+                 in read_events(events_path_for(cut))]
+        assert kinds[:fourth + 1] == [e["event"] for e in events[:fourth + 1]]
+        assert kinds[fourth + 1] == "campaign_resume"
+        assert kinds.count("campaign_resume") == 1
+        assert kinds.count("campaign_end") == 1
+        assert kinds[-1] == "campaign_end"
+        assert kinds.count("run") == 56
+        assert cut.read_text().count("gpufi_log") == 1
+        assert resumed.last_metrics["campaign"]["executed"] == len(calls)
+        assert resumed.last_metrics["campaign"]["resumed"] == 38
+
     def test_estimate_tracks_dead_mass(self, tmp_path):
         campaign, _, log = self._run(tmp_path)
         doc = json.loads(plan_path_for(log).read_text())
