@@ -31,7 +31,7 @@ from repro.faults.executor import (CampaignExecutor, RunSpec,
                                    WorkerPoolError, execute_run)
 from repro.faults.injector import Injector
 from repro.faults.mask import (FaultMask, MaskGenerator, MultiBitMode,
-                               derive_run_seed, rng_for_run)
+                               derive_run_seed)
 from repro.faults.models import (FaultModel, get_model, model_names,
                                  register_model)
 from repro.faults.parser import (aggregate_by_model, aggregate_records,
@@ -50,7 +50,6 @@ __all__ = [
     "RunOptions",
     "execute_run",
     "derive_run_seed",
-    "rng_for_run",
     "scan_completed_records",
     "GoldenRun",
     "KernelProfile",

@@ -56,7 +56,7 @@ def batch_eligible(spec: RunSpec) -> bool:
         return False
     if spec.synthesized or spec.prescreened:
         return False
-    if spec.verify_restore or spec.propagation or spec.cache_hook_mode:
+    if spec.verify_restore or spec.propagation:
         return False
     return may_converge(spec)
 

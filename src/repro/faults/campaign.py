@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -391,6 +392,17 @@ class Campaign:
         self._golden = golden
         return golden
 
+    def prescreener(self) -> Optional[Prescreener]:
+        """The judge of this campaign's masks against its golden
+        liveness trace; ``None`` without a trace, and under a
+        persistent fault model: golden-trace deadness ("overwritten
+        before read") does not survive re-assertion."""
+        cfg, liveness = self.config, self.golden_run().liveness
+        if liveness is None or not cfg.resolved_model().prescreen_safe:
+            return None
+        return Prescreener(liveness, cfg.resolved_card(),
+                           cache_hook_mode=cfg.cache_hook_mode)
+
     def plan(self) -> List[RunSpec]:
         """Enumerate every injection run of the campaign.
 
@@ -405,22 +417,12 @@ class Campaign:
             raise ValueError(
                 f"early_stop must be one of {EARLY_STOP_MODES}, "
                 f"got {cfg.early_stop!r}")
-        model = cfg.resolved_model()
-        if cfg.cache_hook_mode and not model.supports_cache_hooks:
-            raise ValueError(
-                f"fault model {model.name!r} does not support "
-                "cache_hook_mode (hooks encode one-shot flip "
-                "semantics)")
+        cfg.resolved_model().check_cache_hooks(cfg.cache_hook_mode)
         traced = cfg.early_stop == "full"
         golden = self.golden_run(traced)
         checkpoint_key = self._checkpoint_key()
         budget = TIMEOUT_FACTOR * golden.cycles
-        prescreener = None
-        if traced and model.prescreen_safe:
-            # persistent models never pre-screen: golden-trace deadness
-            # ("overwritten before read") does not survive re-assertion
-            prescreener = Prescreener(golden.liveness, cfg.resolved_card(),
-                                      cache_hook_mode=cfg.cache_hook_mode)
+        prescreener = self.prescreener() if traced else None
 
         target_kernels = (list(cfg.kernels) if cfg.kernels
                           else sorted(golden.profile.kernels))
@@ -465,30 +467,24 @@ class Campaign:
                         # the exact mask execute_run will draw (same
                         # generator construction, same derived seed)
                         mask = regenerate_mask(spec)
-                        prescreen_reason = prescreener.evaluate(
+                        verdict = prescreener.evaluate(
                             mask, kp.regs_per_thread, kp.smem_bytes,
-                            kp.local_bytes) or ""
+                            kp.local_bytes)
                         prescreen_site = ""
-                        if prescreen_reason and cfg.propagation:
-                            # plan-time fate: the pre-screener already
-                            # resolved the site and proved its fate
-                            # from the golden liveness trace
-                            import json as _json
-
-                            from repro.obs.propagation import \
-                                sites_from_prescreen
-
-                            prescreen_site = _json.dumps(
-                                {"cycle": int(mask.cycle),
-                                 "sites": sites_from_prescreen(
-                                     structure.value,
-                                     prescreener.last_target,
-                                     prescreener.last_fate)},
-                                sort_keys=True, default=int)
-                        if prescreen_reason:
+                        if verdict.reason and cfg.propagation:
+                            # plan-time fate: the sites the mask
+                            # resolves to, each with the fate the
+                            # golden liveness trace proves for it
+                            prescreen_site = json.dumps(
+                                {"cycle": mask.cycle,
+                                 "sites": [site.record(fate) for site, fate
+                                           in zip(verdict.sites,
+                                                  verdict.fates)]},
+                                sort_keys=True)
+                        if verdict.reason:
                             spec = dataclasses.replace(
                                 spec, prescreened=True,
-                                prescreen_reason=prescreen_reason,
+                                prescreen_reason=verdict.reason,
                                 prescreen_site=prescreen_site)
                     specs.append(spec)
         self.plan_timing = {

@@ -20,13 +20,15 @@ Masked outcome class without changing a single classification:
    every injected run is byte-identical to the golden run, so a
    mask's spatial target (which warp/register/word/cache line the
    injector will pick) is resolvable from the golden
-   :class:`~repro.sim.liveness.LivenessTrace` alone -- by replaying
-   the injector's RNG draws against the reconstructed live-target
-   lists.  If the golden trace proves the targeted bits are *dead* at
-   the injection cycle (overwritten or evicted before any read, or
-   never accessed again), the fault cannot alter any architectural
-   value or any timing decision: the run is Masked with
-   ``cycles == golden_cycles`` by construction and is never simulated.
+   :class:`~repro.sim.liveness.LivenessTrace` alone --
+   :func:`repro.faults.sites.resolve`, the injector's own routine, fed
+   by :class:`~repro.faults.sites.GoldenState` instead of a live GPU.
+   This module owns only the *judgement* (:meth:`Prescreener.judge`):
+   if the golden trace proves every resolved site *dead* at the
+   injection cycle (overwritten or evicted before any read, or never
+   accessed again), the fault cannot alter any architectural value or
+   any timing decision: the run is Masked with ``cycles ==
+   golden_cycles`` by construction and is never simulated.
 
 Soundness notes for the pre-screen verdicts:
 
@@ -48,14 +50,14 @@ Soundness notes for the pre-screen verdicts:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.faults.mask import FaultMask
 from repro.faults.models import get_model
-from repro.faults.targets import Structure
+from repro.faults.sites import GoldenState, Site, resolve
+from repro.faults.targets import Structure, entry_bits
 from repro.sim.checkpoint import host_read_matches, state_digest
+from repro.sim.liveness import post_injection
 
 EARLY_STOP_MODES = ("off", "converge", "full")
 
@@ -175,251 +177,156 @@ class ConvergenceMonitor:
         self._read_pos += 1
 
 
+class Verdict(NamedTuple):
+    """What the golden trace says about one mask."""
+
+    #: Why the run is provably Masked; ``None``: simulate it.
+    reason: Optional[str] = None
+    #: The sites the mask resolves to (none: nothing live to hit, or
+    #: not resolvable from a trace).
+    sites: Tuple[Site, ...] = ()
+    #: Per site, the fate proven for it (``overwritten`` / ``evicted``
+    #: / ``never_touched``); ``None`` when it may be observed.
+    fates: Tuple[Optional[str], ...] = ()
+    #: Cycle of the earliest golden read that is the first thing to
+    #: happen to a corrupted cell, when there is one.
+    first_read: Optional[int] = None
+
+
+#: What the first post-injection event of a cell means for a fault in
+#: it -- the module docstring's soundness notes as data: a dead fate,
+#: ``read`` (observed) or ``live`` (possibly observed: a cache write
+#: hit may not cover the flipped bits).  A kind a rule does not name
+#: is transparent (an armed hook is not in the line data yet).
+_ISSUE_RULE = {"r": "read", "k": "overwritten"}
+_FLIP_RULE = {"rh": "read", "wb": "read", "peek": "read", "wh": "live",
+              "fill": "evicted", "inv": "evicted"}
+_HOOK_RULE = {"rh": "read", "wh": "overwritten", "fill": "evicted",
+              "inv": "evicted"}
+
+#: A record's ``prescreen_reason`` for the injection log's
+#: no-live-target reasons (:func:`repro.faults.sites.resolve`) ...
+_NO_TARGET = {
+    "no live warp": "no live warp at the injection cycle",
+    "no live warp with local mem":
+        "no live warp with local memory at the injection cycle",
+    "no live CTA with smem":
+        "no live CTA with shared memory at the injection cycle",
+    "no busy core": "no busy core at the injection cycle",
+    "card has no L1D": "card has no L1 data cache",
+}
+#: ... and when every site is dead, by site kind (the L2 has its own).
+_DEAD = {
+    "register": "register R{s.index} of warp {s.age} on core {s.core} "
+                "is dead at cycle {cycle}",
+    "local": "local word {s.index} of warp {s.age} on core {s.core} "
+             "is dead for every targeted lane",
+    "shared": "shared word {s.index} is dead in every targeted CTA at "
+              "cycle {cycle}",
+    "cache": "line {s.index} is dead/invalid in every targeted {level} "
+             "at cycle {cycle}",
+    Structure.L2_CACHE: "L2 line {s.index} is dead/invalid at cycle {cycle}",
+}
+
+
 class Prescreener:
     """Classifies provably-dead fault targets from the golden trace.
 
-    :meth:`evaluate` replays a mask's spatial RNG draws bit-exactly
-    against the liveness trace (the pre-injection prefix of the
-    injected run is byte-identical to golden, so the reconstructed
-    live-target lists equal the injector's) and applies the deadness
-    rules documented in the module docstring.  Returns a reason string
-    when the fault is provably Masked, ``None`` when the run must be
-    simulated.  ``last_target`` exposes the resolved target of the
-    most recent evaluation for cross-checking against injector logs.
+    :meth:`evaluate` resolves a mask against the trace (the
+    pre-injection prefix of the injected run is byte-identical to
+    golden, so :class:`~repro.faults.sites.GoldenState` is the
+    population the injector will draw from), has :meth:`judge` apply
+    the deadness rules documented in the module docstring to every
+    site, and returns what it found as a :class:`Verdict`.
     """
 
     def __init__(self, trace, card, cache_hook_mode: bool = False):
         self.trace = trace
         self.card = card
         self.cache_hook_mode = cache_hook_mode
-        self.last_target: Dict[str, object] = {}
-        #: Propagation fate label proved for the most recent dead
-        #: verdict ("overwritten" / "evicted" / "never_touched"), used
-        #: to build propagation records for pre-screened runs.
-        self.last_fate: str = "never_touched"
 
     def evaluate(self, mask: FaultMask, regs_per_thread: int,
-                 smem_bytes: int, local_bytes: int) -> Optional[str]:
-        """Dead-reason string, or ``None`` when liveness is possible."""
-        self.last_target = {}
-        self.last_fate = "never_touched"
+                 smem_bytes: int, local_bytes: int) -> Verdict:
+        """The verdict on ``mask``, struck in a kernel with these
+        allocations."""
         if not get_model(mask.fault_model).prescreen_safe:
             # persistent faults invalidate every deadness rule: an
             # "overwritten" site is re-corrupted right after the
             # overwrite, an "evicted" line is re-corrupted on refill
-            return None
-        s = mask.structure
-        if s is Structure.REGISTER_FILE:
-            return self._screen_register(mask, regs_per_thread)
-        if s is Structure.LOCAL_MEM:
-            return self._screen_local(mask, local_bytes)
-        if s is Structure.SHARED_MEM:
-            return self._screen_shared(mask, smem_bytes)
-        if s is Structure.L2_CACHE:
-            return self._screen_l2(mask)
-        if s.is_cache:
-            kind = {Structure.L1D_CACHE: "d", Structure.L1T_CACHE: "t",
-                    Structure.L1C_CACHE: "c", Structure.L1I_CACHE: "i"}[s]
-            return self._screen_l1(mask, kind)
-        return None  # unknown structure: never pre-screen
+            return Verdict()
+        structure = mask.structure
+        sites = resolve(mask, GoldenState(
+            self.trace, mask.cycle, self.card, regs_per_thread, smem_bytes,
+            local_bytes), self.cache_hook_mode)
+        if sites is None:
+            return Verdict()  # control units: never pre-screened
+        if isinstance(sites, str):
+            return Verdict(_NO_TARGET[sites])
+        # tag bits of a valid line steer every probe of its set
+        tag_hit = structure.is_cache and any(
+            bit % entry_bits(self.card, structure) < self.card.tag_bits
+            for bit in mask.bit_offsets)
+        judged = [self.judge(site, mask.cycle, tag_hit) for site in sites]
+        fates = tuple(fate for fate, _ in judged)
+        reason = None
+        if None not in fates:
+            reason = _DEAD.get(structure, _DEAD[structure.kind]).format(
+                s=sites[0], cycle=mask.cycle,
+                level=(structure.cache or "").upper())
+        return Verdict(reason, sites, fates, min(
+            (read for _, read in judged if read is not None), default=None))
 
-    # -- register file ---------------------------------------------------
+    def judge(self, site: Site, cycle: int, tag_hit: bool = False
+              ) -> Tuple[Optional[str], Optional[int]]:
+        """``(fate, first read)`` of a transient fault striking
+        ``site`` at ``cycle``: the dead fate the trace proves (``None``
+        when the site may be observed) and the cycle of the read that
+        observes it first (``None`` without one).
 
-    def _screen_register(self, mask: FaultMask,
-                         regs_per_thread: int) -> Optional[str]:
-        rng = np.random.default_rng(mask.seed)
-        warps = self.trace.live_warps(mask.cycle)
-        if not warps:
-            return "no live warp at the injection cycle"
-        core_id, wrec = warps[int(rng.integers(0, len(warps)))]
-        reg = mask.entry_index % max(regs_per_thread, 1)
-        self.last_target = {"core": core_id, "warp_age": wrec["age"],
-                            "register": int(reg)}
-        # lane choice (thread-level masks draw one) cannot change the
-        # verdict: reads are screened lane-insensitively and kills
-        # cover every live lane, so the draw need not be replayed
-        fate = self._register_fate(core_id, wrec["age"], reg, mask.cycle)
-        if fate is not None:
-            self.last_fate = fate
-            return (f"register R{reg} of warp {wrec['age']} on core "
-                    f"{core_id} is dead at cycle {mask.cycle}")
-        return None
+        The one walk over a cell's golden events after the injection:
+        its first event a rule names decides.  A local-memory site is
+        one cell per lane; it is ``overwritten`` only when every lane
+        is (what the online tracer says too).
+        """
+        trace, lanes = self.trace, (None,)
+        if site.kind == "cache":
+            if not site.valid:
+                # invalid tags are never compared; the next fill
+                # rewrites tag and data -- architecturally masked (and
+                # arm_hook refuses invalid lines outright)
+                return "never_touched", None
+            rule = _HOOK_RULE if site.mode == "hook" else _FLIP_RULE
+            if tag_hit and rule is _FLIP_RULE:
+                return None, None
+            events = trace.cache_line_events(site.cache, site.index)
 
-    def _register_fate(self, core_id: int, warp_age: int, reg: int,
-                       cycle: int) -> Optional[str]:
-        """Dead fate of the register, or ``None`` when it may be read."""
-        for when, kind in self.trace.register_events(core_id, warp_age,
-                                                     reg):
-            if when >= cycle:  # issues at the injection cycle are post
-                return "overwritten" if kind == "k" else None
-        return "never_touched"  # never accessed again
-
-    def _register_dead(self, core_id: int, warp_age: int, reg: int,
-                       cycle: int) -> bool:
-        return self._register_fate(core_id, warp_age, reg, cycle) \
-            is not None
-
-    # -- local memory ----------------------------------------------------
-
-    def _screen_local(self, mask: FaultMask,
-                      local_bytes: int) -> Optional[str]:
-        if local_bytes <= 0:
-            return "kernel allocates no local memory"
-        rng = np.random.default_rng(mask.seed)
-        warps = self.trace.live_warps(mask.cycle)
-        if not warps:
-            return "no live warp with local memory at the injection cycle"
-        core_id, wrec = warps[int(rng.integers(0, len(warps)))]
-        word = mask.entry_index % max(local_bytes // 4, 1)
-        if mask.warp_level:
-            lanes = self.trace.live_lanes(wrec, mask.cycle)
+            def post(event):
+                return post_injection(event, cycle)
         else:
-            live = self.trace.live_lanes(wrec, mask.cycle)
-            lanes = [live[int(rng.integers(0, len(live)))]]
-        self.last_target = {"core": core_id, "warp_age": wrec["age"],
-                            "word": int(word),
-                            "lanes": [int(l) for l in lanes]}
-        events = self.trace.local_word_events(core_id, wrec["age"], word)
-        firsts = []
-        for lane in lanes:
-            first = next((kind for when, elane, kind in events
-                          if when >= mask.cycle and elane == lane), None)
-            if first == "r":
-                return None
-            firsts.append(first)
-        self.last_fate = ("overwritten" if any(f == "k" for f in firsts)
-                          else "never_touched")
-        return (f"local word {word} of warp {wrec['age']} on core "
-                f"{core_id} is dead for every targeted lane")
+            rule = _ISSUE_RULE
+            events = {"register": trace.register_events,
+                      "local": trace.local_word_events,
+                      "shared": trace.smem_word_events}[site.kind](
+                          site.core, site.age, site.index)
+            if site.kind == "local":
+                lanes = site.lanes
 
-    # -- shared memory ---------------------------------------------------
-
-    def _screen_shared(self, mask: FaultMask,
-                       smem_bytes: int) -> Optional[str]:
-        if smem_bytes <= 0:
-            return "kernel allocates no shared memory"
-        rng = np.random.default_rng(mask.seed)
-        ctas = self.trace.live_smem_ctas(mask.cycle)
-        if not ctas:
-            return "no live CTA with shared memory at the injection cycle"
-        count = min(mask.n_blocks, len(ctas))
-        picks = rng.choice(len(ctas), size=count, replace=False)
-        word = mask.entry_index % max(smem_bytes // 4, 1)
-        blocks = []
-        for idx in picks:
-            core_id, crec = ctas[int(idx)]
-            blocks.append({"core": core_id, "cta": list(crec["cta_id"]),
-                           "word": int(word)})
-        self.last_target = {"blocks": blocks}
-        firsts = []
-        for idx in picks:
-            core_id, crec = ctas[int(idx)]
-            events = self.trace.smem_word_events(core_id,
-                                                 crec["age_base"], word)
-            first = next((kind for when, kind in events
-                          if when >= mask.cycle), None)
-            if first == "r":
-                return None
-            firsts.append(first)
-        self.last_fate = ("overwritten" if any(f == "k" for f in firsts)
-                          else "never_touched")
-        return (f"shared word {word} is dead in every targeted CTA at "
-                f"cycle {mask.cycle}")
-
-    # -- caches ----------------------------------------------------------
-
-    def _screen_l1(self, mask: FaultMask, kind: str) -> Optional[str]:
-        geom = {"d": self.card.l1d, "t": self.card.l1t,
-                "c": self.card.l1c, "i": self.card.l1i}[kind]
-        if kind == "d" and not self.card.has_l1d:
-            return "card has no L1 data cache"
-        rng = np.random.default_rng(mask.seed)
-        cores = self.trace.busy_cores(mask.cycle)
-        if not cores:
-            return "no busy core at the injection cycle"
-        count = min(mask.n_cores, len(cores))
-        picks = rng.choice(len(cores), size=count, replace=False)
-        line = mask.entry_index % geom.num_lines
-        bits = [b % (self.card.tag_bits + geom.line_bytes * 8)
-                for b in mask.bit_offsets]
-        names = [f"L1{kind.upper()}.{cores[int(idx)]}" for idx in picks]
-        self.last_target = {"caches": names, "line": int(line)}
-        fates = []
-        for name in names:
-            fate = self._cache_line_fate(name, line, bits, mask.cycle)
-            if fate is None:
-                return None
-            fates.append(fate)
-        self.last_fate = self._join_fates(fates)
-        return (f"line {line} is dead/invalid in every targeted "
-                f"L1{kind.upper()} at cycle {mask.cycle}")
-
-    def _screen_l2(self, mask: FaultMask) -> Optional[str]:
-        geom = self.card.l2
-        line = mask.entry_index % geom.num_lines
-        bits = [b % (self.card.tag_bits + geom.line_bytes * 8)
-                for b in mask.bit_offsets]
-        self.last_target = {"caches": ["L2"], "line": int(line)}
-        fate = self._cache_line_fate("L2", line, bits, mask.cycle)
-        if fate is not None:
-            self.last_fate = fate
-            return f"L2 line {line} is dead/invalid at cycle {mask.cycle}"
-        return None
-
-    @staticmethod
-    def _join_fates(fates: List[str]) -> str:
-        for fate in ("overwritten", "evicted"):
-            if fate in fates:
-                return fate
-        return "never_touched"
-
-    def _cache_line_fate(self, name: str, line: int, bits: List[int],
-                         cycle: int) -> Optional[str]:
-        """Dead fate of the line, or ``None`` when it may be observed."""
-        events = self.trace.cache_line_events(name, line)
-
-        def post(event) -> bool:
-            # the injector fires at the top of a loop iteration: events
-            # of the same cycle are post-injection only when recorded
-            # inside the loop (phase 1); launch-entry invalidations and
-            # inter-launch host peeks at that cycle precede it
-            when, phase, _ = event
-            return when > cycle or (when == cycle and phase == 1)
-
-        valid = False
-        for event in events:
-            if post(event):
-                break
-            kind = event[2]
-            if kind == "fill":
-                valid = True
-            elif kind == "inv":
-                valid = False
-        if not valid:
-            # invalid tags are never compared; the next fill rewrites
-            # tag and data -- architecturally masked (and in hook mode
-            # arm_hook refuses invalid lines outright)
-            return "never_touched"
-
-        suffix = [event[2] for event in events if post(event)]
-        if self.cache_hook_mode:
-            for kind in suffix:
-                if kind == "rh":
-                    return None  # hook fires: flips enter the data
-                if kind == "wh":
-                    return "overwritten"  # hook dropped by write hit
-                if kind in ("fill", "inv"):
-                    return "evicted"  # hook dropped with the line
-                # "wb"/"peek" carry clean data while the hook is armed
-            return "never_touched"  # never read again: hook never fires
-
-        if any(bit < self.card.tag_bits for bit in bits):
-            return None  # tag bits of a valid line steer every probe
-        for kind in suffix:
-            if kind in ("rh", "wh", "wb", "peek"):
-                # data observed (or partially overwritten: "wh" may not
-                # cover the flipped bits -- conservative)
-                return None
-            if kind in ("fill", "inv"):
-                return "evicted"  # data rewritten/dropped before read
-        return "never_touched"  # never accessed again
+            def post(event):  # issues at the injection cycle follow it
+                return event[0] >= cycle
+        firsts = [next(((rule[event[-1]], event[0]) for event in events
+                        if post(event) and event[-1] in rule
+                        and (lane is None or event[1] == lane)),
+                       ("never_touched", None))
+                  for lane in lanes]
+        if (site.kind == "register" and firsts[0][0] == "overwritten"
+                and site.handle is not None and not set(site.lanes) <= set(
+                    trace.live_lanes(site.handle, firsts[0][1]))):
+            # a kill covers the lanes live *then*: a targeted lane that
+            # exited first keeps its flipped bits, out of reach
+            return "never_touched", None
+        outcomes = {outcome for outcome, _ in firsts}
+        if outcomes & {"read", "live"}:
+            return None, min((when for outcome, when in firsts
+                              if outcome == "read"), default=None)
+        return (outcomes.pop() if len(outcomes) == 1
+                else "never_touched"), None

@@ -118,10 +118,11 @@ class RunSpec:
     #: target dead, so the run is Masked without simulation.
     prescreened: bool = False
     prescreen_reason: str = ""
-    #: Plan-time propagation payload for pre-screened runs: the JSON
-    #: produced by :func:`repro.obs.propagation.sites_from_prescreen`
-    #: (the site the mask resolves to and the liveness-proven fate).
-    #: A string, not a dict -- RunSpec must stay hashable.
+    #: Plan-time propagation payload for pre-screened runs: the
+    #: injection cycle and the sites the mask resolves to
+    #: (:meth:`repro.faults.sites.Site.record`), each with its
+    #: liveness-proven fate, as JSON.  A string, not a dict -- RunSpec
+    #: must stay hashable.
     prescreen_site: str = ""
     #: Observability: annotate the record with a ``timings`` breakdown
     #: (restore/simulate/classify wall-clock, cycles simulated vs

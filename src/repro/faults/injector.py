@@ -1,12 +1,15 @@
-"""The injection engine: applies fault masks to live GPU state.
+"""The injection engine: corrupts the sites fault masks land on.
 
 The GPU cycle loop calls :meth:`Injector.apply_due` every iteration;
-when a mask's cycle is reached, the injector resolves its *spatial*
-target from run-time liveness (a random active thread/warp for the
-register file and local memory, random active CTAs for shared memory,
-random busy SIMT cores for the L1 caches -- section IV.B of the
-paper) and corrupts the mask's bits.  Every application is logged so
-the campaign parser can attribute outcomes.
+when a mask's cycle is reached, the injector asks
+:func:`repro.faults.sites.resolve` where it lands on the live GPU (a
+random active thread/warp for the register file and local memory,
+random active CTAs for shared memory, random busy SIMT cores for the
+L1 caches -- section IV.B of the paper) and owns the rest: a per-kind
+*corrupter* changes the bits behind each resolved
+:class:`~repro.faults.sites.Site`, the propagation tracer is told to
+watch it, and the application is logged so the campaign parser can
+attribute outcomes.
 
 *What* the corruption does to the stored bits is delegated to the
 mask's :class:`~repro.faults.models.FaultModel` strategy: the default
@@ -18,7 +21,7 @@ so overwrites and cache refills are re-corrupted like a stuck SRAM
 cell.  Cycles the GPU idle-skips change no state, so skipping the
 re-assertion there is exact.
 
-Two spatial handlers go beyond the paper's storage arrays into the
+Two corrupters go beyond the paper's storage arrays into the
 SIMT control units (:data:`Structure.SIMT_STACK`,
 :data:`Structure.SCOREBOARD`): reconvergence-stack entries (active
 mask / pc / reconvergence pc fields) and per-register scoreboard
@@ -33,7 +36,8 @@ import numpy as np
 
 from repro.faults.mask import FaultMask
 from repro.faults.models import FaultModel, get_model
-from repro.faults.targets import (SIMT_STACK_ENTRY_BITS, Structure)
+from repro.faults.sites import LiveState, Site, resolve
+from repro.faults.targets import Structure
 
 
 class Injector:
@@ -60,12 +64,7 @@ class Injector:
         self.cache_hook_mode = cache_hook_mode
         self.column = column
         for mask in self.masks:
-            model = get_model(mask.fault_model)
-            if cache_hook_mode and not model.supports_cache_hooks:
-                raise ValueError(
-                    f"fault model {model.name!r} does not support "
-                    "cache_hook_mode (hooks encode one-shot flip "
-                    "semantics)")
+            get_model(mask.fault_model).check_cache_hooks(cache_hook_mode)
         self._next = 0
         #: One log record per applied mask (see campaign JSONL schema).
         self.log: List[dict] = []
@@ -102,18 +101,38 @@ class Injector:
                 if reassert(gpu):
                     record["reasserted"] += 1
 
-    # -- spatial resolution -------------------------------------------------
+    # -- resolve, then corrupt ------------------------------------------------
 
     def _apply(self, gpu, mask: FaultMask, now: int) -> dict:
-        rng = np.random.default_rng(mask.seed)
         model = get_model(mask.fault_model)
+        sites = resolve(mask, LiveState(gpu), self.cache_hook_mode)
+        if isinstance(sites, str):
+            return {"target": "none", "reason": sites}
+        kind = sites[0].kind
+        corrupt = self._CORRUPTERS[sites[0].unit or kind]
         self._staged = []
-        record = self._HANDLERS[mask.structure](self, gpu, mask, rng,
-                                                model)
-        if model.persistent and record.get("target") != "none":
+        parts = []
+        for site in sites:
+            part = corrupt(self, site, mask, model)
+            parts.append(part)
+            if gpu.propagation is not None:
+                # a cache line is registered once per flip record, as
+                # the logs have always listed it: a multi-bit flip into
+                # an invalid line (closed at once, never watched, so
+                # never deduplicated) appears once per bit
+                for _ in part if kind == "cache" else (None,):
+                    gpu.propagation.watch(site, model.persistent)
+        if kind == "shared":
+            record = {"target": "cta", "blocks": parts}
+        elif kind == "cache":
+            record = {"target": "l2" if sites[0].core is None else "l1",
+                      "flips": [flip for part in parts for flip in part]}
+        else:
+            record = parts[0]
+        if model.persistent:
             record["reasserted"] = 0
-            for closure in self._staged:
-                self._persistent.append((record, closure))
+            self._persistent.extend((record, closure)
+                                    for closure in self._staged)
         self._staged = []
         return record
 
@@ -123,39 +142,27 @@ class Injector:
             self._staged.append(closure)
 
     @staticmethod
-    def _live_warps(gpu) -> List[Tuple[int, object]]:
-        """All live warps as ``(core_id, warp)``, deterministic order."""
-        out = []
-        for core in gpu.cores:
-            for cta in core.ctas:
-                for warp in cta.warps:
-                    if not warp.done:
-                        out.append((core.core_id, warp))
-        return out
-
-    @staticmethod
     def _word_mask(bit_offsets) -> np.uint32:
         flip = np.uint32(0)
         for bit in bit_offsets:
             flip |= np.uint32(1 << (bit % 32))
         return flip
 
-    def _inject_register_file(self, gpu, mask: FaultMask,
-                              rng: np.random.Generator,
-                              model: FaultModel) -> dict:
-        warps = self._live_warps(gpu)
-        if not warps:
-            return {"target": "none", "reason": "no live warp"}
-        core_id, warp = warps[int(rng.integers(0, len(warps)))]
-        reg = mask.entry_index % warp.regs.shape[0]
+    @staticmethod
+    def _byte_masks(word: int, bit_offsets) -> dict:
+        """``{byte offset: bit mask}`` of a 32-bit word's flipped bits."""
+        byte_masks = {}
+        for bit in bit_offsets:
+            byte = word * 4 + (bit % 32) // 8
+            byte_masks[byte] = (byte_masks.get(byte, 0)
+                                | (1 << ((bit % 32) % 8)))
+        return byte_masks
+
+    def _corrupt_register(self, site: Site, mask: FaultMask,
+                          model: FaultModel) -> dict:
+        warp, lanes = site.handle, list(site.lanes)
         flip = self._word_mask(mask.bit_offsets)
-        prop = gpu.propagation
-        if mask.warp_level:
-            lanes = warp.live_lanes()
-        else:
-            live = warp.live_lanes()
-            lanes = np.asarray([int(live[int(rng.integers(0, len(live)))])])
-        cells = warp.regs[reg, self.column]
+        cells = warp.regs[site.index, self.column]
         cells[lanes] = model.apply_word(cells[lanes], flip)
 
         def reassert(gpu, warp=warp, cells=cells, lanes=lanes, flip=flip,
@@ -170,129 +177,54 @@ class Injector:
             return True
 
         self._stage(model, reassert)
-        if prop is not None:
-            prop.on_register_site(core_id, warp.age, reg, lanes,
-                                  persistent=model.persistent)
         if mask.warp_level:
-            return {"target": "warp", "core": core_id,
-                    "warp_age": warp.age, "register": int(reg),
-                    "lanes": [int(l) for l in lanes]}
-        return {"target": "thread", "core": core_id, "warp_age": warp.age,
-                "lane": int(lanes[0]), "register": int(reg)}
+            return {"target": "warp", "core": site.core,
+                    "warp_age": site.age, "register": site.index,
+                    "lanes": lanes}
+        return {"target": "thread", "core": site.core, "warp_age": site.age,
+                "lane": lanes[0], "register": site.index}
 
-    def _inject_local(self, gpu, mask: FaultMask,
-                      rng: np.random.Generator,
+    def _corrupt_word(self, site: Site, mask: FaultMask,
                       model: FaultModel) -> dict:
-        warps = [(cid, w) for cid, w in self._live_warps(gpu)
-                 if w.local_mem is not None]
-        if not warps:
-            return {"target": "none", "reason": "no live warp with local mem"}
-        core_id, warp = warps[int(rng.integers(0, len(warps)))]
-        nwords = warp.local_bytes // 4
-        word = mask.entry_index % max(nwords, 1)
-        byte_masks = {}
-        for bit in mask.bit_offsets:
-            byte = word * 4 + (bit % 32) // 8
-            byte_masks[byte] = byte_masks.get(byte, 0) | (1 << ((bit % 32) % 8))
-        if mask.warp_level:
-            lanes = warp.live_lanes()
+        """One 32-bit word: of a CTA's shared memory, or of the local
+        memory of some lanes of a warp."""
+        owner = site.handle
+        if site.kind == "shared":
+            rows = [owner.smem[self.column]]
         else:
-            live = warp.live_lanes()
-            lanes = [int(live[int(rng.integers(0, len(live)))])]
+            rows = [owner.local_mem[self.column][lane]
+                    for lane in site.lanes]
+        byte_masks = self._byte_masks(site.index, mask.bit_offsets)
 
-        cells = warp.local_mem[self.column]
-
-        def corrupt(gpu, warp=warp, cells=cells, lanes=lanes,
-                    byte_masks=byte_masks, model=model):
-            if warp.done:
+        def corrupt(gpu, owner=owner, rows=rows, byte_masks=byte_masks,
+                    model=model):
+            if owner.done:
                 return False
             changed = False
             for byte, bits in byte_masks.items():
                 bits = np.uint8(bits)
-                for lane in lanes:
-                    current = cells[lane, byte]
+                for row in rows:
+                    current = row[byte]
                     wanted = model.apply_word(current, bits)
                     if wanted != current:
-                        cells[lane, byte] = wanted
+                        row[byte] = wanted
                         changed = True
             return changed
 
-        corrupt(gpu)
+        corrupt(None)
         self._stage(model, corrupt)
-        if gpu.propagation is not None:
-            gpu.propagation.on_local_site(core_id, warp.age, word, lanes,
-                                          persistent=model.persistent)
+        if site.kind == "shared":
+            return {"core": site.core, "cta": list(site.cta),
+                    "word": site.index}
         return {"target": "warp" if mask.warp_level else "thread",
-                "core": core_id, "warp_age": warp.age,
-                "lanes": [int(l) for l in lanes], "word": int(word)}
+                "core": site.core, "warp_age": site.age,
+                "lanes": list(site.lanes), "word": site.index}
 
-    def _inject_shared(self, gpu, mask: FaultMask,
-                       rng: np.random.Generator,
-                       model: FaultModel) -> dict:
-        ctas = [cta for core in gpu.cores for cta in core.ctas
-                if not cta.done and cta.smem.shape[1]]
-        if not ctas:
-            return {"target": "none", "reason": "no live CTA with smem"}
-        count = min(mask.n_blocks, len(ctas))
-        picks = rng.choice(len(ctas), size=count, replace=False)
-        hit = []
-        for idx in picks:
-            cta = ctas[int(idx)]
-            cells = cta.smem[self.column]
-            word = mask.entry_index % (len(cells) // 4)
-            byte_masks = {}
-            for bit in mask.bit_offsets:
-                byte = word * 4 + (bit % 32) // 8
-                byte_masks[byte] = byte_masks.get(byte, 0) \
-                    | (1 << ((bit % 32) % 8))
-
-            def corrupt(gpu, cta=cta, cells=cells, byte_masks=byte_masks,
-                        model=model):
-                if cta.done:
-                    return False
-                changed = False
-                for byte, bits in byte_masks.items():
-                    current = cells[byte]
-                    wanted = model.apply_word(current, np.uint8(bits))
-                    if wanted != current:
-                        cells[byte] = wanted
-                        changed = True
-                return changed
-
-            corrupt(gpu)
-            self._stage(model, corrupt)
-            hit.append({"core": cta.core.core_id, "cta": list(cta.cta_id),
-                        "word": int(word)})
-            if gpu.propagation is not None:
-                gpu.propagation.on_shared_site(
-                    cta.core.core_id, cta.warps[0].age, cta.cta_id, word,
-                    persistent=model.persistent)
-        return {"target": "cta", "blocks": hit}
-
-    def _inject_l1(self, gpu, mask: FaultMask, rng: np.random.Generator,
-                   model: FaultModel, kind: str) -> dict:
-        if kind == "d" and not gpu.config.has_l1d:
-            return {"target": "none", "reason": "card has no L1D"}
-        cores = [core for core in gpu.cores if core.ctas]
-        if not cores:
-            return {"target": "none", "reason": "no busy core"}
-        count = min(mask.n_cores, len(cores))
-        picks = rng.choice(len(cores), size=count, replace=False)
-        records = []
-        for idx in picks:
-            core = cores[int(idx)]
-            cache = {"d": core.l1d, "t": core.l1t, "c": core.l1c,
-                     "i": core.l1i}[kind]
-            line = mask.entry_index % cache.geometry.num_lines
-            records.extend(self._corrupt_cache(cache, line,
-                                               mask.bit_offsets, model))
-        self._register_cache_sites(gpu, records, model)
-        return {"target": "l1", "flips": records}
-
-    def _corrupt_cache(self, cache, line: int, bit_offsets,
+    def _corrupt_cache(self, site: Site, mask: FaultMask,
                        model: FaultModel) -> List[dict]:
-        bits = [bit % cache.bits_per_line for bit in bit_offsets]
-        if self.cache_hook_mode:
+        cache, line = site.handle, site.index
+        bits = [bit % cache.bits_per_line for bit in mask.bit_offsets]
+        if site.mode == "hook":
             return [cache.arm_hook(line, bits)]
         op = model.cache_op
         records = [cache.flip_bit(line, bit, op=op) for bit in bits]
@@ -303,43 +235,13 @@ class Injector:
         self._stage(model, reassert)
         return records
 
-    @staticmethod
-    def _register_cache_sites(gpu, records: List[dict],
-                              model: FaultModel) -> None:
-        if gpu.propagation is None:
-            return
-        for rec in records:
-            gpu.propagation.on_cache_site(
-                rec["cache"], rec["line"], rec.get("mode", "flip"),
-                rec["valid"], persistent=model.persistent)
-
-    def _inject_l1d(self, gpu, mask, rng, model):
-        return self._inject_l1(gpu, mask, rng, model, kind="d")
-
-    def _inject_l1t(self, gpu, mask, rng, model):
-        return self._inject_l1(gpu, mask, rng, model, kind="t")
-
-    def _inject_l1c(self, gpu, mask, rng, model):
-        return self._inject_l1(gpu, mask, rng, model, kind="c")
-
-    def _inject_l1i(self, gpu, mask, rng, model):
-        return self._inject_l1(gpu, mask, rng, model, kind="i")
-
-    def _inject_l2(self, gpu, mask: FaultMask,
-                   rng: np.random.Generator, model: FaultModel) -> dict:
-        line = mask.entry_index % gpu.l2.geometry.num_lines
-        flips = self._corrupt_cache(gpu.l2, line, mask.bit_offsets, model)
-        self._register_cache_sites(gpu, flips, model)
-        return {"target": "l2", "flips": flips}
-
     # -- control units (extension) ------------------------------------------
 
-    def _inject_simt_stack(self, gpu, mask: FaultMask,
-                           rng: np.random.Generator,
-                           model: FaultModel) -> dict:
+    def _corrupt_simt_stack(self, site: Site, mask: FaultMask,
+                            model: FaultModel) -> dict:
         """Corrupt one reconvergence-stack entry of a live warp.
 
-        Entry layout (:data:`SIMT_STACK_ENTRY_BITS` = 64): bits 0-31
+        Entry layout (``Structure.SIMT_STACK.width`` = 64 bits): 0-31
         hit the active mask (one lane each), 32-47 the 16-bit pc,
         48-63 the 16-bit reconvergence pc.  The targeted physical slot
         is ``entry_index`` modulo the warp's current stack depth; a
@@ -347,16 +249,12 @@ class Injector:
         exists (stack pushes/pops move *logical* entries through the
         stuck physical cells, exactly like hardware).
         """
-        warps = self._live_warps(gpu)
-        if not warps:
-            return {"target": "none", "reason": "no live warp"}
-        core_id, warp = warps[int(rng.integers(0, len(warps)))]
-        slot = mask.entry_index % len(warp.stack)
+        warp, slot = site.handle, site.index
         mask_bits = []
         pc_mask = 0
         reconv_mask = 0
         for bit in mask.bit_offsets:
-            bit %= SIMT_STACK_ENTRY_BITS
+            bit %= Structure.SIMT_STACK.width
             if bit < 32:
                 mask_bits.append(bit)
             elif bit < 48:
@@ -400,12 +298,8 @@ class Injector:
                 warp.wake()
             return changed
 
-        corrupt(gpu)
+        corrupt(None)
         self._stage(model, corrupt)
-        if gpu.propagation is not None:
-            gpu.propagation.on_control_site(
-                "simt_stack", core_id, warp.age, slot,
-                persistent=model.persistent)
         fields = []
         if mask_bits:
             fields.append("mask")
@@ -413,12 +307,11 @@ class Injector:
             fields.append("pc")
         if reconv_mask:
             fields.append("reconv_pc")
-        return {"target": "warp", "core": core_id, "warp_age": warp.age,
-                "slot": int(slot), "fields": fields}
+        return {"target": "warp", "core": site.core, "warp_age": site.age,
+                "slot": slot, "fields": fields}
 
-    def _inject_scoreboard(self, gpu, mask: FaultMask,
-                           rng: np.random.Generator,
-                           model: FaultModel) -> dict:
+    def _corrupt_scoreboard(self, site: Site, mask: FaultMask,
+                            model: FaultModel) -> dict:
         """Corrupt one scoreboard ready-cycle entry of a live warp.
 
         The entry is the 32-bit "value ready at cycle" counter of one
@@ -426,11 +319,7 @@ class Injector:
         Timeout territory), lowering it releases a hazard early and
         lets a consumer issue before its operand landed.
         """
-        warps = self._live_warps(gpu)
-        if not warps:
-            return {"target": "none", "reason": "no live warp"}
-        core_id, warp = warps[int(rng.integers(0, len(warps)))]
-        reg = mask.entry_index % max(warp.num_regs, 1)
+        warp, reg = site.handle, site.index
         flip = int(self._word_mask(mask.bit_offsets))
 
         def corrupt(gpu, warp=warp, reg=reg, flip=flip, model=model):
@@ -449,27 +338,21 @@ class Injector:
             return True
 
         before = int(warp.reg_ready.get(reg, 0))
-        corrupt(gpu)
+        corrupt(None)
         self._stage(model, corrupt)
-        if gpu.propagation is not None:
-            gpu.propagation.on_control_site(
-                "scoreboard", core_id, warp.age, reg,
-                persistent=model.persistent)
-        return {"target": "warp", "core": core_id, "warp_age": warp.age,
-                "register": int(reg), "ready_before": before,
+        return {"target": "warp", "core": site.core, "warp_age": site.age,
+                "register": reg, "ready_before": before,
                 "ready_after": int(warp.reg_ready.get(reg, 0))}
 
-    #: Structure -> unbound handler; built once at class definition
-    #: instead of per applied mask.
-    _HANDLERS = {
-        Structure.REGISTER_FILE: _inject_register_file,
-        Structure.LOCAL_MEM: _inject_local,
-        Structure.SHARED_MEM: _inject_shared,
-        Structure.L1D_CACHE: _inject_l1d,
-        Structure.L1T_CACHE: _inject_l1t,
-        Structure.L1C_CACHE: _inject_l1c,
-        Structure.L1I_CACHE: _inject_l1i,
-        Structure.L2_CACHE: _inject_l2,
-        Structure.SIMT_STACK: _inject_simt_stack,
-        Structure.SCOREBOARD: _inject_scoreboard,
+    #: Site kind (control: unit) -> unbound corrupter.  Each takes one
+    #: resolved site, changes the state behind it, stages what a
+    #: persistent model must keep re-asserting and returns the site's
+    #: part of the injection log.
+    _CORRUPTERS = {
+        "register": _corrupt_register,
+        "local": _corrupt_word,
+        "shared": _corrupt_word,
+        "cache": _corrupt_cache,
+        "simt_stack": _corrupt_simt_stack,
+        "scoreboard": _corrupt_scoreboard,
     }

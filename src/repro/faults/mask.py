@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.targets import Structure
+from repro.faults.targets import Structure, entry_bits, entry_count
 from repro.sim.config import GPUConfig
 
 
@@ -54,61 +54,6 @@ def derive_run_seed(campaign_seed: int, kernel: str, structure: Structure,
     seq = np.random.SeedSequence(campaign_seed, spawn_key=spawn_key)
     words = seq.generate_state(4, np.uint32)
     return int.from_bytes(np.asarray(words).tobytes(), "little")
-
-
-def rng_for_run(campaign_seed: int, kernel: str, structure: Structure,
-                run_index: int,
-                fault_model: str = "transient") -> np.random.Generator:
-    """A fresh generator seeded with :func:`derive_run_seed`."""
-    return np.random.default_rng(
-        derive_run_seed(campaign_seed, kernel, structure, run_index,
-                        fault_model))
-
-
-def _cache_geometry(config: GPUConfig, structure: Structure):
-    if structure is Structure.L1D_CACHE:
-        if config.l1d is None:
-            raise ValueError(f"{config.name} has no L1 data cache")
-        return config.l1d
-    if structure is Structure.L1T_CACHE:
-        return config.l1t
-    if structure is Structure.L1C_CACHE:
-        return config.l1c
-    if structure is Structure.L1I_CACHE:
-        return config.l1i
-    return config.l2
-
-
-def entry_bits(config: GPUConfig, structure: Structure) -> int:
-    """Bit width of one entry of a structure on one card."""
-    if structure.is_cache:
-        cache = _cache_geometry(config, structure)
-        return cache.line_bytes * 8 + config.tag_bits
-    if structure is Structure.SIMT_STACK:
-        from repro.faults.targets import SIMT_STACK_ENTRY_BITS
-
-        return SIMT_STACK_ENTRY_BITS
-    return 32
-
-
-def entry_count(config: GPUConfig, structure: Structure,
-                regs_per_thread: int, smem_bytes: int,
-                local_bytes: int) -> int:
-    """Number of entries of a structure (per thread/CTA/core scope)."""
-    if structure is Structure.REGISTER_FILE:
-        return max(regs_per_thread, 1)
-    if structure is Structure.SHARED_MEM:
-        return max(smem_bytes // 4, 1)
-    if structure is Structure.LOCAL_MEM:
-        return max(local_bytes // 4, 1)
-    if structure is Structure.SIMT_STACK:
-        from repro.faults.targets import SIMT_STACK_ENTRIES
-
-        return SIMT_STACK_ENTRIES
-    if structure is Structure.SCOREBOARD:
-        # the scoreboard tracks the kernel's allocated registers
-        return max(regs_per_thread, 1)
-    return _cache_geometry(config, structure).num_lines
 
 
 def mask_population(config: GPUConfig, structure: Structure,
@@ -310,21 +255,9 @@ class MaskGenerator:
             offset -= length
         raise AssertionError("unreachable")
 
-    def _entry_bits(self, structure: Structure) -> int:
-        """Bit width of one entry of a structure."""
-        return entry_bits(self.config, structure)
-
-    def _cache_geometry(self, structure: Structure):
-        return _cache_geometry(self.config, structure)
-
-    def _entry_count(self, structure: Structure) -> int:
-        """Number of entries of a structure (per thread/CTA/core scope)."""
-        return entry_count(self.config, structure, self.regs_per_thread,
-                           self.smem_bytes, self.local_bytes)
-
     def _bit_offsets(self, structure: Structure, n_bits: int,
                      mode: MultiBitMode) -> Tuple[int, ...]:
-        width = self._entry_bits(structure)
+        width = entry_bits(self.config, structure)
         n_bits = min(n_bits, width)
         if mode is MultiBitMode.ADJACENT:
             base = int(self.rng.integers(0, width - n_bits + 1))
@@ -346,7 +279,9 @@ class MaskGenerator:
         return FaultMask(
             structure=structure,
             cycle=self.random_cycle() if cycle is None else cycle,
-            entry_index=int(self.rng.integers(0, self._entry_count(structure))),
+            entry_index=int(self.rng.integers(0, entry_count(
+                self.config, structure, self.regs_per_thread,
+                self.smem_bytes, self.local_bytes))),
             bit_offsets=self._bit_offsets(structure, n_bits, mode),
             warp_level=warp_level,
             n_blocks=n_blocks,

@@ -82,6 +82,13 @@ class FaultModel:
     #: this model (hooks encode one-shot flip semantics).
     supports_cache_hooks: bool = True
 
+    def check_cache_hooks(self, cache_hook_mode: bool) -> None:
+        """Reject ``cache_hook_mode`` under a model it does not fit."""
+        if cache_hook_mode and not self.supports_cache_hooks:
+            raise ValueError(
+                f"fault model {self.name!r} does not support "
+                "cache_hook_mode (hooks encode one-shot flip semantics)")
+
     def apply_word(self, value, bits):
         """Corrupt ``value`` at the positions set in ``bits``.
 

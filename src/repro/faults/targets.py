@@ -19,6 +19,14 @@ from repro.sim.config import GPUConfig
 class Structure(enum.Enum):
     """A fault-injection target hardware structure.
 
+    Every member declares its facts once, after its name: the ``kind``
+    of :class:`~repro.faults.sites.Site` a mask on it resolves to,
+    whether it contributes to chip AVF (``on_chip``, eq. 2), the
+    ``cache`` attribute a cache structure names -- the same name on a
+    :class:`~repro.sim.config.GPUConfig` (its geometry), on a SIMT core
+    and, for the L2, on the GPU --, and for the others the width of an
+    entry in bits and the entries a warp has of it in hardware.
+
     ``L1C_CACHE`` goes beyond the paper: gpuFI-4 defers constant-cache
     injection to future work (section IV.C.1); our substrate models
     the constant cache, so it is injectable here -- but it is kept out
@@ -26,107 +34,104 @@ class Structure(enum.Enum):
     paper's exactly.
     """
 
-    REGISTER_FILE = "register_file"
-    LOCAL_MEM = "local_mem"
-    SHARED_MEM = "shared_mem"
-    L1D_CACHE = "l1d_cache"
-    L1T_CACHE = "l1t_cache"
-    L1C_CACHE = "l1c_cache"
-    L1I_CACHE = "l1i_cache"
-    L2_CACHE = "l2_cache"
+    def __new__(cls, value, kind, on_chip=False, cache=None, width=32,
+                per_warp=0):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.kind, member.on_chip, member.cache = kind, on_chip, cache
+        member.width, member.per_warp = width, per_warp
+        return member
+
+    REGISTER_FILE = "register_file", "register", True
+    #: Off-chip (device memory): injectable, no chip AVF weight.
+    LOCAL_MEM = "local_mem", "local"
+    SHARED_MEM = "shared_mem", "shared", True
+    L1D_CACHE = "l1d_cache", "cache", True, "l1d"
+    L1T_CACHE = "l1t_cache", "cache", True, "l1t"
+    L1C_CACHE = "l1c_cache", "cache", False, "l1c"
+    L1I_CACHE = "l1i_cache", "cache", False, "l1i"
+    L2_CACHE = "l2_cache", "cache", True, "l2"
     #: SIMT reconvergence stack (control unit, extension): per-warp
-    #: IPDOM stack entries of active mask + pc + reconvergence pc.
-    SIMT_STACK = "simt_stack"
-    #: Scoreboard (control unit, extension): per-warp register
-    #: ready-cycle entries steering hazard stalls.
-    SCOREBOARD = "scoreboard"
+    #: IPDOM stack entries of 32 active-mask bits + 16-bit pc + 16-bit
+    #: reconvergence pc; hardware allocates a fixed number of slots
+    #: bounding branch-nesting depth.
+    SIMT_STACK = "simt_stack", "control", False, None, 64, 16
+    #: Scoreboard (control unit, extension): one 32-bit ready-cycle
+    #: counter per trackable destination register (the ISA's
+    #: architectural register budget), steering hazard stalls.
+    SCOREBOARD = "scoreboard", "control", False, None, 32, 64
 
     @property
     def is_cache(self) -> bool:
         """Whether this structure is one of the tag+data caches."""
-        return self in (Structure.L1D_CACHE, Structure.L1T_CACHE,
-                        Structure.L1C_CACHE, Structure.L1I_CACHE,
-                        Structure.L2_CACHE)
+        return self.cache is not None
 
     @property
     def is_control(self) -> bool:
         """Whether this structure is SIMT control-unit state (not a
         storage array the paper injects)."""
-        return self in (Structure.SIMT_STACK, Structure.SCOREBOARD)
-
-    @property
-    def on_chip(self) -> bool:
-        """Whether the structure contributes to chip AVF (eq. 2)."""
-        return self not in (Structure.LOCAL_MEM, Structure.L1C_CACHE,
-                            Structure.L1I_CACHE, Structure.SIMT_STACK,
-                            Structure.SCOREBOARD)
+        return self.kind == "control"
 
 
 #: The structures that enter the chip-level AVF sum, in a fixed order.
-CHIP_STRUCTURES = (
-    Structure.REGISTER_FILE,
-    Structure.SHARED_MEM,
-    Structure.L1D_CACHE,
-    Structure.L1T_CACHE,
-    Structure.L2_CACHE,
-)
+CHIP_STRUCTURES = tuple(s for s in Structure if s.on_chip)
 
 #: The control-unit structures (extension; the ``control`` fault
 #: model's default target set).  Kept out of :data:`CHIP_STRUCTURES`
 #: so the paper's storage-only AVF accounting is unchanged.
-CONTROL_STRUCTURES = (
-    Structure.SIMT_STACK,
-    Structure.SCOREBOARD,
-)
+CONTROL_STRUCTURES = tuple(s for s in Structure if s.is_control)
 
-#: Modelled SIMT-stack depth per warp: hardware allocates a fixed
-#: number of IPDOM entry slots bounding branch-nesting depth.
-SIMT_STACK_ENTRIES = 16
-#: Bits per SIMT-stack entry: 32 active-mask bits + 16-bit pc +
-#: 16-bit reconvergence pc.
-SIMT_STACK_ENTRY_BITS = 64
-#: Scoreboard capacity per warp: one entry per trackable destination
-#: register (the ISA's architectural register budget).
-SCOREBOARD_ENTRIES = 64
-#: Bits per scoreboard entry: the 32-bit ready-cycle counter.
-SCOREBOARD_ENTRY_BITS = 32
+
+def _geometry(config: GPUConfig, structure: Structure):
+    geometry = getattr(config, structure.cache)
+    if geometry is None:
+        raise ValueError(f"{config.name} has no L1 data cache")
+    return geometry
+
+
+def entry_bits(config: GPUConfig, structure: Structure) -> int:
+    """Bit width of one entry of a structure on one card (a cache
+    line counts its abstract tag field)."""
+    if structure.is_cache:
+        return _geometry(config, structure).line_bytes * 8 + config.tag_bits
+    return structure.width
+
+
+def entry_count(config: GPUConfig, structure: Structure,
+                regs_per_thread: int, smem_bytes: int,
+                local_bytes: int) -> int:
+    """Number of entries of a structure (per thread/CTA/core scope)."""
+    if structure.is_cache:
+        return _geometry(config, structure).num_lines
+    if structure is Structure.SIMT_STACK:
+        return structure.per_warp
+    # the scoreboard tracks the kernel's allocated registers
+    words = {"shared": smem_bytes // 4, "local": local_bytes // 4}
+    return max(words.get(structure.kind, regs_per_thread), 1)
 
 
 def chip_bits(structure: Structure, config: GPUConfig) -> int:
     """Whole-chip injectable size of a structure in bits (Table I).
 
     Returns 0 for structures the card does not have (the GTX Titan has
-    no L1 data cache for globals) and for off-chip local memory.
+    no L1 data cache for globals) and for off-chip local memory.  The
+    beyond-the-paper targets (L1C, L1I, the control units) have a size
+    but no AVF weight: they are not in :data:`CHIP_STRUCTURES`.
     """
-    if structure is Structure.REGISTER_FILE:
-        return config.num_sms * config.register_file_bits_per_sm
-    if structure is Structure.SHARED_MEM:
-        return config.num_sms * config.shared_mem_bits_per_sm
-    if structure is Structure.L1D_CACHE:
-        if config.l1d is None:
+    if structure.is_cache:
+        geometry = getattr(config, structure.cache)
+        if geometry is None:
             return 0
-        return config.num_sms * config.l1d.injectable_bits(config.tag_bits)
-    if structure is Structure.L1T_CACHE:
-        return config.num_sms * config.l1t.injectable_bits(config.tag_bits)
-    if structure is Structure.L2_CACHE:
-        return config.l2.injectable_bits(config.tag_bits)
-    if structure is Structure.L1C_CACHE:
-        # injectable (extension) but excluded from the AVF weights via
-        # CHIP_STRUCTURES, matching the paper's accounting
-        return config.num_sms * config.l1c.injectable_bits(config.tag_bits)
-    if structure is Structure.L1I_CACHE:
-        return config.num_sms * config.l1i.injectable_bits(config.tag_bits)
-    if structure is Structure.SIMT_STACK:
-        # control unit (extension): excluded from the AVF weights via
-        # CHIP_STRUCTURES, like the other beyond-the-paper targets
-        return (config.num_sms * config.max_warps_per_sm
-                * SIMT_STACK_ENTRIES * SIMT_STACK_ENTRY_BITS)
-    if structure is Structure.SCOREBOARD:
-        return (config.num_sms * config.max_warps_per_sm
-                * SCOREBOARD_ENTRIES * SCOREBOARD_ENTRY_BITS)
-    if structure is Structure.LOCAL_MEM:
-        return 0
-    raise ValueError(f"unknown structure {structure}")
+        bits = geometry.injectable_bits(config.tag_bits)
+        return bits if structure is Structure.L2_CACHE \
+            else config.num_sms * bits
+    per_sm = {Structure.REGISTER_FILE: config.register_file_bits_per_sm,
+              Structure.SHARED_MEM: config.shared_mem_bits_per_sm,
+              Structure.LOCAL_MEM: 0}.get(structure)
+    if per_sm is None:
+        per_sm = (config.max_warps_per_sm * structure.per_warp
+                  * structure.width)
+    return config.num_sms * per_sm
 
 
 def supported_structures(config: GPUConfig) -> tuple:

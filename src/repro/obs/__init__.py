@@ -41,7 +41,6 @@ from repro.obs.metrics import (MetricsCollector, derived_cycle_fields,
                                metrics_path_for)
 from repro.obs.propagation import (PropagationTracer, explain_record,
                                    prescreen_propagation,
-                                   sites_from_prescreen,
                                    summarize_propagation,
                                    synthesized_propagation)
 
@@ -67,7 +66,6 @@ __all__ = [
     "PropagationTracer",
     "explain_record",
     "prescreen_propagation",
-    "sites_from_prescreen",
     "summarize_propagation",
     "synthesized_propagation",
 ]

@@ -46,7 +46,7 @@ class PropagationTracer:
     """Observes one injected run and resolves the fate of every site.
 
     The injector registers corrupted sites at apply time
-    (:meth:`on_register_site` & friends); the core issue path, the
+    (:meth:`watch`); the core issue path, the
     shared/local memory paths and the caches then report reads,
     overwrites and evictions.  ``armed`` stays ``False`` until the
     first site registration, so every pre-injection hook check is a
@@ -63,11 +63,12 @@ class PropagationTracer:
         self.sites: List[dict] = []
         self.consumers: List[dict] = []
         self._consumers_dropped = 0
-        # watch indexes: (core, warp_age) -> {register/word -> site}
-        self._reg_sites: Dict[Tuple[int, int], Dict[int, dict]] = {}
-        self._local_sites: Dict[Tuple[int, int], Dict[int, dict]] = {}
-        self._smem_sites: Dict[Tuple[int, int], Dict[int, dict]] = {}
-        self._cache_sites: Dict[str, Dict[int, dict]] = {}
+        # watch indexes by site kind: (core, warp age | CTA age_base) ->
+        # {register | word -> site}; cache name -> {line -> site}
+        self._watched = {kind: {} for kind in ("register", "local",
+                                               "shared", "cache")}
+        (self._reg_sites, self._local_sites, self._smem_sites,
+         self._cache_sites) = self._watched.values()
         # derived-value taint: (core, warp_age) -> set of register indices
         self._taint: Dict[Tuple[int, int], set] = {}
         self._pending_load_cycle: Optional[int] = None
@@ -80,90 +81,35 @@ class PropagationTracer:
 
     # -- site registration (called by the injector) ----------------------
 
-    def _new_site(self, kind: str, persistent: bool = False,
-                  **fields) -> dict:
-        site = {"kind": kind}
-        site.update(fields)
-        site.setdefault("fate", "never_touched")
-        site.setdefault("fate_cycle", None)
-        site.setdefault("pc", None)
-        site.setdefault("kernel", None)
-        site.setdefault("events", [])
-        if persistent:
-            # persistent (stuck-at) faults never end: the site stays
-            # open for the whole run and counts every consumption
-            site["persistent"] = True
-            site["reads"] = 0
-        site["_open"] = True
-        self.sites.append(site)
-        self.armed = True
-        return site
+    def watch(self, site, persistent: bool = False) -> None:
+        """A fault landed on ``site`` (a resolved
+        :class:`repro.faults.sites.Site`): list it and, where a later
+        access can decide its fate, index it for the event hooks.
 
-    def on_register_site(self, core: int, warp_age: int, register: int,
-                         lanes, persistent: bool = False) -> None:
-        """A register-file fault landed on ``register`` of one warp."""
-        lanes = sorted(int(lane) for lane in lanes)
-        site = self._new_site("register", persistent, core=int(core),
-                              warp_age=int(warp_age),
-                              register=int(register), lanes=lanes)
-        site["_lanes"] = set(lanes)
-        self._reg_sites.setdefault(
-            (int(core), int(warp_age)), {})[int(register)] = site
-
-    def on_local_site(self, core: int, warp_age: int, word: int,
-                      lanes, persistent: bool = False) -> None:
-        """A local-memory fault landed on ``word`` of some lanes."""
-        lanes = sorted(int(lane) for lane in lanes)
-        site = self._new_site("local", persistent, core=int(core),
-                              warp_age=int(warp_age), word=int(word),
-                              lanes=lanes)
-        site["_lanes"] = set(lanes)
-        self._local_sites.setdefault(
-            (int(core), int(warp_age)), {})[int(word)] = site
-
-    def on_shared_site(self, core: int, age_base: int, cta, word: int,
-                       persistent: bool = False) -> None:
-        """A shared-memory fault landed on ``word`` of one CTA."""
-        site = self._new_site("shared", persistent, core=int(core),
-                              cta=list(int(c) for c in cta),
-                              word=int(word))
-        site["_age_base"] = int(age_base)
-        self._smem_sites.setdefault(
-            (int(core), int(age_base)), {})[int(word)] = site
-
-    def on_cache_site(self, cache: str, line: int, mode: str,
-                      valid: bool, persistent: bool = False) -> None:
-        """A cache fault (or armed hook) landed on one line.
-
-        Transient flips into invalid lines are architecturally masked
-        -- the next fill rewrites tag and data -- so they close
-        immediately as ``never_touched`` and are never watched.  A
-        persistent fault on an invalid line is still live: the next
-        fill lands in the stuck cells and is re-corrupted, so it is
+        Control-unit state steers the issue logic directly, so such a
+        site is consumed at the injection itself rather than watched
+        for a later read.  Transient flips into invalid cache lines
+        are architecturally masked -- the next fill rewrites tag and
+        data -- so they close immediately as ``never_touched``; a
+        persistent fault on an invalid line is still live (the next
+        fill lands in the stuck cells and is re-corrupted) and is
         watched like a valid line.
         """
-        watch = self._cache_sites.setdefault(cache, {})
-        if int(line) in watch:  # multi-bit faults share one site
-            return
-        site = self._new_site("cache", persistent, cache=cache,
-                              line=int(line), mode=mode,
-                              valid=bool(valid))
-        if valid or persistent:
-            watch[int(line)] = site
-        else:
-            site["_open"] = False
-
-    def on_control_site(self, unit: str, core: int, warp_age: int,
-                        index: int, persistent: bool = False) -> None:
-        """A control-unit fault landed (SIMT stack slot / scoreboard
-        entry).  Control state steers the issue logic directly, so the
-        site is consumed at the injection itself rather than watched
-        for a later read."""
-        site = self._new_site("control", persistent, unit=str(unit),
-                              core=int(core), warp_age=int(warp_age),
-                              index=int(index))
-        now = self.gpu.cycle if self.gpu is not None else None
-        self._consume(site, now, None, self._current_kernel())
+        cached = site.kind == "cache"
+        key = site.cache if cached else (site.core, site.age)
+        watched = self._watched.get(site.kind, {}).setdefault(key, {})
+        if cached and site.index in watched:
+            return  # multi-bit faults share one site
+        rec = site.record(persistent=persistent)
+        rec["_open"] = not cached or bool(site.valid or persistent)
+        self.sites.append(rec)
+        self.armed = True
+        if site.kind == "control":
+            now = self.gpu.cycle if self.gpu is not None else None
+            self._consume(rec, now, None, self._current_kernel())
+        elif rec["_open"]:
+            rec["_lanes"] = set(site.lanes)
+            watched[site.index] = rec
 
     # -- event hooks (called from sim layers; armed-gated) ---------------
 
@@ -233,11 +179,7 @@ class PropagationTracer:
                 self._event(site, "write", now)
                 self._close(site, "overwritten", now)
         if hit:
-            self._add_consumer(now, core_id, warp, inst)
-            _src, dst_regs, _sp, _dp = inst.scoreboard_sets()
-            if dst_regs:
-                self._taint.setdefault(
-                    (core_id, warp.age), set()).update(dst_regs)
+            self._loaded_by(now, core_id, warp, inst)
 
     def on_local_access(self, core_id: int, warp, inst, addrs, lanes,
                         is_load: bool, now: int) -> None:
@@ -265,11 +207,7 @@ class PropagationTracer:
                     if not site["_lanes"]:
                         self._close(site, "overwritten", now)
         if hit:
-            self._add_consumer(now, core_id, warp, inst)
-            _src, dst_regs, _sp, _dp = inst.scoreboard_sets()
-            if dst_regs:
-                self._taint.setdefault(
-                    (core_id, warp.age), set()).update(dst_regs)
+            self._loaded_by(now, core_id, warp, inst)
 
     def on_cache(self, name: str, line_index: int, kind: str) -> None:
         """One cache-line event on a (possibly watched) line.
@@ -312,11 +250,7 @@ class PropagationTracer:
         if self._pending_load_cycle != now:
             return
         self._pending_load_cycle = None
-        self._add_consumer(now, core_id, warp, inst)
-        _src, dst_regs, _sp, _dp = inst.scoreboard_sets()
-        if dst_regs:
-            self._taint.setdefault(
-                (core_id, warp.age), set()).update(dst_regs)
+        self._loaded_by(now, core_id, warp, inst)
 
     def note_peek(self, cache, addr: int) -> None:
         """Host read/write observed a (possibly stale) resident line."""
@@ -389,6 +323,15 @@ class PropagationTracer:
         site["fate_cycle"] = None if cycle is None else int(cycle)
         site["_open"] = False
 
+    def _loaded_by(self, now: int, core_id: int, warp, inst) -> None:
+        """A load brought a corrupted value into ``inst``'s
+        destination registers: it is a consumer, they are tainted."""
+        self._add_consumer(now, core_id, warp, inst)
+        dst_regs = inst.scoreboard_sets()[1]
+        if dst_regs:
+            self._taint.setdefault(
+                (core_id, warp.age), set()).update(dst_regs)
+
     def _add_consumer(self, now: int, core_id: int, warp, inst) -> None:
         if len(self.consumers) >= self.max_consumers:
             self._consumers_dropped += 1
@@ -453,54 +396,15 @@ def synthesized_propagation() -> dict:
 def prescreen_propagation(site_json: str) -> dict:
     """Propagation record for a pre-screened run.
 
-    ``site_json`` is the plan-time payload produced by
-    :func:`sites_from_prescreen` (the site the mask would have hit and
-    the fate the golden :class:`LivenessTrace` proves for it).
+    ``site_json`` is the plan-time payload of
+    :meth:`repro.faults.campaign.Campaign.plan`: the injection cycle
+    and, shaped by :meth:`repro.faults.sites.Site.record` like traced
+    sites, every site the mask resolves to with the fate the golden
+    :class:`LivenessTrace` proves for it.
     """
     payload = json.loads(site_json) if site_json else {}
     return _unsimulated("prescreen", payload.get("cycle"),
                         payload.get("sites"))
-
-
-def sites_from_prescreen(structure: str, target: Optional[dict],
-                         fate: str) -> List[dict]:
-    """Shape a :class:`Prescreener` verdict like traced sites.
-
-    ``target`` is ``Prescreener.last_target`` and ``fate`` its
-    ``last_fate`` -- the liveness-proven reason the run is Masked.
-    """
-    def site(kind, **fields):
-        out = {"kind": kind}
-        out.update(fields)
-        out.update({"fate": fate, "fate_cycle": None, "pc": None,
-                    "kernel": None, "events": []})
-        return out
-
-    if not target:
-        return []
-    sites: List[dict] = []
-    if structure == "register_file":
-        sites.append(site("register", core=int(target["core"]),
-                          warp_age=int(target["warp_age"]),
-                          register=int(target["register"]),
-                          lanes=[int(x) for x in target.get("lanes", [])]))
-    elif structure == "local_mem":
-        sites.append(site("local", core=int(target["core"]),
-                          warp_age=int(target["warp_age"]),
-                          word=int(target["word"]),
-                          lanes=[int(x) for x in target.get("lanes", [])]))
-    elif structure == "shared_mem":
-        for block in target.get("blocks", []):
-            sites.append(site("shared", core=int(block["core"]),
-                              cta=[int(c) for c in block["cta"]],
-                              word=int(block["word"])))
-    else:  # cache structures
-        for name in target.get("caches", []):
-            sites.append(site("cache", cache=name,
-                              line=int(target["line"]),
-                              mode=target.get("mode", "flip"),
-                              valid=bool(target.get("valid", True))))
-    return sites
 
 
 # -- metrics sidecar section ----------------------------------------------
@@ -585,13 +489,11 @@ def summarize_propagation(records: List[dict]) -> Optional[dict]:
 
 def _fmt_site(site: dict) -> List[str]:
     kind = site.get("kind", "?")
-    if kind == "register":
+    if kind in ("register", "local"):
         lanes = ",".join(str(x) for x in site.get("lanes", []))
-        head = (f"register R{site['register']} @ core {site['core']} "
-                f"warp {site['warp_age']} (lanes {lanes or '-'})")
-    elif kind == "local":
-        lanes = ",".join(str(x) for x in site.get("lanes", []))
-        head = (f"local word {site['word']} @ core {site['core']} "
+        what = (f"register R{site['register']}" if kind == "register"
+                else f"local word {site['word']}")
+        head = (f"{what} @ core {site['core']} "
                 f"warp {site['warp_age']} (lanes {lanes or '-'})")
     elif kind == "shared":
         cta = ",".join(str(x) for x in site.get("cta", []))
@@ -604,47 +506,32 @@ def _fmt_site(site: dict) -> List[str]:
                 + ")")
     elif kind == "control":
         unit = site.get("unit", "?")
-        if unit == "simt_stack":
-            head = (f"SIMT stack slot {site['index']} @ core "
-                    f"{site['core']} warp {site['warp_age']}")
-        elif unit == "scoreboard":
-            head = (f"scoreboard entry R{site['index']} @ core "
-                    f"{site['core']} warp {site['warp_age']}")
-        else:
-            head = (f"{unit} entry {site['index']} @ core "
-                    f"{site['core']} warp {site['warp_age']}")
+        what = {"simt_stack": "SIMT stack slot ",
+                "scoreboard": "scoreboard entry R"}.get(unit,
+                                                        f"{unit} entry ")
+        head = (f"{what}{site['index']} @ core "
+                f"{site['core']} warp {site['warp_age']}")
     else:
         head = kind
     fate = site.get("fate", "never_touched")
-    if site.get("persistent"):
+    where = []
+    if site.get("fate_cycle") is not None:
+        where.append(f"cycle {site['fate_cycle']}")
+    if fate == "consumed" and site.get("pc") is not None:
+        where.append(f"pc {site['pc']}")
+    if fate == "consumed" and site.get("kernel"):
+        where.append(f"kernel {site['kernel']}")
+    at = ", ".join(where)
+    if not site.get("persistent"):
+        tail = fate + (f" at {at}" if at else "")
+    elif fate == "consumed":
         head = "stuck " + head
-        reads = site.get("reads", 0)
-        if fate == "consumed":
-            tail = (f"consumed on every read ({reads} read(s) over "
-                    "the run; overwrites re-corrupted)")
-            if site.get("fate_cycle") is not None:
-                tail += f"; first at cycle {site['fate_cycle']}"
-            if site.get("pc") is not None:
-                tail += f", pc {site['pc']}"
-            if site.get("kernel"):
-                tail += f", kernel {site['kernel']}"
-        else:
-            tail = ("never read -- stuck bits held to the end of "
-                    "the run")
-        return _site_lines(site, head, tail)
-    tail = fate
-    if fate == "consumed":
-        where = []
-        if site.get("fate_cycle") is not None:
-            where.append(f"cycle {site['fate_cycle']}")
-        if site.get("pc") is not None:
-            where.append(f"pc {site['pc']}")
-        if site.get("kernel"):
-            where.append(f"kernel {site['kernel']}")
-        if where:
-            tail += " at " + ", ".join(where)
-    elif site.get("fate_cycle") is not None:
-        tail += f" at cycle {site['fate_cycle']}"
+        tail = (f"consumed on every read ({site.get('reads', 0)} read(s) "
+                "over the run; overwrites re-corrupted)"
+                + (f"; first at {at}" if at else ""))
+    else:
+        head = "stuck " + head
+        tail = "never read -- stuck bits held to the end of the run"
     return _site_lines(site, head, tail)
 
 

@@ -190,19 +190,6 @@ class PlanReport:
         }
 
 
-def _make_prescreener(campaign):
-    liveness = campaign.golden_run().liveness
-    if liveness is None:
-        return None
-    if not campaign.config.resolved_model().prescreen_safe:
-        return None
-    from repro.faults.early_stop import Prescreener
-
-    return Prescreener(liveness,
-                       campaign.config.resolved_card(),
-                       cache_hook_mode=campaign.config.cache_hook_mode)
-
-
 def _classify(campaign, card, prescreener, groups: Dict, specs,
               initial: bool) -> None:
     """Assign specs to strata, tagging each with its key."""
@@ -373,7 +360,7 @@ def run_adaptive(campaign, jobs: int = 1,
     progress = campaign._progress
     base_specs = campaign.plan()
     card = cfg.resolved_card()
-    prescreener = _make_prescreener(campaign)
+    prescreener = campaign.prescreener()
 
     groups: Dict[Tuple[str, str], _Group] = {}
     for spec in base_specs:

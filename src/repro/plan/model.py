@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.faults.mask import FaultMask, entry_bits
+from repro.faults.mask import FaultMask
+from repro.faults.targets import entry_bits
 from repro.plan.strata import LIFETIME_BANDS
 
 #: Gradient-descent hyperparameters (fixed: determinism over tuning).

@@ -10,14 +10,14 @@ stratum by two deterministic features and one liveness-derived one:
   first flipped bit lands in.  Low bits of a data word flip small
   magnitudes (often masked), high bits flip sign/exponent/tag bits
   (often not) -- the geometry comes from
-  :func:`repro.faults.mask.entry_bits`.
+  :func:`repro.faults.targets.entry_bits`.
 - **lifetime band** (``short``/``long``/``live``): how soon after the
   injection cycle the corrupted site is read, measured on the golden
   :class:`~repro.sim.liveness.LivenessTrace`.  A site read almost
   immediately had no chance to be overwritten; a site idle for a long
   fraction of the run is frequently dead in disguise.  ``live`` is the
-  fallback when the trace cannot resolve the site (caches, shared
-  memory, no trace captured).
+  fallback when no read is known (caches, shared memory, no trace
+  captured).
 - **dead** (:data:`DEAD_STRATUM`): the plan-time pre-screener
   *proved* the site is never observed (overwritten / evicted / never
   touched), so its failure probability is exactly 0 -- the stratum
@@ -32,15 +32,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.faults.mask import FaultMask, entry_bits
-from repro.faults.targets import Structure
+from repro.faults.mask import FaultMask
+from repro.faults.targets import Structure, entry_bits
 
 #: Stratum of plan-time proven-dead (and synthesized) faults: failure
 #: probability exactly 0, no execution needed.
 DEAD_STRATUM = "dead"
-
-#: Bit-position bands (low / high half of the entry).
-BIT_BANDS = ("lo", "hi")
 
 #: Liveness lifetime bands; ``live`` is the unresolvable fallback.
 LIFETIME_BANDS = ("short", "long", "live")
@@ -57,47 +54,17 @@ def bit_band(config, structure: Structure, mask: FaultMask) -> str:
     return "lo" if offset < width / 2 else "hi"
 
 
-def first_read_distance(trace, structure: Structure, target: dict,
-                        cycle: int) -> Optional[int]:
-    """Cycles from injection to the site's first subsequent read.
-
-    ``target`` is the site the pre-screener resolved
-    (:attr:`repro.faults.early_stop.Prescreener.last_target`); the
-    events come from the golden liveness trace.  Returns ``None`` when
-    the structure's events cannot be resolved (caches, shared memory,
-    SIMT stack, scoreboard) -- those sites fall into the ``live``
-    band.
-    """
-    if structure is Structure.REGISTER_FILE \
-            and {"core", "warp_age", "register"} <= set(target):
-        for when, kind in trace.register_events(
-                int(target["core"]), int(target["warp_age"]),
-                int(target["register"])):
-            if when >= cycle:
-                return when - cycle if kind == "r" else None
-        return None
-    if structure is Structure.LOCAL_MEM \
-            and {"core", "warp_age", "word"} <= set(target):
-        lanes = set(int(lane) for lane in target.get("lanes", []))
-        for when, lane, kind in trace.local_word_events(
-                int(target["core"]), int(target["warp_age"]),
-                int(target["word"])):
-            if when >= cycle and (not lanes or int(lane) in lanes):
-                return when - cycle if kind == "r" else None
-        return None
-    return None
-
-
-def lifetime_band(trace, structure: Structure, target: dict,
+def lifetime_band(structure: Structure, first_read: Optional[int],
                   cycle: int, golden_cycles: int) -> str:
-    """``short``/``long``/``live`` from the golden first-read distance."""
-    if trace is None or not target:
-        return "live"
-    distance = first_read_distance(trace, structure, target, cycle)
-    if distance is None:
+    """``short``/``long``/``live`` from the golden first-read cycle
+    (:attr:`repro.faults.early_stop.Verdict.first_read`).  Registers
+    and local words only: every other structure stays ``live``, the
+    band its sites have always been sampled in."""
+    if first_read is None or structure not in (Structure.REGISTER_FILE,
+                                               Structure.LOCAL_MEM):
         return "live"
     horizon = max(golden_cycles, 1)
-    return ("short" if distance <= SHORT_LIFETIME_FRACTION * horizon
+    return ("short" if first_read - cycle <= SHORT_LIFETIME_FRACTION * horizon
             else "long")
 
 
@@ -116,21 +83,16 @@ def stratum_of(config, spec, mask: FaultMask,
     """
     if spec.synthesized or spec.prescreened:
         return DEAD_STRATUM
-    band = bit_band(config, spec.structure, mask)
-    target = {}
-    trace = None
+    first_read = None
     if prescreener is not None:
-        # re-evaluating is deterministic (the spatial draw replays the
-        # mask's own seed) and leaves the resolved site on last_target
-        # even for a live verdict
         verdict = prescreener.evaluate(mask, spec.regs_per_thread,
                                        spec.smem_bytes, spec.local_bytes)
-        if verdict is not None:
+        if verdict.reason is not None:
             # a prescreener only proves deadness when the plan ran
             # with early_stop="full"; stay consistent with the spec
             return DEAD_STRATUM
-        target = prescreener.last_target
-        trace = prescreener.trace
-    life = lifetime_band(trace, spec.structure, target, mask.cycle,
+        first_read = verdict.first_read
+    band = bit_band(config, spec.structure, mask)
+    life = lifetime_band(spec.structure, first_read, mask.cycle,
                          spec.golden_cycles)
     return f"{band}:{life}"

@@ -160,11 +160,6 @@ class GPUConfig:
         return self.shared_mem_per_sm * 8
 
     @property
-    def has_l1d(self) -> bool:
-        """Whether global data is cached in a per-SM L1 data cache."""
-        return self.l1d is not None
-
-    @property
     def l1c(self) -> CacheGeometry:
         """Geometry of the per-SM L1 constant cache (extension)."""
         return CacheGeometry(self.l1c_size_per_sm,

@@ -28,10 +28,13 @@ the top of a loop iteration -- after launch-entry work of that cycle,
 before any issue -- so an event is post-injection for a fault at cycle
 ``c`` iff its timestamp is ``(> c)`` or ``(== c, phase 1)``.
 
-The query side reconstructs exactly the live-target lists the injector
-builds at run time (:class:`repro.faults.injector.Injector`), so the
-mask's RNG draws can be replayed bit-exactly without a simulator; the
-deadness verdicts themselves live in :mod:`repro.faults.early_stop`.
+The query side answers *what was live at cycle c*, in the (core,
+CTA-assignment, warp) order a GPU enumerates its own state in, and
+whether a cache line was valid then.  It owns nothing else of a fault:
+:class:`repro.faults.sites.GoldenState` presents these queries as a
+population :func:`repro.faults.sites.resolve` draws a mask's target
+from -- the same routine, fed by the live GPU, that the injector uses
+-- and the deadness verdicts live in :mod:`repro.faults.early_stop`.
 """
 
 from __future__ import annotations
@@ -42,6 +45,16 @@ import numpy as np
 
 #: Event kinds recorded for cache lines.
 CACHE_EVENTS = ("rh", "wh", "fill", "inv", "wb", "peek")
+
+
+def post_injection(event: Tuple[int, int, str], cycle: int) -> bool:
+    """Whether a cache-line event comes after a fault injected at
+    ``cycle``.  The injector fires at the top of a loop iteration:
+    events of the same cycle follow it only when recorded inside the
+    loop (phase 1); launch-entry invalidations and inter-launch host
+    peeks at that cycle precede it."""
+    when, phase, _ = event
+    return when > cycle or (when == cycle and phase == 1)
 
 
 class LivenessTrace:
@@ -189,27 +202,25 @@ class LivenessTrace:
         if index is not None:
             self.on_cache(cache.name, index, "peek")
 
-    # -- queries (exact injector-order reconstruction) -------------------
+    # -- queries (a GPU's own enumeration order) -------------------------
 
-    @staticmethod
-    def _cta_live(rec: dict, cycle: int) -> bool:
-        done = rec["done_cycle"]
-        return (rec["visible_from"] <= cycle
-                and (done is None or cycle <= done))
-
-    def live_warps(self, cycle: int) -> List[Tuple[int, dict]]:
-        """``(core_id, warp record)`` for every live warp at ``cycle``,
-        in exactly the order :meth:`Injector._live_warps` enumerates."""
-        out = []
+    def _live_ctas(self, cycle: int):
+        """``(core_id, CTA record)`` of every CTA resident at ``cycle``."""
         for core_id in sorted(self.cores):
             for rec in self.cores[core_id]:
-                if not self._cta_live(rec, cycle):
-                    continue
-                for wrec in rec["warps"]:
-                    done = wrec["done_cycle"]
-                    if done is None or cycle <= done:
-                        out.append((core_id, wrec))
-        return out
+                done = rec["done_cycle"]
+                if rec["visible_from"] <= cycle and (done is None
+                                                     or cycle <= done):
+                    yield core_id, rec
+
+    def live_warps(self, cycle: int) -> List[Tuple[int, int, dict]]:
+        """``(core_id, age, warp record)`` for every live warp at
+        ``cycle``, in exactly the order
+        :class:`repro.faults.sites.LiveState` enumerates them on a GPU."""
+        return [(core_id, wrec["age"], wrec)
+                for core_id, rec in self._live_ctas(cycle)
+                for wrec in rec["warps"]
+                if wrec["done_cycle"] is None or cycle <= wrec["done_cycle"]]
 
     @staticmethod
     def live_lanes(wrec: dict, cycle: int) -> List[int]:
@@ -222,20 +233,28 @@ class LivenessTrace:
         return [lane for lane in range(wrec["num_threads"])
                 if lane not in exited]
 
-    def live_smem_ctas(self, cycle: int) -> List[Tuple[int, dict]]:
-        """Live CTAs with shared memory, in injector enumeration order."""
-        out = []
-        for core_id in sorted(self.cores):
-            for rec in self.cores[core_id]:
-                if rec["has_smem"] and self._cta_live(rec, cycle):
-                    out.append((core_id, rec))
-        return out
+    def live_smem_ctas(self, cycle: int) -> List[tuple]:
+        """``(core_id, age_base, cta_id, CTA record)`` of every live CTA
+        with shared memory, in a GPU's enumeration order."""
+        return [(core_id, rec["age_base"], rec["cta_id"], rec)
+                for core_id, rec in self._live_ctas(cycle)
+                if rec["has_smem"]]
 
     def busy_cores(self, cycle: int) -> List[int]:
         """Cores with any resident CTA at ``cycle``, ascending."""
-        return [core_id for core_id in sorted(self.cores)
-                if any(self._cta_live(rec, cycle)
-                       for rec in self.cores[core_id])]
+        return list(dict.fromkeys(
+            core_id for core_id, _ in self._live_ctas(cycle)))
+
+    def line_valid(self, name: str, line_index: int, cycle: int) -> bool:
+        """Whether a cache line held data when a fault at ``cycle``
+        struck: its last pre-injection fill / invalidation decides."""
+        valid = False
+        for event in self.cache_line_events(name, line_index):
+            if post_injection(event, cycle):
+                break
+            if event[2] in ("fill", "inv"):
+                valid = event[2] == "fill"
+        return valid
 
     # -- event accessors -------------------------------------------------
 

@@ -8,6 +8,7 @@ the propagation tracer's view of each transition.
 
 import numpy as np
 
+from repro.faults.sites import Site
 from repro.obs.propagation import PropagationTracer
 from repro.sim.cache import Cache
 from repro.sim.config import CacheGeometry
@@ -32,8 +33,8 @@ def make_tracer(cache, record):
 
     tracer.gpu = _Gpu()
     cache.propagation = tracer
-    tracer.on_cache_site(record["cache"], record["line"], record["mode"],
-                         record["valid"])
+    tracer.watch(Site("cache", record["line"], cache=record["cache"],
+                      mode=record["mode"], valid=record["valid"]))
     return tracer
 
 

@@ -12,10 +12,10 @@ from repro.faults.config_file import dump_config, parse_config_text
 from repro.faults.injector import Injector
 from repro.faults.mask import FaultMask
 from repro.faults.parser import count_unapplied, load_records
+from repro.faults.sites import Site
 from repro.faults.targets import Structure
 from repro.obs.propagation import (PropagationTracer, explain_record,
                                    prescreen_propagation,
-                                   sites_from_prescreen,
                                    summarize_propagation,
                                    synthesized_propagation)
 
@@ -61,11 +61,15 @@ def full_mask(lanes=32):
     return np.ones(lanes, dtype=bool)
 
 
+def register_site(warp_age, lanes, register=7, core=0):
+    return Site("register", register, core=core, age=warp_age, lanes=lanes)
+
+
 class TestRegisterFates:
     def test_read_consumes(self):
         tracer = PropagationTracer(injection_cycle=100)
         warp = FakeWarp()
-        tracer.on_register_site(0, warp.age, 7, [0, 1])
+        tracer.watch(register_site(warp.age, (0, 1)))
         assert tracer.armed
         tracer.on_issue(0, warp, FakeInst(srcs=(7,), dsts=(9,), pc=12,
                                           text="IADD R9, R7, R3"),
@@ -81,7 +85,7 @@ class TestRegisterFates:
     def test_full_overwrite_before_read(self):
         tracer = PropagationTracer(injection_cycle=100)
         warp = FakeWarp()
-        tracer.on_register_site(0, warp.age, 7, [3, 4])
+        tracer.watch(register_site(warp.age, (3, 4)))
         tracer.on_issue(0, warp, FakeInst(dsts=(7,)), full_mask(), now=120)
         site = tracer.finalize()["sites"][0]
         assert site["fate"] == "overwritten"
@@ -94,7 +98,7 @@ class TestRegisterFates:
     def test_partial_overwrite_then_read_consumes(self):
         tracer = PropagationTracer(injection_cycle=100)
         warp = FakeWarp()
-        tracer.on_register_site(0, warp.age, 7, [0, 1])
+        tracer.watch(register_site(warp.age, (0, 1)))
         partial = np.zeros(32, dtype=bool)
         partial[0] = True  # overwrites lane 0 only; lane 1 still dirty
         tracer.on_issue(0, warp, FakeInst(dsts=(7,)), partial, now=120)
@@ -105,7 +109,7 @@ class TestRegisterFates:
     def test_untouched_site_stays_never_touched(self):
         tracer = PropagationTracer(injection_cycle=100)
         warp = FakeWarp()
-        tracer.on_register_site(0, warp.age, 7, [0])
+        tracer.watch(register_site(warp.age, (0,)))
         tracer.on_issue(0, warp, FakeInst(srcs=(3,), dsts=(4,)),
                         full_mask(), now=110)
         site = tracer.finalize()["sites"][0]
@@ -114,7 +118,7 @@ class TestRegisterFates:
 
     def test_other_warp_not_confused(self):
         tracer = PropagationTracer(injection_cycle=100)
-        tracer.on_register_site(0, 5, 7, [0])
+        tracer.watch(register_site(5, (0,)))
         other = FakeWarp(age=6)
         tracer.on_issue(0, other, FakeInst(srcs=(7,)), full_mask(), now=110)
         assert tracer.finalize()["sites"][0]["fate"] == "never_touched"
@@ -124,7 +128,7 @@ class TestTaintChain:
     def test_derived_values_extend_chain(self):
         tracer = PropagationTracer(injection_cycle=100)
         warp = FakeWarp()
-        tracer.on_register_site(0, warp.age, 7, [0])
+        tracer.watch(register_site(warp.age, (0,)))
         tracer.on_issue(0, warp, FakeInst(srcs=(7,), dsts=(9,), text="A"),
                         full_mask(), now=110)
         # R9 is now tainted: reading it chains even though R7 is gone
@@ -136,7 +140,7 @@ class TestTaintChain:
     def test_clean_full_write_launders(self):
         tracer = PropagationTracer(injection_cycle=100)
         warp = FakeWarp()
-        tracer.on_register_site(0, warp.age, 7, [0])
+        tracer.watch(register_site(warp.age, (0,)))
         tracer.on_issue(0, warp, FakeInst(srcs=(7,), dsts=(9,), text="A"),
                         full_mask(), now=110)
         # clean full-coverage write to R9: taint is laundered
@@ -150,7 +154,7 @@ class TestTaintChain:
     def test_chain_is_bounded(self):
         tracer = PropagationTracer(injection_cycle=100, max_consumers=2)
         warp = FakeWarp()
-        tracer.on_register_site(0, warp.age, 7, [0])
+        tracer.watch(register_site(warp.age, (0,)))
         tracer.on_issue(0, warp, FakeInst(srcs=(7,), dsts=(9,)),
                         full_mask(), now=110)
         for i in range(5):
@@ -196,47 +200,62 @@ class TestDivergenceObserver:
 
 
 class TestPrescreenShaping:
-    def test_register_target(self):
-        sites = sites_from_prescreen(
-            "register_file", {"core": 2, "warp_age": 3, "register": 7},
+    """A pre-screened run's sites are ``Site.record(fate)`` -- the
+    shape a traced site has before anything happens to it."""
+
+    UNTRACED = {"fate_cycle": None, "pc": None, "kernel": None,
+                "events": []}
+
+    def test_register_site_names_its_lanes(self):
+        site = Site("register", 7, core=2, age=3, lanes=(20,))
+        assert site.record("overwritten") == {
+            "kind": "register", "core": 2, "warp_age": 3, "register": 7,
+            "lanes": [20], "fate": "overwritten", **self.UNTRACED}
+
+    def test_shared_site(self):
+        record = Site("shared", 5, core=0, age=8, cta=(1, 0, 0)).record()
+        assert record == {"kind": "shared", "core": 0, "cta": [1, 0, 0],
+                          "word": 5, "fate": "never_touched",
+                          **self.UNTRACED}
+
+    def test_local_site(self):
+        record = Site("local", 9, core=0, age=1, lanes=(3,)).record(
             "overwritten")
-        assert sites == [{"kind": "register", "core": 2, "warp_age": 3,
-                          "register": 7, "lanes": [], "fate": "overwritten",
-                          "fate_cycle": None, "pc": None, "kernel": None,
-                          "events": []}]
+        assert record["kind"] == "local"
+        assert (record["word"], record["lanes"]) == (9, [3])
 
-    def test_shared_target(self):
-        sites = sites_from_prescreen(
-            "shared_mem", {"blocks": [{"core": 0, "cta": [1, 0, 0],
-                                       "word": 5}]}, "never_touched")
-        assert sites[0]["kind"] == "shared"
-        assert sites[0]["cta"] == [1, 0, 0]
+    def test_cache_site_says_what_the_line_was(self):
+        site = Site("cache", 4, core=1, cache="L1D.1", valid=False,
+                    mode="hook")
+        assert site.record() == {
+            "kind": "cache", "cache": "L1D.1", "line": 4, "mode": "hook",
+            "valid": False, "fate": "never_touched", **self.UNTRACED}
 
-    def test_local_target(self):
-        sites = sites_from_prescreen(
-            "local_mem", {"core": 0, "warp_age": 1, "word": 9,
-                          "lanes": [3]}, "overwritten")
-        assert sites[0]["kind"] == "local"
-        assert sites[0]["lanes"] == [3]
+    def test_control_site(self):
+        record = Site("control", 2, core=0, age=6,
+                      unit="simt_stack").record("consumed")
+        assert (record["unit"], record["index"]) == ("simt_stack", 2)
 
-    def test_cache_target(self):
-        sites = sites_from_prescreen(
-            "l1d_cache", {"caches": ["L1D.0", "L1D.1"], "line": 4},
-            "evicted")
-        assert [s["cache"] for s in sites] == ["L1D.0", "L1D.1"]
-        assert all(s["fate"] == "evicted" for s in sites)
+    def test_persistent_site_counts_reads(self):
+        record = Site("register", 1, core=0, age=0, lanes=(0,)).record(
+            persistent=True)
+        assert record["persistent"] is True and record["reads"] == 0
 
-    def test_empty_target(self):
-        assert sites_from_prescreen("register_file", {}, "x") == []
+    def test_traced_site_is_the_same_shape(self):
+        site = register_site(5, (0, 1))
+        tracer = PropagationTracer(injection_cycle=100)
+        tracer.watch(site)
+        assert tracer.finalize()["sites"] == [site.record()]
 
     def test_prescreen_record_roundtrip(self):
-        payload = json.dumps({"cycle": 42, "sites": sites_from_prescreen(
-            "register_file", {"core": 0, "warp_age": 0, "register": 1},
-            "overwritten")}, sort_keys=True)
+        payload = json.dumps({"cycle": 42, "sites": [
+            Site("register", 1, core=0, age=0, lanes=(4,)).record(
+                "overwritten")]}, sort_keys=True)
         record = prescreen_propagation(payload)
         assert record["source"] == "prescreen"
         assert record["injection_cycle"] == 42
         assert record["sites"][0]["fate"] == "overwritten"
+        assert record["sites"][0]["lanes"] == [4]
         # empty payload (no plan-time fate available) degrades
         assert prescreen_propagation("")["sites"] == []
 
