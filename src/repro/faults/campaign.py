@@ -30,9 +30,9 @@ from repro.faults.options import CampaignConfig, spec_constants
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
 from repro.sim.cards import get_card
-from repro.sim.checkpoint import (CheckpointError, CheckpointSet,
-                                  CheckpointStore, RestoreParityError,
-                                  campaign_fingerprint)
+from repro.sim.checkpoint import (CheckpointError, CheckpointRecorder,
+                                  CheckpointSet, CheckpointStore,
+                                  RestoreParityError, campaign_fingerprint)
 from repro.sim.device import RunOptions
 from repro.sim.liveness import LivenessTrace
 from repro.sim.stats import LaunchStats
@@ -368,7 +368,9 @@ class Campaign:
             golden = stored
         else:
             # a set that cannot be planned from is captured afresh
-            recorder = (store.recorder(key, cfg.checkpoint_interval)
+            # finalizing it replaces any stale set
+            recorder = (CheckpointRecorder(store.path(key),
+                                           cfg.checkpoint_interval)
                         if store is not None and stored is None else None)
             liveness = LivenessTrace() if traced else None
             profile, result = profile_application(
@@ -397,7 +399,11 @@ class Campaign:
         liveness trace; ``None`` without a trace, and under a
         persistent fault model: golden-trace deadness ("overwritten
         before read") does not survive re-assertion."""
-        cfg, liveness = self.config, self.golden_run().liveness
+        # of the golden run this campaign has: asking the directory
+        # again mid-plan would re-simulate, untraced, whenever a racing
+        # capture is just then replacing the set
+        cfg = self.config
+        liveness = (self._golden or self.golden_run()).liveness
         if liveness is None or not cfg.resolved_model().prescreen_safe:
             return None
         return Prescreener(liveness, cfg.resolved_card(),

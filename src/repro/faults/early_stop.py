@@ -4,14 +4,18 @@ Two cooperating mechanisms cut the wall-clock cost of the dominant
 Masked outcome class without changing a single classification:
 
 1. **Convergence early-exit** (:class:`ConvergenceMonitor`).  The
-   golden checkpoint set (PR 2) stores a canonical
-   :func:`~repro.sim.checkpoint.state_digest` per snapshot.  An
-   injected run hashes its own state at every golden checkpoint cycle
-   past the injection; a digest match means the *complete* mutable
-   simulator state -- architectural and timing -- equals the golden
-   run's, so the remaining execution is determined: the run terminates
-   with :class:`EarlyConvergence` and inherits the golden suffix
-   (passed, ``cycles == golden_cycles``, hence Masked).  Host-side
+   golden checkpoint set stores, per snapshot, a digest of every named
+   part of the GPU's state (:meth:`repro.sim.gpu.GPU.parts`,
+   :func:`~repro.sim.checkpoint.part_digest`).  An injected run
+   compares its own parts at every golden checkpoint cycle past the
+   injection; when the part lists are equal and *every* digest
+   matches, the complete mutable simulator state -- architectural and
+   timing -- equals the golden run's, so the remaining execution is
+   determined: the run terminates with :class:`EarlyConvergence` and
+   inherits the golden suffix (passed, ``cycles == golden_cycles``,
+   hence Masked).  One differing part settles a check the other way,
+   so the part that differed last time -- before the first check, the
+   one the fault landed in -- is asked first.  Host-side
    control flow is covered by comparing every DtoH copy performed so
    far against the golden recording; any mismatch permanently disables
    the monitor for that run.
@@ -50,13 +54,14 @@ Soundness notes for the pre-screen verdicts:
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.faults.mask import FaultMask
 from repro.faults.models import get_model
 from repro.faults.sites import GoldenState, Site, resolve
 from repro.faults.targets import Structure, entry_bits
-from repro.sim.checkpoint import host_read_matches, state_digest
+from repro.sim.checkpoint import host_read_matches, part_digest
 from repro.sim.liveness import post_injection
 
 EARLY_STOP_MODES = ("off", "converge", "full")
@@ -86,7 +91,7 @@ class ConvergenceMonitor:
     Args:
         entries: the golden checkpoint manifest entries that may
             witness this run (each with ``cycle``, ``launch_index``
-            and ``state_hash``; see
+            and ``parts``, the snapshot's ``{part name: digest}``; see
             :meth:`repro.sim.checkpoint.CheckpointSet.digests_after`).
         host_reads: the golden run's recorded DtoH copies (in order).
         golden_cycles: total golden-run cycle count to inherit.
@@ -111,6 +116,9 @@ class ConvergenceMonitor:
         self.golden_cycles = golden_cycles
         self.terminate = terminate
         self.observer = observer
+        #: The part found differing at the previous check -- before
+        #: the first, the one the injector's site is in: asked first.
+        self._suspect: Optional[str] = None
         #: Host-side state diverged from golden: no convergence claim
         #: is sound any more, the monitor goes inert.
         self.diverged = False
@@ -135,8 +143,8 @@ class ConvergenceMonitor:
         while self._pos < len(entries) \
                 and entries[self._pos]["cycle"] < gpu.cycle:
             # a checkpoint cycle this run never landed on is timing
-            # divergence -- a mismatch
-            self._report(entries[self._pos]["cycle"], False)
+            # divergence -- a mismatch, in the part that holds the clock
+            self._report(entries[self._pos]["cycle"], "rest")
             self._pos += 1
         if self._pos >= len(entries):
             return
@@ -145,19 +153,49 @@ class ConvergenceMonitor:
             return
         self._pos += 1
         if entry["launch_index"] != gpu.stats.current.launch_index:
-            self._report(entry["cycle"], False)
+            self._report(entry["cycle"], "rest")
             return
-        matched = (state_digest(gpu.snapshot(launch, queue))
-                   == entry["state_hash"])
-        self._report(entry["cycle"], matched)
-        if matched:
-            if self.terminate:
-                raise EarlyConvergence(gpu.cycle, self.golden_cycles)
+        if self._suspect is None and getattr(gpu.injector, "sites", ()):
+            self._suspect = gpu.part_holding(gpu.injector.sites[0])
+        differs = self.first_difference(gpu.parts(launch, queue),
+                                        entry["parts"])
+        self._report(entry["cycle"], differs)
+        if differs is not None:
+            self._suspect = differs
+        elif self.terminate:
+            raise EarlyConvergence(gpu.cycle, self.golden_cycles)
+        else:
             self._pos = len(entries)
 
-    def _report(self, cycle: int, matched: bool) -> None:
+    def first_difference(self, parts, golden: dict) -> Optional[str]:
+        """The name of a part of ``parts`` (a GPU's ``(name,
+        capture)`` enumeration) whose digest is not the one ``golden``
+        (a snapshot's ``{part name: digest}``) has for it -- the
+        suspect when it differs or this run no longer holds it, else
+        the first in enumeration order -- or ``None`` when the part
+        lists are equal and every digest matches.  A part is captured
+        only to be digested: a check costs what it takes to find a
+        difference, and only a match takes every part.
+        """
+        captures = dict(parts)
+        suspect = self._suspect
+        if suspect in golden and (
+                suspect not in captures
+                or part_digest(captures[suspect]()) != golden[suspect]):
+            return suspect
+        if list(captures) != list(golden):
+            # where the lists part ways: the part one side lacks
+            return next(
+                mine if mine is not None and mine not in golden else theirs
+                for mine, theirs in zip_longest(captures, golden)
+                if mine != theirs)
+        return next((name for name in golden if name != suspect
+                     and part_digest(captures[name]()) != golden[name]),
+                    None)
+
+    def _report(self, cycle: int, differs: Optional[str]) -> None:
         if self.observer is not None:
-            self.observer.on_digest_check(cycle, matched)
+            self.observer.on_digest_check(cycle, differs is None, differs)
 
     def on_host_read(self, tag: int, addr: int, nbytes: int, data) -> None:
         """Verify one DtoH copy against the golden recording.

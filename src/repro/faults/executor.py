@@ -56,8 +56,8 @@ from repro.obs import (PropagationTracer, prescreen_propagation,
                        synthesized_propagation)
 from repro.obs.metrics import batch_section
 from repro.sim.cards import get_card
-from repro.sim.checkpoint import (CheckpointError, RestoreParityError,
-                                  open_checkpoint_set)
+from repro.sim.checkpoint import (CheckpointError, CheckpointStore,
+                                  RestoreParityError)
 from repro.sim.device import RunOptions
 
 
@@ -220,12 +220,13 @@ class ResolvedRun:
         spec = self.spec
         if not (spec.checkpoint_dir and spec.checkpoint_key):
             return None
-        ckpt_set = open_checkpoint_set(spec.checkpoint_dir,
-                                       spec.checkpoint_key)
+        ckpt_set = CheckpointStore(spec.checkpoint_dir).open(
+            spec.checkpoint_key)
         if ckpt_set is None or ckpt_set.golden_cycles != spec.golden_cycles:
             return None
         try:
-            ckpt_set.golden()  # cached; every user of the set reads it
+            ckpt_set.golden()  # cached; every user of the set reads both
+            ckpt_set.part_digests()
         except CheckpointError:
             return None
         return ckpt_set

@@ -68,6 +68,8 @@ class Injector:
         self._next = 0
         #: One log record per applied mask (see campaign JSONL schema).
         self.log: List[dict] = []
+        #: The sites the last applied mask landed on (none: no target).
+        self.sites: Sequence[Site] = ()
         #: Live persistent sites: ``(log record, re-assert closure)``.
         #: The closure returns True when it actually changed state;
         #: the record's ``reasserted`` count is deterministic (pure
@@ -108,6 +110,7 @@ class Injector:
         sites = resolve(mask, LiveState(gpu), self.cache_hook_mode)
         if isinstance(sites, str):
             return {"target": "none", "reason": sites}
+        self.sites = sites
         kind = sites[0].kind
         corrupt = self._CORRUPTERS[sites[0].unit or kind]
         self._staged = []

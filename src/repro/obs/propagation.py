@@ -15,9 +15,11 @@ answers three questions:
    warp/register granularity (an instruction reading a tainted
    register taints its destination registers).
 3. **Divergence localization** -- the first golden checkpoint window
-   ``[cycle_a, cycle_b]`` in which the run's :func:`state_digest`
-   stopped matching the golden stream, reusing the digests the
-   checkpoint set already carries (no extra golden simulation).
+   ``[cycle_a, cycle_b]`` in which the run's state stopped matching
+   the golden stream, and the part of the GPU's state
+   (:meth:`repro.sim.gpu.GPU.parts`) found differing there and at the
+   last check, reusing the part digests the checkpoint set already
+   carries (no extra golden simulation).
 
 Tracing is strictly observational: it never mutates simulator state,
 so classification is bit-identical with tracing on or off
@@ -76,6 +78,8 @@ class PropagationTracer:
         self.digest_checks = 0
         self._last_match = int(injection_cycle)
         self._first_mismatch: Optional[int] = None
+        #: The part found differing at the first / the latest mismatch.
+        self._differs_in: List[str] = []
         self._converged_at: Optional[int] = None
         self.host_read_diverged = False
 
@@ -262,16 +266,20 @@ class PropagationTracer:
     # Told by the run's golden witness, whose ``observer`` the tracer
     # is (:class:`repro.faults.early_stop.ConvergenceMonitor`).
 
-    def on_digest_check(self, cycle: int, matched: bool) -> None:
-        """One golden-digest comparison result (observer callback)."""
+    def on_digest_check(self, cycle: int, matched: bool,
+                        differs_in: Optional[str] = None) -> None:
+        """One golden-digest comparison result (observer callback);
+        ``differs_in`` names the part a mismatch was found in."""
         self.digest_checks += 1
         if matched:
             if self._first_mismatch is None:
                 self._last_match = int(cycle)
             if self._converged_at is None:
                 self._converged_at = int(cycle)
-        elif self._first_mismatch is None:
+            return
+        if self._first_mismatch is None:
             self._first_mismatch = int(cycle)
+        self._differs_in = [*self._differs_in[:1], differs_in]
 
     def on_host_divergence(self) -> None:
         """The host-read transcript diverged from the golden one."""
@@ -356,41 +364,35 @@ class PropagationTracer:
         window = None
         if self._first_mismatch is not None:
             window = [self._last_match, self._first_mismatch]
-        return {
-            "schema": PROPAGATION_SCHEMA,
-            "source": "trace",
-            "injection_cycle": self.injection_cycle,
-            "sites": sites,
-            "consumers": list(self.consumers),
-            "consumers_dropped": self._consumers_dropped,
-            "diverged_window": window,
-            "converged_at": self._converged_at,
-            "digest_checks": self.digest_checks,
-            "host_read_diverged": self.host_read_diverged,
-        }
+        record = _record(
+            "trace", self.injection_cycle, sites,
+            consumers=list(self.consumers),
+            consumers_dropped=self._consumers_dropped,
+            diverged_window=window, converged_at=self._converged_at,
+            digest_checks=self.digest_checks,
+            host_read_diverged=self.host_read_diverged)
+        if window:
+            # only beside a window: a record without one keeps the
+            # bytes it had before parts were named
+            record["differs_in"] = {"first": self._differs_in[0],
+                                    "last": self._differs_in[-1]}
+        return record
 
 
-# -- records for runs that never simulate --------------------------------
-
-def _unsimulated(source: str, injection_cycle: Optional[int] = None,
-                 sites: Optional[List[dict]] = None) -> dict:
-    return {
-        "schema": PROPAGATION_SCHEMA,
-        "source": source,
-        "injection_cycle": injection_cycle,
-        "sites": sites or [],
-        "consumers": [],
-        "consumers_dropped": 0,
-        "diverged_window": None,
-        "converged_at": None,
-        "digest_checks": 0,
-        "host_read_diverged": False,
-    }
+def _record(source: str, injection_cycle: Optional[int] = None,
+            sites: Optional[List[dict]] = None, **observed) -> dict:
+    """A propagation record: of a run that never simulates, unless
+    ``observed`` says what a tracer saw."""
+    return {"schema": PROPAGATION_SCHEMA, "source": source,
+            "injection_cycle": injection_cycle, "sites": sites or [],
+            "consumers": [], "consumers_dropped": 0,
+            "diverged_window": None, "converged_at": None,
+            "digest_checks": 0, "host_read_diverged": False, **observed}
 
 
 def synthesized_propagation() -> dict:
     """Propagation record for a synthesized (no-target) run."""
-    return _unsimulated("synthesized")
+    return _record("synthesized")
 
 
 def prescreen_propagation(site_json: str) -> dict:
@@ -403,8 +405,7 @@ def prescreen_propagation(site_json: str) -> dict:
     :class:`LivenessTrace` proves for it.
     """
     payload = json.loads(site_json) if site_json else {}
-    return _unsimulated("prescreen", payload.get("cycle"),
-                        payload.get("sites"))
+    return _record("prescreen", payload.get("cycle"), payload.get("sites"))
 
 
 # -- metrics sidecar section ----------------------------------------------
@@ -624,9 +625,14 @@ def explain_record(record: dict) -> str:
     window = prop.get("diverged_window")
     checks = prop.get("digest_checks", 0)
     if window:
+        where = prop.get("differs_in") or {}
         lines.append(
-            f"divergence: state digests diverged in window "
-            f"[{window[0]}, {window[1]}] ({checks} checks)")
+            f"divergence: state diverged in window "
+            f"[{window[0]}, {window[1]}]"
+            + (f", first in {where['first']}" if where.get("first") else "")
+            + (f"; still differing in {where['last']} at the last check"
+               if where.get("last") and prop.get("converged_at") is None
+               else "") + f" ({checks} checks)")
     elif prop.get("converged_at") is not None:
         lines.append(
             f"divergence: none -- state re-converged with the golden "

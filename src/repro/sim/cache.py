@@ -413,36 +413,36 @@ class Cache:
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Capture tag+data state of every materialised set.
+        """Capture tag+data state: three arrays to copy, pickle and
+        digest instead of a dict per line, and none for a cache no
+        access has touched yet.
 
-        Invalid lines contribute only their LRU timestamp (their data
-        is never read, but ``last_use`` participates in victim
-        selection); ``meta`` is derived from data and is rebuilt lazily
-        after restore.
+        ``lines`` has one ``(last_use, valid, dirty, tag)`` row per
+        line of every materialised set, sets ascending; an invalid
+        line contributes only its LRU timestamp (its tag and data are
+        never read, but ``last_use`` takes part in victim selection),
+        a valid one also its row of ``data``, and ``armed`` maps that
+        row to the line's deferred bits.  ``meta`` is derived from
+        data and rebuilt lazily after restore.
         """
-        sets = {}
-        for set_idx, ways in self._sets.items():
-            entries = []
-            for line in ways:
-                if line.valid:
-                    entries.append({
-                        "valid": True,
-                        "dirty": line.dirty,
-                        "tag": line.tag,
-                        "data": line.data.copy(),
-                        "last_use": line.last_use,
-                        "armed": (list(line.armed)
-                                  if line.armed is not None else None),
-                    })
-                else:
-                    entries.append({"valid": False,
-                                    "last_use": line.last_use})
-            sets[set_idx] = entries
         stats = self.stats
-        return {"tick": self._tick,
+        snap = {"tick": self._tick,
                 "stats": (stats.accesses, stats.hits, stats.misses,
-                          stats.evictions, stats.writebacks),
-                "sets": sets}
+                          stats.evictions, stats.writebacks)}
+        if self._sets:
+            sets = sorted(self._sets)
+            lines = [line for set_idx in sets for line in self._sets[set_idx]]
+            live = [line for line in lines if line.valid]
+            snap.update(
+                sets=np.array(sets, dtype=np.int64),
+                lines=np.array([(line.last_use, 1, line.dirty, line.tag)
+                                if line.valid else (line.last_use, 0, 0, 0)
+                                for line in lines], dtype=np.int64),
+                data=np.frombuffer(b"".join(line.data for line in live),
+                                   dtype=np.uint8).reshape(-1, self.line_bytes),
+                armed={row: list(line.armed) for row, line in enumerate(live)
+                       if line.armed is not None})
+        return snap
 
     def restore(self, snap: Dict[str, object]) -> None:
         """Rebuild cache contents from a :meth:`snapshot` dict.
@@ -453,17 +453,18 @@ class Cache:
         self._tick = snap["tick"]
         self.stats = CacheStats(*snap["stats"])
         self._sets = {}
-        for set_idx, entries in snap["sets"].items():
-            ways = []
-            for entry in entries:
-                line = CacheLine(self.line_bytes)
-                line.last_use = entry["last_use"]
-                if entry["valid"]:
-                    line.valid = True
-                    line.dirty = entry["dirty"]
-                    line.tag = entry["tag"]
-                    line.data[:] = entry["data"]
-                    armed = entry["armed"]
-                    line.armed = list(armed) if armed is not None else None
-                ways.append(line)
-            self._sets[set_idx] = ways
+        if "sets" not in snap:
+            return
+        lines, row = [], 0
+        for last_use, valid, dirty, tag in snap["lines"].tolist():
+            line = CacheLine(self.line_bytes)
+            line.last_use = last_use
+            if valid:
+                line.valid, line.dirty, line.tag = True, bool(dirty), tag
+                line.data[:] = snap["data"][row]
+                armed = snap["armed"].get(row)
+                line.armed = list(armed) if armed is not None else None
+                row += 1
+            lines.append(line)
+        for at, set_idx in enumerate(snap["sets"].tolist()):
+            self._sets[set_idx] = lines[at * self.assoc:(at + 1) * self.assoc]

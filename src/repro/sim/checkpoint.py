@@ -1,70 +1,59 @@
 """Golden-run checkpointing and fast-forward restore.
 
-Every fault-injection run replays the application from cycle 0, yet
-all state before the injection cycle is -- by construction -- identical
-to the golden run.  This module captures full architectural snapshots
-of the simulator during the golden profiling run (cf. gem5-checkpoint
-restore in CHAOS) and lets each fault run restore the nearest snapshot
-at or before its injection cycle, simulating only the suffix.
+All state of an injected run before its injection cycle is -- by
+construction -- the golden run's.  This module captures snapshots of
+the simulator during the golden profiling run (cf. gem5-checkpoint
+restore in CHAOS) and lets each fault run restore the nearest one at
+or before its injection cycle, simulating only the suffix.  Three
+guarantees make that run bit-identical to one from scratch:
 
-Three guarantees make the fast-forwarded run bit-identical to a
-from-scratch run:
-
-1. **Complete state capture.**  A snapshot holds every piece of
-   mutable simulator state: the DRAM page table + allocator, constant
-   bank, all cache arrays with tag/dirty/LRU state, register files,
-   predicates, SIMT stacks, scoreboards, shared/local memories,
-   warp-scheduler history, the pending CTA queue, contention
-   busy-until timestamps, and the statistics integrals.  Derived state
-   (decoded-instruction caches, scheduler buckets, sregs) is
-   recomputed deterministically.
+1. **Complete state capture.**  A snapshot is every part of
+   :meth:`repro.sim.gpu.GPU.parts`, the one enumeration of mutable
+   simulator state (derived state -- decoded instructions, scheduler
+   buckets, sregs -- is recomputed deterministically).
 2. **Host-read replay.**  Host code may read device memory between
-   launches and branch on it (e.g. the BFS frontier flag).  The golden
-   run records every DtoH copy; a fast-forwarded run serves the
-   recorded bytes for all reads before the restore point, so host
-   control flow replays exactly.  Any divergence raises
-   :class:`CheckpointMismatch` and the caller falls back to a
-   from-scratch run.
-3. **Content-addressed invalidation.**  Checkpoint sets are keyed by a
-   fingerprint over the benchmark's kernels (name + assembly source +
-   geometry), its constructor state, the full card configuration, the
-   scheduler policy, the snapshot format version
-   (:data:`SNAPSHOT_FORMAT`) and the source text of everything a
-   golden run executes: :mod:`repro.sim`, :mod:`repro.isa` and the
-   benchmark's own modules, host driver included.  Any change to code
-   or configuration yields a different key, so stale checkpoints are
-   never restored -- and a set found under its key is trusted: a
-   campaign plans from its ``golden.bin`` and ``liveness.bin`` without
-   simulating the golden run again (``verify_restore`` re-simulates
-   and compares).
+   launches and branch on it (the BFS frontier flag).  The golden run
+   records every DtoH copy; a fast-forwarded run is served the
+   recorded bytes up to the restore point, and any divergence raises
+   :class:`CheckpointMismatch`: the caller runs from scratch.
+3. **Content-addressed invalidation.**  A set's key
+   (:func:`campaign_fingerprint`) covers configuration and code, so a
+   stale set is never restored -- and a set found under its key is
+   trusted: a campaign plans from its ``golden.bin`` and
+   ``liveness.bin`` without simulating the golden run again
+   (``verify_restore`` re-simulates and compares).  What no key can
+   reach any more goes at the next capture into its directory
+   (:meth:`CheckpointRecorder.finalize`).
 
-On disk (snapshots, the golden manifest and the liveness trace pickled
-+ zlib-compressed)::
+On disk (all but ``meta.json`` and the pool pickled + zlib-compressed)::
 
     <checkpoint-dir>/<key>/meta.json       # manifest, written last
     <checkpoint-dir>/<key>/golden.bin      # launch stats + host reads
     <checkpoint-dir>/<key>/liveness.bin    # liveness trace (traced runs)
     <checkpoint-dir>/<key>/ckpt_<L>_<C>.bin  # snapshot at launch L, cycle C
+    <checkpoint-dir>/<key>/parts.bin       # per snapshot, its part digests
     <checkpoint-dir>/<key>/pages.bin       # the page pool, raw 4 KiB pages
 
 A capture fills a private ``<key>.<random>`` sibling and renames it to
 ``<key>`` when complete, so concurrent captures of one key cannot
-interleave and a reader sees a whole set or none; what a crashed
-capture leaves behind is never opened and safe to delete.
+interleave and a reader sees a whole set or none.
+
+**The state digest is a tree** (format 4): one :func:`part_digest` per
+named part, kept per snapshot in ``parts.bin``, under a ``state_hash``
+over the ordered ``(name, part digest)`` pairs (:func:`tree_digest`).
+Two states are equal iff their part lists are, so a comparison with
+golden state (:class:`repro.faults.early_stop.ConvergenceMonitor`) may
+stop at the first part that differs, and ask the likeliest first.
 
 **DRAM is content-addressed, not copied** (format 3).  Global memory
 keeps a hash per non-zero 4 KiB page, rehashing only pages written
-since (:mod:`repro.sim.memory`).  A snapshot stores that page table;
+since (:mod:`repro.sim.memory`).  A snapshot stores that page table,
 the recorder appends a page's bytes to ``pages.bin`` the first time
-its hash is seen (``meta.json`` lists the pool's hashes in file
-order), the state digest mixes the table instead of the image, and a
-restore writes only the pages whose hash differs from the live
-memory's.  Capture, digest and restore so cost what the application
-changed, not the 8 MB that exist.  Why a pool rather than a chain of
-deltas: every ``ckpt_*.bin`` stays self-contained given the pool, so
-a restore reads one snapshot -- no chain to walk, no periodic full
-base to tune, one code path.  Stale sets (older formats, edited
-kernels) are unreachable by key and safe to delete.
+its hash is seen, and a restore writes only the pages whose hash
+differs from the live memory's: capture, digest and restore cost what
+the application changed, not the 8 MB that exist.  Why a pool rather
+than a chain of deltas: every ``ckpt_*.bin`` stays self-contained
+given the pool -- no chain to walk, no periodic full base to tune.
 """
 
 from __future__ import annotations
@@ -77,6 +66,7 @@ import json
 import os
 import pickle
 import shutil
+import threading
 import time
 import uuid
 import zlib
@@ -90,11 +80,10 @@ from repro.sim.memory import SNAP_PAGE, page_digest
 
 #: Bump whenever the snapshot layout or any simulated semantics
 #: change: it participates in the checkpoint key, so old on-disk sets
-#: become unreachable instead of silently wrong.
-#:
-#: format 3: page-granular, content-addressed DRAM (module docstring);
-#: checkpoint entries carry the ``state_hash`` of :func:`state_digest`.
-SNAPSHOT_FORMAT = 3
+#: become unreachable instead of silently wrong.  4: a snapshot is the
+#: flat ``{part name: piece}`` of :meth:`GPU.snapshot`, caches as row
+#: arrays, ``state_hash`` the tree's root (module docstring).
+SNAPSHOT_FORMAT = 4
 
 #: Smallest auto-mode capture stride (cycles).
 _MIN_AUTO_STRIDE = 64
@@ -102,12 +91,18 @@ _MIN_AUTO_STRIDE = 64
 #: The content-addressed page pool of one set: raw pages, back to back.
 POOL_FILE = "pages.bin"
 
+#: Per snapshot file of one set, its ``{part name: part digest}``.
+PARTS_FILE = "parts.bin"
+
 #: The golden manifest of one set: launch stats + recorded host reads.
 GOLDEN_FILE = "golden.bin"
 
 #: The golden liveness trace of one set (present when a traced golden
 #: run captured the set, or was run on it since).
 LIVENESS_FILE = "liveness.bin"
+
+#: How much of a set's key (its directory name) is its identity.
+IDENTITY_CHARS = 8
 
 #: The code every benchmark's golden run executes; with the
 #: benchmark's own module, the source part of the checkpoint key.
@@ -142,15 +137,39 @@ def _loads(blob: bytes):
     return pickle.loads(zlib.decompress(blob))
 
 
-@functools.lru_cache(maxsize=8)
+#: Decoded bytes the file cache may keep resident: every snapshot of
+#: the sets a worker serves, bounded for one that serves hundreds.
+_BLOB_CACHE_BYTES = 64 << 20
+_blobs: Dict[tuple, tuple] = {}  # key -> (object, bytes), oldest first
+_blobs_lock = threading.Lock()
+
+
 def _load_blob(path_str: str, size: int, mtime_ns: int):
-    """Load + decompress one snapshot file, cached per (path, stat).
+    """Load one file of a set -- its JSON manifest, or a compressed
+    pickle -- cached per (path, stat).
 
     The stat fields key the cache so a recaptured set is never served
     stale; restore() always copies arrays out of the returned object,
     so sharing it across runs in one worker process is safe.
     """
-    return _loads(Path(path_str).read_bytes())
+    key = (path_str, size, mtime_ns)
+    with _blobs_lock:
+        hit = _blobs.pop(key, None)
+        if hit is not None:
+            _blobs[key] = hit  # the most recently used goes last
+            return hit[0]
+    raw = Path(path_str).read_bytes()
+    if path_str.endswith(".json"):
+        loaded = json.loads(raw)
+    else:
+        raw = zlib.decompress(raw)
+        loaded = pickle.loads(raw)
+    with _blobs_lock:
+        _blobs[key] = (loaded, len(raw))
+        resident = sum(nbytes for _, nbytes in _blobs.values())
+        while resident > _BLOB_CACHE_BYTES and len(_blobs) > 1:
+            resident -= _blobs.pop(next(iter(_blobs)))[1]
+    return loaded
 
 
 def _load_file(path: Path, cached: bool = True):
@@ -162,7 +181,8 @@ def _load_file(path: Path, cached: bool = True):
             return _loads(path.read_bytes())
         st = os.stat(path)
         return _load_blob(str(path), st.st_size, st.st_mtime_ns)
-    except (OSError, zlib.error, pickle.UnpicklingError, EOFError) as exc:
+    except (OSError, zlib.error, pickle.UnpicklingError, EOFError,
+            ValueError) as exc:
         raise CheckpointError(f"unreadable {path.name}: {exc}") from exc
 
 
@@ -180,30 +200,6 @@ def _load_file(path: Path, cached: bool = True):
 # contributes its page table, never the image).
 
 _DTYPE_TAGS: Dict[np.dtype, bytes] = {}
-
-
-def _mix_none(parts, obj) -> None:
-    parts.append(b"N;")
-
-
-def _mix_bool(parts, obj) -> None:
-    parts.append(b"B1;" if obj else b"B0;")
-
-
-def _mix_int(parts, obj) -> None:
-    parts.append(b"I%d;" % int(obj))
-
-
-def _mix_float(parts, obj) -> None:
-    parts.append(b"F" + repr(float(obj)).encode() + b";")
-
-
-def _mix_str(parts, obj) -> None:
-    parts.append(b"S" + obj.encode("utf-8", "surrogatepass") + b";")
-
-
-def _mix_bytes(parts, obj) -> None:
-    parts.append(b"Y" + obj + b";")
 
 
 def _mix_array(parts, obj) -> None:
@@ -244,41 +240,61 @@ def _mix_object(parts, obj) -> None:
     parts.append(b";")
 
 
+#: Types -> mixer, first match wins (bool before int: a bool is one).
+_KINDS = (
+    ((type(None),), lambda parts, obj: parts.append(b"N;")),
+    ((bool, np.bool_),
+     lambda parts, obj: parts.append(b"B1;" if obj else b"B0;")),
+    ((int, np.integer), lambda parts, obj: parts.append(b"I%d;" % int(obj))),
+    ((float, np.floating), lambda parts, obj: parts.append(
+        b"F" + repr(float(obj)).encode() + b";")),
+    ((str,), lambda parts, obj: parts.append(
+        b"S" + obj.encode("utf-8", "surrogatepass") + b";")),
+    ((bytes,), lambda parts, obj: parts.append(b"Y" + obj + b";")),
+    ((np.ndarray,), _mix_array), ((list, tuple), _mix_sequence),
+    ((dict,), _mix_dict), ((set, frozenset), _mix_set),
+    ((object,), _mix_object))
+
 #: Exact type -> mixer, filled by :func:`_mixer_for` as types are seen.
 _MIXERS: Dict[type, object] = {}
 
 
 def _mixer_for(cls):
-    """Classify a type (numpy scalars and subclasses included), once:
-    bool before int, since bool is an int."""
-    for bases, mixer in (((type(None),), _mix_none),
-                         ((bool, np.bool_), _mix_bool),
-                         ((int, np.integer), _mix_int),
-                         ((float, np.floating), _mix_float),
-                         ((str,), _mix_str), ((bytes,), _mix_bytes),
-                         ((np.ndarray,), _mix_array),
-                         ((list, tuple), _mix_sequence),
-                         ((dict,), _mix_dict),
-                         ((set, frozenset), _mix_set)):
-        if issubclass(cls, bases):
-            break
-    else:
-        mixer = _mix_object
-    _MIXERS[cls] = mixer
+    """Classify a type (numpy scalars and subclasses included), once."""
+    mixer = _MIXERS[cls] = next(mixer for bases, mixer in _KINDS
+                                if issubclass(cls, bases))
     return mixer
 
 
 def state_digest(snap: dict) -> str:
-    """Canonical digest of one :meth:`GPU.snapshot` dict.
+    """Canonical digest of one :meth:`GPU.snapshot` dict, walked whole.
 
     Two runs whose snapshots digest equally hold identical
     architectural *and* timing state at that cycle, so their futures
-    are identical -- the basis of convergence early-exit
-    (:class:`repro.faults.early_stop.ConvergenceMonitor`).
+    are identical -- the basis of convergence early-exit.  The
+    reference :func:`tree_digest` is tested against (what format 3
+    stored); nothing on a run's path calls it.
     """
     parts: List[bytes] = []
     _mix_dict(parts, snap)
     return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
+
+
+def part_digest(piece: dict) -> bytes:
+    """Digest of one captured part of :meth:`GPU.parts`: the canonical
+    walk above, over that part alone."""
+    parts: List[bytes] = []
+    _mix_dict(parts, piece)
+    return hashlib.blake2b(b"".join(parts), digest_size=16).digest()
+
+
+def tree_digest(digests: Dict[str, bytes]) -> str:
+    """The root over ordered ``{part name: part digest}``: equal for
+    two states iff they have the same parts with the same digests."""
+    h = hashlib.blake2b(digest_size=16)
+    for name, digest in digests.items():
+        h.update(name.encode() + b"=" + digest)
+    return h.hexdigest()
 
 
 def _read_source(path: Path) -> bytes:
@@ -303,28 +319,30 @@ def source_digest(name: str) -> bytes:
 def campaign_fingerprint(benchmark, card, scheduler_policy: str) -> str:
     """Content hash identifying one checkpointable configuration.
 
-    ``benchmark`` is a constructed Benchmark instance; its kernels'
-    assembly sources and the source of the simulator and of the
-    benchmark's module (its host driver) are the "code hash" part of
-    the key, its constructor state covers input sizes/seeds, and
-    ``repr(card)`` covers every timing/geometry knob of the frozen
-    config dataclass.
+    ``benchmark`` is a constructed Benchmark instance.  The first
+    :data:`IDENTITY_CHARS` characters say what the set is a set *of*:
+    the benchmark (name and constructor state: input sizes, seeds), the
+    card (``repr`` covers every timing/geometry knob of the frozen
+    config dataclass) and the scheduler policy.  The rest is the "code
+    hash": the snapshot format, the source of the simulator and of the
+    benchmark's module (its host driver), its kernels' assembly
+    sources.  Sets of one identity differ in the code they were
+    captured from, and only the newest can be reached.
     """
+    state = sorted((k, repr(v)) for k, v in vars(benchmark).items())
+    identity = hashlib.sha256(
+        f"card={card!r};sched={scheduler_policy};bench={benchmark.name};"
+        f"{state!r}".encode()).hexdigest()[:IDENTITY_CHARS]
     h = hashlib.sha256()
     h.update(f"format={SNAPSHOT_FORMAT};".encode())
     for name in _GOLDEN_RUN_CODE + (type(benchmark).__module__,):
         h.update(source_digest(name))
-    h.update(f"card={card!r};".encode())
-    h.update(f"sched={scheduler_policy};".encode())
-    h.update(f"bench={benchmark.name};".encode())
-    state = sorted((k, repr(v)) for k, v in vars(benchmark).items())
-    h.update(repr(state).encode())
     for kernel in benchmark.kernels():
         h.update(f"kernel={kernel.name};".encode())
         h.update(kernel.source.encode())
         h.update(repr((kernel.num_params, kernel.smem_bytes,
                        kernel.local_bytes)).encode())
-    return h.hexdigest()[:20]
+    return identity + h.hexdigest()[:20 - IDENTITY_CHARS]
 
 
 class CheckpointRecorder:
@@ -340,7 +358,7 @@ class CheckpointRecorder:
 
     Files go to a private sibling of ``directory``;
     :meth:`finalize` renames it to ``directory``, replacing what was
-    there.
+    there -- and what it supersedes beside it.
     """
 
     def __init__(self, directory: Path, interval: Optional[int] = None):
@@ -350,6 +368,8 @@ class CheckpointRecorder:
         self._staging_dir: Optional[Path] = None
         self.interval = interval
         self.checkpoints: List[Dict[str, int]] = []
+        #: Per snapshot file, its ``{part name: part digest}``.
+        self._parts: Dict[str, Dict[str, bytes]] = {}
         #: Hashes of the pages in ``pages.bin``, in file order (a dict
         #: for its ordered keys).
         self._pooled: Dict[bytes, None] = {}
@@ -376,10 +396,12 @@ class CheckpointRecorder:
         snap = gpu.snapshot(launch, queue)
         self._pool_pages(gpu.memory, snap["memory"]["pages"])
         (self._staging() / name).write_bytes(_dumps(snap))
+        digests = self._parts[name] = {
+            part: part_digest(piece) for part, piece in snap.items()}
         self.checkpoints.append({"cycle": gpu.cycle,
                                  "launch_index": launch_index,
                                  "file": name,
-                                 "state_hash": state_digest(snap)})
+                                 "state_hash": tree_digest(digests)})
         if self.interval is not None:
             self._next_capture = gpu.cycle + self.interval
         else:
@@ -411,9 +433,11 @@ class CheckpointRecorder:
                   "host_reads": self._host_reads,
                   "golden_cycles": golden_cycles}
         (staging / GOLDEN_FILE).write_bytes(_dumps(golden))
+        (staging / PARTS_FILE).write_bytes(_dumps(self._parts))
         if liveness is not None:
             (staging / LIVENESS_FILE).write_bytes(_dumps(liveness))
         meta = {"format": SNAPSHOT_FORMAT,
+                "identity": self.directory.name[:IDENTITY_CHARS],
                 "interval": self.interval,
                 "golden_cycles": golden_cycles,
                 "checkpoints": self.checkpoints,
@@ -429,6 +453,28 @@ class CheckpointRecorder:
             # a concurrent capture of the same key published between
             # the two calls: its set is as complete as this one
             shutil.rmtree(staging, ignore_errors=True)
+        self._supersede()
+
+    def _supersede(self) -> None:
+        """Remove the sets beside this one that nothing can reach any
+        more: those of an older format, and those of this set's
+        identity (:func:`campaign_fingerprint`) -- the same benchmark,
+        card and scheduler, captured from since-edited sources.
+        Captures in progress have a dot in their name: left alone."""
+        mine = self.directory.name
+        for meta_path in self.directory.parent.glob("*/meta.json"):
+            name = meta_path.parent.name
+            try:
+                meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                continue
+            if name == mine or "." in name or not (
+                    isinstance(meta, dict) and meta.keys() >= {
+                        "format", "checkpoints", "pages"}):
+                continue  # this set, a capture, not a checkpoint set
+            if (meta["format"] < SNAPSHOT_FORMAT
+                    or meta.get("identity") == mine[:IDENTITY_CHARS]):
+                shutil.rmtree(meta_path.parent, ignore_errors=True)
 
 
 class CheckpointSet:
@@ -478,6 +524,10 @@ class CheckpointSet:
     def load_snapshot(self, name: str) -> dict:
         return _load_file(self.directory / name)
 
+    def part_digests(self) -> Dict[str, Dict[str, bytes]]:
+        """Per snapshot file, its ordered ``{part name: part digest}``."""
+        return _load_file(self.directory / PARTS_FILE)
+
     def page(self, digest: bytes) -> bytes:
         """The pooled page with this content hash (verified)."""
         slot = self._slots.get(digest)
@@ -504,11 +554,14 @@ class CheckpointSet:
 
     def digests_after(self, cycle: int) -> List[dict]:
         """The snapshots whose state digest may witness that a fault
-        injected at ``cycle`` is gone (or localize where it is not):
-        only strictly later ones -- a snapshot AT the injection cycle
-        carries pre-injection state."""
-        return [entry for entry in self.meta["checkpoints"]
-                if entry.get("state_hash") and entry["cycle"] > cycle]
+        injected at ``cycle`` is gone (or localize where it is not),
+        each manifest entry with its ``parts``
+        (:meth:`part_digests`): only strictly later ones -- a snapshot
+        AT the injection cycle carries pre-injection state."""
+        parts = self.part_digests()
+        return [dict(entry, parts=parts[entry["file"]])
+                for entry in self.meta["checkpoints"]
+                if entry["cycle"] > cycle]
 
     def fast_forward(self, target_cycle: int) -> Optional["FastForward"]:
         """Build a replayer restoring :meth:`restore_entry` of
@@ -570,7 +623,7 @@ class FastForward:
                 f"checkpoint at launch #{self.launch_index}")
         restore_started = time.perf_counter()
         snap = self._set.load_snapshot(self.entry["file"])
-        desc = snap["launch"]
+        desc = snap["rest"]["launch"]
         if (desc["kernel"] != request.kernel.name
                 or tuple(desc["grid"]) != tuple(request.grid)
                 or tuple(desc["block"]) != tuple(request.block)
@@ -628,39 +681,14 @@ class CheckpointStore:
         return self.root / key
 
     def open(self, key: str) -> Optional[CheckpointSet]:
-        """Open a *complete* set for ``key``; None when absent/torn."""
-        meta_path = self.path(key) / "meta.json"
+        """Open a *complete* set for ``key``; None when absent/torn.
+        (The manifest is parsed once per capture: see
+        :func:`_load_blob`.)"""
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            meta = _load_file(self.path(key) / "meta.json")
+        except CheckpointError:
             return None
         if meta.get("format") != SNAPSHOT_FORMAT \
                 or not meta.get("complete"):
             return None
         return CheckpointSet(self.path(key), meta)
-
-    def recorder(self, key: str,
-                 interval: Optional[int] = None) -> CheckpointRecorder:
-        """Start a fresh capture for ``key``; finalizing it replaces
-        any stale set."""
-        return CheckpointRecorder(self.path(key), interval)
-
-
-@functools.lru_cache(maxsize=16)
-def _open_cached(root: str, key: str, meta_size: int,
-                 meta_mtime_ns: int) -> Optional[CheckpointSet]:
-    return CheckpointStore(root).open(key)
-
-
-def open_checkpoint_set(root: str, key: str) -> Optional[CheckpointSet]:
-    """Worker-side cached :meth:`CheckpointStore.open`.
-
-    The meta.json stat is part of the cache key, so a recaptured set
-    invalidates the cache; a missing set is simply not cached.
-    """
-    meta_path = Path(root) / key / "meta.json"
-    try:
-        st = os.stat(meta_path)
-    except OSError:
-        return None
-    return _open_cached(str(root), key, st.st_size, st.st_mtime_ns)

@@ -197,6 +197,9 @@ class SIMTCore:
         #: the kernels' encoded 16-byte instruction words; active only
         #: with ``config.model_icache``.
         self.l1i = Cache(f"L1I.{core_id}", config.l1i, config.tag_bits)
+        #: The L1s this card has, by attribute name.
+        self.l1s = {attr: cache for attr in ("l1d", "l1t", "l1c", "l1i")
+                    if (cache := getattr(self, attr)) is not None}
         self.ctas: List[CTA] = []
         self.scheduler_policy = "gto"
         #: Per scheduler, the warp it issued last.
@@ -272,16 +275,14 @@ class SIMTCore:
 
     def invalidate_l1(self) -> None:
         """Kernel-boundary L1 reset (L1s are not persistent across kernels)."""
-        if self.l1d is not None:
-            self.l1d.invalidate_all()
-        self.l1t.invalidate_all()
-        self.l1c.invalidate_all()
-        self.l1i.invalidate_all()
+        for cache in self.l1s.values():
+            cache.invalidate_all()
 
     # -- checkpointing -----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Capture caches, resident CTAs and scheduler state.
+    def parts(self):
+        """This core's parts of :meth:`repro.sim.gpu.GPU.parts`: its
+        scheduler state, each L1, then every resident CTA's.
 
         ``_last_issued`` warps are recorded by their (core-unique) age
         while resident, ``None`` once their CTA retired -- what restore
@@ -290,41 +291,40 @@ class SIMTCore:
         per-scheduler buckets, the remembered stalls and the occupancy
         counters are derived and rebuilt.
         """
-        return {
+        name = f"c{self.core_id}"
+        yield name, lambda: {
             "scheduler_policy": self.scheduler_policy,
             "age_counter": self._age_counter,
             "last_issued": {
                 sid: (w.age if w is not None and w.cta.core is self else None)
-                for sid, w in enumerate(self._last_issued)},
-            "l1d": self.l1d.snapshot() if self.l1d is not None else None,
-            "l1t": self.l1t.snapshot(),
-            "l1c": self.l1c.snapshot(),
-            "l1i": self.l1i.snapshot(),
-            "ctas": [cta.snapshot() for cta in self.ctas],
-        }
+                for sid, w in enumerate(self._last_issued)}}
+        for attr, cache in self.l1s.items():
+            yield f"{name}.{attr}", cache.snapshot
+        for index, cta in enumerate(self.ctas):
+            yield from cta.parts(f"{name}.cta{index}")
 
     def restore(self, snap: dict, launch) -> None:
-        """Rebuild core state from a :meth:`snapshot` dict.
+        """Rebuild core state from its :meth:`parts` in ``snap``.
 
         ``launch`` must be the KernelLaunch the snapshot was taken in;
         resident CTAs are reconstructed against it.
         """
-        self.scheduler_policy = snap["scheduler_policy"]
-        self._age_counter = snap["age_counter"]
-        if self.l1d is not None:
-            self.l1d.restore(snap["l1d"])
-        self.l1t.restore(snap["l1t"])
-        self.l1c.restore(snap["l1c"])
-        self.l1i.restore(snap["l1i"])
+        name = f"c{self.core_id}"
+        own = snap[name]
+        self.scheduler_policy = own["scheduler_policy"]
+        self._age_counter = own["age_counter"]
+        for attr, cache in self.l1s.items():
+            cache.restore(snap[f"{name}.{attr}"])
         self.ctas = []
         self._live_warps = self._live_threads = 0
-        for csnap in snap["ctas"]:
-            self.add_cta(CTA.from_snapshot(csnap, launch, self))
+        while f"{name}.cta{len(self.ctas)}" in snap:
+            self.add_cta(CTA.from_snapshot(
+                snap, f"{name}.cta{len(self.ctas)}", launch, self))
         by_age = {w.age: w for cta in self.ctas for w in cta.warps}
         # ages referencing warps of already-retired CTAs resolve to
         # None -- equivalent, since the scheduler treats a warp that
         # is no longer resident exactly like None
-        last = snap["last_issued"]
+        last = own["last_issued"]
         self._last_issued = [by_age.get(last[sid])
                              for sid in range(len(last))]
 

@@ -166,32 +166,34 @@ class CTA:
 
     # -- checkpointing -----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Capture this CTA's id, shared memory and per-warp state
-        (column 0, in the runs-axis-free shapes)."""
-        return {
-            "cta_id": tuple(self.cta_id),
-            "age_base": self.warps[0].age,
-            "live_warp_count": self.live_warp_count,
-            "smem": self.smem[0].copy(),
-            "warps": [w.snapshot() for w in self.warps],
-        }
+    def parts(self, name: str):
+        """This CTA's parts of :meth:`repro.sim.gpu.GPU.parts`: its id,
+        counters and shared memory under ``name``, then one part per
+        warp (column 0, in the runs-axis-free shapes)."""
+        yield name, lambda: {"cta_id": tuple(self.cta_id),
+                             "age_base": self.warps[0].age,
+                             "live_warp_count": self.live_warp_count,
+                             "smem": self.smem[0].copy()}
+        for index, warp in enumerate(self.warps):
+            yield f"{name}.w{index}", warp.snapshot
 
     @classmethod
-    def from_snapshot(cls, snap: dict, launch: KernelLaunch, core) -> "CTA":
-        """Rebuild a resident CTA from a :meth:`snapshot` dict.
+    def from_snapshot(cls, snap: dict, name: str, launch: KernelLaunch,
+                      core) -> "CTA":
+        """Rebuild a resident CTA from its :meth:`parts` in ``snap``.
 
         The constructor recomputes identity state (sregs, geometry)
         exactly as the original assignment did; the mutable state is
         then overwritten per warp, every column from the snapshot's
         one.
         """
-        cta = cls(tuple(snap["cta_id"]), launch, core, snap["age_base"],
+        own = snap[name]
+        cta = cls(tuple(own["cta_id"]), launch, core, own["age_base"],
                   core.config.shared_mem_per_sm, ncols=core.gpu.ncols)
-        cta.smem[:] = snap["smem"]
-        cta.live_warp_count = snap["live_warp_count"]
-        for warp, wsnap in zip(cta.warps, snap["warps"]):
-            warp.restore_state(wsnap)
+        cta.smem[:] = own["smem"]
+        cta.live_warp_count = own["live_warp_count"]
+        for index, warp in enumerate(cta.warps):
+            warp.restore_state(snap[f"{name}.w{index}"])
         return cta
 
     # -- barrier ------------------------------------------------------------------

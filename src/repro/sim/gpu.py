@@ -99,23 +99,17 @@ class GPU:
 
     def set_liveness(self, recorder) -> None:
         """Attach a liveness recorder to the GPU and every cache."""
-        recorder.gpu = self
-        self.liveness = recorder
-        self.l2.liveness = recorder
-        for core in self.cores:
-            for cache in (core.l1d, core.l1t, core.l1c, core.l1i):
-                if cache is not None:
-                    cache.liveness = recorder
+        self._attach("liveness", recorder)
 
     def set_propagation(self, tracer) -> None:
         """Attach a fault-propagation tracer to the GPU and every cache."""
-        tracer.gpu = self
-        self.propagation = tracer
-        self.l2.propagation = tracer
-        for core in self.cores:
-            for cache in (core.l1d, core.l1t, core.l1c, core.l1i):
-                if cache is not None:
-                    cache.propagation = tracer
+        self._attach("propagation", tracer)
+
+    def _attach(self, slot: str, observer) -> None:
+        observer.gpu = self
+        for holder in (self, self.l2, *(cache for core in self.cores
+                                        for cache in core.l1s.values())):
+            setattr(holder, slot, observer)
 
     def release(self) -> None:
         """Cut the back-references of a finished run.
@@ -320,16 +314,21 @@ class GPU:
 
     # -- checkpointing -----------------------------------------------------
 
-    def snapshot(self, launch: KernelLaunch,
-                 queue: List[Tuple[int, int]]) -> dict:
-        """Capture the complete architectural + timing state mid-launch.
-
-        ``launch`` and ``queue`` are the in-flight kernel launch and
-        its not-yet-assigned CTA queue; the launch itself is recorded
-        as a descriptor (name/grid/block/params) used to validate the
-        replayed launch at restore time.
+    def parts(self, launch: KernelLaunch, queue: List[Tuple[int, int]]):
+        """The complete architectural + timing state mid-launch as
+        ordered ``(name, capture)`` parts, ``capture()`` copying one
+        out as plain values: ``rest`` (what exists once per chip and
+        is small; the in-flight ``launch`` as the descriptor a restore
+        validates the replayed launch against, ``queue`` its
+        unassigned CTAs), ``memory`` (the page-hash table), ``l2``,
+        and per core ``c<i>`` (scheduler state), ``c<i>.l1d`` ..
+        ``c<i>.l1i``, per resident CTA ``c<i>.cta<j>`` (shared memory,
+        counters) and ``c<i>.cta<j>.w<k>`` (a warp).  The one
+        description of a GPU's state: :meth:`snapshot` captures every
+        part, :meth:`restore` reads them back by name, a state digest
+        is :func:`repro.sim.checkpoint.part_digest` of each.
         """
-        return {
+        yield "rest", lambda: {
             "cycle": self.cycle,
             "launch": {
                 "kernel": launch.kernel.name,
@@ -341,12 +340,32 @@ class GPU:
             "l2_bank_busy": list(self._l2_bank_busy),
             "dram_busy": list(self._dram_busy),
             "code_bases": dict(self._code_bases),
-            "memory": self.memory.snapshot(),
             "const_bank": self.const_bank.snapshot(),
-            "l2": self.l2.snapshot(),
             "stats": self.stats.snapshot(),
-            "cores": [core.snapshot() for core in self.cores],
         }
+        yield "memory", self.memory.snapshot
+        yield "l2", self.l2.snapshot
+        for core in self.cores:
+            yield from core.parts()
+
+    def snapshot(self, launch: KernelLaunch,
+                 queue: List[Tuple[int, int]]) -> dict:
+        """Capture every part of :meth:`parts`, by name and in order."""
+        return {name: capture() for name, capture in self.parts(launch, queue)}
+
+    def part_holding(self, site) -> Optional[str]:
+        """Name of the part that holds a fault site's cell (duck-typed
+        :class:`repro.faults.sites.Site`): its cache, its warp, or for
+        shared memory its CTA; ``None`` once that CTA has retired."""
+        if site.cache is not None:
+            level = site.cache.split(".")[0].lower()
+            return level if site.core is None else f"c{site.core}.{level}"
+        for j, cta in enumerate(self.cores[site.core].ctas):
+            for k, warp in enumerate(cta.warps):
+                if warp.age == site.age:
+                    return f"c{site.core}.cta{j}" + (
+                        "" if site.kind == "shared" else f".w{k}")
+        return None
 
     def restore(self, snap: dict, launch: KernelLaunch,
                 fetch_page: Callable[[bytes], bytes]
@@ -362,18 +381,19 @@ class GPU:
         """
         # first: the one step that can fail (an unreadable page)
         self.memory.restore(snap["memory"], fetch_page)
-        self.cycle = snap["cycle"]
-        self._l2_bank_busy = list(snap["l2_bank_busy"])
-        self._dram_busy = list(snap["dram_busy"])
-        self._code_bases = dict(snap["code_bases"])
-        self.const_bank.restore(snap["const_bank"])
+        rest = snap["rest"]
+        self.cycle = rest["cycle"]
+        self._l2_bank_busy = list(rest["l2_bank_busy"])
+        self._dram_busy = list(rest["dram_busy"])
+        self._code_bases = dict(rest["code_bases"])
+        self.const_bank.restore(rest["const_bank"])
         self.l2.restore(snap["l2"])
-        self.stats.restore(snap["stats"])
+        self.stats.restore(rest["stats"])
         # a snapshot is taken between iterations: nothing awaits retirement
         self.drained.clear()
-        for core, csnap in zip(self.cores, snap["cores"]):
-            core.restore(csnap, launch)
-        return [tuple(c) for c in snap["queue"]]
+        for core in self.cores:
+            core.restore(snap, launch)
+        return [tuple(c) for c in rest["queue"]]
 
     # -- memory hierarchy services (called by the cores) ---------------------
 

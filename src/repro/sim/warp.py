@@ -246,6 +246,10 @@ class Warp:
 
     # -- checkpointing -----------------------------------------------------
 
+    #: Fields a snapshot holds as they are / as a shallow copy.
+    _PLAIN = ("live_count", "sb_latest", "at_barrier", "done", "ifetch_ready")
+    _COPIED = ("exited", "reg_ready", "pred_ready")
+
     def snapshot(self) -> dict:
         """Capture the warp's mutable architectural + pipeline state.
 
@@ -254,37 +258,26 @@ class Warp:
         constructor, which recomputes them.  Column 0 is stored, in
         the shapes a warp without a runs axis would have.
         """
-        return {
-            "regs": self.regs[:, 0].copy(),
-            "preds": self.preds[:, 0].copy(),
-            "exited": self.exited.copy(),
-            "live_count": self.live_count,
-            "stack": [(e.pc, e.mask.copy(), e.reconv_pc)
-                      for e in self.stack],
-            "local_mem": (self.local_mem[0].copy()
-                          if self.local_mem is not None else None),
-            "reg_ready": dict(self.reg_ready),
-            "pred_ready": dict(self.pred_ready),
-            "sb_latest": self.sb_latest,
-            "at_barrier": self.at_barrier,
-            "done": self.done,
-            "ifetch_ready": self.ifetch_ready,
-        }
+        snap = {name: getattr(self, name) for name in self._PLAIN}
+        snap.update((name, getattr(self, name).copy())
+                    for name in self._COPIED)
+        snap.update(regs=self.regs[:, 0].copy(), preds=self.preds[:, 0].copy(),
+                    stack=[(e.pc, e.mask.copy(), e.reconv_pc)
+                           for e in self.stack],
+                    local_mem=(self.local_mem[0].copy()
+                               if self.local_mem is not None else None))
+        return snap
 
     def restore_state(self, snap: dict) -> None:
         """Overwrite mutable state from a :meth:`snapshot` dict
         (every column starts from the snapshot's one)."""
+        for name in self._PLAIN:
+            setattr(self, name, snap[name])
+        for name in self._COPIED:
+            setattr(self, name, snap[name].copy())
         self.regs[:] = snap["regs"][:, None]
         self.preds[:] = snap["preds"][:, None]
-        self.exited[:] = snap["exited"]
-        self.live_count = snap["live_count"]
         self.stack = [StackEntry(pc, mask.copy(), reconv)
                       for pc, mask, reconv in snap["stack"]]
         if self.local_mem is not None:
             self.local_mem[:] = snap["local_mem"]
-        self.reg_ready = dict(snap["reg_ready"])
-        self.pred_ready = dict(snap["pred_ready"])
-        self.sb_latest = snap["sb_latest"]
-        self.at_barrier = snap["at_barrier"]
-        self.done = snap["done"]
-        self.ifetch_ready = snap["ifetch_ready"]

@@ -73,6 +73,44 @@ def page_source(memory):
     return pages.__getitem__
 
 
+def format3_cache(snap: dict) -> dict:
+    """A cache's row arrays as format 3's dict per line."""
+    entries, row = [], 0
+    for last_use, valid, dirty, tag in snap.get("lines", np.empty(0)).tolist():
+        entry = {"valid": bool(valid), "last_use": last_use}
+        if valid:
+            entry.update(dirty=bool(dirty), tag=tag, data=snap["data"][row],
+                         armed=snap["armed"].get(row))
+            row += 1
+        entries.append(entry)
+    sets = snap["sets"].tolist() if entries else []
+    assoc = len(entries) // max(len(sets), 1)
+    return {"tick": snap["tick"], "stats": snap["stats"],
+            "sets": {set_idx: entries[at * assoc:(at + 1) * assoc]
+                     for at, set_idx in enumerate(sets)}}
+
+
+def format3(snap: dict) -> dict:
+    """A format-4 snapshot (flat ``{part name: piece}``) in the nested
+    shape format 3 stored and digested."""
+    out = dict(snap["rest"], memory=snap["memory"],
+               l2=format3_cache(snap["l2"]), cores=[])
+    while f"c{len(out['cores'])}" in snap:
+        name = f"c{len(out['cores'])}"
+        core = dict(snap[name], ctas=[])
+        for level in ("l1d", "l1t", "l1c", "l1i"):
+            core[level] = (format3_cache(snap[f"{name}.{level}"])
+                           if f"{name}.{level}" in snap else None)
+        while f"{name}.cta{len(core['ctas'])}" in snap:
+            cta_name = f"{name}.cta{len(core['ctas'])}"
+            cta = dict(snap[cta_name], warps=[])
+            while f"{cta_name}.w{len(cta['warps'])}" in snap:
+                cta["warps"].append(snap[f"{cta_name}.w{len(cta['warps'])}"])
+            core["ctas"].append(cta)
+        out["cores"].append(core)
+    return out
+
+
 def run_lanes(source: str, num_threads: int = 32, params=(),
               device: Device = None, smem_bytes: int = 0,
               local_bytes: int = 0, block=None, grid: int = 1):

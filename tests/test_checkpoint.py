@@ -8,6 +8,8 @@ its injection cycle and replays only the suffix.
 """
 
 import json
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,10 +147,10 @@ class TestCheckpointStore:
         from repro.bench import make_benchmark
         from repro.sim import checkpoint
 
-        assert checkpoint.SNAPSHOT_FORMAT == 3
+        assert checkpoint.SNAPSHOT_FORMAT == 4
         bench = make_benchmark("vectoradd")
         key = campaign_fingerprint(bench, rtx_2060(), "gto")
-        monkeypatch.setattr(checkpoint, "SNAPSHOT_FORMAT", 2)
+        monkeypatch.setattr(checkpoint, "SNAPSHOT_FORMAT", 3)
         assert campaign_fingerprint(bench, rtx_2060(), "gto") != key
 
 
@@ -254,7 +256,8 @@ class TestSnapshotsCostWhatChanged:
 
         ckpt_set = capture_golden(tmp_path)
         entries = ckpt_set.meta["checkpoints"]
-        restore_at, check_at = entries[2], entries[3]
+        restore_at = entries[2]
+        check_at = ckpt_set.digests_after(restore_at["cycle"])[0]
         assert restore_at["launch_index"] == check_at["launch_index"]
         seen = {}
 
@@ -302,6 +305,77 @@ class TestSnapshotsCostWhatChanged:
         assert len(fetched) < len(snap["memory"]["pages"])
 
 
+class TestSnapshotCacheIsSizedInBytes:
+    """Every snapshot of the sets a worker serves stays decompressed
+    (an eight-entry LRU reloaded 103 times for 120 restores); what
+    bounds the cache is the bytes it holds."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        from repro.sim import checkpoint
+
+        seen = []
+        real = checkpoint.pickle.loads
+        monkeypatch.setattr(checkpoint, "_blobs", {})
+        monkeypatch.setattr(
+            checkpoint, "pickle", type("Pickle", (), {
+                "loads": staticmethod(
+                    lambda raw: seen.append(len(raw)) or real(raw)),
+                "dumps": staticmethod(checkpoint.pickle.dumps),
+                "UnpicklingError": checkpoint.pickle.UnpicklingError}))
+        return seen
+
+    def test_a_whole_set_stays_resident(self, tmp_path, loads):
+        ckpt_set = capture_golden(tmp_path)
+        files = [entry["file"] for entry in ckpt_set.meta["checkpoints"]]
+        assert len(files) > 8
+        for _ in range(3):
+            for name in files:
+                ckpt_set.load_snapshot(name)
+        assert len(loads) == len(files)
+        ckpt_set.part_digests(), ckpt_set.golden()
+        assert len(loads) == len(files) + 2
+
+    def test_the_liveness_trace_goes_past_it(self, tmp_path, loads):
+        from repro.faults.campaign import profile_application
+        from repro.sim import checkpoint
+        from repro.sim.liveness import LivenessTrace
+
+        profile_application(
+            "vectoradd", "RTX2060", liveness=LivenessTrace(),
+            checkpointer=CheckpointRecorder(tmp_path / "set"))
+        ckpt_set = CheckpointStore(tmp_path).open("set")
+        assert ckpt_set.liveness() is not None
+        assert ckpt_set.liveness() is not None
+        assert [Path(path).name for path, *_ in checkpoint._blobs] == [
+            "meta.json"]
+
+    def test_least_recently_used_goes_first(self, tmp_path, loads,
+                                            monkeypatch):
+        from repro.sim import checkpoint
+
+        ckpt_set = capture_golden(tmp_path)
+        first, second, third = [
+            entry["file"] for entry in ckpt_set.meta["checkpoints"][:3]]
+        ckpt_set.load_snapshot(first)
+        ckpt_set.load_snapshot(second)
+        third_bytes = len(zlib.decompress(
+            (ckpt_set.directory / third).read_bytes()))
+        monkeypatch.setattr(checkpoint, "_BLOB_CACHE_BYTES",
+                            loads[0] + third_bytes + 1)  # room for two
+        ckpt_set.load_snapshot(first)   # a hit: now the most recent
+        ckpt_set.load_snapshot(third)   # evicts ``second``
+        assert len(loads) == 3
+        ckpt_set.load_snapshot(first)
+        assert len(loads) == 3
+        ckpt_set.load_snapshot(second)
+        assert len(loads) == 4
+        # one blob over the budget is still served (and kept alone)
+        monkeypatch.setattr(checkpoint, "_BLOB_CACHE_BYTES", 1)
+        assert ckpt_set.load_snapshot(third) is not None
+        assert len(checkpoint._blobs) == 1
+
+
 def damage_truncated_snapshots(directory):
     for path in directory.glob("ckpt_*.bin"):
         path.write_bytes(path.read_bytes()[:-7])
@@ -319,6 +393,10 @@ def damage_truncated_pool(directory):
 def damage_truncated_manifest(directory):
     path = directory / "golden.bin"
     path.write_bytes(path.read_bytes()[:40])
+
+
+def damage_deleted_part_digests(directory):
+    (directory / "parts.bin").unlink()
 
 
 class TestDamagedSetFallsBack:
@@ -374,7 +452,8 @@ class TestDamagedSetFallsBack:
     @pytest.mark.parametrize("batch", [1, 4], ids=["solo", "packs"])
     @pytest.mark.parametrize("damage", [
         damage_truncated_snapshots, damage_deleted_snapshots,
-        damage_truncated_pool, damage_truncated_manifest])
+        damage_truncated_pool, damage_truncated_manifest,
+        damage_deleted_part_digests])
     def test_records_equal_the_no_checkpoint_run(self, tmp_path, expected,
                                                  damage, batch):
         text, forwarded = self.run(tmp_path / "ckpt", batch, damage)

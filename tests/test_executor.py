@@ -116,7 +116,7 @@ class TestStageLaziness:
                                  "checkpoint set")
 
         monkeypatch.setattr(executor, "regenerate_mask", counting)
-        monkeypatch.setattr(executor, "open_checkpoint_set", never)
+        monkeypatch.setattr(executor, "CheckpointStore", never)
         records = [execute_run(spec) for spec in specs]
         assert regenerated == [spec.key for spec in specs
                                if not spec.synthesized]

@@ -438,7 +438,7 @@ def test_a_recapture_replaces_the_set_only_when_complete(tmp_path):
     Campaign(config(checkpoint_dir=root, checkpoint_interval=500)).plan()
     directory = set_directory(root)
     store = CheckpointStore(root)
-    recorder = store.recorder(directory.name, interval=100)
+    recorder = checkpoint.CheckpointRecorder(directory, interval=100)
     device = Device("RTX2060", RunOptions(checkpointer=recorder))
     bench = make_benchmark("vectoradd")
     bench.execute(device, bench.build(device))
@@ -447,6 +447,62 @@ def test_a_recapture_replaces_the_set_only_when_complete(tmp_path):
     recorder.finalize(device.launches, device.cycle)
     assert set_directory(root) == directory
     assert store.open(directory.name).interval == 100
+
+
+# -- (f) a capture supersedes what nothing can reach any more -----------------
+
+
+class TestOrphanedSetsAreSuperseded:
+    edited = staticmethod(TestFingerprintCoversTheSource.edited)
+
+    @pytest.fixture(autouse=True)
+    def fresh_digests(self):
+        checkpoint.source_digest.cache_clear()
+        yield
+        checkpoint.source_digest.cache_clear()
+
+    def test_a_source_edit_leaves_one_set_per_configuration(
+            self, tmp_path, monkeypatch):
+        root = tmp_path / "ckpt"
+        plan = Campaign(config(checkpoint_dir=root)).plan()
+        Campaign(config("pathfinder", checkpoint_dir=root)).plan()
+        Campaign(config(checkpoint_dir=root, scheduler_policy="lrr")).plan()
+        before = {path.name for path in root.iterdir()}
+        assert len(before) == 3
+        self.edited(monkeypatch, "repro/sim/core.py")
+        assert Campaign(config(checkpoint_dir=root)).plan() != plan  # key
+        after = {path.name for path in root.iterdir()}
+        # vectoradd x gto was recaptured under its new key and its old
+        # set removed; the other two configurations are untouched
+        assert len(after) == 3 and len(after & before) == 2
+        (new,) = after - before
+        meta = json.loads((root / new / "meta.json").read_text())
+        assert meta["format"] == checkpoint.SNAPSHOT_FORMAT
+        (old,) = before - after
+        assert meta["identity"] == new[:8] == old[:8] and new != old
+        assert len({name[:8] for name in after}) == 3
+
+    def test_an_older_format_is_recaptured_never_read(self, tmp_path):
+        """A format-3 set -- under any key, this configuration's own
+        included -- is not opened, and goes at the first capture."""
+        root = tmp_path / "ckpt"
+        key = Campaign(config(checkpoint_dir=root)).plan()[0].checkpoint_key
+        shutil.rmtree(root)
+        for name in (key, "0123456789abcdef0123"):
+            (root / name).mkdir(parents=True)
+            (root / name / "meta.json").write_text(json.dumps(
+                {"format": 3, "interval": None, "golden_cycles": 438,
+                 "checkpoints": [], "pages": [], "complete": True}))
+            (root / name / "golden.bin").write_bytes(b"not a manifest")
+        unrelated = root / "notes"
+        unrelated.mkdir()
+        (unrelated / "meta.json").write_text(json.dumps({"format": 1}))
+        store = CheckpointStore(root)
+        assert store.open(key) is None
+        specs = Campaign(config(checkpoint_dir=root)).plan()
+        assert {path.name for path in root.iterdir()} == {key, "notes"}
+        assert store.open(key).meta["format"] == checkpoint.SNAPSHOT_FORMAT
+        assert all(spec.checkpoint_key == key for spec in specs)
 
 
 # -- the trace itself ----------------------------------------------------------

@@ -330,7 +330,7 @@ class TestRestoreMidStall:
         dev, full = traced_launch(one_scheduler(), ORDER, block=128,
                                   policy=policy, checkpointer=capture)
         assert full == order
-        assert capture.snap["cycle"] == at
+        assert capture.snap["rest"]["cycle"] == at
 
         resumed = Device(one_scheduler(),
                          RunOptions(scheduler_policy=policy))
@@ -347,7 +347,7 @@ class TestRestoreMidStall:
         capture = _SnapshotAt(31)
         traced_launch(one_scheduler(), ORDER, block=128,
                       checkpointer=capture)
-        warp = capture.snap["cores"][0]["ctas"][0]["warps"][0]
+        warp = capture.snap["c0.cta0.w0"]
         assert sorted(warp) == sorted([
             "regs", "preds", "exited", "live_count", "stack", "local_mem",
             "reg_ready", "pred_ready", "sb_latest", "at_barrier", "done",

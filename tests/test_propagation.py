@@ -198,6 +198,36 @@ class TestDivergenceObserver:
         tracer.on_host_divergence()
         assert tracer.finalize()["host_read_diverged"] is True
 
+    def test_names_the_part_at_the_first_and_the_last_mismatch(self):
+        tracer = PropagationTracer(injection_cycle=100)
+        tracer.on_digest_check(200, False, "c3.cta0.w2")
+        tracer.on_digest_check(250, False, "c3.cta0.w2")
+        tracer.on_digest_check(300, False, "l2")
+        record = tracer.finalize()
+        assert record["differs_in"] == {"first": "c3.cta0.w2", "last": "l2"}
+        text = explain_record({"propagation": record})
+        assert ("state diverged in window [100, 200], first in c3.cta0.w2; "
+                "still differing in l2 at the last check (3 checks)") in text
+
+    def test_a_run_that_converged_is_not_still_differing(self):
+        tracer = PropagationTracer(injection_cycle=100)
+        tracer.on_digest_check(150, False, "l2")
+        tracer.on_digest_check(200, True)
+        record = tracer.finalize()
+        assert record["differs_in"] == {"first": "l2", "last": "l2"}
+        text = explain_record({"propagation": record})
+        assert "first in l2 (2 checks)" in text and "still" not in text
+
+    def test_without_a_mismatch_the_record_keeps_its_keys(self):
+        """Records of campaigns without a witness are pinned byte for
+        byte (``tests/data/golden_sites.jsonl``)."""
+        for tracer in (PropagationTracer(100), PropagationTracer(100)):
+            tracer.on_digest_check(150, True)
+            assert "differs_in" not in tracer.finalize()
+        old = {"diverged_window": [100, 150], "digest_checks": 1}
+        assert "state diverged in window [100, 150] (1 checks)" in \
+            explain_record({"propagation": old})
+
 
 class TestPrescreenShaping:
     """A pre-screened run's sites are ``Site.record(fate)`` -- the
