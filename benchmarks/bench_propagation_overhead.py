@@ -2,7 +2,7 @@
 
 End-to-end campaign timing (golden profiling run included) with
 checkpointing and early termination enabled on both sides, so the
-tracer's armed-gated hooks are measured on exactly the code paths a
+tracer's listening is measured on exactly the code paths a
 production campaign exercises.  Propagation tracing is strictly
 observational, so two things are asserted:
 

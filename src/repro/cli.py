@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import signal
 import sys
 from typing import List, Optional
 
@@ -278,6 +279,10 @@ def _config_from_args(args, execution: bool = True) -> CampaignConfig:
         raise SystemExit(f"error: {exc}")
 
 
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def _cmd_campaign(args) -> int:
     config = _config_from_args(args)
     if args.resume and config.log_path is None:
@@ -288,6 +293,10 @@ def _cmd_campaign(args) -> int:
         raise SystemExit("--backend remote needs --connect URL "
                          "(the gpufi serve dispatcher)")
     campaign = Campaign(config, progress=lambda msg: print(f"  .. {msg}"))
+    # SIGTERM unwinds like SIGINT: pool and ledger close on the way out
+    # (``campaign_end {"complete": false}``, no torn line), --resume
+    # picks up there
+    signal.signal(signal.SIGTERM, _terminated)
     result = campaign.run(jobs=args.jobs, resume=args.resume)
     print(result.summary())
     if campaign.last_plan is not None:

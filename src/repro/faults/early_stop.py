@@ -326,7 +326,7 @@ class Prescreener:
         one cell per lane; it is ``overwritten`` only when every lane
         is (what the online tracer says too).
         """
-        trace, lanes = self.trace, (None,)
+        trace, lanes, rule = self.trace, (None,), _ISSUE_RULE
         if site.kind == "cache":
             if not site.valid:
                 # invalid tags are never compared; the next fill
@@ -336,21 +336,16 @@ class Prescreener:
             rule = _HOOK_RULE if site.mode == "hook" else _FLIP_RULE
             if tag_hit and rule is _FLIP_RULE:
                 return None, None
-            events = trace.cache_line_events(site.cache, site.index)
 
             def post(event):
                 return post_injection(event, cycle)
         else:
-            rule = _ISSUE_RULE
-            events = {"register": trace.register_events,
-                      "local": trace.local_word_events,
-                      "shared": trace.smem_word_events}[site.kind](
-                          site.core, site.age, site.index)
             if site.kind == "local":
                 lanes = site.lanes
 
             def post(event):  # issues at the injection cycle follow it
                 return event[0] >= cycle
+        events = trace.cell_events(*site.cell)
         firsts = [next(((rule[event[-1]], event[0]) for event in events
                         if post(event) and event[-1] in rule
                         and (lane is None or event[1] == lane)),

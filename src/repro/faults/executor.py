@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import json
 import multiprocessing
+import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,9 +261,9 @@ class ResolvedRun:
                 self.witnesses, self.checkpoints.golden()["host_reads"],
                 spec.golden_cycles, terminate=self.stops_early,
                 observer=tracer)
-        return {"injector": Injector([self.mask],
-                                     cache_hook_mode=spec.cache_hook_mode),
-                "convergence": monitor, "propagation": tracer}
+        return {"injector": Injector([self.mask], spec.cache_hook_mode,
+                                     tracer=tracer),
+                "convergence": monitor}
 
 
 class Stopwatch:
@@ -815,7 +816,9 @@ class CampaignExecutor:
                 yield runner(unit)
             return
         ctx = _pool_context()
-        with ctx.Pool(processes=self.jobs) as pool:
+        # (a worker dies of SIGTERM whatever its parent makes of one)
+        with ctx.Pool(self.jobs, signal.signal,
+                      (signal.SIGTERM, signal.SIG_DFL)) as pool:
             yield from self._pool_completions(pool, units, runner,
                                               ledger)
 

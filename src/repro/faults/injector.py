@@ -55,14 +55,19 @@ class Injector:
     the faults corrupt: 0, the run itself, except for the members of a
     lockstep pack.  Target selection never depends on it, so a pack
     member's log is the log of its solo run.
+
+    ``tracer`` is told every site a mask lands on
+    (:meth:`repro.obs.propagation.PropagationTracer.watch`).
     """
 
     def __init__(self, faults: Optional[Sequence[FaultMask]] = None,
-                 cache_hook_mode: bool = False, column: int = 0):
+                 cache_hook_mode: bool = False, column: int = 0,
+                 tracer=None):
         self.masks: List[FaultMask] = sorted(faults or (),
                                              key=lambda m: m.cycle)
         self.cache_hook_mode = cache_hook_mode
         self.column = column
+        self.tracer = tracer
         for mask in self.masks:
             get_model(mask.fault_model).check_cache_hooks(cache_hook_mode)
         self._next = 0
@@ -118,13 +123,13 @@ class Injector:
         for site in sites:
             part = corrupt(self, site, mask, model)
             parts.append(part)
-            if gpu.propagation is not None:
+            if self.tracer is not None:
                 # a cache line is registered once per flip record, as
                 # the logs have always listed it: a multi-bit flip into
                 # an invalid line (closed at once, never watched, so
                 # never deduplicated) appears once per bit
                 for _ in part if kind == "cache" else (None,):
-                    gpu.propagation.watch(site, model.persistent)
+                    self.tracer.watch(site, model.persistent, gpu)
         if kind == "shared":
             record = {"target": "cta", "blocks": parts}
         elif kind == "cache":

@@ -73,6 +73,7 @@ def run_application(benchmark, card, keep_device: bool = False,
     if options is None:
         options = RunOptions()
     injector = options.injector
+    tracer = getattr(injector, "tracer", None)
     dev = Device(card, options)
 
     status, passed, error = "completed", None, ""
@@ -101,8 +102,7 @@ def run_application(benchmark, card, keep_device: bool = False,
                      if ff is not None and ff.done else None),
         loop_iterations=dev.gpu.loop_iterations,
         idle_cycles_skipped=dev.gpu.idle_cycles_skipped,
-        propagation=(options.propagation.finalize()
-                     if options.propagation is not None else None))
+        propagation=(tracer.finalize() if tracer is not None else None))
     if converged is not None:
         return RunResult.golden_suffix(converged.golden_cycles,
                                        converged.cycle, **observed)

@@ -70,6 +70,13 @@ class Site:
     unit: Optional[str] = None  # control: the structure's name
     handle: object = field(default=None, compare=False, repr=False)
 
+    @property
+    def cell(self) -> tuple:
+        """The key of the site's cell wherever its accesses are kept
+        (the golden trace's events, the tracer's watches): ``(kind,
+        owner, index)``, the owner ``(core, age)`` or a cache's name."""
+        return self.kind, self.cache or (self.core, self.age), self.index
+
     def record(self, fate: str = "never_touched",
                persistent: bool = False) -> dict:
         """The site as propagation records list it."""

@@ -21,11 +21,15 @@ answers three questions:
    last check, reusing the part digests the checkpoint set already
    carries (no extra golden simulation).
 
-Tracing is strictly observational: it never mutates simulator state,
-so classification is bit-identical with tracing on or off
-(``benchmarks/bench_propagation_overhead.py`` enforces the overhead
-ceiling).  Pre-screened runs never simulate; their propagation record
-is derived from the golden :class:`~repro.sim.liveness.LivenessTrace`
+Tracing is strictly observational: the tracer is a listener
+(:meth:`repro.sim.gpu.GPU.listen`) -- it is told what the run does and
+asked nothing.  Enforced by ``tests/test_listeners.py``
+(a run's cycles, state digests and records are the same whoever
+listens), ``tests/test_propagation.py::TestCampaignParity``
+(classification is bit-identical with tracing on or off) and
+``benchmarks/bench_propagation_overhead.py`` (the overhead ceiling).
+Pre-screened runs never simulate; their propagation record is derived
+from the golden :class:`~repro.sim.liveness.LivenessTrace`
 verdict instead (``source: "prescreen"``).
 """
 
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import json
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 #: Fate labels, in the order reports render them.
 FATES = ("consumed", "overwritten", "evicted", "never_touched")
@@ -47,30 +53,26 @@ PROPAGATION_SCHEMA = 1
 class PropagationTracer:
     """Observes one injected run and resolves the fate of every site.
 
-    The injector registers corrupted sites at apply time
-    (:meth:`watch`); the core issue path, the
-    shared/local memory paths and the caches then report reads,
-    overwrites and evictions.  ``armed`` stays ``False`` until the
-    first site registration, so every pre-injection hook check is a
-    single attribute test.
+    The injector it is handed to reports the sites a mask lands on
+    (:meth:`watch`); from the first one the tracer listens to the run
+    (:meth:`repro.sim.gpu.GPU.listen`) -- nothing before a fault can be
+    its effect -- and hears the reads, overwrites and evictions of the
+    watched cells: registers in :meth:`on_issue`, local and shared
+    words in :meth:`on_words`, cache lines in :meth:`on_cache`.
     """
 
     def __init__(self, injection_cycle: int, max_consumers: int = 8,
                  max_events: int = 8):
-        self.gpu = None  # attached by GPU.set_propagation
+        self.gpu = None  # the GPU listened to, from the first watch
         self.injection_cycle = int(injection_cycle)
         self.max_consumers = max_consumers
         self.max_events = max_events
-        self.armed = False
         self.sites: List[dict] = []
         self.consumers: List[dict] = []
         self._consumers_dropped = 0
-        # watch indexes by site kind: (core, warp age | CTA age_base) ->
-        # {register | word -> site}; cache name -> {line -> site}
-        self._watched = {kind: {} for kind in ("register", "local",
-                                               "shared", "cache")}
-        (self._reg_sites, self._local_sites, self._smem_sites,
-         self._cache_sites) = self._watched.values()
+        #: The watched cells, keyed as :attr:`repro.faults.sites.Site
+        #: .cell`: ``(kind, owner)`` -> {index -> site record}.
+        self._watched: Dict[tuple, Dict[int, dict]] = {}
         # derived-value taint: (core, warp_age) -> set of register indices
         self._taint: Dict[Tuple[int, int], set] = {}
         self._pending_load_cycle: Optional[int] = None
@@ -85,10 +87,11 @@ class PropagationTracer:
 
     # -- site registration (called by the injector) ----------------------
 
-    def watch(self, site, persistent: bool = False) -> None:
+    def watch(self, site, persistent: bool = False, gpu=None) -> None:
         """A fault landed on ``site`` (a resolved
-        :class:`repro.faults.sites.Site`): list it and, where a later
-        access can decide its fate, index it for the event hooks.
+        :class:`repro.faults.sites.Site`) of ``gpu``: list it and,
+        where a later access can decide its fate, index it for the
+        events.
 
         Control-unit state steers the issue logic directly, so such a
         site is consumed at the injection itself rather than watched
@@ -99,119 +102,102 @@ class PropagationTracer:
         fill lands in the stuck cells and is re-corrupted) and is
         watched like a valid line.
         """
-        cached = site.kind == "cache"
-        key = site.cache if cached else (site.core, site.age)
-        watched = self._watched.get(site.kind, {}).setdefault(key, {})
-        if cached and site.index in watched:
+        if self.gpu is None and gpu is not None:
+            gpu.listen(self)
+        kind, owner, index = site.cell
+        cached = kind == "cache"
+        watched = self._watched.setdefault((kind, owner), {})
+        if cached and index in watched:
             return  # multi-bit faults share one site
         rec = site.record(persistent=persistent)
         rec["_open"] = not cached or bool(site.valid or persistent)
         self.sites.append(rec)
-        self.armed = True
-        if site.kind == "control":
+        if kind == "control":
             now = self.gpu.cycle if self.gpu is not None else None
             self._consume(rec, now, None, self._current_kernel())
         elif rec["_open"]:
-            rec["_lanes"] = set(site.lanes)
-            watched[site.index] = rec
+            # the lanes whose copy of the cell is corrupted; a shared
+            # word is its CTA's, whichever lane touches it
+            rec["_lanes"] = None if kind == "shared" else set(site.lanes)
+            watched[index] = rec
 
-    # -- event hooks (called from sim layers; armed-gated) ---------------
+    # -- what the run reports ---------------------------------------------
 
-    def on_issue(self, core_id: int, warp, inst, exec_mask, now: int
+    def on_issue(self, core_id: int, warp, plan, exec_mask, now: int
                  ) -> None:
         """One issued instruction: resolve register reads/overwrites
         and propagate taint through the consumer chain."""
-        key = (core_id, warp.age)
-        watch = self._reg_sites.get(key)
-        taint = self._taint.get(key)
-        if watch is None and taint is None:
+        owner = (core_id, warp.age)
+        watch = self._watched.get(("register", owner), {})
+        taint = self._taint.get(owner)
+        if not watch and taint is None:
             return
-        src_regs, dst_regs, _sp, _dp = inst.scoreboard_sets()
+        src_regs, dst_regs = plan.src_regs, plan.dst_regs
+        lanes = set(np.nonzero(exec_mask)[0].tolist()) if watch else ()
         consumed = False
-        if watch is not None:
-            for reg in src_regs:
-                site = watch.get(reg)
-                if site is None:
-                    continue
-                if any(exec_mask[lane] for lane in site["_lanes"]):
-                    self._consume(site, now, int(inst.pc),
-                                  warp.cta.launch.kernel.name)
-                    self._event(site, "read", now)
-                    consumed = True
+        for reg in src_regs:
+            consumed |= self._touch(watch, reg, lanes, True, warp, plan, now)
         tainted = taint is not None and any(r in taint for r in src_regs)
         if consumed or tainted:
-            self._add_consumer(now, core_id, warp, inst)
+            self._add_consumer(now, core_id, warp, plan.inst)
             if dst_regs:
-                self._taint.setdefault(key, set()).update(dst_regs)
+                self._taint.setdefault(owner, set()).update(dst_regs)
         elif taint is not None and dst_regs:
             # a clean full-coverage write launders the register
             live = warp.live_lanes()
             if len(live) and exec_mask[live].all():
                 for dst in dst_regs:
                     taint.discard(dst)
-        if watch is not None:
-            for dst in dst_regs:
-                site = watch.get(dst)
-                if site is None:
-                    continue
-                self._event(site, "write", now)
-                if site["_open"] and not site.get("persistent"):
-                    site["_lanes"] -= {lane for lane in site["_lanes"]
-                                       if exec_mask[lane]}
-                    if not site["_lanes"]:
-                        self._close(site, "overwritten", now)
+        for dst in dst_regs:
+            self._touch(watch, dst, lanes, False, warp, plan, now)
 
-    def on_shared_access(self, core_id: int, age_base: int, cta, warp,
-                         inst, addrs, lanes, is_load: bool, now: int
-                         ) -> None:
-        """One shared-memory instruction's resolved word accesses."""
-        watch = self._smem_sites.get((core_id, age_base))
-        if not watch:
-            return
+    def on_words(self, space: str, core_id: int, owner_age: int, words,
+                 lanes, is_load: bool, warp, plan, now: int) -> None:
+        """One shared- or local-memory instruction's words, one per
+        executing lane -- or, with no words, the end of a global load
+        or atomic: if a watched cache line was consumed this cycle,
+        this instruction is the consumer."""
         hit = False
-        for lane in lanes:
-            word = cta._resolve_smem(int(addrs[lane])) >> 2
-            site = watch.get(word)
-            if site is None:
-                continue
-            if is_load:
-                self._consume(site, now, int(inst.pc),
-                              warp.cta.launch.kernel.name)
-                self._event(site, "read", now)
-                hit = True
-            else:
-                self._event(site, "write", now)
+        if space == "global":
+            if self._pending_load_cycle == now:
+                self._pending_load_cycle, hit = None, True
+        elif (space, (core_id, owner_age)) in self._watched:
+            watch = self._watched[space, (core_id, owner_age)]
+            for lane, word in zip(lanes.tolist(), words):
+                hit |= self._touch(watch, word, {lane}, is_load, warp,
+                                   plan, now)
+        if hit:
+            # the load brought a corrupted value into its destination
+            # registers: it is a consumer, they are tainted
+            self._add_consumer(now, core_id, warp, plan.inst)
+            if plan.dst_regs:
+                self._taint.setdefault(
+                    (core_id, warp.age), set()).update(plan.dst_regs)
+
+    def _touch(self, watch: dict, index: int, lanes, is_load: bool, warp,
+               plan, now: int) -> bool:
+        """``lanes`` read or write cell ``index`` of a watched owner;
+        returns whether that read a corrupted copy.  A read of one
+        consumes the site; a write takes the writing lanes' copies out
+        of it, the last one overwriting it."""
+        site = watch.get(index)
+        if site is None:
+            return False
+        mine = site["_lanes"]
+        if is_load:
+            if mine is not None and mine.isdisjoint(lanes):
+                return False
+            self._consume(site, now, int(plan.inst.pc),
+                          warp.cta.launch.kernel.name)
+            self._event(site, "read", now)
+            return True
+        self._event(site, "write", now)
+        if site["_open"] and not site.get("persistent"):
+            if mine:
+                mine.difference_update(lanes)
+            if not mine:
                 self._close(site, "overwritten", now)
-        if hit:
-            self._loaded_by(now, core_id, warp, inst)
-
-    def on_local_access(self, core_id: int, warp, inst, addrs, lanes,
-                        is_load: bool, now: int) -> None:
-        """One local-memory instruction's resolved per-lane accesses."""
-        watch = self._local_sites.get((core_id, warp.age))
-        if not watch:
-            return
-        hit = False
-        for lane in lanes:
-            lane = int(lane)
-            word = int(addrs[lane]) >> 2
-            site = watch.get(word)
-            if site is None:
-                continue
-            if is_load:
-                if lane in site["_lanes"]:
-                    self._consume(site, now, int(inst.pc),
-                                  warp.cta.launch.kernel.name)
-                    self._event(site, "read", now)
-                    hit = True
-            else:
-                self._event(site, "write", now)
-                if site["_open"] and not site.get("persistent"):
-                    site["_lanes"].discard(lane)
-                    if not site["_lanes"]:
-                        self._close(site, "overwritten", now)
-        if hit:
-            self._loaded_by(now, core_id, warp, inst)
+        return False
 
     def on_cache(self, name: str, line_index: int, kind: str) -> None:
         """One cache-line event on a (possibly watched) line.
@@ -223,10 +209,7 @@ class PropagationTracer:
         (``consumed``) and is dropped on write hits (``overwritten``)
         and refills/invalidations (``evicted``).
         """
-        watch = self._cache_sites.get(name)
-        if not watch:
-            return
-        site = watch.get(line_index)
+        site = self._watched.get(("cache", name), {}).get(line_index)
         if site is None:
             return
         now = self.gpu.cycle if self.gpu is not None else None
@@ -246,21 +229,6 @@ class PropagationTracer:
             # the corrupted bits escaped downstream (L2/DRAM) or were
             # observed by the host -- that is a consumption
             self._consume(site, now, None, self._current_kernel())
-
-    def note_load(self, core_id: int, warp, inst, now: int) -> None:
-        """Called after a global/atomic access: if a watched cache line
-        was consumed this cycle, the loading instruction is the
-        consumer and its destinations become tainted."""
-        if self._pending_load_cycle != now:
-            return
-        self._pending_load_cycle = None
-        self._loaded_by(now, core_id, warp, inst)
-
-    def note_peek(self, cache, addr: int) -> None:
-        """Host read/write observed a (possibly stale) resident line."""
-        index = cache.resident_index(addr)
-        if index is not None:
-            self.on_cache(cache.name, index, "peek")
 
     # -- divergence localization -----------------------------------------
     # Told by the run's golden witness, whose ``observer`` the tracer
@@ -309,36 +277,16 @@ class PropagationTracer:
             site["reads"] += 1
             if site["fate"] == "consumed":
                 return
-            site["fate"] = "consumed"
-            site["fate_cycle"] = None if cycle is None else int(cycle)
-            site["pc"] = pc
-            site["kernel"] = kernel
-            return
-        site["fate"] = "consumed"
-        site["fate_cycle"] = None if cycle is None else int(cycle)
-        site["pc"] = pc
-        site["kernel"] = kernel
-        site["_open"] = False
+        site.update(fate="consumed", pc=pc, kernel=kernel,
+                    fate_cycle=None if cycle is None else int(cycle),
+                    _open=bool(site.get("persistent")))
 
     def _close(self, site: dict, fate: str, cycle) -> None:
-        if not site["_open"]:
-            return
-        if site.get("persistent"):
-            # overwrites/evictions do not end a persistent fault: the
-            # injector re-asserts the stuck bits next cycle
-            return
-        site["fate"] = fate
-        site["fate_cycle"] = None if cycle is None else int(cycle)
-        site["_open"] = False
-
-    def _loaded_by(self, now: int, core_id: int, warp, inst) -> None:
-        """A load brought a corrupted value into ``inst``'s
-        destination registers: it is a consumer, they are tainted."""
-        self._add_consumer(now, core_id, warp, inst)
-        dst_regs = inst.scoreboard_sets()[1]
-        if dst_regs:
-            self._taint.setdefault(
-                (core_id, warp.age), set()).update(dst_regs)
+        # overwrites/evictions do not end a persistent fault: the
+        # injector re-asserts the stuck bits next cycle
+        if site["_open"] and not site.get("persistent"):
+            site.update(fate=fate, _open=False,
+                        fate_cycle=None if cycle is None else int(cycle))
 
     def _add_consumer(self, now: int, core_id: int, warp, inst) -> None:
         if len(self.consumers) >= self.max_consumers:
@@ -357,10 +305,8 @@ class PropagationTracer:
 
     def finalize(self) -> dict:
         """The JSON-serialisable propagation record of this run."""
-        sites = []
-        for site in self.sites:
-            sites.append({k: v for k, v in site.items()
-                          if not k.startswith("_")})
+        sites = [{k: v for k, v in site.items() if not k.startswith("_")}
+                 for site in self.sites]
         window = None
         if self._first_mismatch is not None:
             window = [self._last_match, self._first_mismatch]

@@ -93,14 +93,11 @@ class Cache:
         self.assoc = geometry.assoc
         self.tag_bits = tag_bits
         self.stats = CacheStats()
-        #: Optional golden-run liveness recorder (see
-        #: :mod:`repro.sim.liveness`); receives per-line events keyed
-        #: by this cache's ``name`` and the flat line index.
-        self.liveness = None
-        #: Optional per-run fault-propagation tracer (see
-        #: :mod:`repro.obs.propagation`); receives the same per-line
-        #: events as ``liveness``, for injected runs.
-        self.propagation = None
+        #: Who hears what becomes of a line, each as ``hear(name, flat
+        #: line index, kind)``: ``rh`` read hit, ``wh`` write hit,
+        #: ``fill``, ``inv`` invalidate, ``wb`` writeback, ``peek``
+        #: host observation (set by :meth:`repro.sim.gpu.GPU.listen`).
+        self.on_cache = ()
         self._tick = 0
         # sets materialise lazily on first touch: an untouched 3 MB L2
         # costs nothing, and fault flips into untouched lines hit
@@ -115,12 +112,11 @@ class Cache:
             self._sets[set_idx] = ways
         return ways
 
-    def _notify(self, flat: int, *kinds: str) -> None:
-        """Tell each attached observer the events of line ``flat``."""
-        for observer in (self.liveness, self.propagation):
-            if observer is not None:
-                for kind in kinds:
-                    observer.on_cache(self.name, flat, kind)
+    def _tell(self, flat: int, *kinds: str) -> None:
+        """Report the events of line ``flat``, in order."""
+        for kind in kinds:
+            for hear in self.on_cache:
+                hear(self.name, flat, kind)
 
     # -- addressing -----------------------------------------------------
 
@@ -160,34 +156,26 @@ class Cache:
                         if not for_write:
                             self._apply_bits(line, line.armed)
                         line.armed = None
-                    if (self.liveness is not None
-                            or self.propagation is not None):
-                        self._notify(set_idx * self.assoc + way,
-                                     "wh" if for_write else "rh")
+                    if self.on_cache:
+                        self._tell(set_idx * self.assoc + way,
+                                   "wh" if for_write else "rh")
                     return line
         self.stats.misses += 1
         return None
 
-    def peek(self, addr: int) -> Optional[CacheLine]:
-        """Probe without touching LRU state or counting statistics."""
+    def peek(self, addr: int, observed: bool = False) -> Optional[CacheLine]:
+        """Probe without touching LRU state or counting statistics;
+        ``observed``: the prober sees the line's bits (a host copy), a
+        ``peek`` event."""
         set_idx, tag = self._locate(addr)
         ways = self._sets.get(set_idx)
         if ways is None:
             return None
         for line in ways:
             if line.valid and line.tag == tag:
+                if observed and self.on_cache:
+                    self._tell(set_idx * self.assoc + ways.index(line), "peek")
                 return line
-        return None
-
-    def resident_index(self, addr: int) -> Optional[int]:
-        """Flat line index of the resident line for ``addr``, if any."""
-        set_idx, tag = self._locate(addr)
-        ways = self._sets.get(set_idx)
-        if ways is None:
-            return None
-        for way, line in enumerate(ways):
-            if line.valid and line.tag == tag:
-                return set_idx * self.assoc + way
         return None
 
     def fill(self, addr: int, data: np.ndarray
@@ -212,9 +200,9 @@ class Cache:
                 self.stats.writebacks += 1
                 writeback = (self._line_addr(set_idx, victim.tag),
                              victim.data.copy())
-        if self.liveness is not None or self.propagation is not None:
-            self._notify(set_idx * self.assoc + ways.index(victim),
-                         *(("fill",) if writeback is None else ("wb", "fill")))
+        if self.on_cache:
+            self._tell(set_idx * self.assoc + ways.index(victim),
+                       *(("fill",) if writeback is None else ("wb", "fill")))
         victim.valid = True
         victim.dirty = False
         victim.armed = None
@@ -238,9 +226,9 @@ class Cache:
         if line.dirty:
             self.stats.writebacks += 1
             writeback = (self._line_addr(set_idx, line.tag), line.data.copy())
-        if self.liveness is not None or self.propagation is not None:
-            self._notify(set_idx * self.assoc + self._sets[set_idx].index(line),
-                         *(("inv",) if writeback is None else ("wb", "inv")))
+        if self.on_cache:
+            self._tell(set_idx * self.assoc + self._sets[set_idx].index(line),
+                       *(("inv",) if writeback is None else ("wb", "inv")))
         line.invalidate()
         return writeback
 
@@ -254,7 +242,7 @@ class Cache:
                                 line.data.copy()))
                     line.dirty = False
                     self.stats.writebacks += 1
-                    self._notify(set_idx * self.assoc + way, "wb")
+                    self._tell(set_idx * self.assoc + way, "wb")
         return out
 
     def invalidate_all(self) -> None:
@@ -262,7 +250,7 @@ class Cache:
         for set_idx, ways in self._sets.items():
             for way, line in enumerate(ways):
                 if line.valid:
-                    self._notify(set_idx * self.assoc + way, "inv")
+                    self._tell(set_idx * self.assoc + way, "inv")
                 line.invalidate()
 
     # -- word helpers ------------------------------------------------------

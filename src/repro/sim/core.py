@@ -502,14 +502,10 @@ class SIMTCore:
         else:
             exec0 = active
             exec_mask = top.where
-        lv = gpu.liveness
-        if lv is not None:
-            # before execution: kill-coverage needs pre-exec lane state
-            lv.on_issue(self.core_id, warp, plan, exec0, now)
-        prop = gpu.propagation
-        if prop is not None and prop.armed:
-            # corrupted-register reads/overwrites + consumer-chain taint
-            prop.on_issue(self.core_id, warp, inst, exec0, now)
+        for hear in gpu.on_issue:
+            # before execution: the lanes are those it starts from, and
+            # an issue that raises has been heard
+            hear(self.core_id, warp, plan, exec0, now)
         latency = self.config.alu_latency
         kind = plan.kind
 
@@ -550,8 +546,6 @@ class SIMTCore:
             warp.at_barrier = True
             warp.cta.try_release_barrier()
         else:  # _EXIT
-            if lv is not None:
-                lv.on_exit(self.core_id, warp, exec0, now)
             warp.exited |= exec0
             live = warp.num_threads - int(
                 np.count_nonzero(warp.exited[:warp.num_threads]))
@@ -572,11 +566,7 @@ class SIMTCore:
                 warp.pred_ready[idx] = done_at
             if done_at > warp.sb_latest:
                 warp.sb_latest = done_at
-        if lv is not None and warp.done:
-            lv.on_warp_done(self.core_id, warp, now)
         gpu.stats.current.instructions += 1
-        if gpu.tracer is not None:
-            gpu.tracer.on_issue(now, self, warp, inst, exec0)
 
     # -- memory pipeline ----------------------------------------------------------
 
@@ -628,7 +618,7 @@ class SIMTCore:
             if self.gpu.pack is not None:
                 # as in _addresses: column 0's addresses serve all
                 self.gpu.pack.check_rows(base, mask)
-        lanes, words, word_list, distinct, conflicts, addrs = \
+        lanes, words, word_list, distinct, conflicts = \
             cta.smem_pattern(base[0], plan.offset, mask)
         is_load = plan.is_load
         # data is per column (each reads and writes its own smem row),
@@ -645,14 +635,9 @@ class SIMTCore:
                 # repeated index open): the higher lane's value stays
                 for lane, word in zip(lanes, words):
                     cta.smem_words[:, word] = src[:, lane]
-        lv = self.gpu.liveness
-        if lv is not None:
-            lv.on_smem(self.core_id, cta.warps[0].age, word_list, is_load)
-        prop = self.gpu.propagation
-        if prop is not None and prop.armed:
-            prop.on_shared_access(self.core_id, cta.warps[0].age, cta,
-                                  warp, plan.inst, addrs, lanes, is_load,
-                                  self.gpu.cycle)
+        for hear in self.gpu.on_words:
+            hear("shared", self.core_id, cta.warps[0].age, word_list, lanes,
+                 is_load, warp, plan, self.gpu.cycle)
         # bank-conflict serialisation: worst-case multiplicity over banks
         return self.config.smem_latency + (conflicts - 1)
 
@@ -670,14 +655,9 @@ class SIMTCore:
         else:
             src = warp.regs[plan.src] if plan.src is not None else _RZ_WORDS
             warp.local_words[:, lanes, words] = src[:, lanes]
-        lv = self.gpu.liveness
-        if lv is not None:
-            for lane, word in zip(lanes.tolist(), words.tolist()):
-                lv.on_local(self.core_id, warp.age, lane, word, is_load)
-        prop = self.gpu.propagation
-        if prop is not None and prop.armed:
-            prop.on_local_access(self.core_id, warp, plan.inst, addrs, lanes,
-                                 is_load, self.gpu.cycle)
+        for hear in self.gpu.on_words:
+            hear("local", self.core_id, warp.age, words.tolist(), lanes,
+                 is_load, warp, plan, self.gpu.cycle)
         return self.config.l1_hit_latency
 
     def _exec_global(self, plan: IssuePlan, warp: Warp,
@@ -729,11 +709,11 @@ class SIMTCore:
                 if dst is not None:
                     # the line exists once: every column loads its words
                     warp.regs[dst][:, seg_lanes] = words[offs]
-            prop = gpu.propagation
-            if prop is not None and prop.armed:
-                # a watched cache line consumed this cycle makes this
-                # load the consumer (taints its destination)
-                prop.note_load(self.core_id, warp, plan.inst, gpu.cycle)
+            for hear in gpu.on_words:
+                # the cells read are the lines the caches' ``on_cache``
+                # named on the way: no words
+                hear("global", self.core_id, warp.age, (), lanes, True, warp,
+                     plan, gpu.cycle)
         else:  # global store: write-evict L1, write-allocate L2
             write = gpu.l2_write_words if use_l2 else gpu.dram_write_words
             for base, seg_lanes, offs in segments:
@@ -761,9 +741,9 @@ class SIMTCore:
             if self.l1d is not None:
                 self.l1d.invalidate(line_base)
             self.l1t.invalidate(line_base)
-        prop = gpu.propagation
-        if prop is not None and prop.armed:
-            prop.note_load(self.core_id, warp, plan.inst, gpu.cycle)
+        for hear in gpu.on_words:  # as after a global load
+            hear("global", self.core_id, warp.age, (), lanes, True, warp,
+                 plan, gpu.cycle)
         return worst
 
 

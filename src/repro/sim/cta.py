@@ -135,11 +135,11 @@ class CTA:
                      mask: np.ndarray) -> tuple:
         """What the lane addresses ``base + offset`` (``base`` one
         uint32 per lane) of the lanes in ``mask`` decide, as
-        ``(lanes, words, word_list, distinct, conflicts, addrs)``: the
+        ``(lanes, words, word_list, distinct, conflicts)``: the
         executing lane indices, their :meth:`smem_word_indices` (as
-        array and as list), whether no two lanes share a word, the
-        worst number of distinct addresses on one bank, and all 32
-        addresses.  Shared, read-only arrays.  The key holds all the
+        array and as list), whether no two lanes share a word and the
+        worst number of distinct addresses on one bank.  Shared,
+        read-only arrays.  The key holds all the
         result depends on -- this CTA's shared bytes and its SM's
         ceiling too, so no kernel or card is served another's -- and a
         faulting pattern raises before it could be stored."""
@@ -147,11 +147,10 @@ class CTA:
                base.tobytes(), mask.tobytes())
         pattern = _PATTERNS.get(key)
         if pattern is None:
-            addrs = base.astype(np.int64) + offset
             lanes = np.nonzero(mask)[0]
-            lane_addrs = addrs[lanes]
+            lane_addrs = base[lanes].astype(np.int64) + offset
             words = self.smem_word_indices(lane_addrs)  # may raise
-            for shared in (addrs, lanes, words):
+            for shared in (lanes, words):
                 shared.setflags(write=False)
             word_list = words.tolist()
             banks = Counter((addr >> 2) % SMEM_BANKS
@@ -161,7 +160,7 @@ class CTA:
             pattern = _PATTERNS[key] = (
                 lanes, words, word_list,
                 len(set(word_list)) == len(word_list),
-                max(banks.values()), addrs)
+                max(banks.values()))
         return pattern
 
     # -- checkpointing -----------------------------------------------------

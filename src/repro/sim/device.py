@@ -45,14 +45,11 @@ class RunOptions:
             :class:`repro.sim.checkpoint.FastForward` replaying the
             run prefix from a recorded checkpoint set.
         liveness: optional :class:`repro.sim.liveness.LivenessTrace`
-            recording structure liveness during a golden run.
+            listening to a golden run from its start.
         convergence: optional
             :class:`repro.faults.early_stop.ConvergenceMonitor`
             terminating an injected run once its state re-converges
             with the golden run.
-        propagation: optional
-            :class:`repro.obs.propagation.PropagationTracer`
-            observing the fate of injected fault sites during the run.
         pack: optional :class:`repro.sim.batch.LockstepPack` riding
             the run; it widens the runs axis to its members and takes
             the ``injector`` and ``convergence`` roles itself (leave
@@ -66,7 +63,6 @@ class RunOptions:
     fast_forward: Optional[object] = None
     liveness: Optional[object] = None
     convergence: Optional[object] = None
-    propagation: Optional[object] = None
     pack: Optional[object] = None
 
     def __post_init__(self):
@@ -92,17 +88,12 @@ class Device:
 
     def _apply_options(self, options: RunOptions) -> None:
         self.gpu.cycle_budget = options.cycle_budget
-        if options.injector is not None:
-            self.gpu.injector = options.injector
-        if options.checkpointer is not None:
-            self.gpu.checkpointer = options.checkpointer
+        self.gpu.injector = options.injector
+        self.gpu.checkpointer = options.checkpointer
+        self.gpu.convergence = options.convergence
         self._fast_forward = options.fast_forward
         if options.liveness is not None:
-            self.gpu.set_liveness(options.liveness)
-        if options.convergence is not None:
-            self.gpu.convergence = options.convergence
-        if options.propagation is not None:
-            self.gpu.set_propagation(options.propagation)
+            self.gpu.listen(options.liveness)
         if options.pack is not None:
             options.pack.attach(self.gpu)
         if options.scheduler_policy != "gto":

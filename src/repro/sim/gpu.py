@@ -38,6 +38,16 @@ from repro.sim.memory import ConstantBank, GlobalMemory
 from repro.sim.stats import StatsCollector
 
 
+#: What a run reports, each to every listener of it with one
+#: signature (``docs/architecture.md``, *Listeners*):
+#: ``on_issue(core_id, warp, plan, exec0, now)`` before an instruction
+#: executes; ``on_words(space, core_id, owner_age, words, lanes,
+#: is_load, warp, plan, now)`` the 32-bit words it touched, one per
+#: executing lane; ``on_cache(name, line, kind)`` what became of a
+#: cache line; ``on_cta_assigned(core_id, cta, visible_from)``.
+EVENTS = ("on_issue", "on_words", "on_cache", "on_cta_assigned")
+
+
 class GPU:
     """One simulated GPU chip."""
 
@@ -59,18 +69,18 @@ class GPU:
         #: repro.sim.checkpoint): its ``on_cycle(gpu, launch, queue)``
         #: runs at the top of every cycle-loop iteration.
         self.checkpointer = None
-        #: Optional liveness recorder for the golden run (duck-typed;
-        #: see repro.sim.liveness) -- attach via :meth:`set_liveness`.
-        self.liveness = None
         #: Optional golden witness of an injected run (duck-typed; see
         #: repro.faults.early_stop): checked after the checkpointer,
-        #: before the injector, at matching checkpoint cycles.  The
-        #: propagation tracer hears of divergence through it.
+        #: before the injector, at matching checkpoint cycles.
         self.convergence = None
-        #: Optional fault-propagation tracer for injected runs
-        #: (duck-typed; see repro.obs.propagation) -- attach via
-        #: :meth:`set_propagation`.  Strictly observational.
-        self.propagation = None
+        #: Who hears what this run does (see :meth:`listen`), and per
+        #: event of :data:`EVENTS` their bound methods, in the order
+        #: they began to listen; every cache has its own ``on_cache``.
+        self.listeners: list = []
+        self.on_issue = self.on_words = self.on_cta_assigned = ()
+        #: Whether the cycle loop is running: work outside it (launch
+        #: entry, host copies) precedes a fault injected at its cycle.
+        self.in_loop = False
         #: Width of the runs axis every CTA is born with, and the
         #: lockstep pack riding it (see :mod:`repro.sim.batch`, whose
         #: ``attach`` sets both).  An ordinary run is the width-1 case.
@@ -80,8 +90,6 @@ class GPU:
         self._l2_bank_busy = [0] * config.l2_banks
         #: Per-channel busy-until cycles for DRAM contention modelling.
         self._dram_busy = [0] * config.dram_channels
-        #: Optional execution tracer (see :mod:`repro.sim.trace`).
-        self.tracer = None
         #: Observability counters (plain ints, sampled once per run by
         #: the fault runner): cycle-loop iterations actually executed,
         #: and cycles covered by idle skips instead of iteration.
@@ -97,19 +105,30 @@ class GPU:
         #: the cycle loop to retire at the end of the iteration.
         self.drained: List[CTA] = []
 
-    def set_liveness(self, recorder) -> None:
-        """Attach a liveness recorder to the GPU and every cache."""
-        self._attach("liveness", recorder)
+    def listen(self, listener) -> None:
+        """Have ``listener`` hear the events of :data:`EVENTS` it has
+        a method for, and know its ``gpu``.  The simulator reports; it
+        never asks who listens, and a listener changes nothing it is
+        told about -- so a run's cycles, digests and records are those
+        of the run nobody heard."""
+        listener.gpu = self
+        self.listeners.append(listener)
+        self._sort_listeners()
 
-    def set_propagation(self, tracer) -> None:
-        """Attach a fault-propagation tracer to the GPU and every cache."""
-        self._attach("propagation", tracer)
+    def unlisten(self, listener) -> None:
+        """``listener`` hears no more of this GPU (and lets go of it)."""
+        listener.gpu = None
+        self.listeners.remove(listener)
+        self._sort_listeners()
 
-    def _attach(self, slot: str, observer) -> None:
-        observer.gpu = self
-        for holder in (self, self.l2, *(cache for core in self.cores
-                                        for cache in core.l1s.values())):
-            setattr(holder, slot, observer)
+    def _sort_listeners(self) -> None:
+        caches = (self.l2, *(cache for core in self.cores
+                             for cache in core.l1s.values()))
+        for event in EVENTS:
+            heard = tuple(getattr(each, event) for each in self.listeners
+                          if hasattr(each, event))
+            for holder in caches if event == "on_cache" else (self,):
+                setattr(holder, event, heard)
 
     def release(self) -> None:
         """Cut the back-references of a finished run.
@@ -126,9 +145,8 @@ class GPU:
             for cta in core.ctas:
                 cta.release()
         self.drained.clear()
-        for recorder in (self.liveness, self.propagation):
-            if recorder is not None:
-                recorder.gpu = None
+        for listener in list(self.listeners):
+            self.unlisten(listener)
         # the pack keeps its ``gpu``; the GPU lets go of the pack
         self.pack = self.injector = self.convergence = None
 
@@ -177,8 +195,8 @@ class GPU:
             cta = CTA(cta_id, launch, core, age_base,
                       self.config.shared_mem_per_sm, ncols=self.ncols)
             core.add_cta(cta)
-            if self.liveness is not None:
-                self.liveness.on_cta_assigned(core.core_id, cta, visible_from)
+            for hear in self.on_cta_assigned:
+                hear(core.core_id, cta, visible_from)
 
     # -- the cycle loop -----------------------------------------------------
 
@@ -224,8 +242,7 @@ class GPU:
         # every visited cycle asks (see repro.sim.core)
         always_ask = self.config.model_icache
         drained = self.drained
-        if self.liveness is not None:
-            self.liveness.in_loop = True
+        self.in_loop = True
         try:
             # the fp32 handlers divide by zero and overflow like the
             # hardware does: silently
@@ -280,8 +297,7 @@ class GPU:
                     if retired:
                         busy = [core for core in self.cores if core.ctas]
         finally:
-            if self.liveness is not None:
-                self.liveness.in_loop = False
+            self.in_loop = False
 
         return self.stats.end_launch(self.cycle)
 
@@ -515,16 +531,13 @@ class GPU:
 
     def _peek_l2(self, addr: int, nbytes: int):
         """The resident L2 lines overlapping ``[addr, addr + nbytes)``,
-        seen past LRU and counters (the observers are told), each as
+        seen past LRU and counters (a ``peek`` event each), each as
         ``(line, base, lo, hi)``: its base address and the overlap."""
         line_bytes = self.l2.line_bytes
         for base in range(addr - addr % line_bytes, addr + nbytes,
                           line_bytes):
-            line = self.l2.peek(base)
+            line = self.l2.peek(base, observed=True)
             if line is not None:
-                for observer in (self.liveness, self.propagation):
-                    if observer is not None:
-                        observer.note_peek(self.l2, base)
                 yield (line, base, max(base, addr),
                        min(base + line_bytes, addr + nbytes))
 

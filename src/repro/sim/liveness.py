@@ -9,17 +9,19 @@ accessed again), the fault is Masked by construction and the run never
 needs to be simulated (ACE-analysis style liveness, cf. Mukherjee et
 al.).
 
-A :class:`LivenessTrace` records, during the golden profiling run:
+A :class:`LivenessTrace` listens to the golden profiling run
+(:meth:`repro.sim.gpu.GPU.listen`) and records:
 
 - CTA residency intervals per core, in assignment order (the order the
-  injector enumerates ``core.ctas`` in);
-- per-warp lane exit events and completion cycles;
-- per-warp register read/kill events (a *kill* is a write covering
-  every live lane, after which the previous value is unreachable);
-- per-CTA shared-memory and per-warp local-memory word accesses;
-- per-cache-line events (``rh`` read hit, ``wh`` write hit, ``fill``,
-  ``inv`` invalidate, ``wb`` writeback, ``peek`` host/stale-line
-  observation).
+  injector enumerates ``core.ctas`` in), with per-warp lane exits and
+  completion cycles;
+- per cell -- keyed as a :class:`repro.faults.sites.Site` is, ``(kind,
+  owner)`` then index: a warp's register or local word, a CTA's shared
+  word, a cache's line -- what happened to it: ``r`` a read, ``k`` a
+  kill (a write after which the previous value is unreachable: of a
+  register, one covering every live lane), and for a line ``rh`` read
+  hit, ``wh`` write hit, ``fill``, ``inv`` invalidate, ``wb``
+  writeback, ``peek`` host/stale-line observation.
 
 Event timestamps are ``(cycle, phase)`` pairs: phase 0 marks work done
 *outside* the cycle loop (launch-entry L1 invalidation, host reads
@@ -39,12 +41,9 @@ from -- the same routine, fed by the live GPU, that the injector uses
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-
-#: Event kinds recorded for cache lines.
-CACHE_EVENTS = ("rh", "wh", "fill", "inv", "wb", "peek")
 
 
 def post_injection(event: Tuple[int, int, str], cycle: int) -> bool:
@@ -60,10 +59,9 @@ def post_injection(event: Tuple[int, int, str], cycle: int) -> bool:
 class LivenessTrace:
     """Records liveness intervals during one golden run.
 
-    Attach via ``RunOptions(liveness=...)``; the device wires it onto
-    the GPU and every cache.  Recording costs nothing on fault runs
-    (the hooks are behind ``is not None`` checks and the trace is only
-    attached to the golden profiling run).
+    Attach via ``RunOptions(liveness=...)``: the device has it listen
+    to the GPU.  Recording costs nothing on fault runs (nobody
+    listens: the simulator iterates empty tuples).
 
     A finished trace is plain data (:data:`CONTENT`): it pickles
     without the simulator it was recorded on -- a checkpoint set keeps
@@ -73,24 +71,15 @@ class LivenessTrace:
 
     #: The attributes a finished trace consists of; everything else is
     #: recording state.
-    CONTENT = ("cores", "reg_events", "local_events", "smem_events",
-               "cache_events")
+    CONTENT = ("cores", "events")
 
     def __init__(self):
-        #: Set by :meth:`repro.sim.device.Device._apply_options`.
+        #: The GPU listened to (:meth:`repro.sim.gpu.GPU.listen`).
         self.gpu = None
-        #: True while the GPU cycle loop is running (phase flag).
-        self.in_loop = False
         #: core_id -> CTA records in assignment order.
         self.cores: Dict[int, List[dict]] = {}
-        #: (core_id, warp age) -> {reg: [(cycle, kind)]}, kind 'r'/'k'.
-        self.reg_events: Dict[Tuple[int, int], Dict[int, List]] = {}
-        #: (core_id, warp age) -> {word: [(cycle, lane, kind)]}.
-        self.local_events: Dict[Tuple[int, int], Dict[int, List]] = {}
-        #: (core_id, CTA age_base) -> {word: [(cycle, kind)]}.
-        self.smem_events: Dict[Tuple[int, int], Dict[int, List]] = {}
-        #: cache name -> {flat line index: [(cycle, phase, kind)]}.
-        self.cache_events: Dict[str, Dict[int, List]] = {}
+        #: ``(kind, owner)`` -> {index: [event]}, see :meth:`cell_events`.
+        self.events: Dict[tuple, Dict[int, List[tuple]]] = {}
         #: (core_id, warp age) -> (warp record, its CTA's record).
         self._warp_recs: Dict[Tuple[int, int], Tuple[dict, dict]] = {}
 
@@ -106,10 +95,7 @@ class LivenessTrace:
             return NotImplemented
         return self.__getstate__() == other.__getstate__()
 
-    # -- recording (called from the simulator) ---------------------------
-
-    def _now(self) -> int:
-        return self.gpu.cycle
+    # -- recording (what the simulator reports) --------------------------
 
     def on_cta_assigned(self, core_id: int, cta, visible_from: int) -> None:
         """One CTA became resident on ``core_id``.
@@ -119,35 +105,27 @@ class LivenessTrace:
         cycle for mid-loop assignment (the injector already ran this
         cycle when CTAs are assigned after retirement).
         """
-        age_base = cta.warps[0].age
-        rec = {
-            "age_base": age_base,
-            "cta_id": tuple(cta.cta_id),
-            "visible_from": visible_from,
-            "done_cycle": None,
-            "has_smem": bool(cta.smem.shape[1]),
-            "warps": [],
-        }
-        for warp in cta.warps:
-            wrec = {
-                "age": warp.age,
-                "num_threads": warp.num_threads,
-                "done_cycle": None,
-                "exits": [],  # [(cycle, (lane, ...))]
-            }
-            rec["warps"].append(wrec)
-            self._warp_recs[(core_id, warp.age)] = (wrec, rec)
+        warps = [{"age": warp.age, "num_threads": warp.num_threads,
+                  "done_cycle": None, "exits": []}  # [(cycle, (lane, ...))]
+                 for warp in cta.warps]
+        rec = {"age_base": cta.warps[0].age, "cta_id": tuple(cta.cta_id),
+               "visible_from": visible_from, "done_cycle": None,
+               "has_smem": bool(cta.smem.shape[1]), "warps": warps}
+        for wrec in warps:
+            self._warp_recs[(core_id, wrec["age"])] = (wrec, rec)
         self.cores.setdefault(core_id, []).append(rec)
 
     def on_issue(self, core_id: int, warp, plan, exec_mask, now: int) -> None:
-        """Record the register reads/kills of one issue.
+        """Record the register reads/kills -- for an ``EXIT``, the
+        leaving lanes -- of one issue.
 
         ``plan`` is the instruction's :class:`~repro.sim.core.IssuePlan`;
         ``exec_mask`` the lanes executing, all of them live.
         """
         src_regs, dst_regs = plan.src_regs, plan.dst_regs
         if src_regs or dst_regs:
-            events = self.reg_events.setdefault((core_id, warp.age), {})
+            events = self.events.setdefault(
+                ("register", (core_id, warp.age)), {})
             for reg in src_regs:
                 events.setdefault(reg, []).append((now, "r"))
             if dst_regs:
@@ -159,48 +137,44 @@ class LivenessTrace:
                         else "r")
                 for reg in dst_regs:
                     events.setdefault(reg, []).append((now, kind))
+        elif plan.inst.is_exit:  # (which has no register operand)
+            lanes = np.nonzero(exec_mask)[0].tolist()
+            if lanes:
+                wrec, cta = self._warp_recs[(core_id, warp.age)]
+                wrec["exits"].append((now, tuple(lanes)))
+                if len(lanes) == warp.live_count:
+                    # its last lanes: the warp drains during ``now``
+                    wrec["done_cycle"] = now
+                    if all(w["done_cycle"] is not None for w in cta["warps"]):
+                        cta["done_cycle"] = now
 
-    def on_exit(self, core_id: int, warp, exec_mask, now: int) -> None:
-        """The lanes of ``exec_mask`` exit during cycle ``now``."""
-        lanes = np.nonzero(exec_mask)[0].tolist()
-        if lanes:
-            wrec, _ = self._warp_recs[(core_id, warp.age)]
-            wrec["exits"].append((now, tuple(lanes)))
-
-    def on_warp_done(self, core_id: int, warp, now: int) -> None:
-        """A warp drained during cycle ``now``."""
-        wrec, cta = self._warp_recs[(core_id, warp.age)]
-        wrec["done_cycle"] = now
-        if all(w["done_cycle"] is not None for w in cta["warps"]):
-            cta["done_cycle"] = now
-
-    def on_smem(self, core_id: int, age_base: int, words: List[int],
-                is_read: bool) -> None:
-        """The resolved shared-memory words of one instruction, one
-        per executing lane, in lane order."""
-        events = self.smem_events.setdefault((core_id, age_base), {})
-        event = (self._now(), "r" if is_read else "k")
-        for word in words:
-            events.setdefault(word, []).append(event)
-
-    def on_local(self, core_id: int, warp_age: int, lane: int, word: int,
-                 is_read: bool) -> None:
-        """One local-memory word access of one lane."""
-        events = self.local_events.setdefault((core_id, warp_age), {})
-        events.setdefault(word, []).append(
-            (self._now(), lane, "r" if is_read else "k"))
+    def on_words(self, space: str, core_id: int, owner_age: int,
+                 words: List[int], lanes, is_load: bool, warp, plan,
+                 now: int) -> None:
+        """The resolved 32-bit words of one shared- or local-memory
+        instruction, one per executing lane, in lane order.  A shared
+        word is its CTA's whichever lane touches it, a local word one
+        cell per lane (the event says which); a global access has no
+        words (its cells are the cache lines :meth:`on_cache` hears of).
+        """
+        if not words:
+            return
+        events = self.events.setdefault((space, (core_id, owner_age)), {})
+        kind = "r" if is_load else "k"
+        if space == "local":
+            for lane, word in zip(lanes.tolist(), words):
+                events.setdefault(word, []).append((now, lane, kind))
+        else:
+            event = (now, kind)
+            for word in words:
+                events.setdefault(word, []).append(event)
 
     def on_cache(self, name: str, line_index: int, kind: str) -> None:
-        """One cache-line event (see :data:`CACHE_EVENTS`)."""
-        events = self.cache_events.setdefault(name, {})
-        events.setdefault(line_index, []).append(
-            (self._now(), 1 if self.in_loop else 0, kind))
-
-    def note_peek(self, cache, addr: int) -> None:
-        """Record a stale-line observation (host read/write paths)."""
-        index = cache.resident_index(addr)
-        if index is not None:
-            self.on_cache(cache.name, index, "peek")
+        """What became of one cache line, with its phase: 1 inside the
+        cycle loop, 0 outside it."""
+        self.events.setdefault(("cache", name), {}).setdefault(
+            line_index, []).append(
+                (self.gpu.cycle, 1 if self.gpu.in_loop else 0, kind))
 
     # -- queries (a GPU's own enumeration order) -------------------------
 
@@ -249,27 +223,16 @@ class LivenessTrace:
         """Whether a cache line held data when a fault at ``cycle``
         struck: its last pre-injection fill / invalidation decides."""
         valid = False
-        for event in self.cache_line_events(name, line_index):
+        for event in self.cell_events("cache", name, line_index):
             if post_injection(event, cycle):
                 break
             if event[2] in ("fill", "inv"):
                 valid = event[2] == "fill"
         return valid
 
-    # -- event accessors -------------------------------------------------
-
-    def register_events(self, core_id: int, warp_age: int,
-                        reg: int) -> List[Tuple[int, str]]:
-        return self.reg_events.get((core_id, warp_age), {}).get(reg, [])
-
-    def local_word_events(self, core_id: int, warp_age: int,
-                          word: int) -> List[Tuple[int, int, str]]:
-        return self.local_events.get((core_id, warp_age), {}).get(word, [])
-
-    def smem_word_events(self, core_id: int, age_base: int,
-                         word: int) -> List[Tuple[int, str]]:
-        return self.smem_events.get((core_id, age_base), {}).get(word, [])
-
-    def cache_line_events(self, name: str,
-                          line_index: int) -> List[Tuple[int, int, str]]:
-        return self.cache_events.get(name, {}).get(line_index, [])
+    def cell_events(self, kind: str, owner, index: int) -> List[tuple]:
+        """What happened to one cell (:attr:`repro.faults.sites.Site
+        .cell`), in order: ``(cycle, kind)`` for a register or a shared
+        word, ``(cycle, lane, kind)`` for a local word, ``(cycle,
+        phase, kind)`` for a cache line."""
+        return self.events.get((kind, owner), {}).get(index, [])

@@ -1,8 +1,9 @@
 """Optional instruction-level execution tracing.
 
-A :class:`Tracer` attached to a device records every issued
-instruction (cycle, core, CTA, warp, pc, rendered instruction, active
-lane count) subject to cheap filters.  It exists to answer the
+A :class:`Tracer` attached to a device (one more listener, see
+:meth:`repro.sim.gpu.GPU.listen`) records every issued instruction
+(cycle, core, CTA, warp, pc, rendered instruction, active lane count)
+subject to cheap filters.  It exists to answer the
 questions fault-injection debugging raises constantly: *what touched
 this register between the injection and the corruption?  which warp
 was at that PC at cycle X?*
@@ -71,20 +72,21 @@ class Tracer:
         self.dropped = 0
 
     def attach(self, device) -> "Tracer":
-        """Hook this tracer into a device; returns self for chaining."""
-        device.gpu.tracer = self
+        """Listen to a device's issues; returns self for chaining."""
+        device.gpu.listen(self)
         return self
 
-    @staticmethod
-    def detach(device) -> None:
-        """Remove any tracer from a device."""
-        device.gpu.tracer = None
+    def detach(self, device) -> None:
+        """Stop listening to a device."""
+        device.gpu.unlisten(self)
 
-    def on_issue(self, now: int, core, warp, inst, exec_mask) -> None:
-        """Called by the core at each issue (when a tracer is attached)."""
+    def on_issue(self, core_id: int, warp, plan, exec_mask, now: int) -> None:
+        """One issue, heard before it executes: one that raises is the
+        newest record."""
+        inst = plan.inst
         if self.opcodes is not None and inst.opcode not in self.opcodes:
             return
-        if self.cores is not None and core.core_id not in self.cores:
+        if self.cores is not None and core_id not in self.cores:
             return
         if self.kernels is not None and \
                 warp.cta.launch.kernel.name not in self.kernels:
@@ -92,17 +94,16 @@ class Tracer:
         if len(self.records) == self.max_records:
             # the deque evicts the oldest on append; keep the tally
             self.dropped += 1
-        src_regs, dst_regs, _sp, _dp = inst.scoreboard_sets()
         self.records.append(TraceRecord(
             cycle=now,
-            core=core.core_id,
+            core=core_id,
             cta=tuple(warp.cta.cta_id),
             warp=warp.warp_id,
             pc=inst.pc,
             text=str(inst),
             active_lanes=int(exec_mask.sum()),
-            src_regs=src_regs,
-            dst_regs=dst_regs,
+            src_regs=plan.src_regs,
+            dst_regs=plan.dst_regs,
         ))
 
     def render(self, limit: Optional[int] = None) -> str:

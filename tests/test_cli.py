@@ -1,8 +1,18 @@
 """The ``gpufi`` command-line front-end."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.cli import main
+from repro.dist.protocol import canonical_log_text
+from repro.faults.parser import load_records
+from repro.obs import events_path_for, read_events
 
 
 class TestList:
@@ -65,3 +75,49 @@ class TestMarkdownOutput:
         text = report.read_text()
         assert text.startswith("# gpuFI-4 campaign")
         assert "wAVF" in text
+
+
+class TestSigtermDrainsTheCampaign:
+    """SIGTERM takes the way out SIGINT has: the pool is torn down and
+    the ledger closed, so what finished is kept whole and ``--resume``
+    completes the campaign to the bytes of an uninterrupted one."""
+
+    ARGS = ["--benchmark", "vectoradd", "--structures", "register_file",
+            "--runs", "150", "--seed", "5", "--early-stop", "off"]
+
+    def gpufi(self, *args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in sys.path if p))
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "campaign", *self.ARGS,
+             *args], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        log = tmp_path_factory.mktemp("whole") / "log.jsonl"
+        assert self.gpufi("--log", str(log)).wait(timeout=300) == 0
+        return canonical_log_text(load_records(log))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kill_then_resume(self, tmp_path, uninterrupted, jobs):
+        log = tmp_path / "log.jsonl"
+        flags = ["--jobs", str(jobs), "--metrics", "--log", str(log)]
+        proc = self.gpufi(*flags)
+        deadline = time.monotonic() + 120
+        while not (log.exists() and log.read_bytes().count(b"\n") > 10):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 143, proc.stderr.read()
+
+        lines = log.read_text().splitlines()
+        done = [json.loads(line) for line in lines]  # no torn line
+        assert 10 <= len(done) - 1 < 150
+        end = read_events(events_path_for(log))[-1]
+        assert (end["event"], end["complete"]) == ("campaign_end", False)
+
+        assert self.gpufi(*flags, "--resume").wait(timeout=300) == 0
+        assert canonical_log_text(load_records(log)) == uninterrupted
+        assert read_events(events_path_for(log))[-1]["complete"] is True

@@ -300,7 +300,7 @@ class TestLivenessTrace:
         self.age = cta["warps"][0]["age"]
 
     def events(self, reg):
-        return self.trace.register_events(0, self.age, reg)
+        return self.trace.cell_events("register", (0, self.age), reg)
 
     def test_register_event_sequences(self):
         # R0: written by S2R, read by SHL, never touched again
@@ -352,16 +352,16 @@ class TestLivenessTrace:
         age_base = cta["age_base"]
         for tid in (0, 7, 31):
             kinds = [k for _, k in
-                     trace.smem_word_events(0, age_base, tid)]
+                     trace.cell_events("shared", (0, age_base), tid)]
             assert kinds == ["k", "r"], tid  # STS kill then LDS read
         # word 32 is beyond the 32 touched words: never accessed
-        assert trace.smem_word_events(0, age_base, 32) == []
+        assert trace.cell_events("shared", (0, age_base), 32) == []
 
     def test_shared_prescreen_verdicts(self):
         trace, _dev = trace_kernel(SMEM_KERNEL)
         cta = trace.cores[0][0]
-        (kill_cycle, _), (read_cycle, _) = trace.smem_word_events(
-            0, cta["age_base"], 5)
+        (kill_cycle, _), (read_cycle, _) = trace.cell_events(
+            "shared", (0, cta["age_base"]), 5)
 
         def mask_at(cycle):
             return FaultMask(structure=Structure.SHARED_MEM, cycle=cycle,

@@ -30,6 +30,7 @@ from repro.sim.cards import rtx_2060
 from repro.sim.checkpoint import (GOLDEN_FILE, LIVENESS_FILE, CheckpointStore,
                                   RestoreParityError, _dumps, _loads,
                                   campaign_fingerprint)
+from repro.sim.core import SIMTCore
 from repro.sim.device import Device, RunOptions
 from repro.sim.liveness import LivenessTrace
 
@@ -205,7 +206,7 @@ def tamper_manifest_stats(directory):
 def tamper_trace(directory):
     path = directory / LIVENESS_FILE
     trace = _loads(path.read_bytes())
-    trace.reg_events.clear()
+    trace.events.clear()
     path.write_bytes(_dumps(trace))
 
 
@@ -509,15 +510,16 @@ class TestOrphanedSetsAreSuperseded:
 
 
 class ReferenceTrace(LivenessTrace):
-    """The recording hooks as first written: register sets from the
-    instruction, live lanes recomputed per issue, one shared-memory
-    event object per word."""
+    """The recording as first written: register sets from the
+    instruction, live lanes recomputed per issue, one event object per
+    word, a warp's completion read off the warp once it has issued."""
 
     def on_issue(self, core_id, warp, plan, exec_mask, now):
         inst = plan.inst
         src_regs, dst_regs, _sp, _dp = inst.scoreboard_sets()
         if src_regs or dst_regs:
-            events = self.reg_events.setdefault((core_id, warp.age), {})
+            events = self.events.setdefault(
+                ("register", (core_id, warp.age)), {})
             for reg in src_regs:
                 events.setdefault(reg, []).append((now, "r"))
             if dst_regs:
@@ -531,22 +533,42 @@ class ReferenceTrace(LivenessTrace):
                 wrec, _ = self._warp_recs[(core_id, warp.age)]
                 wrec["exits"].append((now, tuple(int(l) for l in lanes)))
 
-    def on_exit(self, core_id, warp, exec_mask, now):
-        pass  # on_issue records exits
+    def after_issue(self, core_id, warp, now):
+        if warp.done:
+            wrec, cta = self._warp_recs[(core_id, warp.age)]
+            wrec["done_cycle"] = now
+            if all(w["done_cycle"] is not None for w in cta["warps"]):
+                cta["done_cycle"] = now
 
-    def on_smem(self, core_id, age_base, words, is_read):
-        for word in words:
-            events = self.smem_events.setdefault((core_id, age_base), {})
+    def on_words(self, space, core_id, owner_age, words, lanes, is_load,
+                 warp, plan, now):
+        for lane, word in zip(lanes.tolist(), words):
+            events = self.events.setdefault((space, (core_id, owner_age)), {})
             events.setdefault(word, []).append(
-                (self._now(), "r" if is_read else "k"))
+                (self.gpu.cycle, *([lane] if space == "local" else []),
+                 "r" if is_load else "k"))
 
 
 @pytest.mark.parametrize("app", benchmark_names())
-def test_trace_content_equals_the_reference_recording(app):
+def test_trace_content_equals_the_reference_recording(app, monkeypatch):
+    issue = SIMTCore._issue
+
+    def issue_then_tell(self, warp, plan, now):
+        issue(self, warp, plan, now)
+        for listener in self.gpu.listeners:
+            if isinstance(listener, ReferenceTrace):
+                listener.after_issue(self.core_id, warp, now)
+
+    monkeypatch.setattr(SIMTCore, "_issue", issue_then_tell)
     trace, reference = LivenessTrace(), ReferenceTrace()
     profile_application(app, "RTX2060", liveness=trace)
     profile_application(app, "RTX2060", liveness=reference)
-    assert trace.reg_events and trace.cache_events
+    kinds = {kind for kind, _ in trace.events}
+    assert {"register", "cache"} <= kinds <= {"register", "cache", "shared",
+                                              "local"}
+    assert all(wrec["done_cycle"] is not None and cta["done_cycle"]
+               for ctas in trace.cores.values() for cta in ctas
+               for wrec in cta["warps"])
     for name in LivenessTrace.CONTENT:
         # repr: equal down to the order events and keys were added in
         assert repr(getattr(trace, name)) == repr(getattr(reference, name)), \

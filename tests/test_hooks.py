@@ -32,7 +32,7 @@ def make_tracer(cache, record):
         stats = None
 
     tracer.gpu = _Gpu()
-    cache.propagation = tracer
+    cache.on_cache = (tracer.on_cache,)
     tracer.watch(Site("cache", record["line"], cache=record["cache"],
                       mode=record["mode"], valid=record["valid"]))
     return tracer

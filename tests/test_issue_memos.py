@@ -30,7 +30,7 @@ from tests.conftest import tiny_config
 class IssueChecker:
     """Rides every GPU built while it is installed: ``before`` runs
     ahead of ``SIMTCore._issue`` (the state an issue starts from),
-    ``on_issue`` is the ``gpu.tracer`` hook (the lanes it used)."""
+    ``on_issue`` hears what the core reports (the lanes it uses)."""
 
     def __init__(self):
         self.issues = 0
@@ -59,7 +59,8 @@ class IssueChecker:
             lanes = lanes & (~guard if plan.guard_negate else guard)
         self.expected = lanes
 
-    def on_issue(self, now, core, warp, inst, exec0):
+    def on_issue(self, core_id, warp, plan, exec0, now):
+        inst = plan.inst
         self.issues += 1
         assert np.array_equal(exec0, self.expected), str(inst)
         if inst.is_memory and inst.guard is None:
@@ -89,7 +90,7 @@ def checker(monkeypatch):
 
     def checked_init(self, config):
         gpu_init(self, config)
-        self.tracer = checker
+        self.listen(checker)
 
     def checked_issue(self, warp, plan, now):
         checker.before(warp, plan)

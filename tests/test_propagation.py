@@ -45,13 +45,13 @@ class FakeWarp:
 
 
 class FakeInst:
+    """An instruction and its own issue plan."""
+
     def __init__(self, srcs=(), dsts=(), pc=10, text="OP"):
-        self._sets = (tuple(srcs), tuple(dsts), (), ())
+        self.inst = self
+        self.src_regs, self.dst_regs = tuple(srcs), tuple(dsts)
         self.pc = pc
         self.text = text
-
-    def scoreboard_sets(self):
-        return self._sets
 
     def __str__(self):
         return self.text
@@ -70,7 +70,6 @@ class TestRegisterFates:
         tracer = PropagationTracer(injection_cycle=100)
         warp = FakeWarp()
         tracer.watch(register_site(warp.age, (0, 1)))
-        assert tracer.armed
         tracer.on_issue(0, warp, FakeInst(srcs=(7,), dsts=(9,), pc=12,
                                           text="IADD R9, R7, R3"),
                         full_mask(), now=140)

@@ -69,19 +69,20 @@ class Probe:
                               for site in found)
             self.resolved.append((mask, hook, found))
 
-    def mask(self, structure, cycle):
+    def mask(self, structure, cycle, bits=(0,)):
         rng = self.rng
         entry = int(rng.integers(0, 1 << 16))
         if structure.is_cache and rng.random() < 0.75:
             # a uniformly drawn line is almost always invalid: mostly
             # aim at lines this level has filled (or dropped) so far
-            touched = sorted({line for name, lines
-                              in self.trace.cache_events.items()
-                              if name.startswith(structure.cache.upper())
+            touched = sorted({line for (kind, name), lines
+                              in self.trace.events.items()
+                              if kind == "cache"
+                              and name.startswith(structure.cache.upper())
                               for line in lines})
             if touched:
                 entry = touched[int(rng.integers(0, len(touched)))]
-        return FaultMask(structure, cycle, entry, (0,),
+        return FaultMask(structure, cycle, entry, bits,
                          warp_level=bool(rng.integers(0, 2)),
                          n_blocks=int(rng.integers(1, 3)),
                          n_cores=int(rng.integers(1, 3)),

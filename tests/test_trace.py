@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.device import Device
+from repro.sim.errors import MemoryViolation
 from repro.sim.kernel import Kernel
 from repro.sim.trace import Tracer
 
@@ -117,7 +118,37 @@ class TestTracer:
     def test_detach(self):
         dev = Device("RTX2060")
         tracer = Tracer().attach(dev)
-        Tracer.detach(dev)
+        tracer.detach(dev)
         out = dev.malloc(128)
         dev.launch(KERNEL, grid=1, block=32, params=[out])
         assert not tracer.records
+
+    def test_two_tracers_ride_one_run(self):
+        dev = Device("RTX2060")
+        every, stores = Tracer().attach(dev), Tracer(opcodes=["STG"]).attach(dev)
+        dev.launch(KERNEL, grid=1, block=32, params=[dev.malloc(128)])
+        assert len(every.records) == len(KERNEL.instructions)
+        assert [r.text for r in stores.records] == ["STG [R9], R10"]
+
+
+class TestTheIssueThatRaised:
+    """A tracer hears an issue before it executes, so the instruction
+    a crash investigation asks about is its newest record."""
+
+    def test_a_faulting_store_is_the_last_record(self):
+        dev = Device("RTX2060")
+        tracer = Tracer().attach(dev)
+        with pytest.raises(MemoryViolation):
+            # nothing is allocated: the store's address is out of bounds
+            dev.launch(KERNEL, grid=1, block=32, params=[1 << 40])
+        last = tracer.records[-1]
+        assert (last.pc, last.text) == (5, "STG [R9], R10")
+        # heard, not counted: the statistics count completed issues
+        assert len(tracer.records) == dev.gpu.stats.current.instructions + 1
+
+    @pytest.mark.parametrize("block", [32, 96])
+    def test_record_count_is_the_instruction_count(self, block):
+        dev = Device("RTX2060")
+        tracer = Tracer().attach(dev)
+        dev.launch(KERNEL, grid=2, block=block, params=[dev.malloc(1024)])
+        assert len(tracer.records) == dev.launches[0].instructions
