@@ -90,7 +90,9 @@ def render_metrics(metrics: dict) -> str:
             f"cycles: {savings.get('cycles_simulated', 0)} simulated, "
             f"{savings.get('cycles_skipped', 0)} skipped "
             f"({_fmt_pct(savings.get('skipped_fraction', 0.0))} of "
-            f"{savings.get('golden_cycles_total', 0)} golden)")
+            f"{savings.get('golden_cycles_total', 0)} golden); "
+            f"{savings.get('prefix_cycles', 0)} simulated were golden "
+            f"prefix ({_fmt_pct(savings.get('prefix_share', 0.0))})")
         lines.append(render_table(
             ("savings source", "cycles skipped"),
             [("fast-forward", savings.get("skipped_fast_forward", 0)),

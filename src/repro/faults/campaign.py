@@ -32,7 +32,8 @@ from repro.faults.targets import Structure
 from repro.sim.cards import get_card
 from repro.sim.checkpoint import (CheckpointError, CheckpointRecorder,
                                   CheckpointSet, CheckpointStore,
-                                  RestoreParityError, campaign_fingerprint)
+                                  RestoreParityError, campaign_fingerprint,
+                                  placement)
 from repro.sim.device import RunOptions
 from repro.sim.liveness import LivenessTrace
 from repro.sim.stats import LaunchStats
@@ -328,7 +329,7 @@ class Campaign:
         this campaign's memo, the checkpoint set on disk, a simulation.
 
         With ``checkpoint_dir`` set, a simulation also captures the
-        checkpoint set -- unless a complete set of the wanted interval
+        checkpoint set -- unless a complete set of the wanted placement
         exists already, which then only gains the trace it lacked.
         ``verify_restore`` simulates even when the set has everything
         and raises :class:`RestoreParityError` unless the two agree.
@@ -344,8 +345,8 @@ class Campaign:
             store = CheckpointStore(cfg.checkpoint_dir)
             key = self._checkpoint_key()
             ckpt_set = store.open(key)
-            if ckpt_set is not None and cfg.checkpoint_interval not in (
-                    None, ckpt_set.interval):
+            if ckpt_set is not None and ckpt_set.meta.get(
+                    "placement") != placement(cfg.checkpoint_interval):
                 ckpt_set = None
         if has_what_is_asked(self._golden) and (store is None
                                                 or ckpt_set is not None):

@@ -411,6 +411,9 @@ def annotate(record: dict, spec: RunSpec, watch: Stopwatch,
         "classify_s": round(watch.classify_s, 6),
         "total_s": round(watch.total_s(), 6),
         "cycles_simulated": max(sim_end - (restored_at or 0), 0),
+        # golden cycles re-simulated from the restore to its own injection
+        "prefix_cycles": (max(record["mask"]["cycle"] - (restored_at or 0), 0)
+                          if result is not _NOT_SIMULATED else 0),
         "skipped_fast_forward": restored_at or 0,
         "skipped_convergence": (
             max(spec.golden_cycles - terminated_at, 0)

@@ -219,7 +219,6 @@ class CampaignConfig:
         help="directory for golden-run checkpoints; fault runs "
              "fast-forward to their injection cycle (results "
              "identical)")
-    #: ``None`` also reuses any complete existing set.
     checkpoint_interval: Optional[int] = _option(
         None, group="execution", flag="--checkpoint-interval",
         help="capture stride in cycles (default: geometric "

@@ -203,7 +203,7 @@ class MetricsCollector:
         synthesized = prescreened = converged = simulated = 0
         fast_forwarded = untracked = 0
         cycles = dict.fromkeys(CYCLE_KEYS, 0)
-        golden_total = 0
+        golden_total = prefix = 0
         for record in records:
             effects[record["effect"]] = effects.get(record["effect"], 0) + 1
             golden_total += int(record.get("golden_cycles", 0))
@@ -225,6 +225,7 @@ class MetricsCollector:
                     untracked += 1
             elif timings.get("fast_forwarded"):
                 fast_forwarded += 1
+            prefix += int((timings or {}).get("prefix_cycles", 0))
 
         restorable = simulated - untracked
         checkpoint = {
@@ -241,6 +242,9 @@ class MetricsCollector:
             "cycles_simulated": cycles["cycles_simulated"],
             "cycles_skipped": skipped,
             "skipped_fast_forward": cycles["skipped_fast_forward"],
+            "prefix_cycles": prefix,  # simulated: restore -> injection
+            "prefix_share": (round(prefix / cycles["cycles_simulated"], 6)
+                             if cycles["cycles_simulated"] else 0.0),
             "skipped_convergence": cycles["skipped_convergence"],
             "skipped_prescreen": cycles["skipped_prescreen"],
             "skipped_synthesized": cycles["skipped_synthesized"],

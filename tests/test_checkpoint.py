@@ -110,7 +110,7 @@ class TestCheckpointStore:
         run_campaign(tmp_path, "vectoradd", 1, checkpoint_dir=root,
                      interval=100)
         meta = json.loads((root / key / "meta.json").read_text())
-        assert meta["interval"] == 100
+        assert meta["placement"] == "every 100"
 
     def test_torn_set_ignored(self, tmp_path):
         """A directory without a complete meta.json (crashed capture)

@@ -535,7 +535,7 @@ class TestFleetEndToEnd:
         assert status["state"] == "complete"
         records = dispatcher.records(cid)["records"]
         names = {worker.name for worker in workers}
-        assert all(len(r["timings"]) == 12 for r in records)
+        assert all(len(r["timings"]) == 13 for r in records)
         assert {r["worker"] for r in records} <= names
         doc = json.loads((tmp_path / "server"
                           / f"{cid}.jsonl.metrics.json").read_text())

@@ -444,10 +444,10 @@ def test_a_recapture_replaces_the_set_only_when_complete(tmp_path):
     bench = make_benchmark("vectoradd")
     bench.execute(device, bench.build(device))
     assert len(list(root.iterdir())) == 2  # the set and the staging area
-    assert store.open(directory.name).interval == 500
+    assert store.open(directory.name).meta["placement"] == "every 500"
     recorder.finalize(device.launches, device.cycle)
     assert set_directory(root) == directory
-    assert store.open(directory.name).interval == 100
+    assert store.open(directory.name).meta["placement"] == "every 100"
 
 
 # -- (f) a capture supersedes what nothing can reach any more -----------------

@@ -115,6 +115,8 @@ class TestTelemetryRecordFields:
         assert timings["cycles_simulated"] == record["cycles"]
         assert timings["skipped_fast_forward"] == 0
         assert timings["fast_forwarded"] is False
+        # from scratch, the whole golden prefix is simulated
+        assert timings["prefix_cycles"] == record["mask"]["cycle"] > 0
         assert timings["loop_iterations"] > 0
 
     def test_classification_identical_with_telemetry(self):
@@ -133,6 +135,8 @@ class TestTelemetryRecordFields:
             spec, prescreened=True, prescreen_reason="dead register",
             telemetry=True))
         assert prescreened["timings"]["skipped_prescreen"] == 100
+        assert synth["timings"]["prefix_cycles"] == 0
+        assert prescreened["timings"]["prefix_cycles"] == 0
 
 
 class TestCampaignParity:
@@ -199,6 +203,30 @@ class TestCampaignParity:
                 == sidecar["savings"]["runs"]["simulated"])
         if checkpoint["hits"]:
             assert sidecar["savings"]["skipped_fast_forward"] > 0
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_prefix_is_each_runs_own(self, tmp_path, batch):
+        """A run's prefix is the golden stretch it re-simulated, from
+        its restore (a pack's, for a member) to its own injection; the
+        sidecar sums them."""
+        config = CampaignConfig(
+            benchmark="needle", card="RTX2060",
+            structures=(Structure.REGISTER_FILE, Structure.SHARED_MEM),
+            runs_per_structure=8, seed=3, early_stop="converge",
+            checkpoint_dir=tmp_path / "ckpt", batch=batch, metrics=True,
+            log_path=tmp_path / "c.jsonl")
+        records = Campaign(config).run().records
+        assert any(r["timings"].get("batched") for r in records) == (batch > 1)
+        for record in records:
+            timings = record["timings"]
+            assert timings["prefix_cycles"] == (
+                record["mask"]["cycle"] - timings["skipped_fast_forward"])
+            assert 0 <= timings["prefix_cycles"] <= timings["cycles_simulated"]
+        savings = load_metrics(tmp_path / "c.jsonl")["savings"]
+        prefix = sum(r["timings"]["prefix_cycles"] for r in records)
+        assert savings["prefix_cycles"] == prefix > 0
+        assert savings["prefix_share"] == round(
+            prefix / savings["cycles_simulated"], 6)
 
 
 class TestEventStream:
