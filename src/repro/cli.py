@@ -666,8 +666,8 @@ def _pick_campaign(client) -> Optional[str]:
 def _cmd_top(args) -> int:
     import time as _time
 
-    from repro.obs.live import (DashboardState, EventFileTailer,
-                                render_top)
+    from repro.obs.events import Tally
+    from repro.obs.live import EventFileTailer, render_top
 
     if bool(args.connect) == bool(args.log):
         raise SystemExit(
@@ -675,7 +675,7 @@ def _cmd_top(args) -> int:
             "--log PATH (local run)")
     deadline = (_time.monotonic() + args.timeout
                 if args.timeout is not None else None)
-    state = DashboardState()
+    tally = Tally()
 
     def frame(text: str) -> None:
         if not args.once and sys.stdout.isatty():
@@ -688,10 +688,9 @@ def _cmd_top(args) -> int:
         path = events_path_for(args.log)
         tailer = EventFileTailer(path)
         while True:
-            for event in tailer.poll():
-                state.apply(event)
-            frame(render_top(state, now=_time.time()))
-            if args.once or state.complete:
+            tally.apply_all(tailer.poll())
+            frame(render_top(tally, now=_time.time()))
+            if args.once or tally.ended:
                 return 0
             if deadline is not None and _time.monotonic() > deadline:
                 raise SystemExit(f"error: campaign incomplete after "
@@ -709,14 +708,13 @@ def _cmd_top(args) -> int:
         cursor = 0
         while True:
             page = client.events(campaign, cursor=cursor)
-            for event in page["events"]:
-                state.apply(event)
+            tally.apply_all(page["events"])
             cursor = page["next"]
             if cursor < page["total"]:
                 continue  # drain the backlog before rendering
             status = client.status(campaign)
-            frame(render_top(state, status=status, now=_time.time()))
-            if args.once or (page["complete"] and state.complete):
+            frame(render_top(tally, status=status, now=_time.time()))
+            if args.once or (page["complete"] and tally.ended):
                 return 0
             if deadline is not None and _time.monotonic() > deadline:
                 raise SystemExit(f"error: campaign {campaign} "

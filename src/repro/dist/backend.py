@@ -142,6 +142,7 @@ class RemoteFleetBackend(Backend):
                 f"{len(missing)} run(s) are missing, first: "
                 f"{missing[0]}")
         ledger.absorb([by_key[spec.key] for spec in specs], events=events)
+        campaign._progress(ledger.tally.progress())
         if config.log_path is not None:
             campaign._progress(
                 f"merged fleet log written to {config.log_path}")

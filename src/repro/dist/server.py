@@ -33,9 +33,10 @@ coordination point of a fault-injection fleet:
   heartbeats) is journaled by the ledger to ``<log>.events.jsonl`` and
   served cursor-paged at ``GET /api/events/<id>`` -- resumable,
   append-only, run events deduplicated with the same first-wins rule
-  as :func:`repro.dist.protocol.canonical_records`.  ``GET /metrics``
-  exposes fleet health in the Prometheus text format (rendered by
-  :mod:`repro.obs.live`, no third-party deps).
+  as :func:`repro.dist.protocol.canonical_records`.  ``/api/status``
+  and ``GET /metrics`` (the Prometheus text format, rendered by
+  :mod:`repro.obs.live`, no third-party deps) read the ledgers'
+  tallies (:class:`repro.obs.events.Tally`).
 
 The merged log of an N-worker fleet is byte-identical (after canonical
 sort, minus timing/worker keys; see
@@ -71,8 +72,7 @@ from repro.faults.config_file import parse_config_text
 from repro.faults.executor import RunSpec
 from repro.faults.ledger import CampaignLedger
 from repro.obs.events import shard_trace
-from repro.obs.live import (PROMETHEUS_CONTENT_TYPE, render_prometheus,
-                            summarize_dist_events)
+from repro.obs.live import PROMETHEUS_CONTENT_TYPE, render_prometheus
 
 log = logging.getLogger("gpufi.dist")
 
@@ -120,9 +120,10 @@ class CampaignJob:
         self.config = config
         self.fingerprint = fingerprint
         self.shards = plan_shards(specs, shard_size)
-        #: Log, records, journal and sidecar.  Opened for a campaign
-        #: new to this directory, or resumed by one that a restart
-        #: finds there: records and journal are as they were left.
+        #: Log, records, journal, tally and sidecar.  Opened for a
+        #: campaign new to this directory, or resumed by one that a
+        #: restart finds there: records and journal are as they were
+        #: left, and the tally their fold (lease generations included).
         self.ledger = CampaignLedger(
             specs, log_path, resume=True, journal=True,
             sidecar=config.metrics, campaign=campaign_id,
@@ -138,19 +139,6 @@ class CampaignJob:
         self.leases: Dict[str, _Lease] = {}
         #: Wire form of each leased, not yet completed shard.
         self.shard_wires: Dict[int, List[dict]] = {}
-        #: Lease generation per shard index (bumped on every lease)
-        #: and leases lost, as the journal of earlier sessions has it.
-        self.generations: Dict[int, int] = {}
-        self.lease_expired_total = 0
-        for event in self.ledger.journal:
-            kind = event.get("event")
-            shard = event.get("shard")
-            if kind == "shard_leased" and isinstance(shard, int):
-                self.generations[shard] = max(
-                    self.generations.get(shard, 0),
-                    int(event.get("generation") or 0))
-            elif kind == "lease_expired":
-                self.lease_expired_total += 1
 
     @property
     def total(self) -> int:
@@ -174,6 +162,7 @@ class CampaignJob:
         return wire
 
     def status(self) -> dict:
+        tally = self.ledger.tally
         return {
             "id": self.campaign_id,
             "state": "complete" if self.complete else "running",
@@ -182,14 +171,14 @@ class CampaignJob:
             "fingerprint": self.fingerprint,
             "trace": self.trace,
             "total": self.total,
-            "done": len(self.ledger.records),
-            "effects": dict(sorted(self.ledger.effects.items())),
+            "done": tally.done,
+            "effects": dict(sorted(tally.effects.items())),
             "shards": {
                 "total": len(self.shards),
                 "pending": len(self.pending),
                 "leased": len(self.leases),
                 "complete": len(self.completed_shards),
-                "lease_expired": self.lease_expired_total,
+                "lease_expired": tally.expired,
             },
             "events": len(self.ledger.journal),
             "log": str(self.ledger.log_path),
@@ -232,15 +221,15 @@ class Dispatcher:
         self._rr_next = 0
         self._lease_seq = 0
         self._id_seq = 0
+        #: When each worker was first and last heard from: an idle
+        #: lease poll is journaled nowhere.
         self._workers: Dict[str, dict] = {}
         self._started = time.time()
-        #: Wall-clock stamps of freshly collected records; the
-        #: trailing-window throughput gauge in ``/metrics``.
-        self._rate: deque = deque()
         #: Jobs whose ledger the endpoint call in progress wrote to.
         self._touched: List[CampaignJob] = []
-        #: Lease and batch totals since start-up (``/metrics``).
-        self.counters: Counter = Counter()
+        #: Record batches accepted since start-up: a transport count,
+        #: which no event reports.
+        self.record_batches = 0
         self._restore_persisted()
 
     # -- submission ----------------------------------------------------------
@@ -375,15 +364,12 @@ class Dispatcher:
             self._lease_seq += 1
             lease_id = (f"{job.campaign_id}-s{shard_index}"
                         f"-{self._lease_seq}")
-            generation = job.generations.get(shard_index, 0) + 1
-            job.generations[shard_index] = generation
+            generation = job.ledger.tally.generations.get(shard_index, 0) + 1
             trace = shard_trace(job.trace, shard_index, generation)
             job.leases[lease_id] = _Lease(
                 lease_id, shard_index, worker,
                 self._clock() + self.lease_timeout,
                 generation=generation, trace=trace)
-            self._workers[worker]["leases"] += 1
-            self.counters["leases_granted"] += 1
             self._journal(job, "shard_leased", shard=shard_index,
                           worker=worker, generation=generation,
                           runs=len(job.shards[shard_index]),
@@ -425,27 +411,23 @@ class Dispatcher:
                        if lease.deadline < now]
             for lease in expired:
                 del job.leases[lease.lease_id]
-                job.lease_expired_total += 1
-                self.counters["leases_expired"] += 1
                 self._journal(job, "lease_expired",
                               shard=lease.shard_index,
                               worker=lease.worker,
                               generation=lease.generation,
                               trace=lease.trace)
-                if lease.shard_index not in job.completed_shards:
-                    # front of the queue: a lost shard should not wait
-                    # behind the whole backlog a second time
-                    job.pending.appendleft(lease.shard_index)
-                    self.counters["leases_requeued"] += 1
-                    log.warning(
-                        "lease %s (worker %s) expired; shard %d of %s "
-                        "re-queued", lease.lease_id, lease.worker,
-                        lease.shard_index, job.campaign_id)
+                # a leased shard is not complete (completing it ends
+                # the lease); front of the queue: a lost shard should
+                # not wait behind the whole backlog a second time
+                job.pending.appendleft(lease.shard_index)
+                log.warning(
+                    "lease %s (worker %s) expired; shard %d of %s "
+                    "re-queued", lease.lease_id, lease.worker,
+                    lease.shard_index, job.campaign_id)
 
     def _touch_worker(self, worker: str) -> None:
-        entry = self._workers.setdefault(
-            worker, {"leases": 0, "records": 0, "first_seen": time.time()})
-        entry["last_seen"] = time.time()
+        now = time.time()
+        self._workers.setdefault(worker, {"first_seen": now})["last_seen"] = now
 
     # -- collection ----------------------------------------------------------
 
@@ -492,14 +474,7 @@ class Dispatcher:
                 trace=trace or (lease.trace if lease is not None
                                 else None)))
             self._touched.append(job)
-            self.counters["record_batches"] += 1
-            if accepted:
-                if worker is not None:
-                    self._workers[worker]["records"] += accepted
-                now = time.time()
-                self._rate.extend([now] * accepted)
-                while self._rate and self._rate[0] < now - 120.0:
-                    self._rate.popleft()
+            self.record_batches += 1
             expired = lease is None
             if lease is not None and done:
                 job.completed_shards.add(lease.shard_index)
@@ -523,29 +498,25 @@ class Dispatcher:
         job.leases.clear()
         job.shard_wires.clear()
         job.completed_shards = set(range(len(job.shards)))
-        # the `dist` section counts the same events a live tail saw,
-        # the campaign_end the ledger journals included
-        job.ledger.close(True, dist=lambda: self._dist_section(job))
+        job.ledger.close(True)
         self._persist(job)
         log.info("campaign %s complete: %d records", job.campaign_id,
                  len(job.ledger.records))
 
-    def _dist_section(self, job: CampaignJob) -> dict:
-        """The fleet summary embedded in the metrics sidecar --
-        sourced from the same journal ``gpufi top`` consumed live."""
-        section = summarize_dist_events(job.ledger.journal)
-        section.update({
-            "campaign": job.campaign_id,
-            "trace": job.trace,
-            "shards": {
-                "total": len(job.shards),
-                "complete": len(job.completed_shards),
-                "lease_expired": job.lease_expired_total,
-            },
-        })
-        return section
-
     # -- introspection -------------------------------------------------------
+
+    def _fleet(self) -> Dict[str, dict]:
+        """Every worker that contacted this dispatcher: its leases and
+        records, summed over the campaigns' tallies, and when it was
+        first and last heard from."""
+        fleet = {name: {"leases": 0, "records": 0, **entry}
+                 for name, entry in sorted(self._workers.items())}
+        for job in self._jobs.values():
+            for name, entry in job.ledger.tally.fleet.items():
+                if name in fleet:
+                    fleet[name]["leases"] += entry["leases"]
+                    fleet[name]["records"] += entry["runs"]
+        return fleet
 
     def status(self, campaign_id: Optional[str] = None) -> dict:
         with self._endpoint():
@@ -555,8 +526,7 @@ class Dispatcher:
             return {
                 "campaigns": [self._jobs[cid].status()
                               for cid in self._order],
-                "workers": {name: dict(entry) for name, entry
-                            in sorted(self._workers.items())},
+                "workers": self._fleet(),
             }
 
     def records(self, campaign_id: str) -> dict:
@@ -570,33 +540,33 @@ class Dispatcher:
     def metrics_text(self) -> str:
         """The ``GET /metrics`` Prometheus text exposition.
 
-        Rendered on demand from dispatcher state -- campaign/shard
-        gauges, run and effect counters, a trailing-window throughput
-        gauge, worker liveness and the lease lifecycle counters --
-        with :func:`repro.obs.live.render_prometheus` (stdlib only).
+        Rendered on demand: the shard queues' gauges, worker liveness
+        and the record batches are the dispatcher's; every other
+        family sums the campaigns' tallies -- journal-derived, so a
+        restart keeps them -- with
+        :func:`repro.obs.live.render_prometheus` (stdlib only).
         """
         with self._endpoint():
             self._reap_expired()
             now = time.time()
-            jobs = [self._jobs[cid] for cid in self._order]
             by_state: Dict[str, int] = {"running": 0, "complete": 0}
-            effects: Dict[str, int] = {}
+            effects: Counter = Counter()
             shard_states = {"pending": 0, "leased": 0, "complete": 0}
-            runs_total = 0
-            events_total = 0
-            for job in jobs:
+            sums = Counter()
+            rate = 0.0
+            for job in self._jobs.values():
+                tally = job.ledger.tally
                 state = "complete" if job.complete else "running"
-                by_state[state] = by_state.get(state, 0) + 1
-                runs_total += len(job.ledger.records)
-                events_total += len(job.ledger.journal)
+                by_state[state] += 1
+                if not job.complete:
+                    rate += tally.rate()
+                sums.update(runs=tally.done, events=tally.events,
+                            leased=tally.leased, expired=tally.expired)
                 shard_states["pending"] += len(job.pending)
                 shard_states["leased"] += len(job.leases)
                 shard_states["complete"] += len(job.completed_shards)
-                for effect, count in job.ledger.effects.items():
-                    effects[effect] = effects.get(effect, 0) + count
-            window = [ts for ts in self._rate if ts > now - 30.0]
-            rate = len(window) / 30.0
-            counters = self.counters
+                effects.update(tally.effects)
+            fleet = self._fleet()
             families = [
                 ("gpufi_uptime_seconds", "gauge",
                  "Seconds since this dispatcher started.",
@@ -611,9 +581,9 @@ class Dispatcher:
                   for state, count in sorted(shard_states.items())]),
                 ("gpufi_runs_total", "counter",
                  "Run records collected across all campaigns.",
-                 [({}, runs_total)]),
+                 [({}, sums["runs"])]),
                 ("gpufi_runs_per_second", "gauge",
-                 "Collection throughput over a trailing 30s window.",
+                 "Simulated runs per second of the running campaigns.",
                  [({}, rate)]),
                 ("gpufi_run_effects_total", "counter",
                  "Collected run records by fault effect.",
@@ -621,35 +591,34 @@ class Dispatcher:
                   for effect, count in sorted(effects.items())]),
                 ("gpufi_events_total", "counter",
                  "Events journaled across all campaign streams.",
-                 [({}, events_total)]),
+                 [({}, sums["events"])]),
                 ("gpufi_leases_granted_total", "counter",
                  "Shard leases handed to workers.",
-                 [({}, counters["leases_granted"])]),
+                 [({}, sums["leased"])]),
                 ("gpufi_lease_expired_total", "counter",
                  "Leases lost to missed heartbeats.",
-                 [({}, counters["leases_expired"])]),
+                 [({}, sums["expired"])]),
                 ("gpufi_lease_requeued_total", "counter",
                  "Shards re-queued after their lease expired.",
-                 [({}, counters["leases_requeued"])]),
+                 [({}, sums["expired"])]),
                 ("gpufi_record_batches_total", "counter",
                  "Record batches accepted from workers.",
-                 [({}, counters["record_batches"])]),
+                 [({}, self.record_batches)]),
                 ("gpufi_workers", "gauge",
                  "Workers that ever contacted this dispatcher.",
-                 [({}, len(self._workers))]),
+                 [({}, len(fleet))]),
                 ("gpufi_worker_last_heartbeat_seconds", "gauge",
                  "Seconds since each worker was last heard from.",
-                 [({"worker": name},
-                   max(now - entry.get("last_seen", now), 0.0))
-                  for name, entry in sorted(self._workers.items())]),
+                 [({"worker": name}, max(now - entry["last_seen"], 0.0))
+                  for name, entry in fleet.items()]),
                 ("gpufi_worker_runs_total", "counter",
                  "Fresh run records accepted, by worker.",
-                 [({"worker": name}, entry.get("records", 0))
-                  for name, entry in sorted(self._workers.items())]),
+                 [({"worker": name}, entry["records"])
+                  for name, entry in fleet.items()]),
                 ("gpufi_worker_leases_total", "counter",
                  "Shard leases granted, by worker.",
-                 [({"worker": name}, entry.get("leases", 0))
-                  for name, entry in sorted(self._workers.items())]),
+                 [({"worker": name}, entry["leases"])
+                  for name, entry in fleet.items()]),
             ]
             return render_prometheus(families)
 

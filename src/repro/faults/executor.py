@@ -21,7 +21,8 @@ provides that substrate:
   processes and hands the records to the campaign's
   :class:`~repro.faults.ledger.CampaignLedger` (the JSONL log, the
   runs a ``resume`` finds recorded there, journal and sidecar),
-  reporting throughput (runs/sec, ETA, per-effect running counts).
+  reporting progress from the ledger's tally (runs/sec, ETA,
+  per-effect running counts).
 
 Because every record is a pure function of its spec, the aggregated
 result is byte-identical between ``jobs=1`` and ``jobs=N`` and between
@@ -484,98 +485,6 @@ def execute_run(spec: RunSpec) -> dict:
     return finish_solo(run, watch)
 
 
-class ProgressReporter:
-    """Tracks campaign throughput and renders progress lines.
-
-    Reports runs/sec over the live (non-resumed) portion, the ETA to
-    completion, and the running per-effect counts.  Runs that finish
-    without simulating (synthesized / pre-screened) are counted
-    separately and excluded from the throughput model: thousands of
-    instant records would otherwise inflate the rate and collapse the
-    ETA of the runs that still have to simulate.  Convergence-stopped
-    runs *are* simulated work (just less of it) and stay in the rate.
-
-    Args:
-        total: total planned runs (including resumed ones).
-        skipped: runs already recorded by a previous (resumed) session.
-        instant_total: pending runs known to complete instantly.
-    """
-
-    def __init__(self, total: int, skipped: int = 0,
-                 clock: Callable[[], float] = time.monotonic,
-                 instant_total: int = 0):
-        self.total = total
-        self.done = skipped
-        self.live_done = 0
-        self.instant_total = instant_total
-        self.instant_done = 0
-        self.early_stopped = 0
-        self.effects: Dict[str, int] = {}
-        self._clock = clock
-        self._start = clock()
-
-    def record(self, record: dict) -> None:
-        """Account one freshly completed run."""
-        self.done += 1
-        self.live_done += 1
-        if record.get("synthesized") or record.get("prescreened"):
-            self.instant_done += 1
-        elif record.get("terminated_at") is not None:
-            self.early_stopped += 1
-        effect = record["effect"]
-        self.effects[effect] = self.effects.get(effect, 0) + 1
-
-    def rate(self) -> float:
-        """Simulated runs completed per second.
-
-        Instant completions (synthesized / pre-screened) are excluded:
-        the rendered rate and the ETA share one throughput model, so
-        a burst of instant records can no longer show a rate spike
-        while the ETA (correctly) barely moves.
-        """
-        elapsed = self._clock() - self._start
-        sim_done = self.live_done - self.instant_done
-        return sim_done / elapsed if elapsed > 0 else 0.0
-
-    def eta_seconds(self) -> Optional[float]:
-        """Estimated seconds to completion, or ``None`` before data.
-
-        Only runs that will actually simulate enter the estimate; the
-        instantly-completed remainder is treated as free.  A campaign
-        with nothing left to do (fully resumed included) is ``0.0``,
-        not unknown.
-        """
-        remaining = self.total - self.done
-        if remaining <= 0:
-            return 0.0
-        instant_left = max(self.instant_total - self.instant_done, 0)
-        sim_remaining = max(remaining - instant_left, 0)
-        if sim_remaining == 0:
-            return 0.0
-        rate = self.rate()
-        if rate <= 0:
-            return None
-        return sim_remaining / rate
-
-    def render(self) -> str:
-        """One human-readable progress line."""
-        rate = self.rate()
-        eta = self.eta_seconds()
-        eta_text = f"{eta:.0f}s" if eta is not None else "?"
-        counts = ", ".join(f"{e.value}={self.effects[e.value]}"
-                           for e in FaultEffect
-                           if e.value in self.effects)
-        extras = []
-        if self.instant_done:
-            extras.append(f"pre-screened={self.instant_done}")
-        if self.early_stopped:
-            extras.append(f"early-stopped={self.early_stopped}")
-        return (f"{self.done}/{self.total} runs "
-                f"({rate:.2f} runs/s, ETA {eta_text})"
-                + (f" [{counts}]" if counts else "")
-                + (f" ({', '.join(extras)})" if extras else ""))
-
-
 def _pool_context():
     """Fork where available (cheap workers), spawn otherwise."""
     methods = multiprocessing.get_all_start_methods()
@@ -771,21 +680,18 @@ class CampaignExecutor:
         if self.telemetry:
             pending = [dataclasses.replace(spec, telemetry=True)
                        for spec in pending]
-        reporter = ProgressReporter(
-            total=len(ledger.keys), skipped=len(ledger.records),
-            instant_total=sum(1 for spec in pending
-                              if spec.synthesized or spec.prescreened))
+        tally, every = ledger.tally, self.progress_every
         try:
             for records, pack_stats in self._completions(
                     self._build_units(pending), ledger):
                 for key, value in (pack_stats or {}).items():
                     # counters add up, the peel_cycles samples append
                     self.batch_stats[key] += value
-                for record in ledger.absorb(records):
-                    reporter.record(record)
-                    if (reporter.live_done % self.progress_every == 0
-                            or reporter.done == reporter.total):
-                        self._progress(reporter.render())
+                before = tally.executed // every
+                if ledger.absorb(records) and (
+                        tally.executed // every > before
+                        or tally.done >= tally.total):
+                    self._progress(tally.progress())
                 ledger.flush()
         finally:
             ledger.sections["batch"] = batch_section(self.batch_stats)

@@ -9,9 +9,10 @@ records reloaded of a log it appends to: a resume never truncates),
 holds the **records** by run key (first delivery wins, none from
 outside the plan), keeps the **journal** (``<log>.events.jsonl``: the
 ``campaign_start | campaign_resume`` ... ``campaign_end`` bracket,
-exactly one ``run`` event per record) and writes the **sidecar**
-(``<log>.metrics.json``) from the plan-ordered records and the journal
-of its session.  ``docs/observability.md``, *Life of a campaign's
+exactly one ``run`` event per record), folds every event it journals,
+or would, into the **tally** every view of the campaign reads, and
+writes the **sidecar** (``<log>.metrics.json``) from the plan-ordered
+records and the tally.  ``docs/observability.md``, *Life of a campaign's
 artefacts*, says what a resume, a torn tail, a duplicate delivery and
 an abort do to each.  The identity a log is stamped with lives here
 too: :func:`plan_fingerprint`, :func:`log_header`, :func:`record_key`.
@@ -29,8 +30,9 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro.faults.options import identity_fields
-from repro.obs.events import (EVENT_SCHEMA, campaign_trace, events_path_for,
-                              read_events, run_event, trim_torn_tail)
+from repro.obs.events import (EVENT_SCHEMA, Tally, campaign_trace,
+                              events_path_for, read_events, run_event,
+                              trim_torn_tail)
 from repro.obs.metrics import MetricsCollector
 
 #: ``(kernel, structure value, run index)`` -- the coordinates that
@@ -143,8 +145,9 @@ class CampaignLedger:
             plan starts empty and each round widens it (:meth:`admit`).
         log_path: the campaign log; ``None`` keeps all in memory.
         resume: append to an existing log and hold the records it has.
-        journal: keep the event journal (on file next to the log).
-        sidecar: fold records and journal into the metrics document
+        journal: keep the event journal (on file next to the log);
+            the tally folds the events either way.
+        sidecar: fold records and tally into the metrics document
             when the campaign closes (implies ``journal``).
         campaign: the campaign's id, as events and traces name it.
         fingerprint: ``plan_fingerprint(plan)``, where already known.
@@ -177,11 +180,11 @@ class CampaignLedger:
         self.keys: Dict[RunKey, None] = {}
         #: The campaign's records so far, by run key.
         self.records: Dict[RunKey, dict] = {}
-        #: Records per effect, in step with :attr:`records`.
-        self.effects: Dict[str, int] = {}
         #: Every event of the campaign, earlier sessions' included;
         #: an event's index is its cursor.
         self.journal: List[dict] = []
+        #: The fold of every event of the campaign, journaled or not.
+        self.tally = Tally()
         #: Records absorbed (not reloaded) by this session.
         self.executed = 0
         #: Further sidecar sections, for a ledger closed by ``with``.
@@ -212,24 +215,23 @@ class CampaignLedger:
                 if appending:
                     trim_torn_tail(path)
                     self.journal = read_events(path)
+                    self.tally.apply_all(self.journal)
                 self._events = open(path, mode, encoding="utf-8")
         self._written = len(self.journal)
         #: Run keys that have their ``run`` event.
         self._journaled = set(_run_events(self.journal))
-        if not adaptive:
-            self.admit(plan)
-        if self._journaling:
-            # a journal torn further back than its log
-            self._journal_runs([*self.records.values(),
-                                *self._found.values()], {}, self.trace)
-            self._session = len(self.journal)
-            self.event("campaign_resume" if appending else "campaign_start",
-                       schema=EVENT_SCHEMA, campaign=campaign,
-                       total=len(self.keys),
-                       pending=len(self.keys) - len(self.records),
-                       resumed=len(self.records), trace=self.trace,
-                       fingerprint=self.fingerprint, **opening)
-            self.flush()
+        instant = 0 if adaptive else self.admit(plan)
+        # records on file without a run event: a journal torn further
+        # back than its log, or none kept
+        self._journal_runs([*self.records.values(), *self._found.values()],
+                           {}, self.trace)
+        self.event("campaign_resume" if appending else "campaign_start",
+                   schema=EVENT_SCHEMA, campaign=campaign,
+                   total=len(self.keys),
+                   pending=len(self.keys) - len(self.records),
+                   resumed=len(self.records), instant=instant,
+                   trace=self.trace, fingerprint=self.fingerprint, **opening)
+        self.flush()
 
     @functools.cached_property
     def fingerprint(self) -> str:
@@ -281,27 +283,31 @@ class CampaignLedger:
                         f"{expected[0]}/{expected[1]}")
         return found
 
-    def admit(self, specs: Sequence["RunSpec"]) -> None:
+    def admit(self, specs: Sequence["RunSpec"]) -> int:
         """Widen the plan by those of ``specs`` it does not name yet
         (an adaptive campaign journals that as a ``round``); what the
-        resumed log holds of them counts as recorded."""
-        new = [key for key in (spec.key for spec in specs)
-               if key not in self.keys]
-        for key in new:
+        resumed log holds of them counts as recorded.  Returns how many
+        of the new runs are pending and instant (synthesized or
+        pre-screened)."""
+        new = 0
+        instant = 0
+        for spec in specs:
+            key = spec.key
+            if key in self.keys:
+                continue
+            new += 1
             self.keys[key] = None
             if key in self._found:
-                self._keep(key, self._found.pop(key))
+                self.records[key] = self._found.pop(key)
+            elif spec.synthesized or spec.prescreened:
+                instant += 1
         if self.adaptive and new:
             self._rounds += 1
-            self.event("round", round=self._rounds, runs=len(new),
-                       total=len(self.keys))
+            self.event("round", round=self._rounds, runs=new,
+                       instant=instant, total=len(self.keys))
+        return instant
 
     # -- records -------------------------------------------------------------
-
-    def _keep(self, key: RunKey, record: dict) -> None:
-        self.records[key] = record
-        effect = record.get("effect", "?")
-        self.effects[effect] = self.effects.get(effect, 0) + 1
 
     def absorb(self, records: Sequence[dict],
                events: Optional[Sequence[dict]] = None, worker=None,
@@ -328,22 +334,25 @@ class CampaignLedger:
         for key, record in batch:
             if key in self.records:
                 continue  # the first delivery won
-            self._keep(key, record)
+            self.records[key] = record
             fresh.append(record)
         if fresh:
             self.executed += len(fresh)
             _write(self._log, fresh)
-            if self._journaling:
-                self._journal_runs(fresh, _run_events(events),
-                                   trace or self.trace, worker, shard)
+            self._journal_runs(fresh, _run_events(events),
+                               trace or self.trace, worker, shard)
         return fresh
 
     # -- journal -------------------------------------------------------------
 
-    def _stamp(self, event: dict) -> dict:
-        if "ts" in event:
-            return event
-        return {"ts": round(self._clock(), 6), **event}
+    def _note(self, event: dict) -> None:
+        """Tally one event, stamped now unless it is, and journal it
+        (in memory: :meth:`flush`) when this ledger keeps a journal."""
+        if "ts" not in event:
+            event = {"ts": round(self._clock(), 6), **event}
+        self.tally.apply(event)
+        if self._journaling:
+            self.journal.append(event)
 
     def _journal_runs(self, records: Iterable[dict],
                       provided: Dict[RunKey, dict], trace: str,
@@ -353,15 +362,13 @@ class CampaignLedger:
             key = record_key(record)
             if key not in self._journaled:
                 self._journaled.add(key)
-                self.journal.append(self._stamp(
-                    provided.get(key) or run_event(
-                        record, trace, worker if worker is not None
-                        else record.get("worker", 0), shard)))
+                self._note(provided.get(key) or run_event(
+                    record, trace, worker if worker is not None
+                    else record.get("worker", 0), shard))
 
     def event(self, kind: str, **fields) -> None:
-        """Journal one event, stamped now (in memory: :meth:`flush`)."""
-        if self._journaling:
-            self.journal.append(self._stamp({"event": kind, **fields}))
+        """Tally and journal one event, stamped now."""
+        self._note({"event": kind, **fields})
 
     def flush(self) -> None:
         """Put what was journaled since the last call on file, with
@@ -374,11 +381,10 @@ class CampaignLedger:
 
     def close(self, complete: bool, **sections) -> Optional[dict]:
         """End the session, once: journal ``campaign_end`` and, with
-        ``sidecar``, fold the plan-ordered records and this session's
-        journal into the metrics document (returned, kept on
-        :attr:`metrics`, written next to the log).  ``sections`` join
-        the document as given; a callable one is called after
-        ``campaign_end`` is journaled."""
+        ``sidecar``, fold the plan-ordered records and the tally into
+        the metrics document (returned, kept on :attr:`metrics`,
+        written next to the log).  ``sections`` join the document as
+        given."""
         if self.closed:
             return self.metrics
         self.closed = True
@@ -386,14 +392,11 @@ class CampaignLedger:
                    executed=self.executed)
         try:
             if self._sidecar:
-                session = self.journal[self._session:]
-                collector = MetricsCollector(
-                    jobs=session[0].get("jobs", 0), journal=session)
+                collector = MetricsCollector(jobs=self.tally.jobs,
+                                             tally=self.tally)
                 self.metrics = collector.finalize(
                     self.ordered(), complete=complete,
-                    total=len(self.keys), **{
-                        name: section() if callable(section) else section
-                        for name, section in sections.items()})
+                    total=len(self.keys), **sections)
                 if self.log_path is not None:
                     collector.write(self.metrics, self.log_path)
         finally:

@@ -15,7 +15,8 @@ telemetry enabled or disabled):
 
 - :mod:`repro.obs.events` -- an append-only JSONL event stream
   (campaign lifecycle, per-run completions, worker heartbeats) written
-  next to the campaign log.
+  next to the campaign log, and its one fold, the ``Tally`` every view
+  of a campaign reads.
 - :mod:`repro.obs.metrics` -- the campaign metrics collector and the
   ``<log>.metrics.json`` sidecar: wall-clock, throughput, per-effect
   latency histograms, checkpoint hit/miss counts, early-stop savings
@@ -30,13 +31,12 @@ See ``docs/observability.md`` for the schemas and the
 ``gpufi report-metrics`` / ``gpufi explain-run`` front-ends.
 """
 
-from repro.obs.events import (EVENT_SCHEMA, campaign_trace, events_path_for,
-                              read_events, run_trace, shard_trace,
-                              trim_torn_tail)
-from repro.obs.live import (DashboardState, EventFileTailer,
-                            format_event, format_plan_timing,
-                            lint_prometheus, render_prometheus,
-                            render_top, summarize_dist_events)
+from repro.obs.events import (EVENT_SCHEMA, Tally, campaign_trace,
+                              events_path_for, read_events, run_trace,
+                              shard_trace, trim_torn_tail)
+from repro.obs.live import (EventFileTailer, format_event,
+                            format_plan_timing, lint_prometheus,
+                            render_prometheus, render_top)
 from repro.obs.metrics import (MetricsCollector, derived_cycle_fields,
                                metrics_path_for)
 from repro.obs.propagation import (PropagationTracer, explain_record,
@@ -52,14 +52,13 @@ __all__ = [
     "campaign_trace",
     "shard_trace",
     "run_trace",
-    "DashboardState",
+    "Tally",
     "EventFileTailer",
     "format_event",
     "format_plan_timing",
     "lint_prometheus",
     "render_prometheus",
     "render_top",
-    "summarize_dist_events",
     "MetricsCollector",
     "metrics_path_for",
     "derived_cycle_fields",

@@ -8,8 +8,9 @@ itself.  Resuming a campaign *appends* to the existing stream (a
 ``campaign_resume`` event marks the seam) -- history is never
 truncated.  The stream is the journal of the campaign's
 :class:`~repro.faults.ledger.CampaignLedger`, whoever produces the
-records; this module holds its format: paths, trace IDs, the ``run``
-event, the reader.
+records; this module holds its format -- paths, trace IDs, the ``run``
+event, the reader -- and its one fold, the :class:`Tally` every view
+of a campaign reads.
 
 Event schema v2 (:data:`EVENT_SCHEMA`) adds the trace-ID chain
 ``campaign -> shard -> run`` (:func:`campaign_trace` /
@@ -20,20 +21,22 @@ generation that produced it.
 
 Event types of every campaign, journaled by its ledger:
 
-- ``campaign_start`` -- total/pending/resumed run counts, ``schema``,
-  ``trace``, the campaign ``fingerprint``, ``jobs`` (a local pool) or
-  ``shards`` (a dispatcher) and where the plan's time went:
-  ``plan_s``, ``golden`` ("simulated", or "loaded" from a checkpoint
-  set) and ``golden_s``.
+- ``campaign_start`` -- total/pending/resumed run counts, of the
+  pending ones how many are ``instant``, ``schema``, ``trace``, the
+  campaign ``fingerprint``, ``jobs`` (a local pool) or ``shards`` (a
+  dispatcher) and where the plan's time went: ``plan_s``, ``golden``
+  ("simulated", or "loaded" from a checkpoint set) and ``golden_s``.
 - ``campaign_resume`` -- same fields, emitted instead of
   ``campaign_start`` by a session that appends to an existing log (a
   ``--resume`` run, a restarted dispatcher).
 - ``run`` -- one completed run (:func:`run_event`): its key, effect,
-  worker, trace, wall-clock ``total_s`` and, from a record with
-  ``timings``, the ``restore_s`` / ``simulate_s`` / ``classify_s`` of
-  its stages.  Exactly one per record.
+  worker, trace, ``instant`` / ``converged`` when so, wall-clock
+  ``total_s`` and, from a record with ``timings``, the ``restore_s`` /
+  ``simulate_s`` / ``classify_s`` of its stages.  Exactly one per
+  record.
 - ``round`` -- an adaptive campaign admitted a planner round to its
-  plan: ``round``, its ``runs``, the plan's new ``total``.
+  plan: ``round``, its ``runs`` (``instant`` of them), the plan's new
+  ``total``.
 - ``campaign_end`` -- the closing marker, once per session:
   ``complete`` and the number of runs the session ``executed``.
 
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 #: Event-stream schema version (stamped on ``campaign_start`` /
 #: ``campaign_resume``).  v2 added trace IDs and the fleet event
@@ -103,7 +106,10 @@ def run_event(record: dict, parent_trace: str, worker, shard=None,
     says where this execution went (``worker``, ``shard`` on a fleet,
     ``trace`` under the campaign's or the shard lease's) and how fast:
     the stage seconds of the record's ``timings`` when it has them,
-    else only the ``total_s`` the reporter measured itself.
+    else only the ``total_s`` the reporter measured itself.  A run that
+    never simulated (synthesized, pre-screened) is ``instant``, one
+    stopped at a golden digest ``converged``; either key is present
+    only when true.
     """
     kernel, structure = record.get("kernel"), record.get("structure")
     timings = record.get("timings") or {}
@@ -112,6 +118,10 @@ def run_event(record: dict, parent_trace: str, worker, shard=None,
              "worker": worker}
     if shard is not None:
         event["shard"] = shard
+    if record.get("synthesized") or record.get("prescreened"):
+        event["instant"] = True
+    if record.get("terminated_at") is not None:
+        event["converged"] = True
     event["total_s"] = timings.get("total_s", total_s)
     for stage in ("restore_s", "simulate_s", "classify_s"):
         if stage in timings:
@@ -119,6 +129,187 @@ def run_event(record: dict, parent_trace: str, worker, shard=None,
     event["trace"] = run_trace(parent_trace, kernel, structure,
                                record.get("run"))
     return event
+
+
+# -- the tally ----------------------------------------------------------------
+
+#: The paper's fault-effect classes in rendering order (strings, so
+#: this package needs no repro.faults import).
+EFFECT_ORDER = ("Masked", "SDC", "Crash", "Timeout", "Performance")
+
+
+def effect_order(effects) -> List[str]:
+    """``effects``' names: the paper's classes in order, then the rest."""
+    known = [e for e in EFFECT_ORDER if e in effects]
+    return known + sorted(e for e in effects if e not in EFFECT_ORDER)
+
+
+class Tally:
+    """The one fold of a campaign's events: what the progress line,
+    ``gpufi top``, ``/api/status``, ``/metrics`` and the sidecar's
+    wall-clock sections say, whoever shows it.  A campaign's ledger
+    keeps one and applies every event it journals (or would), so a
+    fold of its ``<log>.events.jsonl`` equals it.
+
+    Campaign-wide, earlier sessions included: ``total`` and ``done``
+    runs, ``effects`` and per-structure ``structures``, shards
+    ``leased`` / ``completed`` / lease ``expired``, each shard's latest
+    lease generation, events ``by_type``, and per fleet worker (a named
+    one; a pool's are numbered) its ``runs`` / ``shards`` / ``leases``
+    / ``heartbeats`` and last event.  This session's, from its
+    ``campaign_start`` / ``campaign_resume`` (:attr:`opening`): runs
+    ``executed``, of them ``instant`` and ``converged``, the instant
+    ones still pending, wall-clock, per worker ``[runs, busy seconds,
+    first offset, last offset]`` and per effect the ``total_s`` of its
+    runs.
+    """
+
+    def __init__(self):
+        self.total = self.done = self.events = 0
+        self.effects: Dict[str, int] = {}
+        self.structures: Dict[str, Dict[str, int]] = {}
+        self.by_type: Dict[str, int] = {}
+        self.leased = self.completed = self.expired = 0
+        self.generations: Dict[int, int] = {}
+        self.fleet: Dict[str, dict] = {}
+        self._open({})
+
+    def _open(self, event: dict) -> None:
+        self.opening = event
+        #: This session's ``campaign_end``, once journaled.
+        self.ended: Optional[dict] = None
+        self.executed = self.instant = self.converged = 0
+        self.instant_pending = event.get("instant", 0)
+        self.started = self.last_ts = event.get("ts")
+        self.workers: Dict[object, list] = {}
+        self.latency: Dict[str, List[float]] = {}
+
+    def apply(self, event: dict) -> "Tally":
+        """Fold one event in."""
+        kind = event.get("event")
+        ts = event.get("ts")
+        if ts is not None:
+            self.last_ts = ts
+        self.events += 1
+        self.by_type[kind or "?"] = self.by_type.get(kind or "?", 0) + 1
+        if kind == "run":
+            self._run(event, ts)
+        elif kind in ("campaign_start", "campaign_resume"):
+            self.total = event.get("total", self.total)
+            self._open(event)
+        elif kind == "round":  # an adaptive campaign's plan grew
+            self.total = event.get("total", self.total)
+            self.instant_pending += event.get("instant", 0)
+        elif kind == "shard_leased":
+            self.leased += 1
+            shard = event.get("shard")
+            if isinstance(shard, int):
+                self.generations[shard] = max(self.generations.get(shard, 0),
+                                              int(event.get("generation") or 0))
+            self._fleet(event, "leases")
+        elif kind == "shard_complete":
+            self.completed += 1
+            self._fleet(event, "shards")
+        elif kind == "lease_expired":
+            self.expired += 1
+        elif kind in ("worker_heartbeat", "heartbeat"):
+            self._fleet(event, "heartbeats")
+        elif kind == "campaign_end":
+            self.ended = event
+        return self
+
+    def apply_all(self, events: Iterable[dict]) -> "Tally":
+        for event in events:
+            self.apply(event)
+        return self
+
+    def _run(self, event: dict, ts) -> None:
+        effect = event.get("effect", "?")
+        self.done += 1
+        self.effects[effect] = self.effects.get(effect, 0) + 1
+        per = self.structures.setdefault(event.get("structure", "?"), {})
+        per[effect] = per.get(effect, 0) + 1
+        self.executed += 1
+        self.instant += bool(event.get("instant"))
+        self.converged += bool(event.get("converged"))
+        total_s = float(event.get("total_s") or 0.0)
+        self.latency.setdefault(effect, []).append(total_s)
+        # a fleet worker stamps its events on its own clock
+        at = (ts - self.started if ts is not None and self.started is not None
+              else 0.0)
+        worker = event.get("worker", 0)
+        stats = self.workers.get(worker)
+        if stats is None:
+            stats = self.workers[worker] = [0, 0.0, at, at]
+        stats[0] += 1
+        stats[1] += total_s
+        stats[3] = at
+        self._fleet(event, "runs")
+
+    def _fleet(self, event: dict, counter: str) -> None:
+        worker = event.get("worker")
+        if not isinstance(worker, str):
+            return  # a pool's numbered worker, or none named
+        entry = self.fleet.get(worker)
+        if entry is None:
+            entry = self.fleet[worker] = {"runs": 0, "shards": 0, "leases": 0,
+                                          "heartbeats": 0}
+        entry[counter] += 1
+        entry["last_ts"] = event.get("ts")
+        entry["last_event"] = event.get("event")
+
+    # -- derived ---------------------------------------------------------------
+
+    @property
+    def state(self) -> str:
+        if self.ended is None:
+            return "running"
+        return "complete" if self.ended.get("complete", True) else "aborted"
+
+    @property
+    def wall_s(self) -> float:
+        """This session's seconds, from its opening to its latest event."""
+        if self.started is None or self.last_ts is None:
+            return 0.0
+        return max(self.last_ts - self.started, 0.0)
+
+    @property
+    def jobs(self) -> int:
+        """The session's pool size; a session that names none (a fleet's)
+        had as many as the workers that delivered its runs."""
+        return self.opening.get("jobs", len(self.workers))
+
+    def rate(self) -> float:
+        """Simulated runs of this session per second of it.  Instant
+        runs stay out: a burst of thousands of them would show a rate
+        no simulating run can keep."""
+        wall = self.wall_s
+        return (self.executed - self.instant) / wall if wall > 0 else 0.0
+
+    def eta(self) -> Optional[float]:
+        """Seconds to completion at :meth:`rate`, counting only the runs
+        still pending that will simulate; ``None`` before a rate."""
+        left = max(self.total - self.done
+                   - max(self.instant_pending - self.instant, 0), 0)
+        if not left:
+            return 0.0
+        rate = self.rate()
+        return left / rate if rate > 0 else None
+
+    def progress(self) -> str:
+        """The campaign's progress line."""
+        eta = self.eta()
+        counts = ", ".join(f"{name}={self.effects[name]}"
+                           for name in effect_order(self.effects))
+        extras = []
+        if self.instant:
+            extras.append(f"pre-screened={self.instant}")
+        if self.converged:
+            extras.append(f"early-stopped={self.converged}")
+        return (f"{self.done}/{self.total} runs ({self.rate():.2f} runs/s, "
+                f"ETA {'?' if eta is None else f'{eta:.0f}s'})"
+                + (f" [{counts}]" if counts else "")
+                + (f" ({', '.join(extras)})" if extras else ""))
 
 
 # -- reading ------------------------------------------------------------------

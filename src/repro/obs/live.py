@@ -1,52 +1,43 @@
 """Live campaign telemetry: dashboards, tailing, and /metrics text.
 
-The render/aggregate half of the fleet observability layer (the
-transport half lives in :mod:`repro.dist`): everything here is a pure
-function of event streams and status documents, shared by
+The render half of the fleet observability layer (the transport half
+lives in :mod:`repro.dist`, the one fold of a campaign's events,
+:class:`~repro.obs.events.Tally`, in :mod:`repro.obs.events`):
+everything here is a pure function of a tally, an event or a status
+document, shared by
 
 - ``gpufi top`` / ``gpufi status --follow`` -- a terminal dashboard
   and a line-per-event stream rendered from ``/api/events`` +
   ``/api/status`` (fleet) or from a tailed ``<log>.events.jsonl``
-  (local runs), via :class:`DashboardState`, :func:`render_top` and
-  :func:`format_event`;
+  (local runs), via :func:`render_top` and :func:`format_event`;
 - the dispatcher's ``GET /metrics`` endpoint --
   :func:`render_prometheus` writes the Prometheus text exposition
   format with zero third-party deps, and :func:`lint_prometheus` is
   the tiny format checker CI runs against a live scrape;
 - local tailing -- :class:`EventFileTailer` follows an events file by
   byte offset, delivering only complete lines (torn-tail-safe), so a
-  dashboard can ride along a campaign that is still writing;
-- post-hoc fleet reports -- :func:`summarize_dist_events` folds a
-  dispatcher journal into the ``dist`` metrics-sidecar section that
-  ``gpufi report-metrics`` renders, so offline numbers match what
-  ``gpufi top`` showed live.
+  dashboard can ride along a campaign that is still writing.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from collections import deque
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.events import complete_lines, parse_jsonl
+from repro.obs.events import Tally, complete_lines, parse_jsonl
 
 __all__ = [
-    "DashboardState",
     "EventFileTailer",
     "format_event",
     "lint_prometheus",
     "render_prometheus",
     "render_top",
-    "summarize_dist_events",
 ]
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Trailing window (seconds) of the throughput estimate.
-RATE_WINDOW_S = 30.0
 
 
 # -- Prometheus text exposition ----------------------------------------------
@@ -225,136 +216,7 @@ class EventFileTailer:
             data.decode("utf-8"), self.path, skip_corrupt=True)]
 
 
-# -- dashboard state ----------------------------------------------------------
-
-
-class DashboardState:
-    """Aggregate of one campaign's event stream, for rendering.
-
-    Feed events (fleet ``/api/events`` pages or a tailed local file)
-    through :meth:`apply`; the state tracks totals, per-effect and
-    per-structure counts, a per-worker table, shard lifecycle
-    counters and a trailing throughput window.  Purely a function of
-    the events seen, so a dashboard reconnecting with a cursor
-    rebuilds the exact same numbers.
-    """
-
-    def __init__(self, rate_window: float = RATE_WINDOW_S):
-        self.campaign: Optional[str] = None
-        self.trace: Optional[str] = None
-        #: ``plan_s`` / ``golden`` / ``golden_s`` of the latest
-        #: ``campaign_start``/``campaign_resume`` that carried them.
-        self.plan: Optional[dict] = None
-        self.state = "running"
-        self.total = 0
-        self.resumed = 0
-        self.done = 0
-        self.effects: Dict[str, int] = {}
-        self.structures: Dict[str, Dict[str, int]] = {}
-        self.workers: Dict[str, dict] = {}
-        self.shards_leased = 0
-        self.shards_complete = 0
-        self.leases_expired = 0
-        self.started_ts: Optional[float] = None
-        self.last_ts: Optional[float] = None
-        self.complete = False
-        self.events_seen = 0
-        self.by_type: Dict[str, int] = {}
-        self._rate_window = float(rate_window)
-        self._run_ts: deque = deque()
-
-    def apply(self, event: dict) -> None:
-        """Fold one event into the aggregate."""
-        kind = event.get("event")
-        ts = event.get("ts")
-        if ts is not None:
-            if self.started_ts is None:
-                self.started_ts = ts
-            self.last_ts = ts
-        self.events_seen += 1
-        self.by_type[kind or "?"] = self.by_type.get(kind or "?", 0) + 1
-        if kind in ("campaign_start", "campaign_resume"):
-            self.campaign = event.get("campaign", self.campaign)
-            self.trace = event.get("trace", self.trace)
-            self.total = event.get("total", self.total)
-            self.resumed = event.get("resumed", 0)
-            self.done = self.resumed
-            if "plan_s" in event:
-                self.plan = event
-        elif kind == "round":  # an adaptive campaign's plan grew
-            self.total = event.get("total", self.total)
-        elif kind == "run":
-            self.done += 1
-            effect = event.get("effect", "?")
-            structure = event.get("structure", "?")
-            self.effects[effect] = self.effects.get(effect, 0) + 1
-            per = self.structures.setdefault(structure, {})
-            per[effect] = per.get(effect, 0) + 1
-            if ts is not None:
-                self._run_ts.append(ts)
-                horizon = ts - self._rate_window
-                while self._run_ts and self._run_ts[0] < horizon:
-                    self._run_ts.popleft()
-            worker = event.get("worker")
-            if worker is not None and not isinstance(worker, int):
-                entry = self._worker(worker)
-                entry["runs"] += 1
-                entry["last_ts"] = ts
-                entry["last_event"] = "run"
-        elif kind == "shard_leased":
-            self.shards_leased += 1
-            self._note_worker(event, "shard_leased")
-        elif kind == "shard_complete":
-            self.shards_complete += 1
-            self._note_worker(event, "shard_complete")
-        elif kind == "lease_expired":
-            self.leases_expired += 1
-        elif kind in ("worker_heartbeat", "heartbeat"):
-            self._note_worker(event, "heartbeat")
-        elif kind == "campaign_end":
-            self.complete = True
-            self.state = ("complete" if event.get("complete", True)
-                          else "aborted")
-
-    def apply_all(self, events: Iterable[dict]) -> "DashboardState":
-        for event in events:
-            self.apply(event)
-        return self
-
-    def _worker(self, name: str) -> dict:
-        return self.workers.setdefault(
-            name, {"runs": 0, "shards": 0, "heartbeats": 0,
-                   "last_ts": None, "last_event": None})
-
-    def _note_worker(self, event: dict, kind: str) -> None:
-        worker = event.get("worker")
-        if worker is None or isinstance(worker, int):
-            return
-        entry = self._worker(worker)
-        if kind == "heartbeat":
-            entry["heartbeats"] += 1
-        elif kind == "shard_complete":
-            entry["shards"] += 1
-        entry["last_ts"] = event.get("ts", entry["last_ts"])
-        entry["last_event"] = kind
-
-    # -- derived ------------------------------------------------------------
-
-    def runs_per_second(self) -> float:
-        """Trailing-window throughput from run-event timestamps."""
-        if len(self._run_ts) < 2:
-            return 0.0
-        span = self._run_ts[-1] - self._run_ts[0]
-        if span <= 0:
-            return 0.0
-        return (len(self._run_ts) - 1) / span
-
-    def eta_seconds(self) -> Optional[float]:
-        rate = self.runs_per_second()
-        remaining = max(self.total - self.done, 0)
-        if rate <= 0 or not self.total:
-            return None
-        return remaining / rate
+# -- dashboard -----------------------------------------------------------------
 
 
 def _fmt_duration(seconds: Optional[float]) -> str:
@@ -373,64 +235,61 @@ def _fmt_age(ts: Optional[float], now: Optional[float]) -> str:
     return f"{max(now - ts, 0.0):.1f}s ago"
 
 
-def render_top(state: DashboardState, status: Optional[dict] = None,
+def render_top(tally: Tally, status: Optional[dict] = None,
                now: Optional[float] = None) -> str:
-    """Render one dashboard frame as plain text.
+    """Render one dashboard frame of a campaign's tally as plain text.
 
-    ``status`` (a ``/api/status/<id>`` document) refines the header
-    with dispatcher-side shard counts when available; local runs pass
-    ``None``.  ``now`` defaults to the last event timestamp so a
-    frame is a pure function of its inputs (tests) -- interactive
-    callers pass ``time.time()``.
+    ``status`` (a ``/api/status/<id>`` document) adds the dispatcher's
+    shard queue when available; local runs pass ``None``.  ``now``
+    defaults to the last event timestamp so a frame is a pure function
+    of its inputs (tests) -- interactive callers pass ``time.time()``.
     """
-    now = now if now is not None else state.last_ts
+    now = now if now is not None else tally.last_ts
+    opening = tally.opening
     shards = (status or {}).get("shards")
     lines: List[str] = []
-    title = state.campaign or (status or {}).get("id") or "campaign"
-    trace = state.trace or (status or {}).get("fingerprint", "")
+    title = opening.get("campaign") or (status or {}).get("id") or "campaign"
+    trace = opening.get("trace") or (status or {}).get("fingerprint", "")
     lines.append(f"gpufi top -- {title}"
                  + (f"  [{trace}]" if trace else ""))
-    pct = (f" ({state.done / state.total * 100:.1f}%)"
-           if state.total else "")
+    pct = (f" ({tally.done / tally.total * 100:.1f}%)"
+           if tally.total else "")
     lines.append(
-        f"state {state.state}   runs {state.done}/{state.total}{pct}"
-        f"   rate {state.runs_per_second():.2f}/s"
-        f"   eta {_fmt_duration(state.eta_seconds())}")
-    if state.plan is not None:
-        lines.append(format_plan_timing(state.plan))
+        f"state {tally.state}   runs {tally.done}/{tally.total}{pct}"
+        f"   rate {tally.rate():.2f}/s"
+        f"   eta {_fmt_duration(tally.eta())}")
+    if "plan_s" in opening:
+        lines.append(format_plan_timing(opening))
+    leases = (f"   leases {tally.leased} granted, {tally.expired} expired"
+              if tally.leased or tally.expired else "")
     if shards:
         lines.append(
             f"shards {shards.get('complete', 0)}/{shards.get('total', 0)}"
             f" complete, {shards.get('pending', 0)} pending,"
-            f" {shards.get('leased', 0)} leased"
-            f"   lease expiries {state.leases_expired}")
-    elif state.shards_leased or state.leases_expired:
-        lines.append(
-            f"shards {state.shards_complete} complete,"
-            f" {state.shards_leased} leased"
-            f"   lease expiries {state.leases_expired}")
-    if state.effects:
+            f" {shards.get('leased', 0)} leased{leases}")
+    elif leases:
+        lines.append(f"shards {tally.completed} complete{leases}")
+    if tally.effects:
         parts = [f"{name} {count}"
-                 for name, count in sorted(state.effects.items())]
+                 for name, count in sorted(tally.effects.items())]
         lines.append("effects  " + "   ".join(parts))
-    if state.structures:
+    if tally.structures:
         lines.append("")
-        width = max(len(name) for name in state.structures)
-        for structure in sorted(state.structures):
-            per = state.structures[structure]
+        width = max(len(name) for name in tally.structures)
+        for structure in sorted(tally.structures):
+            per = tally.structures[structure]
             detail = "  ".join(f"{name} {count}"
                                for name, count in sorted(per.items()))
             lines.append(f"  {structure:<{width}}  {detail}")
-    if state.workers:
+    if tally.fleet:
         lines.append("")
-        width = max(max(len(name) for name in state.workers), len("worker"))
+        width = max(max(len(name) for name in tally.fleet), len("worker"))
         lines.append(f"  {'worker':<{width}}  {'runs':>5}  last event")
-        for name in sorted(state.workers):
-            entry = state.workers[name]
-            last = entry.get("last_event") or "?"
+        for name in sorted(tally.fleet):
+            entry = tally.fleet[name]
             lines.append(
                 f"  {name:<{width}}  {entry['runs']:>5}  "
-                f"{last} {_fmt_age(entry.get('last_ts'), now)}")
+                f"{entry['last_event']} {_fmt_age(entry['last_ts'], now)}")
     return "\n".join(lines)
 
 
@@ -484,27 +343,3 @@ def format_event(event: dict) -> str:
                       for key, value in sorted(event.items())
                       if key not in ("ts", "event"))
     return f"{stamp} {kind} {detail}".rstrip()
-
-
-# -- post-hoc fleet summaries -------------------------------------------------
-
-
-def summarize_dist_events(events: Sequence[dict]) -> dict:
-    """Fold a dispatcher event journal into the ``dist`` summary.
-
-    The fold is :class:`DashboardState`'s, so ``gpufi report-metrics``
-    (reading the sidecar) and ``gpufi top`` (consuming the live
-    stream) agree by construction.  Returns per-type event counts,
-    per-worker run/shard/heartbeat counts and the lease-expiry total;
-    the dispatcher adds its own shard totals before embedding this in
-    the metrics sidecar.
-    """
-    state = DashboardState().apply_all(events)
-    return {
-        "events": {"total": state.events_seen,
-                   "by_type": dict(sorted(state.by_type.items()))},
-        "workers": {name: {key: entry[key]
-                           for key in ("runs", "shards", "heartbeats")}
-                    for name, entry in sorted(state.workers.items())},
-        "lease_expired": state.leases_expired,
-    }

@@ -10,12 +10,13 @@ for it" without re-running any simulation.  It is a fold
   ``savings``, ``propagation``): pure functions of the records, so
   byte-identical across ``--jobs 1`` and ``--jobs N``, across backends
   and across straight-through vs. resumed campaigns;
-- **this session's journal** -- the events since the last
-  ``campaign_start`` / ``campaign_resume`` (:mod:`repro.obs.events`)
-  -- gives the wall-clock sections (``campaign``, ``latency``,
+- the ledger's **tally** (:class:`repro.obs.events.Tally`) -- the
+  events since the last ``campaign_start`` / ``campaign_resume``
+  folded -- gives the wall-clock sections (``campaign``, ``latency``,
   ``workers``) from the ``ts`` / ``worker`` / ``total_s`` / ``effect``
-  of its ``run`` events, and the session's driver adds what only it
-  knows (``batch``, ``dist``, ``adaptive``).
+  of its ``run`` events, and on a dispatcher the fleet's (``dist``)
+  from the whole journal; the session's driver adds what only it
+  knows (``batch``, ``adaptive``).
 
 This module works on plain record and event dicts and imports nothing
 from :mod:`repro.faults`, so it stays importable from anywhere in the
@@ -28,16 +29,12 @@ import json
 import math
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
-from repro.obs.events import run_event
+from repro.obs.events import Tally, effect_order, run_event
 
 #: Sidecar schema version; bump on breaking layout changes.
 METRICS_SCHEMA = 1
-
-#: Canonical rendering order of the paper's fault-effect classes
-#: (kept as strings so this module needs no repro.faults import).
-_EFFECT_ORDER = ("Masked", "SDC", "Crash", "Timeout", "Performance")
 
 #: Upper edges of the per-run latency histogram buckets (seconds);
 #: a final unbounded bucket catches everything beyond the last edge.
@@ -115,11 +112,6 @@ def _histogram(samples: Sequence[float], edges: Sequence[float],
     return buckets
 
 
-def _effect_order(effects) -> List[str]:
-    known = [e for e in _EFFECT_ORDER if e in effects]
-    return known + sorted(e for e in effects if e not in _EFFECT_ORDER)
-
-
 def batch_section(pack_stats: Optional[dict]) -> Optional[dict]:
     """The sidecar's ``batch`` section: what a session's lockstep
     packs summed to (``CampaignExecutor.batch_stats``), or ``None``
@@ -139,29 +131,29 @@ def batch_section(pack_stats: Optional[dict]) -> Optional[dict]:
 
 
 class MetricsCollector:
-    """Folds a campaign's records and one session's journal into the
-    sidecar document.
+    """Folds a campaign's records and one session's :class:`Tally` into
+    the sidecar document.
 
     Args:
         jobs: worker count of the executing campaign.
         clock: wall clock that stamps the events of :meth:`record`.
-        journal: the session's events, its opening ``campaign_start``
-            / ``campaign_resume`` first (a ledger's); by default a
-            session that starts now and is told its runs by
-            :meth:`record`.
+        tally: the campaign's tally, this session's opening applied (a
+            ledger's); by default that of a session that starts now
+            and is told its runs by :meth:`record`.
     """
 
     def __init__(self, jobs: int = 1,
                  clock: Callable[[], float] = time.time,
-                 journal: Optional[List[dict]] = None):
+                 tally: Optional[Tally] = None):
         self.jobs = jobs
         self._clock = clock
-        self.journal = journal if journal is not None else [{"ts": clock()}]
+        self.tally = tally or Tally().apply(
+            {"ts": clock(), "event": "campaign_start"})
 
     def record(self, record: dict) -> None:
-        """Journal one freshly completed run: its ``run`` event,
-        stamped now."""
-        self.journal.append({"ts": round(self._clock(), 6), **run_event(
+        """Tally one freshly completed run: its ``run`` event, stamped
+        now."""
+        self.tally.apply({"ts": round(self._clock(), 6), **run_event(
             record, "", record.get("worker", 0))})
 
     def finalize(self, records: Sequence[dict],
@@ -172,32 +164,14 @@ class MetricsCollector:
         ``records`` is every record of the campaign in plan order
         (resumed ones included) -- the deterministic sections cover
         the whole campaign, the wall-clock sections only this session,
-        from its journal (up to its last event).  ``sections`` are
+        from its tally (up to its last event).  ``sections`` are
         appended as given (``None`` ones dropped).
         """
-        opened = self.journal[0]
-        wall_s = round(max(self.journal[-1]["ts"] - opened["ts"], 0.0), 6)
+        tally = self.tally
+        opened = tally.opening
+        wall_s = round(tally.wall_s, 6)
         records = list(records)
         total = len(records) if total is None else total
-
-        # wall-clock side: this session's run events
-        executed = 0
-        samples: Dict[str, List[float]] = {}
-        seen: Dict[object, Dict[str, float]] = {}
-        for event in self.journal:
-            if event.get("event") != "run":
-                continue
-            executed += 1
-            total_s = float(event.get("total_s") or 0.0)
-            # a fleet worker stamps its events on its own clock
-            at = round(min(max(event["ts"] - opened["ts"], 0.0), wall_s), 6)
-            stats = seen.setdefault(
-                event.get("worker", 0),
-                {"runs": 0, "busy_s": 0.0, "first_seen_s": at})
-            stats["runs"] += 1
-            stats["busy_s"] += total_s
-            stats["last_heartbeat_s"] = at
-            samples.setdefault(event.get("effect", "?"), []).append(total_s)
 
         effects: Dict[str, int] = {}
         synthesized = prescreened = converged = simulated = 0
@@ -256,8 +230,8 @@ class MetricsCollector:
         }
 
         latency = {}
-        for effect in _effect_order(samples):
-            ordered = sorted(samples[effect])
+        for effect in effect_order(tally.latency):
+            ordered = sorted(tally.latency[effect])
             latency[effect] = {
                 "count": len(ordered),
                 "mean_s": round(sum(ordered) / len(ordered), 6),
@@ -267,18 +241,21 @@ class MetricsCollector:
                 "histogram": _histogram(ordered, LATENCY_BUCKETS, "s"),
             }
 
+        def offset(at: float) -> float:
+            return round(min(max(at, 0.0), wall_s), 6)
+
         # a pool worker's id sorts before a fleet worker's name
         workers = {}
-        for worker in sorted(seen, key=lambda w: (
+        for worker in sorted(tally.workers, key=lambda w: (
                 (0, w, "") if isinstance(w, int) else (1, 0, str(w)))):
-            stats = seen[worker]
+            runs, busy_s, first, last = tally.workers[worker]
             workers[str(worker)] = {
-                "runs": stats["runs"],
-                "busy_s": round(stats["busy_s"], 6),
-                "utilization": (round(stats["busy_s"] / wall_s, 6)
+                "runs": runs,
+                "busy_s": round(busy_s, 6),
+                "utilization": (round(busy_s / wall_s, 6)
                                 if wall_s > 0 else 0.0),
-                "first_seen_s": stats["first_seen_s"],
-                "last_heartbeat_s": stats["last_heartbeat_s"],
+                "first_seen_s": offset(first),
+                "last_heartbeat_s": offset(last),
             }
 
         # propagation sidecar section: pure function of the records
@@ -288,6 +265,7 @@ class MetricsCollector:
 
         propagation = summarize_propagation(records)
 
+        executed = tally.executed
         campaign = {
             "complete": bool(complete),
             "total_runs": total,
@@ -305,7 +283,7 @@ class MetricsCollector:
         doc = {
             "schema": METRICS_SCHEMA,
             "campaign": campaign,
-            "effects": {e: effects[e] for e in _effect_order(effects)},
+            "effects": {e: effects[e] for e in effect_order(effects)},
             "checkpoint": checkpoint,
             "savings": savings,
             "latency": latency,
@@ -313,6 +291,22 @@ class MetricsCollector:
         }
         if propagation is not None:
             doc["propagation"] = propagation
+        if "shards" in opened:
+            # a dispatcher's session: the fleet, over the whole journal
+            # (a dispatcher closes a campaign once all its shards are)
+            doc["dist"] = {
+                "events": {"total": tally.events,
+                           "by_type": dict(sorted(tally.by_type.items()))},
+                "workers": {name: {key: entry[key] for key in
+                                   ("runs", "shards", "heartbeats")}
+                            for name, entry in sorted(tally.fleet.items())},
+                "lease_expired": tally.expired,
+                "campaign": opened.get("campaign"),
+                "trace": opened.get("trace"),
+                "shards": {"total": opened["shards"],
+                           "complete": opened["shards"],
+                           "lease_expired": tally.expired},
+            }
         doc.update({name: section for name, section in sections.items()
                     if section is not None})
         return doc

@@ -459,7 +459,7 @@ class TestDispatcherTelemetry:
         assert dispatcher.status(cid)["state"] == "complete"
 
     def test_sidecar_dist_section_matches_journal(self, tmp_path):
-        from repro.obs.live import summarize_dist_events
+        from repro.obs.events import Tally
 
         dispatcher, _ = self.make(tmp_path)
         cid = dispatcher.submit(
@@ -468,13 +468,36 @@ class TestDispatcherTelemetry:
         sidecar = tmp_path / "logs" / f"{cid}.jsonl.metrics.json"
         doc = json.loads(sidecar.read_text(encoding="utf-8"))
         dist = doc["dist"]
-        events = dispatcher.events(cid)["events"]
-        summary = summarize_dist_events(events)
+        tally = Tally().apply_all(dispatcher.events(cid)["events"])
         # offline report numbers == what a live tail aggregated
-        assert dist["events"] == summary["events"]
-        assert dist["workers"] == summary["workers"]
+        assert dist["events"] == {"total": tally.events,
+                                  "by_type": tally.by_type}
+        assert dist["workers"] == {"w": {
+            "runs": 4, "shards": tally.completed, "heartbeats": 0}}
         assert dist["campaign"] == cid
         assert dist["shards"]["complete"] == dist["shards"]["total"]
+
+    def test_fleet_sidecar_counts_the_workers_that_ran(self, tmp_path,
+                                                        capsys):
+        """A session without a pool says how many workers delivered
+        its runs.  At the parent, only the local pool stamped ``jobs``
+        on the opening event: the sidecar read ``jobs: 0`` and
+        ``report-metrics`` "12 runs (12 executed, 0 resumed) on 0
+        worker(s)"."""
+        from repro.cli import main
+
+        dispatcher, _ = self.make(tmp_path)
+        cid = dispatcher.submit(small_config_text(
+            structures=(Structure.REGISTER_FILE, Structure.L1T_CACHE),
+            runs_per_structure=6, metrics=True))["campaign"]
+        self.drain(dispatcher, "w1")
+        log = tmp_path / "logs" / f"{cid}.jsonl"
+        doc = json.loads((tmp_path / "logs"
+                          / f"{cid}.jsonl.metrics.json").read_text())
+        assert doc["campaign"]["jobs"] == 1
+        assert main(["report-metrics", str(log)]) == 0
+        assert "12 runs (12 executed, 0 resumed) on 1 worker(s)" \
+            in capsys.readouterr().out
 
 
 class TestFleetEndToEnd:

@@ -16,10 +16,11 @@ import pytest
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.early_stop import (ConvergenceMonitor, EarlyConvergence,
                                      Prescreener)
-from repro.faults.executor import ProgressReporter, execute_run
+from repro.faults.executor import execute_run
 from repro.faults.mask import FaultMask
 from repro.faults.sites import Site
 from repro.faults.targets import Structure
+from repro.obs.events import Tally, run_event
 from repro.sim.cards import rtx_2060
 from repro.sim.checkpoint import state_digest
 from repro.sim.device import Device, RunOptions
@@ -406,22 +407,31 @@ class TestPrescreenSoundness:
             assert record["cycles"] == spec.golden_cycles, spec.key
 
 
-class TestProgressReporter:
+class TestProgressLine:
+    """The tally's progress line, from the run events of records."""
+
+    @staticmethod
+    def tally(total, instant=0):
+        return Tally().apply({"ts": 0.0, "event": "campaign_start",
+                              "total": total, "instant": instant})
+
+    @staticmethod
+    def run(tally, ts=10.0, **record):
+        tally.apply({"ts": ts, **run_event(record, "t", 0)})
+
     def test_instant_runs_excluded_from_eta(self):
-        clock = iter([0.0] + [10.0] * 50)
-        reporter = ProgressReporter(total=10, clock=lambda: next(clock),
-                                    instant_total=5)
+        tally = self.tally(total=10, instant=5)
         # 4 simulated + 2 instant runs done in 10s
         for _ in range(4):
-            reporter.record({"effect": "Masked"})
+            self.run(tally, effect="Masked")
         for _ in range(2):
-            reporter.record({"effect": "Masked", "prescreened": True})
+            self.run(tally, effect="Masked", prescreened=True)
         # 4 runs remain: 3 instant (free) + 1 simulated at 0.4/s
-        assert reporter.eta_seconds() == pytest.approx(2.5)
-        assert "pre-screened=2" in reporter.render()
+        assert tally.eta() == pytest.approx(2.5)
+        assert "pre-screened=2" in tally.progress()
 
     def test_early_stopped_counted(self):
-        reporter = ProgressReporter(total=2)
-        reporter.record({"effect": "Masked", "terminated_at": 120})
-        assert reporter.early_stopped == 1
-        assert "early-stopped=1" in reporter.render()
+        tally = self.tally(total=2)
+        self.run(tally, effect="Masked", terminated_at=120)
+        assert tally.converged == 1
+        assert "early-stopped=1" in tally.progress()

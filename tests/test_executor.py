@@ -10,8 +10,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.faults.campaign import Campaign, CampaignConfig
-from repro.faults.executor import (CampaignExecutor, ProgressReporter,
-                                   RunSpec, execute_run)
+from repro.faults.executor import CampaignExecutor, RunSpec, execute_run
+from repro.faults.ledger import CampaignLedger
 from repro.faults.mask import derive_run_seed
 from repro.faults.parser import load_records, scan_completed_records
 from repro.faults.targets import Structure
@@ -203,25 +203,47 @@ class TestScanCompletedRecords:
         assert record["effect"] == "Masked"
 
 
-class TestProgressReporter:
-    def test_rate_eta_and_counts(self):
+class TestProgressLine:
+    """The progress line: the ledger's tally, resumed runs included."""
+
+    @staticmethod
+    def plan(n):
+        """Hand-built specs, none of them instant."""
+        return [RunSpec(benchmark="vectoradd", card="RTX2060", kernel="k",
+                        structure=Structure.REGISTER_FILE, run_index=i,
+                        seed=i, windows=((0, 100),), regs_per_thread=8,
+                        smem_bytes=0, local_bytes=0, golden_cycles=100,
+                        cycle_budget=200) for i in range(n)]
+
+    @staticmethod
+    def record(spec, effect="Masked"):
+        return {"benchmark": spec.benchmark, "card": spec.card,
+                "kernel": spec.kernel, "structure": spec.structure.value,
+                "run": spec.run_index, "effect": effect}
+
+    def test_rate_eta_and_counts(self, tmp_path):
+        log = tmp_path / "c.jsonl"
+        plan = self.plan(10)
+        with CampaignLedger(plan, log) as first:
+            first.absorb([self.record(spec) for spec in plan[:2]])
         now = [0.0]
-        reporter = ProgressReporter(total=10, skipped=2,
-                                    clock=lambda: now[0])
+        ledger = CampaignLedger(plan, log, resume=True,
+                                clock=lambda: now[0])
         now[0] = 2.0
-        for _ in range(4):
-            reporter.record({"effect": "Masked"})
-        reporter.record({"effect": "SDC"})
-        assert reporter.rate() == pytest.approx(2.5)
-        assert reporter.eta_seconds() == pytest.approx(3 / 2.5)
-        line = reporter.render()
+        ledger.absorb([self.record(spec) for spec in plan[2:6]])
+        ledger.absorb([self.record(plan[6], "SDC")])
+        tally = ledger.tally
+        assert tally.rate() == pytest.approx(2.5)
+        assert tally.eta() == pytest.approx(3 / 2.5)
+        line = tally.progress()
         assert "7/10 runs" in line
-        assert "Masked=4" in line and "SDC=1" in line
+        # the resumed runs' effects are counted too: they sum to 7
+        assert "Masked=6" in line and "SDC=1" in line
 
     def test_no_rate_before_first_completion(self):
-        reporter = ProgressReporter(total=5)
-        assert reporter.eta_seconds() is None
-        assert "0/5 runs" in reporter.render()
+        tally = CampaignLedger(self.plan(5)).tally
+        assert tally.eta() is None
+        assert "0/5 runs" in tally.progress()
 
     def test_campaign_reports_throughput(self):
         lines = []

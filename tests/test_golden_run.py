@@ -23,8 +23,8 @@ from repro.dist.protocol import canonical_log_text
 from repro.faults.campaign import (Campaign, CampaignConfig, GoldenRun,
                                    profile_application)
 from repro.faults.targets import Structure
-from repro.obs import events_path_for, read_events
-from repro.obs.live import DashboardState, format_event, render_top
+from repro.obs import Tally, events_path_for, read_events
+from repro.obs.live import format_event, render_top
 from repro.sim import checkpoint
 from repro.sim.cards import rtx_2060
 from repro.sim.checkpoint import (GOLDEN_FILE, LIVENESS_FILE, CheckpointStore,
@@ -596,9 +596,8 @@ def test_campaign_start_says_where_the_plan_time_went(tmp_path):
         assert {k: sidecar[k] for k in ("plan_s", "golden", "golden_s")} == \
             {k: start[k] for k in ("plan_s", "golden", "golden_s")}
         assert f"golden run {expected} in" in format_event(start)
-        state = DashboardState()
-        state.apply(start)
-        assert f"golden run {expected} in" in render_top(state)
+        assert f"golden run {expected} in" in render_top(
+            Tally().apply(start))
         logs.append(log)
     # none of it reaches the campaign log
     assert "plan_s" not in logs[1].read_text()

@@ -23,7 +23,7 @@ from repro.faults.executor import RunSpec
 from repro.faults.ledger import CampaignLedger, record_key
 from repro.faults.parser import load_records, scan_completed_records
 from repro.faults.targets import Structure
-from repro.obs.events import events_path_for, read_events, run_event
+from repro.obs.events import Tally, events_path_for, read_events, run_event
 from tests.conftest import generated
 
 PLAN = [RunSpec(benchmark="vectoradd", card="RTX2060", kernel="k",
@@ -122,5 +122,7 @@ def test_generated_deliveries(case):
                 if event["event"] == "run"]
         assert sorted(runs) == sorted(map(record_key, RECORDS))
         assert read_events(journal) == ledger.journal
+        # the one fold of the campaign's events is that of its journal
+        assert vars(ledger.tally) == vars(Tally().apply_all(ledger.journal))
         assert sum(doc["effects"].values()) == len(RECORDS)
         assert doc == json.loads(Path(str(log) + ".metrics.json").read_text())

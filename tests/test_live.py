@@ -12,12 +12,12 @@ import pytest
 
 from repro.dist.client import DispatcherClient
 from repro.faults.ledger import CampaignLedger
-from repro.obs.events import events_path_for, read_events, trim_torn_tail
-from repro.obs.live import (DashboardState, EventFileTailer,
-                            format_event, lint_prometheus,
+from repro.obs.events import (Tally, events_path_for, read_events,
+                              trim_torn_tail)
+from repro.obs.live import (EventFileTailer, format_event, lint_prometheus,
                             render_prometheus, render_top,
-                            required_families_present,
-                            summarize_dist_events)
+                            required_families_present)
+from repro.obs.metrics import MetricsCollector
 
 
 class FakeClock:
@@ -155,7 +155,7 @@ class TestEventStreamFiles:
         trim_torn_tail(tmp_path / "missing")  # no crash
 
 
-class TestDashboardState:
+class TestTally:
     def events(self):
         yield {"ts": 0.0, "event": "campaign_start", "schema": 2,
                "campaign": "c1", "total": 4, "pending": 4,
@@ -171,70 +171,74 @@ class TestDashboardState:
         yield {"ts": 5.0, "event": "worker_heartbeat", "worker": "w2"}
 
     def test_aggregates_the_stream(self):
-        state = DashboardState().apply_all(self.events())
-        assert state.campaign == "c1" and state.trace == "c1@abc"
-        assert state.total == 4 and state.done == 3
-        assert state.effects == {"Masked": 3}
-        assert state.structures == {"register_file": {"Masked": 3}}
-        assert state.shards_leased == 1
-        assert state.shards_complete == 1
-        assert state.leases_expired == 1
-        assert state.workers["w1"]["runs"] == 3
-        assert state.workers["w2"]["heartbeats"] == 1
-        assert not state.complete
-        # 3 runs across 2 seconds of event time
-        assert state.runs_per_second() == pytest.approx(1.0)
-        assert state.eta_seconds() == pytest.approx(1.0)
+        tally = Tally().apply_all(self.events())
+        assert tally.opening["campaign"] == "c1"
+        assert tally.total == 4 and tally.done == 3
+        assert tally.effects == {"Masked": 3}
+        assert tally.structures == {"register_file": {"Masked": 3}}
+        assert (tally.leased, tally.completed, tally.expired) == (1, 1, 1)
+        assert tally.generations == {0: 1}
+        assert tally.fleet["w1"]["runs"] == 3
+        assert tally.fleet["w1"]["leases"] == 1
+        assert tally.fleet["w2"]["heartbeats"] == 1
+        assert tally.state == "running"
+        # 3 simulated runs in the 5 seconds since the opening
+        assert tally.rate() == pytest.approx(0.6)
+        assert tally.eta() == pytest.approx(1 / 0.6)
 
-    def test_campaign_end_and_resume_base(self):
-        state = DashboardState()
-        state.apply({"ts": 0.0, "event": "campaign_resume",
-                     "campaign": "c1", "total": 6, "resumed": 4})
-        assert state.done == 4  # resumed runs count as done
-        state.apply(run_event(1.0, 4))
-        state.apply({"ts": 2.0, "event": "campaign_end",
-                     "complete": True, "executed": 2})
-        assert state.done == 5 and state.complete
-        assert state.state == "complete"
+    def test_resume_opens_a_session_of_the_same_campaign(self):
+        tally = Tally().apply_all(
+            [{"ts": 0.0, "event": "campaign_start", "total": 6},
+             *(run_event(1.0, index) for index in range(4)),
+             {"ts": 2.0, "event": "campaign_end", "complete": False,
+              "executed": 4},
+             {"ts": 10.0, "event": "campaign_resume", "total": 6,
+              "resumed": 4}])
+        assert tally.done == 4 and tally.executed == 0
+        assert tally.state == "running"  # this session has not ended
+        tally.apply(run_event(11.0, 4))
+        tally.apply({"ts": 12.0, "event": "campaign_end",
+                     "complete": True, "executed": 1})
+        assert tally.done == 5 and tally.executed == 1
+        assert tally.effects == {"Masked": 5}
+        assert tally.state == "complete"
+        assert tally.wall_s == 2.0
 
     def test_local_pool_int_workers_are_not_fleet_workers(self):
-        state = DashboardState()
-        state.apply({"ts": 0.0, "event": "run", "run": 0,
+        tally = Tally()
+        tally.apply({"ts": 0.0, "event": "run", "run": 0,
                      "effect": "Masked", "structure": "s", "worker": 2})
-        assert state.done == 1 and state.workers == {}
+        assert tally.done == 1 and tally.fleet == {}
+        assert list(tally.workers) == [2]
 
     def test_rebuild_from_cursor_matches(self):
         events = list(self.events())
-        whole = DashboardState().apply_all(events)
-        split = DashboardState().apply_all(events[:3])
+        whole = Tally().apply_all(events)
+        split = Tally().apply_all(events[:3])
         split.apply_all(events[3:])  # a reconnecting dashboard
-        assert split.done == whole.done
-        assert split.effects == whole.effects
-        assert split.workers == whole.workers
+        assert vars(split) == vars(whole)
 
 
 class TestRendering:
     def test_render_top_is_pure_and_complete(self):
-        state = DashboardState().apply_all(
-            TestDashboardState().events())
-        frame = render_top(state)
-        assert frame == render_top(state)  # now defaults to last ts
+        tally = Tally().apply_all(TestTally().events())
+        frame = render_top(tally)
+        assert frame == render_top(tally)  # now defaults to last ts
         assert "c1" in frame and "[c1@abc]" in frame
         assert "runs 3/4" in frame and "75.0%" in frame
         assert "Masked 3" in frame
         assert "register_file" in frame
         assert "w1" in frame and "w2" in frame
-        assert "lease expiries 1" in frame
+        assert "leases 1 granted, 1 expired" in frame
 
     def test_render_top_prefers_status_shards(self):
-        state = DashboardState().apply_all(
-            TestDashboardState().events())
-        frame = render_top(state, status={"shards": {
+        tally = Tally().apply_all(TestTally().events())
+        frame = render_top(tally, status={"shards": {
             "total": 2, "complete": 1, "pending": 0, "leased": 1}})
         assert "shards 1/2 complete, 0 pending, 1 leased" in frame
 
     def test_format_event_one_liners(self):
-        lines = [format_event(e) for e in TestDashboardState().events()]
+        lines = [format_event(e) for e in TestTally().events()]
         text = "\n".join(lines)
         assert "campaign_start total=4" in text
         assert "run vectorAdd/register_file/0 Masked worker=w1" in text
@@ -248,15 +252,17 @@ class TestRendering:
         unknown = format_event({"event": "mystery", "x": 1})
         assert "mystery x=1" in unknown
 
-    def test_summarize_dist_events(self):
-        summary = summarize_dist_events(
-            list(TestDashboardState().events()))
-        assert summary["events"]["total"] == 8
-        assert summary["events"]["by_type"]["run"] == 3
-        assert summary["workers"]["w1"] == {
+    def test_sidecar_dist_section_folds_the_stream(self):
+        tally = Tally().apply_all(TestTally().events())
+        dist = MetricsCollector(tally=tally).finalize([])["dist"]
+        assert dist["events"]["total"] == 8
+        assert dist["events"]["by_type"]["run"] == 3
+        assert dist["workers"]["w1"] == {
             "runs": 3, "shards": 1, "heartbeats": 0}
-        assert summary["workers"]["w2"]["heartbeats"] == 1
-        assert summary["lease_expired"] == 1
+        assert dist["workers"]["w2"]["heartbeats"] == 1
+        assert dist["lease_expired"] == 1
+        assert dist["shards"] == {"total": 2, "complete": 2,
+                                  "lease_expired": 1}
 
 
 class TestClientWaitBackoff:

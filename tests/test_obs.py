@@ -14,8 +14,8 @@ from repro.analysis.metrics import (find_metrics_path, load_metrics,
                                     render_metrics)
 from repro.cli import main as cli_main
 from repro.faults.campaign import Campaign, CampaignConfig
-from repro.faults.executor import (CampaignExecutor, ProgressReporter,
-                                   RunSpec, WorkerPoolError, execute_run)
+from repro.faults.executor import (CampaignExecutor, RunSpec,
+                                   WorkerPoolError, execute_run)
 from repro.faults.parser import load_records, merge_logs
 from repro.faults.targets import Structure
 from repro.faults.ledger import CampaignLedger
@@ -360,36 +360,50 @@ class TestResumeNeverTruncates:
 
 
 class TestProgressConsistency:
+    """The progress line is the ledger's tally's."""
+
     def test_instant_burst_does_not_spike_rate(self):
         clock = FakeClock()
-        reporter = ProgressReporter(total=20, clock=clock,
-                                    instant_total=10)
+        plan = make_specs(20)
+        plan[:10] = [dataclasses.replace(spec, synthesized=True)
+                     for spec in plan[:10]]
+        ledger = CampaignLedger(plan, clock=clock)
         clock.now = 4.0
-        for _ in range(10):
-            reporter.record({"effect": "Masked", "synthesized": True})
-        for _ in range(2):
-            reporter.record({"effect": "SDC"})
+        ledger.absorb([{**fake_record(spec), "synthesized": True}
+                       for spec in plan[:10]])
+        ledger.absorb([{**fake_record(spec), "effect": "SDC"}
+                       for spec in plan[10:12]])
+        tally = ledger.tally
         # 12 completions, but only 2 simulated: the rendered rate and
         # the ETA must share the same (simulated) throughput model
-        assert reporter.rate() == pytest.approx(0.5)
-        assert reporter.eta_seconds() == pytest.approx(8 / 0.5)
-        assert "0.50 runs/s" in reporter.render()
-        assert f"ETA {8 / 0.5:.0f}s" in reporter.render()
+        assert tally.rate() == pytest.approx(0.5)
+        assert tally.eta() == pytest.approx(8 / 0.5)
+        assert "0.50 runs/s" in tally.progress()
+        assert f"ETA {8 / 0.5:.0f}s" in tally.progress()
 
-    def test_fully_resumed_campaign_eta_zero(self):
-        reporter = ProgressReporter(total=5, skipped=5, clock=FakeClock())
-        assert reporter.eta_seconds() == 0.0
-        assert "ETA 0s" in reporter.render()
+    def test_fully_resumed_campaign_eta_zero(self, tmp_path):
+        log = tmp_path / "c.jsonl"
+        CampaignExecutor(log_path=log, run_fn=fake_record).execute(
+            make_specs(5))
+        ledger = CampaignLedger(make_specs(5), log, resume=True,
+                                clock=FakeClock())
+        assert ledger.tally.eta() == 0.0
+        # the resumed runs' effects add up to the resumed runs
+        assert ledger.tally.progress().startswith(
+            "5/5 runs (0.00 runs/s, ETA 0s) [Masked=5]")
 
     def test_no_estimate_before_first_simulated_run(self):
         clock = FakeClock()
-        reporter = ProgressReporter(total=4, clock=clock, instant_total=2)
+        plan = make_specs(4)
+        plan[:2] = [dataclasses.replace(spec, prescreened=True)
+                    for spec in plan[:2]]
+        ledger = CampaignLedger(plan, clock=clock)
         clock.now = 2.0
-        reporter.record({"effect": "Masked", "prescreened": True})
+        ledger.absorb([{**fake_record(plan[0]), "prescreened": True}])
         # one instant completion: still no simulated-throughput sample
-        assert reporter.rate() == 0.0
-        assert reporter.eta_seconds() is None
-        assert "ETA ?" in reporter.render()
+        assert ledger.tally.rate() == 0.0
+        assert ledger.tally.eta() is None
+        assert "ETA ?" in ledger.tally.progress()
 
 
 class TestPoolGuards:
