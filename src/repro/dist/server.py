@@ -9,11 +9,12 @@ coordination point of a fault-injection fleet:
 - **lease** (work stealing): workers ask for work whenever they are
   free -- in the send that completes their shard (``lease_next``,
   answered by ``next``), or at ``/api/lease`` when they have none;
-  the dispatcher hands out the next pending shard, round-robin
-  across concurrently submitted campaigns so no campaign starves.
+  the dispatcher hands out the lowest pending shard, with only the
+  runs it still lacks, round-robin across concurrently submitted
+  campaigns so no campaign starves.
 - **heartbeat / expiry**: every lease carries a deadline; a worker
   that stops heartbeating (crashed host, network partition) loses the
-  lease and the shard is silently re-queued for someone else.  Records
+  lease and the shard is pending again, for someone else.  Records
   are pure functions of their specs, so re-execution is always safe,
   and duplicates are deduplicated by ``(kernel, structure, run)``.
 - **collect**: workers send records back per shard; the dispatcher
@@ -27,7 +28,7 @@ coordination point of a fault-injection fleet:
 - **restart resume**: campaign configs are persisted next to the logs;
   on restart the dispatcher re-plans each unfinished campaign, its
   ledger reloads the records already logged (the standard JSONL resume
-  machinery) and only the shards with missing runs are re-queued.
+  machinery), and leases carry only the runs still missing.
 - **live telemetry**: every campaign event (lifecycle, shard leases
   and expiries, per-run completions with trace IDs, worker
   heartbeats) is journaled by the ledger to ``<log>.events.jsonl`` and
@@ -59,11 +60,12 @@ import socket
 import sys
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 from urllib.parse import parse_qs, urlsplit
 
 from repro.dist.protocol import plan_fingerprint, plan_shards, spec_to_wire
@@ -107,16 +109,18 @@ class _Lease:
 
 
 class CampaignJob:
-    """Dispatcher-side state of one submitted campaign: its ledger
-    and its shard queue."""
+    """Dispatcher-side state of one submitted campaign: its ledger,
+    its shards and the live leases on them -- nothing else.  A shard
+    is **complete** when the ledger holds every run of it, **leased**
+    when it is not and a live lease is on it, and **pending**
+    otherwise."""
 
-    def __init__(self, campaign_id: str, config_text: str, config,
+    def __init__(self, campaign_id: str, config,
                  specs: Sequence[RunSpec], fingerprint: str,
                  shard_size: int, log_path: Path, plan_timing: dict):
         self.campaign_id = campaign_id
-        self.config_text = config_text
-        #: ``config_text`` parsed and ``specs`` fingerprinted, once, by
-        #: the submit that planned them.
+        #: The submitted config parsed and ``specs`` fingerprinted,
+        #: once, by the submit that planned them.
         self.config = config
         self.fingerprint = fingerprint
         self.shards = plan_shards(specs, shard_size)
@@ -131,14 +135,10 @@ class CampaignJob:
             shards=len(self.shards), **plan_timing)
         #: Root of the campaign's trace-ID chain.
         self.trace = self.ledger.trace
-        self.completed_shards = {
-            index for index, shard in enumerate(self.shards)
-            if all(spec.key in self.ledger.records for spec in shard)}
-        self.pending = deque(index for index in range(len(self.shards))
-                             if index not in self.completed_shards)
         self.leases: Dict[str, _Lease] = {}
-        #: Wire form of each leased, not yet completed shard.
-        self.shard_wires: Dict[int, List[dict]] = {}
+        #: Every shard before this one is complete.  Records are never
+        #: taken back, so no grant or count looks at those again.
+        self._cursor = 0
 
     @property
     def total(self) -> int:
@@ -148,18 +148,42 @@ class CampaignJob:
     def complete(self) -> bool:
         return self.ledger.complete
 
-    def shard_wire(self, shard_index: int) -> List[dict]:
-        """The shard's specs in wire form, built on its first lease
-        and reused if it has to be leased again.  A campaign with
-        ``metrics`` asks whoever executes them for telemetry, as the
-        local executor asks its pool."""
-        wire = self.shard_wires.get(shard_index)
-        if wire is None:
-            wire = self.shard_wires[shard_index] = [
-                spec_to_wire(spec) for spec in self.shards[shard_index]]
-            for spec_wire in wire:
-                spec_wire["telemetry"] = self.config.metrics
+    def _incomplete(self) -> Iterator[Tuple[int, bool]]:
+        """Each shard the ledger lacks a run of, in order, and whether
+        a live lease is on it."""
+        records = self.ledger.records
+        leased = {lease.shard_index for lease in self.leases.values()}
+        for index in range(self._cursor, len(self.shards)):
+            if any(spec.key not in records for spec in self.shards[index]):
+                yield index, index in leased
+            elif index == self._cursor:
+                self._cursor += 1
+
+    def next_pending(self) -> Optional[int]:
+        """The lowest pending shard, if any: one whose lease expired
+        goes before every shard never leased.  At once for a complete
+        campaign: the dispatcher keeps them all, and each grant asks."""
+        if self.complete:
+            return None
+        return next((index for index, leased in self._incomplete()
+                     if not leased), None)
+
+    def wire(self, shard_index: int) -> List[dict]:
+        """The runs the shard still lacks, in wire form.  A campaign
+        with ``metrics`` asks whoever executes them for telemetry, as
+        the local executor asks its pool."""
+        records = self.ledger.records
+        wire = [spec_to_wire(spec) for spec in self.shards[shard_index]
+                if spec.key not in records]
+        for spec_wire in wire:
+            spec_wire["telemetry"] = self.config.metrics
         return wire
+
+    def shard_states(self) -> Dict[str, int]:
+        on_lease = [leased for _, leased in self._incomplete()]
+        return {"pending": on_lease.count(False),
+                "leased": on_lease.count(True),
+                "complete": len(self.shards) - len(on_lease)}
 
     def status(self) -> dict:
         tally = self.ledger.tally
@@ -173,13 +197,8 @@ class CampaignJob:
             "total": self.total,
             "done": tally.done,
             "effects": dict(sorted(tally.effects.items())),
-            "shards": {
-                "total": len(self.shards),
-                "pending": len(self.pending),
-                "leased": len(self.leases),
-                "complete": len(self.completed_shards),
-                "lease_expired": tally.expired,
-            },
+            "shards": {"total": len(self.shards), **self.shard_states(),
+                       "lease_expired": tally.expired},
             "events": len(self.ledger.journal),
             "log": str(self.ledger.log_path),
         }
@@ -216,8 +235,8 @@ class Dispatcher:
         self.lease_timeout = lease_timeout
         self._clock = clock
         self._lock = threading.RLock()
+        #: In submission order, which drives fairness.
         self._jobs: Dict[str, CampaignJob] = {}
-        self._order: List[str] = []  # submission order, drives fairness
         self._rr_next = 0
         self._lease_seq = 0
         self._id_seq = 0
@@ -236,7 +255,7 @@ class Dispatcher:
 
     def submit(self, config_text: str,
                campaign_id: Optional[str] = None) -> dict:
-        """Plan a submitted campaign and queue its shards.
+        """Plan a submitted campaign and split it into shards.
 
         Re-submitting a campaign whose fingerprint is already known
         returns the existing id instead of running it twice -- which
@@ -261,13 +280,13 @@ class Dispatcher:
                     return {"campaign": job.campaign_id, "reused": True,
                             "total": job.total}
             cid = campaign_id or self._next_id()
-            job = CampaignJob(cid, config_text, config, specs,
-                              fingerprint, self.shard_size,
-                              self.log_dir / f"{cid}.jsonl",
+            job = CampaignJob(cid, config, specs, fingerprint,
+                              self.shard_size, self.log_dir / f"{cid}.jsonl",
                               campaign.plan_timing)
-            self._persist(job)
+            (self.log_dir / f"{cid}.campaign.json").write_text(json.dumps(
+                {"id": cid, "config": config_text, "fingerprint": fingerprint},
+                indent=1) + "\n", encoding="utf-8")
             self._jobs[cid] = job
-            self._order.append(cid)
             log.info("campaign %s submitted: %d runs in %d shards, %d "
                      "already recorded in %s", cid, job.total,
                      len(job.shards), len(job.ledger.records),
@@ -339,7 +358,7 @@ class Dispatcher:
     # -- leasing (work stealing) ---------------------------------------------
 
     def lease(self, worker: str) -> dict:
-        """Hand the next pending shard to ``worker``.
+        """Hand a campaign's lowest pending shard to ``worker``.
 
         Campaigns are served round-robin in submission order: each
         lease starts scanning one campaign past the previously served
@@ -354,13 +373,15 @@ class Dispatcher:
         """The reply of :meth:`lease`, and the ``next`` of a
         :meth:`collect` that asked for one."""
         self._touch_worker(worker)
-        for offset in range(len(self._order)):
-            index = (self._rr_next + offset) % len(self._order)
-            job = self._jobs[self._order[index]]
-            if not job.pending:
+        jobs = list(self._jobs.values())
+        for offset in range(len(jobs)):
+            index = (self._rr_next + offset) % len(jobs)
+            job = jobs[index]
+            shard_index = job.next_pending()
+            if shard_index is None:
                 continue
-            self._rr_next = (index + 1) % len(self._order)
-            shard_index = job.pending.popleft()
+            self._rr_next = (index + 1) % len(jobs)
+            specs = job.wire(shard_index)
             self._lease_seq += 1
             lease_id = (f"{job.campaign_id}-s{shard_index}"
                         f"-{self._lease_seq}")
@@ -372,10 +393,9 @@ class Dispatcher:
                 generation=generation, trace=trace)
             self._journal(job, "shard_leased", shard=shard_index,
                           worker=worker, generation=generation,
-                          runs=len(job.shards[shard_index]),
-                          trace=trace)
+                          runs=len(specs), trace=trace)
             log.info("lease %s -> %s (%d specs)", lease_id, worker,
-                     len(job.shards[shard_index]))
+                     len(specs))
             return {
                 "campaign": job.campaign_id,
                 "lease": lease_id,
@@ -384,7 +404,7 @@ class Dispatcher:
                 "trace": trace,
                 "campaign_trace": job.trace,
                 "heartbeat_s": self.lease_timeout / 3.0,
-                "specs": job.shard_wire(shard_index),
+                "specs": specs,
             }
         return {"idle": True}
 
@@ -416,14 +436,10 @@ class Dispatcher:
                               worker=lease.worker,
                               generation=lease.generation,
                               trace=lease.trace)
-                # a leased shard is not complete (completing it ends
-                # the lease); front of the queue: a lost shard should
-                # not wait behind the whole backlog a second time
-                job.pending.appendleft(lease.shard_index)
                 log.warning(
-                    "lease %s (worker %s) expired; shard %d of %s "
-                    "re-queued", lease.lease_id, lease.worker,
-                    lease.shard_index, job.campaign_id)
+                    "lease %s (worker %s) expired on shard %d of %s",
+                    lease.lease_id, lease.worker, lease.shard_index,
+                    job.campaign_id)
 
     def _touch_worker(self, worker: str) -> None:
         now = time.time()
@@ -477,15 +493,13 @@ class Dispatcher:
             self.record_batches += 1
             expired = lease is None
             if lease is not None and done:
-                job.completed_shards.add(lease.shard_index)
-                job.shard_wires.pop(lease.shard_index, None)
                 del job.leases[lease_id]
                 self._journal(job, "shard_complete",
                               shard=lease.shard_index,
                               worker=lease.worker,
                               generation=lease.generation,
                               trace=lease.trace)
-            if job.complete:
+            if accepted and job.complete:
                 self._finalize(job)
             reply = {"ok": True, "accepted": accepted, "expired": expired,
                      "campaign_complete": job.complete}
@@ -494,12 +508,9 @@ class Dispatcher:
             return reply
 
     def _finalize(self, job: CampaignJob) -> None:
-        job.pending.clear()
+        # a lease still out has nothing left to deliver
         job.leases.clear()
-        job.shard_wires.clear()
-        job.completed_shards = set(range(len(job.shards)))
         job.ledger.close(True)
-        self._persist(job)
         log.info("campaign %s complete: %d records", job.campaign_id,
                  len(job.ledger.records))
 
@@ -524,8 +535,7 @@ class Dispatcher:
             if campaign_id is not None:
                 return self._job(campaign_id).status()
             return {
-                "campaigns": [self._jobs[cid].status()
-                              for cid in self._order],
+                "campaigns": [job.status() for job in self._jobs.values()],
                 "workers": self._fleet(),
             }
 
@@ -540,8 +550,8 @@ class Dispatcher:
     def metrics_text(self) -> str:
         """The ``GET /metrics`` Prometheus text exposition.
 
-        Rendered on demand: the shard queues' gauges, worker liveness
-        and the record batches are the dispatcher's; every other
+        Rendered on demand: the shard gauges, worker liveness and the
+        record batches are the dispatcher's; every other
         family sums the campaigns' tallies -- journal-derived, so a
         restart keeps them -- with
         :func:`repro.obs.live.render_prometheus` (stdlib only).
@@ -551,7 +561,7 @@ class Dispatcher:
             now = time.time()
             by_state: Dict[str, int] = {"running": 0, "complete": 0}
             effects: Counter = Counter()
-            shard_states = {"pending": 0, "leased": 0, "complete": 0}
+            shard_states = Counter(pending=0, leased=0, complete=0)
             sums = Counter()
             rate = 0.0
             for job in self._jobs.values():
@@ -562,9 +572,7 @@ class Dispatcher:
                     rate += tally.rate()
                 sums.update(runs=tally.done, events=tally.events,
                             leased=tally.leased, expired=tally.expired)
-                shard_states["pending"] += len(job.pending)
-                shard_states["leased"] += len(job.leases)
-                shard_states["complete"] += len(job.completed_shards)
+                shard_states.update(job.shard_states())
                 effects.update(tally.effects)
             fleet = self._fleet()
             families = [
@@ -623,15 +631,6 @@ class Dispatcher:
             return render_prometheus(families)
 
     # -- persistence ---------------------------------------------------------
-
-    def _persist(self, job: CampaignJob) -> None:
-        path = self.log_dir / f"{job.campaign_id}.campaign.json"
-        path.write_text(json.dumps({
-            "id": job.campaign_id,
-            "config": job.config_text,
-            "fingerprint": job.fingerprint,
-            "state": "complete" if job.complete else "running",
-        }, indent=1) + "\n", encoding="utf-8")
 
     def _restore_persisted(self) -> None:
         """Re-plan every persisted campaign on startup (restart resume)."""

@@ -226,6 +226,29 @@ class TestDispatcherCore:
         got = aggregate_counts(dispatcher.records(cid)["records"])
         assert got == expected
 
+    def test_late_delivery_of_an_expired_lease_completes_its_shard(
+            self, tmp_path):
+        """A shard is complete when the ledger holds its runs, whoever
+        delivered them.  A dispatcher that kept a shard queue of its
+        own read ``done 2/4`` but ``complete 0, pending 2`` after this
+        late ``done``, and leased shard 0 again, whose re-execution was
+        ``accepted 0 of 2``."""
+        dispatcher, clock = self.make(tmp_path, shard_size=2,
+                                      lease_timeout=10.0)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        stale = dispatcher.lease("w-slow")
+        clock.advance(11.0)
+        specs = [spec_from_wire(w) for w in stale["specs"]]
+        late = dispatcher.collect(cid, stale["lease"], stale["fingerprint"],
+                                  [fake_record(s) for s in specs],
+                                  done=True, worker="w-slow")
+        assert late["expired"] and late["accepted"] == 2
+        status = dispatcher.status(cid)
+        assert (status["done"], status["total"]) == (2, 4)
+        assert status["shards"] == {"total": 2, "complete": 1, "pending": 1,
+                                    "leased": 0, "lease_expired": 1}
+        assert dispatcher.lease("w")["shard"] == 1
+
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         dispatcher, clock = self.make(tmp_path, lease_timeout=10.0)
         cid = dispatcher.submit(small_config_text())["campaign"]
@@ -942,16 +965,20 @@ class TestWireCodec:
             assert spec_from_wire(json.loads(
                 json.dumps(spec_to_wire(spec)))) == spec
 
-    def test_shard_wire_form_is_reused_on_re_lease(self, tmp_path):
+    def test_re_lease_wire_form_is_the_missing_runs(self, tmp_path):
         clock = FakeClock()
         dispatcher = Dispatcher(log_dir=tmp_path, clock=clock,
                                 lease_timeout=10.0)
-        dispatcher.submit(small_config_text())
+        cid = dispatcher.submit(small_config_text())["campaign"]
         first = dispatcher.lease("w-dead")
+        delivered = spec_from_wire(first["specs"][0])
+        dispatcher.collect(cid, first["lease"], first["fingerprint"],
+                           [fake_record(delivered)], worker="w-dead")
         clock.advance(11.0)
         again = dispatcher.lease("w-live")
         assert again["shard"] == first["shard"]
-        assert again["specs"] is first["specs"]
+        # the same wire form, of the runs the first lease did not deliver
+        assert again["specs"] == first["specs"][1:]
 
 
 def aggregate_effects(records):
@@ -1159,14 +1186,16 @@ class TestWorkerProtocol:
         self.complete(dispatcher, server, cid, clock=worker_clock,
                       run_fn=run)
         # the first send came back `expired`: the rest of the shard
-        # was left to its new lease, which this worker then took
+        # was left to its new lease, which this worker then took --
+        # with only the run the first one had not delivered, so every
+        # run was executed once
         plan = Campaign(CampaignConfig(**SMALL)).plan()
-        assert executed == [plan[0].key] + [spec.key for spec in plan]
+        assert executed == [spec.key for spec in plan]
         assert dispatcher.status(cid)["shards"]["lease_expired"] == 1
         leased = [e for e in dispatcher.events(cid)["events"]
                   if e["event"] == "shard_leased"]
-        assert [(e["shard"], e["generation"]) for e in leased] == \
-            [(0, 1), (0, 2), (1, 1)]
+        assert [(e["shard"], e["generation"], e["runs"])
+                for e in leased] == [(0, 1, 2), (0, 2, 1), (1, 1, 2)]
 
     def test_old_worker_loop_against_the_new_dispatcher(self, fleet,
                                                         small_plan,
@@ -1269,6 +1298,69 @@ class TestWorkerProtocol:
         assert dispatcher.status(cid)["shards"]["lease_expired"] == 0
         assert canonical_log_text(dispatcher.records(cid)["records"]) == \
             canonical_log_text(small_records)
+
+
+class TestWorkerDiesMidShard:
+    def test_replacement_runs_only_what_was_not_delivered(self, fleet):
+        """A worker streams half a shard and dies -- it hangs in its
+        third run while the dispatcher's clock passes the lease's
+        deadline -- and a second one finishes the campaign, over real
+        HTTP.  The replacement lease carries the two runs that were not
+        delivered, and nothing delivered is executed again."""
+        from repro.dist.worker import FLUSH_AFTER_S
+        from repro.faults.parser import load_records
+
+        config = CampaignConfig(**{**SMALL, "runs_per_structure": 8})
+        plan = Campaign(config).plan()
+        server_clock, dying_clock = FakeClock(), FakeClock()
+        stalled, release = threading.Event(), threading.Event()
+        dying_runs, replacement_runs = [], []
+
+        def dying(spec):
+            if len(dying_runs) == 2:  # both sent: this run never ends
+                stalled.set()
+                release.wait(timeout=60)
+            dying_runs.append(spec.key)
+            dying_clock.advance(FLUSH_AFTER_S + 0.1)  # each run sent alone
+            return execute_run(spec)
+
+        def replacement(spec):
+            replacement_runs.append(spec.key)
+            return execute_run(spec)
+
+        dispatcher, server = fleet(clock=server_clock, lease_timeout=10.0,
+                                   shard_size=4)
+        cid = dispatcher.submit(dump_config(config))["campaign"]
+        stop = threading.Event()
+        worker = FleetWorker(server.url, name="w-dies", poll=0.02,
+                             run_fn=dying, stop=stop, clock=dying_clock)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            assert stalled.wait(timeout=60)
+            assert dispatcher.status(cid)["done"] == 2
+            delivered = list(dying_runs)
+            server_clock.advance(11.0)  # past the silent lease's deadline
+            with WorkerThread(server.url, run_fn=replacement):
+                DispatcherClient(server.url).wait(cid, timeout=60, poll=0.01)
+        finally:
+            stop.set()
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive(), "the stalled worker did not stop"
+        keys = [spec.key for spec in plan]
+        assert delivered == keys[:2]
+        # after the replacement lease, every run executed once, and
+        # none of those delivered before
+        assert replacement_runs == keys[2:]
+        leased = [(e["shard"], e["generation"], e["worker"], e["runs"])
+                  for e in dispatcher.events(cid)["events"]
+                  if e["event"] == "shard_leased"]
+        assert leased == [(0, 1, "w-dies", 4), (0, 2, "w", 2),
+                          (1, 1, "w", 4)]
+        merged = load_records(dispatcher.log_dir / f"{cid}.jsonl")
+        assert canonical_log_text(merged) == \
+            canonical_log_text([execute_run(spec) for spec in plan])
 
 
 class TestOneRunEvent:
