@@ -23,6 +23,8 @@ _TILE = 16
 _SP = _TILE + 1  # score tile pitch (17)
 _REF_BASE = 1184  # byte offset of the staged reference tile in smem
 _SMEM = _REF_BASE + _TILE * _TILE * 4
+#: :meth:`NeedlemanWunsch._golden`'s results, by input.
+_REFERENCES: Dict[tuple, np.ndarray] = {}
 
 _BODY = """
     LDC R4, c[0x0]             ; score matrix ((n+1)^2, int32)
@@ -206,14 +208,19 @@ class NeedlemanWunsch(Benchmark):
             dev.launch(_NEEDLE_2, grid=i, block=_TILE, params=params)
 
     def _golden(self, ref: np.ndarray, score: np.ndarray) -> np.ndarray:
-        n = self.size
-        out = score.astype(np.int64)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                out[i, j] = max(out[i - 1, j - 1] + ref[i - 1, j - 1],
-                                out[i - 1, j] - self.penalty,
-                                out[i, j - 1] - self.penalty)
-        return out.astype(np.int32)
+        """The host reference, an O(n^2) Python DP: computed once per
+        process and input, and kept read-only."""
+        key = (self.penalty, ref.tobytes(), score.tobytes())
+        if key not in _REFERENCES:
+            out = score.astype(np.int64)
+            for i in range(1, self.size + 1):
+                for j in range(1, self.size + 1):
+                    out[i, j] = max(out[i - 1, j - 1] + ref[i - 1, j - 1],
+                                    out[i - 1, j] - self.penalty,
+                                    out[i, j - 1] - self.penalty)
+            _REFERENCES[key] = out.astype(np.int32)
+            _REFERENCES[key].setflags(write=False)
+        return _REFERENCES[key]
 
     def check(self, dev: Device, state: Dict) -> bool:
         n = self.size

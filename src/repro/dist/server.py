@@ -238,7 +238,6 @@ class Dispatcher:
         #: In submission order, which drives fairness.
         self._jobs: Dict[str, CampaignJob] = {}
         self._rr_next = 0
-        self._lease_seq = 0
         self._id_seq = 0
         #: When each worker was first and last heard from: an idle
         #: lease poll is journaled nowhere.
@@ -382,10 +381,10 @@ class Dispatcher:
                 continue
             self._rr_next = (index + 1) % len(jobs)
             specs = job.wire(shard_index)
-            self._lease_seq += 1
-            lease_id = (f"{job.campaign_id}-s{shard_index}"
-                        f"-{self._lease_seq}")
+            # the generation survives a restart: no lease of before
+            # one can end or extend a lease of after it
             generation = job.ledger.tally.generations.get(shard_index, 0) + 1
+            lease_id = f"{job.campaign_id}-s{shard_index}-g{generation}"
             trace = shard_trace(job.trace, shard_index, generation)
             job.leases[lease_id] = _Lease(
                 lease_id, shard_index, worker,

@@ -123,8 +123,8 @@ class ConvergenceMonitor:
         #: is sound any more, the monitor goes inert.
         self.diverged = False
 
-    def next_cycle(self) -> Optional[int]:
-        """Earliest remaining check cycle (for the idle-skip clamp)."""
+    def due_cycle(self) -> Optional[int]:
+        """Earliest remaining check cycle (``None``: no check left)."""
         if self.diverged or self._pos >= len(self._entries):
             return None
         return self._entries[self._pos]["cycle"]
@@ -132,8 +132,8 @@ class ConvergenceMonitor:
     def on_cycle(self, gpu, launch, queue) -> None:
         """Digest-compare when a golden checkpoint cycle is reached.
 
-        Called at the top of every cycle-loop iteration, *before* the
-        injector -- the same point the golden checkpointer captured at.
+        Called once :meth:`due_cycle` is reached, *before* the injector
+        -- the same point the golden checkpointer captured at.
         Checkpoint cycles an injected run never visits (its timing
         diverged) are skipped, never misattributed.
         """

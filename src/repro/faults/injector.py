@@ -1,7 +1,7 @@
 """The injection engine: corrupts the sites fault masks land on.
 
-The GPU cycle loop calls :meth:`Injector.apply_due` every iteration;
-when a mask's cycle is reached, the injector asks
+The GPU cycle loop calls :meth:`Injector.apply_due` once its
+:meth:`Injector.due_cycle` is reached; when a mask's cycle is, it asks
 :func:`repro.faults.sites.resolve` where it lands on the live GPU (a
 random active thread/warp for the register file and local memory,
 random active CTAs for shared memory, random busy SIMT cores for the
@@ -15,11 +15,10 @@ attribute outcomes.
 mask's :class:`~repro.faults.models.FaultModel` strategy: the default
 ``transient`` model XORs (the paper's single-event upset, bit-exact
 with the pre-strategy injector), ``stuck_at_0``/``stuck_at_1`` force
-the bits low/high *and persist* -- the injector re-asserts every
-persistent site at the top of each subsequent cycle-loop iteration,
-so overwrites and cache refills are re-corrupted like a stuck SRAM
-cell.  Cycles the GPU idle-skips change no state, so skipping the
-re-assertion there is exact.
+the bits low/high *and persist*: re-asserted at every visited cycle
+(the loop then visits the one after each issue; a skipped cycle
+changes no state), overwrites and cache refills are re-corrupted like
+a stuck SRAM cell.
 
 Two corrupters go beyond the paper's storage arrays into the
 SIMT control units (:data:`Structure.SIMT_STACK`,
@@ -84,7 +83,10 @@ class Injector:
         self._staged: List[Callable] = []
 
     def due_cycle(self) -> Optional[int]:
-        """Cycle of the earliest unapplied mask, or ``None``."""
+        """Cycle of the earliest unapplied mask, or ``None``; 0 (every
+        visited cycle) while a persistent fault is live."""
+        if self._persistent:
+            return 0
         if self._next >= len(self.masks):
             return None
         return self.masks[self._next].cycle
@@ -103,10 +105,9 @@ class Injector:
             # them so downstream tallies don't fold them into Masked
             record["applied"] = record.get("target") != "none"
             self.log.append(record)
-        if self._persistent:
-            for record, reassert in self._persistent:
-                if reassert(gpu):
-                    record["reasserted"] += 1
+        for record, reassert in self._persistent:
+            if reassert(gpu):
+                record["reasserted"] += 1
 
     # -- resolve, then corrupt ------------------------------------------------
 

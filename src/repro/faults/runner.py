@@ -35,7 +35,7 @@ class RunResult:
     #: was simulated from cycle 0) -- observability provenance only,
     #: never part of the logged record.
     restored_at: Optional[int] = None
-    #: Cycle-loop iterations executed / cycles covered by idle skips
+    #: Cycle-loop iterations executed / cycles covered by skips
     #: (sampled from the GPU's observability counters).
     loop_iterations: int = 0
     idle_cycles_skipped: int = 0

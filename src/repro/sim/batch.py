@@ -82,14 +82,12 @@ class LockstepPack:
     """Drives N member runs through one cycle loop.
 
     Passed as ``RunOptions(pack=...)``; :meth:`attach` widens the
-    GPU's runs axis and takes *both* duck-typed per-cycle roles of an
-    injected run: the ``injector`` slot (:meth:`apply_due`/
-    :meth:`due_cycle` fan out to the per-member real injectors) and
-    the ``convergence`` slot (:meth:`on_cycle` checks member
-    convergence against column 0 and ends the simulation once nobody
-    is left; :meth:`on_host_read` guards the shared golden-memory
-    invariant).  ``golden_cycles`` is what a run ended that way
-    inherits.
+    GPU's runs axis and takes the ``convergence`` rider slot of an
+    injected run: :meth:`on_cycle` checks member convergence against
+    column 0, ends the simulation once nobody is left, and fans
+    injection out to the per-member real injectors;
+    :meth:`on_host_read` guards the shared golden-memory invariant.
+    ``golden_cycles`` is what a run ended that way inherits.
     """
 
     def __init__(self, members: Sequence[PackMember], golden_cycles: int,
@@ -126,7 +124,7 @@ class LockstepPack:
         self.gpu = gpu
         gpu.pack = self
         gpu.ncols = self.ncols
-        gpu.injector = gpu.convergence = self
+        gpu.convergence = self
 
     # -- resolution -------------------------------------------------------
 
@@ -137,6 +135,8 @@ class LockstepPack:
         self._by_col[col].resolution = ("peeled", cycle)
         self._unresolved.remove(col)
         self.peels.append((col, cycle, reason))
+        if not self._unresolved and self.gpu is not None:
+            self.gpu.due = cycle  # the pack is due: nobody is left
 
     def check_rows(self, stacked: np.ndarray,
                    lanes_mask: np.ndarray) -> None:
@@ -155,8 +155,9 @@ class LockstepPack:
     # -- the convergence-slot protocol ------------------------------------
 
     def on_cycle(self, gpu, launch, queue) -> None:
-        """Top-of-iteration hook: resolve converged members, stop when
-        drained."""
+        """Resolve converged members, stop when none is left, then let
+        each member's injector inject into its own column -- logs and
+        RNG draws are byte-identical to the solo runs."""
         if self._unresolved:
             launch_index = gpu.stats.current.launch_index
             for col in list(self._unresolved):
@@ -180,18 +181,8 @@ class LockstepPack:
             from repro.faults.early_stop import EarlyConvergence
 
             raise EarlyConvergence(gpu.cycle, self.golden_cycles)
-
-    def next_cycle(self) -> Optional[int]:
-        """Earliest remaining member convergence-check cycle (the
-        idle-skip clamp lands the loop exactly on it)."""
-        due = None
-        for col in self._unresolved:
-            member = self._by_col[col]
-            if member.pos < len(member.entries):
-                cycle = member.entries[member.pos]["cycle"]
-                if due is None or cycle < due:
-                    due = cycle
-        return due
+        for col in list(self._unresolved):
+            self._by_col[col].injector.apply_due(gpu, gpu.cycle)
 
     @staticmethod
     def _column_matches_golden(gpu, col: int) -> bool:
@@ -228,19 +219,11 @@ class LockstepPack:
                             "from the golden recording")
         self._read_pos += 1
 
-    # -- the injector-slot protocol ---------------------------------------
-
-    def apply_due(self, gpu, now: int) -> None:
-        """Fan injection out to every unresolved member, each into its
-        own column -- logs and RNG draws are byte-identical to the
-        solo runs."""
-        for col in list(self._unresolved):
-            self._by_col[col].injector.apply_due(gpu, now)
-
     def due_cycle(self) -> Optional[int]:
-        due = None
-        for col in self._unresolved:
-            cycle = self._by_col[col].injector.due_cycle()
-            if cycle is not None and (due is None or cycle < due):
-                due = cycle
-        return due
+        """Earliest cycle a member is injected or checked at (0: none left)."""
+        members = [self._by_col[col] for col in self._unresolved]
+        dues = [m.injector.due_cycle() for m in members]
+        dues += [m.entries[m.pos]["cycle"] for m in members
+                 if m.pos < len(m.entries)]
+        return min((due for due in dues if due is not None),
+                   default=None if members else 0)

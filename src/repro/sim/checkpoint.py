@@ -387,8 +387,8 @@ class CheckpointRecorder:
     """Captures snapshots during a golden run.
 
     Attach via ``RunOptions(checkpointer=...)``: the GPU cycle loop
-    calls :meth:`on_cycle` at the top of every iteration and the
-    device calls :meth:`record_host_read` on every DtoH copy.  Always
+    calls :meth:`on_cycle` once :meth:`due_cycle` is reached, and the
+    device :meth:`record_host_read` on every DtoH copy.  Always
     captures a witness at the first iteration of each kernel launch,
     then every ``interval`` cycles, or when it is None geometrically
     spaced (O(launches + log(total cycles))) and with restore points
@@ -422,6 +422,10 @@ class CheckpointRecorder:
                 f"{self.directory.name}.{uuid.uuid4().hex}")
             self._staging_dir.mkdir(parents=True)
         return self._staging_dir
+
+    def due_cycle(self) -> int:
+        """The cycle from which a witness or a restore point is due."""
+        return min(self._next_witness, self._next_restore)
 
     def on_cycle(self, gpu, launch, queue) -> None:
         """Capture a witness or a restore point when one is due at

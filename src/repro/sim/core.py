@@ -19,20 +19,19 @@ just after that warp) and issues the first that can go.  A warp found
 stalled remembers until when (``Warp.ready_at``, see
 :mod:`repro.sim.warp`), so asking it again before then is one integer
 compare; each scheduler remembers the earliest such cycle over its
-warps, and the core the earliest over its schedulers
-(:attr:`SIMTCore.ready_at`), which is both what lets
-:meth:`repro.sim.gpu.GPU._cycle_loop` pass over a core that cannot
-issue and what the loop skips ahead to when no core can.  The memo is
-exact, not a bound: a stalled warp's wake-up cycle is a function of
-its own scoreboard, pc and fetch state, which only its own issue
-changes -- except for the writers that call :meth:`Warp.wake`
+warps -- after an issue too (:meth:`SIMTCore._wake_after`) -- and the
+core the earliest over its schedulers (:attr:`SIMTCore.ready_at`),
+which is what :meth:`repro.sim.gpu.GPU._cycle_loop` skips ahead to.
+The memo is exact, not a bound: a stalled warp's wake-up cycle is a
+function of its own scoreboard, pc and fetch state, which only its own
+issue changes -- except for the writers that call :meth:`Warp.wake`
 (injector, barrier release), CTA arrival (:meth:`SIMTCore.add_cta`)
-and :meth:`SIMTCore.restore`, which reset it.  So the loop visits the
-cycles it would visit by asking every warp every cycle.  One
-exception: with the instruction cache modelled
-(``config.model_icache``) asking a warp *is* an L1I access -- LRU
-state, hit counters, armed faults -- so only the side-effect-free
-fetch-miss stall is remembered, and every visited cycle asks.
+and :meth:`SIMTCore.restore`, which reset it.  So the loop visits
+every cycle at which asking every warp would issue.  One exception:
+with the instruction cache modelled (``config.model_icache``) asking a
+warp *is* an L1I access -- LRU state, hit counters, armed faults -- so
+only the side-effect-free fetch-miss stall is remembered, every
+visited cycle asks, and an issue visits the next cycle.
 
 **Issue plans.**  What ``_issue`` needs from an instruction is
 resolved once into an :class:`IssuePlan` cached on the (immutable)
@@ -351,7 +350,7 @@ class SIMTCore:
         last_issued = self._last_issued
         always_ask = self.config.model_icache
         greedy = self.scheduler_policy == "gto"
-        ask = self._ask
+        ask, after = self._ask, self._wake_after
         for sched_id, warps in enumerate(self._scheduler_warps()):
             if sched_ready[sched_id] > now and not always_ask:
                 continue
@@ -373,8 +372,8 @@ class SIMTCore:
                     wake = ask(first, now)
                     if not wake:
                         issued = True
-                        sched_ready[sched_id] = now + 1
-                        continue
+                        wake = after(first, warps, now)
+                        order = ()  # the others are not asked
             # ... then the others by age
             for warp in order:
                 if warp is first:
@@ -385,7 +384,7 @@ class SIMTCore:
                     if not ready:
                         last_issued[sched_id] = warp
                         issued = True
-                        wake = now + 1
+                        wake = after(warp, warps, now)
                         break
                 if ready < wake:
                     wake = ready
@@ -393,11 +392,11 @@ class SIMTCore:
         self.ready_at = min(sched_ready)
         return issued
 
-    def _ask(self, warp: Warp, now: int) -> int:
+    def _ask(self, warp: Warp, now: int, issue: bool = True) -> int:
         """Issue ``warp``'s next instruction if it can go at ``now``
-        (returns 0); else return the cycle before which it cannot, and
-        remember it in ``warp.ready_at`` when asking again before then
-        would change nothing."""
+        (returns 0; ``issue=False`` only says so); else return the cycle
+        before which it cannot, and remember it in ``warp.ready_at``
+        when asking again before then would change nothing."""
         if warp.done or warp.at_barrier:
             # until a barrier release wakes it / for good
             warp.ready_at = NEVER
@@ -411,6 +410,8 @@ class SIMTCore:
             pc = warp.stack[-1].pc
             instructions = warp.cta.instructions
             if not 0 <= pc < len(instructions):
+                if not issue:
+                    return 0  # the ask that issues raises
                 # control-unit faults can corrupt the pc right out of
                 # the kernel; hardware would fetch garbage and fault
                 # -- classify as a crash
@@ -430,8 +431,25 @@ class SIMTCore:
                     # with the L1I modelled the next ask fetches again
                     warp.ready_at = ready
                 return ready
-        self._issue(warp, plan, now)
+        if issue:
+            self._issue(warp, plan, now)
         return 0
+
+    def _wake_after(self, issuer: Warp, warps: List[Warp], now: int) -> int:
+        """When ``warps``' scheduler can issue after ``issuer`` did at
+        ``now``: ``now + 1`` while a warp may go then or asking is an L1I
+        access, else the earliest stall remembered, the issuer's next
+        one worked out only then (always, it costs more than it saves)."""
+        soon, wake = now + 1, NEVER
+        if self.config.model_icache or issuer.sb_latest <= soon and not (
+                issuer.done or issuer.at_barrier):
+            return soon
+        for warp in warps:
+            if warp.ready_at < wake and warp is not issuer:
+                if warp.ready_at <= soon:
+                    return soon
+                wake = warp.ready_at
+        return max(soon, min(self._ask(issuer, soon, False), wake))
 
     # -- instruction fetch (icache extension) ------------------------------
 

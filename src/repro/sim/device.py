@@ -52,8 +52,8 @@ class RunOptions:
             with the golden run.
         pack: optional :class:`repro.sim.batch.LockstepPack` riding
             the run; it widens the runs axis to its members and takes
-            the ``injector`` and ``convergence`` roles itself (leave
-            those two unset).
+            the ``convergence`` role, injecting for them (leave
+            ``injector`` and ``convergence`` unset).
     """
 
     scheduler_policy: str = "gto"

@@ -1,25 +1,19 @@
 """The top-level GPU: cores, L2, DRAM, GigaThread scheduler, cycle loop.
 
-The cycle loop advances one cycle at a time while any scheduler can
-issue, and skips ahead to the next scoreboard wake-up (or pending
-fault-injection cycle) when every warp is stalled -- preserving exact
-cycle accounting at a fraction of the cost.  Deadlock (no warp can ever
-wake) raises :class:`~repro.sim.errors.DeadlockError`, and exceeding
-the externally set cycle budget raises
-:class:`~repro.sim.errors.SimTimeout`; the fault classifier maps both
-to the paper's *Timeout* outcome.
-
-The loop asks nothing it already knows.  Each core exposes
-``ready_at``, the earliest cycle any of its warps can issue (see
-:mod:`repro.sim.core` for why that memo is exact): a core whose
-``ready_at`` lies ahead is passed over, and the skip target is the
-minimum over the busy cores.  A CTA whose last warp drains puts itself
-on :attr:`GPU.drained` for the loop to retire at the end of the
-iteration; the busy-core list changes only then; the occupancy
-integrals read per-core counters.  The visited cycles -- and with them
-``loop_iterations``, ``idle_cycles_skipped``, the checkpoint cycles
-and every state digest -- are those of a loop that asks every warp at
-every visited cycle.
+The cycle loop visits only the cycles where a warp can issue, a CTA
+retired or a rider is due: the next visit is the minimum of the busy
+cores' ``ready_at`` (the earliest cycle any of their warps can issue,
+also just after an issue; :mod:`repro.sim.core` says why that memo is
+exact) and the riders' ``due_cycle()`` (:meth:`GPU._ride`).  A CTA whose
+last warp drains puts itself on :attr:`GPU.drained` for the loop to
+retire at the end of the iteration; the occupancy integrals read
+per-core counters.  Cycles, integrals, checkpoint cycles and state
+digests are those of a loop that asks every warp every cycle; only
+``loop_iterations`` and ``idle_cycles_skipped`` tell the two apart.
+Deadlock (no warp can ever wake) raises
+:class:`~repro.sim.errors.DeadlockError`, exceeding the externally set
+cycle budget :class:`~repro.sim.errors.SimTimeout`; the fault
+classifier maps both to the paper's *Timeout* outcome.
 """
 
 from __future__ import annotations
@@ -67,12 +61,14 @@ class GPU:
         self.injector = None
         #: Optional checkpoint recorder (duck-typed; see
         #: repro.sim.checkpoint): its ``on_cycle(gpu, launch, queue)``
-        #: runs at the top of every cycle-loop iteration.
+        #: runs at the top of a cycle-loop iteration once it is due.
         self.checkpointer = None
         #: Optional golden witness of an injected run (duck-typed; see
         #: repro.faults.early_stop): checked after the checkpointer,
         #: before the injector, at matching checkpoint cycles.
         self.convergence = None
+        #: When a rider is next due, and a skip's limit (:meth:`_ride`).
+        self.due = self.skip_to = NEVER
         #: Who hears what this run does (see :meth:`listen`), and per
         #: event of :data:`EVENTS` their bound methods, in the order
         #: they began to listen; every cache has its own ``on_cache``.
@@ -92,7 +88,7 @@ class GPU:
         self._dram_busy = [0] * config.dram_channels
         #: Observability counters (plain ints, sampled once per run by
         #: the fault runner): cycle-loop iterations actually executed,
-        #: and cycles covered by idle skips instead of iteration.
+        #: and cycles covered by skips instead of iteration.
         #: Deliberately NOT part of :meth:`snapshot` -- a restored run
         #: counts only its simulated suffix, and the convergence
         #: state digest stays independent of observability.
@@ -239,9 +235,13 @@ class GPU:
         # a CTA retires
         busy = [core for core in self.cores if core.ctas]
         # with the L1I modelled, asking a warp is a cache access:
-        # every visited cycle asks (see repro.sim.core)
+        # every visited cycle asks, and an issue visits the next one
         always_ask = self.config.model_icache
+        # the first cycle past the budget
+        late = NEVER if self.cycle_budget is None else self.cycle_budget + 1
         drained = self.drained
+        # the first iteration asks every rider: a launch's first witness
+        self.due, every = self.cycle, True
         self.in_loop = True
         try:
             # the fp32 handlers divide by zero and overflow like the
@@ -249,16 +249,10 @@ class GPU:
             with np.errstate(all="ignore"):
                 while queue or busy:
                     self.loop_iterations += 1
-                    if self.checkpointer is not None:
-                        self.checkpointer.on_cycle(self, launch, queue)
-                    if self.convergence is not None:
-                        # may raise EarlyConvergence; runs before the
-                        # injector, mirroring the golden checkpointer
-                        # order
-                        self.convergence.on_cycle(self, launch, queue)
-                    if self.injector is not None:
-                        self.injector.apply_due(self, self.cycle)
                     now = self.cycle
+                    if now >= self.due:
+                        self._ride(launch, queue, every)
+                        every = False
                     issued = False
                     wake = NEVER
                     for core in busy:
@@ -277,22 +271,22 @@ class GPU:
                         if queue:
                             self._assign_ctas(launch, queue, limit,
                                               visible_from=now + 1)
-
-                    if issued or retired:
+                    elif wake == NEVER and not issued:
+                        raise DeadlockError(now, "no warp can make progress")
+                    # visit the cycle after an issue where a visit may
+                    # capture, re-assert, access the L1I, time out or
+                    # find a deadlock (wake == NEVER)
+                    if retired or issued and (always_ask or wake >= late
+                                              or self.due <= now + 1):
                         delta = 1
                     else:
-                        if wake == NEVER:
-                            raise DeadlockError(
-                                now, "no warp can make progress")
-                        delta = max(1, wake - now)
-                        delta = self._clamp_idle_skip(delta)
+                        delta = max(1, min(wake, self.skip_to) - now)
                         self.idle_cycles_skipped += delta - 1
                     # over the cores busy when the iteration began,
                     # with the residency they have now
                     self.stats.sample(busy, delta)
                     self.cycle = now + delta
-                    if (self.cycle_budget is not None
-                            and self.cycle > self.cycle_budget):
+                    if self.cycle >= late:
                         raise SimTimeout(self.cycle)
                     if retired:
                         busy = [core for core in self.cores if core.ctas]
@@ -301,19 +295,25 @@ class GPU:
 
         return self.stats.end_launch(self.cycle)
 
-    def _clamp_idle_skip(self, delta: int) -> int:
-        """Shrink an idle skip so it lands exactly on the next pending
-        injection or convergence-check cycle (splitting a skip leaves
-        the sampled stats integrals unchanged)."""
-        if self.injector is not None:
-            due = self.injector.due_cycle()
-            if due is not None and self.cycle < due < self.cycle + delta:
-                delta = due - self.cycle
-        if self.convergence is not None:
-            due = self.convergence.next_cycle()
-            if due is not None and self.cycle < due < self.cycle + delta:
-                delta = due - self.cycle
-        return delta
+    def _ride(self, launch: KernelLaunch, queue: List[Tuple[int, int]],
+              every: bool) -> None:
+        """Ask the riders due now (``every``: all) in capture order and
+        note when each is next due; all but the checkpointer limit a
+        skip (a capture fires at the first visit past its target)."""
+        now = self.cycle
+        self.due = self.skip_to = NEVER
+        for rider in (self.checkpointer, self.convergence, self.injector):
+            if rider is None:
+                continue
+            if every or _due(rider) <= now:
+                if rider is self.injector:
+                    rider.apply_due(self, now)
+                else:
+                    rider.on_cycle(self, launch, queue)
+            due = _due(rider)
+            self.due = min(self.due, due)
+            if rider is not self.checkpointer and now < due < self.skip_to:
+                self.skip_to = due
 
     def code_base(self, kernel) -> int:
         """Base address of a kernel's code segment (icache extension).
@@ -557,3 +557,9 @@ class GPU:
         self.memory.write_bytes(addr, data)
         for line, base, lo, hi in self._peek_l2(addr, len(data)):
             line.data[lo - base:hi - base] = data[lo - addr:hi - addr]
+
+
+def _due(rider) -> int:
+    """``rider.due_cycle()`` (``None``: never); 0 when it cannot say."""
+    due = rider.due_cycle() if hasattr(rider, "due_cycle") else 0
+    return NEVER if due is None else due

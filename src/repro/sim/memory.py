@@ -21,6 +21,7 @@ digest would be a false "Masked" by convergence.
 from __future__ import annotations
 
 import hashlib
+import mmap
 from typing import Callable, Dict, List, Set, Tuple
 
 import numpy as np
@@ -69,7 +70,10 @@ class GlobalMemory:
             raise ValueError(
                 f"DRAM size must be a multiple of {SNAP_PAGE} bytes")
         self.size = size_bytes
-        self._data = np.zeros(size_bytes, dtype=np.uint8)
+        # zero pages from the OS on first touch: no clearing pass;
+        # private, so a fork copies the image on write, as before
+        self._data = np.frombuffer(mmap.mmap(
+            -1, size_bytes, flags=mmap.MAP_PRIVATE), dtype=np.uint8)
         #: The image, read-only: write through the methods below.
         self.data = self._data.view()
         self.data.flags.writeable = False

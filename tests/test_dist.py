@@ -314,6 +314,29 @@ class TestDispatcherCore:
         other = revived.submit(small_config_text(seed=99))["campaign"]
         assert other != cid
 
+    def test_a_lease_of_before_a_restart_ends_no_lease_of_after(
+            self, tmp_path):
+        root, clock = tmp_path / "logs", FakeClock()
+        dispatcher = Dispatcher(log_dir=root, shard_size=2, clock=clock)
+        cid = dispatcher.submit(small_config_text())["campaign"]
+        old = dispatcher.lease("w-old")
+        revived = Dispatcher(log_dir=root, shard_size=2, clock=clock)
+        new = revived.lease("w-new")
+        assert new["shard"] == old["shard"]
+        records = [fake_record(spec_from_wire(w)) for w in old["specs"]]
+        # the old holder's late heartbeat and done find no lease ...
+        assert revived.heartbeat(old["lease"]) == {"ok": False,
+                                                   "expired": True}
+        late = revived.collect(cid, old["lease"], old["fingerprint"],
+                               records, done=True, worker="w-old")
+        assert late["expired"] and late["accepted"] == len(records)
+        # ... and the new holder's lease is still its own
+        assert revived.heartbeat(new["lease"]) == {"ok": True}
+        reply = revived.collect(cid, new["lease"], new["fingerprint"],
+                                records, done=True, worker="w-new")
+        assert reply["ok"] and not reply["expired"]
+        assert revived.status(cid)["shards"]["leased"] == 0
+
     def test_completion_writes_metrics_sidecar(self, tmp_path):
         dispatcher, _ = self.make(tmp_path)
         cid = dispatcher.submit(

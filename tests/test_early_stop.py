@@ -128,7 +128,7 @@ class TestConvergence:
         entries = [{"cycle": 100, "launch_index": 0, "state_hash": "aa"},
                    {"cycle": 50, "launch_index": 0, "state_hash": "bb"}]
         monitor = ConvergenceMonitor(entries, [], golden_cycles=500)
-        assert monitor.next_cycle() == 50
+        assert monitor.due_cycle() == 50
 
     def test_monitor_disabled_by_host_divergence(self):
         entries = [{"cycle": 50, "launch_index": 0, "state_hash": "aa"}]
@@ -138,7 +138,7 @@ class TestConvergence:
         monitor.on_host_read(0, 64, 4,
                              np.array([1, 2, 3, 9], dtype=np.uint8))
         assert monitor.diverged
-        assert monitor.next_cycle() is None
+        assert monitor.due_cycle() is None
 
     def test_monitor_accepts_matching_reads(self):
         entries = [{"cycle": 50, "launch_index": 0, "state_hash": "aa"}]

@@ -236,9 +236,10 @@ class TestIssueOrder:
         dev, order = traced_launch(one_scheduler(), ORDER, block=128)
         assert order == GTO_ORDER
         assert dev.cycle == 211
-        # every visited cycle issued, but the first cycle of each of
-        # the two waits (8 -> 31 and 37 -> 201)
-        assert dev.gpu.loop_iterations == len(GTO_ORDER) + 2
+        # every visited cycle issued: a scheduler that issues wakes at
+        # the earliest stall of its warps, the issuer's next one
+        # included (7 -> 31 and 36 -> 201)
+        assert dev.gpu.loop_iterations == len(GTO_ORDER)
         assert dev.gpu.idle_cycles_skipped == 211 - dev.gpu.loop_iterations
 
     def test_lrr_rotates(self):
@@ -246,7 +247,8 @@ class TestIssueOrder:
                                    policy="lrr")
         assert order == LRR_ORDER
         assert dev.cycle == 214
-        # waits: 8 -> 33 and 39 -> 204
+        # waits: 8 -> 33 and 39 -> 204, a cycle late: the warp after
+        # the issuer was last asked when it issued, so it may go next
         assert dev.gpu.loop_iterations == len(LRR_ORDER) + 2
 
     @pytest.mark.parametrize("policy", ["gto", "lrr"])
@@ -292,6 +294,14 @@ class TestBarrierReleasedByExit:
         order = self.run(exiter=0)
         assert (9, 1, 3) in order  # BAR
         assert not [rec for rec in order if 9 < rec[0] < 209]
+
+    @pytest.mark.parametrize("exiter", [0, 1])
+    def test_only_cycles_that_issue_are_visited(self, exiter):
+        # the cycle after an issue is skipped once every warp of its
+        # scheduler is known to stall past it (9 -> 209 for the load)
+        kernel = Kernel("release", EXIT_RELEASES.format(exiter=exiter))
+        dev, order = traced_launch(tiny_config(num_sms=1), kernel, block=64)
+        assert dev.gpu.loop_iterations == len({rec[0] for rec in order})
 
 
 class TestFetchMissWakeUp:

@@ -402,7 +402,7 @@ class TestFirstDifference:
                                      observer=heard)
         monitor.on_host_read(0, 0, 4, np.ones(4, dtype=np.uint8))
         assert monitor.diverged and heard.host_diverged
-        assert monitor.next_cycle() is None
+        assert monitor.due_cycle() is None
         monitor.on_cycle(None, None, None)  # inert: asks the GPU nothing
         assert heard.checks == []
 
