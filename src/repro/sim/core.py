@@ -15,23 +15,23 @@ coalesced segments they produced.
 
 **Scheduling without polling.**  A scheduler asks its warps in
 priority order (GTO: the warp it issued last, then by age; LRR: from
-just after that warp) and issues the first that can go.  A warp found
-stalled remembers until when (``Warp.ready_at``, see
-:mod:`repro.sim.warp`), so asking it again before then is one integer
-compare; each scheduler remembers the earliest such cycle over its
-warps -- after an issue too (:meth:`SIMTCore._wake_after`) -- and the
-core the earliest over its schedulers (:attr:`SIMTCore.ready_at`),
-which is what :meth:`repro.sim.gpu.GPU._cycle_loop` skips ahead to.
-The memo is exact, not a bound: a stalled warp's wake-up cycle is a
-function of its own scoreboard, pc and fetch state, which only its own
-issue changes -- except for the writers that call :meth:`Warp.wake`
-(injector, barrier release), CTA arrival (:meth:`SIMTCore.add_cta`)
-and :meth:`SIMTCore.restore`, which reset it.  So the loop visits
-every cycle at which asking every warp would issue.  One exception:
-with the instruction cache modelled (``config.model_icache``) asking a
-warp *is* an L1I access -- LRU state, hit counters, armed faults -- so
-only the side-effect-free fetch-miss stall is remembered, every
-visited cycle asks, and an issue visits the next cycle.
+just after that warp) and issues the first that can go.  A warp's next
+instruction is resolved once -- right after its issue
+(:meth:`SIMTCore._resolve`), else at its first ask -- into its plan and
+the exact cycle it can issue at (``Warp.next_plan`` / ``ready_at``, see
+:mod:`repro.sim.warp`): asking before then is one integer compare,
+asking then issues the plan.  The earliest such cycle per scheduler and
+per core (:attr:`SIMTCore.ready_at`) is what
+:meth:`repro.sim.gpu.GPU._cycle_loop` skips ahead to.  Only the warp's
+own issue moves it, except for :meth:`Warp.wake` (injector, barrier
+release), CTA arrival and :meth:`SIMTCore.restore`, which reset it; so
+the loop visits every cycle at which asking every warp would issue, or
+a GTO scheduler *runs ahead*: it issues a straight ALU run of its warp
+at the run's own cycles while nothing could come before.  With the
+instruction cache modelled (``config.model_icache``) asking a warp *is*
+an L1I access (LRU state, hit counters, armed faults): only the
+fetch-miss stall is remembered, every visited cycle asks, and an issue
+visits the next one.
 
 **Issue plans.**  What ``_issue`` needs from an instruction is
 resolved once into an :class:`IssuePlan` cached on the (immutable)
@@ -212,11 +212,10 @@ class SIMTCore:
         self.ready_at = 0
         #: The same per scheduler.
         self._sched_ready = [0] * config.num_schedulers_per_sm
-        #: Occupancy counters over the resident CTAs, kept at CTA
-        #: arrival, thread EXIT, warp drain and CTA retirement (each
-        #: of which drops ``gpu.stats.occupancy``, the sums over them).
-        self._live_warps = 0
-        self._live_threads = 0
+        #: Resident warps that have not completed and threads that have
+        #: not exited, kept at CTA arrival, thread EXIT, warp drain and
+        #: CTA retirement (each drops ``gpu.stats.occupancy``).
+        self.live_warps = self.live_threads = 0
         #: Scratch line buffer for L1I miss fills (re-zeroed per use;
         #: :meth:`Cache.fill` copies, so reuse is safe).
         self._ifetch_scratch = np.zeros(self.l1i.geometry.line_bytes,
@@ -233,8 +232,8 @@ class SIMTCore:
     def add_cta(self, cta: CTA) -> None:
         """Make a CTA resident on this core."""
         self.ctas.append(cta)
-        self._live_warps += cta.live_warp_count
-        self._live_threads += cta.live_thread_count()
+        self.live_warps += cta.live_warp_count
+        self.live_threads += cta.live_thread_count()
         self.gpu.stats.occupancy = None
         self._sched_cache = None
         # new warps to ask: every scheduler polls at its next cycle
@@ -251,7 +250,7 @@ class SIMTCore:
         """A resident warp drained (its EXIT, or an injected SIMT-stack
         fault); the CTA's last one hands it to the cycle loop, which
         retires it at the end of the iteration."""
-        self._live_warps -= 1
+        self.live_warps -= 1
         self.gpu.stats.occupancy = None
         if cta.done:
             self.gpu.drained.append(cta)
@@ -259,18 +258,10 @@ class SIMTCore:
     def retire(self, cta: CTA) -> None:
         """Drop a completed CTA."""
         self.ctas.remove(cta)
-        self._live_threads -= cta.live_thread_count()
+        self.live_threads -= cta.live_thread_count()
         self.gpu.stats.occupancy = None
         self._sched_cache = None
         cta.release()
-
-    def live_warp_count(self) -> int:
-        """Resident warps that have not completed."""
-        return self._live_warps
-
-    def live_thread_count(self) -> int:
-        """Resident threads that have not exited."""
-        return self._live_threads
 
     def invalidate_l1(self) -> None:
         """Kernel-boundary L1 reset (L1s are not persistent across kernels)."""
@@ -287,8 +278,8 @@ class SIMTCore:
         while resident, ``None`` once their CTA retired -- what restore
         resolves such an age to and how the scheduler treats it, so a
         restored run digests like the run it was captured from.  The
-        per-scheduler buckets, the remembered stalls and the occupancy
-        counters are derived and rebuilt.
+        per-scheduler buckets, the remembered next instructions and the
+        occupancy counters are derived and rebuilt.
         """
         name = f"c{self.core_id}"
         yield name, lambda: {
@@ -315,7 +306,7 @@ class SIMTCore:
         for attr, cache in self.l1s.items():
             cache.restore(snap[f"{name}.{attr}"])
         self.ctas = []
-        self._live_warps = self._live_threads = 0
+        self.live_warps = self.live_threads = 0
         while f"{name}.cta{len(self.ctas)}" in snap:
             self.add_cta(CTA.from_snapshot(
                 snap, f"{name}.cta{len(self.ctas)}", launch, self))
@@ -342,15 +333,18 @@ class SIMTCore:
             self._sched_cache = cache
         return self._sched_cache
 
-    def cycle(self, now: int) -> bool:
-        """Run one cycle; returns whether anything issued and leaves
-        :attr:`ready_at` at the earliest cycle anything can."""
+    def cycle(self, now: int, horizon: int) -> bool:
+        """Run the cycle ``now``, and runs ahead of it before ``horizon``
+        (0: none; see :meth:`_resolve`); returns whether anything issued
+        and leaves :attr:`ready_at` at the earliest cycle anything can."""
         issued = False
         sched_ready = self._sched_ready
         last_issued = self._last_issued
         always_ask = self.config.model_icache
         greedy = self.scheduler_policy == "gto"
-        ask, after = self._ask, self._wake_after
+        if not greedy:
+            horizon = 0
+        ask, resolve = self._ask, self._resolve
         for sched_id, warps in enumerate(self._scheduler_warps()):
             if sched_ready[sched_id] > now and not always_ask:
                 continue
@@ -372,7 +366,7 @@ class SIMTCore:
                     wake = ask(first, now)
                     if not wake:
                         issued = True
-                        wake = after(first, warps, now)
+                        wake = resolve(first, warps, now, horizon)
                         order = ()  # the others are not asked
             # ... then the others by age
             for warp in order:
@@ -384,7 +378,7 @@ class SIMTCore:
                     if not ready:
                         last_issued[sched_id] = warp
                         issued = True
-                        wake = after(warp, warps, now)
+                        wake = resolve(warp, warps, now, horizon)
                         break
                 if ready < wake:
                     wake = ready
@@ -392,64 +386,103 @@ class SIMTCore:
         self.ready_at = min(sched_ready)
         return issued
 
-    def _ask(self, warp: Warp, now: int, issue: bool = True) -> int:
+    def _ask(self, warp: Warp, now: int) -> int:
         """Issue ``warp``'s next instruction if it can go at ``now``
-        (returns 0; ``issue=False`` only says so); else return the cycle
-        before which it cannot, and remember it in ``warp.ready_at``
-        when asking again before then would change nothing."""
-        if warp.done or warp.at_barrier:
-            # until a barrier release wakes it / for good
-            warp.ready_at = NEVER
-            return NEVER
-        if self.config.model_icache:
+        (returns 0), else return the cycle before which it cannot: the
+        remembered plan, else the one resolved now (:meth:`_next`) or,
+        with the L1I modelled, fetched (only a miss is remembered)."""
+        plan = warp.next_plan
+        if plan is None and not self.config.model_icache:
+            ready = self._next(warp, now)
+            if ready > now:
+                return ready
+            plan = warp.next_plan
+            if plan is None:
+                # a control-unit fault sent the pc out of the kernel;
+                # hardware would fetch garbage and fault: a crash
+                raise InvalidOperation(
+                    f"pc {warp.stack[-1].pc} outside kernel "
+                    f"{warp.cta.launch.kernel.name} "
+                    f"(0..{len(warp.cta.instructions) - 1})")
+        elif plan is None:
+            if warp.done or warp.at_barrier:
+                # until a barrier release wakes it / for good
+                warp.ready_at = NEVER
+                return NEVER
             inst = self._fetch(warp, now)
             if inst is None:
                 warp.ready_at = warp.ifetch_ready
                 return warp.ifetch_ready
-        else:
-            pc = warp.stack[-1].pc
-            instructions = warp.cta.instructions
-            if not 0 <= pc < len(instructions):
-                if not issue:
-                    return 0  # the ask that issues raises
-                # control-unit faults can corrupt the pc right out of
-                # the kernel; hardware would fetch garbage and fault
-                # -- classify as a crash
-                raise InvalidOperation(
-                    f"pc {pc} outside kernel "
-                    f"{warp.cta.launch.kernel.name} "
-                    f"(0..{len(instructions) - 1})")
-            inst = instructions[pc]
-        plan = inst.plan
-        if plan is None:
-            plan = inst.plan = IssuePlan(inst)
-        if warp.sb_latest > now:
-            ready = warp.hazards_clear_at(plan.hazard_regs,
-                                          plan.hazard_preds)
-            if ready > now:
-                if not self.config.model_icache:
-                    # with the L1I modelled the next ask fetches again
-                    warp.ready_at = ready
-                return ready
-        if issue:
-            self._issue(warp, plan, now)
+            plan = inst.plan
+            if plan is None:
+                plan = inst.plan = IssuePlan(inst)
+            if warp.sb_latest > now:
+                ready = warp.hazards_clear_at(plan.hazard_regs,
+                                              plan.hazard_preds)
+                if ready > now:
+                    return ready  # the next ask fetches again
+        self._issue(warp, plan, now)
         return 0
 
-    def _wake_after(self, issuer: Warp, warps: List[Warp], now: int) -> int:
-        """When ``warps``' scheduler can issue after ``issuer`` did at
-        ``now``: ``now + 1`` while a warp may go then or asking is an L1I
-        access, else the earliest stall remembered, the issuer's next
-        one worked out only then (always, it costs more than it saves)."""
-        soon, wake = now + 1, NEVER
-        if self.config.model_icache or issuer.sb_latest <= soon and not (
-                issuer.done or issuer.at_barrier):
-            return soon
-        for warp in warps:
-            if warp.ready_at < wake and warp is not issuer:
-                if warp.ready_at <= soon:
-                    return soon
-                wake = warp.ready_at
-        return max(soon, min(self._ask(issuer, soon, False), wake))
+    def _next(self, warp: Warp, at: int) -> int:
+        """Resolve ``warp``'s next instruction (no L1I): remember its
+        plan and the exact cycle, ``at`` or later, it can issue at
+        (``next_plan`` / ``ready_at``) and return that cycle: NEVER at a
+        barrier or drained, 0 without a plan for a pc outside the
+        kernel (the ask that issues raises)."""
+        plan, ready = None, NEVER
+        if not (warp.done or warp.at_barrier):
+            pc, instructions = warp.stack[-1].pc, warp.cta.instructions
+            ready = 0
+            if 0 <= pc < len(instructions):
+                inst = instructions[pc]
+                plan = inst.plan
+                if plan is None:
+                    plan = inst.plan = IssuePlan(inst)
+                ready = at
+                if warp.sb_latest > at:
+                    ready = max(at, warp.hazards_clear_at(
+                        plan.hazard_regs, plan.hazard_preds))
+        warp.ready_at, warp.next_plan = ready, plan
+        return ready
+
+    def _resolve(self, warp: Warp, warps: List[Warp], now: int,
+                 horizon: int) -> int:
+        """After ``warp`` issued at ``now``: resolve its next instruction
+        (:meth:`_next`) and return when ``warps``' scheduler can issue
+        next.  While it is an ALU op nothing could come before, issue it
+        at its cycle ``t`` and go on: no L1I, no listener on issue (they
+        hear issues in cycle order), ``t + 1`` before ``horizon`` and
+        the next rider due (read here: a pack's last peel lowers it),
+        ``pc + 1`` short of the entry's reconv pc (a pop may drain the
+        warp), ``t`` before every other warp's ``ready_at`` and none at
+        a barrier (a release would wake it)."""
+        soon = now + 1
+        if self.config.model_icache:
+            return soon  # asking is an L1I access: ask then
+        gpu = self.gpu
+        limit = 0 if gpu.on_issue else min(horizon, gpu.due) - 1  # t < limit
+        others = None
+        while True:
+            ready = self._next(warp, soon)
+            plan = warp.next_plan
+            ahead = (ready < limit and plan is not None
+                     and plan.kind == _ALU
+                     and warp.stack[-1].pc + 1 != warp.stack[-1].reconv_pc)
+            if not ahead and ready <= soon:
+                break
+            if others is None:
+                others, waiting = NEVER, False
+                for other in warps:
+                    if other is not warp:
+                        if other.ready_at < others:
+                            others = other.ready_at
+                        waiting = waiting or other.at_barrier
+            if not ahead or ready >= others or waiting:
+                break
+            self._issue(warp, plan, ready)
+            soon = ready + 1
+        return soon if ready <= soon else max(soon, min(ready, others))
 
     # -- instruction fetch (icache extension) ------------------------------
 
@@ -462,8 +495,8 @@ class SIMTCore:
         """
         if warp.ifetch_ready > now:
             return None
-        kernel = warp.cta.launch.kernel
-        addr = self.gpu.code_base(kernel) + warp.pc * WORD_BYTES
+        kernel, pc = warp.cta.launch.kernel, warp.stack[-1].pc
+        addr = self.gpu.code_base(kernel) + pc * WORD_BYTES
         base = self.l1i.line_base(addr)
         line = self.l1i.lookup(base)
         if line is None:
@@ -484,10 +517,10 @@ class SIMTCore:
         if inst is None:
             word = bytes(line.data[offset:offset + WORD_BYTES])
             try:
-                inst = decode_instruction(word, warp.pc)
+                inst = decode_instruction(word, pc)
             except DecodeError as exc:
                 raise InvalidOperation(
-                    f"illegal instruction at pc {warp.pc} "
+                    f"illegal instruction at pc {pc} "
                     f"(kernel {kernel.name}): {exc}") from exc
             decoded[offset] = inst
             line.meta = decoded
@@ -567,7 +600,7 @@ class SIMTCore:
             warp.exited |= exec0
             live = warp.num_threads - int(
                 np.count_nonzero(warp.exited[:warp.num_threads]))
-            self._live_threads -= warp.live_count - live
+            self.live_threads -= warp.live_count - live
             warp.live_count = live
             gpu.stats.occupancy = None
             top.pc += 1

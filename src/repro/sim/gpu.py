@@ -9,7 +9,8 @@ last warp drains puts itself on :attr:`GPU.drained` for the loop to
 retire at the end of the iteration; the occupancy integrals read
 per-core counters.  Cycles, integrals, checkpoint cycles and state
 digests are those of a loop that asks every warp every cycle; only
-``loop_iterations`` and ``idle_cycles_skipped`` tell the two apart.
+``loop_iterations`` and ``idle_cycles_skipped`` tell the two apart (a
+core may issue an ALU run ahead, at cycles the loop does not visit).
 Deadlock (no warp can ever wake) raises
 :class:`~repro.sim.errors.DeadlockError`, exceeding the externally set
 cycle budget :class:`~repro.sim.errors.SimTimeout`; the fault
@@ -174,13 +175,11 @@ class GPU:
         return limit
 
     def _assign_ctas(self, launch: KernelLaunch, queue: List[Tuple[int, int]],
-                     limit: int, visible_from: Optional[int] = None) -> None:
+                     limit: int, visible_from: int) -> None:
         # visible_from = first cycle the injector can observe the CTA:
         # the current cycle for launch-entry assignment, the next cycle
         # for mid-loop assignment (the injector for this cycle already
         # fired before retirement freed the slot)
-        if visible_from is None:
-            visible_from = self.cycle
         while queue:
             candidates = [c for c in self.cores if len(c.ctas) < limit]
             if not candidates:
@@ -213,7 +212,7 @@ class GPU:
         gx, gy = launch.grid
         queue = [(x, y) for y in range(gy) for x in range(gx)]
         limit = self.max_ctas_per_core(launch)
-        self._assign_ctas(launch, queue, limit)
+        self._assign_ctas(launch, queue, limit, self.cycle)
         return self._cycle_loop(launch, queue, limit)
 
     def resume_launch(self, launch: KernelLaunch,
@@ -257,7 +256,9 @@ class GPU:
                     wake = NEVER
                     for core in busy:
                         if core.ready_at <= now or always_ask:
-                            if core.cycle(now):
+                            # runs ahead stay short of the budget and
+                            # wait for the launch's last CTA to arrive
+                            if core.cycle(now, 0 if queue else late - 1):
                                 issued = True
                         if core.ready_at < wake:
                             wake = core.ready_at

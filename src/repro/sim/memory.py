@@ -100,14 +100,6 @@ class GlobalMemory:
         self._next = (end + ALLOC_ALIGN - 1) // ALLOC_ALIGN * ALLOC_ALIGN
         return start
 
-    def reset(self) -> None:
-        """Free every allocation and zero the memory (new application)."""
-        self._data[:] = 0
-        self._dirty.clear()
-        self._pages.clear()
-        self._next = BASE_ADDRESS
-        self._allocations.clear()
-
     def mapped_end(self) -> int:
         """One past the last mapped heap address (page granular)."""
         if not self._allocations:

@@ -115,8 +115,8 @@ class StatsCollector:
                     continue
                 cur.cores_used.add(core.core_id)
                 busy += 1
-                warps += core.live_warp_count()
-                threads += core.live_thread_count()
+                warps += core.live_warps
+                threads += core.live_threads
                 ctas += resident
             sums = self.occupancy = (cores, busy, warps, threads, ctas)
         cur.busy_sm_cycles += sums[1] * delta

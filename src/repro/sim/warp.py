@@ -23,16 +23,17 @@ mask, scoreboard -- exists once per warp and follows column 0.
 Snapshots store column 0 in the runs-axis-free shapes, so the
 checkpoint format and state digests do not depend on the width.
 
-``ready_at`` is the scheduler's memo of the stall this warp was last
-found in: the cycle before which it cannot issue (an operand hazard
-clears then, or its instruction-fetch miss returns; "never" while it
-waits at a barrier or once it has drained).  A poll before that cycle
-is one integer compare (:meth:`repro.sim.core.SIMTCore.cycle`).  It is
-derived state: never snapshotted, 0 ("ask me") on a fresh or restored
-warp.  A warp's own issue cannot shorten its stall -- it does not issue
-while stalled -- so the only writers that can are outside the warp,
-and each calls :meth:`Warp.wake`: the fault injector after it writes
-the scoreboard or the SIMT stack, and the CTA when a barrier releases.
+``ready_at`` and ``next_plan`` are the scheduler's memo of this warp's
+next instruction: the exact cycle it can issue at (its operand hazards
+clear, or its instruction-fetch miss returns; "never" at a barrier or
+once drained) and its :class:`~repro.sim.core.IssuePlan` (``None``: not
+resolved; always with the L1I modelled).  Asking before ``ready_at`` is
+one integer compare (:meth:`repro.sim.core.SIMTCore.cycle`), asking
+then issues ``next_plan``.  Both are derived state: never snapshotted,
+0 ("ask me") and ``None`` on a fresh or restored warp.  Only the warp's
+own issue changes them, except for writers outside the warp, and each
+calls :meth:`Warp.wake`: the fault injector after it writes the
+scoreboard or the SIMT stack, and the CTA when a barrier releases.
 
 ``StackEntry.active`` is the same kind of memo for the lanes an issue
 executes on, ``mask & ~exited``: two ufunc calls per issue for a value
@@ -81,7 +82,7 @@ class Warp:
                  "live_count",
                  "local_bytes", "local_mem", "local_words", "reg_ready",
                  "pred_ready", "sb_latest", "at_barrier", "done",
-                 "ifetch_ready", "ready_at", "sregs")
+                 "ifetch_ready", "ready_at", "next_plan", "sregs")
 
     def __init__(self, warp_id_in_cta: int, num_threads: int, num_regs: int,
                  local_bytes: int, cta, age: int, ncols: int = 1):
@@ -129,18 +130,14 @@ class Warp:
         self.done = False
         #: Instruction-fetch stall (icache extension): no issue before.
         self.ifetch_ready = 0
-        #: Remembered stall: no issue before this cycle (see the module
-        #: docstring; reset by :meth:`wake`, never snapshotted).
-        self.ready_at = 0
+        #: The remembered next instruction: the exact cycle it can
+        #: issue at and its plan (see the module docstring).
+        self.ready_at, self.next_plan = 0, None
 
         # special-register lanes, filled by the CTA constructor
         self.sregs: Dict[str, np.ndarray] = {}
 
     # -- SIMT stack ----------------------------------------------------------
-
-    def active_mask(self) -> np.ndarray:
-        """Live lanes of the top stack entry (bool[32])."""
-        return self.stack[-1].mask & ~self.exited
 
     def active_lanes(self, top: StackEntry) -> np.ndarray:
         """Compute and memoise the lanes the top entry executes on."""
@@ -163,17 +160,12 @@ class Warp:
             self.done = True
             self.cta.on_warp_done()
 
-    @property
-    def pc(self) -> int:
-        """Current PC (top of the SIMT stack)."""
-        return self.stack[-1].pc
-
     def wake(self) -> None:
-        """Forget the remembered stall and active lanes: something
-        outside this warp's own issue changed when or on which lanes
-        it may issue (scoreboard or SIMT-stack injection, barrier
-        release)."""
-        self.ready_at = 0
+        """Forget the remembered next instruction and active lanes:
+        something outside this warp's own issue changed what, when or
+        on which lanes it may issue (scoreboard or SIMT-stack
+        injection, barrier release)."""
+        self.ready_at, self.next_plan = 0, None
         for entry in self.stack:
             entry.active = None
         core = self.cta.core
@@ -199,26 +191,7 @@ class Warp:
                     ready = cycle
         return ready
 
-    def mark_ready(self, dst_regs, dst_preds, completion_cycle: int) -> None:
-        """Record when the given destinations become available."""
-        for idx in dst_regs:
-            self.reg_ready[idx] = completion_cycle
-        for idx in dst_preds:
-            self.pred_ready[idx] = completion_cycle
-        if (dst_regs or dst_preds) and completion_cycle > self.sb_latest:
-            self.sb_latest = completion_cycle
-
     # -- local memory -----------------------------------------------------------
-
-    def local_read(self, lane: int, addr: int) -> np.ndarray:
-        """Aligned 32-bit read of this lane's private local memory,
-        one word per column (uint32[ncols])."""
-        return self.local_words[:, lane, self._local_word(addr)]
-
-    def local_write(self, lane: int, addr: int, values) -> None:
-        """Aligned 32-bit write of this lane's private local memory;
-        ``values`` is one word per column (or one word for all)."""
-        self.local_words[:, lane, self._local_word(addr)] = values
 
     def _local_word(self, addr: int) -> int:
         if self.local_mem is None or addr % 4 or not (

@@ -247,9 +247,10 @@ class TestIssueOrder:
                                    policy="lrr")
         assert order == LRR_ORDER
         assert dev.cycle == 214
-        # waits: 8 -> 33 and 39 -> 204, a cycle late: the warp after
-        # the issuer was last asked when it issued, so it may go next
-        assert dev.gpu.loop_iterations == len(LRR_ORDER) + 2
+        # one iteration per issue (7 -> 33 and 38 -> 204): each warp's
+        # next instruction is resolved when it issues, so the warps the
+        # issuer's visit did not ask are known to stall too
+        assert dev.gpu.loop_iterations == len(LRR_ORDER)
 
     @pytest.mark.parametrize("policy", ["gto", "lrr"])
     def test_result_is_the_sum(self, policy):

@@ -76,8 +76,8 @@ class IssueChecker:
         busy = [core for core in cores if core.ctas]
         assert stats.occupancy[1:] == (
             len(busy),
-            sum(core.live_warp_count() for core in busy),
-            sum(core.live_thread_count() for core in busy),
+            sum(core.live_warps for core in busy),
+            sum(core.live_threads for core in busy),
             sum(len(core.ctas) for core in busy))
         assert stats.current.cores_used >= {core.core_id for core in busy}
 

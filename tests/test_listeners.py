@@ -9,7 +9,9 @@ hear that one report.  Checked here, on all twelve workloads:
   every reported word the one its instruction's addresses resolve to
   (as the tracer derived them itself before there was a report), with
   cycles, statistics integrals and state digests those of
-  ``data/golden_timing.json`` whoever listens, joins or leaves;
+  ``data/golden_timing.json`` whoever listens, joins or leaves (the
+  loop runs no issue ahead while anyone listens, so it may take more
+  iterations than the table's run alone);
 - judge ≡ tracer: on one stream, every site
   :meth:`~repro.faults.early_stop.Prescreener.judge` proves dead from
   the recorded trace is closed with that fate by a tracer that watched
@@ -144,8 +146,14 @@ def company(monkeypatch):
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_a_run_in_company_is_the_run_alone(name, company, tmp_path):
     entry = measure(name, "gto", False, tmp_path)
-    # cycles, loop counters, occupancy integrals, every state digest
-    assert entry == TIMING["runs"][f"{name}/gto"]
+    alone = dict(TIMING["runs"][f"{name}/gto"])
+    # a listener hears issues in cycle order, so with one the loop runs
+    # no issue ahead: it may visit more cycles than the run alone, and
+    # simulates the same ones -- cycles, occupancy integrals, every
+    # state digest
+    assert entry.pop("loop_iterations") >= alone.pop("loop_iterations")
+    del entry["idle_cycles_skipped"], alone["idle_cycles_skipped"]
+    assert entry == alone
     (report,) = company
     assert report.issues == sum(launch["instructions"]
                                 for launch in entry["launches"])

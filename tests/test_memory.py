@@ -33,11 +33,6 @@ class TestAllocator:
         with pytest.raises(MemoryError):
             mem.malloc(2 * 1024 * 1024)
 
-    def test_reset_reclaims(self, mem):
-        mem.malloc(1000)
-        mem.reset()
-        assert mem.malloc(16) == BASE_ADDRESS
-
 
 class TestBoundsChecking:
     def test_valid_access(self, mem):
@@ -134,13 +129,13 @@ def rehashed(mem):
 
 @st.composite
 def memory_ops(draw):
-    """An interleaving of every writer with snapshot / restore /
-    reset; payload 0 writes zeros, so pages also *become* zero."""
+    """An interleaving of every writer with snapshot / restore;
+    payload 0 writes zeros, so pages also *become* zero."""
     ops = []
     for _ in range(draw(st.integers(1, 30))):
         kind = draw(st.sampled_from(
-            ["malloc", "word", "line", "bytes", "bytes", "reset",
-             "snapshot", "restore", "table"]))
+            ["malloc", "word", "line", "bytes", "bytes", "snapshot",
+             "restore", "table"]))
         # addresses and lengths crowd the page boundaries
         near = st.sampled_from([0, 1, 2, 3, SNAP_PAGE - 2, SNAP_PAGE - 1])
         addr = (draw(st.integers(0, 15)) * SNAP_PAGE
@@ -233,8 +228,6 @@ class TestPageTracking:
                 length = min(length, self.SIZE - addr)
                 mem.write_bytes(addr, np.full(length, payload,
                                               dtype=np.uint8))
-            elif kind == "reset":
-                mem.reset()
             elif kind == "snapshot":
                 saved = (mem.snapshot(), page_source(mem),
                          mem.data.copy(), mem._next,

@@ -3,22 +3,25 @@
 :func:`polling_loop` runs a launch the slow, obvious way: it advances
 one cycle at a time and asks every warp at every cycle whether it can
 issue (with the L1I modelled asking is a cache access, so there it asks
-at the cycles below only).  What the riders see is defined without the
-real loop's memos: a cycle is *eventful* when it is a loop's first,
-follows an issue or a CTA retirement, has a witness, injector or pack
-due, or has a warp that can issue; every rider is asked at every
-eventful cycle, and the budget's watchdog and the deadlock check act
-at eventful cycles only, as :meth:`repro.sim.gpu.GPU._cycle_loop`
-documents.
+at the cycles below only), and no scheduler runs an issue ahead.  What
+the riders see is defined without the real loop's memos: a cycle is
+*eventful* when it is a loop's first, follows an issue or a CTA
+retirement, has a witness, injector or pack due, or has a warp that can
+issue; every rider is asked at every eventful cycle, and the budget's
+watchdog and the deadlock check act at eventful cycles only, as
+:meth:`repro.sim.gpu.GPU._cycle_loop` documents.
 
 The real loop must visit a subset of the eventful cycles and give the
-same cycles, launch integrals, checkpoint manifests, canonical records
-and errors: on golden runs under both schedulers, with a checkpoint
-capture, under transient and ``stuck_at_1`` injectors, a witness and a
-lockstep pack, into a budget's timeout and into deadlocks (one that
-follows an issue, also with a rider due after it).  Tier-1
-runs three workloads; ``pytest --hypothesis-profile nightly`` all
-twelve and both instruction-cache cases.
+same issues at the same cycles, launch integrals, checkpoint manifests,
+canonical records and errors: on golden runs under both schedulers,
+launches in waves, with a checkpoint capture, under transient,
+``stuck_at_1`` and control-unit (SIMT stack, scoreboard) injectors, a
+witness and a lockstep pack, a corrupted reconvergence pc, into a
+budget's timeout and into deadlocks (one that follows an issue, also
+with a rider due after it).  Tier-1 runs three workloads (and the
+control faults on one); ``pytest --hypothesis-profile nightly`` all
+twelve, the control faults on all twelve under both schedulers, and
+both instruction-cache cases.
 """
 
 import dataclasses
@@ -37,7 +40,7 @@ from repro.faults.targets import Structure
 from repro.sim.batch import LockstepPack
 from repro.sim.cards import get_card
 from repro.sim.checkpoint import CheckpointRecorder
-from repro.sim.core import NEVER, IssuePlan
+from repro.sim.core import NEVER, IssuePlan, SIMTCore
 from repro.sim.device import Device, RunOptions
 from repro.sim.errors import DeadlockError, SimTimeout
 from repro.sim.gpu import GPU
@@ -52,24 +55,31 @@ WORKLOADS = ([cls.name for cls in BENCHMARK_CLASSES] if NIGHTLY
              else ["hotspot", "gaussian", "needle"])
 
 
-def can_issue(warp, now: int) -> bool:
-    """Whether asking ``warp`` at ``now`` issues (or raises)."""
+def first_issue(warp, now: int) -> int:
+    """The first cycle from ``now`` at which asking ``warp`` issues (or
+    raises), if nothing else happens before."""
     if warp.done or warp.at_barrier:
-        return False
+        return NEVER
     pc, instructions = warp.stack[-1].pc, warp.cta.instructions
     if not 0 <= pc < len(instructions):
-        return True
+        return now
     plan = instructions[pc].plan or IssuePlan(instructions[pc])
-    return warp.hazards_clear_at(plan.hazard_regs, plan.hazard_preds) <= now
+    return max(now, warp.hazards_clear_at(plan.hazard_regs,
+                                          plan.hazard_preds))
+
+
+def can_issue(warp, now: int) -> bool:
+    """Whether asking ``warp`` at ``now`` issues (or raises)."""
+    return first_issue(warp, now) == now
 
 
 def forget(core) -> None:
-    """Drop every stall the core and its warps remember."""
+    """Drop every next instruction the core and its warps remember."""
     core.ready_at = 0
     core._sched_ready = [0] * len(core._sched_ready)
     for cta in core.ctas:
         for warp in cta.warps:
-            warp.ready_at = 0
+            warp.ready_at, warp.next_plan = 0, None
 
 
 def polling_loop(gpu, launch, queue, limit):
@@ -90,7 +100,8 @@ def polling_loop(gpu, launch, queue, limit):
                 for core in busy if eventful or not icache else ():
                     if not icache:
                         forget(core)
-                    issued = core.cycle(now) or issued
+                    # horizon 0: no scheduler runs an issue ahead
+                    issued = core.cycle(now, 0) or issued
                 assert eventful or not issued, f"unforeseen issue at {now}"
                 retired = bool(gpu.drained)
                 for cta in gpu.drained:
@@ -113,6 +124,17 @@ def polling_loop(gpu, launch, queue, limit):
                                 else can_issue(warp, gpu.cycle)
                                 for core in busy for cta in core.ctas
                                 for warp in cta.warps))
+                if gpu.cycle > budget and not eventful:
+                    # the run times out at the next eventful cycle, which
+                    # a flipped scoreboard entry can put 2**31 cycles
+                    # away: find it without stepping there
+                    later = min([gpu.skip_to] + [
+                        core.ready_at if icache
+                        else first_issue(warp, gpu.cycle)
+                        for core in busy for cta in core.ctas
+                        for warp in cta.warps])
+                    gpu.stats.sample(busy, later - gpu.cycle)
+                    gpu.cycle, eventful = later, True
                 if eventful and gpu.cycle > budget:
                     raise SimTimeout(gpu.cycle)
     finally:
@@ -123,8 +145,15 @@ def polling_loop(gpu, launch, queue, limit):
 @pytest.fixture(autouse=True)
 def visits(monkeypatch):
     """Each GPU's stats keep the cycles its loops visit in ``visited``:
-    read off the occupancy sampling, which every iteration does once."""
-    sample = StatsCollector.sample
+    read off the occupancy sampling, which every iteration does once;
+    each GPU keeps every issue, as (cycle, core, warp age, pc), in
+    ``issued`` (not as a listener: one would stop runs ahead)."""
+    sample, issue = StatsCollector.sample, SIMTCore._issue
+
+    def issuing(core, warp, plan, now):
+        core.gpu.__dict__.setdefault("issued", []).append(
+            (now, core.core_id, warp.age, plan.inst.pc))
+        issue(core, warp, plan, now)
 
     def sampling(stats, cores, delta):
         launch = stats.current
@@ -135,6 +164,7 @@ def visits(monkeypatch):
         sample(stats, cores, delta)
 
     monkeypatch.setattr(StatsCollector, "sample", sampling)
+    monkeypatch.setattr(SIMTCore, "_issue", issuing)
 
 
 def both(monkeypatch, run):
@@ -169,6 +199,7 @@ def golden(name, policy, icache, directory=None):
                          for ls in result.device.launches],
             "manifest": recorder and recorder.checkpoints,
             "visited": gpu.stats.visited,
+            "issued": sorted(gpu.issued),
             "eventful": getattr(gpu, "eventful", None)}
 
 
@@ -184,11 +215,27 @@ def test_golden_runs(monkeypatch, tmp_path, name, policy, icache):
     sets = iter(("real", "polled"))
     real, polled = both(monkeypatch, lambda: golden(
         name, policy, icache, None if icache else tmp_path / next(sets)))
-    for key in ("cycles", "launches", "manifest"):
+    for key in ("cycles", "launches", "manifest", "issued"):
         assert real[key] == polled[key], key
     assert set(real["visited"]) <= set(polled["eventful"])
     assert len(real["visited"]) < len(polled["eventful"]) or icache
     assert len(polled["eventful"]) < polled["cycles"]
+
+
+@pytest.mark.parametrize("name", ["hotspot", "backprop", "kmeans"])
+def test_launches_in_waves(monkeypatch, name):
+    # one SM holding two CTAs: the rest arrive mid-launch, into
+    # schedulers whose other CTA's warps must not have run ahead
+    card = dataclasses.replace(get_card(CARD), num_sms=1, max_ctas_per_sm=2)
+
+    def run():
+        result = run_application(make_benchmark(name), card, keep_device=True)
+        assert result.status == "completed" and result.passed
+        return ([dataclasses.asdict(ls) for ls in result.device.launches],
+                sorted(result.device.gpu.issued))
+
+    real, polled = both(monkeypatch, run)
+    assert real == polled
 
 
 def campaign_log(**settings_):
@@ -201,6 +248,14 @@ def campaign_log(**settings_):
     return canonical_log_text(records), executor.batch_stats
 
 
+# SIMT-stack and scoreboard flips rewrite, from outside a warp, what its
+# scheduler remembers of it; on single-wave apps (every app here, on
+# this card) a GTO scheduler may run ALU issues ahead
+CONTROL = [(cls.name, policy) for cls in BENCHMARK_CLASSES
+           if NIGHTLY or cls.name == "scalarprod"
+           for policy in ("gto", "lrr") if NIGHTLY or policy == "gto"]
+
+
 @pytest.mark.parametrize("settings_", [
     dict(early_stop="off"),
     dict(early_stop="full", checkpoint_dir=True),
@@ -209,7 +264,11 @@ def campaign_log(**settings_):
     dict(fault_model="stuck_at_1", early_stop="off"),
     dict(structures=(Structure.REGISTER_FILE,), runs_per_structure=12,
          seed=3, early_stop="off", batch=2),
-], ids=["transient", "witness", "pack", "stuck_at_1", "peeled_pack"])
+] + [dict(benchmark=name, scheduler_policy=policy, fault_model="control",
+          structures=(Structure.SIMT_STACK, Structure.SCOREBOARD),
+          runs_per_structure=8, early_stop="off") for name, policy in CONTROL],
+    ids=["transient", "witness", "pack", "stuck_at_1", "peeled_pack"]
+    + [f"control/{name}/{policy}" for name, policy in CONTROL])
 def test_campaign_records(monkeypatch, tmp_path, settings_):
     ends = []  # where each pack ended its simulation
     on_cycle = LockstepPack.on_cycle
@@ -274,8 +333,10 @@ def test_budget_timeout(monkeypatch):
 
     def run():
         result = run_application(make_benchmark("pathfinder"), CARD,
-                                 options=RunOptions(cycle_budget=budget))
-        return result.status, result.error, result.cycles
+                                 options=RunOptions(cycle_budget=budget),
+                                 keep_device=True)
+        return (result.status, result.error, result.cycles,
+                sorted(result.device.gpu.issued))
 
     real, polled = both(monkeypatch, run)
     assert real == polled and real[0] == "timeout"
@@ -348,3 +409,51 @@ def test_deadlock(monkeypatch, drain, wait, then):
 
     real, polled = both(monkeypatch, run)
     assert real == polled and real[1] < LATER
+
+
+RUN = """
+    MOV R1, 1
+    IADD R1, R1, 1
+    IADD R1, R1, 1          ; pc2
+    IADD R1, R1, 1
+    IADD R1, R1, 1          ; pc4: its pc + 1 is the corrupted reconv pc
+    IADD R1, R1, 1
+    IADD R1, R1, 1
+    EXIT
+"""
+
+
+class Reconverge:
+    """Injector stand-in: at cycle 3 the bottom stack entry's
+    reconvergence pc becomes 5, as a SIMT-stack flip makes it."""
+
+    log = ()
+
+    def __init__(self):
+        self.cycle = 3
+
+    def due_cycle(self):
+        return self.cycle
+
+    def apply_due(self, gpu, now):
+        if self.cycle is not None and now >= self.cycle:
+            self.cycle = None
+            warp = gpu.cores[0].ctas[0].warps[0]
+            warp.stack[0].reconv_pc = 5
+            warp.normalize_stack()
+            warp.wake()
+
+
+def test_a_corrupted_reconvergence_pc_drains_at_its_cycle(monkeypatch):
+    # the dependent IADDs leave gaps a run ahead would cover in one
+    # visit; the one that reaches pc 5 drains the warp, and the CTA
+    # retires right after its cycle, not after the visit's
+    def run(injector):
+        dev = Device(CARD)
+        dev.gpu.injector = injector
+        stats = dev.launch(Kernel("run", RUN), grid=1, block=32)
+        return stats.cycles, stats.instructions, sorted(dev.gpu.issued)
+
+    real, polled = both(monkeypatch, lambda: run(Reconverge()))
+    assert real == polled
+    assert real[1] == 5 and real[0] < run(None)[0]

@@ -73,12 +73,7 @@ class TestStatsCollector:
         class FakeCore:
             core_id = 3
             ctas = [FakeCTA()]
-
-            def live_warp_count(self):
-                return 2
-
-            def live_thread_count(self):
-                return 64
+            live_warps, live_threads = 2, 64
 
         collector = StatsCollector()
         collector.begin_launch("k", 0, 32)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.sim.core import SIMTCore
 from repro.sim.cta import CTA
+from repro.sim.device import Device
 from repro.sim.errors import MemoryViolation
 from repro.sim.kernel import Kernel, KernelLaunch
 from repro.sim.warp import StackEntry, Warp
@@ -22,7 +24,7 @@ def make_warp(num_threads=32, num_regs=8, local_bytes=0):
 class TestWarpState:
     def test_initial_masks(self):
         warp = make_warp(num_threads=20)
-        assert warp.active_mask().sum() == 20
+        assert warp.active_lanes(warp.stack[-1]).sum() == 20
         assert warp.live_count == 20
         assert list(warp.live_lanes()) == list(range(20))
 
@@ -65,41 +67,81 @@ class TestScoreboard:
 
     def test_raw_hazard(self):
         warp = make_warp()
-        warp.mark_ready((3,), (), 50)
+        warp.reg_ready[3] = 50
         assert warp.hazards_clear_at((1, 3), ()) == 50
 
     def test_waw_hazard(self):
         warp = make_warp()
-        warp.mark_ready((3,), (2,), 40)
+        warp.reg_ready[3] = warp.pred_ready[2] = 40
         assert warp.hazards_clear_at((3,), ()) == 40
         assert warp.hazards_clear_at((), (2,)) == 40
 
-    def test_sb_latest_fast_path(self):
-        warp = make_warp()
-        warp.mark_ready((3,), (), 99)
-        assert warp.sb_latest == 99
-        warp.mark_ready((4,), (), 50)
-        assert warp.sb_latest == 99  # keeps the max
-        warp.mark_ready((), (), 500)
-        assert warp.sb_latest == 99  # nothing written, nothing in flight
+    def test_sb_latest_fast_path(self, monkeypatch):
+        # the scheduler skips the hazard walk while ``sb_latest`` is not
+        # in the future, so the issue path must keep it at the latest
+        # completion of anything in flight
+        seen = []
+        issue = SIMTCore._issue
+
+        def spy(core, warp, plan, now):
+            issue(core, warp, plan, now)
+            seen.append((plan.inst.opcode, now, warp.sb_latest))
+
+        monkeypatch.setattr(SIMTCore, "_issue", spy)
+        dev = Device("RTX2060")
+        dev.launch(Kernel("sb", """
+    MOV R1, 0x3f800000
+    MUFU.RCP R2, R1
+    IADD R3, RZ, 1
+    IADD R4, R2, 1
+    NOP
+    EXIT
+"""), grid=1, block=32)
+        alu, sfu = dev.gpu.config.alu_latency, dev.gpu.config.sfu_latency
+        (_, t0, mov), (_, t1, rcp), (_, t2, iadd), (_, t3, last), \
+            (_, t4, nop), _ = seen
+        assert (mov, rcp, last) == (t0 + alu, t1 + sfu, t3 + alu)
+        assert t2 + alu < rcp and iadd == rcp  # keeps the max
+        assert t4 + alu > last and nop == last  # NOP writes nothing
 
 
 class TestWarpLocalMemory:
+    """A lane's private local memory, through LDL/STL: each lane's
+    ``R12`` ends up in ``out[lane]``."""
+
+    @staticmethod
+    def run(body, local_bytes):
+        dev = Device("RTX2060")
+        out = dev.malloc(128)
+        kernel = Kernel("local", """
+    S2R R0, SR_TID_X
+    SHL R1, R0, 2
+    LDC R8, c[0x0]
+    IADD R9, R8, R1
+    MOV R2, 0xABCD
+    ISETP.EQ.AND P0, PT, R0, 5, PT
+""" + body + """
+    STG [R9], R12
+    EXIT
+""", num_params=1, local_bytes=local_bytes)
+        dev.launch(kernel, grid=1, block=32, params=[out])
+        return dev.read_array(out, (32,), np.uint32).tolist()
+
     def test_roundtrip(self):
-        warp = make_warp(local_bytes=32)
-        warp.local_write(5, 8, 0xABCD)
-        assert warp.local_read(5, 8) == 0xABCD
-        assert warp.local_read(4, 8) == 0  # thread-private
+        out = self.run("""
+@P0 STL [0x8], R2            ; lane 5 only
+    LDL R12, [0x8]
+""", local_bytes=32)
+        # thread-private: only lane 5 reads back what it stored
+        assert out == [0xABCD if lane == 5 else 0 for lane in range(32)]
 
     def test_oob(self):
-        warp = make_warp(local_bytes=32)
         with pytest.raises(MemoryViolation):
-            warp.local_read(0, 32)
+            self.run("    LDL R12, [0x20]\n", local_bytes=32)
 
     def test_no_local_mem(self):
-        warp = make_warp(local_bytes=0)
         with pytest.raises(MemoryViolation):
-            warp.local_write(0, 0, 1)
+            self.run("    STL [RZ], R2\n", local_bytes=0)
 
 
 class TestCTAUnit:
