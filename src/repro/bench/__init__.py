@@ -64,16 +64,10 @@ def make_benchmark(name: str, **kwargs) -> Benchmark:
     return REGISTRY[key](**kwargs)
 
 
-def get_benchmark(name: str, **kwargs) -> Benchmark:
-    """Alias of :func:`make_benchmark`."""
-    return make_benchmark(name, **kwargs)
-
-
 __all__ = [
     "Benchmark",
     "BENCHMARK_CLASSES",
     "REGISTRY",
     "benchmark_names",
     "make_benchmark",
-    "get_benchmark",
 ]

@@ -11,7 +11,7 @@ only the injected fault differs.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.sim.device import Device
 from repro.sim.kernel import Kernel
@@ -46,7 +46,3 @@ class Benchmark(abc.ABC):
         state = self.build(dev)
         self.execute(dev, state)
         return self.check(dev, state)
-
-    def kernel_names(self) -> List[str]:
-        """Names of the static kernels."""
-        return [k.name for k in self.kernels()]

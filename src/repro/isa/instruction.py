@@ -86,11 +86,6 @@ class Instruction:
         return self.spec.klass is OpClass.EXIT
 
     @property
-    def is_barrier(self) -> bool:
-        """Whether this instruction is a CTA-wide barrier."""
-        return self.spec.klass is OpClass.BARRIER
-
-    @property
     def is_memory(self) -> bool:
         """Whether this instruction accesses a memory space."""
         return self.spec.is_memory

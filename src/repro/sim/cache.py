@@ -17,7 +17,7 @@ to the first bank with zero identification and so on".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,10 +69,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Hits per access (0.0 when the cache was never accessed)."""
         return self.hits / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        self.accesses = self.hits = self.misses = 0
-        self.evictions = self.writebacks = 0
 
 
 class Cache:
@@ -142,11 +138,11 @@ class Cache:
         Read hits trigger any armed deferred injection (hook mode);
         write hits disarm it, matching the paper's hook state machine.
         """
-        set_idx, tag = self._locate(addr)
+        tag, set_idx = divmod(addr // self.line_bytes, self.num_sets)
         self.stats.accesses += 1
         ways = self._sets.get(set_idx)
         if ways is not None:
-            for way, line in enumerate(ways):
+            for line in ways:
                 if line.valid and line.tag == tag:
                     self.stats.hits += 1
                     if touch:
@@ -157,7 +153,7 @@ class Cache:
                             self._apply_bits(line, line.armed)
                         line.armed = None
                     if self.on_cache:
-                        self._tell(set_idx * self.assoc + way,
+                        self._tell(set_idx * self.assoc + ways.index(line),
                                    "wh" if for_write else "rh")
                     return line
         self.stats.misses += 1
@@ -179,11 +175,12 @@ class Cache:
         return None
 
     def fill(self, addr: int, data: np.ndarray
-             ) -> Optional[Tuple[int, np.ndarray]]:
+             ) -> Tuple[CacheLine, Optional[Tuple[int, np.ndarray]]]:
         """Install a line for ``addr`` with ``data``.
 
-        Returns ``(victim_base_address, victim_data)`` when a dirty
-        victim must be written back to the next level, else ``None``.
+        Returns the line now holding ``data`` and ``(victim_base_address,
+        victim_data)`` when a dirty victim must be written back to the
+        next level, else ``None``.
         """
         set_idx, tag = self._locate(addr)
         ways = self._ways(set_idx, create=True)
@@ -211,7 +208,7 @@ class Cache:
         victim.data[:] = data
         self._tick += 1
         victim.last_use = self._tick
-        return writeback
+        return victim, writeback
 
     def invalidate(self, addr: int) -> Optional[Tuple[int, np.ndarray]]:
         """Invalidate the line containing ``addr`` if present.

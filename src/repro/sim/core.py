@@ -649,8 +649,7 @@ class SIMTCore:
             end = min(base + l1c.line_bytes, bank.SIZE)
             data = np.zeros(l1c.line_bytes, dtype=np.uint8)
             data[:end - base] = bank.data[base:end]
-            l1c.fill(base, data)
-            line = l1c.peek(base)
+            line, _ = l1c.fill(base, data)
         else:
             latency = self.config.const_latency
         if plan.dst is not None:
@@ -716,13 +715,11 @@ class SIMTCore:
         cfg = self.config
         gpu = self.gpu
         addrs = self._addresses(plan, warp, mask)
-        lanes = np.nonzero(mask)[0]
-        via_texture = plan.via_texture
-
-        # bounds/alignment check every lane first (address-register faults
-        # surface here as crashes, before any cache state changes)
-        lane_addrs = addrs[lanes]
-        low, high = gpu.memory.check_many(lane_addrs)
+        # bounds/alignment of every lane first (address-register faults
+        # surface here as crashes, before any cache state changes), and
+        # the coalescing: one segment per line touched, by address
+        first, (lanes, segments, _, _) = gpu.memory.shape(
+            addrs, mask, gpu.l2.line_bytes)
 
         if not plan.is_load:
             if plan.src is None:
@@ -735,27 +732,14 @@ class SIMTCore:
             if plan.is_atomic:
                 return self._exec_atomic(plan, warp, lanes, addrs, src)
 
-        # coalescing: one segment per line touched, as (line base,
-        # its lanes, their word offsets in the line), by address
-        line_bytes = gpu.l2.line_bytes
-        first = low - low % line_bytes
-        if high - first < line_bytes:
-            segments = [(first, lanes, (lane_addrs - first) >> 2)]
-        else:
-            bases = lane_addrs - lane_addrs % line_bytes
-            segments = []
-            for base in np.unique(bases).tolist():
-                seg = bases == base
-                segments.append((base, lanes[seg],
-                                 (lane_addrs[seg] - base) >> 2))
-
+        via_texture = plan.via_texture
         l1 = self.l1t if via_texture else self.l1d
         use_l2 = cfg.l2_service_all or via_texture
         worst = 0
         if plan.is_load:
             dst = plan.dst
-            for base, seg_lanes, offs in segments:
-                latency, words = gpu.read_line_via(l1, base, use_l2=use_l2)
+            for line, seg_lanes, offs in segments:
+                latency, words = gpu.read_line_via(l1, first + line, use_l2)
                 worst = max(worst, latency)
                 if dst is not None:
                     # the line exists once: every column loads its words
@@ -767,7 +751,8 @@ class SIMTCore:
                      plan, gpu.cycle)
         else:  # global store: write-evict L1, write-allocate L2
             write = gpu.l2_write_words if use_l2 else gpu.dram_write_words
-            for base, seg_lanes, offs in segments:
+            for line, seg_lanes, offs in segments:
+                base = first + line
                 worst = max(worst, write(base, offs, src[seg_lanes]))
                 if l1 is not None:
                     l1.invalidate(base)

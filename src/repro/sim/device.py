@@ -106,10 +106,6 @@ class Device:
         """Allocate device memory; returns the device pointer."""
         return self.gpu.memory.malloc(nbytes)
 
-    def alloc_like(self, array: np.ndarray) -> int:
-        """Allocate device memory sized for ``array``."""
-        return self.malloc(array.nbytes)
-
     def to_device(self, array: np.ndarray) -> int:
         """Allocate + copy: the common cudaMalloc/cudaMemcpy pair."""
         ptr = self.malloc(array.nbytes)

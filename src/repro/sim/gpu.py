@@ -414,43 +414,33 @@ class GPU:
 
     # -- memory hierarchy services (called by the cores) ---------------------
 
-    def _l2_contention(self, base: int) -> int:
-        """Bank-conflict delay for one L2 access at the current cycle.
-
-        The L2 is split into address-interleaved banks (paper section
-        IV.B.5); back-to-back accesses to the same bank serialise at
-        the bank service rate.
-        """
-        bank = (base // self.l2.line_bytes) % self.config.l2_banks
-        busy = self._l2_bank_busy[bank]
-        delay = max(0, busy - self.cycle)
-        self._l2_bank_busy[bank] = (self.cycle + delay
-                                    + self.config.l2_bank_service)
+    def _contention(self, base: int, busy: List[int], service: int) -> int:
+        """Conflict delay of an access to line ``base`` now: ``busy``
+        holds the L2 banks' or DRAM channels' busy-until cycles (lines
+        interleave, paper IV.B.5), each serving one per ``service``."""
+        at = base // self.l2.line_bytes % len(busy)
+        delay = max(0, busy[at] - self.cycle)
+        busy[at] = self.cycle + delay + service
         return delay
 
     def _dram_contention(self, base: int) -> int:
-        """Channel-conflict delay for one DRAM access at the current cycle."""
-        channel = ((base // self.l2.line_bytes)
-                   % self.config.dram_channels)
-        busy = self._dram_busy[channel]
-        delay = max(0, busy - self.cycle)
-        self._dram_busy[channel] = (self.cycle + delay
-                                    + self.config.dram_service)
-        return delay
+        return self._contention(base, self._dram_busy,
+                                self.config.dram_service)
 
     def _l2_line(self, base: int,
                  for_write: bool = False) -> Tuple["CacheLine", int]:
         """Return the (resident) L2 line for ``base`` and the access latency."""
-        contention = self._l2_contention(base)
+        contention = self._contention(base, self._l2_bank_busy,
+                                      self.config.l2_bank_service)
         line = self.l2.lookup(base, for_write=for_write)
         if line is not None:
             return line, self.config.l2_hit_latency + contention
         contention += self._dram_contention(base)
-        data = self.memory.read_line(base, self.l2.line_bytes)
-        writeback = self.l2.fill(base, data)
+        line, writeback = self.l2.fill(
+            base, self.memory.read_line(base, self.l2.line_bytes))
         if writeback is not None:
             self.memory.write_line(*writeback)
-        return self.l2.peek(base), self.config.dram_latency + contention
+        return line, self.config.dram_latency + contention
 
     def read_line_via(self, l1: Optional[Cache], base: int,
                       use_l2: bool = True) -> Tuple[int, np.ndarray]:
@@ -476,14 +466,14 @@ class GPU:
             absorb = self.memory.write_line
         if l1 is None:
             return latency, data.view("<u4")
-        writeback = l1.fill(base, data)
+        line, writeback = l1.fill(base, data)
         if writeback is not None:
             absorb(*writeback)
-        return latency, l1.peek(base).data.view("<u4")
+        return latency, line.data.view("<u4")
 
-    def dram_write_words(self, base: int, offsets: np.ndarray,
-                         values: np.ndarray) -> int:
-        """Direct DRAM word writes (L2 bypass mode for non-texture)."""
+    def dram_write_words(self, base: int, offsets, values: np.ndarray) -> int:
+        """Direct DRAM word writes (L2 bypass mode for non-texture);
+        ``offsets`` as for :meth:`l2_write_words`."""
         line_bytes = self.l2.line_bytes
         if base + line_bytes <= self.memory.size:
             line = self.memory.read_line(base, line_bytes)
@@ -493,9 +483,10 @@ class GPU:
             stale.data.view("<u4")[offsets] = values
         return self.config.dram_latency + self._dram_contention(base)
 
-    def l2_write_words(self, base: int, offsets: np.ndarray,
-                       values: np.ndarray) -> int:
-        """Vectorised word writes into one L2 line (write-allocate)."""
+    def l2_write_words(self, base: int, offsets, values: np.ndarray) -> int:
+        """Vectorised word writes into one L2 line (write-allocate):
+        ``values`` at word ``offsets``, an index array or a slice (a
+        whole line)."""
         line, latency = self._l2_line(base, for_write=True)
         line.data.view("<u4")[offsets] = values
         line.dirty = True

@@ -56,6 +56,15 @@ def page_digest(page) -> bytes:
 
 _ZERO_DIGEST = page_digest(bytes(SNAP_PAGE))
 
+#: :meth:`GlobalMemory.shape`'s memo, one per process, as
+#: :meth:`repro.sim.cta.CTA.smem_pattern`'s: a pure function of its
+#: key, whose values nobody can write to.  Filled by a process's first
+#: golden run, emptied when it reaches :data:`SHAPE_CAP` entries; a
+#: faulting shape is never stored.
+_SHAPES: Dict[tuple, tuple] = {}
+SHAPE_CAP = 4096
+_WARP_WORDS = np.arange(32)  # a warp's lanes, one word each
+
 
 def _span(index: int) -> slice:
     """The byte range of page ``index``."""
@@ -124,18 +133,58 @@ class GlobalMemory:
         """Vectorised :meth:`check_access` over a warp's (one or more)
         lane addresses, ``size`` a power of two; returns the lowest
         and the highest of them.  Three reductions decide "aligned and
-        mapped"; the per-lane arrays are built only to name the first
-        offender."""
+        mapped"; the lanes are walked only to name the first offender."""
         low, high = int(addrs.min()), int(addrs.max())
         if (low >= BASE_ADDRESS and high + size <= self.mapped_end()
                 and not int(np.bitwise_or.reduce(addrs)) & (size - 1)):
             return low, high
-        misaligned = addrs % size != 0
-        if misaligned.any():
-            bad = int(addrs[np.argmax(misaligned)])
-            raise MemoryViolation("global", bad, "misaligned access")
-        bad_mask = (addrs < BASE_ADDRESS) | (addrs + size > self.mapped_end())
-        raise MemoryViolation("global", int(addrs[np.argmax(bad_mask)]))
+        # the first misaligned lane raises, else the first unmapped one
+        for addr in sorted(addrs.tolist(), key=lambda addr: addr % size == 0):
+            self.check_access(addr, size)
+
+    def shape(self, addrs: np.ndarray, mask: np.ndarray,
+              line_bytes: int) -> Tuple[int, tuple]:
+        """Check and coalesce the word access of the ``mask`` lanes at
+        ``addrs`` (int64): raise what :meth:`check_many` raises, or
+        return the first lane's line base and ``(lanes, segments, low,
+        high)``: the lanes; per line touched, ascending, its base
+        relative to that one, its lanes and their word offsets (slices
+        for a whole line in lane order); the address range relative to
+        the first lane.  Memoised on all it depends on (line size, first
+        address modulo it, mask, offsets from it); a faulting shape is
+        never stored, and alignment is the key's, so a hit costs two
+        compares (``docs/architecture.md``, *Cycle loop*)."""
+        at = int(addrs[mask.argmax()])
+        first = at - at % line_bytes
+        rel = (addrs - at) * mask  # lanes that do not execute add nothing
+        key = (line_bytes, at - first, mask.tobytes(), rel.tobytes())
+        shape = _SHAPES.get(key)
+        if (shape is not None and at + shape[2] >= BASE_ADDRESS
+                and at + shape[3] + 4 <= self.mapped_end()):
+            return first, shape
+        lanes = np.nonzero(mask)[0]
+        lane_addrs = addrs[lanes]
+        low, high = self.check_many(lane_addrs)
+        line = low - low % line_bytes
+        groups = [(line, lanes, lane_addrs)]
+        if high - line >= line_bytes:  # more than one line
+            bases = lane_addrs - lane_addrs % line_bytes
+            groups = [(line, lanes[seg], lane_addrs[seg])
+                      for line in np.unique(bases).tolist()
+                      for seg in (bases == line,)]
+        segments = []
+        for line, seg_lanes, seg_addrs in groups:
+            words = (seg_addrs - line) >> 2
+            seg_lanes.setflags(write=False)
+            words.setflags(write=False)
+            if np.array_equal(words, _WARP_WORDS):  # every lane, in order
+                seg_lanes, words = slice(None), slice(0, len(_WARP_WORDS))
+            segments.append((line - first, seg_lanes, words))
+        lanes.setflags(write=False)
+        if len(_SHAPES) >= SHAPE_CAP:
+            _SHAPES.clear()
+        shape = _SHAPES[key] = (lanes, tuple(segments), low - at, high - at)
+        return first, shape
 
     def read_word(self, addr: int) -> int:
         """Bounds-checked aligned 32-bit read (raw DRAM, no caches)."""

@@ -76,10 +76,6 @@ class Tracer:
         device.gpu.listen(self)
         return self
 
-    def detach(self, device) -> None:
-        """Stop listening to a device."""
-        device.gpu.unlisten(self)
-
     def on_issue(self, core_id: int, warp, plan, exec_mask, now: int) -> None:
         """One issue, heard before it executes: one that raises is the
         newest record."""

@@ -70,7 +70,8 @@ class TestHitMiss:
         cache.fill(0, line_data(1))
         line = cache.peek(0)
         cache.write_word(line, 0, 0xDEADBEEF)
-        writeback = cache.fill(set_stride, line_data(2))
+        filled, writeback = cache.fill(set_stride, line_data(2))
+        assert filled is cache.peek(set_stride)  # the line installed
         assert writeback is not None
         addr, data = writeback
         assert addr == 0
@@ -80,7 +81,9 @@ class TestHitMiss:
         cache = make_cache(assoc=1)
         set_stride = cache.geometry.num_sets * 128
         cache.fill(0, line_data(1))
-        assert cache.fill(set_stride, line_data(2)) is None
+        filled, writeback = cache.fill(set_stride, line_data(2))
+        assert writeback is None
+        assert filled is cache.peek(set_stride) and filled.data[0] == 2
 
     def test_word_read_write(self):
         cache = make_cache()

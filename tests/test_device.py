@@ -54,9 +54,9 @@ class TestMemcpy:
         resident = device.gpu.l2.peek(p_out)
         assert resident is not None  # the interesting case was exercised
 
-    def test_alloc_like(self, device):
+    def test_malloc_sized_for_an_array(self, device):
         arr = np.zeros((8, 8), dtype=np.float32)
-        ptr = device.alloc_like(arr)
+        ptr = device.malloc(arr.nbytes)
         assert device.read_array(ptr, (64,), np.float32).nbytes == 256
 
 

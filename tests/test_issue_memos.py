@@ -1,11 +1,13 @@
 """The issue path's memos are invalidated where they must be.
 
-``repro.sim`` remembers three things between issues instead of
+``repro.sim`` remembers four things between issues instead of
 recomputing them: the active lanes of a SIMT-stack entry
 (``StackEntry.active``, :mod:`repro.sim.warp`), what a shared-memory
-address pattern decides (``CTA.smem_pattern``, :mod:`repro.sim.cta`)
-and the occupancy sums over the busy cores (``StatsCollector
-.occupancy``).  The checks here are made from the test side, at every
+address pattern decides (``CTA.smem_pattern``, :mod:`repro.sim.cta`),
+what a global access's addresses decide (``GlobalMemory.shape``,
+:mod:`repro.sim.memory`; ``tests/test_global_access.py`` holds it
+against a per-lane walk) and the occupancy sums over the busy cores
+(``StatsCollector.occupancy``).  The checks here are made from the test side, at every
 issue and every cycle-loop iteration of real runs, against the values
 recomputed from scratch; nothing in ``src/`` exists for them.
 """
@@ -17,7 +19,7 @@ from repro.dist.protocol import canonical_log_text
 from repro.faults.campaign import (Campaign, CampaignConfig,
                                    profile_application)
 from repro.faults.targets import Structure
-from repro.sim import cta as cta_module
+from repro.sim import cta as cta_module, memory as memory_module
 from repro.sim.core import SIMTCore
 from repro.sim.device import Device
 from repro.sim.errors import MemoryViolation
@@ -317,12 +319,17 @@ def run_global(delta):
     return dev.read_array(out, (32,), np.uint32).tolist()
 
 
+def clear_memos():
+    cta_module._PATTERNS.clear()
+    memory_module._SHAPES.clear()
+
+
 class TestAccessPatternMemo:
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
-        cta_module._PATTERNS.clear()
+        clear_memos()
         yield
-        cta_module._PATTERNS.clear()
+        clear_memos()
 
     def test_faulting_patterns_do_not_poison(self):
         """A corrupted address that faults -- in shared, in global
@@ -334,17 +341,19 @@ class TestAccessPatternMemo:
                     lambda: run_global(1 << 30), lambda: run_global(2)]
         fresh = []
         for run in sequence:
-            cta_module._PATTERNS.clear()
+            clear_memos()
             fresh.append(run())
-        cta_module._PATTERNS.clear()
+        clear_memos()
         warm = [run() for run in sequence]
         assert warm == fresh
         assert fresh[1] == [tid + 100 for tid in range(32)]
         assert "shared" in fresh[0] and "misaligned" in fresh[3]
         assert "global" in fresh[4] and "misaligned" in fresh[7]
         # only the patterns that resolved were kept: the STS and the
-        # clean LDS, which are the same pattern
+        # clean LDS, which are the same pattern; and every clean LDG /
+        # STG, at one line offset and lane offsets 4 * tid
         assert len(cta_module._PATTERNS) == 1
+        assert len(memory_module._SHAPES) == 1
 
     def test_resolved_per_kernel_and_per_card(self):
         """One lane-address pattern, three answers: past the CTA's own
@@ -390,3 +399,38 @@ loop:
         total = sum(range(0, 4 * words, 4)) & 0xFFFFFFFF
         assert dev.read_array(out, (32,), np.uint32).tolist() == [total] * 32
         assert 0 < len(cta_module._PATTERNS) <= cta_module.PATTERN_CAP
+
+    def test_global_shapes_bounded(self, monkeypatch):
+        """40 distinct global shapes in one run under a cap of 8: the
+        memo empties when full, stays under the cap, and the run is
+        right."""
+        monkeypatch.setattr(memory_module, "SHAPE_CAP", 8)
+        source = """
+    S2R R0, SR_TID_X
+    SHL R1, R0, 2
+    LDC R2, c[0x0]          ; out
+    LDC R3, c[0x4]          ; in
+    SHR R4, R0, 4           ; 0 for lanes 0..15, 1 for 16..31
+    MOV R6, 0               ; shift of the upper half, in bytes
+    MOV R7, 0               ; sum
+loop:
+    IMAD R8, R4, R6, R1     ; 4 * tid, + the shift above lane 15
+    IADD R8, R3, R8
+    LDG R9, [R8]
+    IADD R7, R7, R9
+    IADD R6, R6, 4
+    ISETP.LT.AND P0, PT, R6, 160, PT
+@P0 BRA loop
+    IADD R5, R2, R1
+    STG [R5], R7
+    EXIT
+"""
+        dev = Device("RTX2060")
+        words = np.arange(128, dtype=np.uint32)
+        data, out = dev.to_device(words), dev.malloc(128)
+        kernel = Kernel("shapes", source, num_params=2)
+        dev.launch(kernel, grid=1, block=32, params=[out, data])
+        want = [sum(int(words[tid + (tid >> 4) * k]) for k in range(40))
+                for tid in range(32)]
+        assert dev.read_array(out, (32,), np.uint32).tolist() == want
+        assert 0 < len(memory_module._SHAPES) <= 8

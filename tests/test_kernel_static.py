@@ -47,7 +47,8 @@ class TestKernelStatic:
     def test_barrier_usage_implies_shared_or_sync(self, abbrev, kernel):
         # every kernel with a barrier also touches shared memory (the
         # only cross-thread channel barriers order in these workloads)
-        has_barrier = any(inst.is_barrier for inst in kernel.instructions)
+        has_barrier = any(inst.spec.klass is OpClass.BARRIER
+                          for inst in kernel.instructions)
         uses_shared = any(inst.spec.space == "shared"
                           for inst in kernel.instructions)
         if has_barrier:

@@ -87,7 +87,7 @@ class TestPrepareReduce:
 class TestChainProfile:
     def test_six_static_kernels(self):
         bench = make_benchmark("srad1")
-        names = bench.kernel_names()
+        names = [k.name for k in bench.kernels()]
         assert names == ["extract", "prepare", "reduce", "srad_cuda_1",
                          "srad_cuda_2", "compress"]
 

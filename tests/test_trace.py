@@ -115,10 +115,10 @@ class TestTracer:
         tracer = run_traced()
         assert all(r.active_lanes == 32 for r in tracer.records)
 
-    def test_detach(self):
+    def test_unlisten(self):
         dev = Device("RTX2060")
         tracer = Tracer().attach(dev)
-        tracer.detach(dev)
+        dev.gpu.unlisten(tracer)
         out = dev.malloc(128)
         dev.launch(KERNEL, grid=1, block=32, params=[out])
         assert not tracer.records
