@@ -65,11 +65,6 @@ class CacheStats:
     evictions: int = 0
     writebacks: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits per access (0.0 when the cache was never accessed)."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     """A single set-associative, LRU, data-holding cache.
@@ -228,19 +223,6 @@ class Cache:
                        *(("inv",) if writeback is None else ("wb", "inv")))
         line.invalidate()
         return writeback
-
-    def flush(self) -> List[Tuple[int, np.ndarray]]:
-        """Write back every dirty line (lines stay valid and clean)."""
-        out = []
-        for set_idx, ways in self._sets.items():
-            for way, line in enumerate(ways):
-                if line.valid and line.dirty:
-                    out.append((self._line_addr(set_idx, line.tag),
-                                line.data.copy()))
-                    line.dirty = False
-                    self.stats.writebacks += 1
-                    self._tell(set_idx * self.assoc + way, "wb")
-        return out
 
     def invalidate_all(self) -> None:
         """Drop every line without writeback (kernel-boundary L1 reset)."""

@@ -39,8 +39,10 @@ resolved once into an :class:`IssuePlan` cached on the (immutable)
 destination index tuples, guard, operands (see
 :func:`repro.sim.exec_unit.bind`).  What changes between issues, but
 rarely, is remembered as well: a stack entry's active lanes
-(:mod:`repro.sim.warp`), a shared-memory access pattern's resolution
-(:mod:`repro.sim.cta`), the occupancy sums (:mod:`repro.sim.stats`).
+(:mod:`repro.sim.warp`), what a guard leaves of them (:func:`guard_masks`),
+a shared-memory access pattern's resolution (:mod:`repro.sim.cta`), a
+global one's (:meth:`repro.sim.memory.GlobalMemory.shape`), the
+occupancy sums (:mod:`repro.sim.stats`).
 
 There is one issue path for every run width.  Register, predicate,
 local- and shared-memory *data* carry a runs axis (see
@@ -80,6 +82,32 @@ _RZ_WORDS.setflags(write=False)
 
 #: :attr:`IssuePlan.kind`
 _ALU, _MEMORY, _BRANCH, _BARRIER, _EXIT = range(5)
+
+#: A guarded issue's lanes, one memo per process, as
+#: :meth:`repro.sim.memory.GlobalMemory.shape`'s: ``(active lanes,
+#: guard predicate row of every column, negate)`` as bytes -> see
+#: :func:`guard_masks`.  Read-only arrays; emptied at :data:`GUARD_CAP`.
+_GUARDS: dict = {}
+GUARD_CAP = 4096
+
+
+def guard_masks(active: np.ndarray, guard: np.ndarray, negate: bool):
+    """The lanes a guarded issue executes on: the per-column execution
+    mask, column 0's, whether it has a lane, a branch's fall-through
+    lanes and whether it has one; memoised (shared, read-only)."""
+    key = (active.tobytes(), guard.tobytes(), negate)
+    masks = _GUARDS.get(key)
+    if masks is None:
+        taken = ~guard if negate else guard
+        exec_mask, fall = active & taken, active & ~taken[0]
+        exec_mask.setflags(write=False)
+        fall.setflags(write=False)
+        if len(_GUARDS) >= GUARD_CAP:
+            _GUARDS.clear()
+        exec0 = exec_mask[0]
+        masks = _GUARDS[key] = (exec_mask, exec0, bool(exec0.any()),
+                                fall, bool(fall.any()))
+    return masks
 
 
 class IssuePlan:
@@ -537,19 +565,18 @@ class SIMTCore:
         active = top.active
         if active is None:
             active = warp.active_lanes(top)
-        guard = None
-        if plan.guard is not None:
+        guarded = plan.guard is not None
+        if guarded:
             guard = warp.preds[plan.guard]
-            if plan.guard_negate:
-                guard = ~guard
             if plan.steers and gpu.pack is not None:
                 # column 0's guard is about to decide the exit mask,
                 # the SIMT stack or the memory-latency path for all
                 # columns: members whose guard differs leave first
+                # (the polarity does not change who differs)
                 gpu.pack.check_rows(guard, active)
             # per-column execution mask; column 0's steers control flow
-            exec_mask = active & guard
-            exec0 = exec_mask[0]
+            exec_mask, exec0, any0, fall, any_fall = guard_masks(
+                active, guard, plan.guard_negate)
         else:
             exec0 = active
             exec_mask = top.where
@@ -565,7 +592,7 @@ class SIMTCore:
                 plan.run(plan, warp, exec_mask)
                 if plan.sfu:
                     latency = self.config.sfu_latency
-            elif guard is None or exec0.any():
+            elif not guarded or any0:
                 # (only a guard can have emptied the lanes)
                 latency = plan.run(self, plan, warp, exec0)
             top.pc += 1
@@ -575,20 +602,18 @@ class SIMTCore:
             if top.pc == top.reconv_pc:
                 warp.normalize_stack()
         elif kind == _BRANCH:
-            if guard is None:
+            if not guarded or not any_fall:
                 top.pc = inst.target_pc
+            elif not any0:
+                top.pc += 1
             else:
-                fall = active & ~guard[0]
-                if not fall.any():
-                    top.pc = inst.target_pc
-                elif not exec0.any():
-                    top.pc += 1
-                else:
-                    reconv = inst.reconv_pc
-                    top.pc = reconv
-                    warp.stack.append(StackEntry(inst.pc + 1, fall, reconv))
-                    top = StackEntry(inst.target_pc, exec0.copy(), reconv)
-                    warp.stack.append(top)
+                # the entries own their masks: the injector flips
+                # them in place
+                reconv = inst.reconv_pc
+                top.pc = reconv
+                warp.stack.append(StackEntry(inst.pc + 1, fall.copy(), reconv))
+                top = StackEntry(inst.target_pc, exec0.copy(), reconv)
+                warp.stack.append(top)
             # as above, for the entry now on top
             if top.pc == top.reconv_pc:
                 warp.normalize_stack()
@@ -621,20 +646,19 @@ class SIMTCore:
 
     # -- memory pipeline ----------------------------------------------------------
 
-    def _addresses(self, plan: IssuePlan, warp: Warp,
-                   mask: np.ndarray) -> np.ndarray:
-        """Per-lane addresses, from column 0's base register.
+    def _base(self, plan: IssuePlan, warp: Warp, mask: np.ndarray):
+        """Column 0's base register lanes (``None``: ``RZ``).
 
         Addresses steer state that exists once (caches, banks,
         coalescing, bounds faults), so pack members whose base differs
         on an executing lane leave before they are used.
         """
         if plan.base is None:
-            return plan.addrs
+            return None
         base = warp.regs[plan.base]
         if self.gpu.pack is not None:
             self.gpu.pack.check_rows(base, mask)
-        return base[0].astype(np.int64) + plan.offset
+        return base[0]
 
     def _exec_const(self, plan: IssuePlan, warp: Warp,
                     mask: np.ndarray) -> int:
@@ -661,15 +685,9 @@ class SIMTCore:
     def _exec_shared(self, plan: IssuePlan, warp: Warp,
                      mask: np.ndarray) -> int:
         cta = warp.cta
-        if plan.base is None:
-            base = _RZ_WORDS
-        else:
-            base = warp.regs[plan.base]
-            if self.gpu.pack is not None:
-                # as in _addresses: column 0's addresses serve all
-                self.gpu.pack.check_rows(base, mask)
-        lanes, words, word_list, distinct, conflicts = \
-            cta.smem_pattern(base[0], plan.offset, mask)
+        base = self._base(plan, warp, mask)
+        lanes, words, word_list, distinct, conflicts = cta.smem_pattern(
+            _RZ_WORDS[0] if base is None else base, plan.offset, mask)
         is_load = plan.is_load
         # data is per column (each reads and writes its own smem row),
         # so neither direction needs agreement between pack members
@@ -693,7 +711,7 @@ class SIMTCore:
 
     def _exec_local(self, plan: IssuePlan, warp: Warp,
                     mask: np.ndarray) -> int:
-        addrs = self._addresses(plan, warp, mask)
+        addrs = _addresses(plan, self._base(plan, warp, mask))
         lanes = np.nonzero(mask)[0]
         is_load = plan.is_load
         # each lane has its own words: no two lanes share one
@@ -714,12 +732,12 @@ class SIMTCore:
                      mask: np.ndarray) -> int:
         cfg = self.config
         gpu = self.gpu
-        addrs = self._addresses(plan, warp, mask)
+        base = self._base(plan, warp, mask)
         # bounds/alignment of every lane first (address-register faults
         # surface here as crashes, before any cache state changes), and
         # the coalescing: one segment per line touched, by address
         first, (lanes, segments, _, _) = gpu.memory.shape(
-            addrs, mask, gpu.l2.line_bytes)
+            base, plan.offset, mask, gpu.l2.line_bytes)
 
         if not plan.is_load:
             if plan.src is None:
@@ -730,7 +748,8 @@ class SIMTCore:
                     gpu.pack.check_rows(warp.regs[plan.src], mask)
                 src = warp.regs[plan.src, 0]
             if plan.is_atomic:
-                return self._exec_atomic(plan, warp, lanes, addrs, src)
+                return self._exec_atomic(plan, warp, lanes,
+                                         _addresses(plan, base), src)
 
         via_texture = plan.via_texture
         l1 = self.l1t if via_texture else self.l1d
@@ -781,6 +800,11 @@ class SIMTCore:
             hear("global", self.core_id, warp.age, (), lanes, True, warp,
                  plan, gpu.cycle)
         return worst
+
+
+def _addresses(plan: IssuePlan, base) -> np.ndarray:
+    """Per-lane int64 addresses from :meth:`SIMTCore._base`'s lanes."""
+    return plan.addrs if base is None else base.astype(np.int64) + plan.offset
 
 
 #: Memory space -> handler (``global`` and ``tex`` share one).

@@ -56,12 +56,15 @@ def page_digest(page) -> bytes:
 
 _ZERO_DIGEST = page_digest(bytes(SNAP_PAGE))
 
-#: :meth:`GlobalMemory.shape`'s memo, one per process, as
-#: :meth:`repro.sim.cta.CTA.smem_pattern`'s: a pure function of its
-#: key, whose values nobody can write to.  Filled by a process's first
-#: golden run, emptied when it reaches :data:`SHAPE_CAP` entries; a
-#: faulting shape is never stored.
+#: :meth:`GlobalMemory.shape`'s two memos, one per process, as
+#: :meth:`repro.sim.cta.CTA.smem_pattern`'s: pure functions of their
+#: keys, whose values nobody can write to.  ``_SHAPES`` is keyed by
+#: the addresses relative to the first lane (a process's first golden
+#: run), ``_ACCESSES`` by the exact operands (every run after it); each
+#: is emptied when it reaches :data:`SHAPE_CAP` entries, and a faulting
+#: shape is never stored.
 _SHAPES: Dict[tuple, tuple] = {}
+_ACCESSES: Dict[tuple, tuple] = {}
 SHAPE_CAP = 4096
 _WARP_WORDS = np.arange(32)  # a warp's lanes, one word each
 
@@ -142,48 +145,61 @@ class GlobalMemory:
         for addr in sorted(addrs.tolist(), key=lambda addr: addr % size == 0):
             self.check_access(addr, size)
 
-    def shape(self, addrs: np.ndarray, mask: np.ndarray,
+    def shape(self, base, offset: int, mask: np.ndarray,
               line_bytes: int) -> Tuple[int, tuple]:
-        """Check and coalesce the word access of the ``mask`` lanes at
-        ``addrs`` (int64): raise what :meth:`check_many` raises, or
+        """Check and coalesce the word access ``[base + offset]`` of the
+        ``mask`` lanes (``base``: column 0's uint32 base register lanes,
+        ``None`` for ``RZ``): raise what :meth:`check_many` raises, or
         return the first lane's line base and ``(lanes, segments, low,
         high)``: the lanes; per line touched, ascending, its base
         relative to that one, its lanes and their word offsets (slices
         for a whole line in lane order); the address range relative to
-        the first lane.  Memoised on all it depends on (line size, first
-        address modulo it, mask, offsets from it); a faulting shape is
-        never stored, and alignment is the key's, so a hit costs two
-        compares (``docs/architecture.md``, *Cycle loop*)."""
+        the first lane.  Memoised on the exact operands, then on the
+        addresses relative to the first lane (line size, first address
+        modulo it, mask, offsets from it); alignment and the lowest
+        address are the key's, so a hit compares only the highest with
+        the mapped heap, and a faulting shape is never stored
+        (``docs/architecture.md``, *Cycle loop*)."""
+        exact = (line_bytes, offset,
+                 b"" if base is None else base.tobytes(), mask.tobytes())
+        hit = _ACCESSES.get(exact)
+        if hit is not None and hit[2] <= self.mapped_end():
+            return hit[0], hit[1]
+        addrs = (np.full(32, offset, dtype=np.int64) if base is None
+                 else base.astype(np.int64) + offset)
         at = int(addrs[mask.argmax()])
         first = at - at % line_bytes
         rel = (addrs - at) * mask  # lanes that do not execute add nothing
         key = (line_bytes, at - first, mask.tobytes(), rel.tobytes())
         shape = _SHAPES.get(key)
-        if (shape is not None and at + shape[2] >= BASE_ADDRESS
-                and at + shape[3] + 4 <= self.mapped_end()):
-            return first, shape
-        lanes = np.nonzero(mask)[0]
-        lane_addrs = addrs[lanes]
-        low, high = self.check_many(lane_addrs)
-        line = low - low % line_bytes
-        groups = [(line, lanes, lane_addrs)]
-        if high - line >= line_bytes:  # more than one line
-            bases = lane_addrs - lane_addrs % line_bytes
-            groups = [(line, lanes[seg], lane_addrs[seg])
-                      for line in np.unique(bases).tolist()
-                      for seg in (bases == line,)]
-        segments = []
-        for line, seg_lanes, seg_addrs in groups:
-            words = (seg_addrs - line) >> 2
-            seg_lanes.setflags(write=False)
-            words.setflags(write=False)
-            if np.array_equal(words, _WARP_WORDS):  # every lane, in order
-                seg_lanes, words = slice(None), slice(0, len(_WARP_WORDS))
-            segments.append((line - first, seg_lanes, words))
-        lanes.setflags(write=False)
-        if len(_SHAPES) >= SHAPE_CAP:
-            _SHAPES.clear()
-        shape = _SHAPES[key] = (lanes, tuple(segments), low - at, high - at)
+        if (shape is None or at + shape[2] < BASE_ADDRESS
+                or at + shape[3] + 4 > self.mapped_end()):
+            lanes = np.nonzero(mask)[0]
+            lane_addrs = addrs[lanes]
+            low, high = self.check_many(lane_addrs)
+            line = low - low % line_bytes
+            groups = [(line, lanes, lane_addrs)]
+            if high - line >= line_bytes:  # more than one line
+                bases = lane_addrs - lane_addrs % line_bytes
+                groups = [(line, lanes[seg], lane_addrs[seg])
+                          for line in np.unique(bases).tolist()
+                          for seg in (bases == line,)]
+            segments = []
+            for line, seg_lanes, seg_addrs in groups:
+                words = (seg_addrs - line) >> 2
+                seg_lanes.setflags(write=False)
+                words.setflags(write=False)
+                if np.array_equal(words, _WARP_WORDS):  # every lane, in order
+                    seg_lanes, words = slice(None), slice(0, len(_WARP_WORDS))
+                segments.append((line - first, seg_lanes, words))
+            lanes.setflags(write=False)
+            shape = (lanes, tuple(segments), low - at, high - at)
+            if len(_SHAPES) >= SHAPE_CAP:
+                _SHAPES.clear()
+            _SHAPES[key] = shape
+        if len(_ACCESSES) >= SHAPE_CAP:
+            _ACCESSES.clear()
+        _ACCESSES[exact] = (first, shape, at + shape[3] + 4)
         return first, shape
 
     def read_word(self, addr: int) -> int:

@@ -18,10 +18,9 @@ Usage::
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -110,26 +109,3 @@ class Tracer:
         header = (f"{len(self.records)} records"
                   + (f" ({self.dropped} dropped)" if self.dropped else ""))
         return "\n".join([header] + [str(r) for r in records])
-
-    def between(self, start: int, end: int) -> List[TraceRecord]:
-        """Records with ``start <= cycle < end``."""
-        return [r for r in self.records if start <= r.cycle < end]
-
-    def touching_register(self, index: int) -> List[TraceRecord]:
-        """Records that read or write register ``R<index>``.
-
-        Matches against the record's exact operand sets (the
-        instruction's scoreboard sets, so memory-operand base
-        registers count and ``R1`` never matches ``R10``).  Records
-        without operand sets (external producers) fall back to the
-        old ``R<index>`` word match on the rendered text.
-        """
-        pattern = re.compile(rf"\bR{index}\b")
-        out = []
-        for r in self.records:
-            if r.src_regs or r.dst_regs:
-                if index in r.src_regs or index in r.dst_regs:
-                    out.append(r)
-            elif pattern.search(r.text):
-                out.append(r)
-        return out

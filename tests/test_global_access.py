@@ -1,9 +1,10 @@
-"""A global access through the shape memo is the per-lane access.
+"""A global access through the shape memos is the per-lane access.
 
 ``GlobalMemory.shape`` resolves a warp access's bounds, alignment and
-coalescing once per (mask, line size, first address modulo the line,
-lane offsets) and ``SIMTCore._exec_global`` moves whole lines as one
-copy.  Here hypothesis generates masks and lane-address patterns --
+coalescing once per exact operands (line size, offset, base register
+lanes, mask) and once per (mask, line size, first address modulo the
+line, lane offsets), and ``SIMTCore._exec_global`` moves whole lines as
+one copy.  Here hypothesis generates masks and lane-address patterns --
 contiguous, strided, duplicate words, reversed, scattered over several
 lines, with a misaligned lane, in the null page below ``BASE_ADDRESS``
 and past ``mapped_end()`` -- and runs LDG / STG / TLD / ATOM through
@@ -13,17 +14,22 @@ counters, DRAM bytes, bank and channel contention, the latency and the
 raised ``MemoryViolation`` (address and reason) must agree.  Each
 pattern runs on a cold memo, at a shifted start (another line offset,
 or off the heap: a hit that must fault) and again on the warm memo,
-between two clean accesses; the memo never holds a faulting shape.
+between two clean accesses; the memos never hold a faulting shape.
+Below, the exact key one part at a time: a repeat hits, each operand
+is in it, a stored access on a smaller heap faults as on empty memos,
+an ``RZ`` base, lanes that do not execute, and its bound.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.isa.assembler import assemble
 from repro.sim.core import IssuePlan
 from repro.sim.errors import MemoryViolation
 from repro.sim.gpu import GPU
-from repro.sim.memory import _SHAPES, BASE_ADDRESS
+from repro.sim import memory as memory_module
+from repro.sim.memory import _ACCESSES, _SHAPES, BASE_ADDRESS, GlobalMemory
 from repro.sim.warp import Warp
 from tests.conftest import generated, tiny_config
 
@@ -127,12 +133,27 @@ def outcome(run):
 
 
 def memo_is_clean() -> bool:
-    """No stored shape is misaligned (the faults its key alone decides)."""
+    """No stored shape is misaligned, and no stored access is also
+    below the heap (the faults their keys alone decide)."""
     for line_bytes, first, mask, rel in _SHAPES:
         executing = np.frombuffer(rel, np.int64)[np.frombuffer(mask, bool)]
         if ((first + executing) % 4).any():
             return False
+    for line_bytes, offset, base, mask in _ACCESSES:
+        lanes = np.frombuffer(base, np.uint32) if base else np.zeros(32)
+        addrs = (lanes.astype(np.int64) + offset)[np.frombuffer(mask, bool)]
+        if (addrs % 4).any() or addrs.min() < BASE_ADDRESS:
+            return False
     return True
+
+
+def stored() -> tuple:
+    return len(_SHAPES), len(_ACCESSES)
+
+
+def clear() -> None:
+    _SHAPES.clear()
+    _ACCESSES.clear()
 
 
 def lane_offsets(kind: str, k: int, scattered) -> list:
@@ -200,15 +221,132 @@ def test_global_access_is_the_per_lane_access(op, mask_bits, offsets, start,
              (plan, mask, offsets, start),          # a warm memo
              (OPS["STG"], full, CLEAN[1], CLEAN[2])]
     real, ref = Twin(l2_service_all), Twin(l2_service_all)
-    _SHAPES.clear()
+    clear()
     for step, (plan, mask, offsets, start) in enumerate(steps):
         for twin in (real, ref):
             twin.aim(offsets, start, step)
-        stored = len(_SHAPES)
+        before = stored()
         got = outcome(lambda: real.core._exec_global(plan, real.warp, mask))
         want = outcome(lambda: reference(ref, plan, mask))
         assert got == want, (step, start)
         assert real.state() == ref.state(), (step, start)
         if isinstance(got, tuple):
-            assert len(_SHAPES) == stored, "a faulting shape was stored"
+            assert stored() == before, "a faulting shape was stored"
         assert memo_is_clean()
+
+
+LANES = np.arange(32)
+ALL = np.ones(32, dtype=bool)
+
+
+def heap(nbytes: int) -> GlobalMemory:
+    """An RTX 2060-sized DRAM with ``nbytes`` allocated (mapped to the
+    next 2 MiB)."""
+    memory = GlobalMemory(8 << 20)
+    memory.malloc(nbytes)
+    return memory
+
+
+def words(start: int) -> np.ndarray:
+    """Base register lanes at consecutive words from ``start``."""
+    return (start + 4 * LANES).astype(np.uint32)
+
+
+def answer(memory, base, offset, mask, line_bytes):
+    """``shape``'s outcome in plain values (slices as lane lists)."""
+    def plain(part):
+        return LANES[part].tolist() if isinstance(part, slice) \
+            else part.tolist()
+
+    def run():
+        first, (lanes, segments, low, high) = memory.shape(
+            base, offset, mask, line_bytes)
+        return (first, lanes.tolist(), low, high,
+                [(line, plain(seg), plain(offs))
+                 for line, seg, offs in segments])
+    return outcome(run)
+
+
+def test_an_exact_repeat_hits():
+    memory = heap(4096)
+    clear()
+    first, shape = memory.shape(words(BASE_ADDRESS), 0x40, ALL, 128)
+    _SHAPES.clear()  # only the exact memo is left to answer
+    assert memory.shape(words(BASE_ADDRESS), 0x40, ALL, 128) == (first, shape)
+    assert memory.shape(words(BASE_ADDRESS), 0x40, ALL, 128)[1] is shape
+    assert stored() == (0, 1), "the repeat went past the exact memo"
+
+
+@pytest.mark.parametrize("changed", ["offset", "mask", "line", "base"])
+def test_each_operand_is_in_the_exact_key(changed):
+    """Two accesses that differ in one operand: the second, met on a
+    memo that holds the first, answers as on empty memos."""
+    memory = heap(4096)
+    one = dict(base=words(BASE_ADDRESS), offset=0, mask=ALL, line_bytes=128)
+    two = dict(one, **{
+        "offset": dict(offset=0x40),
+        "mask": dict(mask=LANES >= 16),
+        "line": dict(line_bytes=64),
+        "base": dict(base=words(BASE_ADDRESS + 0x80))}[changed])
+    clear()
+    want = answer(memory, **two)
+    clear()
+    assert answer(memory, **one) != want
+    assert answer(memory, **two) == want
+
+
+def test_a_stored_access_faults_on_a_smaller_heap():
+    """The same operands on a GPU whose heap is mapped to 2 MiB, not 4:
+    the stored entry must fault, where and why empty memos do."""
+    big, small = heap(3 << 20), heap(4096)
+    base = words(3 << 20)
+    clear()
+    want = answer(small, base, 0, ALL, 128)
+    assert want == ("violation", "global", 3 << 20, "out of bounds")
+    assert stored() == (0, 0)
+    assert answer(big, base, 0, ALL, 128)[0] == 3 << 20
+    assert stored() == (1, 1)
+    assert answer(small, base, 0, ALL, 128) == want
+    assert stored() == (1, 1)
+
+
+def test_an_rz_base():
+    """``[RZ+offset]``: keyed without base lanes, answered as a base
+    register of zeros is; off the heap it faults."""
+    memory = heap(4096)
+    mask = LANES % 3 == 0
+    clear()
+    rz = answer(memory, None, 0x1100, mask, 128)
+    assert (128, 0x1100, b"", mask.tobytes()) in _ACCESSES
+    assert rz == answer(memory, np.zeros(32, np.uint32), 0x1100, mask, 128)
+    assert rz[4] == [(0, LANES[mask].tolist(), [0] * 11)]
+    assert answer(memory, None, 4 << 20, mask, 128) == (
+        "violation", "global", 4 << 20, "out of bounds")
+
+
+def test_lanes_that_do_not_execute_may_differ():
+    """The same executing lanes under other base values on the lanes
+    that do not execute (here off the heap): another exact key, the
+    same relative one, the same answer."""
+    memory = heap(4096)
+    mask = LANES < 16
+    other = words(BASE_ADDRESS)
+    other[16:] = 0xFFFFFFF0
+    clear()
+    want = answer(memory, words(BASE_ADDRESS), 0, mask, 128)
+    assert answer(memory, other, 0, mask, 128) == want
+    assert want[0] == BASE_ADDRESS and stored() == (1, 2)
+
+
+def test_the_exact_memo_is_bounded(monkeypatch):
+    """40 distinct operand sets under a cap of 8: the exact memo empties
+    when full, stays under the cap, and every answer is right."""
+    monkeypatch.setattr(memory_module, "SHAPE_CAP", 8)
+    memory = heap(4096)
+    clear()
+    for step in range(40):
+        base = words(BASE_ADDRESS + 4 * step)
+        got = answer(memory, base, 0, ALL, 128)
+        assert got[0] == BASE_ADDRESS + 4 * step // 128 * 128
+        assert got[1] == LANES.tolist() and got[3] - got[2] == 124
+        assert 0 < len(_ACCESSES) <= 8 and len(_SHAPES) <= 8

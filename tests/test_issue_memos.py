@@ -1,13 +1,15 @@
 """The issue path's memos are invalidated where they must be.
 
-``repro.sim`` remembers four things between issues instead of
+``repro.sim`` remembers five things between issues instead of
 recomputing them: the active lanes of a SIMT-stack entry
-(``StackEntry.active``, :mod:`repro.sim.warp`), what a shared-memory
-address pattern decides (``CTA.smem_pattern``, :mod:`repro.sim.cta`),
-what a global access's addresses decide (``GlobalMemory.shape``,
-:mod:`repro.sim.memory`; ``tests/test_global_access.py`` holds it
-against a per-lane walk) and the occupancy sums over the busy cores
-(``StatsCollector.occupancy``).  The checks here are made from the test side, at every
+(``StackEntry.active``, :mod:`repro.sim.warp`), the lanes a guard
+leaves them (``guard_masks``, :mod:`repro.sim.core`;
+``tests/test_guard_masks.py`` holds it against the algebra), what a
+shared-memory address pattern decides (``CTA.smem_pattern``,
+:mod:`repro.sim.cta`), what a global access's operands and addresses
+decide (``GlobalMemory.shape``, two levels, :mod:`repro.sim.memory`;
+``tests/test_global_access.py`` holds it against a per-lane walk) and
+the occupancy sums over the busy cores (``StatsCollector.occupancy``).  The checks here are made from the test side, at every
 issue and every cycle-loop iteration of real runs, against the values
 recomputed from scratch; nothing in ``src/`` exists for them.
 """
@@ -322,6 +324,7 @@ def run_global(delta):
 def clear_memos():
     cta_module._PATTERNS.clear()
     memory_module._SHAPES.clear()
+    memory_module._ACCESSES.clear()
 
 
 class TestAccessPatternMemo:
@@ -351,9 +354,11 @@ class TestAccessPatternMemo:
         assert "global" in fresh[4] and "misaligned" in fresh[7]
         # only the patterns that resolved were kept: the STS and the
         # clean LDS, which are the same pattern; and every clean LDG /
-        # STG, at one line offset and lane offsets 4 * tid
+        # STG, at one line offset and lane offsets 4 * tid, and on
+        # the same operands
         assert len(cta_module._PATTERNS) == 1
         assert len(memory_module._SHAPES) == 1
+        assert len(memory_module._ACCESSES) == 1
 
     def test_resolved_per_kernel_and_per_card(self):
         """One lane-address pattern, three answers: past the CTA's own
@@ -401,8 +406,8 @@ loop:
         assert 0 < len(cta_module._PATTERNS) <= cta_module.PATTERN_CAP
 
     def test_global_shapes_bounded(self, monkeypatch):
-        """40 distinct global shapes in one run under a cap of 8: the
-        memo empties when full, stays under the cap, and the run is
+        """40 distinct global shapes in one run under a cap of 8: both
+        memos empty when full, stay under the cap, and the run is
         right."""
         monkeypatch.setattr(memory_module, "SHAPE_CAP", 8)
         source = """
@@ -434,3 +439,4 @@ loop:
                 for tid in range(32)]
         assert dev.read_array(out, (32,), np.uint32).tolist() == want
         assert 0 < len(memory_module._SHAPES) <= 8
+        assert 0 < len(memory_module._ACCESSES) <= 8

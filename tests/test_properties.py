@@ -55,7 +55,7 @@ class TestCacheInvariants:
 
     @given(cache_ops())
     @settings(max_examples=40, deadline=None)
-    def test_flush_leaves_nothing_dirty(self, ops):
+    def test_invalidation_writes_back_exactly_the_dirty_lines(self, ops):
         cache = Cache("prop", CacheGeometry(4 * 1024, assoc=2), 57)
         for kind, addr, payload in ops:
             if kind == "fill":
@@ -64,9 +64,13 @@ class TestCacheInvariants:
                 line = cache.peek(addr)
                 if line is not None:
                     cache.write_word(line, addr, payload)
-        cache.flush()
+        lines = {cache._line_addr(set_idx, ln.tag): ln.dirty
+                 for set_idx, ways in cache._sets.items()
+                 for ln in ways if ln.valid}
+        written = {addr for addr in lines if cache.invalidate(addr)}
+        assert written == {addr for addr, dirty in lines.items() if dirty}
         for ways in cache._sets.values():
-            assert not any(ln.valid and ln.dirty for ln in ways)
+            assert not any(ln.valid for ln in ways)
 
     @given(st.integers(0, 31), st.integers(0, 1080))
     @settings(max_examples=60, deadline=None)
