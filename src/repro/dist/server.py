@@ -5,7 +5,9 @@ coordination point of a fault-injection fleet:
 
 - **submit**: clients POST a campaign configuration (the same
   ``-gpufi_*`` option text as config files); the dispatcher profiles
-  the golden run once, enumerates the plan and splits it into shards.
+  the golden run once, enumerates the plan, records every instant run
+  itself (synthesized or pre-screened: the plan already knows its
+  verdict) and splits the runs that simulate into shards.
 - **lease** (work stealing): workers ask for work whenever they are
   free -- in the send that completes their shard (``lease_next``,
   answered by ``next``), or at ``/api/lease`` when they have none;
@@ -53,6 +55,7 @@ connections still open.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import logging
 import re
@@ -71,16 +74,16 @@ from urllib.parse import parse_qs, urlsplit
 from repro.dist.protocol import plan_fingerprint, plan_shards, spec_to_wire
 from repro.faults.campaign import Campaign
 from repro.faults.config_file import parse_config_text
-from repro.faults.executor import RunSpec
+from repro.faults.executor import RunSpec, execute_run
 from repro.faults.ledger import CampaignLedger
-from repro.obs.events import shard_trace
+from repro.obs.events import run_event, shard_trace
 from repro.obs.live import PROMETHEUS_CONTENT_TYPE, render_prometheus
 
 log = logging.getLogger("gpufi.dist")
 
-#: Default shard size (runs per lease).  Small enough that work
-#: stealing balances uneven run latencies, large enough that HTTP
-#: round-trips stay negligible against simulation time.
+#: Default shard size (runs per lease, all of which simulate).  Small
+#: enough that work stealing balances uneven run latencies, large
+#: enough that HTTP round-trips stay negligible against simulation.
 DEFAULT_SHARD_SIZE = 8
 
 #: Default lease lifetime in seconds; workers heartbeat at a third of
@@ -93,27 +96,23 @@ DEFAULT_LEASE_TIMEOUT = 60.0
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
+@dataclasses.dataclass
 class _Lease:
-    __slots__ = ("lease_id", "shard_index", "worker", "deadline",
-                 "generation", "trace")
-
-    def __init__(self, lease_id: str, shard_index: int, worker: str,
-                 deadline: float, generation: int = 1,
-                 trace: str = ""):
-        self.lease_id = lease_id
-        self.shard_index = shard_index
-        self.worker = worker
-        self.deadline = deadline
-        self.generation = generation
-        self.trace = trace
+    lease_id: str
+    shard_index: int
+    worker: str
+    deadline: float
+    generation: int
+    trace: str
 
 
 class CampaignJob:
     """Dispatcher-side state of one submitted campaign: its ledger,
-    its shards and the live leases on them -- nothing else.  A shard
-    is **complete** when the ledger holds every run of it, **leased**
-    when it is not and a live lease is on it, and **pending**
-    otherwise."""
+    its shards and the live leases on them -- nothing else.  Shards
+    split the runs that simulate; the ledger takes the instant ones
+    from :meth:`Dispatcher.submit`.  A shard is **complete** when the
+    ledger holds every run of it, **leased** when it is not and a live
+    lease is on it, and **pending** otherwise."""
 
     def __init__(self, campaign_id: str, config,
                  specs: Sequence[RunSpec], fingerprint: str,
@@ -123,7 +122,8 @@ class CampaignJob:
         #: once, by the submit that planned them.
         self.config = config
         self.fingerprint = fingerprint
-        self.shards = plan_shards(specs, shard_size)
+        self.shards = plan_shards([spec for spec in specs
+                                   if not spec.instant], shard_size)
         #: Log, records, journal, tally and sidecar.  Opened for a
         #: campaign new to this directory, or resumed by one that a
         #: restart finds there: records and journal are as they were
@@ -140,14 +140,6 @@ class CampaignJob:
         #: taken back, so no grant or count looks at those again.
         self._cursor = 0
 
-    @property
-    def total(self) -> int:
-        return len(self.ledger.keys)
-
-    @property
-    def complete(self) -> bool:
-        return self.ledger.complete
-
     def _incomplete(self) -> Iterator[Tuple[int, bool]]:
         """Each shard the ledger lacks a run of, in order, and whether
         a live lease is on it."""
@@ -163,7 +155,7 @@ class CampaignJob:
         """The lowest pending shard, if any: one whose lease expired
         goes before every shard never leased.  At once for a complete
         campaign: the dispatcher keeps them all, and each grant asks."""
-        if self.complete:
+        if self.ledger.complete:
             return None
         return next((index for index, leased in self._incomplete()
                      if not leased), None)
@@ -189,12 +181,12 @@ class CampaignJob:
         tally = self.ledger.tally
         return {
             "id": self.campaign_id,
-            "state": "complete" if self.complete else "running",
+            "state": "complete" if self.ledger.complete else "running",
             "benchmark": self.config.benchmark,
             "card": self.config.card,
             "fingerprint": self.fingerprint,
             "trace": self.trace,
-            "total": self.total,
+            "total": len(self.ledger.keys),
             "done": tally.done,
             "effects": dict(sorted(tally.effects.items())),
             "shards": {"total": len(self.shards), **self.shard_states(),
@@ -216,7 +208,7 @@ class Dispatcher:
         log_dir: directory holding, per campaign, the merged JSONL log
             (``<id>.jsonl``), the persisted submission
             (``<id>.campaign.json``) and any metrics sidecar.
-        shard_size: runs per lease.
+        shard_size: runs that simulate per lease.
         lease_timeout: seconds before a silent worker loses its lease.
         clock: monotonic clock (tests inject fakes to force expiry).
     """
@@ -254,12 +246,14 @@ class Dispatcher:
 
     def submit(self, config_text: str,
                campaign_id: Optional[str] = None) -> dict:
-        """Plan a submitted campaign and split it into shards.
+        """Plan a submitted campaign, record its instant runs and
+        split the others into shards.
 
         Re-submitting a campaign whose fingerprint is already known
         returns the existing id instead of running it twice -- which
         is also how a client resumes after a dispatcher restart: same
-        config, same fingerprint, same campaign.
+        config, same fingerprint, same campaign.  Its ledger keeps the
+        records it already holds (:meth:`CampaignLedger.absorb`).
         """
         config = parse_config_text(config_text)
         if config.backend != "local":
@@ -273,11 +267,19 @@ class Dispatcher:
         campaign = Campaign(config)
         specs = campaign.plan()
         fingerprint = plan_fingerprint(specs)
+        # an instant verdict costs less here than a lease: recorded by
+        # no worker, and outside the lock too
+        instant = [execute_run(dataclasses.replace(spec, telemetry=True)
+                               if config.metrics else spec)
+                   for spec in specs if spec.instant]
+        for record in instant:
+            if "worker" in record:
+                record["worker"] = None
         with self._endpoint():
             for job in self._jobs.values():
                 if job.fingerprint == fingerprint:
                     return {"campaign": job.campaign_id, "reused": True,
-                            "total": job.total}
+                            "total": len(job.ledger.keys)}
             cid = campaign_id or self._next_id()
             job = CampaignJob(cid, config, specs, fingerprint,
                               self.shard_size, self.log_dir / f"{cid}.jsonl",
@@ -286,13 +288,17 @@ class Dispatcher:
                 {"id": cid, "config": config_text, "fingerprint": fingerprint},
                 indent=1) + "\n", encoding="utf-8")
             self._jobs[cid] = job
-            log.info("campaign %s submitted: %d runs in %d shards, %d "
-                     "already recorded in %s", cid, job.total,
-                     len(job.shards), len(job.ledger.records),
+            job.ledger.absorb(instant, events=[
+                run_event(record, job.trace, None) for record in instant])
+            self._touched.append(job)
+            total = len(job.ledger.keys)
+            log.info("campaign %s submitted: %d runs, %d recorded, the rest "
+                     "in %d shards, in %s", cid, total,
+                     len(job.ledger.records), len(job.shards),
                      job.ledger.log_path)
-            if job.complete:
+            if job.ledger.complete:
                 self._finalize(job)
-            return {"campaign": cid, "reused": False, "total": job.total}
+            return {"campaign": cid, "reused": False, "total": total}
 
     def _next_id(self) -> str:
         self._id_seq += 1
@@ -346,8 +352,8 @@ class Dispatcher:
             return {
                 "campaign": campaign_id,
                 "trace": job.trace,
-                "state": "complete" if job.complete else "running",
-                "complete": job.complete,
+                "state": "complete" if job.ledger.complete else "running",
+                "complete": job.ledger.complete,
                 "cursor": cursor,
                 "next": cursor + len(page),
                 "total": len(job.ledger.journal),
@@ -498,10 +504,10 @@ class Dispatcher:
                               worker=lease.worker,
                               generation=lease.generation,
                               trace=lease.trace)
-            if accepted and job.complete:
+            if accepted and job.ledger.complete:
                 self._finalize(job)
             reply = {"ok": True, "accepted": accepted, "expired": expired,
-                     "campaign_complete": job.complete}
+                     "campaign_complete": job.ledger.complete}
             if done and lease_next:
                 reply["next"] = self._grant(worker or "?")
             return reply
@@ -542,8 +548,9 @@ class Dispatcher:
         """Collected records of one campaign, in plan order."""
         with self._lock:
             job = self._job(campaign_id)
-            return {"campaign": campaign_id, "complete": job.complete,
-                    "fingerprint": job.fingerprint, "total": job.total,
+            return {"campaign": campaign_id, "complete": job.ledger.complete,
+                    "fingerprint": job.fingerprint,
+                    "total": len(job.ledger.keys),
                     "records": job.ledger.ordered()}
 
     def metrics_text(self) -> str:
@@ -565,9 +572,9 @@ class Dispatcher:
             rate = 0.0
             for job in self._jobs.values():
                 tally = job.ledger.tally
-                state = "complete" if job.complete else "running"
+                state = "complete" if job.ledger.complete else "running"
                 by_state[state] += 1
-                if not job.complete:
+                if not job.ledger.complete:
                     rate += tally.rate()
                 sums.update(runs=tally.done, events=tally.events,
                             leased=tally.leased, expired=tally.expired)
@@ -604,9 +611,6 @@ class Dispatcher:
                  [({}, sums["leased"])]),
                 ("gpufi_lease_expired_total", "counter",
                  "Leases lost to missed heartbeats.",
-                 [({}, sums["expired"])]),
-                ("gpufi_lease_requeued_total", "counter",
-                 "Shards re-queued after their lease expired.",
                  [({}, sums["expired"])]),
                 ("gpufi_record_batches_total", "counter",
                  "Record batches accepted from workers.",
@@ -835,16 +839,12 @@ class DispatcherServer:
         self._thread: Optional[threading.Thread] = None
 
     @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
     def port(self) -> int:
         return self._httpd.server_address[1]
 
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        return "http://%s:%d" % self._httpd.server_address[:2]
 
     def start(self) -> "DispatcherServer":
         self._thread = threading.Thread(

@@ -54,9 +54,7 @@ def batch_eligible(spec: RunSpec) -> bool:
     """
     if spec.structure not in BATCHABLE_STRUCTURES:
         return False
-    if spec.synthesized or spec.prescreened:
-        return False
-    if spec.verify_restore or spec.propagation:
+    if spec.instant or spec.verify_restore or spec.propagation:
         return False
     return may_converge(spec)
 

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.classify import TIMEOUT_FACTOR, FaultEffect
 from repro.faults.early_stop import EARLY_STOP_MODES, Prescreener
-from repro.faults.executor import RunSpec, regenerate_mask
+from repro.faults.executor import RunSpec, regenerate_mask, remember_mask
 from repro.faults.mask import derive_run_seed
 from repro.faults.options import CampaignConfig, spec_constants
 from repro.faults.runner import RunResult, run_application
@@ -493,6 +493,7 @@ class Campaign:
                                 spec, prescreened=True,
                                 prescreen_reason=verdict.reason,
                                 prescreen_site=prescreen_site)
+                            remember_mask(spec, mask)
                     specs.append(spec)
         self.plan_timing = {
             "plan_s": round(time.perf_counter() - started, 6),

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import multiprocessing
+import operator
 import signal
 import time
 from dataclasses import dataclass
@@ -155,6 +157,11 @@ class RunSpec:
         """The run's address within its campaign."""
         return (self.kernel, self.structure.value, self.run_index)
 
+    @property
+    def instant(self) -> bool:
+        """The run simulates nothing: its verdict is known at plan time."""
+        return self.synthesized or self.prescreened
+
 
 def _resolved_card(spec: RunSpec):
     card = get_card(spec.card)
@@ -187,6 +194,25 @@ def regenerate_mask(spec: RunSpec):
         mode=spec.multibit_mode, warp_level=spec.warp_level,
         n_blocks=spec.n_blocks, n_cores=spec.n_cores,
         fault_model=spec.fault_model)
+
+
+#: The masks the plan drew for its pre-screened runs, by what
+#: :func:`regenerate_mask` reads of a spec, until the run's record
+#: takes its own: one draw per process.  Bounded (emptied when full),
+#: never pickled.
+_PLANNED_MASKS: Dict[tuple, object] = {}
+PLANNED_MASK_CAP = 1 << 14
+_mask_inputs = operator.attrgetter(
+    "card", "model_icache", "windows", "regs_per_thread", "smem_bytes",
+    "local_bytes", "seed", "structure", "bits_per_fault", "multibit_mode",
+    "warp_level", "n_blocks", "n_cores", "fault_model")
+
+
+def remember_mask(spec: RunSpec, mask) -> None:
+    """Keep the mask the plan drew for pre-screened ``spec``."""
+    if len(_PLANNED_MASKS) >= PLANNED_MASK_CAP:
+        _PLANNED_MASKS.clear()
+    _PLANNED_MASKS[_mask_inputs(spec)] = mask
 
 
 def may_converge(spec: RunSpec) -> bool:
@@ -473,16 +499,16 @@ def execute_run(spec: RunSpec) -> dict:
         if spec.propagation:
             record["propagation"] = synthesized_propagation()
         return annotate(record, spec, watch, skipped="synthesized")
-    run = ResolvedRun(spec)
     if spec.prescreened:
-        record["mask"] = run.mask.to_dict()
+        mask = _PLANNED_MASKS.pop(_mask_inputs(spec), None)
+        record["mask"] = (mask or regenerate_mask(spec)).to_dict()
         record["prescreened"] = True
         record["prescreen_reason"] = spec.prescreen_reason
         if spec.propagation:
             record["propagation"] = prescreen_propagation(
                 spec.prescreen_site)
         return annotate(record, spec, watch, skipped="prescreen")
-    return finish_solo(run, watch)
+    return finish_solo(ResolvedRun(spec), watch)
 
 
 def _pool_context():
@@ -576,7 +602,9 @@ class CampaignExecutor:
 
     Args:
         jobs: worker process count; ``1`` executes in-process (no
-            pool, no pickling) with identical results.
+            pool, no pickling) with identical results.  A pool gets
+            only the runs that simulate: this process records the
+            instant ones first.
         progress: optional callback receiving progress lines.
         progress_every: emit progress every N completed runs.
         log_path: JSONL file records are streamed to as they finish.
@@ -680,10 +708,18 @@ class CampaignExecutor:
         if self.telemetry:
             pending = [dataclasses.replace(spec, telemetry=True)
                        for spec in pending]
+        instant = []
+        if self.jobs > 1 and self._run_fn is execute_run:
+            # an instant verdict costs less here than its trip through
+            # the pool: recorded before the pool starts (not with a
+            # substituted run_fn, see _build_units)
+            instant = [execute_run(spec) for spec in pending if spec.instant]
+            pending = [spec for spec in pending if not spec.instant]
         tally, every = ledger.tally, self.progress_every
         try:
-            for records, pack_stats in self._completions(
-                    self._build_units(pending), ledger):
+            for records, pack_stats in itertools.chain(
+                    [(instant, None)],
+                    self._completions(self._build_units(pending), ledger)):
                 for key, value in (pack_stats or {}).items():
                     # counters add up, the peel_cycles samples append
                     self.batch_stats[key] += value

@@ -299,7 +299,7 @@ class CampaignLedger:
             self.keys[key] = None
             if key in self._found:
                 self.records[key] = self._found.pop(key)
-            elif spec.synthesized or spec.prescreened:
+            elif spec.instant:
                 instant += 1
         if self.adaptive and new:
             self._rounds += 1

@@ -30,10 +30,10 @@ Event types of every campaign, journaled by its ledger:
   ``campaign_start`` by a session that appends to an existing log (a
   ``--resume`` run, a restarted dispatcher).
 - ``run`` -- one completed run (:func:`run_event`): its key, effect,
-  worker, trace, ``instant`` / ``converged`` when so, wall-clock
-  ``total_s`` and, from a record with ``timings``, the ``restore_s`` /
-  ``simulate_s`` / ``classify_s`` of its stages.  Exactly one per
-  record.
+  worker (``null``: an instant run its dispatcher recorded), trace,
+  ``instant`` / ``converged`` when so, wall-clock ``total_s`` and,
+  from a record with ``timings``, the ``restore_s`` / ``simulate_s`` /
+  ``classify_s`` of its stages.  Exactly one per record.
 - ``round`` -- an adaptive campaign admitted a planner round to its
   plan: ``round``, its ``runs`` (``instant`` of them), the plan's new
   ``total``.
@@ -156,7 +156,9 @@ class Tally:
     ``leased`` / ``completed`` / lease ``expired``, each shard's latest
     lease generation, events ``by_type``, and per fleet worker (a named
     one; a pool's are numbered) its ``runs`` / ``shards`` / ``leases``
-    / ``heartbeats`` and last event.  This session's, from its
+    / ``heartbeats`` and last event; a run that names no worker (an
+    instant one its dispatcher recorded) is in no per-worker view.
+    This session's, from its
     ``campaign_start`` / ``campaign_resume`` (:attr:`opening`): runs
     ``executed``, of them ``instant`` and ``converged``, the instant
     ones still pending, wall-clock, per worker ``[runs, busy seconds,
@@ -238,6 +240,8 @@ class Tally:
         at = (ts - self.started if ts is not None and self.started is not None
               else 0.0)
         worker = event.get("worker", 0)
+        if worker is None:
+            return  # recorded where it was planned, by no worker
         stats = self.workers.get(worker)
         if stats is None:
             stats = self.workers[worker] = [0, 0.0, at, at]

@@ -81,7 +81,7 @@ def stratum_of(config, spec, mask: FaultMask,
     proven-dead and synthesized runs collapse into
     :data:`DEAD_STRATUM`.
     """
-    if spec.synthesized or spec.prescreened:
+    if spec.instant:
         return DEAD_STRATUM
     first_read = None
     if prescreener is not None:

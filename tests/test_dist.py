@@ -24,14 +24,24 @@ from repro.faults.config_file import dump_config
 from repro.faults.executor import execute_run
 from repro.faults.targets import Structure
 
+#: Every run simulates (a dispatcher records instant ones itself, so
+#: only simulating runs exercise leases).
 SMALL = dict(benchmark="vectoradd", card="RTX2060",
              structures=(Structure.REGISTER_FILE,),
-             runs_per_structure=4, seed=3)
+             runs_per_structure=4, seed=3, early_stop="off")
 
 
 @pytest.fixture(scope="module")
 def small_plan():
     return Campaign(CampaignConfig(**SMALL)).plan()
+
+
+@pytest.fixture(scope="module")
+def screened_plan():
+    """SMALL under early-stop full: specs with pre-screen fields set."""
+    plan = Campaign(CampaignConfig(**{**SMALL, "early_stop": "full"})).plan()
+    assert any(spec.prescreened for spec in plan)
+    return plan
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +93,15 @@ class TestShardPlanning:
 
 
 class TestWireFormat:
-    def test_spec_round_trips_through_json(self, small_plan):
-        for spec in small_plan:
+    def test_spec_round_trips_through_json(self, screened_plan):
+        for spec in screened_plan:
             wire = json.loads(json.dumps(spec_to_wire(spec)))
             assert spec_from_wire(wire) == spec
 
-    def test_unknown_keys_ignored(self, small_plan):
-        wire = spec_to_wire(small_plan[0])
+    def test_unknown_keys_ignored(self, screened_plan):
+        wire = spec_to_wire(screened_plan[0])
         wire["from_the_future"] = {"x": 1}
-        assert spec_from_wire(wire) == small_plan[0]
+        assert spec_from_wire(wire) == screened_plan[0]
 
 
 class TestFingerprint:

@@ -117,6 +117,8 @@ class TestStageLaziness:
 
         monkeypatch.setattr(executor, "regenerate_mask", counting)
         monkeypatch.setattr(executor, "CheckpointStore", never)
+        # as in a process that did not plan them
+        monkeypatch.setattr(executor, "_PLANNED_MASKS", {})
         records = [execute_run(spec) for spec in specs]
         assert regenerated == [spec.key for spec in specs
                                if not spec.synthesized]

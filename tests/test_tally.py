@@ -253,7 +253,7 @@ def test_dispatcher_restart_tally_is_the_journal_fold(tmp_path):
     text = dump_config(CampaignConfig(
         benchmark="vectoradd", card="RTX2060",
         structures=(Structure.REGISTER_FILE,), runs_per_structure=6,
-        seed=3, metrics=True))
+        seed=3, metrics=True, early_stop="off"))
     dispatcher = Dispatcher(log_dir=root, shard_size=2, clock=clock,
                             lease_timeout=10.0)
     cid = dispatcher.submit(text)["campaign"]
@@ -300,10 +300,13 @@ def sample(text, name, labels=""):
 
 
 def test_every_view_of_a_fleet_campaign_agrees(tmp_path, capsys):
+    # six register-file runs simulate on the workers; vectoradd has no
+    # shared memory, so the six shared-memory runs are synthesized and
+    # the dispatcher records them itself
     config = CampaignConfig(
         benchmark="vectoradd", card="RTX2060",
-        structures=(Structure.REGISTER_FILE, Structure.L1T_CACHE),
-        runs_per_structure=6, seed=3, metrics=True)
+        structures=(Structure.REGISTER_FILE, Structure.SHARED_MEM),
+        runs_per_structure=6, seed=3, metrics=True, early_stop="off")
     dispatcher = Dispatcher(log_dir=tmp_path / "server", shard_size=2)
     server = DispatcherServer(dispatcher, port=0).start()
     stop = threading.Event()
@@ -321,6 +324,8 @@ def test_every_view_of_a_fleet_campaign_agrees(tmp_path, capsys):
         client = DispatcherClient(server.url)
         (cid,) = [c["id"] for c in client.status()["campaigns"]]
         status = client.status(cid)
+        runs = [event for event in client.events(cid)["events"]
+                if event["event"] == "run"]
         metrics = client.metrics_text()
         assert cli_main(["top", "--connect", server.url, cid,
                          "--once"]) == 0
@@ -335,6 +340,14 @@ def test_every_view_of_a_fleet_campaign_agrees(tmp_path, capsys):
                          / f"{cid}.jsonl.metrics.json").read_text())
 
     done = 12
+    # the instant runs name no worker, and are in no per-worker view
+    assert sorted((e["structure"], e["worker"] is None) for e in runs) \
+        == [("register_file", False)] * 6 + [("shared_mem", True)] * 6
+    assert sum(entry["runs"] for entry in theirs["workers"].values()) \
+        == sum(entry["runs"] for entry in ours["workers"].values()) == 6
+    assert set(theirs["workers"]) <= {"w1", "w2"}
+    assert sum(sample(metrics, "gpufi_worker_runs_total", f'{{worker="{w}"}}')
+               for w in theirs["workers"]) == 6
     effects = theirs["effects"]
     assert sum(effects.values()) == done
     # the progress line (the remote client's tally)
@@ -362,7 +375,7 @@ def test_every_view_of_a_fleet_campaign_agrees(tmp_path, capsys):
 
     leased = sample(metrics, "gpufi_leases_granted_total")
     expired = sample(metrics, "gpufi_lease_expired_total")
-    assert leased >= status["shards"]["total"] == 6
+    assert leased >= status["shards"]["total"] == 3
     assert f"leases {leased} granted, {expired} expired" in frame
     assert theirs["dist"]["events"]["by_type"]["shard_leased"] == leased
     assert status["shards"]["lease_expired"] == expired \
