@@ -27,8 +27,7 @@ from typing import Dict, Tuple
 
 from repro.analysis.statistics import margin_of_error
 from repro.bench import BENCHMARK_CLASSES, make_benchmark
-from repro.faults.campaign import (AppProfile, Campaign, CampaignConfig,
-                                   CampaignResult, profile_application)
+from repro.faults.campaign import Campaign, CampaignConfig, CampaignResult
 
 RUNS = int(os.environ.get("GPUFI_RUNS", "16"))
 JOBS = int(os.environ.get("GPUFI_JOBS", "1"))
@@ -46,20 +45,11 @@ BENCHMARKS = tuple(b.strip() for b in os.environ.get(
 OUT_DIR = Path(__file__).resolve().parent / "out"
 
 _campaigns: Dict[Tuple, CampaignResult] = {}
-_profiles: Dict[Tuple[str, str], AppProfile] = {}
 
 
 def abbrev(benchmark_name: str) -> str:
     """Paper abbreviation of a workload."""
     return make_benchmark(benchmark_name).abbrev
-
-
-def get_profile(benchmark: str, card: str) -> AppProfile:
-    """Cached fault-free profile."""
-    key = (benchmark, card)
-    if key not in _profiles:
-        _profiles[key], _ = profile_application(benchmark, card)
-    return _profiles[key]
 
 
 def get_campaign(benchmark: str, card: str, bits: int = 1,
@@ -80,7 +70,6 @@ def get_campaign(benchmark: str, card: str, bits: int = 1,
               file=sys.stderr, flush=True)
         result = Campaign(config).run(jobs=JOBS)
         _campaigns[key] = result
-        _profiles.setdefault((benchmark, card), result.profile)
     return _campaigns[key]
 
 

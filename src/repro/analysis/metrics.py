@@ -15,6 +15,7 @@ from typing import List, Union
 
 from repro.analysis.report import render_table
 from repro.obs import format_plan_timing, metrics_path_for
+from repro.obs.live import format_duration
 
 
 def find_metrics_path(path: Union[str, Path]) -> Path:
@@ -39,14 +40,6 @@ def load_metrics(path: Union[str, Path]) -> dict:
     return json.loads(sidecar.read_text(encoding="utf-8"))
 
 
-def _fmt_seconds(seconds: float) -> str:
-    if seconds >= 3600:
-        return f"{seconds / 3600:.2f}h"
-    if seconds >= 60:
-        return f"{seconds / 60:.2f}m"
-    return f"{seconds:.2f}s"
-
-
 def _fmt_pct(fraction) -> str:
     return "n/a" if fraction is None else f"{fraction * 100:.1f}%"
 
@@ -62,7 +55,7 @@ def render_metrics(metrics: dict) -> str:
         f"{campaign.get('resumed', 0)} resumed) on "
         f"{campaign.get('jobs', 1)} worker(s) -- {status}")
     lines.append(
-        f"wall-clock {_fmt_seconds(campaign.get('wall_s', 0.0))}, "
+        f"wall-clock {format_duration(campaign.get('wall_s', 0.0), 2)}, "
         f"{campaign.get('runs_per_s', 0.0):.2f} runs/s")
     if "plan_s" in campaign:
         lines.append(format_plan_timing(campaign))
@@ -111,10 +104,8 @@ def render_metrics(metrics: dict) -> str:
         lines.append(render_table(
             ("effect", "count", "mean", "p50", "p95", "max"),
             [(name, stats.get("count", 0),
-              _fmt_seconds(stats.get("mean_s", 0.0)),
-              _fmt_seconds(stats.get("p50_s", 0.0)),
-              _fmt_seconds(stats.get("p95_s", 0.0)),
-              _fmt_seconds(stats.get("max_s", 0.0)))
+              *(format_duration(stats.get(f"{q}_s", 0.0), 2)
+                for q in ("mean", "p50", "p95", "max")))
              for name, stats in latency.items()]))
 
     propagation = metrics.get("propagation")
@@ -155,9 +146,9 @@ def render_metrics(metrics: dict) -> str:
         lines.append(render_table(
             ("worker", "runs", "busy", "utilization", "last heartbeat"),
             [(worker, stats.get("runs", 0),
-              _fmt_seconds(stats.get("busy_s", 0.0)),
+              format_duration(stats.get("busy_s", 0.0), 2),
               _fmt_pct(stats.get("utilization", 0.0)),
-              _fmt_seconds(stats.get("last_heartbeat_s", 0.0)))
+              format_duration(stats.get("last_heartbeat_s", 0.0), 2))
              for worker, stats in workers.items()]))
 
     dist = metrics.get("dist")

@@ -38,7 +38,7 @@ from repro.faults.classify import FaultEffect
 from repro.faults.config_file import load_config
 from repro.faults.options import add_option_flags, options_from_args
 from repro.faults.parser import (aggregate_by_model, count_unapplied,
-                                 load_records)
+                                 failure_ratio, load_records)
 from repro.sim.cards import CARDS
 
 #: The card of every command that is not told one.
@@ -410,11 +410,8 @@ def _cmd_report(args) -> int:
         rows = []
         for kernel, per_structure in sorted(counts.items()):
             for structure, effects in per_structure.items():
-                total = sum(effects.values())
-                failures = sum(n for e, n in effects.items()
-                               if e.is_failure)
-                row = [kernel, structure.value, total,
-                       f"{failures / total:.3f}"]
+                row = [kernel, structure.value, sum(effects.values()),
+                       f"{failure_ratio(effects):.3f}"]
                 row.extend(effects.get(e, 0) for e in FaultEffect)
                 rows.append(row)
         print(render_table(headers, rows))
@@ -618,9 +615,7 @@ def _cmd_status(args) -> int:
                                            file=sys.stderr))
         else:
             status = client.status(args.campaign)
-    except DispatchError as exc:
-        raise SystemExit(f"error: {exc}")
-    except TimeoutError as exc:
+    except (DispatchError, TimeoutError) as exc:
         raise SystemExit(f"error: {exc}")
     effects = ", ".join(f"{k}={v}" for k, v in status["effects"].items())
     print(f"campaign {status['id']}: {status['state']} "
@@ -644,9 +639,7 @@ def _follow_events(client, campaign_id: str,
     try:
         for event in client.follow(campaign_id, timeout=timeout):
             print(format_event(event), flush=True)
-    except DispatchError as exc:
-        raise SystemExit(f"error: {exc}")
-    except TimeoutError as exc:
+    except (DispatchError, TimeoutError) as exc:
         raise SystemExit(f"error: {exc}")
     except KeyboardInterrupt:
         return 130

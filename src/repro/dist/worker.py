@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 from repro.dist.client import DispatcherClient, DispatchError
 from repro.dist.protocol import spec_from_wire
-from repro.obs.events import campaign_trace, run_event
+from repro.obs.events import run_event
 
 #: Finished runs are sent back once the previous send (or the lease)
 #: is this many seconds old, and with the last run of the shard.  The
@@ -154,7 +154,7 @@ class FleetWorker:
                     record["worker"] = self.name
                 batch.append(record)
                 events.append({"ts": round(time.time(), 6), **run_event(
-                    record, self._lease_trace(lease), self.name,
+                    record, lease["trace"], self.name,
                     lease.get("shard"),
                     total_s=round(time.time() - started, 6))})
                 done = executed == len(specs)
@@ -179,14 +179,6 @@ class FleetWorker:
             hb_stop.set()
             heartbeater.join(timeout=2.0)
 
-    @staticmethod
-    def _lease_trace(lease: dict) -> str:
-        # older dispatchers stamp no trace; fall back to the campaign
-        # root so run traces stay well-formed
-        return (lease.get("trace")
-                or campaign_trace(lease.get("campaign", "?"),
-                                  lease.get("fingerprint", "")))
-
     def _send(self, lease: dict, batch: list, events: list,
               done: bool) -> dict:
         """Send finished runs (and their events) back.  The shard's
@@ -198,7 +190,7 @@ class FleetWorker:
             "lease": lease["lease"],
             "fingerprint": lease["fingerprint"],
             "worker": self.name,
-            "trace": self._lease_trace(lease),
+            "trace": lease["trace"],
             "records": batch,
             "events": events,
             "done": done,
@@ -216,7 +208,7 @@ class FleetWorker:
                     reply = self.client.call("/api/heartbeat", {
                         "lease": lease["lease"],
                         "worker": self.name,
-                        "trace": self._lease_trace(lease),
+                        "trace": lease["trace"],
                     })
                 except DispatchError:
                     continue  # transient network blip: the lease survives

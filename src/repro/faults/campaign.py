@@ -95,10 +95,19 @@ class GoldenRun:
     cycles: int
     #: The run's liveness trace; ``None`` when it was not traced.
     liveness: Optional[LivenessTrace] = None
-    #: How it was obtained, "simulated" or "loaded" (from a checkpoint
-    #: set), and what that took -- not part of its value.
+    #: How it was obtained -- "simulated", "loaded" (from a checkpoint
+    #: set) or "memo" (of this process) -- and what that took; not part
+    #: of its value.
     source: str = field(default="simulated", compare=False)
     seconds: float = field(default=0.0, compare=False)
+
+
+#: The golden runs this process simulated without a checkpoint set
+#: (the cross-process cache), by :meth:`Campaign._fingerprint`: only
+#: runs that returned, shared and read-only.  Bounded (emptied when
+#: full), never pickled.
+_GOLDEN_RUNS: Dict[str, GoldenRun] = {}
+GOLDEN_CAP = 16
 
 
 def _make_benchmark(name: str):
@@ -240,10 +249,6 @@ class CampaignResult:
             return 0.0
         return self.counts[kernel][structure].get(effect, 0) / total
 
-    def structures(self) -> Tuple[Structure, ...]:
-        """Structures covered by this campaign."""
-        return self.config.resolved_structures()
-
     def summary(self) -> str:
         """Human-readable per-kernel, per-structure breakdown."""
         lines = [f"campaign: {self.config.benchmark} on {self.profile.card} "
@@ -294,7 +299,7 @@ class Campaign:
         #: one of another campaign on the same configuration.
         self._golden = golden
         #: Where the last :meth:`plan` call's time went: ``plan_s``,
-        #: ``golden`` ("simulated" / "loaded") and ``golden_s``
+        #: ``golden`` ("simulated" / "loaded" / "memo"), ``golden_s``
         #: (observability; travels in the ``campaign_start`` event).
         self.plan_timing: Dict[str, object] = {}
         #: Metrics sidecar document of the last :meth:`session`
@@ -315,10 +320,10 @@ class Campaign:
         """The golden run's length, once :meth:`golden_run` has one."""
         return self._golden.cycles if self._golden is not None else None
 
-    def _checkpoint_key(self) -> Optional[str]:
+    def _fingerprint(self) -> str:
+        """What the golden run is a run of: the key of its checkpoint
+        set and of this process's golden-run memo."""
         cfg = self.config
-        if cfg.checkpoint_dir is None:
-            return None
         return campaign_fingerprint(_make_benchmark(cfg.benchmark),
                                     cfg.resolved_card(),
                                     cfg.scheduler_policy)
@@ -326,13 +331,15 @@ class Campaign:
     def golden_run(self, traced: bool = False) -> GoldenRun:
         """The golden run of this configuration (with its liveness
         trace when ``traced``), from the cheapest source that has it:
-        this campaign's memo, the checkpoint set on disk, a simulation.
+        this campaign's memo, then the checkpoint set on disk or,
+        without one, the process's memo, then a simulation.
 
         With ``checkpoint_dir`` set, a simulation also captures the
         checkpoint set -- unless a complete set of the wanted placement
         exists already, which then only gains the trace it lacked.
-        ``verify_restore`` simulates even when the set has everything
-        and raises :class:`RestoreParityError` unless the two agree.
+        ``verify_restore`` simulates even when the set or the process
+        has everything, and raises :class:`RestoreParityError` unless
+        the set and the simulation agree.
         """
         cfg = self.config
 
@@ -343,7 +350,7 @@ class Campaign:
         ckpt_set = store = None
         if cfg.checkpoint_dir is not None:
             store = CheckpointStore(cfg.checkpoint_dir)
-            key = self._checkpoint_key()
+            key = self._fingerprint()
             ckpt_set = store.open(key)
             if ckpt_set is not None and ckpt_set.meta.get(
                     "placement") != placement(cfg.checkpoint_interval):
@@ -351,6 +358,14 @@ class Campaign:
         if has_what_is_asked(self._golden) and (store is None
                                                 or ckpt_set is not None):
             return self._golden
+        memo = store is None and not cfg.verify_restore
+        if memo:
+            key = self._fingerprint()
+            kept = _GOLDEN_RUNS.get(key)
+            if has_what_is_asked(kept):
+                self._golden = dataclasses.replace(kept, source="memo",
+                                                   seconds=0.0)
+                return self._golden
         started = time.perf_counter()
         card = cfg.resolved_card()
         stored = None
@@ -392,6 +407,10 @@ class Campaign:
                         f"re-simulation ({golden.cycles} cycles) in "
                         "profile, length or liveness trace")
         golden.seconds = time.perf_counter() - started
+        if memo:
+            if len(_GOLDEN_RUNS) >= GOLDEN_CAP:
+                _GOLDEN_RUNS.clear()
+            _GOLDEN_RUNS[key] = golden
         self._golden = golden
         return golden
 
@@ -427,7 +446,7 @@ class Campaign:
         cfg.resolved_model().check_cache_hooks(cfg.cache_hook_mode)
         traced = cfg.early_stop == "full"
         golden = self.golden_run(traced)
-        checkpoint_key = self._checkpoint_key()
+        checkpoint_key = self._fingerprint() if cfg.checkpoint_dir else None
         budget = TIMEOUT_FACTOR * golden.cycles
         prescreener = self.prescreener() if traced else None
 
@@ -534,8 +553,7 @@ class Campaign:
         # kernel weights and golden cycles: a planned campaign has
         # them; one handed records loaded from disk finds them where
         # it can (no spec is enumerated or pre-screened either way)
-        golden = (self._golden if self._golden is not None
-                  else self.golden_run())
+        golden = self._golden or self.golden_run()
         return CampaignResult(config=self.config, profile=golden.profile,
                               golden_cycles=golden.cycles,
                               records=list(records),

@@ -25,7 +25,8 @@ Event types of every campaign, journaled by its ledger:
   pending ones how many are ``instant``, ``schema``, ``trace``, the
   campaign ``fingerprint``, ``jobs`` (a local pool) or ``shards`` (a
   dispatcher) and where the plan's time went: ``plan_s``, ``golden``
-  ("simulated", or "loaded" from a checkpoint set) and ``golden_s``.
+  ("simulated", "loaded" from a checkpoint set, or "memo": simulated
+  earlier by the same process) and ``golden_s``.
 - ``campaign_resume`` -- same fields, emitted instead of
   ``campaign_start`` by a session that appends to an existing log (a
   ``--resume`` run, a restarted dispatcher).

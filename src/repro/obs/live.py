@@ -219,14 +219,14 @@ class EventFileTailer:
 # -- dashboard -----------------------------------------------------------------
 
 
-def _fmt_duration(seconds: Optional[float]) -> str:
+def format_duration(seconds: Optional[float], digits: int = 1) -> str:
+    """``seconds`` in hours, minutes or seconds, whichever is the
+    largest unit it fills; ``"?"`` for ``None``."""
     if seconds is None:
         return "?"
-    if seconds >= 3600:
-        return f"{seconds / 3600:.1f}h"
-    if seconds >= 60:
-        return f"{seconds / 60:.1f}m"
-    return f"{seconds:.1f}s"
+    for unit, size in (("h", 3600), ("m", 60), ("s", 1)):
+        if seconds >= size or unit == "s":
+            return f"{seconds / size:.{digits}f}{unit}"
 
 
 def _fmt_age(ts: Optional[float], now: Optional[float]) -> str:
@@ -257,7 +257,7 @@ def render_top(tally: Tally, status: Optional[dict] = None,
     lines.append(
         f"state {tally.state}   runs {tally.done}/{tally.total}{pct}"
         f"   rate {tally.rate():.2f}/s"
-        f"   eta {_fmt_duration(tally.eta())}")
+        f"   eta {format_duration(tally.eta())}")
     if "plan_s" in opening:
         lines.append(format_plan_timing(opening))
     leases = (f"   leases {tally.leased} granted, {tally.expired} expired"
@@ -296,9 +296,13 @@ def render_top(tally: Tally, status: Optional[dict] = None,
 def format_plan_timing(event: dict) -> str:
     """Where a campaign's plan spent its time: the ``plan_s`` /
     ``golden`` / ``golden_s`` of a ``campaign_start`` event or of the
-    sidecar's ``campaign`` section."""
+    sidecar's ``campaign`` section.  A golden run is "simulated",
+    "loaded" from a checkpoint set, or taken "from memo": this process
+    simulated it for an earlier campaign."""
+    golden = event.get("golden", "?")
     return (f"plan {event['plan_s']:.3f}s, golden run "
-            f"{event.get('golden', '?')} in {event.get('golden_s', 0):.3f}s")
+            f"{'from ' if golden == 'memo' else ''}{golden} in "
+            f"{event.get('golden_s', 0):.3f}s")
 
 
 def format_event(event: dict) -> str:

@@ -80,7 +80,7 @@ class LivenessTrace:
         self.cores: Dict[int, List[dict]] = {}
         #: ``(kind, owner)`` -> {index: [event]}, see :meth:`cell_events`.
         self.events: Dict[tuple, Dict[int, List[tuple]]] = {}
-        #: (core_id, warp age) -> (warp record, its CTA's record).
+        #: Running warps: (core_id, age) -> (warp record, its CTA's record).
         self._warp_recs: Dict[Tuple[int, int], Tuple[dict, dict]] = {}
 
     def __getstate__(self) -> dict:
@@ -144,6 +144,7 @@ class LivenessTrace:
                 wrec["exits"].append((now, tuple(lanes)))
                 if len(lanes) == warp.live_count:
                     # its last lanes: the warp drains during ``now``
+                    del self._warp_recs[(core_id, warp.age)]
                     wrec["done_cycle"] = now
                     if all(w["done_cycle"] is not None for w in cta["warps"]):
                         cta["done_cycle"] = now

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.faults import campaign
 from repro.sim.cards import rtx_2060
 from repro.sim.config import CacheGeometry, GPUConfig
 from repro.sim.device import Device
@@ -29,6 +30,14 @@ def generated(tier1_examples: int) -> settings:
         return nightly
     return settings(max_examples=tier1_examples, derandomize=True,
                     deadline=None)
+
+
+@pytest.fixture(autouse=True)
+def cold_golden_runs():
+    """Every test starts with an empty golden-run memo: whether a
+    campaign simulates, and what its ``campaign_start`` says, must not
+    depend on the tests that ran before it."""
+    campaign._GOLDEN_RUNS.clear()
 
 
 @pytest.fixture

@@ -26,14 +26,12 @@ nightly`` runs the large one (``tests/conftest.py``).
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import given, strategies as st
 
-from repro.dist import server
 from repro.dist.protocol import canonical_log_text, spec_from_wire
 from repro.dist.server import Dispatcher
-from repro.faults.campaign import Campaign, CampaignConfig
+from repro.faults.campaign import CampaignConfig
 from repro.faults.config_file import dump_config
 from repro.faults.targets import Structure
 from tests.conftest import generated
@@ -53,20 +51,6 @@ STATES = ("pending", "leased", "complete")
 def record_of(spec):
     return {"kernel": spec.kernel, "structure": spec.structure.value,
             "run": spec.run_index, "effect": "Masked"}
-
-
-class PlannedOnce(Campaign):
-    """The dispatcher's planner, simulating each configuration's golden
-    run once: every example submits the same two."""
-
-    plans: dict = {}
-
-    def plan(self):
-        key = dump_config(self.config)
-        if key not in self.plans:
-            self.plans[key] = (super().plan(), self.plan_timing)
-        specs, self.plan_timing = self.plans[key]
-        return specs
 
 
 class Clock:
@@ -139,8 +123,7 @@ def check_grant(dispatcher, lease):
 @given(schedules())
 def test_generated_lease_schedules(case):
     steps, restart_after = case
-    with tempfile.TemporaryDirectory() as scratch, \
-            mock.patch.object(server, "Campaign", PlannedOnce):
+    with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         clock = Clock()
 
