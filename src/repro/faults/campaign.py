@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.faults.classify import TIMEOUT_FACTOR, FaultEffect
 from repro.faults.early_stop import EARLY_STOP_MODES, Prescreener
 from repro.faults.executor import RunSpec, regenerate_mask, remember_mask
-from repro.faults.mask import derive_run_seed
+from repro.faults.mask import derive_run_seeds, seeded_streams
 from repro.faults.options import CampaignConfig, spec_constants
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
@@ -450,16 +450,26 @@ class Campaign:
         budget = TIMEOUT_FACTOR * golden.cycles
         prescreener = self.prescreener() if traced else None
 
-        target_kernels = (list(cfg.kernels) if cfg.kernels
-                          else sorted(golden.profile.kernels))
+        kernels = golden.profile.kernels
+        target_kernels = list(cfg.kernels) if cfg.kernels else sorted(kernels)
+        unknown = [name for name in target_kernels if name not in kernels]
+        if unknown:
+            raise ValueError(
+                f"{cfg.benchmark} has no kernel {', '.join(unknown)}; its "
+                f"kernels are {', '.join(sorted(kernels))}")
         structures = cfg.resolved_structures()
+        runs = range(cfg.runs_per_structure)
+        seeds = iter(derive_run_seeds(cfg.seed, [
+            (kernel_name, structure, run_index)
+            for kernel_name in target_kernels for structure in structures
+            for run_index in runs], cfg.fault_model))
 
         # the same for every run; the loops fill in the rest
         constants = dict(spec_constants(cfg), golden_cycles=golden.cycles,
                          cycle_budget=budget, checkpoint_key=checkpoint_key)
         specs: List[RunSpec] = []
         for kernel_name in target_kernels:
-            kp = golden.profile.kernels[kernel_name]
+            kp = kernels[kernel_name]
             windows = kp.windows
             if cfg.invocation is not None:
                 if not 0 <= cfg.invocation < len(windows):
@@ -482,43 +492,48 @@ class Campaign:
                      and kp.smem_bytes == 0)
                     or (structure is Structure.LOCAL_MEM
                         and kp.local_bytes == 0))
-                for run_index in range(cfg.runs_per_structure):
-                    spec = RunSpec(
-                        structure=structure, run_index=run_index,
-                        seed=derive_run_seed(cfg.seed, kernel_name,
-                                             structure, run_index,
-                                             fault_model=cfg.fault_model),
-                        synthesized=no_target, **of_kernel)
-                    if prescreener is not None and not no_target:
-                        # the exact mask execute_run will draw (same
-                        # generator construction, same derived seed)
-                        mask = regenerate_mask(spec)
-                        verdict = prescreener.evaluate(
-                            mask, kp.regs_per_thread, kp.smem_bytes,
-                            kp.local_bytes)
-                        prescreen_site = ""
-                        if verdict.reason and cfg.propagation:
-                            # plan-time fate: the sites the mask
-                            # resolves to, each with the fate the
-                            # golden liveness trace proves for it
-                            prescreen_site = json.dumps(
-                                {"cycle": mask.cycle,
-                                 "sites": [site.record(fate) for site, fate
-                                           in zip(verdict.sites,
-                                                  verdict.fates)]},
-                                sort_keys=True)
-                        if verdict.reason:
-                            spec = dataclasses.replace(
-                                spec, prescreened=True,
-                                prescreen_reason=verdict.reason,
-                                prescreen_site=prescreen_site)
-                            remember_mask(spec, mask)
-                    specs.append(spec)
+                specs.extend(RunSpec(structure=structure, run_index=run_index,
+                                     seed=next(seeds), synthesized=no_target,
+                                     **of_kernel) for run_index in runs)
+        if prescreener is not None:
+            self._prescreen(specs, prescreener)
         self.plan_timing = {
             "plan_s": round(time.perf_counter() - started, 6),
             "golden": golden.source,
             "golden_s": round(golden.seconds, 6)}
         return specs
+
+    def _prescreen(self, specs: List[RunSpec],
+                   prescreener: Prescreener) -> None:
+        """Mark the planned runs whose masks the golden liveness trace
+        proves dead, in place: every mask drawn, and then resolved, on
+        streams seeded in bulk."""
+        picked = [i for i, spec in enumerate(specs) if not spec.synthesized]
+        # the exact masks execute_run will draw (same derived seeds,
+        # same streams)
+        masks = [regenerate_mask(specs[i], rng) for i, rng in zip(
+            picked, seeded_streams([specs[i].seed for i in picked]))]
+        for i, mask, rng in zip(picked, masks, seeded_streams(
+                [mask.seed for mask in masks])):
+            spec = specs[i]
+            verdict = prescreener.evaluate(mask, spec.regs_per_thread,
+                                           spec.smem_bytes, spec.local_bytes,
+                                           rng)
+            if not verdict.reason:
+                continue
+            prescreen_site = ""
+            if self.config.propagation:
+                # plan-time fate: the sites the mask resolves to, each
+                # with the fate the golden liveness trace proves for it
+                prescreen_site = json.dumps(
+                    {"cycle": mask.cycle,
+                     "sites": [site.record(fate) for site, fate
+                               in zip(verdict.sites, verdict.fates)]},
+                    sort_keys=True)
+            specs[i] = dataclasses.replace(
+                spec, prescreened=True, prescreen_reason=verdict.reason,
+                prescreen_site=prescreen_site)
+            remember_mask(specs[i], mask)
 
     @contextlib.contextmanager
     def session(self, plan: Sequence[RunSpec], jobs: int = 1,

@@ -284,9 +284,9 @@ class Prescreener:
         self.cache_hook_mode = cache_hook_mode
 
     def evaluate(self, mask: FaultMask, regs_per_thread: int,
-                 smem_bytes: int, local_bytes: int) -> Verdict:
+                 smem_bytes: int, local_bytes: int, rng=None) -> Verdict:
         """The verdict on ``mask``, struck in a kernel with these
-        allocations."""
+        allocations (``rng``: see :func:`~repro.faults.sites.resolve`)."""
         if not get_model(mask.fault_model).prescreen_safe:
             # persistent faults invalidate every deadness rule: an
             # "overwritten" site is re-corrupted right after the
@@ -295,7 +295,7 @@ class Prescreener:
         structure = mask.structure
         sites = resolve(mask, GoldenState(
             self.trace, mask.cycle, self.card, regs_per_thread, smem_bytes,
-            local_bytes), self.cache_hook_mode)
+            local_bytes), self.cache_hook_mode, rng)
         if sites is None:
             return Verdict()  # control units: never pre-screened
         if isinstance(sites, str):

@@ -176,19 +176,22 @@ def _worker_id() -> int:
     return int(identity[0]) if identity else 0
 
 
-def regenerate_mask(spec: RunSpec):
+def regenerate_mask(spec: RunSpec, rng=None):
     """Re-derive the spec's fault mask from its seed.
 
     The mask is a pure function of the spec (the RNG is seeded from
     the derived per-run seed), so the planner, the solo path and the
     batched path all regenerate the *same* mask -- the property that
-    keeps records byte-identical across dispatch strategies.
+    keeps records byte-identical across dispatch strategies.  A plan
+    passes ``rng`` already set to that seed's stream
+    (:func:`repro.faults.mask.seeded_streams`).
     """
     card = _resolved_card(spec)
     generator = MaskGenerator(card, list(spec.windows),
                               spec.regs_per_thread, spec.smem_bytes,
                               spec.local_bytes,
-                              np.random.default_rng(spec.seed))
+                              np.random.default_rng(spec.seed)
+                              if rng is None else rng)
     return generator.generate(
         spec.structure, n_bits=spec.bits_per_fault,
         mode=spec.multibit_mode, warp_level=spec.warp_level,

@@ -16,8 +16,9 @@ Figs. 5/6), in adjacent positions, or anywhere in the structure.
 from __future__ import annotations
 
 import enum
+import functools
 import zlib
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +26,73 @@ from repro.faults.targets import Structure, entry_bits, entry_count
 from repro.sim.config import GPUConfig
 
 
-def derive_run_seed(campaign_seed: int, kernel: str, structure: Structure,
-                    run_index: int,
-                    fault_model: str = "transient") -> int:
-    """Derive the independent random seed of one injection run.
+# numpy's SeedSequence hashing (NEP 19: stable across numpy versions),
+# reimplemented so that a plan seeds thousands of streams at once
+_POOL = 4
+_OTHERS = [[d for d in range(_POOL) if d != s] for s in range(_POOL)]
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int):
+    """The ``(xor, multiplier)`` constant of each of ``count``
+    successive hashes: they depend on the call's position only."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(values, xor, mul):
+    values = (values ^ xor) * mul
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def seed_words(rows, n_words: int) -> np.ndarray:
+    """``SeedSequence(...).generate_state(n_words)`` of every row of
+    ``rows``, the ``uint32`` entropy words numpy assembles (entropy
+    zero-padded to four words when a spawn key follows, then the spawn
+    key), as ``(len(rows), n_words)`` ``uint32``."""
+    rows = np.asarray(rows, dtype=np.uint32)
+    if rows.shape[1] < _POOL:
+        rows = np.pad(rows, ((0, 0), (0, _POOL - rows.shape[1])))
+    xor, mul = _hash_constants(0x43B0D7E5, 0x931E8875,
+                               _POOL * rows.shape[1])
+    pool = _hashmix(rows[:, :_POOL], xor[:_POOL], mul[:_POOL])
+    for src in range(_POOL):
+        # one pool word, hashed once per other pool word
+        k, dst = _POOL + 3 * src, _OTHERS[src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(
+            pool[:, src, None], xor[k:k + 3], mul[k:k + 3]))
+    for src in range(_POOL, rows.shape[1]):
+        # one later entropy word, hashed once per pool word
+        k = _POOL * src
+        pool = _mix(pool, _hashmix(rows[:, src, None], xor[k:k + _POOL],
+                                   mul[k:k + _POOL]))
+    xor, mul = _hash_constants(0x8B51F9DD, 0x58F38DED, n_words)
+    return _hashmix(pool[:, np.arange(n_words) % _POOL], xor, mul)
+
+
+@functools.lru_cache(maxsize=1024)
+def _crc(text: str) -> int:
+    return zlib.crc32(text.encode("utf-8"))
+
+
+def derive_run_seeds(campaign_seed: int,
+                     coords: Sequence[Tuple[str, Structure, int]],
+                     fault_model: str = "transient") -> List[int]:
+    """The seed of every ``(kernel, structure, run_index)`` of
+    ``coords``: the independent random seed of one injection run.
 
     The seed is keyed on ``(campaign seed, kernel, structure,
     run_index)`` through :class:`numpy.random.SeedSequence` spawn keys,
@@ -43,17 +107,62 @@ def derive_run_seed(campaign_seed: int, kernel: str, structure: Structure,
     ``"transient"`` key is unchanged and stays byte-compatible with
     pre-``fault_model`` logs.
 
-    Returns a 128-bit integer suitable for
-    ``numpy.random.default_rng``.
+    Each seed is a 128-bit integer suitable for
+    ``numpy.random.default_rng``; all of them are hashed in one
+    :func:`seed_words` call.
     """
-    spawn_key = (zlib.crc32(kernel.encode("utf-8")),
-                 zlib.crc32(structure.value.encode("utf-8")),
-                 int(run_index))
-    if fault_model != "transient":
-        spawn_key += (zlib.crc32(fault_model.encode("utf-8")),)
-    seq = np.random.SeedSequence(campaign_seed, spawn_key=spawn_key)
-    words = seq.generate_state(4, np.uint32)
-    return int.from_bytes(np.asarray(words).tobytes(), "little")
+    # the seed's words, zero-padded to the pool as a spawn key asks
+    entropy = np.frombuffer(campaign_seed.to_bytes(max(
+        campaign_seed.bit_length() + 31, 32 * _POOL) // 32 * 4, "little"),
+        "<u4").tolist()
+    model = [] if fault_model == "transient" else [_crc(fault_model)]
+    rows = np.array([[*entropy, _crc(kernel), _crc(structure.value),
+                      run_index, *model]
+                     for kernel, structure, run_index in coords],
+                    dtype=np.uint32).reshape(len(coords),
+                                             len(entropy) + 3 + len(model))
+    data = seed_words(rows, 4).astype("<u4").tobytes()
+    return [int.from_bytes(data[i:i + 16], "little")
+            for i in range(0, len(data), 16)]
+
+
+def derive_run_seed(campaign_seed: int, kernel: str, structure: Structure,
+                    run_index: int,
+                    fault_model: str = "transient") -> int:
+    """The seed of one run: :func:`derive_run_seeds` of one
+    coordinate."""
+    return derive_run_seeds(campaign_seed, [(kernel, structure, run_index)],
+                            fault_model)[0]
+
+
+def stream_states(seeds: Sequence[int]) -> List[dict]:
+    """The PCG64 state ``numpy.random.default_rng(seed)`` starts from,
+    for every seed (each below 2**128), as the dict its
+    ``bit_generator.state`` takes: assigning it to any PCG64-backed
+    :class:`numpy.random.Generator` draws exactly that stream."""
+    data = b"".join(seed.to_bytes(16, "little") for seed in seeds)
+    words = seed_words(np.frombuffer(data, "<u4").reshape(-1, _POOL), 8)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(
+            words, "<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # pcg64_set_seed: state 0, step, add the seed, step
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def seeded_streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the stream
+    ``numpy.random.default_rng(seed)`` draws for each of ``seeds``
+    (seeded in one :func:`stream_states` call): each yield is valid
+    until the next."""
+    rng = np.random.Generator(np.random.PCG64())
+    for state in stream_states(seeds):
+        rng.bit_generator.state = state
+        yield rng
 
 
 def mask_population(config: GPUConfig, structure: Structure,
@@ -259,7 +368,8 @@ class MaskGenerator:
                      mode: MultiBitMode) -> Tuple[int, ...]:
         width = entry_bits(self.config, structure)
         n_bits = min(n_bits, width)
-        if mode is MultiBitMode.ADJACENT:
+        # choice(width, size=1, replace=False) is this one bounded draw
+        if mode is MultiBitMode.ADJACENT or n_bits == 1:
             base = int(self.rng.integers(0, width - n_bits + 1))
             return tuple(range(base, base + n_bits))
         picks = self.rng.choice(width, size=n_bits, replace=False)

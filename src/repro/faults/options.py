@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -312,12 +313,15 @@ DEFAULTS: Dict[str, object] = {
     if option.default is not MISSING}
 
 
-def _rows(*having: str, execution: bool = True) -> List[dataclasses.Field]:
+@functools.lru_cache(maxsize=None)
+def _rows(*having: str, execution: bool = True
+          ) -> Tuple[dataclasses.Field, ...]:
     """Options that have every metadata entry named; without
-    ``execution``, not those of that group."""
-    return [option for option in OPTIONS.values()
-            if all(option.metadata[name] for name in having)
-            and (execution or option.metadata["group"] != "execution")]
+    ``execution``, not those of that group.  Cached: the table is
+    fixed, and every plan asks."""
+    return tuple(option for option in OPTIONS.values()
+                 if all(option.metadata[name] for name in having)
+                 and (execution or option.metadata["group"] != "execution"))
 
 
 def _text_form(option: dataclasses.Field) -> Tuple[Callable, Callable]:

@@ -183,12 +183,16 @@ def _sample(rng: np.random.Generator, items: list, count: int) -> list:
     """``min(count, len)`` distinct items, in drawn order."""
     if not items:
         return []
-    picks = rng.choice(len(items), size=min(count, len(items)),
-                       replace=False)
+    count = min(count, len(items))
+    if count == 1:
+        # what choice(n, size=1, replace=False) draws, and all it draws
+        return [items[int(rng.integers(0, len(items)))]]
+    picks = rng.choice(len(items), size=count, replace=False)
     return [items[int(pick)] for pick in picks]
 
 
-def resolve(mask: FaultMask, population, hook_mode: bool = False
+def resolve(mask: FaultMask, population, hook_mode: bool = False,
+            rng: Optional[np.random.Generator] = None
             ) -> Union[Tuple[Site, ...], str, None]:
     """The sites ``mask`` lands on in ``population``.
 
@@ -196,11 +200,13 @@ def resolve(mask: FaultMask, population, hook_mode: bool = False
     could hit is live, ``None`` when the population cannot place the
     entry.  The draws, their order and their arguments are the mask's
     identity in a log: a campaign is repeatable because they never
-    change.
+    change.  They come from ``numpy.random.default_rng(mask.seed)``,
+    or from ``rng`` when given one set to that stream
+    (:func:`repro.faults.mask.seeded_streams`).
     """
     s = mask.structure
-    # there is one L2: nothing to draw
-    rng = None if s is Structure.L2_CACHE else np.random.default_rng(mask.seed)
+    if rng is None and s is not Structure.L2_CACHE:  # one L2: no draw
+        rng = np.random.default_rng(mask.seed)
     if s.is_cache:
         geometry = getattr(population.config, s.cache)
         if geometry is None:

@@ -46,7 +46,7 @@ from repro.faults.campaign import CampaignResult
 from repro.faults.classify import FaultEffect
 from repro.faults.executor import RunSpec, regenerate_mask
 from repro.faults.ledger import record_key
-from repro.faults.mask import mask_population
+from repro.faults.mask import mask_population, seeded_streams
 from repro.plan.estimator import StratifiedEstimate
 from repro.plan.model import LogisticModel, features
 from repro.plan.strata import DEAD_STRATUM, stratum_of
@@ -193,10 +193,11 @@ class PlanReport:
 def _classify(campaign, card, prescreener, groups: Dict, specs,
               initial: bool) -> None:
     """Assign specs to strata, tagging each with its key."""
-    for spec in specs:
+    masks = map(regenerate_mask, specs,
+                seeded_streams([spec.seed for spec in specs]))
+    for spec, mask in zip(specs, masks):
         key = (spec.kernel, spec.structure.value)
         group = groups[key]
-        mask = regenerate_mask(spec)
         stratum = stratum_of(card, spec, mask, prescreener)
         tagged = dataclasses.replace(spec, stratum=stratum)
         group.candidates.setdefault(stratum, []).append(tagged)

@@ -164,9 +164,9 @@ def test_a_submit_draws_each_prescreened_mask_once(tmp_path, monkeypatch):
     drawn = collections.Counter()
     draw = executor.regenerate_mask
 
-    def counted(spec):
+    def counted(spec, *rest):
         drawn[spec.key] += 1
-        return draw(spec)
+        return draw(spec, *rest)
 
     for module in (executor, campaign_module):
         monkeypatch.setattr(module, "regenerate_mask", counted)
