@@ -17,7 +17,6 @@ from repro.analysis.fit import chip_fit, fit_breakdown
 from repro.analysis.statistics import per_structure_margins
 from repro.faults.campaign import CampaignResult
 from repro.faults.classify import FaultEffect
-from repro.faults.targets import Structure
 from repro.sim.cards import get_card
 
 

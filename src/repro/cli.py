@@ -32,7 +32,7 @@ from repro.analysis import fit as fit_mod
 from repro.analysis.report import render_table
 from repro.analysis.statistics import per_structure_margins
 from repro.bench import benchmark_names
-from repro.faults.campaign import (Campaign, CampaignConfig,
+from repro.faults.campaign import (Campaign, CampaignConfig, PlanError,
                                    profile_application)
 from repro.faults.classify import FaultEffect
 from repro.faults.config_file import load_config
@@ -739,6 +739,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return args.handler(args)
+    except PlanError as exc:  # e.g. --kernels or --invocation it lacks
+        raise SystemExit(f"error: {exc}")
     except BrokenPipeError:
         # stdout went away mid-write (`gpufi status --follow | head`):
         # a normal way to stop a stream, not an error.  Detach stdout

@@ -23,34 +23,14 @@ workers and the tests:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Dict, List, Sequence
 
-from repro.faults.executor import RunSpec
+from repro.faults.executor import SPEC_FIELDS, RunSpec
 # a plan's and a record's identity are part of the wire protocol too
 from repro.faults.ledger import RunKey, plan_fingerprint, record_key
 from repro.faults.mask import MultiBitMode
 from repro.faults.targets import Structure
-# trace IDs are part of the wire protocol (lease/heartbeat/records
-# payloads); they live in repro.obs.events so the local executor can
-# stamp them too without a circular import
-from repro.obs.events import campaign_trace, run_trace, shard_trace
-
-__all__ = [
-    "VOLATILE_KEYS",
-    "campaign_trace",
-    "canonical_log_text",
-    "canonical_records",
-    "plan_fingerprint",
-    "plan_shards",
-    "record_key",
-    "run_trace",
-    "shard_trace",
-    "spec_from_wire",
-    "spec_to_wire",
-    "strip_volatile",
-]
 
 #: Record keys that legitimately differ between executions of the same
 #: run (wall-clock noise and worker identity); excluded from the
@@ -59,9 +39,6 @@ __all__ = [
 #: but a future writer that stamps one must not break byte-identity.
 VOLATILE_KEYS = ("timings", "worker", "trace")
 
-_SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(RunSpec))
-
-
 def spec_to_wire(spec: RunSpec) -> dict:
     """Serialize one :class:`RunSpec` to a plain-JSON dict.
 
@@ -69,7 +46,7 @@ def spec_to_wire(spec: RunSpec) -> dict:
     the recursive deep copy of ``dataclasses.asdict`` would produce
     the same dict at twenty times the cost.
     """
-    wire = {name: getattr(spec, name) for name in _SPEC_FIELDS}
+    wire = {name: getattr(spec, name) for name in SPEC_FIELDS}
     wire["structure"] = spec.structure.value
     wire["multibit_mode"] = spec.multibit_mode.value
     wire["windows"] = [list(window) for window in spec.windows]
@@ -83,7 +60,7 @@ def spec_from_wire(wire: dict) -> RunSpec:
     fields are restored so the result round-trips exactly:
     ``spec_from_wire(json.loads(json.dumps(spec_to_wire(s)))) == s``.
     """
-    data = {name: wire[name] for name in _SPEC_FIELDS if name in wire}
+    data = {name: wire[name] for name in SPEC_FIELDS if name in wire}
     data["structure"] = Structure(data["structure"])
     data["multibit_mode"] = MultiBitMode(data["multibit_mode"])
     data["windows"] = tuple((int(start), int(end))

@@ -74,7 +74,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.dist.protocol import plan_fingerprint, plan_shards, spec_to_wire
 from repro.faults.campaign import Campaign
 from repro.faults.config_file import parse_config_text
-from repro.faults.executor import RunSpec, execute_run
+from repro.faults.executor import RunSpec, execute_run, stamp
 from repro.faults.ledger import CampaignLedger
 from repro.obs.events import run_event, shard_trace
 from repro.obs.live import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -269,7 +269,7 @@ class Dispatcher:
         fingerprint = plan_fingerprint(specs)
         # an instant verdict costs less here than a lease: recorded by
         # no worker, and outside the lock too
-        instant = [execute_run(dataclasses.replace(spec, telemetry=True)
+        instant = [execute_run(stamp(vars(spec), telemetry=True)
                                if config.metrics else spec)
                    for spec in specs if spec.instant]
         for record in instant:

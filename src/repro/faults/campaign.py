@@ -22,10 +22,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.faults.classify import TIMEOUT_FACTOR, FaultEffect
 from repro.faults.early_stop import EARLY_STOP_MODES, Prescreener
-from repro.faults.executor import RunSpec, regenerate_mask, remember_mask
-from repro.faults.mask import derive_run_seeds, seeded_streams
+from repro.faults.executor import RunSpec, mask_draw, remember_mask, stamp
+from repro.faults.mask import derive_run_seeds, seeded_streams, stream_states
 from repro.faults.options import CampaignConfig, spec_constants
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
@@ -100,6 +102,10 @@ class GoldenRun:
     #: of its value.
     source: str = field(default="simulated", compare=False)
     seconds: float = field(default=0.0, compare=False)
+
+
+class PlanError(ValueError):
+    """Options that do not fit the application or each other."""
 
 
 #: The golden runs this process simulated without a checkpoint set
@@ -440,40 +446,43 @@ class Campaign:
         started = time.perf_counter()
         cfg = self.config
         if cfg.early_stop not in EARLY_STOP_MODES:
-            raise ValueError(
+            raise PlanError(
                 f"early_stop must be one of {EARLY_STOP_MODES}, "
                 f"got {cfg.early_stop!r}")
-        cfg.resolved_model().check_cache_hooks(cfg.cache_hook_mode)
+        try:
+            cfg.resolved_model().check_cache_hooks(cfg.cache_hook_mode)
+        except ValueError as exc:
+            raise PlanError(exc) from None
         traced = cfg.early_stop == "full"
         golden = self.golden_run(traced)
         checkpoint_key = self._fingerprint() if cfg.checkpoint_dir else None
-        budget = TIMEOUT_FACTOR * golden.cycles
         prescreener = self.prescreener() if traced else None
 
         kernels = golden.profile.kernels
         target_kernels = list(cfg.kernels) if cfg.kernels else sorted(kernels)
         unknown = [name for name in target_kernels if name not in kernels]
         if unknown:
-            raise ValueError(
+            raise PlanError(
                 f"{cfg.benchmark} has no kernel {', '.join(unknown)}; its "
                 f"kernels are {', '.join(sorted(kernels))}")
         structures = cfg.resolved_structures()
-        runs = range(cfg.runs_per_structure)
-        seeds = iter(derive_run_seeds(cfg.seed, [
+        runs = cfg.runs_per_structure
+        seeds = derive_run_seeds(cfg.seed, [
             (kernel_name, structure, run_index)
             for kernel_name in target_kernels for structure in structures
-            for run_index in runs], cfg.fault_model))
+            for run_index in range(runs)], cfg.fault_model)
 
-        # the same for every run; the loops fill in the rest
+        # one template spec per (kernel, structure), in plan order
         constants = dict(spec_constants(cfg), golden_cycles=golden.cycles,
-                         cycle_budget=budget, checkpoint_key=checkpoint_key)
-        specs: List[RunSpec] = []
+                         cycle_budget=TIMEOUT_FACTOR * golden.cycles,
+                         checkpoint_key=checkpoint_key, run_index=0, seed=0)
+        templates: List[RunSpec] = []
         for kernel_name in target_kernels:
             kp = kernels[kernel_name]
             windows = kp.windows
             if cfg.invocation is not None:
                 if not 0 <= cfg.invocation < len(windows):
-                    raise ValueError(
+                    raise PlanError(
                         f"kernel {kernel_name} has {len(windows)} "
                         f"invocation(s); index {cfg.invocation} "
                         "out of range")
@@ -492,48 +501,20 @@ class Campaign:
                      and kp.smem_bytes == 0)
                     or (structure is Structure.LOCAL_MEM
                         and kp.local_bytes == 0))
-                specs.extend(RunSpec(structure=structure, run_index=run_index,
-                                     seed=next(seeds), synthesized=no_target,
-                                     **of_kernel) for run_index in runs)
-        if prescreener is not None:
-            self._prescreen(specs, prescreener)
+                templates.append(RunSpec(structure=structure,
+                                         synthesized=no_target, **of_kernel))
+        verdicts = (_verdicts(templates, seeds, runs, prescreener,
+                              cfg.propagation) if prescreener else {})
+        specs = [stamp(vars(templates[n // runs]), run_index=n % runs,
+                       seed=seed, **verdicts[n][1] if n in verdicts else {})
+                 for n, seed in enumerate(seeds)]
+        for n, (mask, _) in verdicts.items():
+            remember_mask(specs[n], mask)
         self.plan_timing = {
             "plan_s": round(time.perf_counter() - started, 6),
             "golden": golden.source,
             "golden_s": round(golden.seconds, 6)}
         return specs
-
-    def _prescreen(self, specs: List[RunSpec],
-                   prescreener: Prescreener) -> None:
-        """Mark the planned runs whose masks the golden liveness trace
-        proves dead, in place: every mask drawn, and then resolved, on
-        streams seeded in bulk."""
-        picked = [i for i, spec in enumerate(specs) if not spec.synthesized]
-        # the exact masks execute_run will draw (same derived seeds,
-        # same streams)
-        masks = [regenerate_mask(specs[i], rng) for i, rng in zip(
-            picked, seeded_streams([specs[i].seed for i in picked]))]
-        for i, mask, rng in zip(picked, masks, seeded_streams(
-                [mask.seed for mask in masks])):
-            spec = specs[i]
-            verdict = prescreener.evaluate(mask, spec.regs_per_thread,
-                                           spec.smem_bytes, spec.local_bytes,
-                                           rng)
-            if not verdict.reason:
-                continue
-            prescreen_site = ""
-            if self.config.propagation:
-                # plan-time fate: the sites the mask resolves to, each
-                # with the fate the golden liveness trace proves for it
-                prescreen_site = json.dumps(
-                    {"cycle": mask.cycle,
-                     "sites": [site.record(fate) for site, fate
-                               in zip(verdict.sites, verdict.fates)]},
-                    sort_keys=True)
-            specs[i] = dataclasses.replace(
-                spec, prescreened=True, prescreen_reason=verdict.reason,
-                prescreen_site=prescreen_site)
-            remember_mask(specs[i], mask)
 
     @contextlib.contextmanager
     def session(self, plan: Sequence[RunSpec], jobs: int = 1,
@@ -590,6 +571,41 @@ class Campaign:
         specs = self.plan()
         records = self.execute(specs, jobs=jobs, resume=resume)
         return self.aggregate(records)
+
+
+def _verdicts(templates: Sequence[RunSpec], seeds: Sequence[int], runs: int,
+              prescreener: Prescreener, propagation: bool
+              ) -> Dict[int, tuple]:
+    """``(mask, prescreen_* fields)`` of every run, by plan position,
+    whose mask the golden liveness trace proves dead.  The masks are
+    ``execute_run``'s: one mask generator per (kernel, structure), all
+    on one ``Generator`` set to each run's stream in turn; each mask
+    resolves on its own stream.  Both are seeded once per plan."""
+    rng = np.random.Generator(np.random.PCG64())
+    draws = [None if template.synthesized else mask_draw(template, rng)
+             for template in templates]
+    picked = [n for n in range(len(seeds)) if draws[n // runs]]
+    masks = []
+    for n, state in zip(picked, stream_states([seeds[n] for n in picked])):
+        rng.bit_generator.state = state
+        masks.append(draws[n // runs]())
+    verdicts = {}
+    for n, mask, stream in zip(picked, masks, seeded_streams(
+            [mask.seed for mask in masks])):
+        template = templates[n // runs]
+        verdict = prescreener.evaluate(mask, template.regs_per_thread,
+                                       template.smem_bytes,
+                                       template.local_bytes, stream)
+        if verdict.reason:
+            # under propagation, the plan-time fate: the sites the mask
+            # resolves to, each with the fate the trace proves for it
+            site = json.dumps({"cycle": mask.cycle, "sites": [
+                where.record(fate) for where, fate
+                in zip(verdict.sites, verdict.fates)]},
+                sort_keys=True) if propagation else ""
+            verdicts[n] = mask, dict(prescreened=True, prescreen_site=site,
+                                     prescreen_reason=verdict.reason)
+    return verdicts
 
 
 def aggregate_counts(records: Sequence[dict]

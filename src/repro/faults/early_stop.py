@@ -54,7 +54,9 @@ Soundness notes for the pre-screen verdicts:
 
 from __future__ import annotations
 
+import functools
 from itertools import zip_longest
+from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.faults.mask import FaultMask
@@ -282,6 +284,12 @@ class Prescreener:
         self.trace = trace
         self.card = card
         self.cache_hook_mode = cache_hook_mode
+        # the trace as GoldenState asks it: each live set once per cycle,
+        # shared read-only (kept here: a kept trace equals its pickle)
+        self._asked = SimpleNamespace(
+            live_lanes=trace.live_lanes, line_valid=trace.line_valid,
+            **{question: functools.lru_cache(1024)(getattr(trace, question))
+               for question in ("live_warps", "live_smem_ctas", "busy_cores")})
 
     def evaluate(self, mask: FaultMask, regs_per_thread: int,
                  smem_bytes: int, local_bytes: int, rng=None) -> Verdict:
@@ -294,7 +302,7 @@ class Prescreener:
             return Verdict()
         structure = mask.structure
         sites = resolve(mask, GoldenState(
-            self.trace, mask.cycle, self.card, regs_per_thread, smem_bytes,
+            self._asked, mask.cycle, self.card, regs_per_thread, smem_bytes,
             local_bytes), self.cache_hook_mode, rng)
         if sites is None:
             return Verdict()  # control units: never pre-screened

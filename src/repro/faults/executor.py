@@ -51,7 +51,7 @@ from repro.faults.injector import Injector
 # a plan's identity is the ledger's; its importers find it here too
 from repro.faults.ledger import (CampaignLedger, RunKey, format_log_header,
                                  log_header, plan_fingerprint)
-from repro.faults.mask import MaskGenerator, MultiBitMode
+from repro.faults.mask import FaultMask, MaskGenerator, MultiBitMode
 from repro.faults.models import get_model
 from repro.faults.options import DEFAULTS
 from repro.faults.runner import RunResult, run_application
@@ -163,11 +163,20 @@ class RunSpec:
         return self.synthesized or self.prescreened
 
 
-def _resolved_card(spec: RunSpec):
-    card = get_card(spec.card)
-    if spec.model_icache:
-        card = dataclasses.replace(card, model_icache=True)
-    return card
+#: A spec's field names, in the order ``__init__`` sets them.
+SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(RunSpec))
+
+
+def stamp(template: dict, **changes) -> RunSpec:
+    """``RunSpec(**template, **changes)`` without ``__init__`` (a ninth
+    of its cost; there is no ``__post_init__``): ``template`` names
+    every field in field order, as ``vars()`` of a spec does, so the
+    ``__dict__``, and the pickle, is the one ``__init__`` builds."""
+    assert tuple(template) == SPEC_FIELDS, "a template names every field"
+    assert template.keys() >= changes.keys()
+    spec = object.__new__(RunSpec)
+    spec.__dict__.update(template, **changes)
+    return spec
 
 
 def _worker_id() -> int:
@@ -176,24 +185,25 @@ def _worker_id() -> int:
     return int(identity[0]) if identity else 0
 
 
-def regenerate_mask(spec: RunSpec, rng=None):
+def regenerate_mask(spec: RunSpec):
     """Re-derive the spec's fault mask from its seed.
 
     The mask is a pure function of the spec (the RNG is seeded from
     the derived per-run seed), so the planner, the solo path and the
     batched path all regenerate the *same* mask -- the property that
-    keeps records byte-identical across dispatch strategies.  A plan
-    passes ``rng`` already set to that seed's stream
-    (:func:`repro.faults.mask.seeded_streams`).
+    keeps records byte-identical across dispatch strategies.
     """
-    card = _resolved_card(spec)
-    generator = MaskGenerator(card, list(spec.windows),
-                              spec.regs_per_thread, spec.smem_bytes,
-                              spec.local_bytes,
-                              np.random.default_rng(spec.seed)
-                              if rng is None else rng)
-    return generator.generate(
-        spec.structure, n_bits=spec.bits_per_fault,
+    return mask_draw(spec, np.random.default_rng(spec.seed))()
+
+
+def mask_draw(spec: RunSpec, rng) -> Callable[[], FaultMask]:
+    """Draws a mask of ``spec``'s (kernel, structure) from ``rng``, to
+    be set to each run's stream in turn (``mask.seeded_streams``)."""
+    generator = MaskGenerator(get_card(spec.card, spec.model_icache),
+                              list(spec.windows), spec.regs_per_thread,
+                              spec.smem_bytes, spec.local_bytes, rng)
+    return functools.partial(
+        generator.generate, spec.structure, n_bits=spec.bits_per_fault,
         mode=spec.multibit_mode, warp_level=spec.warp_level,
         n_blocks=spec.n_blocks, n_cores=spec.n_cores,
         fault_model=spec.fault_model)
@@ -344,7 +354,8 @@ def attempt(run: ResolvedRun, riders: Callable[[], dict],
 
     spec = run.spec
     return run_application(
-        make_benchmark(spec.benchmark), _resolved_card(spec),
+        make_benchmark(spec.benchmark),
+        get_card(spec.card, spec.model_icache),
         options=RunOptions(scheduler_policy=spec.scheduler_policy,
                            cycle_budget=spec.cycle_budget,
                            fast_forward=fast_forward, **riders()))
@@ -709,8 +720,7 @@ class CampaignExecutor:
             self._progress(f"resuming: {len(specs) - len(pending)} of "
                            f"{len(specs)} runs already recorded")
         if self.telemetry:
-            pending = [dataclasses.replace(spec, telemetry=True)
-                       for spec in pending]
+            pending = [stamp(vars(spec), telemetry=True) for spec in pending]
         instant = []
         if self.jobs > 1 and self._run_fn is execute_run:
             # an instant verdict costs less here than its trip through

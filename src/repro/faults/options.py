@@ -279,10 +279,7 @@ class CampaignConfig:
 
     def resolved_card(self):
         """The card model with campaign-level extensions applied."""
-        card = get_card(self.card)
-        if self.model_icache:
-            card = dataclasses.replace(card, model_icache=True)
-        return card
+        return get_card(self.card, self.model_icache)
 
     def resolved_structures(self) -> Tuple[Structure, ...]:
         """The structures to inject.

@@ -88,10 +88,8 @@ def scan_completed_records(path: Union[str, Path]) -> Dict[RunKey, dict]:
     return completed
 
 
-def aggregate_records(records: Sequence[dict]
-                      ) -> Dict[str, Dict[Structure, Dict[FaultEffect, int]]]:
-    """Aggregate run records into ``counts[kernel][structure][effect]``."""
-    return aggregate_counts(records)
+#: Run records into ``counts[kernel][structure][effect]``.
+aggregate_records = aggregate_counts
 
 
 def aggregate_by_model(

@@ -28,14 +28,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.events import Tally, complete_lines, parse_jsonl
 
-__all__ = [
-    "EventFileTailer",
-    "format_event",
-    "lint_prometheus",
-    "render_prometheus",
-    "render_top",
-]
-
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -43,7 +35,6 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 # -- Prometheus text exposition ----------------------------------------------
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SAMPLE_LINE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^}]*)\})?"

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.analysis.statistics import required_injections
 from repro.faults.campaign import CampaignResult
 from repro.faults.classify import FaultEffect
-from repro.faults.executor import RunSpec, regenerate_mask
+from repro.faults.executor import RunSpec, mask_draw, stamp
 from repro.faults.ledger import record_key
 from repro.faults.mask import mask_population, seeded_streams
 from repro.plan.estimator import StratifiedEstimate
@@ -193,13 +193,14 @@ class PlanReport:
 def _classify(campaign, card, prescreener, groups: Dict, specs,
               initial: bool) -> None:
     """Assign specs to strata, tagging each with its key."""
-    masks = map(regenerate_mask, specs,
-                seeded_streams([spec.seed for spec in specs]))
-    for spec, mask in zip(specs, masks):
+    masks = [mask_draw(spec, rng)() for spec, rng in zip(
+        specs, seeded_streams([spec.seed for spec in specs]))]
+    for spec, mask, stream in zip(specs, masks, seeded_streams(
+            [mask.seed for mask in masks])):
         key = (spec.kernel, spec.structure.value)
         group = groups[key]
-        stratum = stratum_of(card, spec, mask, prescreener)
-        tagged = dataclasses.replace(spec, stratum=stratum)
+        stratum = stratum_of(card, spec, mask, prescreener, stream)
+        tagged = stamp(vars(spec), stratum=stratum)
         group.candidates.setdefault(stratum, []).append(tagged)
         row = group.row_of[spec.key] = features(card, spec, mask, stratum)
         group.rows.setdefault(stratum, []).append(row)
@@ -367,16 +368,14 @@ def run_adaptive(campaign, jobs: int = 1,
     for spec in base_specs:
         key = (spec.kernel, spec.structure.value)
         if key not in groups:
-            kp = campaign.profile.kernels[spec.kernel]
-            windows = list(spec.windows)
             groups[key] = _Group(
                 kernel=spec.kernel, structure=spec.structure,
                 estimate=StratifiedEstimate(
                     kernel=spec.kernel,
                     structure=spec.structure.value,
                     population=mask_population(
-                        card, spec.structure, kp.regs_per_thread,
-                        kp.smem_bytes, kp.local_bytes, windows)),
+                        card, spec.structure, spec.regs_per_thread,
+                        spec.smem_bytes, spec.local_bytes, spec.windows)),
                 budget=cfg.runs_per_structure)
     _classify(campaign, card, prescreener, groups, base_specs,
               initial=True)

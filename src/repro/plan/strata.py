@@ -69,7 +69,7 @@ def lifetime_band(structure: Structure, first_read: Optional[int],
 
 
 def stratum_of(config, spec, mask: FaultMask,
-               prescreener=None) -> str:
+               prescreener=None, rng=None) -> str:
     """The stratum key of one planned run.
 
     ``spec`` is a planned :class:`~repro.faults.executor.RunSpec`
@@ -77,16 +77,17 @@ def stratum_of(config, spec, mask: FaultMask,
     :meth:`~repro.faults.campaign.Campaign.plan`), ``mask`` its
     regenerated fault mask, ``prescreener`` the plan-time
     :class:`~repro.faults.early_stop.Prescreener` (or ``None`` when no
-    liveness trace was captured).  Keys look like ``"lo:short"``;
-    proven-dead and synthesized runs collapse into
-    :data:`DEAD_STRATUM`.
+    liveness trace was captured), ``rng`` the mask's resolve stream.
+    Keys look like ``"lo:short"``; proven-dead and synthesized runs
+    collapse into :data:`DEAD_STRATUM`.
     """
     if spec.instant:
         return DEAD_STRATUM
     first_read = None
     if prescreener is not None:
         verdict = prescreener.evaluate(mask, spec.regs_per_thread,
-                                       spec.smem_bytes, spec.local_bytes)
+                                       spec.smem_bytes, spec.local_bytes,
+                                       rng)
         if verdict.reason is not None:
             # a prescreener only proves deadness when the plan ran
             # with early_stop="full"; stay consistent with the spec

@@ -255,11 +255,6 @@ class Cache:
         """Injectable bits per line: abstract tag field + data bits."""
         return self.tag_bits + self.line_bytes * 8
 
-    @property
-    def injectable_bits(self) -> int:
-        """Total injectable bits of this cache (the paper's Table I sizes)."""
-        return self.geometry.num_lines * self.bits_per_line
-
     def line_by_index(self, line_index: int) -> CacheLine:
         """Line in flat set-major numbering (set*assoc + way)."""
         set_idx, way = divmod(line_index, self.assoc)

@@ -13,6 +13,7 @@ straight to L2 -- hence its ``l1d`` is ``None`` ("N/A" in Tables I/V).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict
 
 from repro.sim.config import CacheGeometry, GPUConfig
@@ -97,8 +98,9 @@ def _register() -> None:
 _register()
 
 
-def get_card(name: str) -> GPUConfig:
-    """Look up a card by name (case-insensitive, also accepts aliases).
+def get_card(name: str, model_icache: bool = False) -> GPUConfig:
+    """Look up a card by name (case-insensitive, also accepts aliases),
+    with the instruction-cache model on when ``model_icache`` asks.
 
     Accepted spellings include ``"RTX2060"``, ``"rtx_2060"``,
     ``"Quadro GV100"``, ``"gtxtitan"`` ...
@@ -106,5 +108,6 @@ def get_card(name: str) -> GPUConfig:
     key = name.replace(" ", "").replace("_", "").replace("-", "").lower()
     for card_name, card in CARDS.items():
         if card_name.lower() == key:
-            return card
+            return (dataclasses.replace(card, model_icache=True)
+                    if model_icache else card)
     raise KeyError(f"unknown card {name!r}; known: {sorted(CARDS)}")

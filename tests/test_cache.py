@@ -28,7 +28,8 @@ class TestGeometry:
 
     def test_injectable_bits_include_tags(self):
         cache = make_cache()
-        assert cache.injectable_bits == 32 * (128 * 8 + 57)
+        assert cache.geometry.injectable_bits(cache.tag_bits) \
+            == 32 * (128 * 8 + 57)
         assert cache.bits_per_line == 1081
 
     def test_line_base(self):

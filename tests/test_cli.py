@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.dist.protocol import canonical_log_text
+from repro.faults.campaign import Campaign
 from repro.faults.parser import load_records
 from repro.obs import events_path_for, read_events
 
@@ -53,6 +54,30 @@ class TestCampaign:
     def test_campaign_requires_benchmark(self):
         with pytest.raises(SystemExit):
             main(["campaign"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kernels", "nope"],
+         "vectoradd has no kernel nope; its kernels are vectorAdd"),
+        (["--invocation", "7"],
+         "kernel vectorAdd has 1 invocation(s); index 7 out of range"),
+        (["--fault-model", "stuck_at_0", "--cache-hook-mode"],
+         "fault model 'stuck_at_0' does not support cache_hook_mode")])
+    def test_a_plan_error_is_one_line(self, tmp_path, flags, message):
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(SystemExit) as exited:
+            main(["campaign", "--benchmark", "vectoradd", "--runs", "2",
+                  "--log", str(log), *flags])
+        assert exited.value.code.startswith(f"error: {message}")
+        assert not log.exists()
+
+    def test_a_run_error_is_not_a_plan_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("a run went wrong")
+
+        monkeypatch.setattr(Campaign, "execute", failing)
+        with pytest.raises(ValueError, match="a run went wrong"):
+            main(["campaign", "--benchmark", "vectoradd", "--structures",
+                  "register_file", "--runs", "2"])
 
 
 class TestReport:

@@ -23,7 +23,6 @@ import re
 
 import pytest
 
-import repro.faults.campaign as campaign_module
 import repro.faults.executor as executor
 from repro.dist.protocol import canonical_log_text, spec_from_wire
 from repro.dist.server import Dispatcher
@@ -31,6 +30,7 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.config_file import dump_config
 from repro.faults.executor import CampaignExecutor, execute_run
 from repro.faults.ledger import record_key
+from repro.faults.mask import MaskGenerator
 from repro.faults.parser import scan_completed_records
 from repro.faults.targets import Structure
 from repro.obs.events import Tally, events_path_for, read_events
@@ -162,21 +162,22 @@ def test_a_restart_records_nothing_twice(tmp_path, finished):
 def test_a_submit_draws_each_prescreened_mask_once(tmp_path, monkeypatch):
     config = dict(ALL_INSTANT, seed=12)
     drawn = collections.Counter()
-    draw = executor.regenerate_mask
+    draw = MaskGenerator.generate
 
-    def counted(spec, *rest):
-        drawn[spec.key] += 1
-        return draw(spec, *rest)
+    def counted(*args, **kwargs):  # every mask of the process
+        mask = draw(*args, **kwargs)
+        drawn[json.dumps(mask.to_dict(), sort_keys=True)] += 1
+        return mask
 
-    for module in (executor, campaign_module):
-        monkeypatch.setattr(module, "regenerate_mask", counted)
+    monkeypatch.setattr(MaskGenerator, "generate", counted)
     executor._PLANNED_MASKS.clear()
     dispatcher = Dispatcher(log_dir=tmp_path)
     cid = dispatcher.submit(text_of(**config))["campaign"]
     records = dispatcher.records(cid)["records"]
     prescreened = [r for r in records if r.get("prescreened")]
     assert len(prescreened) == 16
-    assert drawn == {record_key(r): 1 for r in prescreened}
+    assert drawn == {json.dumps(r["mask"], sort_keys=True): 1
+                     for r in prescreened}
     assert not executor._PLANNED_MASKS  # each record took its mask
     monkeypatch.undo()
     # the masks the records carry are the ones a fresh draw gives

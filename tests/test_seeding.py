@@ -5,11 +5,15 @@ bulk seeder (:func:`repro.faults.mask.derive_run_seeds`,
 :func:`~repro.faults.mask.stream_states`) must give their seeds and
 start their streams, the size-1 draws must leave a stream where
 ``choice(n, size=1, replace=False)`` leaves it, and a plan must equal
-a per-spec loop over the scalar paths.
+a per-spec loop over the scalar paths.  A plan stamps its specs
+(:func:`~repro.faults.executor.stamp`): each must be the spec
+``RunSpec(...)`` builds, to the pickled byte.
 """
 
+import collections
 import dataclasses
 import json
+import pickle
 import sys
 import threading
 import zlib
@@ -23,12 +27,14 @@ from repro.dist.server import Dispatcher
 from repro.faults import executor
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.config_file import dump_config
-from repro.faults.executor import regenerate_mask
+from repro.dist.protocol import spec_to_wire
+from repro.faults.executor import RunSpec, regenerate_mask, stamp
 from repro.faults.mask import (MaskGenerator, MultiBitMode, derive_run_seed,
                                derive_run_seeds, stream_states)
 from repro.faults.sites import _sample
 from repro.faults.targets import Structure
 from repro.sim.cards import rtx_2060
+from repro.sim.liveness import LivenessTrace
 from tests.conftest import generated
 
 MODELS = st.sampled_from(["transient", "stuck_at_0", "stuck_at_1",
@@ -173,6 +179,67 @@ def test_a_plan_is_its_per_spec_loop(overrides):
     assert {key: mask.to_dict() for key, mask in planned.items()} \
         == expected_masks
     executor._PLANNED_MASKS.clear()
+
+
+@pytest.mark.parametrize("overrides", PLANS, ids=lambda o: o["benchmark"])
+def test_a_stamped_spec_is_the_spec_init_builds(overrides):
+    config = CampaignConfig(**dict(dict(card="RTX2060", runs_per_structure=6,
+                                        seed=21), **overrides))
+    specs = Campaign(config).plan()
+    executor._PLANNED_MASKS.clear()
+    for spec in specs:
+        for stamped, built in (
+                (spec, RunSpec(**vars(spec))),
+                (stamp(vars(spec), stratum="lo:short"),
+                 dataclasses.replace(spec, stratum="lo:short"))):
+            assert stamped == built and hash(stamped) == hash(built)
+            assert pickle.dumps(stamped) == pickle.dumps(built)
+            assert spec_to_wire(stamped) == spec_to_wire(built)
+    # one pickle of the whole plan, with its shared objects
+    assert pickle.dumps(specs) == pickle.dumps(
+        [RunSpec(**vars(spec)) for spec in specs])
+
+
+def test_a_stamp_names_every_field_and_only_fields():
+    spec = Campaign(CampaignConfig(**dict(UNKNOWN, kernels=None))).plan()[0]
+    fields = vars(spec)
+    with pytest.raises(AssertionError):
+        stamp({name: fields[name] for name in reversed(fields)})
+    with pytest.raises(AssertionError):
+        stamp({name: value for name, value in fields.items()
+               if name != "stratum"})
+    with pytest.raises(AssertionError):
+        stamp(fields, strata="lo:short")
+
+
+def test_a_spec_has_nothing_init_would_run_after_the_fields():
+    # stamp() skips __init__: a __post_init__ would be skipped with it
+    assert not hasattr(RunSpec, "__post_init__")
+
+
+def test_a_plan_asks_the_trace_each_question_once_per_cycle(monkeypatch):
+    asked = collections.Counter()
+
+    def spying(question):
+        real = getattr(LivenessTrace, question)
+
+        def spy(trace, cycle):
+            asked[question, cycle] += 1
+            return real(trace, cycle)
+        return spy
+
+    for question in ("live_warps", "live_smem_ctas", "busy_cores"):
+        monkeypatch.setattr(LivenessTrace, question, spying(question))
+    config = CampaignConfig(
+        benchmark="vectoradd", card="RTX2060", runs_per_structure=96,
+        structures=(Structure.REGISTER_FILE, Structure.L1T_CACHE), seed=4)
+    campaign = Campaign(config)
+    specs = campaign.plan()
+    executor._PLANNED_MASKS.clear()
+    assert max(asked.values()) == 1
+    assert sum(asked.values()) < len(specs)  # cycles repeat at R = 96
+    trace = campaign.golden_run(traced=True).liveness
+    assert pickle.loads(pickle.dumps(trace)) == trace
 
 
 def test_plans_in_threads_at_once_agree():
