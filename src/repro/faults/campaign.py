@@ -108,11 +108,11 @@ class PlanError(ValueError):
     """Options that do not fit the application or each other."""
 
 
-#: The golden runs this process simulated without a checkpoint set
-#: (the cross-process cache), by :meth:`Campaign._fingerprint`: only
-#: runs that returned, shared and read-only.  Bounded (emptied when
-#: full), never pickled.
-_GOLDEN_RUNS: Dict[str, GoldenRun] = {}
+#: The golden runs this process simulated or loaded, by
+#: :meth:`Campaign._fingerprint` and the set's ``stamp`` (``None``
+#: without a set): only runs that returned, shared and read-only.
+#: Bounded (emptied when full), never pickled.
+_GOLDEN_RUNS: Dict[tuple, GoldenRun] = {}
 GOLDEN_CAP = 16
 
 
@@ -337,15 +337,16 @@ class Campaign:
     def golden_run(self, traced: bool = False) -> GoldenRun:
         """The golden run of this configuration (with its liveness
         trace when ``traced``), from the cheapest source that has it:
-        this campaign's memo, then the checkpoint set on disk or,
-        without one, the process's memo, then a simulation.
+        this campaign's memo, then the process's memo of this set (or
+        of no set), then the checkpoint set on disk, then a simulation.
 
         With ``checkpoint_dir`` set, a simulation also captures the
         checkpoint set -- unless a complete set of the wanted placement
         exists already, which then only gains the trace it lacked.
         ``verify_restore`` simulates even when the set or the process
         has everything, and raises :class:`RestoreParityError` unless
-        the set and the simulation agree.
+        the set and the simulation agree; it neither reads nor fills
+        the process's memo, and nor does a capture.
         """
         cfg = self.config
 
@@ -364,10 +365,12 @@ class Campaign:
         if has_what_is_asked(self._golden) and (store is None
                                                 or ckpt_set is not None):
             return self._golden
-        memo = store is None and not cfg.verify_restore
+        memo = not cfg.verify_restore and (store is None
+                                           or ckpt_set is not None)
         if memo:
-            key = self._fingerprint()
-            kept = _GOLDEN_RUNS.get(key)
+            memo_key = (key if store is not None else self._fingerprint(),
+                        ckpt_set and ckpt_set.stamp)
+            kept = _GOLDEN_RUNS.get(memo_key)
             if has_what_is_asked(kept):
                 self._golden = dataclasses.replace(kept, source="memo",
                                                    seconds=0.0)
@@ -413,10 +416,10 @@ class Campaign:
                         f"re-simulation ({golden.cycles} cycles) in "
                         "profile, length or liveness trace")
         golden.seconds = time.perf_counter() - started
-        if memo:
+        if memo and (store is None or stored is not None):  # no capture
             if len(_GOLDEN_RUNS) >= GOLDEN_CAP:
                 _GOLDEN_RUNS.clear()
-            _GOLDEN_RUNS[key] = golden
+            _GOLDEN_RUNS[memo_key] = golden
         self._golden = golden
         return golden
 

@@ -438,25 +438,3 @@ def executor_arguments(config: CampaignConfig) -> Dict[str, object]:
     ``config`` on the local pool."""
     return {option.metadata["executor"]: getattr(config, option.name)
             for option in _rows("executor")}
-
-
-def render_option_reference() -> str:
-    """The *Option reference* table of ``docs/campaigns.md``
-    (``tests/test_options.py`` compares the two)."""
-    def code(text) -> str:
-        return f"`{text}`" if text else "—"
-
-    lines = ["| field | flag | config key | default | group "
-             "| in plan identity |",
-             "|---|---|---|---|---|---|"]
-    for option in OPTIONS.values():
-        meta = option.metadata
-        default = ("(required)" if option.default is MISSING
-                   else "—" if option.default is None
-                   else code(_text_form(option)[1](option.default)))
-        lines.append(
-            f"| `{option.name}` | {code(meta['flag'])} "
-            f"| {code(meta['key'] and KEY_PREFIX + meta['key'])} "
-            f"| {default} | {meta['group']} "
-            f"| {'yes' if meta['identity'] else 'no'} |")
-    return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ to the first bank with zero identification and so on".
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -24,9 +25,14 @@ import numpy as np
 
 from repro.sim.config import CacheGeometry
 
+#: A fault model's bit operation on one value: flip, force high, low.
+_BIT_OPS = {"xor": operator.xor, "set": operator.or_,
+            "clear": lambda value, bit: value & ~bit}
+
 
 class CacheLine:
-    """One cache line: valid/dirty state, tag and a private data copy.
+    """One cache line: valid/dirty state, tag and its data (its own, or
+    a row of its cache's restored block).
 
     ``armed`` optionally carries deferred fault-injection bit offsets
     (the paper's "hook" mechanism, see :meth:`Cache.arm_hook`):
@@ -37,11 +43,11 @@ class CacheLine:
     __slots__ = ("valid", "dirty", "tag", "data", "last_use", "armed",
                  "meta")
 
-    def __init__(self, line_bytes: int):
+    def __init__(self, line_bytes: int, data: Optional[np.ndarray] = None):
         self.valid = False
         self.dirty = False
         self.tag = 0
-        self.data = np.zeros(line_bytes, dtype=np.uint8)
+        self.data = np.zeros(line_bytes, np.uint8) if data is None else data
         self.last_use = 0
         self.armed = None
         #: Derived-from-data cache (e.g. decoded instructions);
@@ -92,15 +98,35 @@ class Cache:
         self._tick = 0
         # sets materialise lazily on first touch: an untouched 3 MB L2
         # costs nothing, and fault flips into untouched lines hit
-        # invalid lines (architecturally masked) exactly as they should
-        self._sets: Dict[int, List[CacheLine]] = {}
+        # invalid lines (architecturally masked) exactly as they should;
+        # a restored set is ``None`` until then (pending, see restore)
+        self._sets: Dict[int, Optional[List[CacheLine]]] = {}
+        self._pending: Dict[int, int] = {}  # set -> its first row
+        self._rows = self._block = self._armed = None  # see restore
 
     def _ways(self, set_idx: int,
               create: bool = False) -> Optional[List[CacheLine]]:
         ways = self._sets.get(set_idx)
-        if ways is None and create:
-            ways = [CacheLine(self.line_bytes) for _ in range(self.assoc)]
-            self._sets[set_idx] = ways
+        if ways is None:
+            if set_idx in self._pending:
+                return self._build(set_idx)
+            if create:
+                ways = [CacheLine(self.line_bytes) for _ in range(self.assoc)]
+                self._sets[set_idx] = ways
+        return ways
+
+    def _build(self, set_idx: int) -> List[CacheLine]:
+        """Pending set ``set_idx`` as lines, each line's data a view of
+        its row of the restored block."""
+        first = self._pending.pop(set_idx)
+        ways = self._sets[set_idx] = []
+        for row, (last_use, valid, dirty, tag) in enumerate(
+                self._rows[first:first + self.assoc].tolist(), first):
+            line = CacheLine(self.line_bytes, self._block[row])
+            line.last_use, line.tag = last_use, tag
+            line.valid, line.dirty = valid == 1, dirty == 1
+            line.armed = self._armed.pop(row, None)
+            ways.append(line)
         return ways
 
     def _tell(self, flat: int, *kinds: str) -> None:
@@ -126,7 +152,7 @@ class Cache:
 
     # -- core operations ---------------------------------------------------
 
-    def lookup(self, addr: int, touch: bool = True,
+    def lookup(self, addr: int,
                for_write: bool = False) -> Optional[CacheLine]:
         """Probe for the line containing ``addr``; count a hit or miss.
 
@@ -136,13 +162,14 @@ class Cache:
         tag, set_idx = divmod(addr // self.line_bytes, self.num_sets)
         self.stats.accesses += 1
         ways = self._sets.get(set_idx)
+        if ways is None and self._pending:
+            ways = self._ways(set_idx)
         if ways is not None:
             for line in ways:
                 if line.valid and line.tag == tag:
                     self.stats.hits += 1
-                    if touch:
-                        self._tick += 1
-                        line.last_use = self._tick
+                    self._tick += 1
+                    line.last_use = self._tick
                     if line.armed is not None:
                         if not for_write:
                             self._apply_bits(line, line.armed)
@@ -160,6 +187,8 @@ class Cache:
         ``peek`` event."""
         set_idx, tag = self._locate(addr)
         ways = self._sets.get(set_idx)
+        if ways is None and self._pending:
+            ways = self._ways(set_idx)
         if ways is None:
             return None
         for line in ways:
@@ -225,12 +254,23 @@ class Cache:
         return writeback
 
     def invalidate_all(self) -> None:
-        """Drop every line without writeback (kernel-boundary L1 reset)."""
+        """Drop every line without writeback (kernel-boundary L1 reset);
+        a pending set stays pending, its rows cleared."""
         for set_idx, ways in self._sets.items():
+            if ways is None:  # told from its rows
+                if self.on_cache:
+                    first = self._pending[set_idx]
+                    for way in np.flatnonzero(
+                            self._rows[first:first + self.assoc, 1]).tolist():
+                        self._tell(set_idx * self.assoc + way, "inv")
+                continue
             for way, line in enumerate(ways):
                 if line.valid:
                     self._tell(set_idx * self.assoc + way, "inv")
                 line.invalidate()
+        if self._pending:
+            self._rows[:, 1:3] = 0  # valid, dirty (a built set's: unread)
+            self._armed.clear()
 
     # -- word helpers ------------------------------------------------------
 
@@ -269,25 +309,13 @@ class Cache:
         low (stuck-at re-assertion).
         """
         line.meta = None  # derived caches are stale once bits change
+        apply = _BIT_OPS.get(op, operator.xor)
         for bit_offset in bit_offsets:
             if bit_offset < self.tag_bits:
-                bit = 1 << bit_offset
-                if op == "set":
-                    line.tag |= bit
-                elif op == "clear":
-                    line.tag &= ~bit
-                else:
-                    line.tag ^= bit
+                line.tag = apply(line.tag, 1 << bit_offset)
             else:
-                data_bit = bit_offset - self.tag_bits
-                byte = data_bit // 8
-                bit = np.uint8(1 << (data_bit % 8))
-                if op == "set":
-                    line.data[byte] |= bit
-                elif op == "clear":
-                    line.data[byte] &= np.uint8(~bit)
-                else:
-                    line.data[byte] ^= bit
+                byte, bit = divmod(bit_offset - self.tag_bits, 8)
+                line.data[byte] = apply(int(line.data[byte]), 1 << bit)
 
     def _peek_bits(self, line: CacheLine, bit_offsets) -> int:
         """Pack the current values of the given line bit offsets."""
@@ -296,9 +324,8 @@ class Cache:
             if bit_offset < self.tag_bits:
                 value = (line.tag >> bit_offset) & 1
             else:
-                data_bit = bit_offset - self.tag_bits
-                value = (int(line.data[data_bit // 8])
-                         >> (data_bit % 8)) & 1
+                byte, bit = divmod(bit_offset - self.tag_bits, 8)
+                value = int(line.data[byte]) >> bit & 1
             out |= value << pos
         return out
 
@@ -315,13 +342,9 @@ class Cache:
         injection.
         """
         line = self.line_by_index(line_index)
-        record = {
-            "cache": self.name,
-            "line": line_index,
-            "bits": list(bit_offsets),
-            "valid": line.valid,
-            "mode": "hook",
-        }
+        record = {"cache": self.name, "line": line_index,
+                  "bits": list(bit_offsets), "valid": line.valid,
+                  "mode": "hook"}
         if line.valid:
             line.armed = list(bit_offsets)
         return record
@@ -343,13 +366,9 @@ class Cache:
         if not 0 <= bit_offset < self.bits_per_line:
             raise ValueError(f"bit offset {bit_offset} out of range")
         line = self.line_by_index(line_index)
-        record = {
-            "cache": self.name,
-            "line": line_index,
-            "bit": bit_offset,
-            "valid": line.valid,
-            "field": "tag" if bit_offset < self.tag_bits else "data",
-        }
+        record = {"cache": self.name, "line": line_index, "bit": bit_offset,
+                  "valid": line.valid,
+                  "field": "tag" if bit_offset < self.tag_bits else "data"}
         if op != "xor":
             record["op"] = op
         self._apply_bits(line, (bit_offset,), op=op)
@@ -391,7 +410,9 @@ class Cache:
         snap = {"tick": self._tick,
                 "stats": (stats.accesses, stats.hits, stats.misses,
                           stats.evictions, stats.writebacks)}
-        if self._sets:
+        if self._pending:
+            snap.update(self._merged())
+        elif self._sets:
             sets = sorted(self._sets)
             lines = [line for set_idx in sets for line in self._sets[set_idx]]
             live = [line for line in lines if line.valid]
@@ -406,27 +427,56 @@ class Cache:
                        if line.armed is not None})
         return snap
 
-    def restore(self, snap: Dict[str, object]) -> None:
-        """Rebuild cache contents from a :meth:`snapshot` dict.
+    def _merged(self) -> Dict[str, object]:
+        """:meth:`snapshot`'s arrays while sets are pending, in one
+        gather by set index: a pending set's rows as they are, a built
+        set's lines read as above (their rows appended after them)."""
+        sets, rows, block = sorted(self._sets), self._rows, self._block
+        built = [line for set_idx in sets
+                 for line in self._sets[set_idx] or ()]
+        n = len(rows)  # the built sets' rows follow, in set order
+        after = iter(range(n, n + len(built), self.assoc))
+        order = (np.array([self._pending[set_idx] if set_idx in self._pending
+                           else next(after) for set_idx in sets])[:, None]
+                 + np.arange(self.assoc)).ravel()
+        armed = self._armed
+        if built:
+            rows = np.concatenate((rows, np.array(
+                [(line.last_use, 1, line.dirty, line.tag) if line.valid
+                 else (line.last_use, 0, 0, 0) for line in built],
+                dtype=np.int64)))
+            block = np.concatenate((block, np.frombuffer(
+                b"".join(line.data for line in built), np.uint8
+            ).reshape(-1, self.line_bytes)))
+            armed = {**armed, **{n + i: line.armed for i, line in
+                                 enumerate(built) if line.armed is not None}}
+        lines = rows[order]
+        lines[:, 3] *= lines[:, 1]  # no tag of an invalid line
+        live = order[lines[:, 1] == 1]
+        return {"sets": np.array(sets, dtype=np.int64), "lines": lines,
+                "data": block[live],
+                "armed": {row: list(armed[at])
+                          for row, at in enumerate(live.tolist())
+                          if at in armed} if armed else {}}
 
-        Arrays are copied so a shared (cached) snapshot stays pristine
-        across repeated restores.
-        """
+    def restore(self, snap: Dict[str, object]) -> None:
+        """Restore from a :meth:`snapshot` dict (only read: a shared one
+        stays pristine), every set pending -- its rows of a copy of
+        ``lines`` and of one block of the rows of ``data`` -- until its
+        first touch."""
         self._tick = snap["tick"]
         self.stats = CacheStats(*snap["stats"])
-        self._sets = {}
+        self._sets, self._pending, self._armed = {}, {}, {}
         if "sets" not in snap:
             return
-        lines, row = [], 0
-        for last_use, valid, dirty, tag in snap["lines"].tolist():
-            line = CacheLine(self.line_bytes)
-            line.last_use = last_use
-            if valid:
-                line.valid, line.dirty, line.tag = True, bool(dirty), tag
-                line.data[:] = snap["data"][row]
-                armed = snap["armed"].get(row)
-                line.armed = list(armed) if armed is not None else None
-                row += 1
-            lines.append(line)
-        for at, set_idx in enumerate(snap["sets"].tolist()):
-            self._sets[set_idx] = lines[at * self.assoc:(at + 1) * self.assoc]
+        rows = self._rows = snap["lines"].copy()
+        valid = rows[:, 1] == 1
+        self._block = np.zeros((len(rows), self.line_bytes), np.uint8)
+        self._block[valid] = snap["data"]
+        if snap["armed"]:
+            live = np.flatnonzero(valid).tolist()
+            self._armed = {live[row]: list(bits)
+                           for row, bits in snap["armed"].items()}
+        sets = snap["sets"].tolist()
+        self._sets = dict.fromkeys(sets)
+        self._pending = dict(zip(sets, range(0, len(rows), self.assoc)))

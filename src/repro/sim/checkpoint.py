@@ -25,46 +25,19 @@ guarantees make that run bit-identical to one from scratch:
    reach any more goes at the next capture into its directory
    (:meth:`CheckpointRecorder.finalize`).
 
-On disk (all but ``meta.json`` and the pool pickled + zlib-compressed)::
-
-    <checkpoint-dir>/<key>/meta.json       # manifest, written last
-    <checkpoint-dir>/<key>/golden.bin      # launch stats + host reads
-    <checkpoint-dir>/<key>/liveness.bin    # liveness trace (traced runs)
-    <checkpoint-dir>/<key>/ckpt_<L>_<C>.bin  # snapshot at launch L, cycle C
-    <checkpoint-dir>/<key>/parts.bin       # per snapshot, its part digests
-    <checkpoint-dir>/<key>/pages.bin       # the page pool, raw 4 KiB pages
-
-A capture fills a private ``<key>.<random>`` sibling and renames it to
-``<key>`` when complete, so concurrent captures of one key cannot
-interleave and a reader sees a whole set or none.
-
-**The state digest is a tree** (format 4): one :func:`part_digest` per
-named part, kept per snapshot in ``parts.bin``, under a ``state_hash``
-over the ordered ``(name, part digest)`` pairs (:func:`tree_digest`).
-Two states are equal iff their part lists are, so a comparison with
-golden state (:class:`repro.faults.early_stop.ConvergenceMonitor`) may
-stop at the first part that differs, and ask the likeliest first.
-
-**DRAM is content-addressed, not copied** (format 3).  Global memory
-keeps a hash per non-zero 4 KiB page, rehashing only pages written
-since (:mod:`repro.sim.memory`).  A snapshot stores that page table,
-the recorder appends a page's bytes to ``pages.bin`` the first time
-its hash is seen, and a restore writes only the pages whose hash
-differs from the live memory's: capture, digest and restore cost what
-the application changed, not the 8 MB that exist.  Why a pool rather
-than a chain of deltas: every ``ckpt_*.bin`` stays self-contained
-given the pool -- no chain to walk, no periodic full base to tune.
-
-**Two kinds of snapshot.**  Runs restore from the latest snapshot of
-either kind but compare their state with *witnesses* only (a
-``state_hash`` and a row in ``parts.bin``), never with *restore
-points* (:data:`RESTORE_STRIDE`): dense restores cost no run a check,
-and ``terminated_at`` depends on the witnesses alone.
+A set on disk, and how a capture publishes it whole (a private
+``<key>.<random>`` sibling, renamed when complete), are shown in
+``docs/campaigns.md``.  ``docs/architecture.md``, *Snapshots*,
+explains the rest: the state digest is a tree (one :func:`part_digest`
+per named part under the :func:`tree_digest` root ``state_hash``,
+format 4), DRAM is a table of page hashes over the set's page pool
+(:data:`POOL_FILE`, format 3), and runs restore from *restore points*
+(:data:`RESTORE_STRIDE`) but compare their state with *witnesses* only
+(a ``state_hash`` and a row in :data:`PARTS_FILE`).
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import importlib
@@ -95,10 +68,8 @@ SNAPSHOT_FORMAT = 4
 _MIN_AUTO_STRIDE = 64
 
 #: Auto placement adds a restore point at the first loop iteration
-#: this many cycles after the launch's previous snapshot.  On
-#: ``paper_ladder`` (8 passes): golden prefix re-simulated 190 371 ->
-#: 45 065 cycles, cycles simulated 635 534 -> 490 228 (-23 %); 512 and
-#: 256 simulate 4 % / 6 % less again, 256 for +22 % cold set-up.
+#: this many cycles after the launch's previous snapshot (other
+#: strides are measured in ``docs/performance.md``).
 RESTORE_STRIDE = 1024
 
 #: The content-addressed page pool of one set: raw pages, back to back.
@@ -297,20 +268,6 @@ def _mixer_for(cls):
     return mixer
 
 
-def state_digest(snap: dict) -> str:
-    """Canonical digest of one :meth:`GPU.snapshot` dict, walked whole.
-
-    Two runs whose snapshots digest equally hold identical
-    architectural *and* timing state at that cycle, so their futures
-    are identical -- the basis of convergence early-exit.  The
-    reference :func:`tree_digest` is tested against (what format 3
-    stored); nothing on a run's path calls it.
-    """
-    parts: List[bytes] = []
-    _mix_dict(parts, snap)
-    return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
-
-
 def part_digest(piece: dict) -> bytes:
     """Digest of one captured part of :meth:`GPU.parts`: the canonical
     walk above, over that part alone."""
@@ -473,7 +430,7 @@ class CheckpointRecorder:
         """Persist the golden manifest (and the run's liveness trace,
         when it recorded one) and publish the complete set."""
         staging = self._staging()
-        golden = {"launch_stats": copy.deepcopy(list(launch_stats)),
+        golden = {"launch_stats": [ls.copy() for ls in launch_stats],
                   "host_reads": self._host_reads,
                   "golden_cycles": golden_cycles}
         (staging / GOLDEN_FILE).write_bytes(_dumps(golden))
@@ -524,9 +481,10 @@ class CheckpointRecorder:
 class CheckpointSet:
     """A complete on-disk checkpoint set for one fingerprint key."""
 
-    def __init__(self, directory: Path, meta: dict):
+    def __init__(self, directory: Path, meta: dict, stamp: tuple):
         self.directory = Path(directory)
         self.meta = meta
+        self.stamp = stamp  #: the manifest's (path, size, mtime_ns)
         self._slots = {bytes.fromhex(digest): slot
                        for slot, digest in enumerate(meta["pages"])}
 
@@ -652,7 +610,7 @@ class FastForward:
                     f"replay launch #{index} is {request.kernel.name} "
                     f"({request.num_ctas} CTAs), golden ran "
                     f"{expect.kernel_name} ({expect.grid_ctas} CTAs)")
-            stats = copy.deepcopy(expect)
+            stats = expect.copy()
             gpu.stats.launches.append(stats)
             gpu.cycle = stats.end_cycle
             return stats
@@ -723,11 +681,14 @@ class CheckpointStore:
         """Open a *complete* set for ``key``; None when absent/torn.
         (The manifest is parsed once per capture: see
         :func:`_load_blob`.)"""
+        manifest = self.path(key) / "meta.json"
         try:
-            meta = _load_file(self.path(key) / "meta.json")
-        except CheckpointError:
+            st = os.stat(manifest)
+            meta = _load_file(manifest)
+        except (OSError, CheckpointError):
             return None
         if meta.get("format") != SNAPSHOT_FORMAT \
                 or not meta.get("complete"):
             return None
-        return CheckpointSet(self.path(key), meta)
+        return CheckpointSet(self.path(key), meta, (
+            str(manifest), st.st_size, st.st_mtime_ns))

@@ -9,7 +9,6 @@ section V.A.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
@@ -60,6 +59,13 @@ class LaunchStats:
         if not self.busy_sm_cycles:
             return 0.0
         return self.cta_cycles / self.busy_sm_cycles
+
+    def copy(self) -> "LaunchStats":
+        """``copy.deepcopy(self)``, without its walk."""
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
+        dup.cores_used = set(self.cores_used)
+        return dup
 
 
 class StatsCollector:
@@ -131,13 +137,13 @@ class StatsCollector:
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Deep-copy the archived and in-flight launch records."""
-        return {"launches": copy.deepcopy(self.launches),
-                "current": copy.deepcopy(self.current)}
+        """Copy the archived and in-flight launch records."""
+        return {"launches": [ls.copy() for ls in self.launches],
+                "current": self.current and self.current.copy()}
 
     def restore(self, snap: dict) -> None:
         """Rebuild collector state (copies, so shared snapshots stay
         pristine across repeated restores)."""
-        self.launches = copy.deepcopy(snap["launches"])
-        self.current = copy.deepcopy(snap["current"])
+        self.launches = [ls.copy() for ls in snap["launches"]]
+        self.current = snap["current"] and snap["current"].copy()
         self.occupancy = None

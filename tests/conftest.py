@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.faults import campaign
 from repro.sim.cards import rtx_2060
+from repro.sim.checkpoint import _mix_dict
 from repro.sim.config import CacheGeometry, GPUConfig
 from repro.sim.device import Device
 from repro.sim.kernel import Kernel
@@ -80,6 +83,20 @@ def page_source(memory):
     pages = {digest: bytes(memory.page(index))
              for index, digest in memory.page_table().items()}
     return pages.__getitem__
+
+
+def state_digest(snap: dict) -> str:
+    """Canonical digest of one :meth:`GPU.snapshot` dict, walked whole.
+
+    Two runs whose snapshots digest equally hold identical
+    architectural *and* timing state at that cycle, so their futures
+    are identical -- the basis of convergence early-exit.  The
+    reference :func:`repro.sim.checkpoint.tree_digest` is tested
+    against (what format 3 stored); nothing on a run's path calls it.
+    """
+    parts = []
+    _mix_dict(parts, snap)
+    return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
 
 
 def format3_cache(snap: dict) -> dict:

@@ -22,10 +22,10 @@ from repro.faults.sites import Site
 from repro.faults.targets import Structure
 from repro.obs.events import Tally, run_event
 from repro.sim.cards import rtx_2060
-from repro.sim.checkpoint import state_digest
 from repro.sim.device import Device, RunOptions
 from repro.sim.kernel import Kernel
 from repro.sim.liveness import LivenessTrace
+from tests.conftest import state_digest
 
 
 def effect_counts(result):

@@ -1,8 +1,10 @@
-"""A configuration's golden run is simulated once per process.
+"""A configuration's golden run is simulated -- or loaded -- once per
+process.
 
-Without a checkpoint directory, :meth:`Campaign.golden_run` keeps the
-runs it simulated in a bounded process-wide memo keyed by the
-configuration's fingerprint.  Defended here:
+:meth:`Campaign.golden_run` keeps the runs it simulated without a
+checkpoint directory, and those it loaded from a checkpoint set, in a
+bounded process-wide memo keyed by the configuration's fingerprint and
+the set's manifest stamp.  Defended here:
 
 - a second campaign on the same configuration -- another seed, other
   structures, runs or kernels -- simulates nothing and plans what a
@@ -11,7 +13,10 @@ configuration's fingerprint.  Defended here:
   for a trace simulates once and is replaced;
 - a different card, ``model_icache``, scheduler policy or benchmark
   constructor state misses;
-- ``verify_restore`` and ``checkpoint_dir`` neither read nor fill it;
+- ``verify_restore`` and a capture neither read nor fill it;
+- a second campaign on a set reads no ``liveness.bin``; a recaptured
+  or rewritten set misses; an untraced entry of a set never answers a
+  traced request; set entries count against the cap;
 - a golden run that raises is not kept, the memo is bounded, and a
   kept trace holds no simulator and no recording state;
 - a campaign that holds its golden run does not compute the key;
@@ -20,7 +25,9 @@ configuration's fingerprint.  Defended here:
 """
 
 import dataclasses
+import os
 import pickle
+import shutil
 import sys
 import threading
 import time
@@ -36,6 +43,7 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.config_file import dump_config
 from repro.faults.targets import Structure
 from repro.obs.events import events_path_for, read_events
+from repro.sim.checkpoint import CheckpointSet
 from tests.conftest import generated
 from tests.test_golden_run import plan_settings
 from tests.test_instant_runs import drain
@@ -167,22 +175,140 @@ def test_verify_restore_neither_reads_nor_fills_the_memo(simulations):
     assert simulations == ["gaussian"] * 3
 
 
-def test_a_checkpoint_dir_neither_reads_nor_fills_the_memo(simulations,
-                                                           tmp_path):
+def test_a_capture_neither_reads_nor_fills_the_memo(simulations, tmp_path):
+    Campaign(config()).plan()
+    assert len(memo) == 1
     captured = Campaign(config(checkpoint_dir=tmp_path / "a"))
     captured.plan()
     assert captured.plan_timing["golden"] == "simulated"
-    assert not memo
-    Campaign(config()).plan()
+    assert len(memo) == 1  # the entry without a set answers no set
     assert simulations == ["gaussian"] * 2
-    # a cold directory captures, a warm one loads: the memo is no source
+    # a cold directory captures, a warm one loads, once per process
     cold = Campaign(config(checkpoint_dir=tmp_path / "b"))
     cold.plan()
     warm = Campaign(config(checkpoint_dir=tmp_path / "b"))
     warm.plan()
-    assert [cold.plan_timing["golden"], warm.plan_timing["golden"]] == [
-        "simulated", "loaded"]
+    again = Campaign(config(checkpoint_dir=tmp_path / "b", seed=3))
+    again.plan()
+    assert [cold.plan_timing["golden"], warm.plan_timing["golden"],
+            again.plan_timing["golden"]] == ["simulated", "loaded", "memo"]
     assert simulations == ["gaussian"] * 3
+
+
+@pytest.fixture
+def trace_reads(monkeypatch):
+    """The ``liveness.bin`` reads from here on, by set directory."""
+    reads = []
+    load = CheckpointSet.liveness
+
+    def counted(self):
+        reads.append(self.directory.name)
+        return load(self)
+
+    monkeypatch.setattr(CheckpointSet, "liveness", counted)
+    return reads
+
+
+def set_config(root, **overrides) -> CampaignConfig:
+    return config("vectoradd", checkpoint_dir=root, **overrides)
+
+
+def test_a_second_campaign_on_a_set_reads_no_trace(simulations, trace_reads,
+                                                   tmp_path):
+    Campaign(set_config(tmp_path)).plan()  # captures the set
+    assert simulations == ["vectoradd"] and not trace_reads and not memo
+    first = Campaign(set_config(tmp_path, seed=10))
+    specs = first.plan()
+    assert first.plan_timing["golden"] == "loaded"
+    assert len(trace_reads) == 1 and len(memo) == 1
+    second = Campaign(set_config(tmp_path, seed=10))
+    assert second.plan() == specs
+    assert second.plan_timing["golden"] == "memo"
+    assert second.plan_timing["golden_s"] == 0.0
+    assert second.golden_run().liveness is first.golden_run().liveness
+    assert len(trace_reads) == 1 and simulations == ["vectoradd"]
+    # what the memo answered is what the set holds
+    memo.clear()
+    cold = Campaign(set_config(tmp_path, seed=10))
+    assert cold.plan() == specs and cold.plan_timing["golden"] == "loaded"
+
+
+@pytest.mark.parametrize("change", ["recapture", "rewrite"])
+def test_a_recaptured_set_misses(simulations, trace_reads, tmp_path,
+                                 change):
+    Campaign(set_config(tmp_path)).plan()
+    Campaign(set_config(tmp_path)).plan()
+    (manifest,) = tmp_path.glob("*/meta.json")
+    if change == "recapture":
+        shutil.rmtree(manifest.parent)
+        Campaign(set_config(tmp_path)).plan()
+        assert simulations == ["vectoradd"] * 2
+    else:  # the same manifest, written again
+        stat = manifest.stat()
+        os.utime(manifest, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1000))
+    campaign = Campaign(set_config(tmp_path, seed=2))
+    campaign.plan()
+    assert campaign.plan_timing["golden"] == "loaded"
+    assert len(trace_reads) == 2 and len(memo) == 2
+    again = Campaign(set_config(tmp_path, seed=3))
+    again.plan()
+    assert again.plan_timing["golden"] == "memo" and len(trace_reads) == 2
+
+
+def test_verify_restore_bypasses_the_memo_of_a_set(simulations, tmp_path):
+    Campaign(set_config(tmp_path)).plan()
+    Campaign(set_config(tmp_path)).plan()
+    (kept,) = memo.values()
+    checked = Campaign(set_config(tmp_path, verify_restore=True))
+    checked.plan()
+    assert checked.plan_timing["golden"] == "simulated"
+    assert simulations == ["vectoradd"] * 2
+    (entry,) = memo.values()
+    assert entry is kept
+
+
+def test_an_untraced_entry_of_a_set_never_answers_a_trace(
+        simulations, trace_reads, tmp_path):
+    # early_stop converge plans untraced: the set is captured without
+    # a trace and its entry holds none
+    Campaign(set_config(tmp_path, early_stop="converge")).plan()
+    loaded = Campaign(set_config(tmp_path, early_stop="converge"))
+    loaded.plan()
+    assert loaded.plan_timing["golden"] == "loaded"
+    assert loaded.golden_run().liveness is None and not trace_reads
+    traced = Campaign(set_config(tmp_path))
+    specs = traced.plan()
+    assert traced.plan_timing["golden"] == "simulated"  # adds the trace
+    assert traced.golden_run().liveness is not None
+    assert simulations == ["vectoradd"] * 2
+    for early_stop in ("full", "converge"):
+        campaign = Campaign(set_config(tmp_path, early_stop=early_stop))
+        campaign.plan()
+        assert campaign.plan_timing["golden"] == "memo"
+    assert len(memo) == 1 and simulations == ["vectoradd"] * 2
+    memo.clear()
+    assert Campaign(set_config(tmp_path)).plan() == specs
+    assert len(trace_reads) == 2  # the set gained the trace
+
+
+def test_set_entries_count_against_the_cap(simulations, monkeypatch,
+                                           tmp_path):
+    monkeypatch.setattr(campaign_module, "GOLDEN_CAP", 2)
+    configs = [set_config(tmp_path, scheduler_policy=policy,
+                          early_stop="off") for policy in ("gto", "lrr")]
+    configs.append(dataclasses.replace(configs[0], card="QuadroGV100"))
+    for cfg in configs:
+        Campaign(cfg).plan()  # captures: keeps nothing
+    assert not memo
+    for cfg in configs:
+        campaign = Campaign(cfg)
+        campaign.plan()
+        assert campaign.plan_timing["golden"] == "loaded"
+        assert 0 < len(memo) <= 2
+    last = Campaign(dataclasses.replace(configs[-1], seed=2))
+    last.plan()
+    assert last.plan_timing["golden"] == "memo"
+    assert len(simulations) == 3
 
 
 def test_a_golden_run_that_raises_is_not_kept(monkeypatch):

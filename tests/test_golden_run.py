@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.bench import benchmark_names, make_benchmark
 from repro.dist.protocol import canonical_log_text
-from repro.faults.campaign import (Campaign, CampaignConfig, GoldenRun,
-                                   profile_application)
+from repro.faults.campaign import (_GOLDEN_RUNS, Campaign, CampaignConfig,
+                                   GoldenRun, profile_application)
 from repro.faults.targets import Structure
 from repro.obs import Tally, events_path_for, read_events
 from repro.obs.live import format_event, render_top
@@ -116,6 +116,7 @@ class TestWarmPlanEqualsSimulatingPlan:
         root, simulated = warm_sets.get(overrides["benchmark"])
         cfg = config(checkpoint_dir=root, **overrides)
         expected = Campaign(cfg, golden=simulated).plan()
+        _GOLDEN_RUNS.clear()  # or an earlier example's load answers
         warm = Campaign(cfg)
         with no_simulation():
             assert warm.plan() == expected

@@ -15,7 +15,7 @@ occupancy accounting that moves a single cycle shows up here:
     for four benchmarks the ``(cycle, state_hash)`` stream of the
     auto-geometric checkpoint set -- twice: ``checkpoints`` are the
     values snapshot format 3 stored, one walk of
-    :func:`~repro.sim.checkpoint.state_digest` over the whole nested
+    :func:`~tests.conftest.state_digest` over the whole nested
     snapshot, unedited since and now recomputed from the captured
     snapshot files (:func:`tests.conftest.format3`), so the *state* a snapshot holds is
     pinned across the format change; ``checkpoint_roots`` are format
@@ -44,9 +44,9 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.runner import run_application
 from repro.faults.targets import Structure
 from repro.sim.cards import get_card
-from repro.sim.checkpoint import CheckpointRecorder, _loads, state_digest
+from repro.sim.checkpoint import CheckpointRecorder, _loads
 from repro.sim.device import RunOptions
-from tests.conftest import format3
+from tests.conftest import format3, state_digest
 
 DATA = Path(__file__).parent / "data"
 TIMING = DATA / "golden_timing.json"

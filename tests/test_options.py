@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,7 @@ from repro.faults.executor import (format_log_header, plan_fingerprint,
                                    regenerate_mask)
 from repro.faults.mask import MultiBitMode
 from repro.faults.models import model_names
-from repro.faults.options import (KEY_PREFIX, OPTIONS,
-                                  render_option_reference)
+from repro.faults.options import KEY_PREFIX, OPTIONS, _text_form
 from repro.faults.parser import combine_records, load_records
 from repro.faults.targets import Structure
 from repro.sim.cards import CARDS
@@ -44,6 +44,28 @@ KEYS = {
     "run_timeout", "backend", "backend_url", "batch", "adaptive",
     "error_target",
 }
+
+
+def render_option_reference() -> str:
+    """The *Option reference* table of ``docs/campaigns.md``, derived
+    from the option table."""
+    def code(text) -> str:
+        return f"`{text}`" if text else "—"
+
+    lines = ["| field | flag | config key | default | group "
+             "| in plan identity |",
+             "|---|---|---|---|---|---|"]
+    for option in OPTIONS.values():
+        meta = option.metadata
+        default = ("(required)" if option.default is MISSING
+                   else "—" if option.default is None
+                   else code(_text_form(option)[1](option.default)))
+        lines.append(
+            f"| `{option.name}` | {code(meta['flag'])} "
+            f"| {code(meta['key'] and KEY_PREFIX + meta['key'])} "
+            f"| {default} | {meta['group']} "
+            f"| {'yes' if meta['identity'] else 'no'} |")
+    return "\n".join(lines) + "\n"
 
 
 def meta(name):

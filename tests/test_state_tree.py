@@ -7,7 +7,7 @@ injected run's convergence check stops at the first part that differs
 (:meth:`repro.faults.early_stop.ConvergenceMonitor.first_difference`).
 Two things could go wrong and are checked here from the test side,
 against the walker format 3 used over the whole snapshot
-(:func:`repro.sim.checkpoint.state_digest`, kept as the reference):
+(:func:`tests.conftest.state_digest`, kept as the reference):
 
 - a leaf of the snapshot that no part digest covers (``TestEveryLeaf``:
   every leaf of every part is changed in turn);
@@ -36,10 +36,9 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.early_stop import ConvergenceMonitor
 from repro.faults.runner import run_application
 from repro.faults.targets import Structure
-from repro.sim.checkpoint import (CheckpointStore, part_digest, state_digest,
-                                  tree_digest)
+from repro.sim.checkpoint import CheckpointStore, part_digest, tree_digest
 from repro.sim.device import RunOptions
-from tests.conftest import format3
+from tests.conftest import format3, state_digest
 from tests.test_golden_timing import control_config
 
 NIGHTLY = settings.default is settings.get_profile("nightly")

@@ -1,7 +1,10 @@
 """LaunchStats / StatsCollector accounting."""
 
+import copy
+
 import pytest
 
+from repro.sim.checkpoint import part_digest
 from repro.sim.stats import LaunchStats, StatsCollector
 
 
@@ -84,3 +87,49 @@ class TestStatsCollector:
         assert cur.thread_cycles == 640
         assert cur.cta_cycles == 10
         assert cur.cores_used == {3}
+
+
+class TestCopy:
+    """``LaunchStats.copy`` stands in for ``copy.deepcopy`` wherever
+    launch records are snapshotted, restored or replayed."""
+
+    def source(self):
+        return make_stats(end_cycle=350, instructions=7, busy_sm_cycles=9,
+                          warp_cycles=40, cores_used={0, 3}, grid_ctas=4,
+                          threads_per_cta=64, regs_per_thread=12)
+
+    def test_a_copy_equals_its_source_and_shares_nothing(self):
+        stats = self.source()
+        dup = stats.copy()
+        assert dup == stats and dup is not stats
+        assert vars(dup) == vars(copy.deepcopy(stats))
+        assert list(vars(dup)) == list(vars(stats))  # field order kept
+        dup.cores_used.add(5)
+        dup.instructions += 1
+        assert stats.cores_used == {0, 3} and stats.instructions == 7
+
+    def test_a_snapshot_digests_like_a_deep_copy(self):
+        collector = StatsCollector()
+        for index in range(2):
+            collector.begin_launch(f"k{index}", 100 * index, 32)
+            collector.current.cores_used.add(index)
+            collector.end_launch(100 * index + 50)
+        collector.begin_launch("k2", 200, 32)
+        collector.current.instructions = 11
+        deep = {"launches": copy.deepcopy(collector.launches),
+                "current": copy.deepcopy(collector.current)}
+        snap = collector.snapshot()
+        assert part_digest({"stats": snap}) == part_digest({"stats": deep})
+        restored = StatsCollector()
+        restored.restore(snap)
+        assert part_digest({"stats": restored.snapshot()}) == \
+            part_digest({"stats": deep})
+        restored.current.cores_used.add(7)
+        restored.launches[0].instructions = 99
+        assert part_digest({"stats": snap}) == part_digest({"stats": deep})
+
+    def test_an_idle_collector_snapshots_no_current(self):
+        collector = StatsCollector()
+        assert collector.snapshot() == {"launches": [], "current": None}
+        collector.restore(collector.snapshot())
+        assert collector.current is None
