@@ -20,7 +20,7 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -446,6 +446,16 @@ class Campaign:
         :meth:`golden_run` for when that set is captured and when a
         plan simulates nothing).
         """
+        return self._plan()[0]
+
+    def _plan(self, ranges: Optional[Dict[tuple, range]] = None,
+              hand_over: bool = False) -> Tuple[List[RunSpec], dict]:
+        """:meth:`plan` of the run indices ``ranges`` names by
+        ``(kernel, structure)`` (default: ``range(runs_per_structure)``
+        of every group), and ``{n: (mask, verdict)}`` of every spec not
+        synthesized when ``hand_over`` asks (``verdict`` ``None``
+        without a pre-screener; else empty): the caller takes them, and
+        no mask is kept for execution (``remember_mask``)."""
         started = time.perf_counter()
         cfg = self.config
         if cfg.early_stop not in EARLY_STOP_MODES:
@@ -469,11 +479,6 @@ class Campaign:
                 f"{cfg.benchmark} has no kernel {', '.join(unknown)}; its "
                 f"kernels are {', '.join(sorted(kernels))}")
         structures = cfg.resolved_structures()
-        runs = cfg.runs_per_structure
-        seeds = derive_run_seeds(cfg.seed, [
-            (kernel_name, structure, run_index)
-            for kernel_name in target_kernels for structure in structures
-            for run_index in range(runs)], cfg.fault_model)
 
         # one template spec per (kernel, structure), in plan order
         constants = dict(spec_constants(cfg), golden_cycles=golden.cycles,
@@ -506,18 +511,39 @@ class Campaign:
                         and kp.local_bytes == 0))
                 templates.append(RunSpec(structure=structure,
                                          synthesized=no_target, **of_kernel))
-        verdicts = (_verdicts(templates, seeds, runs, prescreener,
-                              cfg.propagation) if prescreener else {})
-        specs = [stamp(vars(templates[n // runs]), run_index=n % runs,
-                       seed=seed, **verdicts[n][1] if n in verdicts else {})
-                 for n, seed in enumerate(seeds)]
-        for n, (mask, _) in verdicts.items():
-            remember_mask(specs[n], mask)
+        runs = [range(cfg.runs_per_structure) if ranges is None
+                else ranges.get((template.kernel, template.structure), ())
+                for template in templates]
+        coords = [(t, i) for t, group in enumerate(runs) for i in group]
+        seeds = derive_run_seeds(cfg.seed, [
+            (template.kernel, template.structure, i)
+            for template, group in zip(templates, runs) for i in group],
+            cfg.fault_model)
+        drawn, verdicts = {}, {}
+        for n, mask, verdict in (_draws(templates, coords, seeds, prescreener)
+                                 if prescreener or hand_over else ()):
+            if hand_over:
+                drawn[n] = mask, verdict
+            if verdict is not None and verdict.reason:
+                # under propagation, the plan-time fate: the sites the
+                # mask resolves to, each with the fate the trace proves
+                site = json.dumps({"cycle": mask.cycle, "sites": [
+                    where.record(fate) for where, fate
+                    in zip(verdict.sites, verdict.fates)]},
+                    sort_keys=True) if cfg.propagation else ""
+                verdicts[n] = mask, dict(prescreened=True, prescreen_site=site,
+                                         prescreen_reason=verdict.reason)
+        specs = [stamp(vars(templates[t]), run_index=i, seed=seed,
+                       **verdicts[n][1] if n in verdicts else {})
+                 for n, ((t, i), seed) in enumerate(zip(coords, seeds))]
+        if not hand_over:
+            for n, (mask, _) in verdicts.items():
+                remember_mask(specs[n], mask)
         self.plan_timing = {
             "plan_s": round(time.perf_counter() - started, 6),
             "golden": golden.source,
             "golden_s": round(golden.seconds, 6)}
-        return specs
+        return specs, drawn
 
     @contextlib.contextmanager
     def session(self, plan: Sequence[RunSpec], jobs: int = 1,
@@ -576,39 +602,28 @@ class Campaign:
         return self.aggregate(records)
 
 
-def _verdicts(templates: Sequence[RunSpec], seeds: Sequence[int], runs: int,
-              prescreener: Prescreener, propagation: bool
-              ) -> Dict[int, tuple]:
-    """``(mask, prescreen_* fields)`` of every run, by plan position,
-    whose mask the golden liveness trace proves dead.  The masks are
+def _draws(templates: Sequence[RunSpec], coords: Sequence[tuple],
+           seeds: Sequence[int], prescreener) -> Iterator[tuple]:
+    """``(n, mask, verdict)`` of every run not synthesized, by plan
+    position ``n`` (``coords[n]``: template position, run index); the
+    verdict is ``None`` without a ``prescreener``.  The masks are
     ``execute_run``'s: one mask generator per (kernel, structure), all
     on one ``Generator`` set to each run's stream in turn; each mask
     resolves on its own stream.  Both are seeded once per plan."""
     rng = np.random.Generator(np.random.PCG64())
     draws = [None if template.synthesized else mask_draw(template, rng)
              for template in templates]
-    picked = [n for n in range(len(seeds)) if draws[n // runs]]
+    picked = [n for n, (t, _) in enumerate(coords) if draws[t]]
     masks = []
     for n, state in zip(picked, stream_states([seeds[n] for n in picked])):
         rng.bit_generator.state = state
-        masks.append(draws[n // runs]())
-    verdicts = {}
-    for n, mask, stream in zip(picked, masks, seeded_streams(
-            [mask.seed for mask in masks])):
-        template = templates[n // runs]
-        verdict = prescreener.evaluate(mask, template.regs_per_thread,
-                                       template.smem_bytes,
-                                       template.local_bytes, stream)
-        if verdict.reason:
-            # under propagation, the plan-time fate: the sites the mask
-            # resolves to, each with the fate the trace proves for it
-            site = json.dumps({"cycle": mask.cycle, "sites": [
-                where.record(fate) for where, fate
-                in zip(verdict.sites, verdict.fates)]},
-                sort_keys=True) if propagation else ""
-            verdicts[n] = mask, dict(prescreened=True, prescreen_site=site,
-                                     prescreen_reason=verdict.reason)
-    return verdicts
+        masks.append(draws[coords[n][0]]())
+    streams = seeded_streams([mask.seed for mask in masks])  # lazy
+    for n, mask in zip(picked, masks):
+        template = templates[coords[n][0]]
+        yield n, mask, prescreener and prescreener.evaluate(
+            mask, template.regs_per_thread, template.smem_bytes,
+            template.local_bytes, next(streams))
 
 
 def aggregate_counts(records: Sequence[dict]

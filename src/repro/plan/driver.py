@@ -5,8 +5,10 @@ Replaces the fixed uniform plan when ``CampaignConfig.adaptive`` is
 
 1. **Classify** the candidate pool (the first ``runs_per_structure``
    enumerated specs -- masks i.i.d. uniform over the fault space)
-   into strata (:mod:`repro.plan.strata`); the pool proportions fix
-   the stratum weights.  Proven-dead strata stop immediately with
+   into strata (:mod:`repro.plan.strata`) from the masks and
+   pre-screen verdicts :meth:`~repro.faults.campaign.Campaign.plan`
+   hands over (each mask drawn once); the pool proportions fix the
+   stratum weights.  Proven-dead strata stop immediately with
    ``p = 0`` and zero executed runs.
 2. **Pilot**: execute a few runs of every live stratum.
 3. **Rounds**: after each round, refresh per-stratum Wilson intervals
@@ -14,8 +16,9 @@ Replaces the fixed uniform plan when ``CampaignConfig.adaptive`` is
    (:mod:`repro.plan.model`) on the completed runs, and allocate the
    next round's budget to unmet strata -- doubling per stratum,
    biased toward high model scores.  A stratum that exhausts its
-   candidates extends the enumeration (higher ``run_index``; weights
-   stay fixed to the initial pool) up to a hard cap.
+   candidates extends the enumeration: the campaign plans the group's
+   next ``run_index`` range (weights stay fixed to the initial pool),
+   up to a hard cap.
 4. **Stop** when every stratum meets its scaled per-stratum target
    (``e / sqrt(W_s)``, which bounds the combined stratified margin
    by the error target -- see :mod:`repro.plan.estimator`; the
@@ -34,7 +37,6 @@ its spec as in non-adaptive campaigns.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,9 +46,9 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.analysis.statistics import required_injections
 from repro.faults.campaign import CampaignResult
 from repro.faults.classify import FaultEffect
-from repro.faults.executor import RunSpec, mask_draw, stamp
+from repro.faults.executor import RunSpec, stamp
 from repro.faults.ledger import record_key
-from repro.faults.mask import mask_population, seeded_streams
+from repro.faults.mask import mask_population
 from repro.plan.estimator import StratifiedEstimate
 from repro.plan.model import LogisticModel, features
 from repro.plan.strata import DEAD_STRATUM, stratum_of
@@ -190,20 +192,20 @@ class PlanReport:
         }
 
 
-def _classify(campaign, card, prescreener, groups: Dict, specs,
+def _classify(card, groups: Dict, specs, drawn: Dict[int, tuple],
               initial: bool) -> None:
-    """Assign specs to strata, tagging each with its key."""
-    masks = [mask_draw(spec, rng)() for spec, rng in zip(
-        specs, seeded_streams([spec.seed for spec in specs]))]
-    for spec, mask, stream in zip(specs, masks, seeded_streams(
-            [mask.seed for mask in masks])):
-        key = (spec.kernel, spec.structure.value)
-        group = groups[key]
-        stratum = stratum_of(card, spec, mask, prescreener, stream)
+    """Assign planned specs to strata, tagging each with its key;
+    ``drawn`` is the plan's ``(mask, verdict)`` by spec position."""
+    for n, spec in enumerate(specs):
+        group = groups[(spec.kernel, spec.structure.value)]
+        mask, verdict = drawn.get(n, (None, None))
+        stratum = stratum_of(card, spec, mask, verdict)
         tagged = stamp(vars(spec), stratum=stratum)
         group.candidates.setdefault(stratum, []).append(tagged)
-        row = group.row_of[spec.key] = features(card, spec, mask, stratum)
-        group.rows.setdefault(stratum, []).append(row)
+        if stratum != DEAD_STRATUM:  # never executed, never scored
+            row = group.row_of[spec.key] = features(card, spec, mask,
+                                                    stratum)
+            group.rows.setdefault(stratum, []).append(row)
         stats = group.estimate.stratum(stratum)
         if initial:
             stats.candidates += 1
@@ -212,32 +214,22 @@ def _classify(campaign, card, prescreener, groups: Dict, specs,
         group.enumerated = max(group.enumerated, spec.run_index + 1)
 
 
-def _extend_pool(campaign, card, prescreener, group: _Group,
-                 chunk: int) -> bool:
-    """Enumerate ``chunk`` more candidates for one group.
-
-    Re-plans with a higher run count through the campaign's own
-    :meth:`~repro.faults.campaign.Campaign.plan` (sharing its golden
-    run, so nothing re-simulates or re-loads); the new specs'
-    seeds are pure functions of their run_index, unchanged by when
-    they are enumerated.  Returns False at the enumeration cap.
+def _extend_pool(campaign, card, group: _Group) -> bool:
+    """Enumerate a budget's worth more candidates for one group: the
+    campaign plans the group's next run range (from its golden run,
+    so nothing re-simulates or re-loads); a spec's seed is a pure
+    function of its run_index, unchanged by when it is enumerated.
+    Returns False at the enumeration cap.
     """
     cap = MAX_POOL_FACTOR * max(group.budget, 1)
     if group.enumerated >= cap:
         return False
-    from repro.faults.campaign import Campaign
-
-    end = min(group.enumerated + chunk, cap)
-    sub = Campaign(dataclasses.replace(
-        campaign.config, adaptive="off",
-        runs_per_structure=end,
-        kernels=(group.kernel,),
-        structures=(group.structure,)), golden=campaign.golden_run())
-    fresh = [spec for spec in sub.plan()
-             if spec.run_index >= group.enumerated]
-    _classify(campaign, card, prescreener,
-              {(group.kernel, group.structure.value): group}, fresh,
-              initial=False)
+    end = min(group.enumerated + max(group.budget, PILOT_RUNS), cap)
+    specs, drawn = campaign._plan(
+        {(group.kernel, group.structure): range(group.enumerated, end)},
+        hand_over=True)
+    _classify(card, {(group.kernel, group.structure.value): group},
+              specs, drawn, initial=False)
     group.enumerated = end
     return True
 
@@ -281,7 +273,7 @@ def _score_strata(groups: Dict, model: Optional[LogisticModel]) -> None:
                 stats.score = model.score_mean(pending)
 
 
-def _allocate(campaign, card, prescreener, group: _Group,
+def _allocate(campaign, card, group: _Group,
               error_target: float) -> List[RunSpec]:
     """Select this round's specs for one group (deterministic)."""
     est = group.estimate
@@ -292,8 +284,7 @@ def _allocate(campaign, card, prescreener, group: _Group,
     while (dead is not None
            and not dead.met(est.pool_total, est.population,
                             error_target, est.confidence)
-           and _extend_pool(campaign, card, prescreener, group,
-                            chunk=max(group.budget, PILOT_RUNS))):
+           and _extend_pool(campaign, card, group)):
         pass
     unmet = est.unmet(error_target)
     if not unmet:
@@ -308,8 +299,7 @@ def _allocate(campaign, card, prescreener, group: _Group,
     # refill empty strata before sizing the round
     for stats in live:
         while group.pending(stats.key) == 0:
-            if not _extend_pool(campaign, card, prescreener, group,
-                                chunk=max(group.budget, PILOT_RUNS)):
+            if not _extend_pool(campaign, card, group):
                 break
     unmet = [s for s in live if group.pending(s.key) > 0]
     if not unmet:
@@ -360,9 +350,9 @@ def run_adaptive(campaign, jobs: int = 1,
     """
     cfg = campaign.config
     progress = campaign._progress
-    base_specs = campaign.plan()
+    # no mask is kept for execution: no pre-screened candidate runs
+    base_specs, drawn = campaign._plan(hand_over=True)
     card = cfg.resolved_card()
-    prescreener = campaign.prescreener()
 
     groups: Dict[Tuple[str, str], _Group] = {}
     for spec in base_specs:
@@ -377,8 +367,7 @@ def run_adaptive(campaign, jobs: int = 1,
                         card, spec.structure, spec.regs_per_thread,
                         spec.smem_bytes, spec.local_bytes, spec.windows)),
                 budget=cfg.runs_per_structure)
-    _classify(campaign, card, prescreener, groups, base_specs,
-              initial=True)
+    _classify(card, groups, base_specs, drawn, initial=True)
     for key, group in sorted(groups.items()):
         dead = group.estimate.strata.get(DEAD_STRATUM)
         live = {k: s.candidates
@@ -397,7 +386,7 @@ def run_adaptive(campaign, jobs: int = 1,
             allocation: List[RunSpec] = []
             for key in sorted(groups):
                 allocation.extend(
-                    _allocate(campaign, card, prescreener, groups[key],
+                    _allocate(campaign, card, groups[key],
                               cfg.error_target))
             allocation = [spec for spec in allocation
                           if spec.key not in ledger.keys]

@@ -23,9 +23,12 @@ stratum by two deterministic features and one liveness-derived one:
   touched), so its failure probability is exactly 0 -- the stratum
   needs zero executed runs.
 
-Stratum membership is a pure function of the mask (itself a pure
-function of the spec), so the same spec lands in the same stratum on
-every machine and the assignment is canonical-safe.
+Stratum membership is a pure function of the spec, its mask and the
+plan's verdict on it, so the same spec lands in the same stratum on
+every machine and in every process, and the assignment is
+canonical-safe.  Only an ``early_stop="full"`` plan pre-screens: under
+``"off"`` / ``"converge"`` every stratum but ``dead`` (synthesized
+runs) is ``{lo|hi}:live``.
 """
 
 from __future__ import annotations
@@ -68,32 +71,23 @@ def lifetime_band(structure: Structure, first_read: Optional[int],
             else "long")
 
 
-def stratum_of(config, spec, mask: FaultMask,
-               prescreener=None, rng=None) -> str:
+def stratum_of(config, spec, mask: Optional[FaultMask],
+               verdict=None) -> str:
     """The stratum key of one planned run.
 
-    ``spec`` is a planned :class:`~repro.faults.executor.RunSpec`
-    (with ``prescreened`` already evaluated by
-    :meth:`~repro.faults.campaign.Campaign.plan`), ``mask`` its
-    regenerated fault mask, ``prescreener`` the plan-time
-    :class:`~repro.faults.early_stop.Prescreener` (or ``None`` when no
-    liveness trace was captured), ``rng`` the mask's resolve stream.
-    Keys look like ``"lo:short"``; proven-dead and synthesized runs
-    collapse into :data:`DEAD_STRATUM`.
+    ``spec``, ``mask`` and ``verdict`` are what
+    :meth:`~repro.faults.campaign.Campaign.plan` planned, drew and
+    pre-screened for the run (``mask`` is ``None`` when it synthesized
+    the run, ``verdict`` when it had no pre-screener: under
+    ``early_stop`` ``"off"`` / ``"converge"``, or a persistent fault
+    model).  Keys look like ``"lo:short"``; proven-dead and
+    synthesized runs collapse into :data:`DEAD_STRATUM`.
     """
     if spec.instant:
         return DEAD_STRATUM
-    first_read = None
-    if prescreener is not None:
-        verdict = prescreener.evaluate(mask, spec.regs_per_thread,
-                                       spec.smem_bytes, spec.local_bytes,
-                                       rng)
-        if verdict.reason is not None:
-            # a prescreener only proves deadness when the plan ran
-            # with early_stop="full"; stay consistent with the spec
-            return DEAD_STRATUM
-        first_read = verdict.first_read
+    # the plan pre-screens a run exactly when its verdict has a reason
+    assert verdict is None or verdict.reason is None
     band = bit_band(config, spec.structure, mask)
-    life = lifetime_band(spec.structure, first_read, mask.cycle,
-                         spec.golden_cycles)
+    life = lifetime_band(spec.structure, verdict and verdict.first_read,
+                         mask.cycle, spec.golden_cycles)
     return f"{band}:{life}"

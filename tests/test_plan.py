@@ -460,6 +460,87 @@ class TestAdaptiveDriver:
         # cannot exceed the live fraction of the pool
         assert group["failure_ratio"] <= 1.0 - dead["weight"] + 1e-9
 
+    def test_strata_come_from_the_plan_not_the_golden_memo(self, tmp_path):
+        """An untraced plan pre-screens nothing, so its candidates are
+        all ``{lo|hi}:live`` -- also in a process whose golden-run memo
+        holds the traced run of a full plan.  At the parent they fell
+        into ``dead`` and lifetime bands there: strata, records and
+        sidecar depended on the process's history."""
+        overrides = dict(early_stop="converge", runs_per_structure=60)
+        cold, cold_result, cold_log = self._run(tmp_path, "cold",
+                                                **overrides)
+        Campaign(make_config(runs_per_structure=60, seed=3)).plan()
+        warm, warm_result, warm_log = self._run(tmp_path, "warm",
+                                                **overrides)
+        assert warm.golden_run().liveness is not None  # the memo's
+        for report in (cold.last_plan, warm.last_plan):
+            (estimate,) = report.groups.values()
+            assert sorted(estimate.strata) == ["hi:live", "lo:live"]
+        assert plan_path_for(warm_log).read_text() \
+            == plan_path_for(cold_log).read_text()
+        assert canonical_log_text(warm_result.records) \
+            == canonical_log_text(cold_result.records)
+
+    def test_no_planned_mask_is_left_behind(self, tmp_path):
+        """The dead stratum never executes, so no mask of it may wait
+        in the executor's memo (at the parent, every pre-screened
+        candidate's did, until the memo's cap emptied it)."""
+        import repro.faults.executor as executor
+
+        executor._PLANNED_MASKS.clear()
+        campaign, _, _ = self._run(tmp_path)
+        (estimate,) = campaign.last_plan.groups.values()
+        assert estimate.strata["dead"].candidates > 0
+        assert not executor._PLANNED_MASKS
+
+    def test_a_candidate_is_planned_and_drawn_once(self, tmp_path,
+                                                   monkeypatch):
+        """Planning draws one mask per classified candidate that is not
+        synthesized -- extensions included -- and builds no campaign
+        besides the caller's.  At the parent the driver redrew every
+        candidate and each extension re-planned the group from run 0
+        in a campaign of its own."""
+        import repro.faults.executor as executor
+        from repro.faults.mask import MaskGenerator
+
+        campaign = Campaign(make_config(
+            adaptive="on", error_target=0.1, seed=3,
+            structures=(Structure.REGISTER_FILE, Structure.SHARED_MEM)))
+        executing, planned, built = [], [], []
+        generate, init = MaskGenerator.generate, Campaign.__init__
+        run = executor.execute_run
+
+        def executing_run(spec):
+            executing.append(spec.key)
+            try:
+                return run(spec)
+            finally:
+                executing.pop()
+
+        def counted_generate(generator, structure, *args, **kwargs):
+            if not executing:
+                planned.append(structure)
+            return generate(generator, structure, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_run", executing_run)
+        monkeypatch.setattr(MaskGenerator, "generate", counted_generate)
+        monkeypatch.setattr(Campaign, "__init__", lambda *args, **kwargs:
+                            built.append(args) or init(*args, **kwargs))
+        result = campaign.run()
+        assert not built
+        groups = {structure: estimate for (_, structure), estimate
+                  in campaign.last_plan.groups.items()}
+        classified = {structure: sum(s.candidates + s.extra_candidates
+                                     for s in estimate.strata.values())
+                      for structure, estimate in groups.items()}
+        # vectorAdd allocates no shared memory: synthesized, never drawn
+        assert list(groups["shared_mem"].strata) == ["dead"]
+        # both pools were extended, the synthesized one for free
+        assert classified["register_file"] > 24 < classified["shared_mem"]
+        assert planned == [Structure.REGISTER_FILE] \
+            * classified["register_file"]
+        assert result.records
+
 
 class TestAdaptiveConfig:
     def test_remote_backend_rejected(self):

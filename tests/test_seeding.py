@@ -139,21 +139,39 @@ PLANS = [
     dict(benchmark="gaussian", invocation=0, propagation=True),
     dict(benchmark="vectoradd", fault_model="stuck_at_1"),
     dict(benchmark="scalarprod", early_stop="off", seed=2**70 + 1),
+    # a plan of run indices 2..4 of every (kernel, structure)
+    dict(benchmark="needle", runs=range(2, 5)),
 ]
+
+
+def plan_config(overrides):
+    """The configuration of a ``PLANS`` case and its run range."""
+    overrides = dict(overrides)
+    runs = overrides.pop("runs", range(6))
+    return CampaignConfig(**dict(dict(card="RTX2060", runs_per_structure=6,
+                                      seed=21), **overrides)), runs
 
 
 @pytest.mark.parametrize("overrides", PLANS, ids=lambda o: o["benchmark"])
 def test_a_plan_is_its_per_spec_loop(overrides):
-    config = CampaignConfig(**dict(dict(card="RTX2060", runs_per_structure=6,
-                                        seed=21), **overrides))
+    config, runs = plan_config(overrides)
     executor._PLANNED_MASKS.clear()
     campaign = Campaign(config)
     specs = campaign.plan()
+    if runs != range(config.runs_per_structure):
+        # a range plan is the slice of the whole plan, to the byte
+        executor._PLANNED_MASKS.clear()
+        ranged, _ = campaign._plan({
+            (kernel, structure): runs for kernel in campaign.profile.kernels
+            for structure in config.resolved_structures()})
+        assert pickle.dumps(ranged) == pickle.dumps(
+            [spec for spec in specs if spec.run_index in runs])
+        specs = ranged
     planned = dict(executor._PLANNED_MASKS)
     prescreener = (campaign.prescreener() if config.early_stop == "full"
                    else None)
     assert len({spec.key for spec in specs}) == len(specs) == (
-        6 * len(config.resolved_structures())
+        len(runs) * len(config.resolved_structures())
         * len(campaign.profile.kernels))
     expected_masks = {}
     for spec in specs:
@@ -183,9 +201,7 @@ def test_a_plan_is_its_per_spec_loop(overrides):
 
 @pytest.mark.parametrize("overrides", PLANS, ids=lambda o: o["benchmark"])
 def test_a_stamped_spec_is_the_spec_init_builds(overrides):
-    config = CampaignConfig(**dict(dict(card="RTX2060", runs_per_structure=6,
-                                        seed=21), **overrides))
-    specs = Campaign(config).plan()
+    specs = Campaign(plan_config(overrides)[0]).plan()
     executor._PLANNED_MASKS.clear()
     for spec in specs:
         for stamped, built in (
