@@ -88,10 +88,6 @@ def scan_completed_records(path: Union[str, Path]) -> Dict[RunKey, dict]:
     return completed
 
 
-#: Run records into ``counts[kernel][structure][effect]``.
-aggregate_records = aggregate_counts
-
-
 def aggregate_by_model(
         records: Sequence[dict]
 ) -> Dict[str, Dict[str, Dict[Structure, Dict[FaultEffect, int]]]]:

@@ -35,8 +35,8 @@ from repro.obs.events import (EVENT_SCHEMA, Tally, campaign_trace,
                               events_path_for, read_events, run_trace,
                               shard_trace, trim_torn_tail)
 from repro.obs.live import (EventFileTailer, format_event,
-                            format_plan_timing, lint_prometheus,
-                            render_prometheus, render_top)
+                            format_plan_timing, render_prometheus,
+                            render_top)
 from repro.obs.metrics import (MetricsCollector, derived_cycle_fields,
                                metrics_path_for)
 from repro.obs.propagation import (PropagationTracer, explain_record,
@@ -56,7 +56,6 @@ __all__ = [
     "EventFileTailer",
     "format_event",
     "format_plan_timing",
-    "lint_prometheus",
     "render_prometheus",
     "render_top",
     "MetricsCollector",

@@ -6,9 +6,9 @@ import pytest
 
 from repro.analysis import avf as avf_mod
 from repro.faults.campaign import (Campaign, CampaignConfig,
-                                   profile_application)
+                                   aggregate_counts, profile_application)
 from repro.faults.classify import FaultEffect
-from repro.faults.parser import aggregate_records, load_records, merge_logs
+from repro.faults.parser import load_records, merge_logs
 from repro.faults.targets import Structure
 
 
@@ -80,7 +80,7 @@ class TestCampaignExecution:
         result = self.make_result(tmp_path)
         records = load_records(tmp_path / "campaign.jsonl")
         assert len(records) == 8
-        assert aggregate_records(records) == result.counts
+        assert aggregate_counts(records) == result.counts
 
     def test_no_smem_structure_synthesized(self):
         result = self.make_result(structures=(Structure.SHARED_MEM,))

@@ -494,7 +494,7 @@ class TestDispatcherTelemetry:
         assert doc["savings"]["runs"]["simulated"] == 4
 
     def test_metrics_exposition_lints_clean(self, tmp_path):
-        from repro.obs.live import (lint_prometheus,
+        from tests.promlint import (lint_prometheus,
                                     required_families_present)
 
         dispatcher, _ = self.make(tmp_path)
@@ -674,7 +674,7 @@ class TestFleetEndToEnd:
             server.shutdown()
 
     def test_events_and_metrics_over_http(self, tmp_path):
-        from repro.obs.live import lint_prometheus
+        from tests.promlint import lint_prometheus
 
         dispatcher = Dispatcher(log_dir=tmp_path / "server")
         server = DispatcherServer(dispatcher, port=0).start()

@@ -14,10 +14,10 @@ from repro.dist.client import DispatcherClient
 from repro.faults.ledger import CampaignLedger
 from repro.obs.events import (Tally, events_path_for, read_events,
                               trim_torn_tail)
-from repro.obs.live import (EventFileTailer, format_event, lint_prometheus,
-                            render_prometheus, render_top,
-                            required_families_present)
+from repro.obs.live import (EventFileTailer, format_event,
+                            render_prometheus, render_top)
 from repro.obs.metrics import MetricsCollector
+from tests.promlint import lint_prometheus, required_families_present
 
 
 class FakeClock:
