@@ -7,7 +7,7 @@ Runs the same error target twice per workload:
   have to execute;
 - **adaptive**: the stratified planner (``--adaptive``), which proves
   the dead mass by classification draws, stops each stratum at its
-  scaled Wilson target and steers allocation with the logistic model.
+  scaled Wilson target and splits a short round's budget evenly.
 
 The adaptive side must terminate with every stratum met and save at
 least ``GPUFI_ADAPTIVE_MIN_SAVED`` (fraction of the uniform run

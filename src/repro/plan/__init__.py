@@ -9,10 +9,10 @@ replaces that with a round-based planner that
 2. **stops each stratum** when its Wilson interval half-width against
    the true finite stratum population reaches the error target --
    :mod:`repro.plan.estimator`;
-3. **steers allocation** toward likely-unmasked strata with a cheap
-   logistic SDC-probability model learned from completed rounds --
-   :mod:`repro.plan.model` -- while importance weights keep the
-   stratified estimator unbiased.
+3. **doubles each unmet stratum per round**, splitting a round whose
+   asks exceed the budget evenly over those strata --
+   :mod:`repro.plan.driver` -- while importance weights keep the
+   stratified estimator unbiased for any allocation.
 
 Entry point: :func:`repro.plan.driver.run_adaptive`, reached via
 ``CampaignConfig.adaptive == "on"`` (``gpufi campaign --adaptive``).

@@ -12,10 +12,9 @@ Replaces the fixed uniform plan when ``CampaignConfig.adaptive`` is
    ``p = 0`` and zero executed runs.
 2. **Pilot**: execute a few runs of every live stratum.
 3. **Rounds**: after each round, refresh per-stratum Wilson intervals
-   (:mod:`repro.plan.estimator`), fit the logistic steering model
-   (:mod:`repro.plan.model`) on the completed runs, and allocate the
-   next round's budget to unmet strata -- doubling per stratum,
-   biased toward high model scores.  A stratum that exhausts its
+   (:mod:`repro.plan.estimator`) and allocate the next round's budget
+   to unmet strata -- doubling per stratum, split evenly when the
+   asks exceed what is left.  A stratum that exhausts its
    candidates extends the enumeration: the campaign plans the group's
    next ``run_index`` range (weights stay fixed to the initial pool),
    up to a hard cap.
@@ -38,23 +37,20 @@ its spec as in non-adaptive campaigns.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.analysis.statistics import required_injections
 from repro.faults.campaign import CampaignResult
 from repro.faults.classify import FaultEffect
 from repro.faults.executor import RunSpec, stamp
-from repro.faults.ledger import record_key
 from repro.faults.mask import mask_population
 from repro.plan.estimator import StratifiedEstimate
-from repro.plan.model import LogisticModel, features
 from repro.plan.strata import DEAD_STRATUM, stratum_of
 
 #: Sidecar schema version; bump on breaking layout changes.
-PLAN_SCHEMA = 1
+PLAN_SCHEMA = 2
 
 #: Pilot runs per live stratum (the first round's allocation).
 PILOT_RUNS = 4
@@ -83,10 +79,6 @@ class _Group:
     estimate: StratifiedEstimate
     #: stratum -> tagged specs in run_index order (pool + extensions)
     candidates: Dict[str, List[RunSpec]] = field(default_factory=dict)
-    #: stratum -> feature rows aligned with ``candidates``
-    rows: Dict[str, List[List[float]]] = field(default_factory=dict)
-    #: run key -> the candidate's feature row
-    row_of: Dict[tuple, List[float]] = field(default_factory=dict)
     #: highest run_index enumerated so far (exclusive)
     enumerated: int = 0
     budget: int = 0
@@ -202,10 +194,6 @@ def _classify(card, groups: Dict, specs, drawn: Dict[int, tuple],
         stratum = stratum_of(card, spec, mask, verdict)
         tagged = stamp(vars(spec), stratum=stratum)
         group.candidates.setdefault(stratum, []).append(tagged)
-        if stratum != DEAD_STRATUM:  # never executed, never scored
-            row = group.row_of[spec.key] = features(card, spec, mask,
-                                                    stratum)
-            group.rows.setdefault(stratum, []).append(row)
         stats = group.estimate.stratum(stratum)
         if initial:
             stats.candidates += 1
@@ -249,30 +237,6 @@ def _update_stats(groups: Dict, records) -> None:
             stats.failures += 1
 
 
-def _fit_model(groups: Dict, records) -> Optional[LogisticModel]:
-    """Fit the steering model on every completed run's features."""
-    rows, labels = [], []
-    for record in records:
-        group = groups[(record["kernel"], record["structure"])]
-        rows.append(group.row_of[record_key(record)])
-        labels.append(0 if record["effect"] == "Masked" else 1)
-    return LogisticModel.fit(rows, labels)
-
-
-def _score_strata(groups: Dict, model: Optional[LogisticModel]) -> None:
-    """Refresh each stratum's model score from pending candidates."""
-    for group in groups.values():
-        for stratum, stats in group.estimate.strata.items():
-            if stats.proven_dead:
-                stats.score = 0.0
-                continue
-            pending = group.rows.get(stratum, [])[stats.executed:]
-            if model is None or not pending:
-                stats.score = 0.5  # uninformed: uniform steering
-            else:
-                stats.score = model.score_mean(pending)
-
-
 def _allocate(campaign, card, group: _Group,
               error_target: float) -> List[RunSpec]:
     """Select this round's specs for one group (deterministic)."""
@@ -311,22 +275,14 @@ def _allocate(campaign, card, group: _Group,
             for s in unmet}
     total_ask = sum(asks.values())
     if total_ask > budget_left:
-        # steer the constrained budget by model score (deterministic:
-        # sorted keys, floor + largest-remainder on the score share)
-        scores = {s.key: max(s.score, 1e-6) for s in unmet}
-        norm = sum(scores.values())
-        shares = {key: budget_left * scores[key] / norm
-                  for key in sorted(scores)}
-        granted = {key: min(int(math.floor(share)), asks[key])
-                   for key, share in shares.items()}
+        # split the constrained budget evenly: each stratum gets the
+        # floor share, capped by its ask, and what is left goes in
+        # sorted key order, each stratum again capped by its ask
+        share = budget_left // len(asks)
+        granted = {key: min(share, ask) for key, ask in asks.items()}
         leftover = budget_left - sum(granted.values())
-        for key in sorted(shares,
-                          key=lambda k: (shares[k] - math.floor(shares[k])),
-                          reverse=True):
-            if leftover <= 0:
-                break
-            room = asks[key] - granted[key]
-            take = min(room, leftover)
+        for key in sorted(granted):
+            take = min(asks[key] - granted[key], leftover)
             granted[key] += take
             leftover -= take
         asks = {key: n for key, n in granted.items() if n > 0}
@@ -397,7 +353,6 @@ def run_adaptive(campaign, jobs: int = 1,
                      f"({len(ledger.keys) + len(allocation)} total)")
             records = execute(allocation)
             _update_stats(groups, records)
-            _score_strata(groups, _fit_model(groups, records))
 
         for group in groups.values():
             # _allocate flags exhaustion before a round's results land;

@@ -73,8 +73,6 @@ class StratumStats:
     #: Executed runs and observed failures (SDC / Crash / Timeout).
     executed: int = 0
     failures: int = 0
-    #: Model-predicted unmasked probability (allocation steering only).
-    score: float = 0.0
 
     @property
     def proven_dead(self) -> bool:
@@ -212,7 +210,6 @@ class StratifiedEstimate:
                 "proven_dead": s.proven_dead,
                 "run_weight": (round(s.weight(total) / s.executed, 8)
                                if s.executed else None),
-                "model_score": round(s.score, 6),
             }
         return {
             "kernel": self.kernel,

@@ -42,9 +42,6 @@ from repro.faults.targets import Structure, entry_bits
 #: probability exactly 0, no execution needed.
 DEAD_STRATUM = "dead"
 
-#: Liveness lifetime bands; ``live`` is the unresolvable fallback.
-LIFETIME_BANDS = ("short", "long", "live")
-
 #: First-read distance at or below this fraction of the golden run is
 #: a ``short`` lifetime; above it, ``long``.
 SHORT_LIFETIME_FRACTION = 0.05

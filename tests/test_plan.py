@@ -26,6 +26,7 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.parser import load_records
 from repro.faults.targets import Structure
 from repro.plan import plan_path_for
+from repro.plan.driver import _allocate, _Group
 from repro.plan.estimator import (MIN_STRATUM_RUNS, StratifiedEstimate,
                                   StratumStats)
 
@@ -169,6 +170,62 @@ class TestStratifiedEstimator:
         assert strata["a"]["run_weight"] == pytest.approx(0.4 / 4)
         assert sum(s["weight"] for s in strata.values()) \
             == pytest.approx(1.0)
+        assert not any("model_score" in s for s in strata.values())
+
+
+class TestAllocation:
+    """A round whose asks exceed the budget left splits it evenly."""
+
+    def _group(self, pending, budget_left):
+        """Three unmet live strata {key: (executed, failures)} with
+        ``pending[key]`` candidates left beyond the executed ones."""
+        tallies = {"hi:live": (8, 5), "lo:live": (10, 1),
+                   "lo:short": (6, 3)}
+        est = _estimate({key: (40, executed, failures)
+                         for key, (executed, failures) in tallies.items()})
+        group = _Group(kernel="k", structure=Structure.REGISTER_FILE,
+                       estimate=est,
+                       budget=est.executed() + budget_left)
+        for key, (executed, _) in tallies.items():
+            group.candidates[key] = [(key, i) for i
+                                     in range(executed + pending[key])]
+        return group
+
+    def _split(self, group):
+        selection = _allocate(None, None, group, error_target=0.01)
+        split = {}
+        for key, index in selection:
+            # each stratum continues where its executed prefix ends
+            assert index == group.estimate.stratum(key).executed \
+                + split.get(key, 0)
+            split[key] = split.get(key, 0) + 1
+        return split
+
+    def test_floor_shares_then_remainder_in_key_order(self):
+        # asks 8, 10, 6 (doubling) exceed 11: floor 3 each, and the
+        # remainder of 2 goes to the first key in sorted order ...
+        group = self._group({"hi:live": 20, "lo:live": 20,
+                             "lo:short": 20}, budget_left=11)
+        assert self._split(group) == {"hi:live": 5, "lo:live": 3,
+                                      "lo:short": 3}
+        assert group.budget_exhausted
+        # ... and on to the next one once the first's ask is granted
+        group = self._group({"hi:live": 4, "lo:live": 20,
+                             "lo:short": 20}, budget_left=11)
+        assert self._split(group) == {"hi:live": 4, "lo:live": 4,
+                                      "lo:short": 3}
+
+    def test_each_stratum_is_capped_by_its_ask(self):
+        # hi:live asks only its one pending run; the rest of its floor
+        # share goes, in sorted key order, to lo:live up to its ask
+        group = self._group({"hi:live": 1, "lo:live": 20,
+                             "lo:short": 20}, budget_left=11)
+        assert self._split(group) == {"hi:live": 1, "lo:live": 7,
+                                      "lo:short": 3}
+        group = self._group({"hi:live": 1, "lo:live": 5,
+                             "lo:short": 20}, budget_left=11)
+        assert self._split(group) == {"hi:live": 1, "lo:live": 5,
+                                      "lo:short": 5}
 
 
 class TestFixtureMargin:
@@ -264,6 +321,7 @@ class TestAdaptiveDriver:
     def test_reaches_target_with_fewer_runs_than_uniform(self, tmp_path):
         campaign, _, log = self._run(tmp_path)
         doc = json.loads(plan_path_for(log).read_text())
+        assert doc["schema"] == 2
         assert doc["all_met"] is True
         uniform = required_injections(doc["groups"][0]["population"],
                                       error=0.1)
