@@ -27,31 +27,30 @@ that exploits that:
   default) and ``RemoteFleetBackend`` (submit to a dispatcher), both
   behind one campaign API.
 
-See ``docs/distributed.md`` for the protocol and guarantees.
+The package's names resolve on first use (PEP 562): a ``gpufi
+worker`` imports neither the dispatcher nor ``http.server``.  See
+``docs/distributed.md`` for the protocol and guarantees.
 """
 
-from repro.dist.backend import (Backend, LocalPoolBackend,
-                                RemoteFleetBackend, make_backend)
-from repro.dist.client import DispatcherClient, DispatchError
-from repro.dist.protocol import (canonical_log_text, canonical_records,
-                                 plan_shards, spec_from_wire,
-                                 spec_to_wire)
-from repro.dist.server import Dispatcher, DispatcherServer
-from repro.dist.worker import FleetWorker
+import importlib
 
-__all__ = [
-    "Backend",
-    "Dispatcher",
-    "DispatcherClient",
-    "DispatcherServer",
-    "DispatchError",
-    "FleetWorker",
-    "LocalPoolBackend",
-    "RemoteFleetBackend",
-    "canonical_log_text",
-    "canonical_records",
-    "make_backend",
-    "plan_shards",
-    "spec_from_wire",
-    "spec_to_wire",
-]
+#: Each name the package exports, by the module that defines it.
+_HOMES = {
+    **dict.fromkeys(("Backend", "LocalPoolBackend", "RemoteFleetBackend",
+                     "make_backend"), "backend"),
+    **dict.fromkeys(("DispatcherClient", "DispatchError"), "client"),
+    **dict.fromkeys(("canonical_log_text", "canonical_records",
+                     "plan_shards", "spec_from_wire", "spec_to_wire"),
+                    "protocol"),
+    **dict.fromkeys(("Dispatcher", "DispatcherServer"), "server"),
+    "FleetWorker": "worker",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"),
+                   name)

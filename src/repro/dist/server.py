@@ -1,55 +1,17 @@
 """The campaign dispatcher: ``gpufi serve``.
 
 A small HTTP service (stdlib only) that turns one machine into the
-coordination point of a fault-injection fleet:
-
-- **submit**: clients POST a campaign configuration (the same
-  ``-gpufi_*`` option text as config files); the dispatcher profiles
-  the golden run once, enumerates the plan, records every instant run
-  itself (synthesized or pre-screened: the plan already knows its
-  verdict) and splits the runs that simulate into shards.
-- **lease** (work stealing): workers ask for work whenever they are
-  free -- in the send that completes their shard (``lease_next``,
-  answered by ``next``), or at ``/api/lease`` when they have none;
-  the dispatcher hands out the lowest pending shard, with only the
-  runs it still lacks, round-robin across concurrently submitted
-  campaigns so no campaign starves.
-- **heartbeat / expiry**: every lease carries a deadline; a worker
-  that stops heartbeating (crashed host, network partition) loses the
-  lease and the shard is pending again, for someone else.  Records
-  are pure functions of their specs, so re-execution is always safe,
-  and duplicates are deduplicated by ``(kernel, structure, run)``.
-- **collect**: workers send records back per shard; the dispatcher
-  verifies the campaign fingerprint on every batch (a worker can never
-  pollute a campaign with records of another plan) and hands them to
-  the campaign's :class:`~repro.faults.ledger.CampaignLedger` -- the
-  keeper of the same log, journal and (when telemetry is on) sidecar a
-  local run leaves.  Its cost per record does not depend on the size
-  of the plan, and log and journal are each written and flushed once
-  per request, before the reply.
-- **restart resume**: campaign configs are persisted next to the logs;
-  on restart the dispatcher re-plans each unfinished campaign, its
-  ledger reloads the records already logged (the standard JSONL resume
-  machinery), and leases carry only the runs still missing.
-- **live telemetry**: every campaign event (lifecycle, shard leases
-  and expiries, per-run completions with trace IDs, worker
-  heartbeats) is journaled by the ledger to ``<log>.events.jsonl`` and
-  served cursor-paged at ``GET /api/events/<id>`` -- resumable,
-  append-only, run events deduplicated with the same first-wins rule
-  as :func:`repro.dist.protocol.canonical_records`.  ``/api/status``
-  and ``GET /metrics`` (the Prometheus text format, rendered by
-  :mod:`repro.obs.live`, no third-party deps) read the ledgers'
-  tallies (:class:`repro.obs.events.Tally`).
-
-The merged log of an N-worker fleet is byte-identical (after canonical
-sort, minus timing/worker keys; see
-:func:`repro.dist.protocol.canonical_log_text`) to a ``--jobs N``
-local run of the same plan.
-
-The HTTP layer serves HTTP/1.1 connections for as long as the client
-keeps them, one daemon thread each, and sends every reply in one
-write (see ``_Handler``); :meth:`DispatcherServer.shutdown` ends the
-connections still open.
+coordination point of a fault-injection fleet: it plans submitted
+campaigns, records their instant runs, leases the runs that simulate
+to workers shard by shard (work stealing, heartbeats, expiry), hands
+what comes back to each campaign's
+:class:`~repro.faults.ledger.CampaignLedger` and serves status, events
+and ``/metrics`` from the ledgers' tallies.  A finished campaign costs
+it only its counts and tally (:class:`FinishedCampaign`): its records
+and events are read back from its files, also after a restart.
+``docs/distributed.md`` has the protocol and its guarantees.  The HTTP
+layer keeps each HTTP/1.1 connection on a daemon thread and sends
+every reply in one write (see ``_Handler``).
 """
 
 from __future__ import annotations
@@ -67,16 +29,20 @@ from collections import Counter
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from types import MappingProxyType
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 from urllib.parse import parse_qs, urlsplit
 
 from repro.dist.protocol import plan_fingerprint, plan_shards, spec_to_wire
 from repro.faults.campaign import Campaign
 from repro.faults.config_file import parse_config_text
-from repro.faults.executor import RunSpec, execute_run, stamp
+from repro.faults.executor import RunSpec, execute_run, forget_masks, stamp
 from repro.faults.ledger import CampaignLedger
-from repro.obs.events import run_event, shard_trace
+from repro.faults.parser import read_log_header, scan_completed_records
+from repro.obs.events import (JournalPages, Tally, campaign_trace,
+                              events_path_for, iter_events, run_event,
+                              shard_trace)
 from repro.obs.live import PROMETHEUS_CONTENT_TYPE, render_prometheus
 
 log = logging.getLogger("gpufi.dist")
@@ -106,39 +72,117 @@ class _Lease:
     trace: str
 
 
-class CampaignJob:
-    """Dispatcher-side state of one submitted campaign: its ledger,
-    its shards and the live leases on them -- nothing else.  Shards
-    split the runs that simulate; the ledger takes the instant ones
-    from :meth:`Dispatcher.submit`.  A shard is **complete** when the
+class FinishedCampaign:
+    """A complete campaign as the dispatcher keeps it: identity, counts
+    and tally; records and events are read back from its files, which
+    no longer change.  A running one is a :class:`CampaignJob`."""
+
+    complete = True
+    #: Nothing is left to lease.
+    leases: Mapping[str, _Lease] = MappingProxyType({})
+
+    def __init__(self, campaign_id: str, config, fingerprint: str,
+                 log_path: Path, total: int, shard_count: int,
+                 tally: Tally):
+        self.campaign_id = campaign_id
+        #: The submitted config, parsed once.
+        self.config = config
+        self.fingerprint = fingerprint
+        self.log_path = log_path
+        self.total, self.shard_count, self.tally = total, shard_count, tally
+        #: Root of the campaign's trace-ID chain.
+        self.trace = campaign_trace(campaign_id, fingerprint)
+        self.pages = JournalPages(events_path_for(log_path))
+
+    @classmethod
+    def load(cls, campaign_id: str, doc: dict,
+             log_path: Path) -> Optional["FinishedCampaign"]:
+        """The campaign a restart finds finished -- its log holds every
+        planned run, its journal ends complete -- planning and executing
+        nothing; ``None`` for any other."""
+        header = read_log_header(log_path) if log_path.exists() else None
+        if not header or header.get("fingerprint") != doc["fingerprint"]:
+            return None
+        tally = Tally().apply_all(iter_events(events_path_for(log_path)))
+        if (tally.state != "complete"
+                or len(scan_completed_records(log_path)) < header["runs"]):
+            return None
+        return cls(campaign_id, parse_config_text(doc["config"]),
+                   doc["fingerprint"], log_path, header["runs"],
+                   tally.opening.get("shards", 0), tally)
+
+    def status(self) -> dict:
+        tally = self.tally
+        return {
+            "id": self.campaign_id,
+            "state": "complete" if self.complete else "running",
+            "benchmark": self.config.benchmark,
+            "card": self.config.card,
+            "fingerprint": self.fingerprint,
+            "trace": self.trace,
+            "total": self.total,
+            "done": tally.done,
+            "effects": dict(sorted(tally.effects.items())),
+            "shards": {"total": self.shard_count, **self.shard_states(),
+                       "lease_expired": tally.expired},
+            "events": tally.events,
+            "log": str(self.log_path),
+        }
+
+    def records(self) -> List[dict]:
+        """The records, from the log, in the order :meth:`Campaign.plan`
+        enumerates a uniform plan's runs: kernels as the config names
+        them (else sorted), then structures as resolved, then runs."""
+        kernels = list(self.config.kernels or ())
+        structures = [structure.value
+                      for structure in self.config.resolved_structures()]
+        found = scan_completed_records(self.log_path)
+        return [found[key] for key in sorted(found, key=lambda key: (
+            kernels.index(key[0]) if kernels else key[0],
+            structures.index(key[1]), key[2]))]
+
+    def shard_states(self) -> Dict[str, int]:
+        return {"pending": 0, "leased": 0, "complete": self.shard_count}
+
+    def absorb(self, records: Sequence[dict], **delivery) -> List[dict]:
+        return []  # a late delivery: every run is held already
+
+    def flush(self) -> None:
+        pass  # every event is on file
+
+
+class CampaignJob(FinishedCampaign):
+    """Dispatcher-side state of one running campaign: its ledger, its
+    shards and the live leases on them -- nothing else.  Shards split
+    the runs that simulate; the ledger takes the instant ones from
+    :meth:`Dispatcher.submit`.  A shard is **complete** when the
     ledger holds every run of it, **leased** when it is not and a live
     lease is on it, and **pending** otherwise."""
 
     def __init__(self, campaign_id: str, config,
                  specs: Sequence[RunSpec], fingerprint: str,
                  shard_size: int, log_path: Path, plan_timing: dict):
-        self.campaign_id = campaign_id
-        #: The submitted config parsed and ``specs`` fingerprinted,
-        #: once, by the submit that planned them.
-        self.config = config
-        self.fingerprint = fingerprint
         self.shards = plan_shards([spec for spec in specs
                                    if not spec.instant], shard_size)
-        #: Log, records, journal, tally and sidecar.  Opened for a
-        #: campaign new to this directory, or resumed by one that a
-        #: restart finds there: records and journal are as they were
-        #: left, and the tally their fold (lease generations included).
+        #: Log, records, journal, tally and sidecar, new or resumed as
+        #: a restart finds them (lease generations included).
         self.ledger = CampaignLedger(
             specs, log_path, resume=True, journal=True,
             sidecar=config.metrics, campaign=campaign_id,
             fingerprint=fingerprint, strict=True,
             shards=len(self.shards), **plan_timing)
-        #: Root of the campaign's trace-ID chain.
-        self.trace = self.ledger.trace
+        super().__init__(campaign_id, config, fingerprint, log_path,
+                         len(self.ledger.keys), len(self.shards),
+                         self.ledger.tally)
+        self.absorb, self.flush = self.ledger.absorb, self.ledger.flush
         self.leases: Dict[str, _Lease] = {}
         #: Every shard before this one is complete.  Records are never
         #: taken back, so no grant or count looks at those again.
         self._cursor = 0
+
+    @property
+    def complete(self) -> bool:
+        return self.ledger.complete
 
     def _incomplete(self) -> Iterator[Tuple[int, bool]]:
         """Each shard the ledger lacks a run of, in order, and whether
@@ -153,10 +197,7 @@ class CampaignJob:
 
     def next_pending(self) -> Optional[int]:
         """The lowest pending shard, if any: one whose lease expired
-        goes before every shard never leased.  At once for a complete
-        campaign: the dispatcher keeps them all, and each grant asks."""
-        if self.ledger.complete:
-            return None
+        goes before every shard never leased."""
         return next((index for index, leased in self._incomplete()
                      if not leased), None)
 
@@ -176,24 +217,6 @@ class CampaignJob:
         return {"pending": on_lease.count(False),
                 "leased": on_lease.count(True),
                 "complete": len(self.shards) - len(on_lease)}
-
-    def status(self) -> dict:
-        tally = self.ledger.tally
-        return {
-            "id": self.campaign_id,
-            "state": "complete" if self.ledger.complete else "running",
-            "benchmark": self.config.benchmark,
-            "card": self.config.card,
-            "fingerprint": self.fingerprint,
-            "trace": self.trace,
-            "total": len(self.ledger.keys),
-            "done": tally.done,
-            "effects": dict(sorted(tally.effects.items())),
-            "shards": {"total": len(self.shards), **self.shard_states(),
-                       "lease_expired": tally.expired},
-            "events": len(self.ledger.journal),
-            "log": str(self.ledger.log_path),
-        }
 
 
 class Dispatcher:
@@ -227,8 +250,9 @@ class Dispatcher:
         self.lease_timeout = lease_timeout
         self._clock = clock
         self._lock = threading.RLock()
-        #: In submission order, which drives fairness.
-        self._jobs: Dict[str, CampaignJob] = {}
+        #: In submission order, which drives fairness; a campaign
+        #: stays where it was when it finishes.
+        self._jobs: Dict[str, FinishedCampaign] = {}
         self._rr_next = 0
         self._id_seq = 0
         #: When each worker was first and last heard from: an idle
@@ -250,10 +274,9 @@ class Dispatcher:
         split the others into shards.
 
         Re-submitting a campaign whose fingerprint is already known
-        returns the existing id instead of running it twice -- which
-        is also how a client resumes after a dispatcher restart: same
-        config, same fingerprint, same campaign.  Its ledger keeps the
-        records it already holds (:meth:`CampaignLedger.absorb`).
+        returns the existing id, executing nothing -- which is also how
+        a client resumes after a dispatcher restart: same config, same
+        fingerprint, same campaign.
         """
         config = parse_config_text(config_text)
         if config.backend != "local":
@@ -267,6 +290,11 @@ class Dispatcher:
         campaign = Campaign(config)
         specs = campaign.plan()
         fingerprint = plan_fingerprint(specs)
+        with self._lock:
+            known = self._known(fingerprint)
+        if known is not None:
+            forget_masks(specs)  # the plan's, for runs not executed here
+            return known
         # an instant verdict costs less here than a lease: recorded by
         # no worker, and outside the lock too
         instant = [execute_run(stamp(vars(spec), telemetry=True)
@@ -276,10 +304,9 @@ class Dispatcher:
             if "worker" in record:
                 record["worker"] = None
         with self._endpoint():
-            for job in self._jobs.values():
-                if job.fingerprint == fingerprint:
-                    return {"campaign": job.campaign_id, "reused": True,
-                            "total": len(job.ledger.keys)}
+            known = self._known(fingerprint)  # a racing submit's
+            if known is not None:
+                return known
             cid = campaign_id or self._next_id()
             job = CampaignJob(cid, config, specs, fingerprint,
                               self.shard_size, self.log_dir / f"{cid}.jsonl",
@@ -288,23 +315,29 @@ class Dispatcher:
                 {"id": cid, "config": config_text, "fingerprint": fingerprint},
                 indent=1) + "\n", encoding="utf-8")
             self._jobs[cid] = job
-            job.ledger.absorb(instant, events=[
+            job.absorb(instant, events=[
                 run_event(record, job.trace, None) for record in instant])
             self._touched.append(job)
-            total = len(job.ledger.keys)
             log.info("campaign %s submitted: %d runs, %d recorded, the rest "
-                     "in %d shards, in %s", cid, total,
-                     len(job.ledger.records), len(job.shards),
-                     job.ledger.log_path)
-            if job.ledger.complete:
+                     "in %d shards, in %s", cid, job.total,
+                     len(job.ledger.records), len(job.shards), job.log_path)
+            if job.complete:
                 self._finalize(job)
-            return {"campaign": cid, "reused": False, "total": total}
+            return {"campaign": cid, "reused": False, "total": job.total}
+
+    def _known(self, fingerprint: str) -> Optional[dict]:
+        """The submit reply of a campaign known by its fingerprint."""
+        for job in self._jobs.values():
+            if job.fingerprint == fingerprint:
+                return {"campaign": job.campaign_id, "reused": True,
+                        "total": job.total}
+        return None
 
     def _next_id(self) -> str:
         self._id_seq += 1
         return f"c{self._id_seq}"
 
-    def _job(self, campaign_id: str) -> CampaignJob:
+    def _job(self, campaign_id: str) -> FinishedCampaign:
         job = self._jobs.get(campaign_id)
         if job is None:
             raise KeyError(f"unknown campaign {campaign_id!r}")
@@ -332,7 +365,7 @@ class Dispatcher:
                 yield
             finally:
                 for job in self._touched:
-                    job.ledger.flush()
+                    job.flush()
                 self._touched.clear()
 
     def events(self, campaign_id: str, cursor: int = 0,
@@ -341,22 +374,23 @@ class Dispatcher:
 
         The cursor is the event's index in arrival order; clients
         resume tailing by passing back the reply's ``next``.  A page
-        is never torn: events are journaled whole under the lock.
+        is read from the journal's file, which holds every event
+        journaled before the call (written whole, under the lock).
         """
         with self._endpoint():
             self._reap_expired()
             job = self._job(campaign_id)
-            cursor = max(int(cursor), 0)
-            limit = max(int(limit), 1)
-            page = job.ledger.journal[cursor:cursor + limit]
+            job.flush()
+            cursor, limit = max(int(cursor), 0), max(int(limit), 1)
+            page = job.pages.page(cursor, limit)
             return {
                 "campaign": campaign_id,
                 "trace": job.trace,
-                "state": "complete" if job.ledger.complete else "running",
-                "complete": job.ledger.complete,
+                "state": "complete" if job.complete else "running",
+                "complete": job.complete,
                 "cursor": cursor,
-                "next": cursor + len(page),
-                "total": len(job.ledger.journal),
+                "next": max(cursor, min(cursor + limit, job.pages.lines)),
+                "total": job.pages.lines,
                 "events": page,
             }
 
@@ -382,7 +416,7 @@ class Dispatcher:
         for offset in range(len(jobs)):
             index = (self._rr_next + offset) % len(jobs)
             job = jobs[index]
-            shard_index = job.next_pending()
+            shard_index = None if job.complete else job.next_pending()
             if shard_index is None:
                 continue
             self._rr_next = (index + 1) % len(jobs)
@@ -489,7 +523,7 @@ class Dispatcher:
             if worker is not None:
                 self._touch_worker(worker)
             lease = job.leases.get(lease_id)
-            accepted = len(job.ledger.absorb(
+            accepted = len(job.absorb(
                 records, events=events, worker=worker,
                 shard=lease.shard_index if lease is not None else None,
                 trace=trace or (lease.trace if lease is not None
@@ -504,20 +538,25 @@ class Dispatcher:
                               worker=lease.worker,
                               generation=lease.generation,
                               trace=lease.trace)
-            if accepted and job.ledger.complete:
+            if accepted and job.complete:
                 self._finalize(job)
             reply = {"ok": True, "accepted": accepted, "expired": expired,
-                     "campaign_complete": job.ledger.complete}
+                     "campaign_complete": job.complete}
             if done and lease_next:
                 reply["next"] = self._grant(worker or "?")
             return reply
 
     def _finalize(self, job: CampaignJob) -> None:
-        # a lease still out has nothing left to deliver
-        job.leases.clear()
+        """Close a complete campaign's ledger; keep only what its views
+        read: its runs live in its files."""
         job.ledger.close(True)
+        finished = FinishedCampaign(
+            job.campaign_id, job.config, job.fingerprint, job.log_path,
+            job.total, job.shard_count, job.tally)
+        finished.pages = job.pages  # the journal's index so far
+        self._jobs[job.campaign_id] = finished
         log.info("campaign %s complete: %d records", job.campaign_id,
-                 len(job.ledger.records))
+                 job.total)
 
     # -- introspection -------------------------------------------------------
 
@@ -528,7 +567,7 @@ class Dispatcher:
         fleet = {name: {"leases": 0, "records": 0, **entry}
                  for name, entry in sorted(self._workers.items())}
         for job in self._jobs.values():
-            for name, entry in job.ledger.tally.fleet.items():
+            for name, entry in job.tally.fleet.items():
                 if name in fleet:
                     fleet[name]["leases"] += entry["leases"]
                     fleet[name]["records"] += entry["runs"]
@@ -545,13 +584,15 @@ class Dispatcher:
             }
 
     def records(self, campaign_id: str) -> dict:
-        """Collected records of one campaign, in plan order."""
+        """Collected records of one campaign, in plan order: a finished
+        campaign's are read from its log outside the lock."""
         with self._lock:
             job = self._job(campaign_id)
-            return {"campaign": campaign_id, "complete": job.ledger.complete,
-                    "fingerprint": job.fingerprint,
-                    "total": len(job.ledger.keys),
-                    "records": job.ledger.ordered()}
+            reply = {"campaign": campaign_id, "complete": job.complete,
+                     "fingerprint": job.fingerprint, "total": job.total}
+            if isinstance(job, CampaignJob):
+                return {**reply, "records": job.ledger.ordered()}
+        return {**reply, "records": job.records()}
 
     def metrics_text(self) -> str:
         """The ``GET /metrics`` Prometheus text exposition.
@@ -571,10 +612,10 @@ class Dispatcher:
             sums = Counter()
             rate = 0.0
             for job in self._jobs.values():
-                tally = job.ledger.tally
-                state = "complete" if job.ledger.complete else "running"
+                tally = job.tally
+                state = "complete" if job.complete else "running"
                 by_state[state] += 1
-                if not job.ledger.complete:
+                if not job.complete:
                     rate += tally.rate()
                 sums.update(runs=tally.done, events=tally.events,
                             leased=tally.leased, expired=tally.expired)
@@ -636,7 +677,9 @@ class Dispatcher:
     # -- persistence ---------------------------------------------------------
 
     def _restore_persisted(self) -> None:
-        """Re-plan every persisted campaign on startup (restart resume)."""
+        """On startup, load every persisted campaign: a finished one
+        from its files, an unfinished one re-planned (restart
+        resume)."""
         sidecars = sorted(
             self.log_dir.glob("*.campaign.json"),
             key=lambda p: [int(s) if s.isdigit() else s
@@ -644,12 +687,16 @@ class Dispatcher:
         for path in sidecars:
             doc = json.loads(path.read_text(encoding="utf-8"))
             cid = doc["id"]
-            result = self.submit(doc["config"], campaign_id=cid)
             number = re.match(r"c(\d+)$", cid)
             if number:
                 self._id_seq = max(self._id_seq, int(number.group(1)))
-            if not result["reused"]:
-                log.info("restored campaign %s from %s", cid, path)
+            finished = FinishedCampaign.load(cid, doc,
+                                             self.log_dir / f"{cid}.jsonl")
+            if finished is not None:
+                self._jobs[cid] = finished
+            elif self.submit(doc["config"], campaign_id=cid)["reused"]:
+                continue
+            log.info("restored campaign %s from %s", cid, path)
 
 
 # -- HTTP layer --------------------------------------------------------------
@@ -739,26 +786,23 @@ class _Handler(BaseHTTPRequestHandler):
                                         PROMETHEUS_CONTENT_TYPE)
             if path == "/api/status":
                 return self._reply(self.dispatcher.status())
-            match = re.match(r"^/api/status/([\w.-]+)$", path)
-            if match:
-                return self._reply(self.dispatcher.status(match.group(1)))
-            match = re.match(r"^/api/records/([\w.-]+)$", path)
-            if match:
-                return self._reply(self.dispatcher.records(match.group(1)))
-            match = re.match(r"^/api/events/([\w.-]+)$", path)
-            if match:
-                query = parse_qs(url.query)
+            match = re.fullmatch(r"/api/(status|records|events)/([\w.-]+)",
+                                 path)
+            if match is None:
+                return self._error(f"no such endpoint: {self.path}", 404)
+            view, cid = match.groups()
+            if view != "events":
+                return self._reply(getattr(self.dispatcher, view)(cid))
+            query = parse_qs(url.query)
 
-                def _int(name: str, default: int) -> int:
-                    try:
-                        return int(query.get(name, [default])[0])
-                    except (TypeError, ValueError):
-                        return default
+            def _int(name: str, default: int) -> int:
+                try:
+                    return int(query.get(name, [default])[0])
+                except (TypeError, ValueError):
+                    return default
 
-                return self._reply(self.dispatcher.events(
-                    match.group(1), cursor=_int("cursor", 0),
-                    limit=_int("limit", 500)))
-            return self._error(f"no such endpoint: {self.path}", 404)
+            return self._reply(self.dispatcher.events(
+                cid, cursor=_int("cursor", 0), limit=_int("limit", 500)))
         except KeyError as exc:
             return self._error(str(exc.args[0]), 404)
         except Exception as exc:  # surface, don't kill the thread

@@ -228,6 +228,12 @@ def remember_mask(spec: RunSpec, mask) -> None:
     _PLANNED_MASKS[_mask_inputs(spec)] = mask
 
 
+def forget_masks(specs: Sequence[RunSpec]) -> None:
+    """Drop the masks kept for a plan none of whose runs executes."""
+    for spec in filter(operator.attrgetter("prescreened"), specs):
+        _PLANNED_MASKS.pop(_mask_inputs(spec), None)
+
+
 def may_converge(spec: RunSpec) -> bool:
     """Whether matching golden state pins the rest of the run, so that
     its simulation may end at a matching digest and it may ride a

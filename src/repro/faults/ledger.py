@@ -20,7 +20,6 @@ too: :func:`plan_fingerprint`, :func:`log_header`, :func:`record_key`.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import operator
@@ -31,7 +30,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 
 from repro.faults.options import identity_fields
 from repro.obs.events import (EVENT_SCHEMA, Tally, campaign_trace,
-                              events_path_for, read_events, run_event,
+                              events_path_for, iter_events, run_event,
                               trim_torn_tail)
 from repro.obs.metrics import MetricsCollector
 
@@ -145,8 +144,9 @@ class CampaignLedger:
             plan starts empty and each round widens it (:meth:`admit`).
         log_path: the campaign log; ``None`` keeps all in memory.
         resume: append to an existing log and hold the records it has.
-        journal: keep the event journal (on file next to the log);
-            the tally folds the events either way.
+        journal: keep the event journal (on file next to the log,
+            which holds it: :attr:`journal` keeps only what is not on
+            file yet); the tally folds the events either way.
         sidecar: fold records and tally into the metrics document
             when the campaign closes (implies ``journal``).
         campaign: the campaign's id, as events and traces name it.
@@ -171,8 +171,7 @@ class CampaignLedger:
         self.log_path = Path(log_path) if log_path is not None else None
         self.campaign = campaign
         self.adaptive = adaptive
-        self._plan = plan
-        self._fingerprint = fingerprint
+        self.fingerprint = fingerprint or plan_fingerprint(plan)
         self._clock = clock
         self._journaling = journal or sidecar
         self._sidecar = sidecar
@@ -180,11 +179,14 @@ class CampaignLedger:
         self.keys: Dict[RunKey, None] = {}
         #: The campaign's records so far, by run key.
         self.records: Dict[RunKey, dict] = {}
-        #: Every event of the campaign, earlier sessions' included;
-        #: an event's index is its cursor.
+        #: Events journaled since the last :meth:`flush` (every one,
+        #: without a file to flush to).  ``tally.events`` counts the
+        #: whole journal, earlier sessions' included.
         self.journal: List[dict] = []
         #: The fold of every event of the campaign, journaled or not.
         self.tally = Tally()
+        #: Run keys that have their ``run`` event.
+        self._journaled = set()
         #: Records absorbed (not reloaded) by this session.
         self.executed = 0
         #: Further sidecar sections, for a ledger closed by ``with``.
@@ -194,7 +196,7 @@ class CampaignLedger:
         self.closed = False
         self._rounds = 0
 
-        found = (self._reload(strict)
+        found = (self._reload(plan, strict)
                  if resume and self.log_path is not None else None)
         appending = found is not None
         #: Records of the log on disk outside the plan (so far).
@@ -214,12 +216,10 @@ class CampaignLedger:
                 path = events_path_for(self.log_path)
                 if appending:
                     trim_torn_tail(path)
-                    self.journal = read_events(path)
-                    self.tally.apply_all(self.journal)
+                    for event in iter_events(path):
+                        self.tally.apply(event)
+                        self._journaled.update(_run_events((event,)))
                 self._events = open(path, mode, encoding="utf-8")
-        self._written = len(self.journal)
-        #: Run keys that have their ``run`` event.
-        self._journaled = set(_run_events(self.journal))
         instant = 0 if adaptive else self.admit(plan)
         # records on file without a run event: a journal torn further
         # back than its log, or none kept
@@ -232,10 +232,6 @@ class CampaignLedger:
                    resumed=len(self.records), instant=instant,
                    trace=self.trace, fingerprint=self.fingerprint, **opening)
         self.flush()
-
-    @functools.cached_property
-    def fingerprint(self) -> str:
-        return self._fingerprint or plan_fingerprint(self._plan)
 
     @property
     def trace(self) -> str:
@@ -253,7 +249,8 @@ class CampaignLedger:
 
     # -- opening -------------------------------------------------------------
 
-    def _reload(self, strict: bool) -> Optional[Dict[RunKey, dict]]:
+    def _reload(self, plan: Sequence["RunSpec"],
+                strict: bool) -> Optional[Dict[RunKey, dict]]:
         """The records of the log a resumed session appends to, once
         its torn tail is cut and it is seen to be a log this campaign
         may continue; ``None`` without a log to append to -- none at
@@ -272,8 +269,8 @@ class CampaignLedger:
                 f"(fingerprint {str(header['fingerprint'])[:12]}..., "
                 f"expected {self.fingerprint[:12]}...)")
         found = scan_completed_records(self.log_path)
-        if not strict and self._plan:
-            expected = (self._plan[0].benchmark, self._plan[0].card)
+        if not strict and plan:
+            expected = (plan[0].benchmark, plan[0].card)
             for record in found.values():
                 got = (record.get("benchmark"), record.get("card"))
                 if got != expected:
@@ -372,10 +369,10 @@ class CampaignLedger:
 
     def flush(self) -> None:
         """Put what was journaled since the last call on file, with
-        one write and one flush."""
-        if self._written < len(self.journal):
-            _write(self._events, self.journal[self._written:])
-            self._written = len(self.journal)
+        one write and one flush, and let it go."""
+        if self.journal and self._events is not None:
+            _write(self._events, self.journal)
+            self.journal = []
 
     # -- closing -------------------------------------------------------------
 

@@ -52,7 +52,9 @@ lifecycle -- ``shard_leased``, ``shard_complete``, ``lease_expired``,
 
 from __future__ import annotations
 
+import itertools
 import json
+from array import array
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -320,12 +322,6 @@ class Tally:
 # -- reading ------------------------------------------------------------------
 
 
-def complete_lines(data: bytes) -> bytes:
-    """``data`` up to its last newline: a final line still being
-    written (or cut mid-write) is not read until it is whole."""
-    return data[:data.rfind(b"\n") + 1]
-
-
 def trim_torn_tail(path: Union[str, Path]) -> None:
     """Drop an incomplete final line before appending to a log or an
     event stream.
@@ -340,7 +336,7 @@ def trim_torn_tail(path: Union[str, Path]) -> None:
     with open(path, "rb+") as handle:
         data = handle.read()
         if not data.endswith(b"\n"):
-            handle.truncate(len(complete_lines(data)))
+            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def parse_jsonl(text: str, source, skip_corrupt: bool = False,
@@ -373,20 +369,54 @@ def parse_jsonl(text: str, source, skip_corrupt: bool = False,
         yield index, value
 
 
-def read_events(path: Union[str, Path],
-                cursor: int = 0) -> List[dict]:
-    """Read events from a stream file, torn-tail-safe.
-
-    Returns the parsed events starting at line index ``cursor``.  A
-    final line cut mid-write (no trailing newline) is silently dropped
-    -- the same contract as resuming a run log -- and a corrupt line is
-    skipped, not fatal, so a journal being written concurrently is
-    always readable.  A missing file reads as an empty stream.
-    """
+def iter_events(path: Union[str, Path]) -> Iterator[dict]:
+    """A stream file's events one at a time (a fold never holds them
+    all), torn-tail-safe: a final line without its newline is not read,
+    a corrupt line is skipped, a missing file is an empty stream."""
     path = Path(path)
     if not path.exists():
-        return []
-    text = complete_lines(path.read_bytes()).decode("utf-8")
-    return [event for index, event
-            in parse_jsonl(text, path, skip_corrupt=True)
-            if index >= cursor]
+        return
+    with open(path, "rb") as handle:
+        for line in handle:
+            if line.endswith(b"\n"):
+                yield from (event for _, event in parse_jsonl(
+                    line.decode("utf-8"), path, skip_corrupt=True))
+
+
+def read_events(path: Union[str, Path], cursor: int = 0) -> List[dict]:
+    """:func:`iter_events` as a list, from the ``cursor``-th event."""
+    return list(itertools.islice(iter_events(path), cursor, None))
+
+
+class JournalPages:
+    """Cursor pages of an event stream file (a cursor is a line's
+    index), as ``/api/events`` serves them.  The offset of every
+    :attr:`STRIDE`-th whole line is kept, extended by each read."""
+
+    STRIDE = 256
+
+    def __init__(self, path: Union[str, Path]):
+        self.path = Path(path)
+        self.lines = self._end = 0  # whole lines, and their bytes
+        self._marks = array("Q")
+
+    def page(self, cursor: int, limit: int) -> List[dict]:
+        """The events of ``limit`` lines from ``cursor`` on (fewer at
+        the end; a corrupt line is skipped, as :func:`iter_events` does)."""
+        with open(self.path, "rb") as handle:
+            handle.seek(self._end)
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    break  # still being written
+                if self.lines % self.STRIDE == 0:
+                    self._marks.append(self._end)
+                self._end += len(line)
+                self.lines += 1
+            if cursor >= self.lines:
+                return []
+            handle.seek(self._marks[cursor // self.STRIDE])
+            skip = cursor % self.STRIDE
+            lines = itertools.islice(handle, skip,
+                                     skip + min(limit, self.lines - cursor))
+            return [event for _, event in parse_jsonl(
+                b"".join(lines).decode("utf-8"), self.path, skip_corrupt=True)]

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import re
 import time
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.events import Tally, complete_lines, parse_jsonl
+from repro.obs.events import JournalPages, Tally
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -85,30 +84,15 @@ def render_prometheus(families: Sequence[Family]) -> str:
 # -- event-file tailing -------------------------------------------------------
 
 
-class EventFileTailer:
-    """Follow a ``<log>.events.jsonl`` file by byte offset.
-
-    Each :meth:`poll` returns the events appended since the previous
-    poll, never consuming an incomplete final line: a torn tail (the
-    writer flushed mid-record, or was killed there) is left in place
-    and delivered on a later poll once its newline lands -- the
-    cursor-resume contract of ``/api/events``, applied to a file.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.offset = 0
+class EventFileTailer(JournalPages):
+    """Follow a ``<log>.events.jsonl`` file: each :meth:`poll` returns
+    the events appended since the previous poll, never consuming an
+    incomplete final line -- the cursor-resume contract of
+    ``/api/events``, applied to a file."""
 
     def poll(self) -> List[dict]:
-        """Parse and return the complete events past the offset."""
-        if not self.path.exists():
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            data = complete_lines(handle.read())
-        self.offset += len(data)
-        return [event for _, event in parse_jsonl(
-            data.decode("utf-8"), self.path, skip_corrupt=True)]
+        """The complete events past the previous poll's."""
+        return self.page(self.lines, 1 << 62) if self.path.exists() else []
 
 
 # -- dashboard -----------------------------------------------------------------

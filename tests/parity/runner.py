@@ -101,16 +101,38 @@ class Session:
             time.sleep(0.05)
         if restart:
             assert self.client.status(cid)["state"] == "running"
-            self.server.send_signal(signal.SIGTERM)
-            self.server.wait(60)
-            self.server.stdout.close()
-            time.sleep(2)  # every worker meets a refused connection too
-            self.serve(url.rsplit(":", 1)[1])
+            self.restart()
         cli("status", "--connect", url, cid, "--wait", "--timeout", 600)
         return {"log": self.root / "server" / f"{cid}.jsonl", "cid": cid,
                 "scrapes": (before, in_flight, self.client.metrics_text())}
 
     restarted_fleet = functools.partialmethod(fleet, restart=True)
+
+    def finished_fleet(self, argv, log):
+        """:meth:`fleet`, then ``serve`` restarted: the complete campaign,
+        served from its files, answers as it did before."""
+        result = self.fleet(argv, log)
+        cid, client = result["cid"], self.client
+
+        def replies():
+            return (client.status(cid), client.records(cid),
+                    [client.events(cid, cursor=cursor, limit=7)
+                     for cursor in (0, 7, 10**6)])
+
+        before = replies()
+        self.restart()
+        assert replies() == before
+        return {**result, "scrapes": (*result["scrapes"][:2],
+                                      client.metrics_text())}
+
+    def restart(self) -> None:
+        """``serve`` stopped and started again on its port and log
+        directory."""
+        self.server.send_signal(signal.SIGTERM)
+        self.server.wait(60)
+        self.server.stdout.close()
+        time.sleep(2)  # every worker meets a refused connection too
+        self.serve(self.url.rsplit(":", 1)[1])
 
     def dispatcher(self) -> str:
         """The fleet's URL; the fleet starts at the first call."""
@@ -204,10 +226,13 @@ class Checks:
         assert (shards["complete"], shards["pending"], shards["leased"]) \
             == (shards["total"], 0, 0), shards
         assert sample(self.scrapes[-1], r'gpufi_shards\{state="complete"\}'
-                      ) == shards["total"]
+                      ) == sum(campaign["shards"]["complete"] for campaign
+                               in client.status()["campaigns"])
         assert all(e.get("trace") for e in runs), "run without trace"
         workers = {e["worker"] for e in runs if not e.get("instant")}
-        assert workers and workers <= set(WORKERS), workers
+        # the fleet's workers ran every run that simulates, if any did
+        assert bool(workers) == (shards["total"] > 0), workers
+        assert workers <= set(WORKERS), workers
         assert {e["worker"] for e in runs if e.get("instant")} == {None}
         top = cli("top", "--connect", url, self.cid, "--once")
         assert "state complete" in top and "(100.0%)" in top, top

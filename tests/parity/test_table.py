@@ -92,6 +92,10 @@ ROWS = [
     Row("fleet-restarted-local", RESTARTED, CARD + "off", Session.jobs2),
     Row("fleet-restarted", RESTARTED, CARD + "off", Session.restarted_fleet,
         equals="fleet-restarted-local", checks=(Checks.resumed,)),
+    # a finished campaign, served from its files by a restarted `serve`
+    Row("fleet-finished-restart", INSTANT, CARD + "full",
+        Session.finished_fleet, equals="fleet-instant-local",
+        checks=(Checks.events,)),
 
     # every fast-forwarded run re-run from scratch; a warm directory
     # plans from its set and logs what a cold one logs

@@ -100,7 +100,7 @@ def test_an_all_instant_campaign_is_complete_at_submit(tmp_path):
     assert len(runs) == 32
     assert all(e["worker"] is None and e["instant"] for e in runs)
     assert events[-1]["event"] == "campaign_end" and events[-1]["complete"]
-    assert vars(dispatcher._jobs[cid].ledger.tally) == vars(
+    assert vars(dispatcher._jobs[cid].tally) == vars(
         fold(dispatcher, cid))
 
 
@@ -124,7 +124,7 @@ def test_a_mixed_campaign_leases_only_runs_that_simulate(tmp_path,
     assert dispatcher.status(cid)["state"] == "complete"
     assert canonical_log_text(dispatcher.records(cid)["records"]) \
         == local_log(config)
-    assert vars(dispatcher._jobs[cid].ledger.tally) == vars(
+    assert vars(dispatcher._jobs[cid].tally) == vars(
         fold(dispatcher, cid))
 
 
@@ -138,11 +138,11 @@ def test_a_restart_records_nothing_twice(tmp_path, finished):
         "complete" if finished else "running")
 
     revived = Dispatcher(log_dir=tmp_path, shard_size=2)
-    assert vars(revived._jobs[cid].ledger.tally) == vars(
+    assert vars(revived._jobs[cid].tally) == vars(
         fold(revived, cid))
     drain(revived, worker="w2")
     assert revived.status(cid)["state"] == "complete"
-    assert vars(revived._jobs[cid].ledger.tally) == vars(
+    assert vars(revived._jobs[cid].tally) == vars(
         fold(revived, cid))
 
     log = tmp_path / f"{cid}.jsonl"

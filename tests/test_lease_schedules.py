@@ -33,6 +33,7 @@ from repro.dist.protocol import canonical_log_text, spec_from_wire
 from repro.dist.server import Dispatcher
 from repro.faults.campaign import CampaignConfig
 from repro.faults.config_file import dump_config
+from repro.faults.ledger import record_key
 from repro.faults.targets import Structure
 from tests.conftest import generated
 
@@ -81,21 +82,22 @@ def shard_samples(text):
         r'^gpufi_shards\{state="(\w+)"\} (\S+)$', text, re.M)}
 
 
-def check(dispatcher, clock):
-    """Every campaign's shard counts against a recount, and the
-    ``/metrics`` gauge against their sum."""
+def check(dispatcher, clock, plans):
+    """Every campaign's shard counts against a recount from its
+    records (``plans``: its shards), and the ``/metrics`` gauge against
+    their sum."""
     summed = dict.fromkeys(STATES, 0)
     for cid, job in dispatcher._jobs.items():
         shards = dispatcher.status(cid)["shards"]  # reaps, like /metrics
         assert sum(shards[state] for state in STATES) == shards["total"] \
-            == len(job.shards)
+            == len(plans[cid])
         assert all(lease.deadline >= clock.now
                    for lease in job.leases.values())
         leased = {lease.shard_index for lease in job.leases.values()}
+        held = set(map(record_key, dispatcher.records(cid)["records"]))
         recount = dict.fromkeys(STATES, 0)
-        for index, shard in enumerate(job.shards):
-            recount["complete" if all(spec.key in job.ledger.records
-                                      for spec in shard)
+        for index, shard in enumerate(plans[cid]):
+            recount["complete" if all(spec.key in held for spec in shard)
                     else "leased" if index in leased else "pending"] += 1
         assert {state: shards[state] for state in STATES} == recount
         for state in STATES:
@@ -133,8 +135,7 @@ def test_generated_lease_schedules(case):
 
         dispatcher = start()
         cids = [dispatcher.submit(text)["campaign"] for text in CONFIGS]
-        plans = {cid: [spec for shard in dispatcher._jobs[cid].shards
-                       for spec in shard] for cid in cids}
+        plans = {cid: dispatcher._jobs[cid].shards for cid in cids}
         granted, sent = [], {}  # every lease granted; how many runs sent
         for index, step in enumerate(steps):
             kind = step[0]
@@ -160,7 +161,7 @@ def test_generated_lease_schedules(case):
                     done=done, worker="w1")
             if index + 1 == restart_after:
                 dispatcher = start()  # the leases granted are gone with it
-            check(dispatcher, clock)
+            check(dispatcher, clock, plans)
 
         # drained: every lease still out expires, one worker finishes
         clock.now += TIMEOUT + 1
@@ -170,7 +171,7 @@ def test_generated_lease_schedules(case):
                 lease["campaign"], lease["lease"], lease["fingerprint"],
                 [record_of(spec_from_wire(wire)) for wire in lease["specs"]],
                 done=True, worker="w3")
-            check(dispatcher, clock)
+            check(dispatcher, clock, plans)
         for cid in cids:
             status = dispatcher.status(cid)
             assert status["state"] == "complete"
@@ -178,6 +179,7 @@ def test_generated_lease_schedules(case):
             assert {state: shards[state] for state in STATES} == {
                 "pending": 0, "leased": 0, "complete": shards["total"]}
             assert canonical_log_text(dispatcher.records(cid)["records"]) \
-                == canonical_log_text([record_of(s) for s in plans[cid]])
+                == canonical_log_text([record_of(spec) for shard in plans[cid]
+                                       for spec in shard])
             last = dispatcher.events(cid)["events"][-1]
             assert last["event"] == "campaign_end" and last["complete"]

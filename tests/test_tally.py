@@ -269,12 +269,12 @@ def test_dispatcher_restart_tally_is_the_journal_fold(tmp_path):
     stale = dispatcher.lease("w2")
     clock.now = 11.0
     dispatcher.heartbeat("nobody")  # reaps w2's lease
-    live = dispatcher._jobs[cid].ledger.tally
+    live = dispatcher._jobs[cid].tally
     assert (live.leased, live.expired) == (2, 1)
     assert vars(live) == vars(fold(journal))
 
     revived = Dispatcher(log_dir=root, shard_size=2)
-    tally = revived._jobs[cid].ledger.tally
+    tally = revived._jobs[cid].tally
     assert vars(tally) == vars(fold(journal))
     assert revived.status(cid)["shards"]["lease_expired"] == 1
     # a restart keeps counting lease generations where the journal left
