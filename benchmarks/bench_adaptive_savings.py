@@ -13,6 +13,9 @@ The adaptive side must terminate with every stratum met and save at
 least ``GPUFI_ADAPTIVE_MIN_SAVED`` (fraction of the uniform run
 count, default 0.5).  Only the adaptive campaigns are *executed*; the
 uniform figure is the closed-form baseline, so the bench stays cheap.
+Most of those uniform runs are instant verdicts (synthesized or
+pre-screened), so each row also states how many the uniform plan
+would *simulate*: the non-instant specs of its :meth:`Campaign.plan`.
 
 Run standalone for the acceptance measurement::
 
@@ -25,6 +28,7 @@ or under pytest-benchmark with the other benches.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import shutil
 import sys
@@ -73,8 +77,18 @@ def measure(budget: int):
             uniform = sum(plan.uniform_runs.values())
             executed_total += executed
             uniform_total += uniform
+            # a run's seed is a pure function of its coordinates: the
+            # first n runs of a group are the plan of n runs
+            sized = plan.uniform_runs
+            specs = Campaign(dataclasses.replace(
+                campaign.config, adaptive="off", log_path=None,
+                runs_per_structure=max(sized.values()))).plan()
+            simulated = sum(
+                not spec.instant for spec in specs
+                if spec.run_index < sized[(spec.kernel,
+                                           spec.structure.value)])
             rows.append((bench, structure.value, executed, uniform,
-                         plan.rounds, plan.all_met(), elapsed))
+                         simulated, plan.rounds, plan.all_met(), elapsed))
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return rows, executed_total, uniform_total, all_met
@@ -87,12 +101,12 @@ def report(budget: int):
     lines = [f"adaptive vs uniform at error target "
              f"+/-{ERROR_TARGET * 100:.0f}% (99% confidence), "
              f"budget {budget}/group"]
-    for bench, structure, n, base, rounds, met, elapsed in rows:
+    for bench, structure, n, base, simulated, rounds, met, elapsed in rows:
         lines.append(
             f"{bench:>10s}/{structure}: adaptive {n:4d} runs "
             f"({rounds} rounds, {elapsed:5.1f}s, "
             f"{'met' if met else 'BUDGET EXHAUSTED'})  "
-            f"uniform {base:4d} runs")
+            f"uniform {base:4d} runs ({simulated} simulated)")
     lines.append(f"overall: {executed} adaptive vs {uniform} uniform "
                  f"-- {saved} runs saved "
                  f"({fraction:.0%}; floor {MIN_SAVED_FRACTION:.0%})")

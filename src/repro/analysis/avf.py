@@ -2,7 +2,8 @@
 
 The chain is::
 
-    FR_structure  (eq. 1)  -- failure ratio from the campaign counts
+    FR_structure  (eq. 1)  -- failure ratio: the campaign's estimate
+                   (failures / n uniform, stratified adaptive)
     x derating    (df_reg / df_smem for the dynamically-allocated
                    register file and shared memory)
     = AVF_structure
@@ -67,7 +68,6 @@ def kernel_avf(result: CampaignResult, kernel: str) -> float:
     enters the denominator when the card has them.
     """
     config = _card_of(result)
-    covered = set(result.counts.get(kernel, {}))
     numerator = 0.0
     total_bits = 0
     for structure in CHIP_STRUCTURES:
@@ -75,7 +75,7 @@ def kernel_avf(result: CampaignResult, kernel: str) -> float:
         if bits == 0:
             continue
         total_bits += bits
-        if structure in covered:
+        if (kernel, structure.value) in result.estimates:
             numerator += structure_avf(result, kernel, structure) * bits
     return numerator / total_bits if total_bits else 0.0
 
@@ -83,23 +83,25 @@ def kernel_avf(result: CampaignResult, kernel: str) -> float:
 def weighted_avf(result: CampaignResult) -> float:
     """wAVF (eq. 3): cycle-weighted mean of the kernel AVFs."""
     profile = result.profile
-    total = sum(profile.kernels[k].total_cycles for k in result.counts)
+    kernels = result.kernels()
+    total = sum(profile.kernels[k].total_cycles for k in kernels)
     if not total:
         return 0.0
     return sum(kernel_avf(result, k) * profile.kernels[k].total_cycles
-               for k in result.counts) / total
+               for k in kernels) / total
 
 
 def chip_structure_avf(result: CampaignResult,
                        structure: Structure) -> float:
     """Cycle-weighted AVF of one structure across all kernels."""
     profile = result.profile
-    kernels = [k for k in result.counts if structure in result.counts[k]]
-    total = sum(profile.kernels[k].total_cycles for k in result.counts)
+    every = result.kernels()
+    total = sum(profile.kernels[k].total_cycles for k in every)
     if not total:
         return 0.0
     return sum(structure_avf(result, k, structure)
-               * profile.kernels[k].total_cycles for k in kernels) / total
+               * profile.kernels[k].total_cycles for k in every
+               if (k, structure.value) in result.estimates) / total
 
 
 def structure_contributions(result: CampaignResult
@@ -137,8 +139,8 @@ def effect_breakdown(result: CampaignResult, structure: Structure,
     config = _card_of(result)
     profile = result.profile
     kernels = ([kernel] if kernel
-               else [k for k in result.counts if structure in
-                     result.counts[k]])
+               else [k for k in result.kernels()
+                     if (k, structure.value) in result.estimates])
     total = sum(profile.kernels[k].total_cycles for k in kernels)
     out: Dict[FaultEffect, float] = {e: 0.0 for e in FaultEffect}
     if not total:

@@ -14,7 +14,6 @@ from typing import List
 from repro.analysis.avf import (derating_factor, kernel_avf, structure_avf,
                                 structure_contributions, weighted_avf)
 from repro.analysis.fit import chip_fit, fit_breakdown
-from repro.analysis.statistics import per_structure_margins
 from repro.faults.campaign import CampaignResult
 from repro.faults.classify import FaultEffect
 from repro.sim.cards import get_card
@@ -43,9 +42,8 @@ def render_markdown(result: CampaignResult, title: str = "") -> str:
     out(f"- faults: **{cfg.bits_per_fault}-bit** "
         f"({cfg.multibit_mode.value}), "
         f"{'warp' if cfg.warp_level else 'thread'}-level register faults")
-    # margins are *achieved*, not planned: completed runs, observed
-    # p-hat, true finite (bits x cycles) population per structure
-    margins = per_structure_margins(result)
+    # margins are *achieved*, not planned: the half-width of each
+    # group's estimate, against its finite (bits x cycles) population
     out(f"- planned injections per (kernel, structure): "
         f"**{cfg.runs_per_structure}** (achieved margins per "
         f"structure below, at 99% confidence)")
@@ -69,14 +67,15 @@ def render_markdown(result: CampaignResult, title: str = "") -> str:
 
     out("## Fault effects")
     out("")
-    for kernel in sorted(result.counts):
+    counts = result.counts
+    for kernel in sorted(counts):
         out(f"### `{kernel}`")
         out("")
         rows = []
-        for structure, effects in result.counts[kernel].items():
+        for structure, effects in counts[kernel].items():
             total = sum(effects.values())
             df = derating_factor(profile.kernels[kernel], structure, card)
-            margin = margins[(kernel, structure)]["margin"]
+            margin = result.margin(kernel, structure)
             rows.append((
                 structure.value, total,
                 *(effects.get(e, 0) for e in FaultEffect),

@@ -11,18 +11,19 @@ error ``e`` on the estimated failure probability ``p`` at confidence
 With the usual worst case ``p = 0.5``, 99% confidence (z = 2.576) and
 ``N`` in the billions this yields ~4,100 for e = 2%, and the paper's
 3,000 injections give e ~ 2.35% -- "error margin less than 2%" holds
-from ~4,100 up; these helpers let campaign reports state the margin
-achieved by whatever n was actually run.
+from ~4,100 up.  Those are *planning* figures at the worst case
+``p = 0.5``.
 
 Beyond the paper, :func:`wilson_interval` /
 :func:`wilson_halfwidth` provide the Wilson score interval (with an
-optional finite-population correction) that the adaptive campaign
-planner (:mod:`repro.plan`) uses for its per-stratum stopping rule --
-unlike the plain normal approximation it stays honest at the observed
-failure rates campaigns actually see (p-hat near 0), and
-:func:`observed_margin` states the margin a finished campaign
-*achieved* from the records actually completed instead of the
-worst-case ``p = 0.5`` planning figure.
+optional finite-population correction).  Unlike the plain normal
+approximation it stays honest at the failure rates campaigns actually
+see (p-hat near 0).  It is the one margin a finished campaign
+reports: the half-width of its estimate
+(:meth:`repro.plan.estimator.StratifiedEstimate.combined_margin`),
+which for a uniform campaign is the Wilson half-width of its one
+stratum, and which the adaptive planner
+(:mod:`repro.plan`) stops each stratum on.
 """
 
 from __future__ import annotations
@@ -78,34 +79,6 @@ def margin_of_error(n: int, population: float = float("inf"),
     return z * math.sqrt(p * (1 - p) * fpc / n)
 
 
-def observed_margin(n: int, failures: int,
-                    population: float = float("inf"),
-                    confidence: float = 0.99) -> float:
-    """Margin a campaign *achieved*: Leveugle at the observed rate.
-
-    The planning-time formula assumes the worst case ``p = 0.5``; a
-    finished campaign knows better.  This is
-    :func:`margin_of_error` evaluated at the observed failure ratio
-    ``p-hat = failures / n`` with the true finite-population
-    correction.  Degenerate observations (0 or n failures) would
-    collapse the binomial variance to zero and claim a 0% margin from
-    a single run; they substitute the Wilson centre
-    ``(failures + z^2/2) / (n + z^2)`` (the Agresti-Coull point
-    estimate), which shrinks honestly as ``n`` grows.
-    """
-    if n <= 0:
-        return 1.0
-    if not 0 <= failures <= n:
-        raise ValueError(f"failures must be in [0, n], got {failures}/{n}")
-    if failures in (0, n):
-        z = _z(confidence)
-        p = (failures + z * z / 2) / (n + z * z)
-    else:
-        p = failures / n
-    return margin_of_error(n, population=population,
-                           confidence=confidence, p=p)
-
-
 def wilson_interval(successes: int, n: int, confidence: float = 0.99,
                     population: float = float("inf")) -> tuple:
     """Wilson score interval ``(lo, hi)`` for a binomial proportion.
@@ -150,39 +123,3 @@ def _fpc(n: int, population: float) -> float:
         return 0.0
     return math.sqrt((population - n) / (population - 1))
 
-
-def per_structure_margins(result, confidence: float = 0.99) -> dict:
-    """Achieved margins of a campaign, from the records it completed.
-
-    For every ``(kernel, structure)`` of a
-    :class:`~repro.faults.campaign.CampaignResult`, computes the
-    completed run count (resume-aware: aggregation counts every
-    record, however it got into the log), the observed failure ratio
-    and the :func:`observed_margin` against the structure's *true*
-    (bits x cycles) fault-space population
-    (:func:`repro.faults.mask.mask_population`).  Returns
-    ``{(kernel, structure): {"runs", "failures", "p_hat",
-    "population", "margin"}}``.
-    """
-    from repro.faults.mask import mask_population
-
-    card = result.config.resolved_card()
-    out = {}
-    for kernel, per_structure in result.counts.items():
-        kp = result.profile.kernels[kernel]
-        for structure in per_structure:
-            n = result.runs(kernel, structure)
-            failures = result.failures(kernel, structure)
-            population = mask_population(
-                card, structure, kp.regs_per_thread, kp.smem_bytes,
-                kp.local_bytes, kp.windows)
-            out[(kernel, structure)] = {
-                "runs": n,
-                "failures": failures,
-                "p_hat": failures / n if n else 0.0,
-                "population": population,
-                "margin": observed_margin(n, failures,
-                                          population=population,
-                                          confidence=confidence),
-            }
-    return out

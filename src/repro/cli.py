@@ -30,15 +30,14 @@ from typing import List, Optional
 from repro.analysis import avf as avf_mod
 from repro.analysis import fit as fit_mod
 from repro.analysis.report import render_table
-from repro.analysis.statistics import per_structure_margins
 from repro.bench import benchmark_names
 from repro.faults.campaign import (Campaign, CampaignConfig, PlanError,
                                    profile_application)
 from repro.faults.classify import FaultEffect
 from repro.faults.config_file import load_config
 from repro.faults.options import add_option_flags, options_from_args
-from repro.faults.parser import (aggregate_by_model, count_unapplied,
-                                 failure_ratio, load_records)
+from repro.faults.parser import count_unapplied, load_records, split_by_model
+from repro.plan.estimator import UNIFORM_STRATUM, fold
 from repro.sim.cards import CARDS
 
 #: The card of every command that is not told one.
@@ -299,21 +298,17 @@ def _cmd_campaign(args) -> int:
     signal.signal(signal.SIGTERM, _terminated)
     result = campaign.run(jobs=args.jobs, resume=args.resume)
     print(result.summary())
+    # achieved (not planned) margins: each group's estimate against
+    # its true finite (bits x cycles) population
+    print("per-structure margin of error (99% confidence, "
+          "from completed runs):")
+    for (kernel, structure), est in result.estimates.items():
+        print(f"  {kernel}/{structure}: n={est.executed()} "
+              f"p_hat={est.failure_ratio():.3f} "
+              f"+/-{est.combined_margin() * 100:.1f}% "
+              f"(population {est.population})")
     if campaign.last_plan is not None:
-        # adaptive campaigns allocate runs unevenly across strata, so
-        # the unbiased estimate and its margin come from the planner's
-        # importance-weighted report, not the raw record pool
-        print(campaign.last_plan.summary())
-    else:
-        # achieved (not planned) margins: completed runs, observed
-        # p-hat, true finite (bits x cycles) population per structure
-        print("per-structure margin of error (99% confidence, "
-              "from completed runs):")
-        for (kernel, structure), m in \
-                per_structure_margins(result).items():
-            print(f"  {kernel}/{structure.value}: n={m['runs']} "
-                  f"p_hat={m['p_hat']:.3f} +/-{m['margin'] * 100:.1f}% "
-                  f"(population {m['population']})")
+        print(campaign.last_plan.summary())  # the per-stratum detail
     wavf = avf_mod.weighted_avf(result)
     print(f"wAVF = {wavf:.5f}   FIT = {fit_mod.chip_fit(result):.1f}")
     if config.log_path:
@@ -398,98 +393,64 @@ def _cmd_report(args) -> int:
                                   force=args.force)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    by_model = aggregate_by_model(records)
     headers = ["kernel", "structure", "runs", "FR"]
     headers.extend(e.value for e in FaultEffect)
+    by_model = split_by_model(records)
     # a pure-transient log renders exactly as before the fault-model
     # dimension existed; anything else gets a per-model breakdown
     label_models = list(by_model) != ["transient"]
-    for i, (model, counts) in enumerate(by_model.items()):
+    for i, (model, of_model) in enumerate(by_model.items()):
         if label_models:
             print(("\n" if i else "") + f"fault model: {model}")
-        rows = []
-        for kernel, per_structure in sorted(counts.items()):
-            for structure, effects in per_structure.items():
-                row = [kernel, structure.value, sum(effects.values()),
-                       f"{failure_ratio(effects):.3f}"]
-                row.extend(effects.get(e, 0) for e in FaultEffect)
-                rows.append(row)
-        print(render_table(headers, rows))
+        estimates = fold(of_model, _planned(args.log))
+        print(render_table(headers, [
+            [kernel, structure, est.executed(), f"{est.failure_ratio():.3f}",
+             *(est.effect_counts().get(e, 0) for e in FaultEffect)]
+            for (kernel, structure), est
+            in sorted(estimates.items(), key=lambda kv: kv[0][0])]))
+        _report_strata(estimates)
     unapplied = count_unapplied(records)
     if unapplied:
         print(f"unapplied injections: {unapplied} run(s) resolved to no "
               "live target (counted as Masked above)")
-    _report_strata(records, args.log)
     return 0
 
 
-def _report_strata(records, log_paths) -> None:
-    """Stratified breakdown of an adaptive campaign's log.
+def _planned(log_paths) -> dict:
+    """The groups of the logs' ``<log>.plan.json`` sidecars, with the
+    stratum weights their plan fixed and no run folded in."""
+    import json
 
-    Rendered only when records carry ``stratum`` keys (adaptive runs).
-    The ``<log>.plan.json`` sidecar, when present, supplies the
-    stratum weights and importance weights that make the breakdown an
-    unbiased estimate; without it only the raw per-stratum tallies
-    are shown.
-    """
-    import json as _json
-    from pathlib import Path
+    from repro.plan import StratifiedEstimate, StratumStats, plan_path_for
 
-    if not any("stratum" in r for r in records):
-        return
-    sidecar = {}
+    estimates = {}
     for log in log_paths:
-        path = Path(str(log) + ".plan.json")
-        if path.exists():
-            try:
-                doc = _json.loads(path.read_text(encoding="utf-8"))
-            except ValueError:
-                continue
-            for group in doc.get("groups", ()):
-                key = (group["kernel"], group["structure"])
-                sidecar[key] = group
-    tallies = {}
-    for r in records:
-        if "stratum" not in r:
+        try:
+            doc = json.loads(plan_path_for(log).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             continue
-        key = (r["kernel"], r["structure"], r["stratum"])
-        runs, failures = tallies.get(key, (0, 0))
-        effect = FaultEffect(r["effect"])
-        tallies[key] = (runs + 1, failures + int(effect.is_failure))
-    print("\nadaptive strata (importance-weighted):")
-    headers = ["kernel", "structure", "stratum", "runs", "failures",
-               "p_hat", "W", "w_run", "margin"]
-    rows = []
-    for (kernel, structure, stratum) in sorted(tallies):
-        runs, failures = tallies[(kernel, structure, stratum)]
-        info = sidecar.get((kernel, structure), {}) \
-            .get("strata", {}).get(stratum, {})
-        rows.append([
-            kernel, structure, stratum, runs, failures,
-            f"{failures / runs:.3f}" if runs else "-",
-            (f"{info['weight']:.3f}" if "weight" in info else "-"),
-            (f"{info['run_weight']:.5f}"
-             if info.get("run_weight") is not None else "-"),
-            (f"+/-{info['margin'] * 100:.1f}%"
-             if "margin" in info else "-"),
-        ])
-    for (kernel, structure), group in sorted(sidecar.items()):
-        # proven-dead strata execute no runs, so they are absent from
-        # the log; show them from the sidecar to complete the picture
-        for stratum, info in sorted(group.get("strata", {}).items()):
-            if info.get("proven_dead") \
-                    and (kernel, structure, stratum) not in tallies:
-                rows.append([kernel, structure, stratum, 0, 0,
-                             "0.000 (proven)",
-                             f"{info['weight']:.3f}", "-",
-                             f"+/-{info.get('margin', 0) * 100:.1f}%"])
-    print(render_table(headers, rows))
-    for (kernel, structure), group in sorted(sidecar.items()):
-        print(f"  {kernel}/{structure}: stratified "
-              f"FR={group['failure_ratio']:.4f} "
-              f"+/-{group['combined_margin'] * 100:.1f}% "
-              f"({group['executed']} runs, "
-              f"{group.get('runs_saved', 0)} saved vs uniform)")
+        for group in doc.get("groups", ()):
+            est = StratifiedEstimate(group["kernel"], group["structure"],
+                                     group["population"],
+                                     confidence=doc["confidence"])
+            for key, info in group["strata"].items():
+                est.strata[key] = StratumStats(
+                    key, candidates=info["candidates"],
+                    extra_candidates=info["extra_candidates"])
+            estimates[(est.kernel, est.structure)] = est
+    return estimates
+
+
+def _report_strata(estimates) -> None:
+    """Per-stratum breakdown of an adaptive campaign's log, rendered
+    only when its records name strata.  Without the ``<log>.plan.json``
+    sidecar a stratum is weighted by its share of the runs."""
+    from repro.plan.driver import strata_table
+
+    if any(list(est.strata) != [UNIFORM_STRATUM]
+           for est in estimates.values()):
+        print("\nadaptive strata (importance-weighted):")
+        print(strata_table(estimates))
 
 
 def _cmd_report_metrics(args) -> int:

@@ -90,6 +90,8 @@ class FinishedCampaign:
         self.fingerprint = fingerprint
         self.log_path = log_path
         self.total, self.shard_count, self.tally = total, shard_count, tally
+        # per-run samples: only the sidecar reads them, written at close
+        tally.latency.clear()
         #: Root of the campaign's trace-ID chain.
         self.trace = campaign_trace(campaign_id, fingerprint)
         self.pages = JournalPages(events_path_for(log_path))

@@ -34,8 +34,8 @@ from repro.faults.mask import (FaultMask, MaskGenerator, MultiBitMode,
                                derive_run_seed)
 from repro.faults.models import (FaultModel, get_model, model_names,
                                  register_model)
-from repro.faults.parser import (aggregate_by_model, load_records,
-                                 scan_completed_records)
+from repro.faults.parser import (load_records, scan_completed_records,
+                                 split_by_model)
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
 from repro.sim.device import RunOptions
@@ -71,7 +71,7 @@ __all__ = [
     "model_names",
     "MaskGenerator",
     "MultiBitMode",
-    "aggregate_by_model",
+    "split_by_model",
     "load_records",
     "RunResult",
     "run_application",

@@ -20,14 +20,16 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from repro.faults.classify import TIMEOUT_FACTOR, FaultEffect
 from repro.faults.early_stop import EARLY_STOP_MODES, Prescreener
 from repro.faults.executor import RunSpec, mask_draw, remember_mask, stamp
-from repro.faults.mask import derive_run_seeds, seeded_streams, stream_states
+from repro.faults.mask import (derive_run_seeds, mask_population,
+                               seeded_streams, stream_states)
 from repro.faults.options import CampaignConfig, spec_constants
 from repro.faults.runner import RunResult, run_application
 from repro.faults.targets import Structure
@@ -39,6 +41,9 @@ from repro.sim.checkpoint import (CheckpointError, CheckpointRecorder,
 from repro.sim.device import RunOptions
 from repro.sim.liveness import LivenessTrace
 from repro.sim.stats import LaunchStats
+
+if TYPE_CHECKING:  # the estimator's package imports this module
+    from repro.plan.estimator import Groups, StratifiedEstimate
 
 
 @dataclass
@@ -230,30 +235,44 @@ class CampaignResult:
     profile: AppProfile
     golden_cycles: int
     records: List[dict]
-    #: counts[kernel][structure][effect] -> number of runs
-    counts: Dict[str, Dict[Structure, Dict[FaultEffect, int]]]
+    #: (kernel, structure value) -> the group's estimate, which every
+    #: ratio and margin below reads (:func:`repro.plan.estimator.fold`)
+    estimates: Groups
+
+    def estimate(self, kernel: str,
+                 structure: Structure) -> StratifiedEstimate:
+        return self.estimates[(kernel, structure.value)]
+
+    @property
+    def counts(self) -> Dict[str, Dict[Structure, Dict[FaultEffect, int]]]:
+        """counts[kernel][structure][effect] -> number of runs"""
+        return _nested_counts(self.estimates)
+
+    def kernels(self) -> List[str]:
+        """The kernels injected, in the order their groups came."""
+        return list(dict.fromkeys(kernel for kernel, _ in self.estimates))
 
     def runs(self, kernel: str, structure: Structure) -> int:
         """Total injections performed on (kernel, structure)."""
-        return sum(self.counts[kernel][structure].values())
+        return self.estimate(kernel, structure).executed()
 
     def failures(self, kernel: str, structure: Structure) -> int:
         """Injections that led to SDC, Crash or Timeout."""
-        return sum(n for effect, n in self.counts[kernel][structure].items()
-                   if effect.is_failure)
+        return sum(stats.failures for stats
+                   in self.estimate(kernel, structure).strata.values())
 
     def failure_ratio(self, kernel: str, structure: Structure) -> float:
         """FR_structure of eq. (1)."""
-        total = self.runs(kernel, structure)
-        return self.failures(kernel, structure) / total if total else 0.0
+        return self.estimate(kernel, structure).failure_ratio()
 
     def effect_ratio(self, kernel: str, structure: Structure,
                      effect: FaultEffect) -> float:
         """Fraction of injections with a given fault effect."""
-        total = self.runs(kernel, structure)
-        if not total:
-            return 0.0
-        return self.counts[kernel][structure].get(effect, 0) / total
+        return self.estimate(kernel, structure).effect_ratio(effect)
+
+    def margin(self, kernel: str, structure: Structure) -> float:
+        """Half-width of the 99% interval of the failure ratio."""
+        return self.estimate(kernel, structure).combined_margin()
 
     def summary(self) -> str:
         """Human-readable per-kernel, per-structure breakdown."""
@@ -288,7 +307,8 @@ class Campaign:
        pool or to a fleet -- into the campaign's ledger
        (:meth:`session`);
     3. :meth:`aggregate` folds the result records into a
-       :class:`CampaignResult`.
+       :class:`CampaignResult`: one estimate per ``(kernel, structure)``
+       (:func:`repro.plan.estimator.fold`).
 
     :meth:`run` chains the three, so existing callers are unchanged.
     Because every run's randomness is keyed on its coordinates, the
@@ -573,16 +593,32 @@ class Campaign:
         with self.session(specs, jobs=jobs, resume=resume) as (_, execute):
             return execute(specs)
 
-    def aggregate(self, records: Sequence[dict]) -> CampaignResult:
-        """Fold run records into the campaign result."""
+    def aggregate(self, records: Sequence[dict],
+                  estimates: Optional[Groups] = None) -> CampaignResult:
+        """Fold run records into the campaign result: into
+        ``estimates`` (an adaptive campaign's, updated in place), else
+        into one stratum per ``(kernel, structure)``."""
         # kernel weights and golden cycles: a planned campaign has
         # them; one handed records loaded from disk finds them where
         # it can (no spec is enumerated or pre-screened either way)
+        from repro.plan.estimator import fold
+
+        cfg = self.config
         golden = self._golden or self.golden_run()
-        return CampaignResult(config=self.config, profile=golden.profile,
+        card = cfg.resolved_card()
+
+        def population(kernel: str, structure: str) -> int:
+            kp = golden.profile.kernels[kernel]
+            windows = (kp.windows if cfg.invocation is None
+                       else [kp.windows[cfg.invocation]])
+            return mask_population(card, Structure(structure),
+                                   kp.regs_per_thread, kp.smem_bytes,
+                                   kp.local_bytes, windows)
+
+        return CampaignResult(config=cfg, profile=golden.profile,
                               golden_cycles=golden.cycles,
                               records=list(records),
-                              counts=aggregate_counts(records))
+                              estimates=fold(records, estimates, population))
 
     def run(self, jobs: int = 1, resume: bool = False) -> CampaignResult:
         """Profile, inject (possibly in parallel), classify, aggregate.
@@ -629,11 +665,15 @@ def _draws(templates: Sequence[RunSpec], coords: Sequence[tuple],
 def aggregate_counts(records: Sequence[dict]
                      ) -> Dict[str, Dict[Structure, Dict[FaultEffect, int]]]:
     """Aggregate raw run records into nested effect counts."""
+    from repro.plan.estimator import fold
+
+    return _nested_counts(fold(records))
+
+
+def _nested_counts(estimates: Groups
+                   ) -> Dict[str, Dict[Structure, Dict[FaultEffect, int]]]:
     counts: Dict[str, Dict[Structure, Dict[FaultEffect, int]]] = {}
-    for record in records:
-        kernel = counts.setdefault(record["kernel"], {})
-        structure = Structure(record["structure"])
-        effects = kernel.setdefault(structure, {})
-        effect = FaultEffect(record["effect"])
-        effects[effect] = effects.get(effect, 0) + 1
+    for (kernel, structure), est in estimates.items():
+        counts.setdefault(kernel, {})[Structure(structure)] = \
+            est.effect_counts()
     return counts

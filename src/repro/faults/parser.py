@@ -88,14 +88,11 @@ def scan_completed_records(path: Union[str, Path]) -> Dict[RunKey, dict]:
     return completed
 
 
-def aggregate_by_model(
-        records: Sequence[dict]
-) -> Dict[str, Dict[str, Dict[Structure, Dict[FaultEffect, int]]]]:
-    """Aggregate run records per fault model.
+def split_by_model(records: Sequence[dict]) -> Dict[str, List[dict]]:
+    """Run records per fault model.
 
-    Returns ``counts[fault_model][kernel][structure][effect]``.
     Records without a ``fault_model`` key (the pre-strategy schema, or
-    any transient campaign -- the default is elided from the log) count
+    any transient campaign -- the default is elided from the log) go
     under ``"transient"``.  Models are ordered alphabetically with
     ``transient`` first, so mixed-model merges render stably.
     """
@@ -104,8 +101,7 @@ def aggregate_by_model(
         by_model.setdefault(
             record.get("fault_model", "transient"), []).append(record)
     ordered = sorted(by_model, key=lambda m: (m != "transient", m))
-    return {model: aggregate_counts(by_model[model])
-            for model in ordered}
+    return {model: by_model[model] for model in ordered}
 
 
 def combine_records(paths: Iterable[Union[str, Path]],
@@ -197,11 +193,3 @@ def count_unapplied(records: Sequence[dict]) -> int:
                 break
     return unapplied
 
-
-def failure_ratio(counts: Dict[FaultEffect, int]) -> float:
-    """FR of eq. (1) from one effect-count dictionary."""
-    total = sum(counts.values())
-    if not total:
-        return 0.0
-    failures = sum(n for effect, n in counts.items() if effect.is_failure)
-    return failures / total

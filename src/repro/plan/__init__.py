@@ -16,8 +16,10 @@ replaces that with a round-based planner that
 
 Entry point: :func:`repro.plan.driver.run_adaptive`, reached via
 ``CampaignConfig.adaptive == "on"`` (``gpufi campaign --adaptive``).
-The default (non-adaptive) path never imports this package and stays
-canonically byte-identical to historic logs.
+The default (non-adaptive) path plans and executes without this
+package, so its logs stay canonically byte-identical to historic ones;
+its results are read through the estimator's one-stratum case
+(:func:`repro.plan.estimator.fold`).
 """
 
 from repro.plan.driver import PlanReport, plan_path_for, run_adaptive

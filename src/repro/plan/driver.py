@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
+from repro.analysis.report import render_table
 from repro.analysis.statistics import required_injections
 from repro.faults.campaign import CampaignResult
-from repro.faults.classify import FaultEffect
 from repro.faults.executor import RunSpec, stamp
 from repro.faults.mask import mask_population
 from repro.plan.estimator import StratifiedEstimate
@@ -140,21 +140,7 @@ class PlanReport:
                 f"({est.executed()} runs vs "
                 f"{self.uniform_runs[(kernel, structure)]} uniform, "
                 f"{saved:+d} saved; {status})")
-            total = est.pool_total
-            for key in sorted(est.strata):
-                s = est.strata[key]
-                weight = s.weight(total)
-                if s.proven_dead:
-                    lines.append(
-                        f"    {key:<10} W={weight:.3f} proven dead "
-                        f"(p=0 in {s.resolved} classified draws, "
-                        f"+/-{s.margin(total, est.population) * 100:.1f}%)")
-                    continue
-                lines.append(
-                    f"    {key:<10} W={weight:.3f} n={s.executed} "
-                    f"p_hat={s.p_hat():.3f} "
-                    f"+/-{s.margin(total, est.population) * 100:.1f}% "
-                    f"w_run={s.weight(total) / s.executed if s.executed else 0:.5f}")
+        lines.append(strata_table(self.groups))
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -182,6 +168,28 @@ class PlanReport:
             "all_met": self.all_met(),
             "groups": groups,
         }
+
+
+def strata_table(groups: Dict[Tuple[str, str], StratifiedEstimate]) -> str:
+    """One row per stratum of each group's estimate: its runs,
+    failures, p_hat (a proven-dead one's classified draws), weight,
+    per-run importance weight and Wilson half-width."""
+    rows = []
+    for (kernel, structure), est in sorted(groups.items()):
+        total = est.pool_total
+        for key in sorted(est.strata):
+            s = est.strata[key]
+            weight = s.weight(total)
+            margin = s.margin(total, est.population, est.confidence)
+            rows.append([
+                kernel, structure, key, s.executed, s.failures,
+                (f"0 in {s.resolved} draws" if s.proven_dead
+                 else f"{s.p_hat():.3f}" if s.executed else "-"),
+                f"{weight:.3f}",
+                f"{weight / s.executed:.5f}" if s.executed else "-",
+                f"+/-{margin * 100:.1f}%"])
+    return render_table(["kernel", "structure", "stratum", "runs",
+                         "failures", "p_hat", "W", "w_run", "margin"], rows)
 
 
 def _classify(card, groups: Dict, specs, drawn: Dict[int, tuple],
@@ -220,21 +228,6 @@ def _extend_pool(campaign, card, group: _Group) -> bool:
               specs, drawn, initial=False)
     group.enumerated = end
     return True
-
-
-def _update_stats(groups: Dict, records) -> None:
-    """Recount per-stratum executed/failure tallies from records
-    (which carry the ``stratum`` their spec was tagged with)."""
-    for group in groups.values():
-        for stats in group.estimate.strata.values():
-            stats.executed = 0
-            stats.failures = 0
-    for record in records:
-        group = groups[(record["kernel"], record["structure"])]
-        stats = group.estimate.stratum(record["stratum"])
-        stats.executed += 1
-        if FaultEffect(record["effect"]).is_failure:
-            stats.failures += 1
 
 
 def _allocate(campaign, card, group: _Group,
@@ -300,8 +293,8 @@ def run_adaptive(campaign, jobs: int = 1,
     """Execute one campaign adaptively; see the module docstring.
 
     Drop-in for :meth:`repro.faults.campaign.Campaign.run`: returns
-    the same :class:`CampaignResult` (aggregated over the records
-    actually executed) and leaves the planner report on
+    the same :class:`CampaignResult`, whose estimates are the groups'
+    stratified ones, and leaves the planner report on
     ``campaign.last_plan``.
     """
     cfg = campaign.config
@@ -334,7 +327,9 @@ def run_adaptive(campaign, jobs: int = 1,
                  f"(dead={dead.candidates if dead else 0}, "
                  f"live={live})")
 
-    records: List[dict] = []
+    # each round's records fold into these, which the next reads
+    estimates = {key: group.estimate for key, group in groups.items()}
+    result = campaign.aggregate([], estimates)
     rounds = 0
     with campaign.session(base_specs, jobs=jobs, resume=resume,
                           adaptive=True) as (ledger, execute):
@@ -351,8 +346,7 @@ def run_adaptive(campaign, jobs: int = 1,
             rounds += 1
             progress(f"adaptive round {rounds}: +{len(allocation)} runs "
                      f"({len(ledger.keys) + len(allocation)} total)")
-            records = execute(allocation)
-            _update_stats(groups, records)
+            result = campaign.aggregate(execute(allocation), estimates)
 
         for group in groups.values():
             # _allocate flags exhaustion before a round's results land;
@@ -365,7 +359,7 @@ def run_adaptive(campaign, jobs: int = 1,
             confidence=0.99,
             rounds=rounds,
             budget_per_group=cfg.runs_per_structure,
-            groups={key: group.estimate for key, group in groups.items()},
+            groups=estimates,
             uniform_runs={
                 key: required_injections(group.estimate.population,
                                          error=cfg.error_target)
@@ -385,4 +379,4 @@ def run_adaptive(campaign, jobs: int = 1,
                         encoding="utf-8")
         progress(f"plan sidecar written to {path}")
 
-    return campaign.aggregate(records)
+    return result

@@ -43,15 +43,21 @@ the dead stratum's half-width is the Wilson interval of 0 failures in
 ``resolved`` draws (initial pool plus extensions): meeting its target
 costs classification work only, never a simulation, and caps how much
 failure mass the unattested weight estimate could hide.
+
+Every FR, effect ratio and margin a campaign reports reads these
+estimates (:func:`fold`).  A uniform campaign is the one-stratum case:
+``W = 1``, ``FR_hat = failures / n`` exactly, and its margin is the
+Wilson half-width of that stratum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.statistics import wilson_halfwidth
+from repro.faults.classify import FaultEffect
 from repro.plan.strata import DEAD_STRATUM
 
 #: A live stratum is never "met" on fewer runs than this, however
@@ -70,9 +76,15 @@ class StratumStats:
     #: Additional candidates found by pool extension (samplable, but
     #: excluded from the weight estimate).
     extra_candidates: int = 0
-    #: Executed runs and observed failures (SDC / Crash / Timeout).
+    #: Executed runs, and how many of them ended in each effect.
     executed: int = 0
-    failures: int = 0
+    counts: Dict[FaultEffect, int] = field(default_factory=dict)
+
+    @property
+    def failures(self) -> int:
+        """Executed runs that ended in SDC, Crash or Timeout."""
+        return sum(n for effect, n in self.counts.items()
+                   if effect.is_failure)
 
     @property
     def proven_dead(self) -> bool:
@@ -95,6 +107,11 @@ class StratumStats:
         if self.proven_dead:
             return 0.0
         return self.failures / self.executed if self.executed else 0.0
+
+    def ratio(self, effect: FaultEffect) -> float:
+        """Share of the executed runs that ended in ``effect``."""
+        return (self.counts.get(effect, 0) / self.executed
+                if self.executed else 0.0)
 
     def margin(self, pool_total: int, population: float,
                confidence: float = 0.99) -> float:
@@ -155,6 +172,21 @@ class StratifiedEstimate:
         total = self.pool_total
         return sum(s.weight(total) * s.p_hat()
                    for s in self.strata.values())
+
+    def effect_ratio(self, effect: FaultEffect) -> float:
+        """``sum_s W_s count_s(e) / n_s``: the estimated share of
+        one effect (Figs. 1, 4 and 5 plot these)."""
+        total = self.pool_total
+        return sum(s.weight(total) * s.ratio(effect)
+                   for s in self.strata.values())
+
+    def effect_counts(self) -> Dict[FaultEffect, int]:
+        """Executed runs by effect, over every stratum."""
+        counts: Dict[FaultEffect, int] = {}
+        for stats in self.strata.values():
+            for effect, n in stats.counts.items():
+                counts[effect] = counts.get(effect, 0) + n
+        return counts
 
     def combined_margin(self) -> float:
         """Half-width of the stratified estimate's interval:
@@ -221,3 +253,39 @@ class StratifiedEstimate:
             "combined_margin": round(self.combined_margin(), 6),
             "strata": strata,
         }
+
+
+#: The stratum of a record that names none: a uniform campaign's.
+UNIFORM_STRATUM = "all"
+
+Groups = Dict[Tuple[str, str], StratifiedEstimate]
+
+
+def fold(records: Iterable[dict], estimates: Optional[Groups] = None,
+         population: Callable[[str, str], float] = (
+             lambda kernel, structure: math.inf)) -> Groups:
+    """Recount the runs and effects of each ``(kernel, structure)``
+    group's strata from ``records`` (a record's ``stratum``, else
+    :data:`UNIFORM_STRATUM`).  A group in ``estimates`` keeps the
+    weights its plan fixed and is updated in place; one missing there
+    is added, of ``population(kernel, structure)``, and weighted by its
+    records -- so a uniform group is one stratum of ``W = 1``.
+    """
+    estimates = {} if estimates is None else estimates
+    planned = set(estimates)
+    for est in estimates.values():
+        for stats in est.strata.values():
+            stats.executed, stats.counts = 0, {}
+    for record in records:
+        key = (record["kernel"], record["structure"])
+        est = estimates.get(key)
+        if est is None:
+            est = estimates[key] = StratifiedEstimate(*key,
+                                                      population(*key))
+        stats = est.stratum(record.get("stratum", UNIFORM_STRATUM))
+        if key not in planned:
+            stats.candidates += 1
+        stats.executed += 1
+        effect = FaultEffect(record["effect"])
+        stats.counts[effect] = stats.counts.get(effect, 0) + 1
+    return estimates

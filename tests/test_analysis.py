@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import avf as avf_mod
 from repro.analysis import fit as fit_mod
-from repro.faults.campaign import (AppProfile, CampaignConfig,
-                                   CampaignResult, KernelProfile)
+from repro.faults.campaign import (AppProfile, Campaign, CampaignConfig,
+                                   GoldenRun, KernelProfile)
 from repro.faults.classify import FaultEffect
 from repro.faults.targets import CHIP_STRUCTURES, Structure, chip_bits
 from repro.sim.cards import rtx_2060
@@ -24,7 +24,8 @@ def kernel_profile(name="k", cycles=1000, regs=16, smem=0,
 
 
 def synthetic_result(kernels, counts, card="RTX2060"):
-    """Build a CampaignResult from hand-written counts."""
+    """The CampaignResult of a uniform campaign whose records hold
+    hand-written counts."""
     profile = AppProfile(
         benchmark="synthetic", card=card,
         total_cycles=sum(k.total_cycles for k in kernels),
@@ -32,9 +33,13 @@ def synthetic_result(kernels, counts, card="RTX2060"):
     config = CampaignConfig(benchmark="synthetic", card=card,
                             structures=tuple(
                                 {s for per in counts.values() for s in per}))
-    return CampaignResult(config=config, profile=profile,
-                          golden_cycles=profile.total_cycles,
-                          records=[], counts=counts)
+    records = [{"kernel": kernel, "structure": structure.value,
+                "effect": effect.value}
+               for kernel, per in counts.items()
+               for structure, effects in per.items()
+               for effect, n in effects.items() for _ in range(n)]
+    golden = GoldenRun(profile, profile.total_cycles)
+    return Campaign(config, golden=golden).aggregate(records)
 
 
 def effects(masked=0, sdc=0, crash=0, timeout=0, perf=0):
@@ -60,6 +65,16 @@ class TestEquationOne:
                                                     crash=10, timeout=5)}})
         assert result.failure_ratio("k", Structure.REGISTER_FILE) == \
             pytest.approx(0.40)
+        # a uniform campaign's ratios are its counts over n, exactly
+        assert result.failure_ratio("k", Structure.REGISTER_FILE) \
+            == (25 + 10 + 5) / 100
+        for effect, count in ((FaultEffect.MASKED, 60),
+                              (FaultEffect.SDC, 25),
+                              (FaultEffect.CRASH, 10),
+                              (FaultEffect.TIMEOUT, 5),
+                              (FaultEffect.PERFORMANCE, 0)):
+            assert result.effect_ratio("k", Structure.REGISTER_FILE,
+                                       effect) == count / 100
 
     def test_performance_not_a_failure(self):
         result = synthetic_result(

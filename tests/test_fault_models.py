@@ -25,7 +25,8 @@ from repro.faults.injector import Injector
 from repro.faults.mask import FaultMask
 from repro.faults.models import (FaultModel, get_model, model_names,
                                  register_model)
-from repro.faults.parser import aggregate_by_model, load_records
+from repro.faults.campaign import aggregate_counts
+from repro.faults.parser import load_records, split_by_model
 from repro.faults.targets import CONTROL_STRUCTURES, Structure, chip_bits
 from repro.sim.cards import get_card
 from repro.sim.device import Device, RunOptions
@@ -250,9 +251,9 @@ class TestStuckAtPersistence:
         records = load_records(tmp_path / "log.jsonl")
         assert len(records) == 6
         assert {r["fault_model"] for r in records} == {"stuck_at_1"}
-        by_model = aggregate_by_model(records)
+        by_model = split_by_model(records)
         assert list(by_model) == ["stuck_at_1"]
-        assert by_model["stuck_at_1"] == result.counts
+        assert aggregate_counts(by_model["stuck_at_1"]) == result.counts
         assert main(["report", str(tmp_path / "log.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "fault model: stuck_at_1" in out
@@ -313,5 +314,5 @@ class TestMixedModelAggregation:
             {"kernel": "k", "structure": "register_file",
              "effect": "Crash", "fault_model": "control"},
         ]
-        assert list(aggregate_by_model(records)) == [
+        assert list(split_by_model(records)) == [
             "transient", "control", "stuck_at_0"]

@@ -198,6 +198,18 @@ def test_a_restart_loads_finished_campaigns_from_their_files(
     assert again.submit(text_of(**UNFINISHED))["campaign"] == unfinished
 
 
+def test_a_finished_campaign_keeps_no_latency_sample(tmp_path):
+    """Its tally's per-run latencies feed only the sidecar, written at
+    close: at the parent one finished here held 256 of them, and one
+    loaded at a restart as many again."""
+    dispatcher = Dispatcher(log_dir=tmp_path)
+    cid = dispatcher.submit(text_of(**INSTANT))["campaign"]
+    revived = Dispatcher(log_dir=tmp_path)
+    for finished in (dispatcher._jobs[cid], revived._jobs[cid]):
+        assert finished.complete and finished.tally.done == 256
+        assert not any(finished.tally.latency.values())
+
+
 def test_a_resubmission_executes_nothing(tmp_path, monkeypatch):
     dispatcher = Dispatcher(log_dir=tmp_path)
     text = text_of(**{**INSTANT, "runs_per_structure": 8})

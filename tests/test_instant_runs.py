@@ -77,8 +77,14 @@ def local_log(config: dict) -> str:
 
 
 def fold(dispatcher: Dispatcher, cid: str) -> Tally:
-    return Tally().apply_all(read_events(events_path_for(
+    """The fold of a campaign's journal, as its dispatcher keeps it: a
+    finished campaign sheds its per-run latencies (only the sidecar,
+    written at close, reads them)."""
+    tally = Tally().apply_all(read_events(events_path_for(
         dispatcher.log_dir / f"{cid}.jsonl")))
+    if dispatcher._jobs[cid].complete:
+        tally.latency.clear()
+    return tally
 
 
 def test_an_all_instant_campaign_is_complete_at_submit(tmp_path):

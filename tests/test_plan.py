@@ -7,8 +7,8 @@ Three guarantees are pinned here:
   sidecar, no drift.
 * The stratified estimator is unbiased (equals the pooled mean under
   uniform allocation; importance weights sum to 1 per stratum).
-* The corrected margin reporting matches the hand-computed Leveugle
-  value exactly on a fixed fixture log.
+* A uniform campaign's margin is the Wilson half-width of its one
+  stratum, matching the hand-computed value on a fixed fixture log.
 """
 
 import json
@@ -17,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.statistics import (observed_margin,
-                                       per_structure_margins,
+from repro.analysis.statistics import (margin_of_error,
                                        required_injections,
                                        wilson_halfwidth, wilson_interval)
 from repro.dist.protocol import canonical_log_text
 from repro.faults.campaign import Campaign, CampaignConfig
+from repro.faults.classify import FaultEffect
 from repro.faults.parser import load_records
 from repro.faults.targets import Structure
 from repro.plan import plan_path_for
@@ -78,9 +78,9 @@ def _estimate(spec, population=10000.0):
     est = StratifiedEstimate(kernel="k", structure="register_file",
                              population=population)
     for key, (candidates, executed, failures) in spec.items():
-        est.strata[key] = StratumStats(key=key, candidates=candidates,
-                                       executed=executed,
-                                       failures=failures)
+        est.strata[key] = StratumStats(
+            key=key, candidates=candidates, executed=executed,
+            counts={FaultEffect.SDC: failures} if failures else {})
     return est
 
 
@@ -229,59 +229,115 @@ class TestAllocation:
 
 
 class TestFixtureMargin:
-    """The corrected margin line vs the hand-computed Leveugle value."""
+    """A uniform campaign's margin: the Wilson half-width of its one
+    stratum, against the hand-computed value."""
 
-    def _tallies(self, structure="register_file"):
-        from repro.faults.classify import FaultEffect
+    #: register_file in the fixture: 15 regs x 32 bits x 438 cycles
+    POPULATION = 15 * 32 * 438
+
+    def _result(self):
         records = load_records(FIXTURE)
-        mine = [r for r in records if r["structure"] == structure]
-        failures = sum(FaultEffect(r["effect"]).is_failure
-                       for r in mine)
-        return records, len(mine), failures
+        return Campaign(make_config(runs_per_structure=12)) \
+            .aggregate(records)
+
+    def _tallies(self, result, structure=Structure.REGISTER_FILE):
+        return (result.runs("vectorAdd", structure),
+                result.failures("vectorAdd", structure))
 
     def test_fixture_margin_exact(self):
-        # register_file in the fixture: 4 runs, 1 Crash; population
-        # 15 regs x 32 bits x 438 cycles = 210,240.  Inverse Leveugle
-        # at the observed p-hat = 1/4:
-        _, n, failures = self._tallies()
+        # register_file in the fixture: 4 runs, 1 Crash.  The 99%
+        # Wilson interval at p-hat = 1/4, finite-population corrected
+        result = self._result()
+        n, failures = self._tallies(result)
         assert (n, failures) == (4, 1)
-        population = 15 * 32 * 438
         z = 2.5758  # 99% two-sided
         p = failures / n
-        fpc = (population - n) / (population - 1)
-        hand = z * math.sqrt(p * (1 - p) * fpc / n)
-        assert observed_margin(n, failures, population=population) == hand
-        assert hand == pytest.approx(0.557673079873576, abs=1e-12)
+        denom = 1 + z * z / n
+        fpc = math.sqrt((self.POPULATION - n) / (self.POPULATION - 1))
+        hand = (z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+                / denom) * fpc
+        assert hand == pytest.approx(0.375899773856797, abs=1e-12)
+        assert result.margin("vectorAdd", Structure.REGISTER_FILE) \
+            == pytest.approx(hand, abs=1e-12)
 
     def test_per_structure_margins_match_fixture(self):
-        records, n, failures = self._tallies()
-        campaign = Campaign(make_config(runs_per_structure=12))
-        result = campaign.aggregate(records)
-        margins = per_structure_margins(result)
-        entry = margins[("vectorAdd", Structure.REGISTER_FILE)]
-        assert entry["runs"] == n
-        assert entry["failures"] == failures
-        assert entry["population"] == 15 * 32 * 438
-        assert entry["margin"] == observed_margin(
-            n, failures, population=entry["population"])
+        # every group is one stratum of weight 1 over its records
+        result = self._result()
+        for structure in (Structure.REGISTER_FILE, Structure.SHARED_MEM,
+                          Structure.L2_CACHE):
+            est = result.estimate("vectorAdd", structure)
+            n, failures = self._tallies(result, structure)
+            assert list(est.strata) == ["all"]
+            assert est.strata["all"].weight(est.pool_total) == 1.0
+            assert result.failure_ratio("vectorAdd", structure) \
+                == failures / n
+            assert result.margin("vectorAdd", structure) == pytest.approx(
+                wilson_halfwidth(failures, n, population=est.population),
+                abs=1e-15)
+        assert result.estimate("vectorAdd", Structure.REGISTER_FILE) \
+            .population == self.POPULATION
 
     def test_margin_uses_observed_rate_not_worst_case(self):
-        # the old line claimed the planning-time p = 0.5 margin; the
-        # corrected one is tighter at the observed p-hat = 1/4
-        from repro.analysis.statistics import margin_of_error
-        _, n, failures = self._tallies()
-        population = 15 * 32 * 438
-        assert observed_margin(n, failures, population=population) \
-            < margin_of_error(n, population=population)
+        # the planning-time p = 0.5 margin is looser than the one the
+        # observed p-hat = 1/4 achieves
+        result = self._result()
+        n, _ = self._tallies(result)
+        assert result.margin("vectorAdd", Structure.REGISTER_FILE) \
+            < margin_of_error(n, population=self.POPULATION)
 
     def test_degenerate_structures_use_wilson_centre(self):
         # shared_mem and l2_cache observe 0 failures in 4 runs; the
-        # margin must not collapse to 0 (Wilson-centre substitution)
-        for structure in ("shared_mem", "l2_cache"):
-            _, n, failures = self._tallies(structure)
-            assert (n, failures) == (4, 0)
-            margin = observed_margin(n, failures, population=10**6)
-            assert 0.0 < margin < 1.0
+        # margin must not collapse to 0 (the Wilson interval does not)
+        result = self._result()
+        for structure in (Structure.SHARED_MEM, Structure.L2_CACHE):
+            assert self._tallies(result, structure) == (4, 0)
+            assert 0.0 < result.margin("vectorAdd", structure) < 1.0
+
+
+class TestOneEstimator:
+    """Every number of an adaptive campaign reads its stratified
+    estimate, so it agrees with the uniform campaign of the same
+    configuration within the latter's margins.  At the parent the
+    adaptive wAVF, FIT and ratios read the allocation-weighted record
+    pool (register-file FR 0.650 vs the uniform 0.140 at n = 200)."""
+
+    CONFIG = dict(structures=(Structure.REGISTER_FILE,
+                              Structure.SHARED_MEM),
+                  runs_per_structure=60, seed=3, early_stop="full")
+
+    def test_adaptive_numbers_lie_within_uniform_margins(self):
+        from repro.analysis import avf, fit
+        from repro.faults.targets import CHIP_STRUCTURES, chip_bits
+
+        uniform = Campaign(make_config(**self.CONFIG)).run()
+        adaptive = Campaign(make_config(adaptive="on", error_target=0.1,
+                                        **self.CONFIG)).run()
+        kernel = "vectorAdd"
+        # the all-dead shared-memory group is reported, with no run
+        assert list(adaptive.estimates) == list(uniform.estimates)
+        assert adaptive.runs(kernel, Structure.SHARED_MEM) == 0
+        # wAVF and FIT are linear in the groups' FRs: bound them by
+        # each coefficient times the uniform group's margin
+        card = uniform.config.resolved_card()
+        kp = uniform.profile.kernels[kernel]
+        total_bits = sum(chip_bits(s, card) for s in CHIP_STRUCTURES)
+        wavf_margin = sum(
+            uniform.profile.kernel_weight(kernel)
+            * avf.derating_factor(kp, structure, card)
+            * chip_bits(structure, card) / total_bits
+            * uniform.margin(kernel, structure)
+            for structure in self.CONFIG["structures"])
+        assert wavf_margin > 0
+        assert abs(avf.weighted_avf(adaptive) - avf.weighted_avf(uniform)) \
+            <= wavf_margin
+        fit_margin = wavf_margin * card.raw_fit_per_bit * total_bits
+        assert abs(fit.chip_fit(adaptive) - fit.chip_fit(uniform)) \
+            <= fit_margin
+        sdc = [result.effect_ratio(kernel, Structure.REGISTER_FILE,
+                                   FaultEffect.SDC)
+               for result in (adaptive, uniform)]
+        assert abs(sdc[0] - sdc[1]) \
+            <= uniform.margin(kernel, Structure.REGISTER_FILE)
 
 
 class TestAdaptiveOffParity:
