@@ -60,7 +60,11 @@ def get_campaign(benchmark: str, card: str, bits: int = 1,
     if key not in _campaigns:
         import zlib
 
-        seed = zlib.crc32(repr(key).encode()) & 0x7FFFFFFF
+        # keyed without the fault model, so a model that shares
+        # another's masks (``seed_model``) runs over the same faults
+        seed_key = (benchmark, card, bits, structures, tuple(sorted(
+            (k, v) for k, v in extra.items() if k != "fault_model")))
+        seed = zlib.crc32(repr(seed_key).encode()) & 0x7FFFFFFF
         config = CampaignConfig(
             benchmark=benchmark, card=card, structures=structures,
             runs_per_structure=RUNS, bits_per_fault=bits,

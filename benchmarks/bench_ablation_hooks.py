@@ -3,10 +3,11 @@
 Our caches hold real data, so the default mode flips the targeted bit
 in the line immediately; gpuFI-4 (on GPGPU-Sim's tag-only caches) had
 to defer the flip to the next read access via hooks.  The two are
-architecturally equivalent for read-observed faults; hook mode can
-only mask *more* (a write hit or eviction between injection and the
-next read kills the hook before it fires, and tag faults never apply
-at all on lines that are not read again).
+architecturally equivalent for read-observed faults; hooks (the
+``cache_hook`` fault model) can only mask *more* (a write hit or
+eviction between injection and the next read kills the hook before it
+fires, and tag faults never apply at all on lines that are not read
+again).
 """
 
 import pytest
@@ -24,7 +25,7 @@ def collect():
     for name in _WORKLOADS:
         direct = get_campaign(name, "RTX2060", structures=_STRUCTURES)
         hooked = get_campaign(name, "RTX2060", structures=_STRUCTURES,
-                              cache_hook_mode=True)
+                              fault_model="cache_hook")
         for structure in _STRUCTURES:
             d_fail = sum(direct.failures(k, structure)
                          for k in direct.counts)

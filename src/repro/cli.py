@@ -421,7 +421,8 @@ def _planned(log_paths) -> dict:
     stratum weights their plan fixed and no run folded in."""
     import json
 
-    from repro.plan import StratifiedEstimate, StratumStats, plan_path_for
+    from repro.plan.driver import plan_path_for
+    from repro.plan.estimator import StratifiedEstimate, StratumStats
 
     estimates = {}
     for log in log_paths:

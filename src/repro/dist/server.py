@@ -692,12 +692,15 @@ class Dispatcher:
             number = re.match(r"c(\d+)$", cid)
             if number:
                 self._id_seq = max(self._id_seq, int(number.group(1)))
-            finished = FinishedCampaign.load(cid, doc,
-                                             self.log_dir / f"{cid}.jsonl")
-            if finished is not None:
-                self._jobs[cid] = finished
-            elif self.submit(doc["config"], campaign_id=cid)["reused"]:
-                continue
+            try:
+                finished = FinishedCampaign.load(
+                    cid, doc, self.log_dir / f"{cid}.jsonl")
+                if finished is not None:
+                    self._jobs[cid] = finished
+                elif self.submit(doc["config"], campaign_id=cid)["reused"]:
+                    continue
+            except ValueError as exc:  # a config or log this code refuses
+                raise ValueError(f"cannot restore {path}: {exc}") from exc
             log.info("restored campaign %s from %s", cid, path)
 
 

@@ -455,8 +455,7 @@ class Campaign:
         liveness = (self._golden or self.golden_run()).liveness
         if liveness is None or not cfg.resolved_model().prescreen_safe:
             return None
-        return Prescreener(liveness, cfg.resolved_card(),
-                           cache_hook_mode=cfg.cache_hook_mode)
+        return Prescreener(liveness, cfg.resolved_card())
 
     def plan(self) -> List[RunSpec]:
         """Enumerate every injection run of the campaign.
@@ -482,10 +481,6 @@ class Campaign:
             raise PlanError(
                 f"early_stop must be one of {EARLY_STOP_MODES}, "
                 f"got {cfg.early_stop!r}")
-        try:
-            cfg.resolved_model().check_cache_hooks(cfg.cache_hook_mode)
-        except ValueError as exc:
-            raise PlanError(exc) from None
         traced = cfg.early_stop == "full"
         golden = self.golden_run(traced)
         checkpoint_key = self._fingerprint() if cfg.checkpoint_dir else None
@@ -538,7 +533,7 @@ class Campaign:
         seeds = derive_run_seeds(cfg.seed, [
             (template.kernel, template.structure, i)
             for template, group in zip(templates, runs) for i in group],
-            cfg.fault_model)
+            cfg.resolved_model().seed_model)
         drawn, verdicts = {}, {}
         for n, mask, verdict in (_draws(templates, coords, seeds, prescreener)
                                  if prescreener or hand_over else ()):

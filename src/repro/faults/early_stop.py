@@ -47,7 +47,7 @@ Soundness notes for the pre-screen verdicts:
   valid lines.  Flips into invalid lines are architecturally masked
   (the paper's own observation): invalid tags are never compared and
   the next fill rewrites tag and data.
-- In hook mode (deferred injection), writebacks and peeks are
+- Under ``cache_hook`` (deferred injection), writebacks and peeks are
   transparent -- the armed flips are not yet in the line data -- while
   a write hit, refill or invalidation drops the hook entirely.
 """
@@ -280,10 +280,9 @@ class Prescreener:
     site, and returns what it found as a :class:`Verdict`.
     """
 
-    def __init__(self, trace, card, cache_hook_mode: bool = False):
+    def __init__(self, trace, card):
         self.trace = trace
         self.card = card
-        self.cache_hook_mode = cache_hook_mode
         # the trace as GoldenState asks it: each live set once per cycle,
         # shared read-only (kept here: a kept trace equals its pickle)
         self._asked = SimpleNamespace(
@@ -303,7 +302,7 @@ class Prescreener:
         structure = mask.structure
         sites = resolve(mask, GoldenState(
             self._asked, mask.cycle, self.card, regs_per_thread, smem_bytes,
-            local_bytes), self.cache_hook_mode, rng)
+            local_bytes), rng)
         if sites is None:
             return Verdict()  # control units: never pre-screened
         if isinstance(sites, str):

@@ -98,7 +98,6 @@ class RunSpec:
     n_blocks: int = DEFAULTS["n_blocks"]
     n_cores: int = DEFAULTS["n_cores"]
     scheduler_policy: str = DEFAULTS["scheduler_policy"]
-    cache_hook_mode: bool = DEFAULTS["cache_hook_mode"]
     model_icache: bool = DEFAULTS["model_icache"]
     #: The kernel allocates none of the target structure: the fault
     #: lands in unallocated space and is masked by construction, no
@@ -307,8 +306,7 @@ class ResolvedRun:
                 self.witnesses, self.checkpoints.golden()["host_reads"],
                 spec.golden_cycles, terminate=self.stops_early,
                 observer=tracer)
-        return {"injector": Injector([self.mask], spec.cache_hook_mode,
-                                     tracer=tracer),
+        return {"injector": Injector([self.mask], tracer=tracer),
                 "convergence": monitor}
 
 

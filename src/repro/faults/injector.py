@@ -43,11 +43,9 @@ class Injector:
     """Applies a list of :class:`FaultMask` at their due cycles.
 
     ``faults`` is the mask list; each mask names its own
-    :class:`~repro.faults.models.FaultModel` (``mask.fault_model``).
-    ``cache_hook_mode`` switches cache injections from direct bit
-    flips to the paper's deferred hook mechanism (see
-    :meth:`repro.sim.cache.Cache.arm_hook`); hooks encode one-shot flip semantics,
-    so persistent models reject the combination.
+    :class:`~repro.faults.models.FaultModel` (``mask.fault_model``),
+    which also says whether a cache fault flips its bits at once or is
+    armed as the paper's deferred hook (``Cache.arm_hook``).
 
     ``column`` is the column of the runs axis (see
     :mod:`repro.sim.warp`) whose registers, local and shared memory
@@ -60,15 +58,11 @@ class Injector:
     """
 
     def __init__(self, faults: Optional[Sequence[FaultMask]] = None,
-                 cache_hook_mode: bool = False, column: int = 0,
-                 tracer=None):
+                 column: int = 0, tracer=None):
         self.masks: List[FaultMask] = sorted(faults or (),
                                              key=lambda m: m.cycle)
-        self.cache_hook_mode = cache_hook_mode
         self.column = column
         self.tracer = tracer
-        for mask in self.masks:
-            get_model(mask.fault_model).check_cache_hooks(cache_hook_mode)
         self._next = 0
         #: One log record per applied mask (see campaign JSONL schema).
         self.log: List[dict] = []
@@ -113,7 +107,7 @@ class Injector:
 
     def _apply(self, gpu, mask: FaultMask, now: int) -> dict:
         model = get_model(mask.fault_model)
-        sites = resolve(mask, LiveState(gpu), self.cache_hook_mode)
+        sites = resolve(mask, LiveState(gpu))
         if isinstance(sites, str):
             return {"target": "none", "reason": sites}
         self.sites = sites

@@ -30,6 +30,9 @@ Built-in models:
     scoreboard (``Structure.SIMT_STACK`` / ``Structure.SCOREBOARD``),
     the parallelism-management state Guerrero-Balaguera et al. show
     behaves qualitatively unlike storage flips.
+``cache_hook``
+    ``transient``, but a cache fault is armed on its line and applies at
+    the line's next read hit: the paper's hooks (``Cache.arm_hook``).
 
 Registering a custom model::
 
@@ -78,16 +81,17 @@ class FaultModel:
     #: *live* for a stuck-at (the overwrite is re-corrupted).
     prescreen_safe: bool = True
 
-    #: Whether the paper's deferred cache-hook mechanism composes with
-    #: this model (hooks encode one-shot flip semantics).
-    supports_cache_hooks: bool = True
+    #: How a cache fault lands: ``"flip"`` changes the line's bits at
+    #: the fault cycle, ``"hook"`` arms them for its next read hit.
+    cache_mode: str = "flip"
 
-    def check_cache_hooks(self, cache_hook_mode: bool) -> None:
-        """Reject ``cache_hook_mode`` under a model it does not fit."""
-        if cache_hook_mode and not self.supports_cache_hooks:
-            raise ValueError(
-                f"fault model {self.name!r} does not support "
-                "cache_hook_mode (hooks encode one-shot flip semantics)")
+    #: Cache bit operation: ``"xor"``, ``"set"`` or ``"clear"``.
+    cache_op: str = "xor"
+
+    @property
+    def seed_model(self) -> str:
+        """The name its runs' seeds are keyed on (``derive_run_seeds``)."""
+        return self.name
 
     def apply_word(self, value, bits):
         """Corrupt ``value`` at the positions set in ``bits``.
@@ -100,11 +104,6 @@ class FaultModel:
     def apply_bool(self, value: bool) -> bool:
         """Corrupt one single-bit (boolean) cell."""
         raise NotImplementedError
-
-    @property
-    def cache_op(self) -> str:
-        """Cache bit operation: ``"xor"``, ``"set"`` or ``"clear"``."""
-        return "xor"
 
     def default_structures(self, config) -> Optional[Tuple[Structure, ...]]:
         """Structures a campaign of this model targets when the user
@@ -130,17 +129,13 @@ class StuckAt0Model(FaultModel):
     name = "stuck_at_0"
     persistent = True
     prescreen_safe = False
-    supports_cache_hooks = False
+    cache_op = "clear"
 
     def apply_word(self, value, bits):
         return value & ~bits
 
     def apply_bool(self, value: bool) -> bool:
         return False
-
-    @property
-    def cache_op(self) -> str:
-        return "clear"
 
 
 class StuckAt1Model(FaultModel):
@@ -149,17 +144,13 @@ class StuckAt1Model(FaultModel):
     name = "stuck_at_1"
     persistent = True
     prescreen_safe = False
-    supports_cache_hooks = False
+    cache_op = "set"
 
     def apply_word(self, value, bits):
         return value | bits
 
     def apply_bool(self, value: bool) -> bool:
         return True
-
-    @property
-    def cache_op(self) -> str:
-        return "set"
 
 
 class ControlModel(TransientModel):
@@ -174,6 +165,16 @@ class ControlModel(TransientModel):
 
     def default_structures(self, config) -> Tuple[Structure, ...]:
         return CONTROL_STRUCTURES
+
+
+class CacheHookModel(TransientModel):
+    """Transient flips whose cache faults land through deferred hooks.
+    Its campaigns draw a ``transient`` one's masks (the same seeds): the
+    paper's ablation compares the two mechanisms run for run."""
+
+    name = "cache_hook"
+    cache_mode = "hook"
+    seed_model = "transient"
 
 
 _REGISTRY: Dict[str, FaultModel] = {}
@@ -210,3 +211,4 @@ register_model(TransientModel())
 register_model(StuckAt0Model())
 register_model(StuckAt1Model())
 register_model(ControlModel())
+register_model(CacheHookModel())

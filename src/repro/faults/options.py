@@ -112,9 +112,9 @@ class CampaignConfig:
         "transient", group="campaign", flag="--fault-model",
         key="fault_model", metavar="MODEL", identity=True, spec=True,
         help="named fault model: transient (default, the paper's bit "
-             "flip), stuck_at_0 / stuck_at_1 (persistent), control "
-             "(targets the SIMT control units), or any registered "
-             "custom model")
+             "flip), cache_hook (its cache flips are the paper's hooks), "
+             "stuck_at_0 / stuck_at_1 (persistent), control (the SIMT "
+             "control units), or any registered custom model")
     runs_per_structure: int = _option(
         100, group="campaign", flag="--runs", key="runs", identity=True)
     bits_per_fault: int = _option(
@@ -148,11 +148,6 @@ class CampaignConfig:
     scheduler_policy: str = _option(
         "gto", group="card", flag="--scheduler", key="scheduler",
         choices=("gto", "lrr"), identity=True, spec=True)
-    #: Use the paper's deferred hook mechanism for cache injections
-    #: instead of direct in-line bit flips.
-    cache_hook_mode: bool = _option(
-        False, group="campaign", flag="--cache-hook-mode",
-        key="cache_hook_mode", identity=True, spec=True)
     #: Model the L1 instruction cache (extension): enables
     #: ``Structure.L1I_CACHE`` injection and adds fetch timing.
     model_icache: bool = _option(

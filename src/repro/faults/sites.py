@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.faults.mask import FaultMask
+from repro.faults.models import get_model
 from repro.faults.targets import Structure, entry_count
 
 #: Per kind, the coordinates of a site's propagation record, in order;
@@ -191,7 +192,7 @@ def _sample(rng: np.random.Generator, items: list, count: int) -> list:
     return [items[int(pick)] for pick in picks]
 
 
-def resolve(mask: FaultMask, population, hook_mode: bool = False,
+def resolve(mask: FaultMask, population,
             rng: Optional[np.random.Generator] = None
             ) -> Union[Tuple[Site, ...], str, None]:
     """The sites ``mask`` lands on in ``population``.
@@ -217,7 +218,7 @@ def resolve(mask: FaultMask, population, hook_mode: bool = False,
             if not cores:
                 return "no busy core"
         line = mask.entry_index % geometry.num_lines
-        mode = "hook" if hook_mode else "flip"
+        mode = get_model(mask.fault_model).cache_mode
         sites = []
         for core in cores:
             name, valid, cache = population.line(s, core, line)

@@ -19,19 +19,6 @@ Entry point: :func:`repro.plan.driver.run_adaptive`, reached via
 The default (non-adaptive) path plans and executes without this
 package, so its logs stay canonically byte-identical to historic ones;
 its results are read through the estimator's one-stratum case
-(:func:`repro.plan.estimator.fold`).
+(:func:`repro.plan.estimator.fold`).  The package re-exports nothing,
+so that fold does not load the driver.
 """
-
-from repro.plan.driver import PlanReport, plan_path_for, run_adaptive
-from repro.plan.estimator import StratifiedEstimate, StratumStats
-from repro.plan.strata import DEAD_STRATUM, stratum_of
-
-__all__ = [
-    "DEAD_STRATUM",
-    "PlanReport",
-    "StratifiedEstimate",
-    "StratumStats",
-    "plan_path_for",
-    "run_adaptive",
-    "stratum_of",
-]

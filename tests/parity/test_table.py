@@ -55,7 +55,7 @@ ROWS = [
           after=(f"smoke-{name}-full",) if stop == "off" else (),
           checks=(Checks.sites,) if stop == "off" else ())
       for name, app, variant in (
-          ("hook", "--benchmark pathfinder", "--cache-hook-mode"),
+          ("hook", "--benchmark pathfinder", "--fault-model cache_hook"),
           ("blocks2", "", "--config {blocks2}"))
       for stop in ("full", "off")),
     Row("smoke-solo", VA85, "--early-stop off", Session.jobs2),

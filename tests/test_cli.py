@@ -59,9 +59,7 @@ class TestCampaign:
         (["--kernels", "nope"],
          "vectoradd has no kernel nope; its kernels are vectorAdd"),
         (["--invocation", "7"],
-         "kernel vectorAdd has 1 invocation(s); index 7 out of range"),
-        (["--fault-model", "stuck_at_0", "--cache-hook-mode"],
-         "fault model 'stuck_at_0' does not support cache_hook_mode")])
+         "kernel vectorAdd has 1 invocation(s); index 7 out of range")])
     def test_a_plan_error_is_one_line(self, tmp_path, flags, message):
         log = tmp_path / "log.jsonl"
         with pytest.raises(SystemExit) as exited:

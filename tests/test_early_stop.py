@@ -43,7 +43,8 @@ def run_campaign(tmp_path, benchmark, structures, early_stop, runs=8,
         checkpoint_dir=(tmp_path / f"ckpt_{early_stop}"
                         if checkpoints else None),
         checkpoint_interval=interval,
-        cache_hook_mode=hook, early_stop=early_stop)
+        fault_model="cache_hook" if hook else "transient",
+        early_stop=early_stop)
     return Campaign(cfg).run(jobs=jobs)
 
 

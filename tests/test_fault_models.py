@@ -21,6 +21,7 @@ from repro.cli import main
 from repro.faults import models as models_mod
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.config_file import dump_config, parse_config_text
+from repro.faults.executor import regenerate_mask
 from repro.faults.injector import Injector
 from repro.faults.mask import FaultMask
 from repro.faults.models import (FaultModel, get_model, model_names,
@@ -77,7 +78,7 @@ def run_overwrite(model, bits=(0, 2)):
 class TestRegistry:
     def test_builtin_models_registered(self):
         assert {"transient", "stuck_at_0", "stuck_at_1",
-                "control"} <= set(model_names())
+                "control", "cache_hook"} <= set(model_names())
 
     def test_unknown_model_lists_registered(self):
         with pytest.raises(ValueError, match="unknown fault model 'nope'"):
@@ -104,6 +105,21 @@ class TestRegistry:
         assert get_model("stuck_at_0").cache_op == "clear"
         assert get_model("stuck_at_1").cache_op == "set"
         assert get_model("transient").cache_op == "xor"
+        assert get_model("cache_hook").cache_op == "xor"
+        assert {name: get_model(name).cache_mode for name in model_names()
+                } == {**dict.fromkeys(model_names(), "flip"),
+                      "cache_hook": "hook"}
+
+    def test_a_hook_campaign_draws_the_transient_masks(self):
+        # the paper's ablation compares the two mechanisms run for run
+        plans = [Campaign(small_campaign(
+            structures=(Structure.REGISTER_FILE, Structure.L2_CACHE),
+            runs_per_structure=4, fault_model=name)).plan()
+            for name in ("transient", "cache_hook")]
+        transient, hook = ([regenerate_mask(spec).to_dict() for spec in plan]
+                           for plan in plans)
+        assert [dict(mask, fault_model="cache_hook")
+                for mask in transient] == list(hook)
 
 
 class TestGoldenByteIdentity:
@@ -235,13 +251,6 @@ class TestStuckAtPersistence:
         stuck = Campaign(small_campaign(fault_model="stuck_at_0",
                                         **base)).plan()
         assert not any(s.prescreened for s in stuck)
-
-    def test_cache_hook_mode_rejected_for_persistent(self):
-        cfg = small_campaign(fault_model="stuck_at_1",
-                             structures=(Structure.L2_CACHE,),
-                             cache_hook_mode=True)
-        with pytest.raises(ValueError, match="cache_hook_mode"):
-            Campaign(cfg).plan()
 
     def test_end_to_end_with_report_breakdown(self, tmp_path, capsys):
         cfg = small_campaign(tmp_path, fault_model="stuck_at_1",

@@ -176,8 +176,8 @@ class TestCacheInjection:
         assert injector.log[0]["flips"][0]["field"] == "tag"
 
     def test_hook_mode_defers(self):
-        injector = Injector([mask_for(Structure.L2_CACHE, bits=(100,))],
-                            cache_hook_mode=True)
+        injector = Injector([mask_for(Structure.L2_CACHE, bits=(100,),
+                                      fault_model="cache_hook")])
         dev = Device("RTX2060", RunOptions(injector=injector))
         out = dev.malloc(4 * 32)
         dev.launch(SPIN, grid=1, block=32, params=[out])

@@ -10,6 +10,7 @@ and events are read back from its files.  Defended here:
   run, no ``campaign_resume`` ... ``campaign_end`` bracket -- and
   answers for them as before it, while an unfinished one resumes;
 - a resubmitted campaign executes nothing;
+- a persisted campaign this code cannot read names its file;
 - a fleet worker does not import the dispatcher's HTTP server.
 """
 
@@ -22,6 +23,8 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import repro.dist.server as server_module
 from repro.dist.protocol import spec_from_wire
@@ -218,6 +221,19 @@ def test_a_resubmission_executes_nothing(tmp_path, monkeypatch):
     again = dispatcher.submit(text)
     assert again == {**first, "reused": True}
     assert (spies.plans, spies.runs) == (1, 0)
+
+
+def test_a_config_this_code_refuses_names_its_file(tmp_path):
+    # what every dispatcher persisted while hooks were a campaign switch
+    text = text_of(**INSTANT).replace(
+        "-gpufi_model_icache", "-gpufi_cache_hook_mode 0\n-gpufi_model_icache")
+    (tmp_path / "c1.campaign.json").write_text(json.dumps(
+        {"id": "c1", "config": text, "fingerprint": "0" * 64}))
+    with pytest.raises(ValueError) as refused:
+        Dispatcher(log_dir=tmp_path)
+    assert str(refused.value).startswith(
+        f"cannot restore {tmp_path / 'c1.campaign.json'}: "
+        "unknown gpufi options: ['cache_hook_mode']")
 
 
 def test_a_worker_imports_no_server():

@@ -235,14 +235,13 @@ class Watchers(Probe):
             mask = self.mask(structure, now, bits=(
                 int(self.rng.integers(0, 32))
                 + (self.tag_bits if structure.is_cache else 0),))
-            hook = bool(self.rng.integers(0, 2))
-            sites = resolve(mask, LiveState(gpu), hook)
+            sites = resolve(mask, LiveState(gpu))
             if isinstance(sites, str):
                 continue
             tracer = PropagationTracer(now, max_events=1 << 30)
             for site in sites:
                 tracer.watch(site, gpu=gpu)
-            self.resolved.append((mask, hook, tracer))
+            self.resolved.append((mask, tracer))
 
 
 #: What only a simulation knows of a site's record.
@@ -270,14 +269,14 @@ def test_a_site_judged_dead_is_closed_by_its_tracer_with_that_fate(name):
         name, card, result.device.launches).kernels.values()
     result.device.gpu.release()
 
-    judges = {hook: Prescreener(trace, card, hook) for hook in (False, True)}
+    judge = Prescreener(trace, card)
     fates = Counter()
-    for mask, hook, tracer in probe.resolved:
+    for mask, tracer in probe.resolved:
         kp = next(kp for kp in kernels
                   if any(start <= mask.cycle < end
                          for start, end in kp.windows))
-        verdict = judges[hook].evaluate(mask, kp.regs_per_thread,
-                                        kp.smem_bytes, kp.local_bytes)
+        verdict = judge.evaluate(mask, kp.regs_per_thread,
+                                 kp.smem_bytes, kp.local_bytes)
         watched = tracer.finalize()["sites"]
         assert len(watched) == len(verdict.sites), mask
         for site, fate, seen in zip(verdict.sites, verdict.fates, watched):

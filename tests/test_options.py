@@ -35,12 +35,13 @@ from repro.sim.cards import CARDS
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: The 26 ``-gpufi_*`` keys config files have always accepted.
+#: The 25 ``-gpufi_*`` keys config files accept (a 26th,
+#: ``cache_hook_mode``, is refused: it became the ``cache_hook`` model).
 KEYS = {
     "benchmark", "card", "components", "fault_model", "runs",
     "bits_per_fault", "multibit_mode", "warp_level", "blocks", "cores",
-    "kernels", "invocation", "seed", "scheduler", "cache_hook_mode",
-    "model_icache", "log", "early_stop", "metrics", "propagation",
+    "kernels", "invocation", "seed", "scheduler", "model_icache", "log",
+    "early_stop", "metrics", "propagation",
     "run_timeout", "backend", "backend_url", "batch", "adaptive",
     "error_target",
 }
@@ -77,7 +78,7 @@ def meta(name):
 
 class TestTable:
     def test_every_field_is_a_declared_option(self):
-        assert len(OPTIONS) == 30
+        assert len(OPTIONS) == 29
         for name, option in OPTIONS.items():
             assert option.metadata, f"{name} is not declared with _option"
             assert meta(name)["group"] in (
@@ -86,7 +87,7 @@ class TestTable:
     def test_flags_and_keys_are_unique(self):
         flags = [meta(n)["flag"] for n in OPTIONS if meta(n)["flag"]]
         keys = [meta(n)["key"] for n in OPTIONS if meta(n)["key"]]
-        assert len(flags) == len(set(flags)) == 28
+        assert len(flags) == len(set(flags)) == 27
         assert len(keys) == len(set(keys))
         assert set(keys) == KEYS
 
@@ -145,7 +146,6 @@ def configs(draw, flagged_only=False):
         invocation=draw(st.none() | st.integers(0, 9)),
         seed=draw(st.integers(0, 2 ** 63)),
         scheduler_policy=draw(st.sampled_from(["gto", "lrr"])),
-        cache_hook_mode=draw(st.booleans()),
         model_icache=draw(st.booleans()),
         early_stop=draw(st.sampled_from(["off", "converge", "full"])),
         metrics=draw(st.booleans()),
@@ -239,6 +239,11 @@ class TestRoundTrip:
                 "-gpufi_batch 4\n"
                 "-gpufi_adaptive 1\n"
                 "-gpufi_error_target 0.05\n")
+        # the hook switch is a fault model now: its key is refused by
+        # name, and the rest parses as it always did
+        with pytest.raises(ValueError, match=r"\['cache_hook_mode'\]"):
+            parse_config_text(text)
+        text = text.replace("-gpufi_cache_hook_mode 0\n", "")
         assert parse_config_text(text) == CampaignConfig(
             benchmark="pathfinder", card="QuadroGV100",
             structures=(Structure.REGISTER_FILE, Structure.L2_CACHE),
@@ -258,7 +263,7 @@ class TestRoundTrip:
             "-gpufi_bits_per_fault 1\n-gpufi_multibit_mode same_entry\n"
             "-gpufi_warp_level 0\n-gpufi_blocks 1\n-gpufi_cores 1\n"
             "-gpufi_seed 0\n-gpufi_scheduler gto\n"
-            "-gpufi_cache_hook_mode 0\n-gpufi_model_icache 0\n"
+            "-gpufi_model_icache 0\n"
             "-gpufi_early_stop full\n-gpufi_metrics 0\n"
             "-gpufi_propagation 0\n")
 
@@ -338,15 +343,16 @@ RF_L2 = (Structure.REGISTER_FILE, Structure.L2_CACHE)
 
 
 class TestPinnedIdentity:
-    """Computed at PR 17; every log header and persisted dispatcher
-    campaign out there carries fingerprints made this way."""
+    """Every log header and persisted dispatcher campaign out there
+    carries fingerprints made this way: a change to them makes a
+    resume refuse every older log."""
 
     def test_default_path(self):
         config = CampaignConfig("vectoradd", "RTX2060", structures=RF_L2,
                                 runs_per_structure=3, seed=7)
         assert plan_fingerprint(Campaign(config).plan()) == (
-            "8c3296c5bd2f8249e665f24f09c281bf"
-            "8707b092af6e7904ba71c546b6ddc5ef")
+            "c535002a4388c6b84772f52171188b44"
+            "d40c9b90ddd01077b018ae25d5d681b0")
 
     def test_non_default_identity_fields(self):
         config = CampaignConfig(
@@ -354,8 +360,8 @@ class TestPinnedIdentity:
             runs_per_structure=3, seed=7, fault_model="stuck_at_1",
             bits_per_fault=3, scheduler_policy="lrr", early_stop="off")
         assert plan_fingerprint(Campaign(config).plan()) == (
-            "df949874802f1edc5b24a5c270164bc1"
-            "376bc472b08c56df0b637024782c6858")
+            "7006cbfccbfe8139fbd9341ed89647a2"
+            "f7acb3be2e56862ccdcbf0dbdc2c1865")
 
 
 def plan_content(specs):
@@ -401,7 +407,7 @@ ALTERNATES = {
     "multibit_mode": MultiBitMode.ADJACENT, "warp_level": True,
     "n_blocks": 2, "n_cores": 2, "kernels": ("dynproc_kernel",),
     "invocation": 2, "seed": 8, "scheduler_policy": "lrr",
-    "cache_hook_mode": True, "model_icache": True, "early_stop": "full",
+    "model_icache": True, "early_stop": "full",
     "metrics": True, "propagation": True, "run_timeout": 5.0,
     "adaptive": "on", "error_target": 0.05, "log_path": "log.jsonl",
     "checkpoint_dir": "ckpt", "checkpoint_interval": 400,

@@ -13,6 +13,9 @@ Three guarantees are pinned here:
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,11 +28,11 @@ from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.classify import FaultEffect
 from repro.faults.parser import load_records
 from repro.faults.targets import Structure
-from repro.plan import plan_path_for
-from repro.plan.driver import _allocate, _Group
+from repro.plan.driver import _allocate, _Group, plan_path_for
 from repro.plan.estimator import (MIN_STRATUM_RUNS, StratifiedEstimate,
                                   StratumStats)
 
+REPO = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).parent / "data" / "golden_transient_vectoradd.jsonl"
 
 
@@ -362,6 +365,24 @@ class TestAdaptiveOffParity:
         records = load_records(log)
         assert records and all("stratum" not in r for r in records)
         assert not plan_path_for(log).exists()
+
+    def test_a_uniform_aggregate_loads_no_planner(self):
+        # a fresh interpreter: a package that re-exported the driver's
+        # names would load it with the estimator
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from repro.faults.campaign import Campaign, CampaignConfig\n"
+             "from repro.faults.targets import Structure\n"
+             "campaign = Campaign(CampaignConfig('vectoradd', 'RTX2060', "
+             "structures=(Structure.REGISTER_FILE,), runs_per_structure=2))\n"
+             "campaign.aggregate(campaign.execute(campaign.plan()))\n"
+             "print(*sorted(m for m in sys.modules if m.startswith("
+             "'repro.plan')))"],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
+        assert loaded.split() == [
+            "repro.plan", "repro.plan.estimator", "repro.plan.strata"]
 
 
 class TestAdaptiveDriver:

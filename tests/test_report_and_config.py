@@ -67,7 +67,7 @@ class TestConfigFile:
             -gpufi_kernels Fan1,Fan2
             -gpufi_seed 99
             -gpufi_scheduler lrr
-            -gpufi_cache_hook_mode true
+            -gpufi_fault_model cache_hook
             -gpufi_log /tmp/x.jsonl
         """
         config = parse_config_text(text)
@@ -76,7 +76,7 @@ class TestConfigFile:
         assert config.runs_per_structure == 250
         assert config.bits_per_fault == 3
         assert config.multibit_mode is MultiBitMode.ADJACENT
-        assert config.warp_level and config.cache_hook_mode
+        assert config.warp_level and config.fault_model == "cache_hook"
         assert config.kernels == ("Fan1", "Fan2")
         assert config.scheduler_policy == "lrr"
 

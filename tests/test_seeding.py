@@ -7,7 +7,8 @@ start their streams, the size-1 draws must leave a stream where
 ``choice(n, size=1, replace=False)`` leaves it, and a plan must equal
 a per-spec loop over the scalar paths.  A plan stamps its specs
 (:func:`~repro.faults.executor.stamp`): each must be the spec
-``RunSpec(...)`` builds, to the pickled byte.
+``RunSpec(...)`` builds, to the pickled byte; the masks it keeps are
+keyed on every spec field a mask is drawn from.
 """
 
 import collections
@@ -135,7 +136,7 @@ def test_a_one_bit_offset_is_choices_draw(n, monkeypatch):
 PLANS = [
     dict(benchmark="pathfinder", bits_per_fault=3),
     dict(benchmark="pathfinder", n_cores=2, n_blocks=2, propagation=True),
-    dict(benchmark="backprop", warp_level=True, cache_hook_mode=True),
+    dict(benchmark="backprop", warp_level=True, fault_model="cache_hook"),
     dict(benchmark="gaussian", invocation=0, propagation=True),
     dict(benchmark="vectoradd", fault_model="stuck_at_1"),
     dict(benchmark="scalarprod", early_stop="off", seed=2**70 + 1),
@@ -177,7 +178,7 @@ def test_a_plan_is_its_per_spec_loop(overrides):
     for spec in specs:
         assert spec.seed == derive_run_seed(
             config.seed, spec.kernel, spec.structure, spec.run_index,
-            config.fault_model)
+            config.resolved_model().seed_model)
         reason, site = None, ""
         if prescreener is not None and not spec.synthesized:
             mask = regenerate_mask(spec)
@@ -231,6 +232,58 @@ def test_a_stamp_names_every_field_and_only_fields():
 def test_a_spec_has_nothing_init_would_run_after_the_fields():
     # stamp() skips __init__: a __post_init__ would be skipped with it
     assert not hasattr(RunSpec, "__post_init__")
+
+
+def _other_model(name):
+    return "cache_hook" if name != "cache_hook" else "transient"
+
+
+#: Another value of every spec field, from the spec's own.
+PERTURB = {
+    "benchmark": lambda v: v + "2", "kernel": lambda v: v + "2",
+    "card": lambda v: "QuadroGV100" if v != "QuadroGV100" else "RTX2060",
+    "structure": lambda v: (Structure.L2_CACHE if v is not Structure.L2_CACHE
+                            else Structure.REGISTER_FILE),
+    **dict.fromkeys(("run_index", "seed", "regs_per_thread", "golden_cycles",
+                     "cycle_budget", "bits_per_fault", "n_blocks", "n_cores"),
+                    lambda v: v + 1),
+    "smem_bytes": lambda v: v + 256, "local_bytes": lambda v: v + 256,
+    "windows": lambda v: tuple((start, end // 2) for start, end in v),
+    "multibit_mode": lambda v: next(m for m in MultiBitMode if m is not v),
+    **dict.fromkeys(("warp_level", "model_icache", "synthesized",
+                     "verify_restore", "prescreened", "telemetry",
+                     "propagation"), lambda v: not v),
+    "scheduler_policy": lambda v: "lrr" if v == "gto" else "gto",
+    "checkpoint_dir": lambda v: "elsewhere", "checkpoint_key": lambda v: "k",
+    "early_stop": lambda v: "off" if v != "off" else "full",
+    **dict.fromkeys(("prescreen_reason", "prescreen_site", "stratum"),
+                    lambda v: v + "x"),
+    "fault_model": _other_model,
+    "invocation": lambda v: 0 if v is None else v + 1,
+}
+
+
+def test_the_planned_mask_memo_keys_everything_a_mask_is_drawn_from():
+    # _PLANNED_MASKS hands a run the mask kept under _mask_inputs(spec):
+    # a field that changes the mask but not the key would hand a run
+    # another run's mask
+    assert set(PERTURB) == set(executor.SPEC_FIELDS)
+    config = CampaignConfig("scalarprod", "RTX2060", structures=(
+        Structure.REGISTER_FILE, Structure.SHARED_MEM, Structure.LOCAL_MEM,
+        Structure.L1D_CACHE, Structure.L2_CACHE), runs_per_structure=1,
+        seed=4, early_stop="off")
+    moved = set()
+    for spec in Campaign(config).plan():
+        mask = regenerate_mask(spec).to_dict()
+        for name, perturb in PERTURB.items():
+            other = stamp(vars(spec), **{name: perturb(getattr(spec, name))})
+            if regenerate_mask(other).to_dict() != mask:
+                moved.add(name)
+                assert executor._mask_inputs(other) \
+                    != executor._mask_inputs(spec), (spec.key, name)
+    assert moved >= {"card", "structure", "seed", "windows", "regs_per_thread",
+                     "smem_bytes", "local_bytes", "bits_per_fault",
+                     "warp_level", "n_blocks", "n_cores", "fault_model"}
 
 
 def test_a_plan_asks_the_trace_each_question_once_per_cycle(monkeypatch):

@@ -48,7 +48,7 @@ class Probe:
         self.trace = trace
         self.rng = np.random.default_rng(seed)
         self.log = []  # what a run reads off its injector
-        #: ``(mask, hook mode, what it resolved to on the live GPU)``
+        #: ``(mask, what it resolved to on the live GPU)``
         self.resolved = []
 
     def due_cycle(self):
@@ -61,13 +61,12 @@ class Probe:
             self.cycles.pop(0)
         live = LiveState(gpu)
         for structure in Structure:
-            mask, hook = self.mask(structure, now), bool(
-                self.rng.integers(0, 2))
-            found = resolve(mask, live, hook)
+            mask = self.mask(structure, now)
+            found = resolve(mask, live)
             if not isinstance(found, str):
                 found = tuple(dataclasses.replace(site, handle=None)
                               for site in found)
-            self.resolved.append((mask, hook, found))
+            self.resolved.append((mask, found))
 
     def mask(self, structure, cycle, bits=(0,)):
         rng = self.rng
@@ -86,7 +85,10 @@ class Probe:
                          warp_level=bool(rng.integers(0, 2)),
                          n_blocks=int(rng.integers(1, 3)),
                          n_cores=int(rng.integers(1, 3)),
-                         seed=int(rng.integers(0, 2**31 - 1)))
+                         seed=int(rng.integers(0, 2**31 - 1)),
+                         # half of them land in caches through hooks
+                         fault_model=("cache_hook" if rng.integers(0, 2)
+                                      else "transient"))
 
 
 class TestPopulationsAgree:
@@ -110,13 +112,13 @@ class TestPopulationsAgree:
             SAMPLES, golden_cycles)
 
         kinds, valid_lines = set(), 0
-        for mask, hook, live in probe.resolved:
+        for mask, live in probe.resolved:
             kp = next(kp for kp in kernels
                       if any(start <= mask.cycle < end
                              for start, end in kp.windows))
             golden = resolve(mask, GoldenState(
                 trace, mask.cycle, card, kp.regs_per_thread,
-                kp.smem_bytes, kp.local_bytes), hook)
+                kp.smem_bytes, kp.local_bytes))
             if mask.structure.is_control and not isinstance(live, str):
                 assert golden is None, mask  # the trace declines
                 continue
@@ -149,7 +151,7 @@ class TestPrescreenedRecordSaysWhatTheTraceSays:
          {"n_blocks": 2}),
         ("pathfinder", (Structure.L1T_CACHE,), 6, {"n_cores": 2}),
         ("pathfinder", (Structure.L1D_CACHE, Structure.L2_CACHE), 8,
-         {"cache_hook_mode": True}),
+         {"fault_model": "cache_hook"}),
     ], ids=["vectoradd", "scalarprod-blocks2", "pathfinder-cores2",
             "pathfinder-hook"])
     def test_instant_sites_equal_traced_sites(self, bench, structures,
