@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence
 from repro.faults.executor import SPEC_FIELDS, RunSpec
 # a plan's and a record's identity are part of the wire protocol too
 from repro.faults.ledger import RunKey, plan_fingerprint, record_key
-from repro.faults.mask import MultiBitMode
+from repro.faults.mask import FaultMask, MultiBitMode
 from repro.faults.targets import Structure
 
 #: Record keys that legitimately differ between executions of the same
@@ -44,21 +44,25 @@ def spec_to_wire(spec: RunSpec) -> dict:
 
     A flat field read: no field of ``RunSpec`` holds a dataclass, so
     the recursive deep copy of ``dataclasses.asdict`` would produce
-    the same dict at twenty times the cost.
+    the same dict at twenty times the cost.  The mask the plan drew
+    travels as its record form, so the worker injects that one.
     """
     wire = {name: getattr(spec, name) for name in SPEC_FIELDS}
     wire["structure"] = spec.structure.value
     wire["multibit_mode"] = spec.multibit_mode.value
     wire["windows"] = [list(window) for window in spec.windows]
+    wire["mask"] = spec.mask and spec.mask.to_dict()
     return wire
 
 
 def spec_from_wire(wire: dict) -> RunSpec:
     """Rebuild a :class:`RunSpec` from its wire dict.
 
-    Unknown keys are dropped (forward compatibility); enum and tuple
-    fields are restored so the result round-trips exactly:
+    Unknown keys are dropped (forward compatibility); enum, tuple and
+    mask fields are restored so the result round-trips exactly:
     ``spec_from_wire(json.loads(json.dumps(spec_to_wire(s)))) == s``.
+    A wire dict without a mask (an older dispatcher's) leaves the run
+    to draw it.
     """
     data = {name: wire[name] for name in SPEC_FIELDS if name in wire}
     data["structure"] = Structure(data["structure"])
@@ -66,6 +70,8 @@ def spec_from_wire(wire: dict) -> RunSpec:
     data["windows"] = tuple((int(start), int(end))
                             for start, end in data["windows"])
     data["seed"] = int(data["seed"])
+    mask = data.get("mask")
+    data["mask"] = mask and FaultMask.from_dict(mask)
     return RunSpec(**data)
 
 

@@ -37,7 +37,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.dist.protocol import plan_fingerprint, plan_shards, spec_to_wire
 from repro.faults.campaign import Campaign
 from repro.faults.config_file import parse_config_text
-from repro.faults.executor import RunSpec, execute_run, forget_masks, stamp
+from repro.faults.executor import RunSpec, execute_run, stamp
 from repro.faults.ledger import CampaignLedger
 from repro.faults.parser import read_log_header, scan_completed_records
 from repro.obs.events import (JournalPages, Tally, campaign_trace,
@@ -295,7 +295,6 @@ class Dispatcher:
         with self._lock:
             known = self._known(fingerprint)
         if known is not None:
-            forget_masks(specs)  # the plan's, for runs not executed here
             return known
         # an instant verdict costs less here than a lease: recorded by
         # no worker, and outside the lock too

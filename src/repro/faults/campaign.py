@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.faults.classify import TIMEOUT_FACTOR, FaultEffect
 from repro.faults.early_stop import EARLY_STOP_MODES, Prescreener
-from repro.faults.executor import RunSpec, mask_draw, remember_mask, stamp
+from repro.faults.executor import RunSpec, mask_draw, stamp
 from repro.faults.mask import (derive_run_seeds, mask_population,
                                seeded_streams, stream_states)
 from repro.faults.options import CampaignConfig, spec_constants
@@ -471,10 +471,10 @@ class Campaign:
               hand_over: bool = False) -> Tuple[List[RunSpec], dict]:
         """:meth:`plan` of the run indices ``ranges`` names by
         ``(kernel, structure)`` (default: ``range(runs_per_structure)``
-        of every group), and ``{n: (mask, verdict)}`` of every spec not
-        synthesized when ``hand_over`` asks (``verdict`` ``None``
-        without a pre-screener; else empty): the caller takes them, and
-        no mask is kept for execution (``remember_mask``)."""
+        of every group), and ``{n: verdict}`` of every spec not
+        synthesized when ``hand_over`` asks (``None`` without a
+        pre-screener; else empty).  Every mask the plan draws -- to
+        pre-screen it, or to hand its verdict over -- rides its spec."""
         started = time.perf_counter()
         cfg = self.config
         if cfg.early_stop not in EARLY_STOP_MODES:
@@ -534,11 +534,12 @@ class Campaign:
             (template.kernel, template.structure, i)
             for template, group in zip(templates, runs) for i in group],
             cfg.resolved_model().seed_model)
-        drawn, verdicts = {}, {}
+        drawn, handed = {}, {}  # by plan position
         for n, mask, verdict in (_draws(templates, coords, seeds, prescreener)
                                  if prescreener or hand_over else ()):
+            drawn[n] = {"mask": mask}
             if hand_over:
-                drawn[n] = mask, verdict
+                handed[n] = verdict
             if verdict is not None and verdict.reason:
                 # under propagation, the plan-time fate: the sites the
                 # mask resolves to, each with the fate the trace proves
@@ -546,19 +547,16 @@ class Campaign:
                     where.record(fate) for where, fate
                     in zip(verdict.sites, verdict.fates)]},
                     sort_keys=True) if cfg.propagation else ""
-                verdicts[n] = mask, dict(prescreened=True, prescreen_site=site,
-                                         prescreen_reason=verdict.reason)
+                drawn[n].update(prescreened=True, prescreen_site=site,
+                                prescreen_reason=verdict.reason)
         specs = [stamp(vars(templates[t]), run_index=i, seed=seed,
-                       **verdicts[n][1] if n in verdicts else {})
+                       **drawn.get(n, {}))
                  for n, ((t, i), seed) in enumerate(zip(coords, seeds))]
-        if not hand_over:
-            for n, (mask, _) in verdicts.items():
-                remember_mask(specs[n], mask)
         self.plan_timing = {
             "plan_s": round(time.perf_counter() - started, 6),
             "golden": golden.source,
             "golden_s": round(golden.seconds, 6)}
-        return specs, drawn
+        return specs, handed
 
     @contextlib.contextmanager
     def session(self, plan: Sequence[RunSpec], jobs: int = 1,

@@ -8,8 +8,9 @@ each run's randomness is independent of execution order.  This module
 provides that substrate:
 
 - :class:`RunSpec` -- one fully addressable injection run, carrying
-  its coordinates ``(kernel, structure, run_index)`` and the seed
-  derived from them (see :func:`repro.faults.mask.derive_run_seed`).
+  its coordinates ``(kernel, structure, run_index)``, the seed
+  derived from them (see :func:`repro.faults.mask.derive_run_seed`)
+  and the mask the plan drew from that seed, if it drew one.
   Specs are plain picklable data, safe to ship to worker processes.
 - :func:`execute_run` -- a pure function from spec to result record;
   the unit of work dispatched to the pool and to fleet workers.  A run
@@ -36,7 +37,6 @@ import functools
 import itertools
 import json
 import multiprocessing
-import operator
 import signal
 import time
 from dataclasses import dataclass
@@ -70,9 +70,10 @@ class RunSpec:
     """One fully specified injection run, ready for dispatch.
 
     Carries everything :func:`execute_run` needs: the application and
-    card, the target coordinates, the per-run derived seed, and the
+    card, the target coordinates, the per-run derived seed, the
     kernel's profiling facts (execution windows, allocation sizes) the
-    mask generator samples from.  Immutable and picklable.
+    mask generator samples from, and the mask itself when the plan
+    drew it.  Immutable and picklable.
     """
 
     benchmark: str
@@ -150,6 +151,11 @@ class RunSpec:
     #: restricted to (``None``: all of them).  The windows alone do not
     #: enter the plan fingerprint; this does, when set.
     invocation: Optional[int] = DEFAULTS["invocation"]
+    #: The fault mask the plan drew for this run: every run it drew
+    #: one for (to pre-screen it, or to stratify it), pre-screened or
+    #: not.  ``None`` where it drew none; the run then draws it from
+    #: ``seed`` (:func:`regenerate_mask`), the same mask.
+    mask: Optional[FaultMask] = None
 
     @property
     def key(self) -> RunKey:
@@ -188,9 +194,10 @@ def regenerate_mask(spec: RunSpec):
     """Re-derive the spec's fault mask from its seed.
 
     The mask is a pure function of the spec (the RNG is seeded from
-    the derived per-run seed), so the planner, the solo path and the
-    batched path all regenerate the *same* mask -- the property that
-    keeps records byte-identical across dispatch strategies.
+    the derived per-run seed), so a run whose spec carries no mask
+    (the plan drew none) draws the *same* one the plan would have --
+    the property that keeps records byte-identical across early-stop
+    modes and dispatch strategies.
     """
     return mask_draw(spec, np.random.default_rng(spec.seed))()
 
@@ -206,31 +213,6 @@ def mask_draw(spec: RunSpec, rng) -> Callable[[], FaultMask]:
         mode=spec.multibit_mode, warp_level=spec.warp_level,
         n_blocks=spec.n_blocks, n_cores=spec.n_cores,
         fault_model=spec.fault_model)
-
-
-#: The masks the plan drew for its pre-screened runs, by what
-#: :func:`regenerate_mask` reads of a spec, until the run's record
-#: takes its own: one draw per process.  Bounded (emptied when full),
-#: never pickled.
-_PLANNED_MASKS: Dict[tuple, object] = {}
-PLANNED_MASK_CAP = 1 << 14
-_mask_inputs = operator.attrgetter(
-    "card", "model_icache", "windows", "regs_per_thread", "smem_bytes",
-    "local_bytes", "seed", "structure", "bits_per_fault", "multibit_mode",
-    "warp_level", "n_blocks", "n_cores", "fault_model")
-
-
-def remember_mask(spec: RunSpec, mask) -> None:
-    """Keep the mask the plan drew for pre-screened ``spec``."""
-    if len(_PLANNED_MASKS) >= PLANNED_MASK_CAP:
-        _PLANNED_MASKS.clear()
-    _PLANNED_MASKS[_mask_inputs(spec)] = mask
-
-
-def forget_masks(specs: Sequence[RunSpec]) -> None:
-    """Drop the masks kept for a plan none of whose runs executes."""
-    for spec in filter(operator.attrgetter("prescreened"), specs):
-        _PLANNED_MASKS.pop(_mask_inputs(spec), None)
 
 
 def may_converge(spec: RunSpec) -> bool:
@@ -254,7 +236,7 @@ class ResolvedRun:
 
     @functools.cached_property
     def mask(self):
-        return regenerate_mask(self.spec)
+        return self.spec.mask or regenerate_mask(self.spec)
 
     @functools.cached_property
     def checkpoints(self):
@@ -518,8 +500,7 @@ def execute_run(spec: RunSpec) -> dict:
             record["propagation"] = synthesized_propagation()
         return annotate(record, spec, watch, skipped="synthesized")
     if spec.prescreened:
-        mask = _PLANNED_MASKS.pop(_mask_inputs(spec), None)
-        record["mask"] = (mask or regenerate_mask(spec)).to_dict()
+        record["mask"] = (spec.mask or regenerate_mask(spec)).to_dict()
         record["prescreened"] = True
         record["prescreen_reason"] = spec.prescreen_reason
         if spec.propagation:

@@ -249,6 +249,10 @@ class FaultMask:
         raise AttributeError(f"FaultMask is immutable (tried to delete "
                              f"{name!r})")
 
+    def __reduce__(self):
+        # the slots cannot be set one by one on unpickling: rebuild
+        return FaultMask, self._astuple() + (self.extra,)
+
     def _astuple(self) -> tuple:
         return (self.structure, self.cycle, self.entry_index,
                 self.bit_offsets, self.warp_level, self.n_blocks,

@@ -249,10 +249,19 @@ class CampaignConfig:
 
     def __post_init__(self):
         # validate eagerly so every surface (CLI flag, config file,
-        # direct construction) rejects unknown models identically
+        # submit, direct construction) refuses the same values
         get_model(self.fault_model)
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        for name, least in (("runs_per_structure", 1), ("bits_per_fault", 1),
+                            ("n_blocks", 1), ("n_cores", 1), ("seed", 0),
+                            ("batch", 1), ("checkpoint_interval", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if self.structures is not None and not self.structures:
+            raise ValueError("structures must name at least one structure")
+        if self.run_timeout is not None and not self.run_timeout > 0:
+            raise ValueError(f"run_timeout must be > 0, "
+                             f"got {self.run_timeout}")
         for name in ("backend", "adaptive"):
             allowed = OPTIONS[name].metadata["argparse"]["choices"]
             if getattr(self, name) not in allowed:

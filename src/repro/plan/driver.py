@@ -5,9 +5,10 @@ Replaces the fixed uniform plan when ``CampaignConfig.adaptive`` is
 
 1. **Classify** the candidate pool (the first ``runs_per_structure``
    enumerated specs -- masks i.i.d. uniform over the fault space)
-   into strata (:mod:`repro.plan.strata`) from the masks and
-   pre-screen verdicts :meth:`~repro.faults.campaign.Campaign.plan`
-   hands over (each mask drawn once); the pool proportions fix the
+   into strata (:mod:`repro.plan.strata`) from the masks its specs
+   carry and the pre-screen verdicts
+   :meth:`~repro.faults.campaign.Campaign.plan` hands over (each mask
+   drawn once, by the plan); the pool proportions fix the
    stratum weights.  Proven-dead strata stop immediately with
    ``p = 0`` and zero executed runs.
 2. **Pilot**: execute a few runs of every live stratum.
@@ -192,14 +193,13 @@ def strata_table(groups: Dict[Tuple[str, str], StratifiedEstimate]) -> str:
                          "failures", "p_hat", "W", "w_run", "margin"], rows)
 
 
-def _classify(card, groups: Dict, specs, drawn: Dict[int, tuple],
+def _classify(card, groups: Dict, specs, verdicts: Dict[int, object],
               initial: bool) -> None:
     """Assign planned specs to strata, tagging each with its key;
-    ``drawn`` is the plan's ``(mask, verdict)`` by spec position."""
+    ``verdicts`` is the plan's pre-screen verdict by spec position."""
     for n, spec in enumerate(specs):
         group = groups[(spec.kernel, spec.structure.value)]
-        mask, verdict = drawn.get(n, (None, None))
-        stratum = stratum_of(card, spec, mask, verdict)
+        stratum = stratum_of(card, spec, verdicts.get(n))
         tagged = stamp(vars(spec), stratum=stratum)
         group.candidates.setdefault(stratum, []).append(tagged)
         stats = group.estimate.stratum(stratum)
@@ -221,11 +221,11 @@ def _extend_pool(campaign, card, group: _Group) -> bool:
     if group.enumerated >= cap:
         return False
     end = min(group.enumerated + max(group.budget, PILOT_RUNS), cap)
-    specs, drawn = campaign._plan(
+    specs, verdicts = campaign._plan(
         {(group.kernel, group.structure): range(group.enumerated, end)},
         hand_over=True)
     _classify(card, {(group.kernel, group.structure.value): group},
-              specs, drawn, initial=False)
+              specs, verdicts, initial=False)
     group.enumerated = end
     return True
 
@@ -299,8 +299,7 @@ def run_adaptive(campaign, jobs: int = 1,
     """
     cfg = campaign.config
     progress = campaign._progress
-    # no mask is kept for execution: no pre-screened candidate runs
-    base_specs, drawn = campaign._plan(hand_over=True)
+    base_specs, verdicts = campaign._plan(hand_over=True)
     card = cfg.resolved_card()
 
     groups: Dict[Tuple[str, str], _Group] = {}
@@ -316,7 +315,7 @@ def run_adaptive(campaign, jobs: int = 1,
                         card, spec.structure, spec.regs_per_thread,
                         spec.smem_bytes, spec.local_bytes, spec.windows)),
                 budget=cfg.runs_per_structure)
-    _classify(card, groups, base_specs, drawn, initial=True)
+    _classify(card, groups, base_specs, verdicts, initial=True)
     for key, group in sorted(groups.items()):
         dead = group.estimate.strata.get(DEAD_STRATUM)
         live = {k: s.candidates

@@ -68,14 +68,13 @@ def lifetime_band(structure: Structure, first_read: Optional[int],
             else "long")
 
 
-def stratum_of(config, spec, mask: Optional[FaultMask],
-               verdict=None) -> str:
+def stratum_of(config, spec, verdict=None) -> str:
     """The stratum key of one planned run.
 
-    ``spec``, ``mask`` and ``verdict`` are what
-    :meth:`~repro.faults.campaign.Campaign.plan` planned, drew and
-    pre-screened for the run (``mask`` is ``None`` when it synthesized
-    the run, ``verdict`` when it had no pre-screener: under
+    ``spec`` and ``verdict`` are what
+    :meth:`~repro.faults.campaign.Campaign.plan` planned (with the
+    mask it drew, unless it synthesized the run) and pre-screened for
+    the run (``verdict`` is ``None`` when it had no pre-screener: under
     ``early_stop`` ``"off"`` / ``"converge"``, or a persistent fault
     model).  Keys look like ``"lo:short"``; proven-dead and
     synthesized runs collapse into :data:`DEAD_STRATUM`.
@@ -84,7 +83,7 @@ def stratum_of(config, spec, mask: Optional[FaultMask],
         return DEAD_STRATUM
     # the plan pre-screens a run exactly when its verdict has a reason
     assert verdict is None or verdict.reason is None
-    band = bit_band(config, spec.structure, mask)
+    band = bit_band(config, spec.structure, spec.mask)
     life = lifetime_band(spec.structure, verdict and verdict.first_read,
-                         mask.cycle, spec.golden_cycles)
+                         spec.mask.cycle, spec.golden_cycles)
     return f"{band}:{life}"

@@ -977,6 +977,7 @@ class TestWireCodec:
             wire["structure"] = spec.structure.value
             wire["multibit_mode"] = spec.multibit_mode.value
             wire["windows"] = [list(window) for window in spec.windows]
+            wire["mask"] = spec.mask and spec.mask.to_dict()
             return wire
 
         plan = [spec for benchmark in ("vectoradd", "pathfinder")

@@ -9,8 +9,14 @@ import random
 import pytest
 
 from repro.cli import main as cli_main
+from repro.dist.protocol import (canonical_log_text, spec_from_wire,
+                                 spec_to_wire)
+from repro.dist.server import Dispatcher
+from repro.faults import executor
 from repro.faults.campaign import Campaign, CampaignConfig
-from repro.faults.executor import CampaignExecutor, RunSpec, execute_run
+from repro.faults.config_file import dump_config
+from repro.faults.executor import (CampaignExecutor, RunSpec, execute_run,
+                                   regenerate_mask)
 from repro.faults.ledger import CampaignLedger
 from repro.faults.mask import derive_run_seed
 from repro.faults.parser import load_records, scan_completed_records
@@ -117,14 +123,90 @@ class TestStageLaziness:
 
         monkeypatch.setattr(executor, "regenerate_mask", counting)
         monkeypatch.setattr(executor, "CheckpointStore", never)
-        # as in a process that did not plan them
-        monkeypatch.setattr(executor, "_PLANNED_MASKS", {})
-        records = [execute_run(spec) for spec in specs]
+        # as specs the plan drew no mask for
+        records = [execute_run(dataclasses.replace(spec, mask=None))
+                   for spec in specs]
         assert regenerated == [spec.key for spec in specs
                                if not spec.synthesized]
         assert all(record["effect"] == "Masked"
                    and record["timings"]["cycles_simulated"] == 0
                    for record in records)
+
+
+class TestMasksRideTheirSpecs:
+    """Every mask the plan draws rides its spec, and a run injects the
+    one its spec carries: a mask is drawn once, by the plan.  Only a
+    spec the plan drew none for (``early_stop`` off / converge, a
+    persistent model, a hand-built spec, an older wire dict) draws it
+    where it runs, and draws the same one."""
+
+    #: pathfinder, three structures: pre-screened runs and four that
+    #: simulate
+    SHAPE = dict(benchmark="pathfinder", runs_per_structure=6, seed=2022,
+                 structures=(Structure.REGISTER_FILE, Structure.L2_CACHE,
+                             Structure.SHARED_MEM))
+
+    @pytest.mark.parametrize("fault_model", ["transient", "cache_hook"])
+    def test_a_full_plan_carries_every_mask_it_drew(self, fault_model):
+        specs = Campaign(make_config(**self.SHAPE, fault_model=fault_model,
+                                     early_stop="full")).plan()
+        assert any(spec.prescreened for spec in specs)
+        assert any(not spec.instant for spec in specs)
+        for spec in specs:
+            assert spec.mask == (None if spec.synthesized
+                                 else regenerate_mask(spec))
+
+    @pytest.mark.parametrize("changes", [
+        dict(fault_model="stuck_at_1"), dict(early_stop="off")])
+    def test_a_plan_that_prescreens_nothing_draws_nothing(self, changes):
+        specs = Campaign(make_config(**self.SHAPE, **changes)).plan()
+        assert all(spec.mask is None for spec in specs)
+
+    def test_pickle_and_the_wire_keep_the_spec_and_its_mask(self):
+        specs = Campaign(make_config(**self.SHAPE)).plan()
+        assert pickle.loads(pickle.dumps(specs)) == specs
+        for spec in specs:
+            wire = json.loads(json.dumps(spec_to_wire(spec)))
+            assert spec_from_wire(wire) == spec
+            # an older dispatcher's wire dict names no mask: the run
+            # draws the one the plan drew
+            del wire["mask"]
+            assert execute_run(spec_from_wire(wire)) == execute_run(spec)
+
+    @pytest.mark.parametrize("how", ["jobs1", "jobs2", "fleet"])
+    def test_no_run_of_a_full_plan_draws_its_mask(self, tmp_path,
+                                                  monkeypatch, how):
+        # 4 of the 18 runs simulate: none may draw the mask its spec
+        # carries, in the pool's workers or a fleet worker either
+        drawn = tmp_path / "drawn"
+        real = executor.regenerate_mask
+
+        def spy(spec):  # pool workers are forked: count in a file
+            with open(drawn, "a") as out:
+                out.write(f"{spec.key}\n")
+            return real(spec)
+
+        monkeypatch.setattr(executor, "regenerate_mask", spy)
+        config = make_config(**self.SHAPE)
+        campaign = Campaign(config)
+        specs = campaign.plan()
+        if how == "fleet":
+            dispatcher = Dispatcher(log_dir=tmp_path / "server")
+            cid = dispatcher.submit(dump_config(config))["campaign"]
+            while not (lease := dispatcher.lease("w")).get("idle"):
+                dispatcher.collect(
+                    cid, lease["lease"], lease["fingerprint"],
+                    [execute_run(spec_from_wire(wire))
+                     for wire in lease["specs"]], done=True, worker="w")
+            records = dispatcher.records(cid)["records"]
+        else:
+            records = campaign.execute(specs, jobs=int(how[-1]))
+        assert not drawn.exists()
+        drawing = [execute_run(dataclasses.replace(spec, mask=None))
+                   for spec in specs]
+        assert canonical_log_text(records) == canonical_log_text(drawing)
+        assert len(drawn.read_text().splitlines()) == sum(
+            not spec.synthesized for spec in specs)  # the spy spies
 
 
 class TestWorkerPoolParity:

@@ -124,3 +124,17 @@ class TestSerialisation:
 
         mask = make_generator().generate(Structure.L1T_CACHE)
         json.dumps(mask.to_dict())
+
+    def test_pickle_roundtrip_keeps_every_field(self):
+        # a spec carries its mask to pool workers; the slots refused
+        # the unpickler's setattr before FaultMask rebuilt itself
+        import pickle
+
+        mask = FaultMask(Structure.L1D_CACHE, 812, 33, (4, 29),
+                         warp_level=True, n_blocks=2, n_cores=3, seed=2**40,
+                         fault_model="cache_hook",
+                         extra={"newer": [1, {"x": None}]})
+        revived = pickle.loads(pickle.dumps(mask))
+        assert revived == mask and hash(revived) == hash(mask)
+        assert revived.to_dict() == mask.to_dict()
+        assert revived.extra is not mask.extra

@@ -176,7 +176,6 @@ def test_a_submit_draws_each_prescreened_mask_once(tmp_path, monkeypatch):
         return mask
 
     monkeypatch.setattr(MaskGenerator, "generate", counted)
-    executor._PLANNED_MASKS.clear()
     dispatcher = Dispatcher(log_dir=tmp_path)
     cid = dispatcher.submit(text_of(**config))["campaign"]
     records = dispatcher.records(cid)["records"]
@@ -184,27 +183,13 @@ def test_a_submit_draws_each_prescreened_mask_once(tmp_path, monkeypatch):
     assert len(prescreened) == 16
     assert drawn == {json.dumps(r["mask"], sort_keys=True): 1
                      for r in prescreened}
-    assert not executor._PLANNED_MASKS  # each record took its mask
     monkeypatch.undo()
     # the masks the records carry are the ones a fresh draw gives
     plan = {spec.key: spec for spec in Campaign(CampaignConfig(
         **config)).plan()}
-    executor._PLANNED_MASKS.clear()
     for record in prescreened:
         assert record["mask"] == executor.regenerate_mask(
             plan[record_key(record)]).to_dict()
-
-
-def test_planned_masks_are_bounded(monkeypatch):
-    monkeypatch.setattr(executor, "PLANNED_MASK_CAP", 4)
-    executor._PLANNED_MASKS.clear()
-    campaign = Campaign(CampaignConfig(**ALL_INSTANT, early_stop="full"))
-    plan = campaign.plan()
-    assert 0 < len(executor._PLANNED_MASKS) <= 4
-    records = [execute_run(spec) for spec in plan]
-    assert not executor._PLANNED_MASKS
-    executor._PLANNED_MASKS.clear()
-    assert records == [execute_run(spec) for spec in plan]
 
 
 def test_a_pool_gets_only_runs_that_simulate(tmp_path, monkeypatch):

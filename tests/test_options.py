@@ -137,7 +137,7 @@ def configs(draw, flagged_only=False):
             st.sampled_from(list(Structure)), min_size=1,
             max_size=3).map(tuple)),
         fault_model=draw(st.sampled_from(model_names())),
-        runs_per_structure=draw(st.integers(0, 5000)),
+        runs_per_structure=draw(st.integers(1, 5000)),
         bits_per_fault=draw(st.integers(1, 4)),
         multibit_mode=draw(st.sampled_from(list(MultiBitMode))),
         warp_level=draw(st.booleans()),
@@ -553,3 +553,38 @@ def test_documented_keys_exist():
         text = (REPO / doc).read_text(encoding="utf-8")
         for key in re.findall(re.escape(KEY_PREFIX) + r"(\w+)", text):
             assert key in KEYS, f"{doc} mentions unknown {KEY_PREFIX}{key}"
+
+
+#: ``(key, flag, text)`` of values that describe no campaign: each ran
+#: no injection, injected nothing or died in a traceback, from the
+#: command line and the config file alike, before the table refused it.
+#: ``--checkpoint-interval`` has no key: it is a flag only.
+MEANINGLESS = [
+    ("runs", "--runs", "-3"), ("runs", "--runs", "0"),
+    ("components", "--structures", ","), ("bits_per_fault", "--bits", "0"),
+    ("blocks", None, "0"), ("cores", None, "0"), ("seed", "--seed", "-1"),
+    ("run_timeout", "--run-timeout", "0"),
+    (None, "--checkpoint-interval", "0"),
+]
+
+
+@pytest.mark.parametrize("key, flag, text", MEANINGLESS,
+                         ids=[f"{f or k}={t}" for k, f, t in MEANINGLESS])
+def test_a_meaningless_value_is_refused_on_every_surface(tmp_path, key,
+                                                         flag, text):
+    base = "-gpufi_benchmark vectoradd\n-gpufi_card RTX2060\n"
+    line = f"{KEY_PREFIX}{key} {text}\n"
+    path = tmp_path / "c.config"
+    path.write_text(base + line)
+    argvs = [["--config", str(path)]] if key else []
+    if flag:
+        argvs.append(["--benchmark", "vectoradd", flag, text,
+                      "--checkpoint-dir", str(tmp_path / "ckpt")])
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["campaign", "--log", str(tmp_path / "l.jsonl"), *argv])
+        assert str(exited.value.code).startswith("error: "), argv
+        assert not (tmp_path / "l.jsonl").exists()
+    if key:  # an execution option is not the dispatcher's to be sent
+        with pytest.raises(ValueError, match="must"):
+            Dispatcher(log_dir=tmp_path / "server").submit(base + line)

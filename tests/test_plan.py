@@ -616,18 +616,6 @@ class TestAdaptiveDriver:
         assert canonical_log_text(warm_result.records) \
             == canonical_log_text(cold_result.records)
 
-    def test_no_planned_mask_is_left_behind(self, tmp_path):
-        """The dead stratum never executes, so no mask of it may wait
-        in the executor's memo (at the parent, every pre-screened
-        candidate's did, until the memo's cap emptied it)."""
-        import repro.faults.executor as executor
-
-        executor._PLANNED_MASKS.clear()
-        campaign, _, _ = self._run(tmp_path)
-        (estimate,) = campaign.last_plan.groups.values()
-        assert estimate.strata["dead"].candidates > 0
-        assert not executor._PLANNED_MASKS
-
     def test_a_candidate_is_planned_and_drawn_once(self, tmp_path,
                                                    monkeypatch):
         """Planning draws one mask per classified candidate that is not

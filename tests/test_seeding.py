@@ -7,8 +7,8 @@ start their streams, the size-1 draws must leave a stream where
 ``choice(n, size=1, replace=False)`` leaves it, and a plan must equal
 a per-spec loop over the scalar paths.  A plan stamps its specs
 (:func:`~repro.faults.executor.stamp`): each must be the spec
-``RunSpec(...)`` builds, to the pickled byte; the masks it keeps are
-keyed on every spec field a mask is drawn from.
+``RunSpec(...)`` builds, to the pickled byte, and carry the mask a
+run of the spec would draw.
 """
 
 import collections
@@ -25,7 +25,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.dist.server import Dispatcher
-from repro.faults import executor
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.config_file import dump_config
 from repro.dist.protocol import spec_to_wire
@@ -156,30 +155,26 @@ def plan_config(overrides):
 @pytest.mark.parametrize("overrides", PLANS, ids=lambda o: o["benchmark"])
 def test_a_plan_is_its_per_spec_loop(overrides):
     config, runs = plan_config(overrides)
-    executor._PLANNED_MASKS.clear()
     campaign = Campaign(config)
     specs = campaign.plan()
     if runs != range(config.runs_per_structure):
         # a range plan is the slice of the whole plan, to the byte
-        executor._PLANNED_MASKS.clear()
         ranged, _ = campaign._plan({
             (kernel, structure): runs for kernel in campaign.profile.kernels
             for structure in config.resolved_structures()})
         assert pickle.dumps(ranged) == pickle.dumps(
             [spec for spec in specs if spec.run_index in runs])
         specs = ranged
-    planned = dict(executor._PLANNED_MASKS)
     prescreener = (campaign.prescreener() if config.early_stop == "full"
                    else None)
     assert len({spec.key for spec in specs}) == len(specs) == (
         len(runs) * len(config.resolved_structures())
         * len(campaign.profile.kernels))
-    expected_masks = {}
     for spec in specs:
         assert spec.seed == derive_run_seed(
             config.seed, spec.kernel, spec.structure, spec.run_index,
             config.resolved_model().seed_model)
-        reason, site = None, ""
+        reason, site, mask = None, "", None
         if prescreener is not None and not spec.synthesized:
             mask = regenerate_mask(spec)
             verdict = prescreener.evaluate(mask, spec.regs_per_thread,
@@ -191,19 +186,14 @@ def test_a_plan_is_its_per_spec_loop(overrides):
                      "sites": [s.record(fate) for s, fate
                                in zip(verdict.sites, verdict.fates)]},
                     sort_keys=True)
-            if reason:
-                expected_masks[executor._mask_inputs(spec)] = mask.to_dict()
         assert (spec.prescreened, spec.prescreen_reason or None,
-                spec.prescreen_site) == (bool(reason), reason, site)
-    assert {key: mask.to_dict() for key, mask in planned.items()} \
-        == expected_masks
-    executor._PLANNED_MASKS.clear()
+                spec.prescreen_site, spec.mask) == (bool(reason), reason,
+                                                    site, mask)
 
 
 @pytest.mark.parametrize("overrides", PLANS, ids=lambda o: o["benchmark"])
 def test_a_stamped_spec_is_the_spec_init_builds(overrides):
     specs = Campaign(plan_config(overrides)[0]).plan()
-    executor._PLANNED_MASKS.clear()
     for spec in specs:
         for stamped, built in (
                 (spec, RunSpec(**vars(spec))),
@@ -234,58 +224,6 @@ def test_a_spec_has_nothing_init_would_run_after_the_fields():
     assert not hasattr(RunSpec, "__post_init__")
 
 
-def _other_model(name):
-    return "cache_hook" if name != "cache_hook" else "transient"
-
-
-#: Another value of every spec field, from the spec's own.
-PERTURB = {
-    "benchmark": lambda v: v + "2", "kernel": lambda v: v + "2",
-    "card": lambda v: "QuadroGV100" if v != "QuadroGV100" else "RTX2060",
-    "structure": lambda v: (Structure.L2_CACHE if v is not Structure.L2_CACHE
-                            else Structure.REGISTER_FILE),
-    **dict.fromkeys(("run_index", "seed", "regs_per_thread", "golden_cycles",
-                     "cycle_budget", "bits_per_fault", "n_blocks", "n_cores"),
-                    lambda v: v + 1),
-    "smem_bytes": lambda v: v + 256, "local_bytes": lambda v: v + 256,
-    "windows": lambda v: tuple((start, end // 2) for start, end in v),
-    "multibit_mode": lambda v: next(m for m in MultiBitMode if m is not v),
-    **dict.fromkeys(("warp_level", "model_icache", "synthesized",
-                     "verify_restore", "prescreened", "telemetry",
-                     "propagation"), lambda v: not v),
-    "scheduler_policy": lambda v: "lrr" if v == "gto" else "gto",
-    "checkpoint_dir": lambda v: "elsewhere", "checkpoint_key": lambda v: "k",
-    "early_stop": lambda v: "off" if v != "off" else "full",
-    **dict.fromkeys(("prescreen_reason", "prescreen_site", "stratum"),
-                    lambda v: v + "x"),
-    "fault_model": _other_model,
-    "invocation": lambda v: 0 if v is None else v + 1,
-}
-
-
-def test_the_planned_mask_memo_keys_everything_a_mask_is_drawn_from():
-    # _PLANNED_MASKS hands a run the mask kept under _mask_inputs(spec):
-    # a field that changes the mask but not the key would hand a run
-    # another run's mask
-    assert set(PERTURB) == set(executor.SPEC_FIELDS)
-    config = CampaignConfig("scalarprod", "RTX2060", structures=(
-        Structure.REGISTER_FILE, Structure.SHARED_MEM, Structure.LOCAL_MEM,
-        Structure.L1D_CACHE, Structure.L2_CACHE), runs_per_structure=1,
-        seed=4, early_stop="off")
-    moved = set()
-    for spec in Campaign(config).plan():
-        mask = regenerate_mask(spec).to_dict()
-        for name, perturb in PERTURB.items():
-            other = stamp(vars(spec), **{name: perturb(getattr(spec, name))})
-            if regenerate_mask(other).to_dict() != mask:
-                moved.add(name)
-                assert executor._mask_inputs(other) \
-                    != executor._mask_inputs(spec), (spec.key, name)
-    assert moved >= {"card", "structure", "seed", "windows", "regs_per_thread",
-                     "smem_bytes", "local_bytes", "bits_per_fault",
-                     "warp_level", "n_blocks", "n_cores", "fault_model"}
-
-
 def test_a_plan_asks_the_trace_each_question_once_per_cycle(monkeypatch):
     asked = collections.Counter()
 
@@ -304,7 +242,6 @@ def test_a_plan_asks_the_trace_each_question_once_per_cycle(monkeypatch):
         structures=(Structure.REGISTER_FILE, Structure.L1T_CACHE), seed=4)
     campaign = Campaign(config)
     specs = campaign.plan()
-    executor._PLANNED_MASKS.clear()
     assert max(asked.values()) == 1
     assert sum(asked.values()) < len(specs)  # cycles repeat at R = 96
     trace = campaign.golden_run(traced=True).liveness
@@ -334,7 +271,6 @@ def test_plans_in_threads_at_once_agree():
     assert all(dataclasses.astuple(a) == dataclasses.astuple(b)
                for p in plans for a, b in zip(p, alone))
     assert all(len(p) == len(alone) for p in plans)
-    executor._PLANNED_MASKS.clear()
 
 
 UNKNOWN = dict(benchmark="vectoradd", card="RTX2060", kernels=("nope",),
